@@ -34,9 +34,10 @@ bench-obs:
 bench-load:
 	PYTHONPATH=src pytest benchmarks/test_load_slo.py --benchmark-only
 
-# The erasure-codec gate: regenerates BENCH_codec.json and fails if
-# aont-rs encode or degraded decode runs more than 2x slower than plain
-# rs at the same (k, m).
+# The erasure-codec gates: regenerates BENCH_codec.json and fails if
+# rs(6,3) encode or degraded decode runs more than 15x slower than raid5
+# XOR encode in the same run, or if the AONT transform costs aont-rs more
+# than 10 ms/MiB (100 MB/s) on top of plain rs at the same (k, m).
 bench-codec:
 	PYTHONPATH=src pytest benchmarks/test_codec_throughput.py --benchmark-only
 

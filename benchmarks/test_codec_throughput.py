@@ -5,19 +5,23 @@ matmuls, XOR parity, the AONT keystream) so the numbers isolate coding
 cost from transport.  Writes machine-readable MB/s per codec to
 ``BENCH_codec.json`` at the repo root.
 
-The gate: AONT-RS must stay within 2x of plain RS at the same (k, m) on
-encode and on worst-case degraded decode.  The transform adds one
-SHAKE-256 keystream, one SHA-256 digest and two XOR passes on top of
-identical RS algebra -- linear single-pass work, small next to the
-GF(256) matmuls, so the margin is structural.  The *healthy* decode is
-published but not gated: systematic RS with all data shards in hand is a
-pure concatenation (memcpy speed), so any real work at all shows up as a
-huge ratio against it -- the AONT unwrap is hash-bound at an absolute
-rate that the healthy-decode floor below keeps honest instead.
+Two gates.  The kernel gate is in-run and machine independent: rs(6,3)
+encode and worst-case degraded decode may each be at most 15x slower
+than raid5@4's XOR encode measured in the same run (the log/exp kernel
+sat at 51x and 125x).  The AONT gate is additive, because the transform
+is additive: one SHAKE-256 keystream, one SHA-256 digest and two XOR
+passes on top of identical RS algebra cost the same seconds per MiB
+however fast that algebra is, so ``1/aont_mbps - 1/rs_mbps`` (the
+transform's own time per MiB) must stay under ``1/MIN_AONT_TRANSFORM_MBPS``
+on encode and on degraded decode.  A ratio gate against plain rs only
+ever passed while rs was slow.  The *healthy* decode is published but
+not gated against rs: systematic RS with all data shards in hand is a
+pure concatenation (memcpy speed); the healthy-decode floor below keeps
+the hash-bound unwrap honest instead.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the payload so CI can exercise the
-harness in seconds; the ratio assertion is skipped there (tiny payloads
-measure fixed overheads, not the coding loops).
+harness in seconds; the gates are skipped there (tiny payloads measure
+fixed overheads, not the coding loops).
 """
 
 from __future__ import annotations
@@ -35,7 +39,13 @@ from repro.util.units import format_bytes
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 PAYLOAD_SIZE = 256 * 1024 if SMOKE else 8 * 1024 * 1024
 ROUNDS = 1 if SMOKE else 5
-MAX_AONT_OVERHEAD = 2.0
+GATED_OPS = ("encode", "degraded_decode")
+MAX_KERNEL_SLOWDOWN = 15.0
+# Measured here: SHAKE-256 349, SHA-256 1364, numpy XOR 1434 MiB/s, in
+# series 4.3 ms/MiB (233 MB/s; aont_wrap alone runs at 235).  Three runs of
+# the bench read 4.4-6.0 on encode and 3.9-4.9 on degraded decode, the
+# spread being the shared box; the floor leaves about 2x over the quiet figure.
+MIN_AONT_TRANSFORM_MBPS = 100.0
 # Absolute floor for the hash-bound healthy decode (SHAKE-256 keystream
 # + SHA-256 + XOR): far below what any hardware here delivers, but high
 # enough to catch an accidental quadratic or per-byte Python loop.
@@ -115,6 +125,17 @@ def run_bench() -> dict:
             rs["decode_mbps"] / max(aont["decode_mbps"], 1e-9), 3
         ),
     }
+    # The gated quantities: the transform's own time per MiB, and how far
+    # the GF(2^8) kernel sits from XOR parity in this very run.
+    xor = results["codecs"]["raid5@4"]["encode_mbps"]
+    results["aont_transform_ms_per_mib"] = {}
+    results["kernel_vs_xor"] = {}
+    for op in GATED_OPS:
+        rs_mbps, aont_mbps = rs[f"{op}_mbps"], aont[f"{op}_mbps"]
+        results["aont_transform_ms_per_mib"][op] = round(
+            1000 / aont_mbps - 1000 / rs_mbps, 3
+        )
+        results["kernel_vs_xor"][op] = round(xor / rs_mbps, 2)
     return results
 
 
@@ -132,27 +153,30 @@ def test_codec_throughput(benchmark, save_result):
         ]
         for label, entry in results["codecs"].items()
     ]
-    overhead = results["aont_overhead"]
+    transform, kernel = results["aont_transform_ms_per_mib"], results["kernel_vs_xor"]
     table = render_table(
         ["codec", "k+m", "enc MB/s", "dec MB/s", "degraded MB/s"],
         rows,
         title=(
             f"CODEC THROUGHPUT ({format_bytes(PAYLOAD_SIZE)} payload; "
-            f"AONT overhead {overhead['encode']:.2f}x enc / "
-            f"{overhead['degraded_decode']:.2f}x degraded dec)"
+            f"AONT transform {transform['encode']:.1f} / "
+            f"{transform['degraded_decode']:.1f} ms/MiB on enc / degraded dec; "
+            f"rs(6,3) {kernel['encode']:.1f}x / "
+            f"{kernel['degraded_decode']:.1f}x off raid5 XOR enc)"
         ),
     )
     save_result("codec_throughput", table)
 
     if not SMOKE:
-        assert overhead["encode"] <= MAX_AONT_OVERHEAD, (
-            f"aont-rs encode {overhead['encode']}x slower than rs at the "
-            f"same (k, m); gate is {MAX_AONT_OVERHEAD}x"
-        )
-        assert overhead["degraded_decode"] <= MAX_AONT_OVERHEAD, (
-            f"aont-rs degraded decode {overhead['degraded_decode']}x slower "
-            f"than rs at the same (k, m); gate is {MAX_AONT_OVERHEAD}x"
-        )
+        for op in GATED_OPS:
+            assert transform[op] <= 1000 / MIN_AONT_TRANSFORM_MBPS, (
+                f"aont-rs {op} spends {transform[op]} ms/MiB on top of rs at "
+                f"the same (k, m); gate is {1000 / MIN_AONT_TRANSFORM_MBPS}"
+            )
+            assert kernel[op] <= MAX_KERNEL_SLOWDOWN, (
+                f"rs(6,3) {op} is {kernel[op]}x slower than raid5@4 encode in "
+                f"the same run; gate is {MAX_KERNEL_SLOWDOWN}x"
+            )
         assert (
             results["codecs"]["aont-rs(6,3)"]["decode_mbps"]
             >= MIN_AONT_DECODE_MBPS

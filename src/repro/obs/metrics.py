@@ -29,6 +29,7 @@ accumulates one ops view across short-lived invocations.
 
 from __future__ import annotations
 
+import re
 import threading
 from bisect import bisect_right
 
@@ -485,7 +486,9 @@ class MetricsRegistry:
         name, _, label_text = packed.partition("|")
         labels: dict[str, str] = {}
         if label_text:
-            for pair in label_text.split(","):
+            # Values may hold commas (codec="rs(6,3)"); a new pair only
+            # starts where a label name and "=" follow the comma.
+            for pair in re.split(r",(?=\w+=)", label_text):
                 k, _, v = pair.partition("=")
                 labels[k] = v
         return name, labels

@@ -264,6 +264,15 @@ class ErasureCodec:
         return orig_len, shard_size, shards
 
     @staticmethod
+    def _join(data: list[bytes], length: int) -> bytes:
+        """The first *length* bytes of the concatenated shards: one join,
+        with only the shard the payload ends in trimmed beforehand."""
+        whole, tail = divmod(length, len(data[0]) or 1)
+        if tail:
+            return b"".join(data[:whole] + [data[whole][:tail]])
+        return b"".join(data[:whole])
+
+    @staticmethod
     def _require(meta: StripeMeta, shards: dict[int, bytes], k: int) -> None:
         if len(shards) < k:
             raise ReconstructionError(
@@ -299,11 +308,8 @@ class RaidCodec(ErasureCodec):
         elif self.level is RaidLevel.RAID5:
             parity = [xor_parity(data_shards)] if shard_size else [b""]
         elif self.m > 0:
-            parity = (
-                _rs_code(self.k, self.m, "vandermonde").encode(data_shards)
-                if shard_size
-                else [b""] * self.m
-            )
+            code = _rs_code(self.k, self.m, "vandermonde", self.label)
+            parity = code.encode(data_shards) if shard_size else [b""] * self.m
         else:
             parity = []
         meta = StripeMeta(
@@ -337,8 +343,9 @@ class RaidCodec(ErasureCodec):
                 shards[i] if i in shards else recovered for i in range(meta.k)
             ]
         else:
-            data = _rs_code(meta.k, meta.m, "vandermonde").decode(shards)
-        return b"".join(data)[: meta.orig_len]
+            code = _rs_code(meta.k, meta.m, "vandermonde", self.label)
+            data = code.decode(shards)
+        return self._join(data, meta.orig_len)
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:
@@ -359,26 +366,24 @@ class RaidCodec(ErasureCodec):
             blocks = [others[i] for i in sorted(others)][: meta.k]
             # XOR of any k of the k+1 stripe members reproduces the missing one.
             return xor_parity(blocks)
-        others = {i: s for i, s in shards.items() if i != index}
-        return _rs_code(meta.k, meta.m, "vandermonde").reconstruct_shard(
-            index, others
-        )
+        code = _rs_code(meta.k, meta.m, "vandermonde", self.label)
+        return code.reconstruct_shard(index, shards)
 
 
 class RSStripeCodec(ErasureCodec):
     """General systematic Reed-Solomon rs(k,m) with the Cauchy generator."""
 
-    generator = "cauchy"
+    family = "rs"
 
     def __init__(self, k: int, m: int) -> None:
-        _rs_code(k, m, self.generator)  # validate parameters eagerly
         self.k = k
         self.m = m
         self.width = k + m
-        self.label = f"rs({k},{m})"
+        self.label = f"{self.family}({k},{m})"
+        self._code()  # validate parameters eagerly
 
     def _code(self):
-        return _rs_code(self.k, self.m, self.generator)
+        return _rs_code(self.k, self.m, "cauchy", self.label)
 
     def _encode(
         self, payload: "bytes | memoryview"
@@ -401,14 +406,12 @@ class RSStripeCodec(ErasureCodec):
         if meta.orig_len == 0:
             return b""
         self._require(meta, shards, meta.k)
-        data = self._code().decode(shards)
-        return b"".join(data)[: meta.orig_len]
+        return self._join(self._code().decode(shards), meta.orig_len)
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:
             return b""
-        others = {i: s for i, s in shards.items() if i != index}
-        return self._code().reconstruct_shard(index, others)
+        return self._code().reconstruct_shard(index, shards)
 
 
 class AontRSCodec(RSStripeCodec):
@@ -424,9 +427,7 @@ class AontRSCodec(RSStripeCodec):
     ``orig_len + AONT_OVERHEAD``.
     """
 
-    def __init__(self, k: int, m: int) -> None:
-        super().__init__(k, m)
-        self.label = f"aont-rs({k},{m})"
+    family = "aont-rs"
 
     def _encode(
         self, payload: "bytes | memoryview"
@@ -448,15 +449,13 @@ class AontRSCodec(RSStripeCodec):
     def decode(self, meta: StripeMeta, shards: dict[int, bytes]) -> bytes:
         self._require(meta, shards, meta.k)
         data = self._code().decode(shards)
-        package = b"".join(data)[: meta.orig_len + AONT_OVERHEAD]
-        return aont_unwrap(package)
+        return aont_unwrap(self._join(data, meta.orig_len + AONT_OVERHEAD))
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         # The package is never empty (the masked key alone is 32 bytes),
         # so unlike the other codecs there is no orig_len == 0 shortcut:
         # rebuild real shard bytes even for empty payloads.
-        others = {i: s for i, s in shards.items() if i != index}
-        return self._code().reconstruct_shard(index, others)
+        return self._code().reconstruct_shard(index, shards)
 
 
 def codec_for_meta(meta: StripeMeta) -> ErasureCodec:

@@ -26,11 +26,14 @@ redundancy levels.  Two systematic generator constructions exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from repro.raid.gf256 import gf_inv, gf_mat_inv, gf_matmul, vandermonde
+from repro.obs.metrics import get_metrics
+from repro.raid.gf256 import gf_apply, gf_inv, gf_mat_inv, gf_matmul, gf_tables, vandermonde
 
 #: Generator constructions by name; ``cauchy`` is the default for new codes.
 GENERATORS = ("cauchy", "vandermonde")
@@ -90,19 +93,34 @@ def generator_matrix(k: int, m: int, generator: str = "cauchy") -> np.ndarray:
     raise ValueError(f"unknown generator {generator!r}, expected one of {GENERATORS}")
 
 
+def _check_sizes(indexed: list[tuple[int, bytes]]) -> None:
+    """Raise ``ValueError`` naming the first shard that differs in length."""
+    size = len(indexed[0][1])
+    for i, shard in indexed:
+        if len(shard) != size:
+            raise ValueError(f"shard {i} has {len(shard)} bytes, expected {size}")
+
+
 @dataclass(frozen=True)
 class RSCode:
-    """A (k data, m parity) systematic Reed-Solomon code."""
+    """A (k data, m parity) systematic Reed-Solomon code.
+
+    *label* only names the codec in metrics; codes differing in it alone
+    are equal and share decode tables.
+    """
 
     k: int
     m: int
     generator: str = "cauchy"
+    label: str = field(default="rs", compare=False)
 
     def __post_init__(self) -> None:
-        # Validate parameters by building the matrix once.
-        object.__setattr__(
-            self, "_gen", generator_matrix(self.k, self.m, self.generator)
-        )
+        # Instances are cached process-wide: one caller's in-place edit of
+        # the generator would corrupt every later stripe.
+        gen = generator_matrix(self.k, self.m, self.generator)
+        gen.setflags(write=False)
+        object.__setattr__(self, "_gen", gen)
+        object.__setattr__(self, "_parity_tables", gf_tables(gen[self.k :]))
 
     @property
     def n(self) -> int:
@@ -118,55 +136,71 @@ class RSCode:
         """Compute the m parity shards for *data_shards* (all equal-sized)."""
         if len(data_shards) != self.k:
             raise ValueError(f"expected {self.k} data shards, got {len(data_shards)}")
-        if self.m == 0:
-            return []
-        size = len(data_shards[0])
-        for i, shard in enumerate(data_shards):
-            if len(shard) != size:
-                raise ValueError(
-                    f"shard {i} has {len(shard)} bytes, expected {size}"
-                )
-        data = np.frombuffer(b"".join(data_shards), dtype=np.uint8).reshape(
-            self.k, size
+        _check_sizes(list(enumerate(data_shards)))
+        parity = gf_apply(
+            self._parity_tables, data_shards, range(self.m)  # type: ignore[attr-defined]
         )
-        parity = gf_matmul(self.matrix[self.k :], data)
-        return [parity[i].tobytes() for i in range(self.m)]
+        return [row.tobytes() for row in parity]
 
     # -- decoding -------------------------------------------------------------
 
-    def decode(self, shards: dict[int, bytes]) -> list[bytes]:
-        """Reconstruct the k data shards from any k available shards.
-
-        *shards* maps shard index (0..n-1; data shards first) to bytes.
-        Raises ``ValueError`` if fewer than k shards are supplied.
-        """
+    def _recompute(self, shards: dict[int, bytes], want: list[int]) -> list[bytes]:
+        """Shards *want*, absent from *shards*, from its k lowest members."""
         present = sorted(shards)
-        if any(i < 0 or i >= self.n for i in present):
+        if any(i < 0 or i >= self.n for i in present + want):
             raise ValueError(f"shard indices must be in 0..{self.n - 1}")
         if len(present) < self.k:
             raise ValueError(
                 f"need at least {self.k} shards to decode, got {len(present)}"
             )
-        # Fast path: all data shards survived.
-        if all(i in shards for i in range(self.k)):
-            return [shards[i] for i in range(self.k)]
-        use = present[: self.k]
-        size = len(shards[use[0]])
-        sub = self.matrix[use]
-        inv = gf_mat_inv(sub)
-        stacked = np.frombuffer(
-            b"".join(shards[i] for i in use), dtype=np.uint8
-        ).reshape(self.k, size)
-        data = gf_matmul(inv, stacked)
-        return [data[i].tobytes() for i in range(self.k)]
+        use = tuple(present[: self.k])
+        _check_sizes([(i, shards[i]) for i in use])
+        if not want:
+            return []
+        _lookup.missed = False
+        lost, tables = _decode_tables(self, use)
+        get_metrics().counter(
+            "raid_decode_matrix_cache_total",
+            codec=self.label,
+            result="miss" if _lookup.missed else "hit",
+        ).inc()
+        rows = gf_apply(tables, [shards[i] for i in use], [lost.index(i) for i in want])
+        return [row.tobytes() for row in rows]
+
+    def decode(self, shards: dict[int, bytes]) -> list[bytes]:
+        """Reconstruct the k data shards from any k available shards.
+
+        *shards* maps shard index (0..n-1; data shards first) to bytes.
+        Surviving data shards pass through untouched; only missing ones
+        are computed.  Raises ``ValueError`` if fewer than k shards are
+        supplied or the k that are read differ in length.
+        """
+        missing = [i for i in range(self.k) if i not in shards]
+        rebuilt = dict(zip(missing, self._recompute(shards, missing)))
+        return [rebuilt[i] if i in rebuilt else shards[i] for i in range(self.k)]
 
     def reconstruct_shard(self, index: int, shards: dict[int, bytes]) -> bytes:
         """Rebuild the single shard *index* (data or parity) from survivors."""
-        data = self.decode(shards)
-        if index < self.k:
-            return data[index]
-        stacked = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(
-            self.k, len(data[0])
-        )
-        row = gf_matmul(self.matrix[index : index + 1], stacked)
-        return row[0].tobytes()
+        others = {i: s for i, s in shards.items() if i != index}
+        return self._recompute(others, [index])[0]
+
+
+#: Erasure patterns whose decode tables stay resident (rs(6,3) has 84).
+DECODE_CACHE_SIZE = 128
+
+_lookup = threading.local()
+
+
+@lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _decode_tables(
+    code: RSCode, use: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """(lost, tables): every shard index not in *use*, and the packed
+    tables of ``gen[lost] @ inv(gen[use])`` that recompute those shards
+    from the survivors -- rows of the inverse for missing data shards,
+    ``gen[j] @ inv`` for parity.  Runs only on a cache miss.
+    """
+    _lookup.missed = True
+    lost = tuple(i for i in range(code.n) if i not in use)
+    inverse = gf_mat_inv(code.matrix[list(use)])
+    return lost, gf_tables(gf_matmul(code.matrix[list(lost)], inverse))

@@ -95,8 +95,8 @@ class StripeMeta:
 
 
 @lru_cache(maxsize=64)
-def _rs_code(k: int, m: int, generator: str = "cauchy") -> RSCode:
-    return RSCode(k=k, m=m, generator=generator)
+def _rs_code(k: int, m: int, generator: str, label: str) -> RSCode:
+    return RSCode(k=k, m=m, generator=generator, label=label)
 
 
 def encode_stripe(

@@ -117,6 +117,14 @@ def test_export_import_merges_additively():
     assert c.value("ops_total", op="put") == 3
 
 
+def test_label_values_with_commas_survive_the_cli_persistence_path():
+    a = MetricsRegistry()
+    a.counter("raid_decode_matrix_cache_total", codec="rs(6,3)", result="miss").inc(4)
+    b = MetricsRegistry()
+    b.import_state(json.loads(json.dumps(a.export_state())))
+    assert b.value("raid_decode_matrix_cache_total", codec="rs(6,3)", result="miss") == 4
+
+
 def test_disabled_registry_is_a_noop():
     reg = MetricsRegistry(enabled=False)
     c = reg.counter("x")

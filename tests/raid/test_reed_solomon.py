@@ -80,6 +80,32 @@ def test_decode_bad_index_raises():
         code.decode({0: b"aa", 5: b"bb"})
 
 
+def test_decode_ragged_shards_names_the_offender():
+    code = RSCode(k=3, m=2)
+    data = _shards(3, 8)
+    parity = code.encode(data)
+    ragged = {1: data[1], 2: data[2], 3: parity[0][:-1], 4: parity[1]}
+    with pytest.raises(ValueError, match="shard 3 has 7 bytes, expected 8"):
+        code.decode(ragged)
+    with pytest.raises(ValueError, match="shard 3 has 7 bytes, expected 8"):
+        code.reconstruct_shard(0, ragged)
+
+
+def test_reconstruct_bad_index_raises():
+    code = RSCode(k=2, m=1)
+    with pytest.raises(ValueError, match="0..2"):
+        code.reconstruct_shard(3, {0: b"aa", 1: b"bb"})
+
+
+def test_generator_of_a_shared_instance_is_read_only():
+    # _rs_code caches instances process-wide; an in-place edit of the
+    # generator would corrupt every later stripe.
+    code = RSCode(k=4, m=2)
+    with pytest.raises(ValueError, match="read-only"):
+        code.matrix[4, 0] ^= 1
+    assert not code.matrix[4:].flags.writeable
+
+
 def test_reconstruct_each_shard():
     code = RSCode(k=4, m=2)
     data = _shards(4, 16, seed=5)
