@@ -11,20 +11,21 @@ test:
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
-# The pipelined-data-path gate: regenerates BENCH_pipeline.json and fails
-# if the batched path does not beat the chunk-serial path >= 3x.
+# The data-path gate: regenerates BENCH_pipeline.json and fails if the
+# RAID-5 upload does not beat the sequential_baseline recorded at 5eb68ee
+# (the deleted one-request-per-shard path) >= 3x.
 bench-pipeline:
 	PYTHONPATH=src pytest benchmarks/test_pipeline_throughput.py --benchmark-only
 
 # The streaming gate: regenerates BENCH_stream.json and fails if the
-# 2 MiB streamed round-trip drops below 0.95x pipelined throughput or the
-# multi-GB case exceeds the 64 MiB RSS ceiling.
+# multi-GB case exceeds the 64 MiB RSS ceiling or reads back a different
+# SHA-256.
 bench-stream:
 	PYTHONPATH=src pytest benchmarks/test_pipeline_throughput.py::test_stream_throughput --benchmark-only
 
 # The telemetry gate: regenerates BENCH_obs.json and fails if the
-# instrumented data path costs more than 5% of pipelined upload throughput
-# (10% for download).
+# instrumented data path costs more than 5% of upload throughput (10% for
+# download).
 bench-obs:
 	PYTHONPATH=src pytest benchmarks/test_obs_overhead.py --benchmark-only
 

@@ -95,11 +95,11 @@ def _build_world(instrumented: bool, stack: contextlib.ExitStack) -> dict:
 def _timed_round(distributor, data: bytes, name: str) -> tuple[float, float]:
     started = time.perf_counter()
     distributor.upload_file("c0", "pw", name, data, LEVEL,
-                            raid_level=RaidLevel.RAID5, pipelined=True)
+                            raid_level=RaidLevel.RAID5)
     upload_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    retrieved = distributor.get_file("c0", "pw", name, pipelined=True)
+    retrieved = distributor.get_file("c0", "pw", name)
     download_s = time.perf_counter() - started
     assert retrieved == data
     distributor.remove_file("c0", "pw", name)

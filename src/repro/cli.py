@@ -203,9 +203,6 @@ def _put(args) -> int:
     path = Path(args.file)
     filename = args.name or path.name
     level = PrivacyLevel.coerce(args.level)
-    # Streaming is the default; --no-stream (or --no-pipeline, which asks
-    # for the historical serial data path) loads the whole file in memory.
-    stream = not (args.no_stream or args.no_pipeline)
     with path.open("rb") as fh:
         sample = fh.read(_CHECK_SAMPLE_BYTES)
         ok, suggestion = check_level(sample, level)
@@ -217,21 +214,12 @@ def _put(args) -> int:
             )
             if args.strict:
                 return 1
-        if stream:
-            fh.seek(0)
-            receipt = distributor.put_stream(
-                args.client, args.password, filename, fh, level,
-                codec=args.codec,
-                misleading_fraction=args.misleading,
-            )
-        else:
-            data = sample + fh.read()
-            receipt = distributor.upload_file(
-                args.client, args.password, filename, data, level,
-                codec=args.codec,
-                misleading_fraction=args.misleading,
-                pipelined=not args.no_pipeline,
-            )
+        fh.seek(0)
+        receipt = distributor.put_stream(
+            args.client, args.password, filename, fh, level,
+            codec=args.codec,
+            misleading_fraction=args.misleading,
+        )
     _commit(distributor, meta)
     codec_label = receipt.codec or (
         receipt.raid_level.name if receipt.raid_level else "?"
@@ -246,72 +234,39 @@ def _put(args) -> int:
 
 def _get(args) -> int:
     distributor, _ = _open(args)
-    stream = not (args.no_stream or args.no_pipeline)
     to_stdout = args.output == "-"
     # Status lines go to stderr when the payload itself rides stdout.
     info = sys.stderr if to_stdout else sys.stdout
 
-    def read_digest() -> "tuple[hashlib._Hash, int]":
-        """Re-read the file as a stream, hashing instead of storing."""
+    def read_into(sink) -> "tuple[hashlib._Hash, int]":
+        """Stream the file out, hashing it (and writing it to *sink*)."""
         digest = hashlib.sha256()
         total = 0
         for segment in distributor.get_stream(
             args.client, args.password, args.filename
         ):
+            if sink is not None:
+                sink.write(segment)
             digest.update(segment)
             total += len(segment)
         return digest, total
 
-    if stream:
-        digest = hashlib.sha256()
-        total = 0
-        out: Path | None = None
-        if to_stdout:
-            sink = sys.stdout.buffer
-        else:
-            out = Path(args.output) if args.output else Path(args.filename)
-            sink = out.open("wb")
-        try:
-            for segment in distributor.get_stream(
-                args.client, args.password, args.filename
-            ):
-                sink.write(segment)
-                digest.update(segment)
-                total += len(segment)
-        finally:
-            if not to_stdout:
-                sink.close()
-        print(
-            f"retrieved {format_bytes(total)} -> {out if out else 'stdout'}",
-            file=info,
-        )
-        if args.verify:
-            again, _ = read_digest()
-            if again.digest() != digest.digest():
-                print("error: re-read returned different bytes", file=sys.stderr)
-                return 2
-            print("verified: re-read matches", file=info)
-        return 0
-
-    data = distributor.get_file(
-        args.client, args.password, args.filename,
-        pipelined=not args.no_pipeline,
-    )
     if to_stdout:
-        sys.stdout.buffer.write(data)
-        print(f"retrieved {format_bytes(len(data))} -> stdout", file=info)
+        out = None
+        digest, total = read_into(sys.stdout.buffer)
     else:
         out = Path(args.output) if args.output else Path(args.filename)
-        out.write_bytes(data)
-        print(f"retrieved {format_bytes(len(data))} -> {out}")
+        with out.open("wb") as sink:
+            digest, total = read_into(sink)
+    print(
+        f"retrieved {format_bytes(total)} -> {out if out else 'stdout'}",
+        file=info,
+    )
     if args.verify:
         # Second read: chunks come from the warm cache, and any mismatch
         # means the fleet returned unstable bytes.
-        again = distributor.get_file(
-            args.client, args.password, args.filename,
-            pipelined=not args.no_pipeline,
-        )
-        if again != data:
+        again, _ = read_into(None)
+        if again.digest() != digest.digest():
             print("error: re-read returned different bytes", file=sys.stderr)
             return 2
         print("verified: re-read matches", file=info)
@@ -513,8 +468,7 @@ def _trace(args) -> int:
     tracer = get_tracer()
     with tracer.trace(f"get {args.filename}", client=args.client):
         data = distributor.get_file(
-            args.client, args.password, args.filename,
-            pipelined=not args.no_pipeline,
+            args.client, args.password, args.filename
         )
     trace = tracer.last_trace()
     print(trace.render_tree())
@@ -1069,11 +1023,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="misleading-byte fraction (Section VII-D)")
     p.add_argument("--strict", action="store_true",
                    help="refuse upload if content looks more sensitive than --level")
-    p.add_argument("--no-pipeline", action="store_true",
-                   help="use the historical chunk-serial data path")
-    p.add_argument("--no-stream", action="store_true",
-                   help="load the whole file in memory instead of streaming "
-                        "it in bounded windows")
     p.set_defaults(func=_put)
 
     p = with_state(sub.add_parser("get", help="reassemble a file"))
@@ -1082,13 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("filename")
     p.add_argument("-o", "--output",
                    help="output path ('-' streams to stdout)")
-    p.add_argument("--no-pipeline", action="store_true",
-                   help="use the historical chunk-serial data path")
-    p.add_argument("--no-stream", action="store_true",
-                   help="materialize the whole file instead of writing it "
-                        "segment by segment")
     p.add_argument("--verify", action="store_true",
-                   help="re-read and compare (hashes, on the streaming path)")
+                   help="re-read and compare SHA-256 digests")
     p.set_defaults(func=_get)
 
     p = with_state(sub.add_parser("rm", help="remove a file from all providers"))
@@ -1152,8 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("client")
     p.add_argument("password")
     p.add_argument("filename")
-    p.add_argument("--no-pipeline", action="store_true",
-                   help="use the historical chunk-serial data path")
     p.set_defaults(func=_trace)
 
     p = sub.add_parser("suggest-level", help="advisory mining-sensitivity score")

@@ -20,7 +20,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 from repro.core import chunking
 from repro.core.access_control import AccessController
@@ -70,9 +70,10 @@ from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.journal import IntentJournal
+    from repro.crypto.stream import StreamCipher
 
-#: Mean segment size (bytes) above which a streaming window's per-provider
-#: shard batch travels over STREAM_PUT/STREAM_GET instead of a MULTI_PUT/
+#: Mean segment size (bytes) above which a window's per-provider shard
+#: batch travels over STREAM_PUT/STREAM_GET instead of a MULTI_PUT/
 #: MULTI_GET frame.  Both move exactly one window's shards -- O(window)
 #: memory either way -- but the stream ops pay per-segment framing (and an
 #: ack per uploaded segment), which dominates shards much smaller than
@@ -131,11 +132,12 @@ class _ChunkState:
 class _ChunkPlan:
     """One chunk's placement decision, staged before any bytes move.
 
-    The pipelined upload path makes every placement decision (and rng
-    draw) inside the critical section, in the same order the historical
-    chunk-serial loop did, then transfers all plans lock-free.  ``failed``
-    collects shard indices whose put did not land anywhere; ``assigned``
-    is updated in place by write-path failover.
+    The upload engine makes every placement decision (and rng draw) of a
+    window inside the critical section, in serial order, then transfers
+    the window's plans lock-free.  ``failed`` collects shard indices whose
+    put did not land anywhere; ``assigned`` is updated in place by
+    write-path failover; commit drops ``shards`` so a committed window's
+    bytes do not outlive their window.
     """
 
     serial: int
@@ -147,16 +149,46 @@ class _ChunkPlan:
     positions: tuple[int, ...]
     failed: list[int] = field(default_factory=list)
     first_error: ProviderError | None = None
-    # Shard checksums computed ahead of commit.  The streaming upload path
-    # fills this right after transfer and drops ``shards`` so a committed
-    # window's bytes do not outlive their window; ``None`` means commit
-    # derives them from ``shards`` as usual.
-    checksums: tuple[str, ...] | None = None
+    # The (provider, key) pairs already in the journal for this plan;
+    # failover relocations are logged as the difference.
+    logged: list[tuple[str, str]] = field(default_factory=list)
+
+
+class _WindowTransfer(threading.Thread):
+    """One upload window's transfer phase, running beside the next plan.
+
+    The engine overlaps window N's (lock-free) wire transfer with reading
+    and planning window N+1.  :meth:`settle` blocks until the wire is
+    quiet and re-raises whatever the transfer raised -- a transport
+    failure, the first unrecoverable shard loss, or a simulated crash.
+    """
+
+    def __init__(
+        self,
+        transfer: "Callable[[list[_ChunkPlan]], None]",
+        plans: "list[_ChunkPlan]",
+    ) -> None:
+        super().__init__(name="upload-window-transfer", daemon=True)
+        self._transfer = transfer
+        self.plans = plans
+        self._error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._transfer(self.plans)
+        except BaseException as exc:  # noqa: BLE001 - re-raised by settle()
+            self._error = exc
+
+    def settle(self) -> None:
+        self.join()
+        if self._error is not None:
+            raise self._error
 
 
 @dataclass
 class _FetchJob:
-    """One chunk's retrieval state for the pipelined read path."""
+    """One chunk's retrieval state on the read path."""
 
     serial: int
     entry: ChunkEntry
@@ -187,7 +219,6 @@ class CloudDataDistributor:
         cache: "ChunkCache | None" = None,
         max_transport_workers: int | None = None,
         health: "HealthMonitor | None" = None,
-        pipelined: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
@@ -245,12 +276,8 @@ class CloudDataDistributor:
             )
         self.max_transport_workers = max_transport_workers
         self._transport_pool: ThreadPoolExecutor | None = None
-        # Default for the per-call ``pipelined`` switch on upload_file /
-        # get_file; False restores the historical chunk-serial data path
-        # (the benchmark gate measures both against the same fleet).
-        self.pipelined = pipelined
         # Filenames with an upload in flight per client: the duplicate-name
-        # check must hold across the lock-free transfer phase.
+        # check must hold across the lock-free transfer phases.
         self._inflight_uploads: dict[str, set[str]] = {}
         # Per-thread scratch pad for the virtual ids / providers an op
         # touches, drained into its audit record (the provider-sweep
@@ -340,69 +367,28 @@ class CloudDataDistributor:
         self._record_health(name, ok=True)
         return data
 
-    def _provider_put_many(
-        self, name: str, items: list[tuple[str, bytes]]
-    ) -> list[ProviderError | None]:
-        """Batched put with per-item health accounting.
+    def _provider_batch(self, method: str, name: str, items: list) -> list:
+        """One batched provider call with per-item health accounting.
 
-        A transport-level batch failure (the provider raised instead of
+        *method* is ``put_many``/``put_stream`` (items are ``(key, data)``
+        pairs, an outcome is ``None`` when stored) or ``get_many``/
+        ``get_stream`` (items are keys, an outcome is the bytes); a failed
+        item's outcome is its :class:`ProviderError` either way.  A
+        transport-level batch failure (the provider raised instead of
         answering per item) condemns every item -- each failed shard is a
-        real failed store, so each feeds the monitor, exactly as the
-        equivalent run of individual puts would have.
+        real failed request, so each feeds the monitor, exactly as the
+        equivalent run of individual calls would have.
         """
-        check_deadline(f"put_many ({len(items)} items) -> {name}")
+        check_deadline(f"{method} ({len(items)} items) @ {name}")
         try:
-            outcomes = self.registry.get(name).provider.put_many(items)
+            outcomes = getattr(self.registry.get(name).provider, method)(items)
         except ProviderError as exc:
             outcomes = [exc] * len(items)
-        for exc in outcomes:
-            self._record_health(name, ok=exc is None, exc=exc)
-        return outcomes
-
-    def _provider_get_many(
-        self, name: str, keys: list[str]
-    ) -> list["bytes | ProviderError"]:
-        """Batched get with per-item health accounting."""
-        check_deadline(f"get_many ({len(keys)} keys) <- {name}")
-        try:
-            outcomes = self.registry.get(name).provider.get_many(keys)
-        except ProviderError as exc:
-            outcomes = [exc] * len(keys)
         for outcome in outcomes:
-            ok = not isinstance(outcome, ProviderError)
-            self._record_health(name, ok=ok, exc=None if ok else outcome)
-        return outcomes
-
-    def _provider_put_stream(
-        self, name: str, items: list[tuple[str, bytes]]
-    ) -> list[ProviderError | None]:
-        """Streamed put with the same health accounting as the batch form.
-
-        One streaming window's shards for one provider; on wire-backed
-        providers each shard travels as its own frame instead of one
-        aggregate MULTI_PUT payload.
-        """
-        check_deadline(f"put_stream ({len(items)} items) -> {name}")
-        try:
-            outcomes = self.registry.get(name).provider.put_stream(items)
-        except ProviderError as exc:
-            outcomes = [exc] * len(items)
-        for exc in outcomes:
-            self._record_health(name, ok=exc is None, exc=exc)
-        return outcomes
-
-    def _provider_get_stream(
-        self, name: str, keys: list[str]
-    ) -> list["bytes | ProviderError"]:
-        """Streamed get with per-item health accounting."""
-        check_deadline(f"get_stream ({len(keys)} keys) <- {name}")
-        try:
-            outcomes = self.registry.get(name).provider.get_stream(keys)
-        except ProviderError as exc:
-            outcomes = [exc] * len(keys)
-        for outcome in outcomes:
-            ok = not isinstance(outcome, ProviderError)
-            self._record_health(name, ok=ok, exc=None if ok else outcome)
+            failed = isinstance(outcome, ProviderError)
+            self._record_health(
+                name, ok=not failed, exc=outcome if failed else None
+            )
         return outcomes
 
     def _provider_usable(self, name: str) -> bool:
@@ -490,15 +476,17 @@ class CloudDataDistributor:
             self._record_op(operation, client, filename, serial, ok=True)
         return result
 
-    def _parallel_window(self):
-        """A context that charges overlapping provider requests as
-        concurrent (Section VII-E's "parallel query processing").
+    def _parallel_window(self, parallel: bool):
+        """A context that, when *parallel*, charges overlapping provider
+        requests as concurrent (Section VII-E's "parallel query
+        processing").
 
-        Falls back to a no-op when the fleet is not simulated-clock based.
+        A no-op otherwise, or when the fleet is not simulated-clock based.
         """
-        for entry in self.registry.all():
-            if isinstance(entry.provider, SimulatedProvider):
-                return ParallelWindow(entry.provider.clock)
+        if parallel:
+            for entry in self.registry.all():
+                if isinstance(entry.provider, SimulatedProvider):
+                    return ParallelWindow(entry.provider.clock)
         return contextlib.nullcontext()
 
     # ------------------------------------------------------------------
@@ -512,8 +500,8 @@ class CloudDataDistributor:
         thread-safe and :class:`ParallelWindow` already models concurrency
         in simulated time, so threading them would double-count overlap.
         Real transports (remote/disk/memory) default to one worker per
-        provider, capped at 8; ``max_transport_workers=1`` forces the
-        serial path.
+        provider, capped at 8; ``max_transport_workers=1`` runs them in
+        order on the calling thread.
         """
         for entry in self.registry.all():
             if isinstance(entry.provider, SimulatedProvider):
@@ -545,17 +533,12 @@ class CloudDataDistributor:
         self,
         fn: Callable[[_T], _R],
         items: list[_T],
-        stop_on_error: bool = True,
     ) -> list[tuple[_R | None, ProviderError | None]]:
         """Run one provider request per item; returns (result, error) pairs.
 
-        With multiple transport workers every request is dispatched at
-        once and all outcomes are collected; on the serial path requests
-        run in order and -- when ``stop_on_error`` is set -- stop at the
-        first failure (preserving the simulated-time cost of the
-        historical serial loop), so the returned list may be shorter than
-        *items*.  Callers that must attempt every item (write failover,
-        scrub audits, repair reads) pass ``stop_on_error=False``.
+        Every item is attempted (write failover, scrub audits and repair
+        reads need the full damage at once): dispatched all at once with
+        multiple transport workers, in order with one.
         """
         workers = self._transport_workers()
         if workers <= 1 or len(items) <= 1:
@@ -565,15 +548,13 @@ class CloudDataDistributor:
                     outcomes.append((fn(item), None))
                 except ProviderError as exc:
                     outcomes.append((None, exc))
-                    if stop_on_error:
-                        break
             return outcomes
         # Pool workers have no active span; hand them the dispatching
         # thread's context so their net spans (and TRACED wire contexts)
         # stay inside this request's trace.  The ambient deadline and
         # retry budget are thread-local for the same reason -- capture
         # them here so every parallel leg races the *same* clock and
-        # spends from the *same* budget as the serial path would.
+        # spends from the *same* budget as the dispatching thread would.
         captured = self.tracer.capture()
         deadline = current_deadline()
         budget = current_retry_budget()
@@ -683,12 +664,12 @@ class CloudDataDistributor:
         """Encode and place one chunk without moving any bytes.
 
         Must run inside the critical section: it consumes rng draws
-        (misleading injection, placement) and allocates a virtual id, in
-        exactly the order the chunk-serial loop did, so a fault-free
-        pipelined upload lands byte-identical placement and tables.
-        *load* is the caller's view of per-provider shard counts --
-        pipelined planning passes a working copy it advances per plan,
-        reproducing the loads the serial path would have observed.
+        (misleading injection, placement) and allocates a virtual id, and
+        the order of those draws across a file's chunks is what the pinned
+        placement digests in tier-1 hold constant.  *load* is the caller's
+        working copy of the per-provider shard counts; each planned shard
+        advances it, so later chunks of the same upload see the loads the
+        earlier ones will have produced once they commit.
         """
         positions: tuple[int, ...] = ()
         stored = payload
@@ -705,6 +686,8 @@ class CloudDataDistributor:
         # Rotate the shard->provider assignment by serial so parity cycles
         # around the group, RAID-5 style.
         assigned = group[serial % width :] + group[: serial % width]
+        for name in assigned:
+            load[name] = load.get(name, 0) + 1
         return _ChunkPlan(
             serial=serial,
             level=level,
@@ -715,47 +698,18 @@ class CloudDataDistributor:
             positions=positions,
         )
 
-    def _transfer_plan(self, plan: _ChunkPlan) -> None:
-        """Upload one plan's shards, one wire request per shard.
+    def _transfer_plans(self, plans: list[_ChunkPlan]) -> None:
+        """Upload one window's shards, one batched request per provider.
 
-        This is the historical (non-batched) wire behaviour, kept for the
-        ``pipelined=False`` compatibility path and measured against the
-        batched path by the throughput benchmark.
-        """
-
-        def put_shard(assignment: tuple[int, str]) -> None:
-            shard_index, provider_name = assignment
-            self._provider_put(
-                provider_name,
-                shard_key(plan.vid, shard_index),
-                plan.shards[shard_index],
-            )
-
-        # Fan the shard uploads out across the stripe's providers (each
-        # worker talks to a distinct provider); table bookkeeping stays on
-        # this thread.  Every shard is attempted even when one fails, so
-        # failover sees the full damage at once.
-        outcomes = self._transport_map(
-            put_shard, list(enumerate(plan.assigned)), stop_on_error=False
-        )
-        plan.first_error = next(
-            (exc for _, exc in outcomes if exc is not None), None
-        )
-        plan.failed = [i for i, (_, exc) in enumerate(outcomes) if exc is not None]
-
-    def _transfer_plans(
-        self, plans: list[_ChunkPlan], *, use_stream: bool = False
-    ) -> None:
-        """Upload many plans' shards, one batched request per provider.
-
-        All shards bound for one provider across the whole upload window
-        coalesce into a single MULTI_PUT round-trip (or a per-item loop on
-        backends without a wire), and the per-provider batches fan out
+        All shards bound for one provider across the window coalesce into
+        a single provider call and the per-provider batches fan out
         concurrently over the transport executor -- chunk-level and
-        shard-level parallelism at once, with no per-chunk barrier.  With
-        ``use_stream`` each provider's shards travel over a STREAM_PUT
-        session (one frame per shard, no aggregate batch payload) --
-        the constant-memory upload path.
+        shard-level parallelism at once, with no per-chunk barrier.  The
+        wire framing follows the batch's mean shard size: at or above
+        ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame per
+        shard, no aggregate payload), below it one MULTI_PUT frame (the
+        batch is still just one window's shards for one provider, and
+        per-segment stream acks would dominate shard bytes this small).
         """
         by_provider: dict[str, list[tuple[_ChunkPlan, int]]] = {}
         for plan in plans:
@@ -772,18 +726,15 @@ class CloudDataDistributor:
                 (shard_key(plan.vid, shard_index), plan.shards[shard_index])
                 for plan, shard_index in members
             ]
-            if use_stream and (
+            streamed = (
                 sum(len(data) for _, data in items)
                 >= STREAM_SEGMENT_THRESHOLD * len(items)
-            ):
-                return self._provider_put_stream(name, items)
-            # Tiny segments ride the batched frame even on the streaming
-            # path: the batch is still just one window's shards for one
-            # provider (same O(window) bound), and per-segment stream
-            # acks would dominate shard bytes this small.
-            return self._provider_put_many(name, items)
+            )
+            return self._provider_batch(
+                "put_stream" if streamed else "put_many", name, items
+            )
 
-        outcomes = self._transport_map(put_batch, groups, stop_on_error=False)
+        outcomes = self._transport_map(put_batch, groups)
         for (name, members), (per_item, exc) in zip(groups, outcomes):
             if exc is not None:
                 per_item = [exc] * len(members)
@@ -800,8 +751,7 @@ class CloudDataDistributor:
 
         The terminal case -- fewer than k shards landed anywhere -- is
         reported, not raised: the caller decides the rollback scope (the
-        single chunk on the legacy path, the whole upload window on the
-        pipelined path).
+        whole upload, or the one staged stripe of an update).
         """
         if plan.failed:
             # Write-path failover: re-place only the failed shards on
@@ -817,8 +767,8 @@ class CloudDataDistributor:
     def _rollback_plan(self, plan: _ChunkPlan) -> None:
         """Best-effort removal of a plan's fleet footprint; frees its id.
 
-        Safe to call lock-free (the pipelined abort path does): only the
-        id allocator touch re-enters the critical section.
+        Safe to call lock-free (the upload abort path does): only the id
+        allocator touch re-enters the critical section.
         """
         self.metrics.counter("distributor_rollbacks_total").inc()
         self.events.emit("upload_rollback", level="warning", vid=plan.vid)
@@ -833,7 +783,8 @@ class CloudDataDistributor:
     def _commit_plan(self, plan: _ChunkPlan) -> int:
         """Record a transferred plan in the tables; returns its chunk index.
 
-        Must run inside the critical section.
+        Must run inside the critical section.  The plan's shard bytes are
+        released once their checksums are on record.
         """
         self._note_audit(vids=(plan.vid,), providers=plan.assigned)
         provider_indices: list[int] = []
@@ -859,12 +810,9 @@ class CloudDataDistributor:
         self._chunk_state[plan.vid] = _ChunkState(
             stripe=plan.stripe,
             rotation=plan.serial % plan.stripe.width,
-            shard_checksums=(
-                plan.checksums
-                if plan.checksums is not None
-                else tuple(blob_checksum(s) for s in plan.shards)
-            ),
+            shard_checksums=tuple(blob_checksum(s) for s in plan.shards),
         )
+        plan.shards = []
         return chunk_index
 
     def _chunk_spec(self, client: str, ref: FileChunkRef) -> dict:
@@ -932,45 +880,6 @@ class CloudDataDistributor:
             for shard_index, name in enumerate(plan.assigned)
         ]
 
-    def _store_chunk(
-        self,
-        payload: bytes,
-        level: PrivacyLevel,
-        serial: int,
-        codec: ErasureCodec,
-        misleading_fraction: float,
-        journal_txn: int | None = None,
-    ) -> int:
-        """Encode, place and upload one chunk; returns its chunk-table index.
-
-        With *journal_txn* set, the shard keys are appended to that open
-        intent transaction before any byte moves, so a crash mid-transfer
-        leaves recovery enough to delete the orphans.
-        """
-        plan = self._plan_chunk(
-            payload, level, serial, codec, misleading_fraction,
-            load=self._provider_load(),
-        )
-        logged = self._plan_put_keys(plan)
-        if journal_txn is not None and self.journal is not None:
-            self.journal.extend(journal_txn, logged)
-        self._transfer_plan(plan)
-        if self._recover_plan(plan):
-            self._rollback_plan(plan)
-            raise plan.first_error
-        if journal_txn is not None and self.journal is not None:
-            # Write-path failover may have relocated shards since the
-            # intent was logged; record the new homes so rollback can
-            # still find every object.
-            moved = [
-                pair
-                for pair in self._plan_put_keys(plan)
-                if pair not in set(logged)
-            ]
-            if moved:
-                self.journal.extend(journal_txn, moved)
-        return self._commit_plan(plan)
-
     def _failover_shards(
         self,
         vid: int,
@@ -1033,8 +942,8 @@ class CloudDataDistributor:
 
         Preference mirrors placement: suspect providers last, then
         cheaper cost tier, then least loaded.  Takes the op lock for its
-        table reads -- write-path failover calls it from the pipelined
-        transfer phase, outside the critical section.
+        table reads -- write-path failover calls it from the transfer
+        phase, outside the critical section.
         """
         with self.op_lock:
             candidates = [
@@ -1056,72 +965,27 @@ class CloudDataDistributor:
         candidates.sort(key=sort_key)
         return [c.name for c in candidates]
 
-    def _fetch_chunk_payload(self, entry: ChunkEntry) -> bytes:
-        """Degraded-read a chunk's stripe and strip misleading bytes.
+    def _check_shard(
+        self, state: _ChunkState, vid: int, shard_index: int, name: str,
+        data: bytes,
+    ) -> bytes:
+        """*data* if it matches the shard's write-time checksum.
 
-        Served from the chunk cache when attached (filled on miss,
-        invalidated by update/remove).
+        A silently rotten shard surfaces as a failed member
+        (:class:`BlobCorruptedError`, fed to the health monitor as a data
+        failure) so a degraded read or repair rebuilds it from parity
+        instead of returning corrupt plaintext.
         """
-        self._note_audit(
-            vids=(entry.virtual_id,),
-            providers=(
-                self.provider_table.get(i).name
-                for i in entry.provider_indices
-            ),
-        )
-        if self.cache is not None:
-            cached = self.cache.get(entry.virtual_id)
-            if cached is not None:
-                return cached
-        state = self._chunk_state_for(entry)
-
-        def fetch(shard_index: int) -> bytes:
-            table_index = entry.provider_indices[shard_index]
-            name = self.provider_table.get(table_index).name
-            key = shard_key(entry.virtual_id, shard_index)
-            data = self._provider_get(name, key)
-            expected = state.shard_checksums
-            if (
-                expected is not None
-                and blob_checksum(data) != expected[shard_index]
-            ):
-                # Silently rotten shard: surface it as a failed member so
-                # the degraded read rebuilds from parity instead of
-                # returning corrupt plaintext.
-                self._record_health(
-                    name, ok=False, exc=BlobCorruptedError(key)
-                )
-                raise BlobCorruptedError(
-                    f"shard {key!r} from provider {name!r} does not match "
-                    f"its recorded checksum"
-                )
-            return data
-
-        if self._transport_workers() > 1 and state.stripe.k > 1:
-            # Fan out the data-shard fetches across providers; parity is
-            # still pulled lazily (and serially) only on degraded reads,
-            # matching read_stripe's prefer-data order.
-            data_indices = list(range(state.stripe.k))
-            prefetched = dict(
-                zip(data_indices, self._transport_map(fetch, data_indices))
+        expected = state.shard_checksums
+        if expected is not None and blob_checksum(data) != expected[shard_index]:
+            key = shard_key(vid, shard_index)
+            error = BlobCorruptedError(
+                f"shard {key!r} from provider {name!r} does not match "
+                f"its recorded checksum"
             )
-
-            def fetch_prefetched(shard_index: int) -> bytes:
-                outcome = prefetched.get(shard_index)
-                if outcome is None:
-                    return fetch(shard_index)
-                result, exc = outcome
-                if exc is not None:
-                    raise exc
-                return result
-
-            stored, _failed = read_stripe(state.stripe, fetch_prefetched)
-        else:
-            stored, _failed = read_stripe(state.stripe, fetch)
-        payload = remove_misleading(stored, entry.misleading_positions)
-        if self.cache is not None:
-            self.cache.put(entry.virtual_id, payload)
-        return payload
+            self._record_health(name, ok=False, exc=error)
+            raise error
+        return data
 
     # ------------------------------------------------------------------
     # upload path: split() + distribute()          (Section VI)
@@ -1141,13 +1005,24 @@ class CloudDataDistributor:
             )
 
     def _release_upload_slot(self, client: str, filename: str) -> None:
-        """Drop a pipelined upload's in-flight filename reservation."""
+        """Drop an upload's in-flight filename reservation."""
         with self.op_lock:
             inflight = self._inflight_uploads.get(client)
             if inflight is not None:
                 inflight.discard(filename)
                 if not inflight:
                     self._inflight_uploads.pop(client, None)
+
+    def _authorize_upload(
+        self, client: str, password: str, filename: str, level: PrivacyLevel
+    ) -> None:
+        """Authorize an upload at *level*; a refusal is an audited op."""
+        try:
+            self._authorize(client, password, level)
+        except ReproError as exc:
+            self._record_op("upload", client, filename, None,
+                            ok=False, detail=type(exc).__name__)
+            raise
 
     def upload_file(
         self,
@@ -1161,7 +1036,6 @@ class CloudDataDistributor:
         codec: "CodecSpec | str | None" = None,
         misleading_fraction: float = 0.0,
         parallel: bool = False,
-        pipelined: bool | None = None,
     ) -> FileReceipt:
         """Receive a file, split it, and distribute the chunks.
 
@@ -1174,260 +1048,375 @@ class CloudDataDistributor:
         pair.  With ``parallel=True`` shard uploads overlap across
         providers in simulated time.
 
-        ``pipelined`` (default: the distributor-level switch) selects the
-        data path.  The pipelined path holds the op lock only to plan
-        (authorize, split, place, allocate ids) and to commit the tables;
-        the transfer in between batches every shard bound for one
-        provider into a single provider call and fans the providers out
-        concurrently.  ``pipelined=False`` restores the historical
-        chunk-serial path.  Both are atomic: a chunk that cannot reach k
-        shards rolls the entire upload back.
+        The whole file is one window of the upload engine
+        (:meth:`_upload_windows`): the op lock is held only to plan and to
+        commit, the transfer in between batches every shard bound for one
+        provider into a single provider call, and the upload is atomic --
+        a chunk that cannot reach k shards rolls the entire file back.
         """
         pl = PrivacyLevel.coerce(level)
-        try:
-            self._authorize(client, password, pl)
-        except ReproError as exc:
-            self._record_op("upload", client, filename, None,
-                            ok=False, detail=type(exc).__name__)
-            raise
-        use_pipeline = self.pipelined if pipelined is None else pipelined
-        if use_pipeline:
-            with self.tracer.span("distributor.upload", client=client):
-                return self._upload_file_pipelined(
-                    client, pl, filename, data, raid_level, stripe_width,
-                    codec, misleading_fraction, parallel,
-                )
-        with self.tracer.span("distributor.upload", client=client), self.op_lock:
-            client_entry = self.client_table.get(client)
-            self._check_new_filename(client, filename)
-            codec_obj = self._resolve_codec(pl, raid_level, stripe_width, codec)
-
-            chunks = chunking.split(data, pl, policy=self.chunk_policy)
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
+        self._authorize_upload(client, password, filename, pl)
+        chunks = chunking.split(data, pl, policy=self.chunk_policy)
+        with self.tracer.span("distributor.upload", client=client):
+            return self._upload_windows(
+                client, pl, filename,
+                [([chunk.payload for chunk in chunks], True)],
+                raid_level=raid_level, stripe_width=stripe_width, codec=codec,
+                misleading_fraction=misleading_fraction, parallel=parallel,
             )
-            stored_refs: list[FileChunkRef] = []
-            txn = None
-            if self.journal is not None:
-                txn = self.journal.begin("upload", client, filename)
-                crashpoint("upload.intent_logged")
-            try:
-                with window:
-                    for chunk in chunks:
-                        chunk_index = self._store_chunk(
-                            chunk.payload, pl, chunk.serial, codec_obj,
-                            misleading_fraction, journal_txn=txn,
-                        )
-                        ref = FileChunkRef(
-                            filename=filename,
-                            serial=chunk.serial,
-                            privacy_level=pl,
-                            chunk_index=chunk_index,
-                        )
-                        client_entry.chunk_refs.append(ref)
-                        stored_refs.append(ref)
-            except (ProviderError, PlacementError) as exc:
-                # Roll back chunks already distributed so the upload is
-                # atomic: either the whole file is stored or none of it is.
-                for ref in stored_refs:
-                    self._delete_chunk(ref)
-                    client_entry.chunk_refs.remove(ref)
-                if txn is not None:
-                    self.journal.abort(txn)
-                self._record_op("upload", client, filename, None,
-                                ok=False, detail=type(exc).__name__)
-                raise
-            if txn is not None:
-                self.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [],
-                        "add": [
-                            self._chunk_spec(client, ref)
-                            for ref in stored_refs
-                        ],
-                    },
-                )
-                crashpoint("upload.committed")
-        self._record_op("upload", client, filename, None, ok=True)
-        return FileReceipt(
-            filename=filename,
-            privacy_level=pl,
-            chunk_count=len(chunks),
-            file_size=len(data),
-            raid_level=codec_obj.raid_level,
-            stripe_width=codec_obj.n,
-            codec=codec_obj.label,
-        )
 
-    def _upload_file_pipelined(
+    def _upload_windows(
         self,
         client: str,
         pl: PrivacyLevel,
         filename: str,
-        data: bytes,
-        raid_level: RaidLevel | None,
-        stripe_width: int | None,
-        codec: "CodecSpec | str | None",
-        misleading_fraction: float,
-        parallel: bool,
+        windows: "Iterable[tuple[list[bytes | memoryview], bool]]",
+        *,
+        raid_level: RaidLevel | None = None,
+        stripe_width: int | None = None,
+        codec: "CodecSpec | str | None" = None,
+        misleading_fraction: float = 0.0,
+        parallel: bool = False,
+        cipher: "StreamCipher | None" = None,
     ) -> FileReceipt:
-        """Plan -> transfer -> commit upload (authorization already done).
+        """The upload engine: plan -> transfer -> commit, window by window.
 
-        Planning emulates the serial path's per-chunk load accounting
-        (each planned shard bumps its provider's count in a working copy
-        of the loads) so a fault-free pipelined upload places every chunk
-        exactly where the chunk-serial loop would have.  The filename is
-        reserved in ``_inflight_uploads`` across the lock-free transfer so
-        a racing duplicate upload is rejected up front.
+        *windows* yields ``(payloads, last)`` pairs: one window's chunk
+        payloads in serial order, and whether the source knows nothing
+        follows.  Per window the engine plans under the op lock (rng
+        draws, placement against a working copy of the provider loads
+        carried across windows, id allocation), journals the keys about
+        to exist, moves the shards lock-free (batched per provider, with
+        write failover), and commits the tables.  A window transfers on
+        its own thread while the next is read and planned -- except one
+        the source marked last, which transfers inline: a whole-file
+        upload is a single last window and never leaves the caller's
+        thread.  A payload may be a view into a buffer the source refills
+        for the next window; planning copies what it keeps.
+
+        Committed windows stay invisible (no client ref names their
+        chunks) until the final commit, which publishes the file and
+        closes the journal transaction in one step.  Any ``Exception`` --
+        an unrecoverable shard loss, a placement failure, an error raised
+        by the window source -- aborts: the journal transaction is
+        aborted, every chunk the upload created is erased, the filename
+        is released, and the exception propagates.  (A simulated crash is
+        a ``BaseException`` and tears through untouched.)  The filename
+        is reserved in ``_inflight_uploads`` throughout, so a racing
+        duplicate upload is rejected up front.
         """
-        # -- plan (critical section): rng draws, placement, id allocation --
-        with self.op_lock, self._phase("upload", "plan"):
+        with self.op_lock:
             self._check_new_filename(client, filename)
             codec_obj = self._resolve_codec(pl, raid_level, stripe_width, codec)
-            chunks = chunking.split(data, pl, policy=self.chunk_policy)
             self._inflight_uploads.setdefault(client, set()).add(filename)
-            plans: list[_ChunkPlan] = []
-            load = self._provider_load()
-            try:
-                for chunk in chunks:
-                    plan = self._plan_chunk(
-                        chunk.payload, pl, chunk.serial, codec_obj,
-                        misleading_fraction, load=load,
-                    )
-                    for name in plan.assigned:
-                        load[name] = load.get(name, 0) + 1
-                    plans.append(plan)
-            except Exception as exc:
-                for plan in plans:
-                    self.ids.release(plan.vid)
-                self._release_upload_slot(client, filename)
-                if isinstance(exc, ReproError):
-                    self._record_op("upload", client, filename, None,
-                                    ok=False, detail=type(exc).__name__)
-                raise
 
-        # -- intent (durable): every key the transfer will create ----------
-        txn = None
-        if self.journal is not None:
-            logged = [
-                pair for plan in plans for pair in self._plan_put_keys(plan)
-            ]
-            txn = self.journal.begin(
-                "upload", client, filename, put_keys=logged
-            )
-            crashpoint("upload.intent_logged")
+        txn: int | None = None
+        refs: list[FileChunkRef] = []  # committed windows, not yet visible
+        pending: list[_ChunkPlan] = []  # planned, not yet committed
+        flight: _WindowTransfer | None = None  # the window on the wire
+        load: dict[str, int] | None = None
+        serial = total_bytes = 0
 
-        # -- transfer (lock-free): batched puts, failover ------------------
-        try:
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
-            )
-            with window, self._phase("upload", "transfer"):
+        def transfer(plans: list[_ChunkPlan]) -> None:
+            with self._parallel_window(parallel), self._phase(
+                "upload", "transfer"
+            ):
                 self._transfer_plans(plans)
                 lost = [plan for plan in plans if self._recover_plan(plan)]
             if lost:
                 # Atomicity: one unrecoverable chunk aborts the whole file.
-                for plan in plans:
-                    self._rollback_plan(plan)
-                if txn is not None:
-                    self.journal.abort(txn)
-                error = lost[0].first_error
-                self._record_op("upload", client, filename, None,
-                                ok=False, detail=type(error).__name__)
-                raise error
+                raise lost[0].first_error
+
+        def commit(plans: list[_ChunkPlan], last: bool) -> None:
             if txn is not None:
                 # Failover may have relocated shards; log the new homes.
                 moved = [
                     pair
                     for plan in plans
                     for pair in self._plan_put_keys(plan)
-                    if pair not in set(logged)
+                    if pair not in plan.logged
                 ]
                 if moved:
                     self.journal.extend(txn, moved)
             crashpoint("upload.transferred")
-        except BaseException:
-            self._release_upload_slot(client, filename)
-            raise
+            with self.op_lock, self._phase("upload", "commit"):
+                for plan in plans:
+                    refs.append(
+                        FileChunkRef(
+                            filename=filename,
+                            serial=plan.serial,
+                            privacy_level=pl,
+                            chunk_index=self._commit_plan(plan),
+                        )
+                    )
+                del pending[: len(plans)]
+                if not last:
+                    return
+                # Publish, in the same critical section as the last
+                # window's rows.  The journal commit goes first: should it
+                # fail, the abort below still finds the file invisible.
+                if txn is not None:
+                    self.journal.commit(
+                        txn,
+                        {
+                            "client": client,
+                            "filename": filename,
+                            "remove": [],
+                            "add": [
+                                self._chunk_spec(client, ref) for ref in refs
+                            ],
+                        },
+                    )
+                self.client_table.get(client).chunk_refs.extend(refs)
 
-        # -- commit (critical section): tables and client refs -------------
-        with self.op_lock, self._phase("upload", "commit"):
+        try:
+            for payloads, last in windows:
+                plans: list[_ChunkPlan] = []
+                # -- plan (critical section) -------------------------------
+                with self.op_lock, self._phase("upload", "plan"):
+                    if load is None:
+                        load = self._provider_load()
+                    try:
+                        for payload in payloads:
+                            if cipher is not None:
+                                payload = cipher.encrypt(
+                                    payload, nonce=serial + len(plans)
+                                )
+                            elif misleading_fraction > 0:
+                                # inject() manipulates bytes; window views
+                                # must not leak into stored positions.
+                                payload = bytes(payload)
+                            plans.append(
+                                self._plan_chunk(
+                                    payload, pl, serial + len(plans),
+                                    codec_obj, misleading_fraction, load,
+                                )
+                            )
+                    except BaseException:
+                        # Nothing moved yet: only the ids to give back.
+                        for plan in plans:
+                            self.ids.release(plan.vid)
+                        raise
+                pending.extend(plans)
+                serial += len(plans)
+                total_bytes += sum(len(payload) for payload in payloads)
+                # -- intent (durable): every key this window creates -------
+                if self.journal is not None:
+                    for plan in plans:
+                        plan.logged = self._plan_put_keys(plan)
+                    keys = [pair for plan in plans for pair in plan.logged]
+                    if txn is None:
+                        # The first window rides the begin record, so a
+                        # one-window upload costs begin + commit.
+                        txn = self.journal.begin(
+                            "upload", client, filename, put_keys=keys
+                        )
+                    else:
+                        self.journal.extend(txn, keys)
+                    crashpoint("upload.intent_logged")
+                # -- transfer (lock-free) and commit -----------------------
+                # The previous window's wire phase ran beside the read and
+                # plan above; settle and commit it before this one takes
+                # its place (bounds memory to two windows' shards and keeps
+                # commits in serial order).
+                if flight is not None:
+                    flight.settle()
+                    commit(flight.plans, last=False)
+                    flight = None
+                if last:
+                    transfer(plans)
+                    commit(plans, last=True)
+                else:
+                    flight = _WindowTransfer(transfer, plans)
+            if flight is not None:
+                # The source ended on a window it could not call last.
+                flight.settle()
+                commit(flight.plans, last=True)
+                flight = None
+            crashpoint("upload.committed")
+        except BaseException as exc:
+            if flight is not None:
+                # Never leave a transfer running behind the caller -- and
+                # settle the wire before erasing it.
+                flight.join()
+            if isinstance(exc, Exception):
+                for plan in pending:
+                    self._rollback_plan(plan)
+                with self.op_lock:
+                    for ref in refs:
+                        self._delete_chunk(ref)
+                if txn is not None:
+                    self.journal.abort(txn)
+                self._record_op("upload", client, filename, None,
+                                ok=False, detail=type(exc).__name__)
+            raise
+        finally:
             self._release_upload_slot(client, filename)
-            client_entry = self.client_table.get(client)
-            new_refs: list[FileChunkRef] = []
-            for plan in plans:
-                chunk_index = self._commit_plan(plan)
-                ref = FileChunkRef(
-                    filename=filename,
-                    serial=plan.serial,
-                    privacy_level=pl,
-                    chunk_index=chunk_index,
-                )
-                client_entry.chunk_refs.append(ref)
-                new_refs.append(ref)
-            if txn is not None:
-                self.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [],
-                        "add": [
-                            self._chunk_spec(client, ref) for ref in new_refs
-                        ],
-                    },
-                )
-        crashpoint("upload.committed")
         self._record_op("upload", client, filename, None, ok=True)
         return FileReceipt(
             filename=filename,
             privacy_level=pl,
-            chunk_count=len(chunks),
-            file_size=len(data),
+            chunk_count=serial,
+            file_size=total_bytes,
             raid_level=codec_obj.raid_level,
             stripe_width=codec_obj.n,
             codec=codec_obj.label,
         )
 
+    def put_stream(
+        self,
+        client: str,
+        password: str,
+        filename: str,
+        fileobj,
+        level: "PrivacyLevel | int",
+        **options,
+    ) -> FileReceipt:
+        """Upload from a binary file object with O(window) memory.
+
+        Thin veneer over :func:`repro.core.streaming.put_stream` (lazy
+        import keeps the module dependency one-way); see there for the
+        windowing model and keyword options.
+        """
+        from repro.core.streaming import put_stream
+
+        return put_stream(self, client, password, filename, fileobj, level,
+                          **options)
+
     # ------------------------------------------------------------------
     # retrieval path: get_chunk() / get_file()      (Sections V and VI)
     # ------------------------------------------------------------------
 
-    def get_chunk(
-        self, client: str, password: str, filename: str, serial: int
-    ) -> bytes:
-        """Fetch one chunk by (client name, password, filename, sl no.).
+    def _job_for(
+        self, entry: ChunkEntry, serial: int, filename: str
+    ) -> _FetchJob:
+        """Retrieval state for one chunk (inside the critical section):
+        the paper's Chunk Table entry -> Cloud Provider Table rows, plus a
+        look in the (unsynchronized) chunk cache."""
+        return _FetchJob(
+            serial=serial,
+            entry=entry,
+            state=self._chunk_state_for(entry, filename),
+            names=[
+                self.provider_table.get(i).name for i in entry.provider_indices
+            ],
+            cached=(
+                self.cache.get(entry.virtual_id)
+                if self.cache is not None
+                else None
+            ),
+        )
 
-        Reproduces the paper's resolution chain: Client Table quadruple ->
-        Chunk Table entry -> Cloud Provider Table row -> provider ``get``.
+    def _resolve_read(
+        self, op: "tuple[str, str, str, int | None]", password: str
+    ) -> list[_FetchJob]:
+        """Resolve and authorize the read *op* -- ``(operation, client,
+        filename, serial)``, the whole file when *serial* is ``None`` --
+        into fetch jobs, in serial order.
+
+        Client Table quadruples -> Chunk Table entries -> provider names,
+        under the op lock.  A refusal (unknown file, wrong password) is
+        recorded as a failed *operation*, so the audit log's
+        ``auth_failure_streak`` sees it whichever read asked.
         """
-
-        def work() -> bytes:
-            with self.op_lock:
-                ref = self.client_table.get(client).ref_for_chunk(
-                    filename, serial
+        _, client, filename, serial = op
+        try:
+            with self.op_lock, self._phase("get_file", "resolve"):
+                table = self.client_table.get(client)
+                refs = (
+                    table.refs_for_file(filename)
+                    if serial is None
+                    else [table.ref_for_chunk(filename, serial)]
                 )
-                self._authorize(client, password, ref.privacy_level)
-                entry = self.chunk_table.get(ref.chunk_index)
-                return self._fetch_chunk_payload(entry)
+                self._authorize(client, password, refs[0].privacy_level)
+                return [
+                    self._job_for(
+                        self.chunk_table.get(ref.chunk_index), ref.serial,
+                        filename,
+                    )
+                    for ref in refs
+                ]
+        except ReproError as exc:
+            self._record_op(*op, ok=False, detail=type(exc).__name__)
+            raise
 
-        return self._audited("get_chunk", client, filename, serial, work)
+    def _read_jobs(
+        self,
+        jobs: list[_FetchJob],
+        window_chunks: int,
+        *,
+        parallel: bool = False,
+        cipher: "StreamCipher | None" = None,
+        op: "tuple[str, str, str, int | None] | None" = None,
+    ) -> Iterator[bytes]:
+        """The read engine: yield each job's plaintext, window by window.
 
-    def _prefetch_jobs(
-        self, jobs: list[_FetchJob], *, use_stream: bool = False
-    ) -> None:
+        Per window of *window_chunks* jobs, lock-free: one batched fetch
+        of the data shards per provider, degraded-read decode and
+        misleading-byte strip per chunk, then the cache fill.  A window's
+        shard bytes are released before its payloads are yielded (the
+        generator may be held open for a long time), so memory is
+        O(window).  With *cipher* each payload is decrypted with
+        ``nonce=serial`` as it is yielded (the cache keeps what is stored).
+
+        On the way out -- exhausted, failed, or closed early by the
+        consumer -- the chunks actually fetched are noted for the audit
+        record, and with *op* (``operation, client, filename, serial``)
+        that record is written here: ``ok`` only if every job was yielded,
+        otherwise naming the error or the abandonment.
+        """
+        fetched = 0  # jobs[:fetched] went to the providers
+        ok, detail = False, ""
+        try:
+            for start in range(0, len(jobs), window_chunks):
+                batch = jobs[start : start + window_chunks]
+                fetched = start + len(batch)
+                with self._parallel_window(parallel), self._phase(
+                    "get_file", "fetch"
+                ):
+                    self._prefetch_jobs(batch)
+                    payloads = []
+                    for job in batch:
+                        payloads.append(self._assemble_job(job))
+                        job.prefetched.clear()
+                if self.cache is not None:
+                    with self.op_lock, self._phase("get_file", "cache_fill"):
+                        for job, payload in zip(batch, payloads):
+                            if job.cached is None:
+                                self.cache.put(job.entry.virtual_id, payload)
+                for i, job in enumerate(batch):
+                    payload, payloads[i] = payloads[i], None
+                    if cipher is not None:
+                        payload = cipher.decrypt(payload, nonce=job.serial)
+                    yield payload
+            ok = True
+        except GeneratorExit:
+            detail = f"abandoned within {fetched} of {len(jobs)} chunks"
+            raise
+        except Exception as exc:
+            detail = type(exc).__name__
+            raise
+        finally:
+            self._note_audit(
+                vids=(job.entry.virtual_id for job in jobs[:fetched]),
+                providers=(
+                    name for job in jobs[:fetched] for name in job.names
+                ),
+            )
+            if op is not None:
+                self._record_op(*op, ok=ok, detail=detail)
+
+    def _prefetch_jobs(self, jobs: list[_FetchJob]) -> None:
         """Batch-fetch every uncached job's data shards, lock-free.
 
-        All data-shard keys bound for one provider across the whole file
-        coalesce into a single ``get_many`` (one MULTI_GET round-trip on
-        remote providers) and the providers fan out concurrently.  Parity
-        members are *not* prefetched -- they are pulled lazily only by
-        degraded reads, matching ``read_stripe``'s prefer-data order.
-        With ``use_stream`` each provider answers over STREAM_GET -- one
-        frame per shard instead of one aggregate MULTI_GET payload.
+        All data-shard keys bound for one provider across the window
+        coalesce into a single provider call and the providers fan out
+        concurrently.  Parity members are *not* prefetched -- they are
+        pulled lazily only by degraded reads, matching ``read_stripe``'s
+        prefer-data order.  The framing follows the batch's mean shard
+        size, as on upload: STREAM_GET (one frame per shard) at or above
+        ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload, which
+        parses faster for shards that small.
         """
         by_provider: dict[str, list[tuple[_FetchJob, int]]] = {}
         for job in jobs:
@@ -1447,20 +1436,15 @@ class CloudDataDistributor:
                 shard_key(job.entry.virtual_id, shard_index)
                 for job, shard_index in members
             ]
-            if use_stream and (
-                sum(
-                    job.state.stripe.shard_size for job, _ in members
-                )
+            streamed = (
+                sum(job.state.stripe.shard_size for job, _ in members)
                 >= STREAM_SEGMENT_THRESHOLD * len(members)
-            ):
-                return self._provider_get_stream(name, keys)
-            # Same adaptive choice as the upload window: shards this
-            # small parse faster out of one aggregate MULTI_GET payload
-            # than as one frame each, and the batch is still one window's
-            # keys (O(window) memory either way).
-            return self._provider_get_many(name, keys)
+            )
+            return self._provider_batch(
+                "get_stream" if streamed else "get_many", name, keys
+            )
 
-        outcomes = self._transport_map(get_batch, groups, stop_on_error=False)
+        outcomes = self._transport_map(get_batch, groups)
         for (name, members), (per_item, exc) in zip(groups, outcomes):
             if exc is not None:
                 per_item = [exc] * len(members)
@@ -1483,24 +1467,28 @@ class CloudDataDistributor:
                 )
             if isinstance(outcome, ProviderError):
                 raise outcome
-            expected = state.shard_checksums
-            if (
-                expected is not None
-                and blob_checksum(outcome) != expected[shard_index]
-            ):
-                key = shard_key(entry.virtual_id, shard_index)
-                self._record_health(
-                    job.names[shard_index], ok=False,
-                    exc=BlobCorruptedError(key),
-                )
-                raise BlobCorruptedError(
-                    f"shard {key!r} from provider {job.names[shard_index]!r} "
-                    f"does not match its recorded checksum"
-                )
-            return outcome
+            return self._check_shard(
+                state, entry.virtual_id, shard_index,
+                job.names[shard_index], outcome,
+            )
 
         stored, _failed = read_stripe(state.stripe, fetch)
         return remove_misleading(stored, entry.misleading_positions)
+
+    def get_chunk(
+        self, client: str, password: str, filename: str, serial: int
+    ) -> bytes:
+        """Fetch one chunk by (client name, password, filename, sl no.).
+
+        Reproduces the paper's resolution chain: Client Table quadruple ->
+        Chunk Table entry -> Cloud Provider Table row -> provider ``get``.
+        """
+        op = ("get_chunk", client, filename, serial)
+        with self.tracer.span("distributor.get_chunk", client=client):
+            (payload,) = self._read_jobs(
+                self._resolve_read(op, password), 1, op=op
+            )
+        return payload
 
     def get_file(
         self,
@@ -1508,125 +1496,28 @@ class CloudDataDistributor:
         password: str,
         filename: str,
         parallel: bool = False,
-        pipelined: bool | None = None,
     ) -> bytes:
         """Fetch and reassemble every chunk of *filename*.
 
-        The pipelined path (default) resolves every chunk's metadata
-        under the op lock, then fetches the data shards of *all* chunks
-        at once -- batched per provider, providers in flight concurrently
-        -- and reassembles into a preallocated buffer.  With
-        ``pipelined=False`` chunks are fetched one at a time, serially.
+        Every chunk's metadata is resolved under the op lock; the data
+        shards of *all* chunks are then fetched as one window of the read
+        engine (:meth:`_read_jobs`) -- batched per provider, providers in
+        flight concurrently -- and joined in serial order.
 
         With ``parallel=True`` the overlap is also modelled in simulated
         time (one serial chain per provider), the parallel query
         processing Section VII-E credits fragmentation with.
         """
-        use_pipeline = self.pipelined if pipelined is None else pipelined
-
-        def work_serial() -> bytes:
-            with self.op_lock:
-                refs = self.client_table.get(client).refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
-                window = (
-                    self._parallel_window()
-                    if parallel
-                    else contextlib.nullcontext()
-                )
-                with window:
-                    chunks = [
-                        chunking.Chunk(
-                            serial=ref.serial,
-                            level=ref.privacy_level,
-                            payload=self._fetch_chunk_payload(
-                                self.chunk_table.get(ref.chunk_index)
-                            ),
-                        )
-                        for ref in refs
-                    ]
-                return chunking.join(chunks)
-
-        def work_pipelined() -> bytes:
-            # Phase 1 (critical section): resolve refs -> entries ->
-            # provider names, and consult the (unsynchronized) cache.
-            with self.op_lock, self._phase("get_file", "resolve"):
-                refs = self.client_table.get(client).refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
-                jobs: list[_FetchJob] = []
-                for ref in refs:
-                    entry = self.chunk_table.get(ref.chunk_index)
-                    names = [
-                        self.provider_table.get(i).name
-                        for i in entry.provider_indices
-                    ]
-                    self._note_audit(
-                        vids=(entry.virtual_id,), providers=names
-                    )
-                    jobs.append(
-                        _FetchJob(
-                            serial=ref.serial,
-                            entry=entry,
-                            state=self._chunk_state_for(entry, filename),
-                            names=names,
-                            cached=(
-                                self.cache.get(entry.virtual_id)
-                                if self.cache is not None
-                                else None
-                            ),
-                        )
-                    )
-            # Phase 2 (lock-free): batched fetches, decode, reassemble.
-            window = (
-                self._parallel_window() if parallel else contextlib.nullcontext()
+        op = ("get_file", client, filename, None)
+        with self.tracer.span("distributor.get_file", client=client):
+            jobs = self._resolve_read(op, password)
+            return b"".join(
+                self._read_jobs(jobs, len(jobs), parallel=parallel, op=op)
             )
-            with window, self._phase("get_file", "fetch"):
-                self._prefetch_jobs(jobs)
-                payloads = [self._assemble_job(job) for job in jobs]
-            # refs_for_file returns serial order, so the payloads
-            # concatenate in place of a sort+join.
-            out = bytearray(sum(len(p) for p in payloads))
-            offset = 0
-            for payload in payloads:
-                out[offset : offset + len(payload)] = payload
-                offset += len(payload)
-            # Phase 3 (critical section): fill the shared chunk cache.
-            if self.cache is not None:
-                with self.op_lock, self._phase("get_file", "cache_fill"):
-                    for job, payload in zip(jobs, payloads):
-                        if job.cached is None:
-                            self.cache.put(job.entry.virtual_id, payload)
-            return bytes(out)
-
-        work = work_pipelined if use_pipeline else work_serial
-        return self._audited("get_file", client, filename, None, work)
-
-    # ------------------------------------------------------------------
-    # constant-memory streaming path (see repro.core.streaming)
-    # ------------------------------------------------------------------
-
-    def put_stream(
-        self,
-        client: str,
-        password: str,
-        filename: str,
-        fileobj,
-        level: "PrivacyLevel | int",
-        **options,
-    ) -> FileReceipt:
-        """Upload from a binary file object with O(window) memory.
-
-        Thin veneer over :func:`repro.core.streaming.put_stream` (lazy
-        import keeps the module dependency one-way); see there for the
-        windowing model and keyword options.
-        """
-        from repro.core.streaming import put_stream
-
-        return put_stream(self, client, password, filename, fileobj, level,
-                          **options)
 
     def get_stream(
         self, client: str, password: str, filename: str, **options
-    ):
+    ) -> Iterator[bytes]:
         """Iterate *filename*'s plaintext in chunk-sized segments.
 
         Thin veneer over :func:`repro.core.streaming.get_stream`;
@@ -1789,8 +1680,9 @@ class CloudDataDistributor:
             entry = self.chunk_table.get(ref.chunk_index)
             vid = entry.virtual_id
             state = self._chunk_state_for(entry, filename)
-
-            pre_state = self._fetch_chunk_payload(entry)
+            (pre_state,) = self._read_jobs(
+                [self._job_for(entry, serial, filename)], 1
+            )
             # Re-inject misleading bytes at the same budget the chunk had.
             fraction = 0.0
             if entry.misleading_positions:
@@ -1812,8 +1704,7 @@ class CloudDataDistributor:
             # from the stripe metadata (works across codec generations).
             plan = self._plan_chunk(
                 new_payload, entry.privacy_level, state.rotation,
-                codec_for_meta(state.stripe), fraction,
-                load=self._provider_load(),
+                codec_for_meta(state.stripe), fraction, self._provider_load(),
             )
             txn = None
             if self.journal is not None:
@@ -1822,7 +1713,7 @@ class CloudDataDistributor:
                     put_keys=self._plan_put_keys(plan),
                 )
                 crashpoint("update.intent_logged")
-            self._transfer_plan(plan)
+            self._transfer_plans([plan])
             if self._recover_plan(plan):
                 self._rollback_plan(plan)
                 if txn is not None:
@@ -1967,20 +1858,11 @@ class CloudDataDistributor:
         to_read = [i for i in range(len(names)) if i not in suspect_set]
 
         def read(shard_index: int) -> bytes:
-            key = shard_key(vid, shard_index)
-            data = self._provider_get(names[shard_index], key)
-            expected = state.shard_checksums
-            if (
-                expected is not None
-                and blob_checksum(data) != expected[shard_index]
-            ):
-                raise BlobCorruptedError(
-                    f"shard {key!r} at provider {names[shard_index]!r} "
-                    f"drifted from its recorded checksum"
-                )
-            return data
+            name = names[shard_index]
+            data = self._provider_get(name, shard_key(vid, shard_index))
+            return self._check_shard(state, vid, shard_index, name, data)
 
-        outcomes = self._transport_map(read, to_read, stop_on_error=False)
+        outcomes = self._transport_map(read, to_read)
         shards: dict[int, bytes] = {}
         bad = sorted(suspect_set)
         for shard_index, (data, exc) in zip(to_read, outcomes):
@@ -2045,23 +1927,6 @@ class CloudDataDistributor:
             shards[shard_index] = shard
             rebuilt += 1
         return missing, rebuilt, 0, relocations
-
-    def _choose_replacement(
-        self, level: PrivacyLevel, group_names: set[str], failed_name: str
-    ) -> str | None:
-        """A healthy eligible provider to host a rebuilt shard.
-
-        Returns ``None`` when no healthy eligible provider exists outside
-        the stripe group and the failed provider itself is still down; the
-        caller leaves the chunk degraded rather than doubling up shards on
-        a surviving member (which would forfeit failure independence).
-        """
-        names = self._replacement_candidates(level, set(group_names))
-        if names:
-            return names[0]
-        if self._provider_usable(failed_name):
-            return failed_name  # same provider recovered; re-store there
-        return None
 
     # ------------------------------------------------------------------
     # introspection used by experiments

@@ -1,103 +1,73 @@
 """Constant-memory streaming upload/download through the distributor.
 
-``upload_file``/``get_file`` materialize the whole file (and its encoded
-stripe set) in memory -- fine for the paper's chunk-scale experiments,
-fatal for arbitrarily large files.  This module windows the same data
-path: a bounded buffer of ``window_chunks`` chunks is read, encoded,
-placed and transferred before the next window is read, so peak memory is
-O(window), not O(file).
+``upload_file``/``get_file`` hand the distributor's data path one window
+holding the whole file -- fine for the paper's chunk-scale experiments,
+fatal for arbitrarily large files.  This module feeds the *same* engines
+(:meth:`CloudDataDistributor._upload_windows` and
+:meth:`CloudDataDistributor._read_jobs`) bounded windows instead: a
+buffer of ``window_chunks`` chunks is read, encoded, placed and
+transferred before the next window is read, so peak memory is O(window),
+not O(file).
 
 The wire cooperates: :meth:`RemoteProvider.put_stream` /
-:meth:`RemoteProvider.get_stream` carry each shard as its own frame over
-a STREAM_PUT/STREAM_GET session instead of one aggregate batch payload,
-and the server rolls back a window whose sender dies mid-stream.  Every
-other distributor invariant is reused, not reimplemented: placement and
-id allocation run under the op lock via ``_plan_chunk``, write-path
-failover via ``_recover_plan``, the intent journal via the same
-``upload`` transaction shape, commit via ``_commit_plan``.
+:meth:`RemoteProvider.get_stream` carry each large shard as its own frame
+over a STREAM_PUT/STREAM_GET session instead of one aggregate batch
+payload, and the server rolls back a window whose sender dies mid-stream.
 
-Atomicity matches ``upload_file``: committed windows stay *invisible*
-(no client ref points at their chunks) until the final commit, and any
-failure deletes every chunk the stream created.  One caveat is
-inherent to streaming: chunk *metadata* (tables, checksums) is O(chunks),
-roughly half a kilobyte per chunk -- multi-gigabyte files should raise
+Atomicity is the engine's: committed windows stay *invisible* (no client
+ref points at their chunks) until the final commit, and any failure
+deletes every chunk the stream created.  One caveat is inherent to
+streaming: chunk *metadata* (tables, checksums) is O(chunks), roughly
+half a kilobyte per chunk -- multi-gigabyte files should raise
 ``chunk_size`` (e.g. to 1 MiB) so metadata stays small while the byte
 path stays O(window).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core import chunking
-from repro.core.errors import PlacementError, ProviderError, ReproError
 from repro.core.privacy import PrivacyLevel
-from repro.core.tables import FileChunkRef
-from repro.providers.base import blob_checksum
-from repro.util.crash import crashpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.distributor import (
-        CloudDataDistributor,
-        FileReceipt,
-        _ChunkPlan,
-        _FetchJob,
-    )
+    from repro.core.distributor import CloudDataDistributor, FileReceipt
     from repro.crypto.stream import StreamCipher
     from repro.raid.codecs import CodecSpec
     from repro.raid.striping import RaidLevel
 
-#: Chunks per in-flight window.  Uploads pipeline windows at depth 1 (the
-#: previous window transfers while the next is read and planned), so peak
-#: upload memory is roughly ``window_chunks * chunk_size`` for the read
-#: buffer plus *two* windows' encoded shards (times the RAID storage
-#: overhead).
+#: Chunks per window.  Uploads keep one window on the wire while the next
+#: is read and planned, so peak upload memory is roughly ``window_chunks *
+#: chunk_size`` for the read buffer plus *two* windows' encoded shards
+#: (times the codec's storage overhead).
 DEFAULT_WINDOW_CHUNKS = 8
 
 
-class _WindowTransfer:
-    """One window's transfer phase, running on its own thread.
+def _read_windows(
+    fileobj, chunk_size: int, window_chunks: int
+) -> "Iterator[tuple[list[bytes | memoryview], bool]]":
+    """Windows of chunk payloads over one reused buffer, as the upload
+    engine takes them: ``(payloads, last)`` with ``last`` set on a window
+    the read under-filled (``read_into`` only does that at EOF).
 
-    Uploads overlap window N's (lock-free) wire transfer with reading and
-    planning window N+1 -- the window buffer is free to refill as soon as
-    planning copied its bytes into the plans' shards.  :meth:`join` blocks
-    until the wire settles and re-raises transport failure or the first
-    unrecoverable shard loss.
+    Chunk boundaries are byte-identical to ``split`` of the whole file,
+    and an empty *file* still yields one empty chunk.
     """
-
-    def __init__(self, dist: "CloudDataDistributor",
-                 plans: "list[_ChunkPlan]") -> None:
-        self._dist = dist
-        self.plans = plans
-        self._error: BaseException | None = None
-        self._lost: "list[_ChunkPlan]" = []
-        self._thread = threading.Thread(
-            target=self._run, name="stream-window-transfer", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        dist = self._dist
-        try:
-            with dist._phase("put_stream", "transfer"):
-                dist._transfer_plans(self.plans, use_stream=True)
-                self._lost = [
-                    p for p in self.plans if dist._recover_plan(p)
-                ]
-        except BaseException as exc:  # noqa: BLE001 - re-raised by join()
-            self._error = exc
-
-    def join(self) -> None:
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
-        if self._lost:
-            raise self._lost[0].first_error
-
-    def wait(self) -> None:
-        """Join without raising (abort path: outcome no longer matters)."""
-        self._thread.join()
+    window = bytearray(window_chunks * chunk_size)
+    with memoryview(window) as view:
+        filled = chunking.read_into(fileobj, view)
+        while True:
+            last = filled < len(window)
+            payloads = [
+                view[off : min(off + chunk_size, filled)]
+                for off in range(0, filled, chunk_size)
+            ]
+            yield payloads or [b""], last
+            if last:
+                return
+            filled = chunking.read_into(fileobj, view)
+            if filled == 0:
+                return
 
 
 def put_stream(
@@ -124,187 +94,19 @@ def put_stream(
     :func:`get_stream`).  Returns the same :class:`FileReceipt` as
     ``upload_file``.
     """
-    from repro.core.distributor import FileReceipt
-
     pl = PrivacyLevel.coerce(level)
-    try:
-        dist._authorize(client, password, pl)
-    except ReproError as exc:
-        dist._record_op("upload", client, filename, None,
-                        ok=False, detail=type(exc).__name__)
-        raise
+    dist._authorize_upload(client, password, filename, pl)
     if window_chunks < 1:
         raise ValueError(f"window_chunks must be >= 1, got {window_chunks}")
-
-    with dist.op_lock:
-        dist._check_new_filename(client, filename)
-        codec_obj = dist._resolve_codec(pl, raid_level, stripe_width, codec)
-        if chunk_size is None:
-            chunk_size = dist.chunk_policy.chunk_size(pl)
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        dist._inflight_uploads.setdefault(client, set()).add(filename)
-
-    txn = None
-    if dist.journal is not None:
-        txn = dist.journal.begin("upload", client, filename)
-        crashpoint("upload.intent_logged")
-
-    window = bytearray(window_chunks * chunk_size)
-    view = memoryview(window)
-    refs: list[FileChunkRef] = []  # committed windows, not yet visible
-    serial = 0
-    total_bytes = 0
-    # Working per-provider load copy, advanced as chunks are planned --
-    # the same accounting the pipelined path keeps across one file's
-    # chunks -- so a fault-free streamed upload places bit-identically
-    # to a pipelined one even though windows commit as they go.
-    load: dict[str, int] | None = None
-    # The window currently in flight on the wire (depth-1 pipeline):
-    # (plans, keys already journaled, transfer thread).
-    prev: "tuple[list[_ChunkPlan], set, _WindowTransfer] | None" = None
-
-    def abort(inflight: "list[_ChunkPlan]") -> None:
-        """Erase the stream's whole fleet/table footprint, best effort."""
-        pending = list(inflight)
-        if prev is not None:
-            prev[2].wait()  # settle the wire before rolling it back
-            seen = {id(p) for p in pending}
-            pending.extend(p for p in prev[0] if id(p) not in seen)
-        for plan in pending:
-            dist._rollback_plan(plan)
-        with dist.op_lock:
-            for ref in refs:
-                dist._delete_chunk(ref)
-        if txn is not None:
-            dist.journal.abort(txn)
-
-    def join_and_commit() -> None:
-        """Wait out the in-flight window's wire phase, then commit it."""
-        nonlocal prev
-        assert prev is not None
-        plans, logged_keys, transfer = prev
-        transfer.join()
-        if txn is not None:
-            moved = [
-                pair
-                for plan in plans
-                for pair in dist._plan_put_keys(plan)
-                if pair not in logged_keys
-            ]
-            if moved:
-                dist.journal.extend(txn, moved)
-        crashpoint("upload.transferred")
-        # -- commit (critical section): tables, free the shards --
-        with dist.op_lock, dist._phase("put_stream", "commit"):
-            for plan in plans:
-                plan.checksums = tuple(
-                    blob_checksum(s) for s in plan.shards
-                )
-                plan.shards = []
-                chunk_index = dist._commit_plan(plan)
-                refs.append(
-                    FileChunkRef(
-                        filename=filename,
-                        serial=plan.serial,
-                        privacy_level=pl,
-                        chunk_index=chunk_index,
-                    )
-                )
-        prev = None
-
-    try:
-        plans: list["_ChunkPlan"] = []
-        try:
-            while True:
-                filled = chunking.read_into(fileobj, view)
-                if filled == 0 and serial > 0:
-                    break
-                # An empty *file* still yields one empty chunk, same as
-                # split().
-                payloads: list["bytes | memoryview"] = [
-                    view[off : min(off + chunk_size, filled)]
-                    for off in range(0, filled, chunk_size)
-                ] or [b""]
-
-                plans = []
-                # -- plan (critical section): placement, rng, id draws --
-                with dist.op_lock, dist._phase("put_stream", "plan"):
-                    if load is None:
-                        load = dist._provider_load()
-                    for payload in payloads:
-                        if cipher is not None:
-                            payload = cipher.encrypt(payload, nonce=serial)
-                        elif misleading_fraction > 0:
-                            # inject() manipulates bytes; window slices
-                            # must not leak into stored positions.
-                            payload = bytes(payload)
-                        plan = dist._plan_chunk(
-                            payload, pl, serial, codec_obj,
-                            misleading_fraction, load=load,
-                        )
-                        for name in plan.assigned:
-                            load[name] = load.get(name, 0) + 1
-                        plans.append(plan)
-                        serial += 1
-                logged_keys: set = set()
-                if txn is not None:
-                    logged = [
-                        pair
-                        for plan in plans
-                        for pair in dist._plan_put_keys(plan)
-                    ]
-                    dist.journal.extend(txn, logged)
-                    logged_keys = set(logged)
-
-                # The previous window's wire phase ran concurrently with
-                # the read+plan above; settle and commit it before this
-                # window takes its place in flight (bounds memory to two
-                # windows' shards and keeps commits in serial order).
-                if prev is not None:
-                    join_and_commit()
-                prev = (plans, logged_keys, _WindowTransfer(dist, plans))
-
-                total_bytes += filled
-                if filled < len(window):
-                    break  # read_into only under-fills at EOF
-            if prev is not None:
-                join_and_commit()
-        except (ProviderError, PlacementError, OSError) as exc:
-            abort(plans)
-            dist._record_op("upload", client, filename, None,
-                            ok=False, detail=type(exc).__name__)
-            raise
-
-        # -- finalize: the file becomes visible in one step ---------------
-        with dist.op_lock:
-            dist.client_table.get(client).chunk_refs.extend(refs)
-            if txn is not None:
-                dist.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [],
-                        "add": [
-                            dist._chunk_spec(client, ref) for ref in refs
-                        ],
-                    },
-                )
-        crashpoint("upload.committed")
-    finally:
-        view.release()
-        dist._release_upload_slot(client, filename)
-
-    dist._record_op("upload", client, filename, None, ok=True)
-    return FileReceipt(
-        filename=filename,
-        privacy_level=pl,
-        chunk_count=serial,
-        file_size=total_bytes,
-        raid_level=codec_obj.raid_level,
-        stripe_width=codec_obj.n,
-        codec=codec_obj.label,
+    if chunk_size is None:
+        chunk_size = dist.chunk_policy.chunk_size(pl)
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    return dist._upload_windows(
+        client, pl, filename,
+        _read_windows(fileobj, chunk_size, window_chunks),
+        raid_level=raid_level, stripe_width=stripe_width, codec=codec,
+        misleading_fraction=misleading_fraction, cipher=cipher,
     )
 
 
@@ -319,64 +121,17 @@ def get_stream(
     """Yield *filename*'s plaintext chunk by chunk with O(window) memory.
 
     Resolution and authorization run eagerly (errors raise here, not in
-    the generator); shard traffic happens lazily, ``window_chunks``
-    chunks at a time over STREAM_GET, and each window's shard bytes are
-    released before the next window is fetched.  ``b"".join(...)`` of
-    the yields equals ``get_file``'s result.
+    the generator, and are audited as a failed ``get_file``); shard
+    traffic happens lazily, ``window_chunks`` chunks at a time, and each
+    window's shard bytes are released before the next window is fetched.
+    ``b"".join(...)`` of the yields equals ``get_file``'s result, and the
+    read is audited as one ``get_file`` -- when the generator finishes,
+    fails, or is closed early (``ok=False``, naming the abandonment and
+    listing only the chunks fetched so far).
     """
-    from repro.core.distributor import _FetchJob
-
     if window_chunks < 1:
         raise ValueError(f"window_chunks must be >= 1, got {window_chunks}")
-    with dist.op_lock:
-        refs = dist.client_table.get(client).refs_for_file(filename)
-        dist._authorize(client, password, refs[0].privacy_level)
-        jobs: list[_FetchJob] = []
-        for ref in refs:
-            entry = dist.chunk_table.get(ref.chunk_index)
-            names = [
-                dist.provider_table.get(i).name
-                for i in entry.provider_indices
-            ]
-            jobs.append(
-                _FetchJob(
-                    serial=ref.serial,
-                    entry=entry,
-                    state=dist._chunk_state_for(entry, filename),
-                    names=names,
-                    cached=(
-                        dist.cache.get(entry.virtual_id)
-                        if dist.cache is not None
-                        else None
-                    ),
-                )
-            )
-
-    def generate() -> Iterator[bytes]:
-        try:
-            for start in range(0, len(jobs), window_chunks):
-                batch = jobs[start : start + window_chunks]
-                with dist._phase("get_stream", "fetch"):
-                    dist._prefetch_jobs(batch, use_stream=True)
-                for job in batch:
-                    payload = dist._assemble_job(job)
-                    if dist.cache is not None and job.cached is None:
-                        # Same fill as get_file; the cache is bounded by
-                        # its own eviction policy, so this cannot grow the
-                        # stream's footprint past the cache budget.
-                        with dist.op_lock:
-                            dist.cache.put(job.entry.virtual_id, payload)
-                    # Free the window's shard bytes before yielding; the
-                    # generator may be held open for a long time.
-                    job.prefetched.clear()
-                    job.cached = None
-                    if cipher is not None:
-                        payload = cipher.decrypt(payload, nonce=job.serial)
-                    yield payload
-        except ReproError as exc:
-            dist._record_op("get_file", client, filename, None,
-                            ok=False, detail=type(exc).__name__)
-            raise
-        dist._record_op("get_file", client, filename, None, ok=True)
-
-    return generate()
+    op = ("get_file", client, filename, None)
+    return dist._read_jobs(
+        dist._resolve_read(op, password), window_chunks, cipher=cipher, op=op
+    )

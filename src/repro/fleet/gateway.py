@@ -101,7 +101,6 @@ class FleetGateway:
         chunk_policy: ChunkSizePolicy | None = None,
         stripe_width: int | None = None,
         max_transport_workers: int | None = None,
-        pipelined: bool = True,
         metrics: MetricsRegistry | None = None,
         shard_health: ShardHealthTracker | None = None,
         hedge_delay: float | None = None,
@@ -113,7 +112,6 @@ class FleetGateway:
         self.chunk_policy = chunk_policy
         self.stripe_width = stripe_width
         self.max_transport_workers = max_transport_workers
-        self.pipelined = pipelined
         self.metrics = metrics if metrics is not None else get_metrics()
         self.router = FleetRouter(m_bits=m_bits, metrics=self.metrics)
         self.access = AccessController()
@@ -216,7 +214,6 @@ class FleetGateway:
             chunk_policy=self.chunk_policy,
             stripe_width=self.stripe_width,
             max_transport_workers=self.max_transport_workers,
-            pipelined=self.pipelined,
         )
 
     def _attach_shard(self, shard_id: str) -> FleetShard:

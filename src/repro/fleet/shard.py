@@ -53,7 +53,6 @@ class FleetShard:
         chunk_policy: ChunkSizePolicy | None = None,
         stripe_width: int | None = None,
         max_transport_workers: int | None = None,
-        pipelined: bool = True,
     ) -> None:
         if "/" in shard_id or not shard_id:
             raise ValueError(f"shard id must be a non-empty path segment, got {shard_id!r}")
@@ -73,7 +72,6 @@ class FleetShard:
             stripe_width=stripe_width,
             seed=_shard_seed(seed, shard_id),
             max_transport_workers=max_transport_workers,
-            pipelined=pipelined,
             metrics=self.metrics,
             journal=journal,
         )
@@ -191,49 +189,37 @@ class FleetShard:
     def export_file(self, key: str) -> tuple[bytes, PrivacyLevel, float, str]:
         """Read one file out for migration: (data, level, fraction, codec).
 
-        Uses the same internal surface the journal-recovery and update
-        paths use: refs resolve chunks, :meth:`_fetch_chunk_payload`
-        reconstructs each (RAID failover included), and the misleading
-        budget is re-derived from the stored positions the way
-        ``update_chunk`` does, so the re-upload at the destination carries
-        the same privacy posture.  The codec label travels too, so a
-        migrated file keeps its erasure codec (raid-family files re-pick
-        a stripe width from the destination's fleet).
+        Uses the same internal surface the update path uses: refs
+        resolve to fetch jobs, the distributor's read engine reconstructs
+        each chunk (RAID failover included), and the misleading budget is
+        re-derived from the stored positions the way ``update_chunk``
+        does, so the re-upload at the destination carries the same
+        privacy posture.  The codec label travels too, so a migrated file
+        keeps its erasure codec (raid-family files re-pick a stripe width
+        from the destination's fleet).
         """
         tenant, _ = split_fleet_key(key)
         d = self.distributor
         with d.op_lock:
-            refs = sorted(
-                d.client_table.get(tenant).refs_for_file(key),
-                key=lambda r: r.serial,
-            )
-            level = refs[0].privacy_level
-            fraction = 0.0
-            codec = ""
-            chunks = []
-            for ref in refs:
-                entry = d.chunk_table.get(ref.chunk_index)
-                state = d._chunk_state_for(entry, key)
-                if not codec:
-                    codec = state.stripe.codec
-                if entry.misleading_positions:
-                    fraction = max(
-                        fraction,
-                        len(entry.misleading_positions)
-                        / max(
-                            1,
-                            state.stripe.orig_len
-                            - len(entry.misleading_positions),
-                        ),
-                    )
-                chunks.append(
-                    chunking.Chunk(
-                        serial=ref.serial,
-                        level=ref.privacy_level,
-                        payload=d._fetch_chunk_payload(entry),
-                    )
+            refs = d.client_table.get(tenant).refs_for_file(key)
+            jobs = [
+                d._job_for(d.chunk_table.get(ref.chunk_index), ref.serial, key)
+                for ref in refs
+            ]
+            fraction = max(
+                len(job.entry.misleading_positions)
+                / max(
+                    1,
+                    job.state.stripe.orig_len
+                    - len(job.entry.misleading_positions),
                 )
-            return chunking.join(chunks), level, fraction, codec
+                for job in jobs
+            )
+            data = b"".join(d._read_jobs(jobs, 1))
+            return (
+                data, refs[0].privacy_level, fraction,
+                jobs[0].state.stripe.codec,
+            )
 
     def import_file(
         self,
@@ -245,9 +231,12 @@ class FleetShard:
     ) -> None:
         """Store a migrated file (journaled via the shard's own journal)."""
         tenant, _ = split_fleet_key(key)
-        self.distributor._upload_file_pipelined(
-            tenant, PrivacyLevel.coerce(level), key, data,
-            None, None, codec or None, misleading_fraction, False,
+        d = self.distributor
+        pl = PrivacyLevel.coerce(level)
+        chunks = chunking.split(data, pl, policy=d.chunk_policy)
+        d._upload_windows(
+            tenant, pl, key, [([chunk.payload for chunk in chunks], True)],
+            codec=codec or None, misleading_fraction=misleading_fraction,
         )
 
     def service_remove(self, key: str) -> None:

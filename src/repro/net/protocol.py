@@ -600,6 +600,20 @@ def decode_multi_put(payload: bytes) -> list[tuple[str, bytes]]:
     return items
 
 
+def first_batch_key(payload: bytes) -> str:
+    """The first item's key of a MULTI_PUT or KEYS-encoded payload.
+
+    Both encodings open with the count (u32), then per item the key
+    length (u16) and the key, so the first key reads the same way from
+    either without decoding the batch.  Empty batch: ``""``.
+    """
+    header = _BATCH_COUNT.size + _ITEM_KEY_LEN.size
+    if len(payload) < header:
+        return ""
+    (key_len,) = _ITEM_KEY_LEN.unpack_from(payload, _BATCH_COUNT.size)
+    return bytes(payload[header : header + key_len]).decode("utf-8")
+
+
 def encode_batch_results(results: list[tuple[int, bytes]]) -> bytes:
     """Batch response payload from per-item ``(status, body)`` pairs."""
     parts = [_BATCH_COUNT.pack(len(results))]

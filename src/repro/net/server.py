@@ -43,6 +43,7 @@ from repro.net.protocol import (
     encode_stat,
     encode_stream_count,
     encode_traced_response,
+    first_batch_key,
     frame_segments,
     read_frame,
     send_frame,
@@ -177,7 +178,12 @@ class RequestEngine:
 
     @staticmethod
     def _fault_key(frame: Frame) -> str:
-        """The innermost request key, for prefix-scoped fault injection."""
+        """The innermost request key, for prefix-scoped fault injection.
+
+        A batch frame (MULTI_PUT / MULTI_GET / STREAM_GET) has no key of
+        its own; it is scoped by its first item's key -- one batch only
+        ever carries one distributor's (so one namespace's) shards.
+        """
         try:
             inner = frame
             while inner.code in (OpCode.DEADLINE, OpCode.TRACED):
@@ -185,6 +191,10 @@ class RequestEngine:
                     _, inner = decode_deadline_request(inner.payload)
                 else:
                     _, inner = decode_traced_request(inner.payload)
+            if inner.code in (
+                OpCode.MULTI_PUT, OpCode.MULTI_GET, OpCode.STREAM_GET
+            ):
+                return first_batch_key(inner.payload)
             return inner.key
         except Exception:  # noqa: BLE001 - malformed envelope, no scoping
             return frame.key

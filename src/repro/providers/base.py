@@ -76,7 +76,7 @@ class CloudProvider(ABC):
 
     # -- batched forms ------------------------------------------------------
     #
-    # The distributor's pipelined data path stores/fetches every shard bound
+    # The distributor's data path stores/fetches every shard of a window bound
     # for one provider in a single call.  The defaults below loop the
     # per-object primitives with per-item error capture, so any backend is
     # batch-capable; RemoteProvider overrides both with one MULTI_PUT /

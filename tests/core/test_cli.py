@@ -84,10 +84,10 @@ def test_put_with_aont_codec_roundtrip(state, tmp_path, capsys):
     payload = os.urandom(8_000)
     src.write_bytes(payload)
     assert run("put", "--state", str(state), "Bob", "s3cret", str(src),
-               "--level", "3", "--codec", "aont-rs(2,2)", "--no-stream") == 0
+               "--level", "3", "--codec", "aont-rs(2,2)") == 0
     out = tmp_path / "sealed.out"
     assert run("get", "--state", str(state), "Bob", "s3cret", "sealed.bin",
-               "-o", str(out), "--no-stream") == 0
+               "-o", str(out)) == 0
     assert out.read_bytes() == payload
 
 

@@ -18,6 +18,7 @@ fresh distributor over the same on-disk state the way the CLI does
 
 from __future__ import annotations
 
+import io
 from collections import defaultdict
 
 import pytest
@@ -36,6 +37,7 @@ N_PROVIDERS = 6
 KEEP = bytes(range(256)) * 8  # 2048 bytes -> 8 PRIVATE chunks
 VICTIM = bytes(reversed(range(256))) * 8
 CRASHED = b"\xab" * 2048
+STREAMED = CRASHED[:768]  # 3 PRIVATE chunks
 NEW_CHUNK = b"\x5a" * 128
 UPDATED_VICTIM = NEW_CHUNK + VICTIM[256:]  # PRIVATE chunk size is 256
 
@@ -81,7 +83,7 @@ def _setup(root) -> CloudDataDistributor:
     return distributor
 
 
-def _op_for(distributor: CloudDataDistributor, point: str):
+def _op_for(distributor: CloudDataDistributor, point: str, streamed: bool):
     """The operation that exercises *point* (chosen by its prefix)."""
     if point.startswith("remove."):
         return lambda: distributor.remove_file("Bob", "pw", "victim")
@@ -89,13 +91,15 @@ def _op_for(distributor: CloudDataDistributor, point: str):
         return lambda: distributor.update_chunk(
             "Bob", "pw", "victim", 0, NEW_CHUNK
         )
-    # upload.transferred only exists on the pipelined path; the low-level
-    # atomic/disk/journal points fire on either, so let the serial path
-    # cover them.
-    pipelined = point.startswith("upload.")
+    if streamed:
+        # One chunk per window: the same engine, three windows deep.
+        return lambda: distributor.put_stream(
+            "Bob", "pw", "crashed", io.BytesIO(STREAMED), PrivacyLevel.PRIVATE,
+            window_chunks=1,
+        )
+    # The low-level atomic/disk/journal points fire under an upload too.
     return lambda: distributor.upload_file(
-        "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE,
-        pipelined=pipelined,
+        "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE
     )
 
 
@@ -116,12 +120,20 @@ def _assert_no_table_holes(distributor: CloudDataDistributor) -> None:
 # matrix lives in tests/fleet/test_migration.py.
 SINGLE_NODE_POINTS = sorted(p for p in KILL_POINTS if not p.startswith("fleet."))
 
+# A streamed upload hits the per-window points once per window; crashing at
+# the *second* hit leaves a committed-but-invisible first window behind.
+CRASHES = [pytest.param(p, False, 0, id=p) for p in SINGLE_NODE_POINTS] + [
+    pytest.param("upload.intent_logged", True, 1, id="upload.intent_logged-w2"),
+    pytest.param("upload.transferred", True, 1, id="upload.transferred-w2"),
+    pytest.param("upload.committed", True, 0, id="upload.committed-stream"),
+]
 
-@pytest.mark.parametrize("point", SINGLE_NODE_POINTS)
-def test_recovery_restores_invariants(tmp_path, point):
+
+@pytest.mark.parametrize("point, streamed, after", CRASHES)
+def test_recovery_restores_invariants(tmp_path, point, streamed, after):
     distributor = _setup(tmp_path)
-    op = _op_for(distributor, point)
-    with crashing_at(point) as reached:
+    op = _op_for(distributor, point, streamed)
+    with crashing_at(point, after=after) as reached:
         with pytest.raises(CrashPoint):
             op()
     assert point in reached  # the op genuinely passed through this point
@@ -145,7 +157,9 @@ def test_recovery_restores_invariants(tmp_path, point):
         )
     else:
         try:
-            assert rebooted.get_file("Bob", "pw", "crashed") == CRASHED
+            assert rebooted.get_file("Bob", "pw", "crashed") == (
+                STREAMED if streamed else CRASHED
+            )
         except UnknownFileError:
             pass  # rolled back entirely: equally legal
 
@@ -163,8 +177,7 @@ def test_double_recovery_is_idempotent(tmp_path):
     with crashing_at("upload.transferred"):
         with pytest.raises(CrashPoint):
             distributor.upload_file(
-                "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE,
-                pipelined=True,
+                "Bob", "pw", "crashed", CRASHED, PrivacyLevel.PRIVATE
             )
     # First reboot recovers; boot() checkpoints, but replay the same
     # journal again by hand to model a crash before the checkpoint.

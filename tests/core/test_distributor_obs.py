@@ -1,7 +1,7 @@
 """Distributor telemetry: op counters, phase timings, spans, events.
 
 The observability layer must see the data path as it actually ran --
-phases on the pipelined paths, per-op outcome counters, failover and
+phases of the upload and read engines, per-op outcome counters, failover and
 rollback narrated as events, audit records carrying the virtual ids and
 providers each op touched.
 """

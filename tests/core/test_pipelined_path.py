@@ -1,15 +1,21 @@
-"""The pipelined data path against the historical chunk-serial path.
+"""The windowed data path against pinned placement vectors.
 
-The pipelined upload plans every chunk inside the critical section (same
-rng-draw and id-allocation order as the serial loop, with emulated load
-accounting) and transfers lock-free in provider batches -- so a
-fault-free pipelined upload must be *bit-identical* to the serial one:
-same placement, same tables, same loads.  These tests pin that
-equivalence plus the semantics the lock split must not lose: upload
-atomicity, write failover, the duplicate-filename guard across the
-lock-free window, and read parity.
+The upload engine plans every chunk of a window inside the critical
+section (rng draws and id allocation in serial order, provider loads
+advanced per planned shard and carried across windows) and transfers
+lock-free in provider batches.  Placement and tables therefore depend on
+the file and the seed alone -- not on how the file was cut into windows.
+``PINNED`` holds digests of the tables the deleted chunk-serial
+``upload_file(pipelined=False)`` path produced at commit 5eb68ee; every
+entry point and window size must keep reproducing them.  The other tests
+pin the semantics the lock split must not lose: upload atomicity, write
+failover, the duplicate-filename guard across the lock-free transfer,
+and degraded / cached reads.
 """
 
+import hashlib
+import io
+import json
 import os
 import threading
 
@@ -17,12 +23,13 @@ import pytest
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.errors import ProviderUnavailableError
+from repro.core.journal import IntentJournal
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
 from repro.raid.striping import RaidLevel
 
 
-def make_distributor(n=6, width=4, seed=63, pipelined=True, **kwargs):
+def make_distributor(n=6, width=4, seed=63, **kwargs):
     specs = [
         ProviderSpec(f"P{i}", PrivacyLevel.PRIVATE, CostLevel.CHEAP)
         for i in range(n)
@@ -33,7 +40,6 @@ def make_distributor(n=6, width=4, seed=63, pipelined=True, **kwargs):
         chunk_policy=ChunkSizePolicy.uniform(512),
         stripe_width=width,
         seed=seed,
-        pipelined=pipelined,
         **kwargs,
     )
     d.register_client("C")
@@ -51,24 +57,72 @@ def sabotage_puts(victim):
 DATA = bytes(range(256)) * 40  # 10240 bytes -> 20 chunks at 512
 
 
-def test_fault_free_pipelined_upload_is_bit_identical_to_serial():
-    serial, _ = make_distributor(pipelined=False)
-    piped, _ = make_distributor(pipelined=True)
-    serial.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                       misleading_fraction=0.1)
-    piped.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                      misleading_fraction=0.1)
+def tables_digest(d) -> str:
+    """SHA-256 of the canonical JSON of the tables and provider loads."""
+    meta = d.export_metadata()
+    doc = {
+        key: meta[key]
+        for key in ("chunk_table", "client_table", "provider_table", "chunk_state")
+    }
+    doc["provider_loads"] = d.provider_loads()
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
-    # Identical placement, identical tables, identical loads.
-    assert piped.provider_loads() == serial.provider_loads()
-    a, b = serial.export_metadata(), piped.export_metadata()
-    assert a["chunk_table"] == b["chunk_table"]
-    assert a["client_table"] == b["client_table"]
-    assert a["provider_table"] == b["provider_table"]
-    assert a["chunk_state"] == b["chunk_state"]
 
-    assert piped.get_file("C", "pw", "f") == DATA
-    assert serial.get_file("C", "pw", "f") == DATA
+# RECORDED FROM THE PARENT 5eb68ee through upload_file(pipelined=False):
+# DATA at misleading_fraction=0.1 on make_distributor(seed=63), six
+# providers (nine for rs(6,3)).  name -> (fleet size, codec, digest).
+PINNED = {
+    "raid5@4": (6, None,
+                "f232e675d2f6cc553ddc25f6ac7b79b1d6fa8b9f7b422b0d36ed070ebb7be565"),
+    "raid6": (6, "raid6",
+              "61cf90765feb43d801c2a7446f031857eeda596299b1415727ac4e345c3713d1"),
+    "rs(6,3)": (9, "rs(6,3)",
+                "1b183540e8ccf392a72497e35cb32f3b2ac9fec79f9bcb7d89c2b7220271ab6f"),
+}
+UPLOADS = {
+    "upload_file": lambda d, **kw: d.upload_file(
+        "C", "pw", "f", DATA, PrivacyLevel.PRIVATE, **kw),
+    **{
+        f"put_stream-w{w}": lambda d, w=w, **kw: d.put_stream(
+            "C", "pw", "f", io.BytesIO(DATA), PrivacyLevel.PRIVATE,
+            window_chunks=w, **kw)
+        for w in (1, 3, 8, 20)
+    },
+}
+
+
+@pytest.mark.parametrize("upload", UPLOADS)
+@pytest.mark.parametrize("codec", PINNED)
+def test_every_upload_reproduces_the_pinned_tables(codec, upload):
+    n, spec, digest = PINNED[codec]
+    d, _ = make_distributor(n=n)
+    UPLOADS[upload](d, codec=spec, misleading_fraction=0.1)
+    assert tables_digest(d) == digest
+    assert d.get_file("C", "pw", "f") == DATA
+    assert b"".join(d.get_stream("C", "pw", "f", window_chunks=3)) == DATA
+
+
+@pytest.mark.parametrize("upload", UPLOADS)
+def test_journaled_upload_reproduces_the_pinned_tables(tmp_path, upload):
+    journal = IntentJournal(tmp_path / "journal.jsonl")
+    d, _ = make_distributor(journal=journal)
+    UPLOADS[upload](d, misleading_fraction=0.1)
+    assert tables_digest(d) == PINNED["raid5@4"][2]
+    assert d.get_file("C", "pw", "f") == DATA
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "journal.jsonl").read_text().splitlines()
+    ]
+    kinds = [rec["rec"] for rec in records]
+    if upload in ("upload_file", "put_stream-w20"):
+        # One window: its keys ride the intent record -- intent + commit,
+        # the record sequence the parent's upload_file wrote.
+        assert kinds == ["intent", "commit"]
+        assert len(records[0]["put_keys"]) == 20 * 4
+    else:
+        assert kinds[0] == "intent" and kinds[-1] == "commit"
+        assert set(kinds[1:-1]) == {"extend"}
 
 
 @pytest.mark.parametrize("raid", [RaidLevel.RAID5, RaidLevel.RAID6])
@@ -81,8 +135,6 @@ def test_pipelined_roundtrip_both_raid_levels(raid):
     )
     assert receipt.raid_level is raid
     assert d.get_file("C", "pw", "f") == data
-    # Per-call override: the serial read path sees the same stripes.
-    assert d.get_file("C", "pw", "f", pipelined=False) == data
 
 
 def test_pipelined_upload_rolls_back_whole_file_when_chunk_lost():
@@ -124,13 +176,12 @@ def test_degraded_write_accepted_when_k_shards_land_pipelined():
 
 def test_duplicate_filename_rejected_while_upload_in_flight():
     d, _ = make_distributor()
-    # Simulate a pipelined upload parked in its lock-free transfer phase.
+    # Simulate an upload parked in its lock-free transfer phase.
     d._inflight_uploads["C"] = {"f"}
     with pytest.raises(ValueError, match="already stores"):
         d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
     with pytest.raises(ValueError, match="already stores"):
-        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                      pipelined=False)
+        d.put_stream("C", "pw", "f", io.BytesIO(DATA), PrivacyLevel.PRIVATE)
     d._inflight_uploads.clear()
     d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
 
@@ -156,15 +207,6 @@ def test_concurrent_same_name_uploads_store_exactly_one_copy():
     assert sorted(outcomes) == ["duplicate", "ok"]
     assert d.get_file("C", "pw", "f") == DATA
     assert sum(d.provider_loads().values()) == 20 * 4
-
-
-def test_get_file_parity_between_paths():
-    d, _ = make_distributor()
-    data = os.urandom(5000)
-    d.upload_file("C", "pw", "f", data, PrivacyLevel.PRIVATE,
-                  misleading_fraction=0.15)
-    assert d.get_file("C", "pw", "f", pipelined=True) == data
-    assert d.get_file("C", "pw", "f", pipelined=False) == data
 
 
 def test_pipelined_get_survives_dead_member():

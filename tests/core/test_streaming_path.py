@@ -1,12 +1,13 @@
-"""The constant-memory streaming path against the materializing paths.
+"""The constant-memory streaming entry points of the one data path.
 
-``put_stream`` windows bytes through the exact chunking/placement/commit
-machinery ``upload_file`` uses, so a fault-free streamed upload must be
-bit-identical to a pipelined one: same placement, same tables, same
-loads.  These tests pin that equivalence plus what the windowing must
+``put_stream`` feeds the upload engine bounded windows where
+``upload_file`` feeds it one, so a fault-free streamed upload lands the
+same placement, tables and loads (pinned against recorded digests in
+``test_pipelined_path.py``).  These tests pin what the windowing must
 not lose -- upload atomicity across committed windows, the intent
-journal's abort, chunk-boundary fidelity for partial tails, encryption
-at rest, and eager (non-generator) error reporting on reads.
+journal's abort on *any* source error, chunk-boundary fidelity for
+partial tails, encryption at rest, eager (non-generator) error reporting
+on reads, and an audit trail as complete as ``get_file``'s.
 """
 
 from __future__ import annotations
@@ -16,8 +17,13 @@ import os
 
 import pytest
 
+from repro.core.audit import AuditLog
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import ProviderUnavailableError, ReproError
+from repro.core.errors import (
+    AuthenticationError,
+    ProviderUnavailableError,
+    ReproError,
+)
 from repro.core.journal import IntentJournal
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.core.streaming import DEFAULT_WINDOW_CHUNKS
@@ -195,21 +201,44 @@ def test_duplicate_filename_rejected():
         d.upload_file("C", "pw", "f", b"y", PL)
 
 
-def test_source_read_error_releases_filename():
+def test_source_read_error_releases_filename(tmp_path):
     class Exploding(io.RawIOBase):
+        def __init__(self, error, good_reads):
+            self.error, self.good_reads = error, good_reads
+
         def readable(self):
             return True
 
         def readinto(self, b):
-            raise OSError("disk pulled")
+            if self.good_reads == 0:
+                raise self.error
+            self.good_reads -= 1
+            b[:] = bytes(len(b))
+            return len(b)
 
-    d, providers = make_distributor()
-    with pytest.raises(OSError, match="disk pulled"):
-        d.put_stream("C", "pw", "f", Exploding(), PL)
-    for p in providers:
-        assert p.keys() == []
-    put(d, "f", b"recovered")  # the in-flight reservation was released
-    assert read_stream(d, "f") == b"recovered"
+    for case, error, good_reads in [
+        ("os", OSError("disk pulled"), 0),
+        # Neither a provider, placement nor OS error -- a decompressor or
+        # cipher source failing on its third window, with one window
+        # committed and one on the wire: all of it must still vanish.
+        ("value", ValueError("corrupt frame"), 2),
+    ]:
+        journal = IntentJournal(tmp_path / f"{case}.jsonl")
+        d, providers = make_distributor(journal=journal)
+        with pytest.raises(type(error), match=str(error)):
+            d.put_stream("C", "pw", "f", Exploding(error, good_reads), PL,
+                         window_chunks=2)
+        # Nothing of the stream survives: tables, providers, loads, journal.
+        assert len(d.chunk_table) == 0
+        assert d.client_table.get("C").chunk_refs == []
+        assert sum(d.provider_loads().values()) == 0
+        for p in providers:
+            assert p.keys() == []
+        # (A source dead on its first read never opened a transaction.)
+        states = [t.state for t in journal.replay()]
+        assert states == (["aborted"] if good_reads else [])
+        put(d, "f", b"recovered")  # the in-flight reservation was released
+        assert read_stream(d, "f") == b"recovered"
 
 
 # -- encryption ---------------------------------------------------------------
@@ -243,6 +272,53 @@ def test_get_stream_errors_eagerly():
         d.get_stream("C", "wrong-password", "f")
     with pytest.raises(ReproError):
         d.get_stream("C", "pw", "no-such-file")
+
+
+def audited_distributor():
+    log = AuditLog()
+    d, _ = make_distributor(audit=log)
+    put(d, "f", DATA)
+    return d, log
+
+
+def test_streamed_read_is_audited_like_get_file():
+    d, log = audited_distributor()
+    assert d.get_file("C", "pw", "f") == DATA
+    assert read_stream(d, "f", window_chunks=3) == DATA
+    whole, streamed = log.events[-2:]
+    assert whole.operation == streamed.operation == "get_file"
+    assert whole.ok and streamed.ok
+    assert len(streamed.virtual_ids) == 20
+    assert streamed.virtual_ids == whole.virtual_ids
+    assert streamed.providers == whole.providers
+
+
+def test_wrong_password_stream_counts_toward_auth_failure_streak():
+    d, log = audited_distributor()
+    for _ in range(3):
+        with pytest.raises(AuthenticationError):
+            d.get_stream("C", "wrong-password", "f")
+    failed = log.events[-1]
+    assert failed.operation == "get_file" and not failed.ok
+    assert failed.detail == "AuthenticationError"
+    assert log.auth_failure_streak("C") == 3
+
+
+def test_abandoned_stream_is_audited_with_the_chunks_it_fetched():
+    d, log = audited_distributor()
+    uploaded = log.events[-1].virtual_ids
+    segments = d.get_stream("C", "pw", "f", window_chunks=4)
+    assert next(segments) == DATA[:512]
+    before = len(log.events)
+    segments.close()  # dropping the generator does the same
+    assert len(log.events) == before + 1
+    record = log.events[-1]
+    assert record.operation == "get_file" and not record.ok
+    assert "abandoned" in record.detail
+    # Only the first window was ever fetched.
+    assert len(record.virtual_ids) == 4
+    assert set(record.virtual_ids) < set(uploaded)
+    assert record.providers
 
 
 def test_get_stream_yields_chunk_sized_segments():

@@ -110,7 +110,6 @@ class Drill:
             registry,
             seed=FLEET_SEED,
             metrics=self.metrics,
-            pipelined=False,  # single-key frames, so key scoping sees keys
             shard_health=ShardHealthTracker(
                 metrics=self.metrics, retry_interval=0.3
             ),

@@ -1,6 +1,6 @@
 """Batched wire operations: MULTI_PUT / MULTI_GET.
 
-The pipelined data path coalesces every shard bound for one provider into
+The data path coalesces every shard of a window bound for one provider into
 a single framed round-trip.  These tests pin the batch payload encodings,
 conformance with the looped per-object primitives, per-item partial
 failure reporting, retry behaviour under wire faults, and the health
@@ -265,7 +265,7 @@ def test_chaos_batch_put_failures_feed_health_monitor():
     )
     d = _distributor_with(chaos)
     items = [(f"k{i}", b"x" * 16) for i in range(3)]
-    outcomes = d._provider_put_many("P0", items)
+    outcomes = d._provider_batch("put_many", "P0", items)
     assert all(isinstance(exc, ProviderError) for exc in outcomes)
     # Three transport failures in one batch cross the DOWN threshold,
     # exactly as three failed individual puts would.
@@ -275,7 +275,7 @@ def test_chaos_batch_put_failures_feed_health_monitor():
 def test_clean_batch_put_records_successes():
     d = _distributor_with(InMemoryProvider("P0"))
     items = [(f"k{i}", b"x" * 16) for i in range(4)]
-    assert d._provider_put_many("P0", items) == [None] * 4
+    assert d._provider_batch("put_many", "P0", items) == [None] * 4
     assert d.health.healthy("P0")
     rows = {row[0]: row for row in d.health.report_rows()}
     assert rows["P0"][4] == 4  # one health observation per item
@@ -284,7 +284,7 @@ def test_clean_batch_put_records_successes():
 def test_mixed_batch_get_records_per_item_outcomes():
     d = _distributor_with(InMemoryProvider("P0"))
     d.registry.get("P0").provider.put("present", b"v")
-    outcomes = d._provider_get_many("P0", ["present", "absent"])
+    outcomes = d._provider_batch("get_many", "P0", ["present", "absent"])
     assert outcomes[0] == b"v"
     assert isinstance(outcomes[1], BlobNotFoundError)
     # The miss is a data failure: EWMA rises but no DOWN verdict.

@@ -94,3 +94,29 @@ def test_seeded_fault_schedule_is_reproducible():
     b = WireFaults(drop_rate=0.3, corrupt_rate=0.3, seed=42)
     assert [a.draw() for _ in range(50)] == [b.draw() for _ in range(50)]
     assert a.injected == b.injected
+
+
+def test_prefix_scoped_stall_sees_the_keys_inside_a_batch():
+    # Batched traffic (MULTI_PUT / MULTI_GET / STREAM_GET) carries its keys
+    # in the payload; prefix scoping must still find them, and the seeded
+    # schedule must advance identically whether or not the prefix matches.
+    scoped = WireFaults(stall_rate=1.0, stall_s=0.0, seed=15,
+                        key_prefix="fleet/sB/")
+    unscoped = WireFaults(stall_rate=1.0, stall_s=0.0, seed=15)
+    for faults in (scoped, unscoped):
+        with ChunkServer(InMemoryProvider("W"), wire_faults=faults) as server:
+            client = make_client(server)
+            try:
+                hit = [(f"fleet/sB/k{i}", b"v" * 8) for i in range(3)]
+                miss = [(f"fleet/sA/k{i}", b"v" * 8) for i in range(3)]
+                assert client.put_many(hit) == [None] * 3
+                assert client.put_many(miss) == [None] * 3
+                assert client.get_many([k for k, _ in miss]) == [b"v" * 8] * 3
+                assert client.get_many([k for k, _ in hit]) == [b"v" * 8] * 3
+                assert client.get_stream([k for k, _ in hit]) == [b"v" * 8] * 3
+            finally:
+                client.close()
+    assert scoped.injected["stall"] == 3    # the three sB batches, only
+    assert unscoped.injected["stall"] == 5
+    assert scoped.draw("fleet/sB/next") == unscoped.draw("fleet/sB/next")
+    assert scoped._rng.random() == unscoped._rng.random()
