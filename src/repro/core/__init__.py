@@ -38,7 +38,12 @@ from repro.core.errors import (
     UnknownClientError,
     UnknownFileError,
 )
-from repro.core.misleading import InjectionResult, inject
+from repro.core.misleading import (
+    InjectionResult,
+    InjectionRng,
+    inject,
+    inject_window,
+)
 from repro.core.misleading import remove as remove_misleading
 from repro.core.multi_distributor import DistributorGroup
 from repro.core.persistence import (
@@ -116,7 +121,9 @@ __all__ = [
     "UnknownClientError",
     "UnknownFileError",
     "InjectionResult",
+    "InjectionRng",
     "inject",
+    "inject_window",
     "remove_misleading",
     "DistributorGroup",
     "PlacementPolicy",

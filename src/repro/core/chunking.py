@@ -10,6 +10,7 @@ corresponds to the position of the chunk within the file").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 from repro.core.privacy import ChunkSizePolicy, PrivacyLevel
 
@@ -34,6 +35,31 @@ class Chunk:
     @property
     def size(self) -> int:
         return len(self.payload)
+
+
+def equal_length_runs(
+    payloads: "Sequence[bytes | memoryview]", max_rows: Callable[[int], int]
+) -> Iterator[tuple[int, int, int]]:
+    """Cut a window into ``(start, stop, length)`` runs of consecutive
+    payloads of one *length*, none longer than ``max_rows(length)``.
+
+    The window stages work on a run as one array operation; a file's
+    chunks are all one length but for its tail, so a window is one run
+    (plus at most one more) unless ``max_rows`` slabs it for memory.
+    """
+    start = 0
+    while start < len(payloads):
+        length = len(payloads[start])
+        limit = start + max(1, max_rows(length))
+        stop = start + 1
+        while (
+            stop < len(payloads)
+            and stop < limit
+            and len(payloads[stop]) == length
+        ):
+            stop += 1
+        yield start, stop, length
+        start = stop
 
 
 def split(

@@ -16,6 +16,7 @@ the three metadata tables.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +38,11 @@ from repro.core.errors import (
     UnknownCodecError,
 )
 from repro.health.monitor import HealthMonitor
-from repro.core.misleading import inject, remove as remove_misleading
+from repro.core.misleading import (
+    InjectionRng,
+    inject_window,
+    remove as remove_misleading,
+)
 from repro.obs.events import EventLog, get_events
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.trace import Tracer, get_tracer
@@ -66,7 +71,7 @@ from repro.raid.striping import RaidLevel, StripeMeta
 from repro.net.resilience import current_retry_budget, retry_budget_scope
 from repro.util.crash import crashpoint
 from repro.util.deadline import check_deadline, current_deadline, deadline_scope
-from repro.util.rng import SeedLike, derive_rng, spawn_seeds
+from repro.util.rng import SeedLike, spawn_seeds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.journal import IntentJournal
@@ -262,7 +267,7 @@ class CloudDataDistributor:
         # raise UnknownCodecError; fsck classifies them.
         self._codec_quarantine: dict[int, tuple] = {}
         self.ids = VirtualIdAllocator(seed=seeds[1])
-        self._rng = derive_rng(seeds[2])
+        self._misleading_rng = InjectionRng.spawn(seeds[2])
 
         self.access = AccessController()
         self.provider_table = CloudProviderTable()
@@ -377,18 +382,36 @@ class CloudDataDistributor:
         transport-level batch failure (the provider raised instead of
         answering per item) condemns every item -- each failed shard is a
         real failed request, so each feeds the monitor, exactly as the
-        equivalent run of individual calls would have.
+        equivalent run of individual calls would have.  So does an answer
+        with more or fewer outcomes than items: which item an outcome
+        belongs to is no longer known, and an unanswered item must not
+        pass for stored.
+
+        The monitor hears the outcomes in order; each run of consecutive
+        successes is one ``record_success(name, count)``.
         """
         check_deadline(f"{method} ({len(items)} items) @ {name}")
         try:
             outcomes = getattr(self.registry.get(name).provider, method)(items)
         except ProviderError as exc:
             outcomes = [exc] * len(items)
-        for outcome in outcomes:
-            failed = isinstance(outcome, ProviderError)
-            self._record_health(
-                name, ok=not failed, exc=outcome if failed else None
-            )
+        if len(outcomes) != len(items):
+            outcomes = [
+                ProviderError(
+                    f"provider {name!r} answered {len(outcomes)} outcomes "
+                    f"to a {method} of {len(items)} items"
+                )
+            ] * len(items)
+        if self.health is None or name not in self.registry:
+            return outcomes
+        for failed, run in itertools.groupby(
+            outcomes, key=lambda outcome: isinstance(outcome, ProviderError)
+        ):
+            if failed:
+                for exc in run:
+                    self._record_health(name, ok=False, exc=exc)
+            else:
+                self.health.record_success(name, sum(1 for _ in run))
         return outcomes
 
     def _provider_usable(self, name: str) -> bool:
@@ -652,51 +675,70 @@ class CloudDataDistributor:
             raise KeyError(entry.virtual_id)
         return state
 
-    def _plan_chunk(
+    def _plan_window(
         self,
-        payload: bytes,
+        payloads: "list[bytes | memoryview]",
         level: PrivacyLevel,
-        serial: int,
+        first_serial: int,
         codec: ErasureCodec,
         misleading_fraction: float,
         load: dict[str, int],
-    ) -> _ChunkPlan:
-        """Encode and place one chunk without moving any bytes.
+    ) -> list[_ChunkPlan]:
+        """Encode and place one window's chunks without moving any bytes.
 
         Must run inside the critical section: it consumes rng draws
-        (misleading injection, placement) and allocates a virtual id, and
+        (misleading injection, placement) and allocates virtual ids, and
         the order of those draws across a file's chunks is what the pinned
-        placement digests in tier-1 hold constant.  *load* is the caller's
-        working copy of the per-provider shard counts; each planned shard
-        advances it, so later chunks of the same upload see the loads the
-        earlier ones will have produced once they commit.
+        placement digests in tier-1 hold constant.  The work that does
+        not differ from chunk to chunk is done once for the window: one
+        misleading draw, one encode call, one look at the registry and the
+        health monitor.  *load* is the caller's working copy of the
+        per-provider shard counts; each planned shard advances it, so
+        later chunks of the same upload see the loads the earlier ones
+        will have produced once they commit.  The plans never alias
+        *payloads*.
         """
-        positions: tuple[int, ...] = ()
-        stored = payload
+        positions: "list[tuple[int, ...]]" = [()] * len(payloads)
         if misleading_fraction > 0:
-            result = inject(payload, misleading_fraction, rng=self._rng)
-            stored, positions = result.stored, result.positions
-
-        meta, shards = codec.encode(stored)
+            injected = inject_window(
+                payloads, misleading_fraction, rng=self._misleading_rng
+            )
+            payloads = [result.stored for result in injected]
+            positions = [result.positions for result in injected]
+        stripes = codec.encode_many(payloads)
         width = codec.n
-        group = self.placement.stripe_group(
-            self.registry, level, width, load=load, health=self.health,
-        )
-        vid = self.ids.allocate()
-        # Rotate the shard->provider assignment by serial so parity cycles
-        # around the group, RAID-5 style.
-        assigned = group[serial % width :] + group[: serial % width]
-        for name in assigned:
-            load[name] = load.get(name, 0) + 1
-        return _ChunkPlan(
-            serial=serial,
-            level=level,
-            vid=vid,
-            stripe=meta,
-            shards=shards,
-            assigned=assigned,
-            positions=positions,
-        )
+        snapshot = self.placement.snapshot(self.registry, level, self.health)
+        plans: list[_ChunkPlan] = []
+        try:
+            for serial, ((meta, shards), where) in enumerate(
+                zip(stripes, positions), first_serial
+            ):
+                group = self.placement.stripe_group(
+                    self.registry, level, width, load=load,
+                    health=self.health, snapshot=snapshot,
+                )
+                # Rotate the shard->provider assignment by serial so
+                # parity cycles around the group, RAID-5 style.
+                assigned = group[serial % width :] + group[: serial % width]
+                for name in assigned:
+                    load[name] = load.get(name, 0) + 1
+                plans.append(
+                    _ChunkPlan(
+                        serial=serial,
+                        level=level,
+                        vid=self.ids.allocate(),
+                        stripe=meta,
+                        shards=shards,
+                        assigned=assigned,
+                        positions=where,
+                    )
+                )
+        except BaseException:
+            # Nothing moved yet: only the ids to give back.
+            for plan in plans:
+                self.ids.release(plan.vid)
+            raise
+        return plans
 
     def _transfer_plans(self, plans: list[_ChunkPlan]) -> None:
         """Upload one window's shards, one batched request per provider.
@@ -1171,32 +1213,19 @@ class CloudDataDistributor:
 
         try:
             for payloads, last in windows:
-                plans: list[_ChunkPlan] = []
                 # -- plan (critical section) -------------------------------
                 with self.op_lock, self._phase("upload", "plan"):
                     if load is None:
                         load = self._provider_load()
-                    try:
-                        for payload in payloads:
-                            if cipher is not None:
-                                payload = cipher.encrypt(
-                                    payload, nonce=serial + len(plans)
-                                )
-                            elif misleading_fraction > 0:
-                                # inject() manipulates bytes; window views
-                                # must not leak into stored positions.
-                                payload = bytes(payload)
-                            plans.append(
-                                self._plan_chunk(
-                                    payload, pl, serial + len(plans),
-                                    codec_obj, misleading_fraction, load,
-                                )
-                            )
-                    except BaseException:
-                        # Nothing moved yet: only the ids to give back.
-                        for plan in plans:
-                            self.ids.release(plan.vid)
-                        raise
+                    plans = self._plan_window(
+                        payloads
+                        if cipher is None
+                        else [
+                            cipher.encrypt(payload, nonce=serial + i)
+                            for i, payload in enumerate(payloads)
+                        ],
+                        pl, serial, codec_obj, misleading_fraction, load,
+                    )
                 pending.extend(plans)
                 serial += len(plans)
                 total_bytes += sum(len(payload) for payload in payloads)
@@ -1702,8 +1731,8 @@ class CloudDataDistributor:
             )
             # The new version keeps the chunk's codec: re-instantiate it
             # from the stripe metadata (works across codec generations).
-            plan = self._plan_chunk(
-                new_payload, entry.privacy_level, state.rotation,
+            (plan,) = self._plan_window(
+                [new_payload], entry.privacy_level, state.rotation,
                 codec_for_meta(state.stripe), fraction, self._provider_load(),
             )
             txn = None

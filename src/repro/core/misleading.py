@@ -15,11 +15,20 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.core.chunking import equal_length_runs
 from repro.obs.metrics import get_metrics
-from repro.util.rng import SeedLike, derive_rng
+from repro.util.rng import SeedLike, derive_rng, spawn_seeds
+
+
+#: A window is drawn in slabs of at most this many chunks, and at most
+#: this many random keys (one float64 per stored byte), so the transient
+#: arrays stay a few MiB however long the window or large the chunks.
+SLAB_ROWS = 256
+SLAB_KEYS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -30,10 +39,30 @@ class InjectionResult:
     positions: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class InjectionRng:
+    """The two streams an injection draws from: positions and fake bytes.
+
+    Each chunk consumes a fixed count from each stream, in chunk order, so
+    the draw for a file does not depend on how its chunks were cut into
+    windows.  (One shared stream would interleave a window's position
+    draws with its fake-byte draws, and that interleaving moves with the
+    window size.)
+    """
+
+    positions: np.random.Generator
+    fakes: np.random.Generator
+
+    @classmethod
+    def spawn(cls, seed: SeedLike = None) -> "InjectionRng":
+        positions, fakes = spawn_seeds(seed, 2)
+        return cls(derive_rng(positions), derive_rng(fakes))
+
+
 def inject(
     payload: bytes,
     fraction: float,
-    rng: SeedLike = None,
+    rng: "SeedLike | InjectionRng" = None,
     mimic: bool = True,
 ) -> InjectionResult:
     """Splice misleading bytes into *payload*.
@@ -45,37 +74,98 @@ def inject(
 
     Positions are indices into the returned ``stored`` buffer, sorted
     ascending, and removal with :func:`remove` restores *payload* exactly.
+    This is :func:`inject_window` over a window of one.
+    """
+    return inject_window([payload], fraction, rng, mimic)[0]
+
+
+def inject_window(
+    payloads: "Sequence[bytes | memoryview]",
+    fraction: float,
+    rng: "SeedLike | InjectionRng" = None,
+    mimic: bool = True,
+) -> list[InjectionResult]:
+    """:func:`inject` for every chunk of a window, drawn in bulk.
+
+    Consecutive payloads of equal length are drawn together, one
+    vectorised pass per slab.  Any cut of the same payload sequence into
+    windows gives the same results when the calls share one
+    :class:`InjectionRng`.  Results never alias *payloads*.
     """
     if fraction < 0:
         raise ValueError(f"fraction must be >= 0, got {fraction}")
-    n_fake = int(round(len(payload) * fraction))
-    if n_fake == 0:
-        return InjectionResult(stored=payload, positions=())
+    if not isinstance(rng, InjectionRng):
+        rng = InjectionRng.spawn(rng)
     t0 = time.perf_counter()
-    gen = derive_rng(rng)
-    if mimic and payload:
-        source = np.frombuffer(payload, dtype=np.uint8)
-        fake = source[gen.integers(0, len(source), size=n_fake)]
-    else:
-        fake = gen.integers(0, 256, size=n_fake, dtype=np.uint8)
+    results: list[InjectionResult] = []
+    injected = 0
 
-    total = len(payload) + n_fake
-    # Choose distinct positions in the stored buffer for the fake bytes.
-    positions = np.sort(gen.choice(total, size=n_fake, replace=False))
-    stored = np.empty(total, dtype=np.uint8)
-    mask = np.zeros(total, dtype=bool)
-    mask[positions] = True
-    stored[mask] = fake
-    if payload:
-        stored[~mask] = np.frombuffer(payload, dtype=np.uint8)
-    metrics = get_metrics()
-    metrics.histogram("misleading_transform_seconds", op="inject").observe(
-        time.perf_counter() - t0
+    def n_fake_for(length: int) -> int:
+        return int(round(length * fraction))
+
+    def slab_rows(length: int) -> int:
+        return min(SLAB_ROWS, SLAB_KEYS // max(1, length + n_fake_for(length)))
+
+    for start, stop, length in equal_length_runs(payloads, slab_rows):
+        n_fake = n_fake_for(length)
+        if n_fake:
+            results.extend(
+                _inject_slab(payloads[start:stop], length, n_fake, rng, mimic)
+            )
+            injected += n_fake * (stop - start)
+        else:
+            results.extend(
+                InjectionResult(stored=bytes(payload), positions=())
+                for payload in payloads[start:stop]
+            )
+    if injected:
+        metrics = get_metrics()
+        metrics.histogram("misleading_transform_seconds", op="inject").observe(
+            time.perf_counter() - t0
+        )
+        metrics.counter("misleading_bytes_total", op="inject").inc(injected)
+    return results
+
+
+def _inject_slab(
+    payloads: "Sequence[bytes | memoryview]",
+    length: int,
+    n_fake: int,
+    rng: InjectionRng,
+    mimic: bool,
+) -> list[InjectionResult]:
+    """Inject *n_fake* bytes into each of a slab of *length*-byte payloads."""
+    rows = len(payloads)
+    total = length + n_fake
+    source = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
+        rows, length
     )
-    metrics.counter("misleading_bytes_total", op="inject").inc(n_fake)
-    return InjectionResult(
-        stored=stored.tobytes(), positions=tuple(int(p) for p in positions)
-    )
+    # A uniformly random n_fake-subset of the stored positions per row:
+    # the indices of the n_fake smallest of `total` iid uniform keys.
+    keys = rng.positions.random((rows, total))
+    positions = np.argpartition(keys, n_fake - 1, axis=1)[:, :n_fake]
+    positions.sort(axis=1)
+    # Draws stay on the default integer dtype: only those concatenate
+    # across calls, which is what makes the draw window-invariant.
+    if mimic:
+        picks = rng.fakes.integers(0, length, (rows, n_fake))
+        fake = np.take_along_axis(source, picks, axis=1)
+    else:
+        fake = rng.fakes.integers(0, 256, (rows, n_fake)).astype(np.uint8)
+
+    flat = (positions + np.arange(rows)[:, None] * total).ravel()
+    stored = np.empty(rows * total, dtype=np.uint8)
+    genuine = np.ones(rows * total, dtype=bool)
+    genuine[flat] = False
+    stored[flat] = fake.ravel()
+    stored[genuine] = source.ravel()
+    blob = stored.tobytes()
+    return [
+        InjectionResult(
+            stored=blob[row * total : (row + 1) * total], positions=tuple(where)
+        )
+        for row, where in enumerate(positions.tolist())
+    ]
 
 
 def remove(

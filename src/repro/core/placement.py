@@ -31,6 +31,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.health.monitor import HealthMonitor
 
 
+@dataclass(frozen=True)
+class PlacementSnapshot:
+    """Eligible providers for one privacy level, each with the part of its
+    placement sort key that does not depend on load."""
+
+    level: PrivacyLevel
+    ranked: tuple[tuple[tuple[int, ...], str], ...]
+
+
 @dataclass
 class PlacementPolicy:
     """Configurable stripe-group selection.
@@ -104,40 +113,22 @@ class PlacementPolicy:
 
     # -- stripe-group selection ------------------------------------------------
 
-    def stripe_group(
+    def snapshot(
         self,
         registry: ProviderRegistry,
         chunk_level: PrivacyLevel | int,
-        width: int,
-        load: dict[str, int] | None = None,
         health: "HealthMonitor | None" = None,
-    ) -> list[str]:
-        """Pick ``width`` distinct provider names for one chunk's stripe.
+    ) -> "PlacementSnapshot":
+        """Everything :meth:`stripe_group` needs that no placement changes.
 
-        ``load`` maps provider name -> current chunk-shard count and is used
-        for least-loaded tie-breaking inside a cost tier.  With a *health*
-        monitor, DOWN providers are excluded and SUSPECT ones (elevated
-        error rate) rank after healthy peers regardless of cost.
-        Raises :class:`PlacementError` if fewer than ``width`` providers are
-        eligible.
+        The eligible providers and each one's load-independent sort key
+        (suspect verdict, region rank, cost tier).  A caller placing many
+        chunks in one critical section takes it once and hands it to every
+        :meth:`stripe_group` call, so the registry and the health monitor
+        are consulted per window rather than per chunk.
         """
-        if width < 1:
-            raise ValueError(f"stripe width must be >= 1, got {width}")
-        eligible = self.candidates(registry, chunk_level, health=health)
-        if len(eligible) < width:
-            raise PlacementError(
-                f"need {width} providers eligible for PL "
-                f"{int(PrivacyLevel.coerce(chunk_level))}, only {len(eligible)} "
-                f"available"
-            )
-        load = load or {}
-
-        # Randomize first so equal-key providers are picked uniformly, then
-        # stable-sort by (region preference, cost tier, load).
-        shuffled = list(eligible)
-        self._rng.shuffle(shuffled)
-
-        def sort_key(e):
+        ranked = []
+        for e in self.candidates(registry, chunk_level, health=health):
             key = []
             if health is not None:
                 # Suspect providers (elevated error EWMA) are a last
@@ -147,11 +138,53 @@ class PlacementPolicy:
                 key.append(self._region_rank(e.region))
             if self.prefer_cheap:
                 key.append(int(e.cost_level))
-            key.append(load.get(e.name, 0))
-            return tuple(key)
+            ranked.append((tuple(key), e.name))
+        return PlacementSnapshot(PrivacyLevel.coerce(chunk_level), tuple(ranked))
 
-        shuffled.sort(key=sort_key)
-        return [e.name for e in shuffled[:width]]
+    def stripe_group(
+        self,
+        registry: ProviderRegistry,
+        chunk_level: PrivacyLevel | int,
+        width: int,
+        load: dict[str, int] | None = None,
+        health: "HealthMonitor | None" = None,
+        snapshot: "PlacementSnapshot | None" = None,
+    ) -> list[str]:
+        """Pick ``width`` distinct provider names for one chunk's stripe.
+
+        ``load`` maps provider name -> current chunk-shard count and is used
+        for least-loaded tie-breaking inside a cost tier.  With a *health*
+        monitor, DOWN providers are excluded and SUSPECT ones (elevated
+        error rate) rank after healthy peers regardless of cost.  With a
+        *snapshot* (taken by :meth:`snapshot` for the same level) the
+        candidates and their verdicts come from it instead of being
+        looked up again.
+        Raises :class:`PlacementError` if fewer than ``width`` providers are
+        eligible.
+        """
+        if width < 1:
+            raise ValueError(f"stripe width must be >= 1, got {width}")
+        if snapshot is None:
+            snapshot = self.snapshot(registry, chunk_level, health)
+        elif int(snapshot.level) != int(chunk_level):
+            raise ValueError(
+                f"placement snapshot taken for PL {int(snapshot.level)}, "
+                f"asked to place PL {int(chunk_level)}"
+            )
+        if len(snapshot.ranked) < width:
+            raise PlacementError(
+                f"need {width} providers eligible for PL "
+                f"{int(snapshot.level)}, only {len(snapshot.ranked)} "
+                f"available"
+            )
+        load = load or {}
+
+        # Randomize first so equal-key providers are picked uniformly, then
+        # stable-sort by (region preference, cost tier, load).
+        shuffled = list(snapshot.ranked)
+        self._rng.shuffle(shuffled)
+        shuffled.sort(key=lambda entry: (entry[0], load.get(entry[1], 0)))
+        return [name for _, name in shuffled[:width]]
 
     def max_stripe_width(
         self,

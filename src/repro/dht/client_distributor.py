@@ -23,13 +23,17 @@ from typing import Protocol
 
 from repro.core import chunking
 from repro.core.errors import DHTError, ProviderError, UnknownFileError
-from repro.core.misleading import inject, remove as remove_misleading
+from repro.core.misleading import (
+    InjectionRng,
+    inject,
+    remove as remove_misleading,
+)
 from repro.core.privacy import ChunkSizePolicy, PrivacyLevel
 from repro.core.virtual_id import VirtualIdAllocator, shard_key
 from repro.dht.can import CANetwork
 from repro.dht.chord import ChordRing
 from repro.providers.registry import ProviderRegistry
-from repro.util.rng import SeedLike, derive_rng, spawn_seeds
+from repro.util.rng import SeedLike, spawn_seeds
 
 
 class Overlay(Protocol):
@@ -103,7 +107,7 @@ class ClientSideDistributor:
         self.overlays = build_overlays(registry, protocol=protocol, dims=dims)
         seeds = spawn_seeds(seed, 2)
         self.ids = VirtualIdAllocator(seed=seeds[0])
-        self._rng = derive_rng(seeds[1])
+        self._rng = InjectionRng.spawn(seeds[1])
         self.chunk_table: dict[tuple[str, int], LocalChunkRecord] = {}
 
     # -- lookup ------------------------------------------------------------------

@@ -126,8 +126,8 @@ class ProviderHealth:
     def failures(self) -> int:
         return int(self._failure.value - self._failure_base)
 
-    def count_success(self) -> None:
-        self._success.inc()
+    def count_success(self, count: int = 1) -> None:
+        self._success.inc(count)
 
     def count_failure(self) -> None:
         self._failure.inc()
@@ -187,13 +187,16 @@ class HealthMonitor:
 
     # -- passive signals (fed by distributor traffic) ----------------------
 
-    def record_success(self, name: str) -> None:
+    def record_success(self, name: str, count: int = 1) -> None:
+        """Record *count* consecutive successful requests as one update."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         with self._lock:
             record = self._record(name)
-            record.count_success()
+            record.count_success(count)
             record.consecutive_failures = 0
             record.marked_down = False
-            record.error_ewma *= 1.0 - self.ewma_alpha
+            record.error_ewma *= (1.0 - self.ewma_alpha) ** count
 
     def record_failure(self, name: str, transport: bool = True) -> None:
         """Record one failed request.

@@ -45,13 +45,23 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.core.chunking import equal_length_runs
 from repro.core.errors import ReconstructionError, UnknownCodecError
 from repro.obs.metrics import get_metrics
 from repro.raid.aont import AONT_OVERHEAD, aont_unwrap, aont_wrap
 from repro.raid.parity import recover_with_parity, xor_parity
 from repro.raid.striping import RaidLevel, StripeMeta, _rs_code
+
+#: The XOR family encodes a window in slabs of at most this many chunks
+#: and about this many payload bytes, so a window of large chunks is
+#: never copied whole.
+XOR_SLAB_ROWS = 256
+XOR_SLAB_BYTES = 1 << 20
 
 RAID_FAMILIES = ("raid0", "raid1", "raid5", "raid6")
 RS_FAMILIES = ("rs", "aont-rs")
@@ -214,17 +224,35 @@ class ErasureCodec:
     def encode(
         self, payload: "bytes | memoryview"
     ) -> tuple[StripeMeta, list[bytes]]:
-        """Encode *payload* into (meta, shards); shards are independent bytes."""
+        """Encode *payload* into (meta, shards); shards are independent bytes.
+
+        :meth:`encode_many` over a window of one.
+        """
+        return self.encode_many([payload])[0]
+
+    def encode_many(
+        self, payloads: "Sequence[bytes | memoryview]"
+    ) -> list[tuple[StripeMeta, list[bytes]]]:
+        """:meth:`encode` for every payload of a window, in order.
+
+        ``raid_encode_seconds`` observes once per call; the byte counter
+        advances by every payload's length.
+        """
         t0 = time.perf_counter()
-        meta, shards = self._encode(payload)
+        stripes = self._encode_many(payloads)
         metrics = get_metrics()
         metrics.histogram("raid_encode_seconds", codec=self.label).observe(
             time.perf_counter() - t0
         )
         metrics.counter("raid_encode_bytes_total", codec=self.label).inc(
-            meta.orig_len
+            sum(meta.orig_len for meta, _ in stripes)
         )
-        return meta, shards
+        return stripes
+
+    def _encode_many(
+        self, payloads: "Sequence[bytes | memoryview]"
+    ) -> list[tuple[StripeMeta, list[bytes]]]:
+        return [self._encode(payload) for payload in payloads]
 
     def _encode(
         self, payload: "bytes | memoryview"
@@ -299,20 +327,8 @@ class RaidCodec(ErasureCodec):
     def raid_level(self) -> RaidLevel | None:
         return self.level
 
-    def _encode(
-        self, payload: "bytes | memoryview"
-    ) -> tuple[StripeMeta, list[bytes]]:
-        orig_len, shard_size, data_shards = self._split(payload, self.k)
-        if self.level is RaidLevel.RAID1:
-            parity = [bytes(data_shards[0]) for _ in range(self.m)]
-        elif self.level is RaidLevel.RAID5:
-            parity = [xor_parity(data_shards)] if shard_size else [b""]
-        elif self.m > 0:
-            code = _rs_code(self.k, self.m, "vandermonde", self.label)
-            parity = code.encode(data_shards) if shard_size else [b""] * self.m
-        else:
-            parity = []
-        meta = StripeMeta(
+    def _meta(self, shard_size: int, orig_len: int) -> StripeMeta:
+        return StripeMeta(
             codec=self.label,
             width=self.width,
             k=self.k,
@@ -320,7 +336,69 @@ class RaidCodec(ErasureCodec):
             shard_size=shard_size,
             orig_len=orig_len,
         )
-        return meta, data_shards + parity
+
+    def _encode_many(
+        self, payloads: "Sequence[bytes | memoryview]"
+    ) -> list[tuple[StripeMeta, list[bytes]]]:
+        if self.level not in (RaidLevel.RAID0, RaidLevel.RAID5):
+            return super()._encode_many(payloads)
+        # The XOR family encodes each run of equal-length payloads as one
+        # array operation, a bounded slab at a time.
+        stripes: list[tuple[StripeMeta, list[bytes]]] = []
+        for start, stop, length in equal_length_runs(
+            payloads,
+            lambda length: min(XOR_SLAB_ROWS, XOR_SLAB_BYTES // max(1, length)),
+        ):
+            stripes.extend(self._encode_xor_slab(payloads[start:stop], length))
+        return stripes
+
+    def _encode_xor_slab(
+        self, payloads: "Sequence[bytes | memoryview]", length: int
+    ) -> list[tuple[StripeMeta, list[bytes]]]:
+        """Stripe (and for RAID-5, XOR) a slab of *length*-byte payloads."""
+        rows, k, n = len(payloads), self.k, self.n
+        shard_size = -(-length // k)
+        meta = self._meta(shard_size, length)
+        if not length:
+            return [(meta, [b""] * n) for _ in range(rows)]
+        # One (rows, n, shard_size) buffer: each payload lands in its row
+        # once (zero padding after it), RAID-5 parity fills the last
+        # plane, and every shard is one copy out of the buffer.  Written
+        # row by row and read through a memoryview so that a slab of one
+        # large chunk costs no more copies than a slab of many small ones.
+        stripe = np.empty((rows, n * shard_size), dtype=np.uint8)
+        stripe[:, length : k * shard_size] = 0
+        for row, payload in enumerate(payloads):
+            stripe[row, :length] = np.frombuffer(payload, dtype=np.uint8)
+        planes = stripe.reshape(rows, n, shard_size)
+        if self.m:
+            np.bitwise_xor.reduce(planes[:, :k], axis=1, out=planes[:, k])
+        view = memoryview(stripe.reshape(-1))
+        return [
+            (
+                meta,
+                [
+                    bytes(view[offset : offset + shard_size])
+                    for offset in range(
+                        row * n * shard_size, (row + 1) * n * shard_size,
+                        shard_size,
+                    )
+                ],
+            )
+            for row in range(rows)
+        ]
+
+    def _encode(
+        self, payload: "bytes | memoryview"
+    ) -> tuple[StripeMeta, list[bytes]]:
+        # RAID-1 and RAID-6; the XOR family never gets here.
+        orig_len, shard_size, data_shards = self._split(payload, self.k)
+        if self.level is RaidLevel.RAID1:
+            parity = [bytes(data_shards[0]) for _ in range(self.m)]
+        else:
+            code = _rs_code(self.k, self.m, "vandermonde", self.label)
+            parity = code.encode(data_shards) if shard_size else [b""] * self.m
+        return self._meta(shard_size, orig_len), data_shards + parity
 
     def decode(self, meta: StripeMeta, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:
@@ -460,8 +538,14 @@ class AontRSCodec(RSStripeCodec):
 
 def codec_for_meta(meta: StripeMeta) -> ErasureCodec:
     """The codec instance that encodes/decodes stripes with this metadata."""
-    spec = CodecSpec.parse(meta.codec)
-    return spec.instantiate(meta.width)
+    return _codec_for(meta.codec, meta.width)
+
+
+@lru_cache(maxsize=64)
+def _codec_for(codec: str, width: int) -> ErasureCodec:
+    # Reads ask once per chunk; codecs hold no per-stripe state, so one
+    # shared instance per (spec string, width) serves them all.
+    return CodecSpec.parse(codec).instantiate(width)
 
 
 def stripe_meta_from_fields(

@@ -84,3 +84,17 @@ def test_chunk_count_validation():
         chunk_count(-1, 10)
     with pytest.raises(ValueError):
         chunk_count(10, 0)
+
+
+def test_equal_length_runs_cut_on_length_change_and_row_limit():
+    from repro.core.chunking import equal_length_runs
+
+    payloads = [b"aa", b"bb", b"cc", b"dd", b"e", b"", b"", b"ff"]
+    assert list(equal_length_runs(payloads, lambda length: 3)) == [
+        (0, 3, 2), (3, 4, 2), (4, 5, 1), (5, 7, 0), (7, 8, 2),
+    ]
+    # A limit below one still makes progress, a row at a time.
+    assert list(equal_length_runs(payloads[:2], lambda length: 0)) == [
+        (0, 1, 2), (1, 2, 2),
+    ]
+    assert list(equal_length_runs([], lambda length: 3)) == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.misleading import inject, remove
+from repro.core.misleading import InjectionRng, inject, inject_window, remove
 
 
 def test_zero_fraction_is_identity():
@@ -91,3 +91,106 @@ def test_determinism_by_seed():
 def test_property_inject_remove_roundtrip(payload, fraction):
     result = inject(payload, fraction, rng=11)
     assert remove(result.stored, result.positions) == payload
+
+
+# -- the window draw ----------------------------------------------------------
+
+LENGTHS = [0, 1, 2, 1024, 1024, 1024, 333]  # k-1 for raid5@4 is 2; odd tail
+
+
+def window_payloads(seed=5):
+    gen = np.random.default_rng(seed)
+    return [gen.bytes(n) for n in LENGTHS]
+
+
+def test_inject_is_a_window_of_one():
+    payload = bytes(range(256)) * 4
+    single = inject(payload, 0.1, rng=InjectionRng.spawn(21))
+    (windowed,) = inject_window([payload], 0.1, rng=InjectionRng.spawn(21))
+    assert single == windowed
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01, 0.1, 1.0])
+def test_window_roundtrip_over_lengths_and_fractions(fraction):
+    payloads = window_payloads()
+    results = inject_window(payloads, fraction, rng=3)
+    assert len(results) == len(payloads)
+    for payload, result in zip(payloads, results):
+        n_fake = int(round(len(payload) * fraction))
+        assert len(result.positions) == n_fake
+        assert len(result.stored) == len(payload) + n_fake
+        assert list(result.positions) == sorted(set(result.positions))
+        assert all(0 <= p < len(result.stored) for p in result.positions)
+        assert remove(result.stored, result.positions, validate=True) == payload
+
+
+def test_window_results_do_not_alias_the_window_buffer():
+    # The streaming path refills its window buffer for the next window.
+    buf = bytearray(b"\x07" * 64)
+    views = [memoryview(buf)[:32], memoryview(buf)[32:]]
+    for fraction in (0.0, 0.25):
+        results = inject_window(views, fraction, rng=1)
+        before = [r.stored for r in results]
+        buf[:] = b"\xff" * len(buf)
+        assert [r.stored for r in results] == before
+        assert all(remove(r.stored, r.positions) == b"\x07" * 32 for r in results)
+        buf[:] = b"\x07" * len(buf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 1, 5, 64, 64, 64, 333]), min_size=1, max_size=24),
+    st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    st.data(),
+)
+def test_property_any_partition_into_windows_draws_the_same(lengths, fraction, data):
+    gen = np.random.default_rng(len(lengths))
+    payloads = [gen.bytes(n) for n in lengths]
+    cuts = sorted(
+        data.draw(st.sets(st.integers(1, len(payloads)), max_size=len(payloads)))
+        | {len(payloads)}
+    )
+    whole = inject_window(payloads, fraction, rng=InjectionRng.spawn(99))
+    rng = InjectionRng.spawn(99)
+    pieces, start = [], 0
+    for stop in cuts:
+        pieces.extend(inject_window(payloads[start:stop], fraction, rng=rng))
+        start = stop
+    assert pieces == whole
+
+
+def test_slabs_do_not_change_the_draw(monkeypatch):
+    from repro.core import misleading
+
+    payloads = [bytes([i]) * 100 for i in range(40)]
+    whole = inject_window(payloads, 0.1, rng=8)
+    monkeypatch.setattr(misleading, "SLAB_ROWS", 7)
+    assert inject_window(payloads, 0.1, rng=8) == whole
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
+    assert inject_window(payloads, 0.1, rng=8) == whole
+
+
+def test_positions_are_uniform_over_the_stored_buffer():
+    # 4000 chunks x 10 fakes over 110 stored positions: every position is
+    # equally likely to hold a fake byte.  Chi-square against the uniform
+    # expectation; 109 degrees of freedom put the 99.9th percentile at
+    # ~161, and the seed is fixed, so this cannot flake.
+    results = inject_window([bytes(100)] * 4000, 0.1, rng=12)
+    hits = np.zeros(110)
+    for result in results:
+        hits[list(result.positions)] += 1
+    expected = hits.sum() / len(hits)
+    chi2 = float(((hits - expected) ** 2 / expected).sum())
+    assert chi2 < 161, chi2
+
+
+def test_window_metrics_observe_once_and_count_every_byte():
+    from repro.obs.metrics import get_metrics
+
+    metrics = get_metrics()
+    seconds = metrics.histogram("misleading_transform_seconds", op="inject")
+    total = metrics.counter("misleading_bytes_total", op="inject")
+    calls, fakes = seconds.count, total.value
+    inject_window([bytes(100)] * 30 + [bytes(50)], 0.1, rng=1)
+    assert seconds.count == calls + 1
+    assert total.value == fakes + 30 * 10 + 5

@@ -5,9 +5,14 @@ section (rng draws and id allocation in serial order, provider loads
 advanced per planned shard and carried across windows) and transfers
 lock-free in provider batches.  Placement and tables therefore depend on
 the file and the seed alone -- not on how the file was cut into windows.
-``PINNED`` holds digests of the tables the deleted chunk-serial
-``upload_file(pipelined=False)`` path produced at commit 5eb68ee; every
-entry point and window size must keep reproducing them.  The other tests
+``PINNED`` holds two table digests per codec.  The one without
+misleading bytes was recorded at 0a5df71, while the plan phase still
+worked chunk by chunk: it proves placement, virtual ids and rotation did
+not move when planning went per window.  The one at
+``misleading_fraction=0.1`` was re-recorded once, in that same change
+(the misleading draw moved to its own rng streams, so positions are
+different random numbers; placement is not).  Every entry point and
+window size must keep reproducing both.  The other tests
 pin the semantics the lock split must not lose: upload atomicity, write
 failover, the duplicate-filename guard across the lock-free transfer,
 and degraded / cached reads.
@@ -22,7 +27,7 @@ import threading
 import pytest
 
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import ProviderUnavailableError
+from repro.core.errors import ProviderError, ProviderUnavailableError
 from repro.core.journal import IntentJournal
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
@@ -54,6 +59,13 @@ def sabotage_puts(victim):
     victim.put = put
 
 
+def answer_short(victim):
+    """*victim* drops the last item of every batch and answers for the
+    rest only: one outcome fewer than items."""
+    put_many = victim.put_many
+    victim.put_many = lambda items: put_many(items[:-1])
+
+
 DATA = bytes(range(256)) * 40  # 10240 bytes -> 20 chunks at 512
 
 
@@ -69,16 +81,23 @@ def tables_digest(d) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# RECORDED FROM THE PARENT 5eb68ee through upload_file(pipelined=False):
-# DATA at misleading_fraction=0.1 on make_distributor(seed=63), six
-# providers (nine for rs(6,3)).  name -> (fleet size, codec, digest).
+# DATA on make_distributor(seed=63), six providers (nine for rs(6,3)).
+# name -> (fleet size, codec, {misleading_fraction: digest}).  The 0.0
+# digests were recorded at 0a5df71 before the plan phase went per-window
+# and are unchanged by it; the 0.1 digests were recorded after.
 PINNED = {
-    "raid5@4": (6, None,
-                "f232e675d2f6cc553ddc25f6ac7b79b1d6fa8b9f7b422b0d36ed070ebb7be565"),
-    "raid6": (6, "raid6",
-              "61cf90765feb43d801c2a7446f031857eeda596299b1415727ac4e345c3713d1"),
-    "rs(6,3)": (9, "rs(6,3)",
-                "1b183540e8ccf392a72497e35cb32f3b2ac9fec79f9bcb7d89c2b7220271ab6f"),
+    "raid5@4": (6, None, {
+        0.0: "edf0f8864ee7685200c8e579b699377c5f3c4bcc35042cf3886c93495832ec64",
+        0.1: "d137ea251de36cc604cfaaf265cba38ce7c7d4ec3d3718e966bc5dc44e5b01fe",
+    }),
+    "raid6": (6, "raid6", {
+        0.0: "93d4e5c2a4ff047f54dbd8dd204042f0df3cb35aa1c1f7249c48b55598a4a811",
+        0.1: "f56cb3f0b178b38d6777487140de8532e159d79acd66690503f6f4230ea5a0f8",
+    }),
+    "rs(6,3)": (9, "rs(6,3)", {
+        0.0: "e0eda912cadf5a9e68a5dc2399e5eb99b2930454b20c0eecf7843157fd85236c",
+        0.1: "2d143b4026cdea634552d1b3a2656964481411c22dc9c33c791df729b1877062",
+    }),
 }
 UPLOADS = {
     "upload_file": lambda d, **kw: d.upload_file(
@@ -95,12 +114,21 @@ UPLOADS = {
 @pytest.mark.parametrize("upload", UPLOADS)
 @pytest.mark.parametrize("codec", PINNED)
 def test_every_upload_reproduces_the_pinned_tables(codec, upload):
-    n, spec, digest = PINNED[codec]
+    n, spec, digests = PINNED[codec]
     d, _ = make_distributor(n=n)
     UPLOADS[upload](d, codec=spec, misleading_fraction=0.1)
-    assert tables_digest(d) == digest
+    assert tables_digest(d) == digests[0.1]
     assert d.get_file("C", "pw", "f") == DATA
     assert b"".join(d.get_stream("C", "pw", "f", window_chunks=3)) == DATA
+
+
+@pytest.mark.parametrize("upload", UPLOADS)
+@pytest.mark.parametrize("codec", PINNED)
+def test_placement_without_misleading_bytes_did_not_move(codec, upload):
+    n, spec, digests = PINNED[codec]
+    d, _ = make_distributor(n=n)
+    UPLOADS[upload](d, codec=spec)
+    assert tables_digest(d) == digests[0.0]
 
 
 @pytest.mark.parametrize("upload", UPLOADS)
@@ -108,7 +136,7 @@ def test_journaled_upload_reproduces_the_pinned_tables(tmp_path, upload):
     journal = IntentJournal(tmp_path / "journal.jsonl")
     d, _ = make_distributor(journal=journal)
     UPLOADS[upload](d, misleading_fraction=0.1)
-    assert tables_digest(d) == PINNED["raid5@4"][2]
+    assert tables_digest(d) == PINNED["raid5@4"][2][0.1]
     assert d.get_file("C", "pw", "f") == DATA
     records = [
         json.loads(line)
@@ -162,6 +190,38 @@ def test_pipelined_write_failover_uses_spare():
     assert victim.object_count == 0
     # Every shard landed somewhere: total objects match the receipt.
     assert sum(d.provider_loads().values()) == 20 * 4
+
+
+def test_short_batch_answer_fails_over_instead_of_committing_a_hole():
+    # A backend that answers fewer outcomes than it was sent items: the
+    # unanswered shard must not pass for stored.  The whole batch is
+    # condemned (which item each outcome belongs to is unknowable) and
+    # write failover re-places it, so the tables match the fleet.
+    d, providers = make_distributor(n=6, width=4)
+    victim = providers[0]
+    answer_short(victim)
+    d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+    assert victim.object_count == 0
+    # Every item of the short-answered batch reached the health monitor
+    # as a failure (the failover probe has since readmitted the victim).
+    record = d.health._record(victim.name)
+    assert record.failures > 0 and record.successes == 0
+    loads = d.provider_loads()
+    assert sum(loads.values()) == 20 * 4
+    assert {p.name: p.object_count for p in providers} == loads
+    assert d.get_file("C", "pw", "f") == DATA
+
+
+def test_short_batch_answers_roll_the_file_back_when_no_spare_exists():
+    d, providers = make_distributor(n=4, width=4)
+    answer_short(providers[0])
+    answer_short(providers[1])
+    with pytest.raises(ProviderError, match="answered 19 outcomes"):
+        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+    assert sum(d.provider_loads().values()) == 0
+    assert all(p.object_count == 0 for p in providers)
+    assert d.client_table.get("C").chunk_refs == []
+    assert d._inflight_uploads == {}
 
 
 def test_degraded_write_accepted_when_k_shards_land_pipelined():

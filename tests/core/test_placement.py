@@ -127,3 +127,72 @@ def test_max_stripe_width():
     policy = PlacementPolicy(seed=1)
     assert policy.max_stripe_width(registry, PrivacyLevel.PUBLIC) == 3
     assert policy.max_stripe_width(registry, PrivacyLevel.PRIVATE) == 1
+
+
+# -- one snapshot per window ----------------------------------------------------
+
+
+def _mixed_fleet():
+    return fleet_with(
+        [
+            ProviderSpec(f"p{i}", PrivacyLevel.PRIVATE, cost, region=region)
+            for i, (cost, region) in enumerate(
+                [
+                    (CostLevel.CHEAP, "eu"), (CostLevel.CHEAP, "us"),
+                    (CostLevel.CHEAP, "eu"), (CostLevel.PREMIUM, "eu"),
+                    (CostLevel.CHEAPEST, "us"), (CostLevel.CHEAP, "ap"),
+                ]
+            )
+        ]
+    )
+
+
+def test_snapshot_places_every_chunk_as_per_chunk_lookups_would():
+    from repro.health.monitor import HealthMonitor
+
+    registry = _mixed_fleet()
+    health = HealthMonitor(registry)
+    for _ in range(2):
+        health.record_failure("p2", transport=False)  # suspect
+    for _ in range(3):
+        health.record_failure("p5")  # down; its probe keeps failing
+    registry.get("p5").provider.available = False
+
+    def place(use_snapshot):
+        policy = PlacementPolicy(seed=9, preferred_regions=("eu",))
+        snapshot = (
+            policy.snapshot(registry, PrivacyLevel.PRIVATE, health)
+            if use_snapshot
+            else None
+        )
+        load: dict[str, int] = {}
+        groups = []
+        for _ in range(50):
+            group = policy.stripe_group(
+                registry, PrivacyLevel.PRIVATE, 3, load=load, health=health,
+                snapshot=snapshot,
+            )
+            for name in group:
+                load[name] = load.get(name, 0) + 1
+            groups.append(group)
+        return groups
+
+    groups = place(use_snapshot=True)
+    assert groups == place(use_snapshot=False)
+    assert all("p5" not in group for group in groups)
+
+
+def test_snapshot_is_bound_to_its_privacy_level():
+    registry = _mixed_fleet()
+    policy = PlacementPolicy(seed=1)
+    snapshot = policy.snapshot(registry, PrivacyLevel.PUBLIC)
+    with pytest.raises(ValueError, match="snapshot"):
+        policy.stripe_group(registry, PrivacyLevel.PRIVATE, 3, snapshot=snapshot)
+
+
+def test_snapshot_with_too_few_candidates_raises_placement_error():
+    registry = _mixed_fleet()
+    policy = PlacementPolicy(seed=1)
+    snapshot = policy.snapshot(registry, PrivacyLevel.PRIVATE)
+    with pytest.raises(PlacementError):
+        policy.stripe_group(registry, PrivacyLevel.PRIVATE, 7, snapshot=snapshot)

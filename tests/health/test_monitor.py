@@ -1,7 +1,11 @@
 """HealthMonitor verdicts: passive EWMA/consecutive-failure evidence plus
 active probes, and the DOWN -> probe -> recovery loop."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import BlobNotFoundError
 from repro.health.monitor import (
@@ -11,6 +15,7 @@ from repro.health.monitor import (
     probe_provider,
 )
 from repro.net.remote import RemoteProvider, RetryPolicy
+from repro.obs.metrics import MetricsRegistry
 from repro.net.server import ChunkServer
 from repro.providers.memory import InMemoryProvider
 from repro.providers.registry import ProviderRegistry
@@ -162,3 +167,48 @@ def test_probe_provider_remote_ping_and_dead_server():
     finally:
         provider.close()
         server.stop()
+
+
+# -- run-length success recording ---------------------------------------------
+
+OUTCOMES = st.lists(
+    st.sampled_from(["ok", "ok", "ok", "transport", "data"]), max_size=60
+)
+
+
+def _assert_same_evidence(folded, itemised, name="P0"):
+    a, b = folded._record(name), itemised._record(name)
+    assert folded.state(name) is itemised.state(name)
+    assert a.consecutive_failures == b.consecutive_failures
+    assert a.marked_down == b.marked_down
+    assert (a.successes, a.failures) == (b.successes, b.failures)
+    # (1 - alpha) ** n against n multiplications: float64 rounds each
+    # product, so the two agree to a few ulps per step, not bit for bit.
+    assert a.error_ewma == pytest.approx(b.error_ewma, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(OUTCOMES, st.sampled_from([0.1, 0.3, 1.0]))
+def test_property_run_length_successes_equal_one_by_one(outcomes, alpha):
+    metrics_a, metrics_b = MetricsRegistry(), MetricsRegistry()
+    folded, _, _ = make_monitor(ewma_alpha=alpha, metrics=metrics_a)
+    itemised, _, _ = make_monitor(ewma_alpha=alpha, metrics=metrics_b)
+    for outcome, run in itertools.groupby(outcomes):
+        count = len(list(run))
+        if outcome == "ok":
+            folded.record_success("P0", count)
+        for _ in range(count):
+            if outcome == "ok":
+                itemised.record_success("P0")
+            else:
+                for monitor in (folded, itemised):
+                    monitor.record_failure(
+                        "P0", transport=outcome == "transport"
+                    )
+        _assert_same_evidence(folded, itemised)
+
+
+def test_record_success_rejects_an_empty_run():
+    monitor, _, _ = make_monitor()
+    with pytest.raises(ValueError):
+        monitor.record_success("P0", 0)

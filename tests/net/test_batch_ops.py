@@ -8,6 +8,8 @@ verdicts batch failures must feed.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     BlobNotFoundError,
@@ -289,3 +291,56 @@ def test_mixed_batch_get_records_per_item_outcomes():
     assert isinstance(outcomes[1], BlobNotFoundError)
     # The miss is a data failure: EWMA rises but no DOWN verdict.
     assert not d.health.down("P0")
+
+
+class _ScriptedProvider(InMemoryProvider):
+    """Answers every batch with the outcomes it was scripted to give."""
+
+    def __init__(self, name, script):
+        super().__init__(name)
+        self.script = script
+
+    def put_many(self, items):
+        return list(self.script)
+
+
+_OUTCOME = {
+    "ok": lambda: None,
+    "transport": lambda: ProviderUnavailableError("scripted"),
+    "data": lambda: BlobNotFoundError("scripted"),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["ok", "ok", "ok", "transport", "data"]),
+                min_size=1, max_size=40))
+def test_property_batch_outcomes_reach_health_as_if_recorded_one_by_one(kinds):
+    from repro.health.monitor import HealthMonitor
+    from repro.obs.metrics import MetricsRegistry
+
+    outcomes = [_OUTCOME[kind]() for kind in kinds]
+    d = _distributor_with(_ScriptedProvider("P0", outcomes))
+    items = [(f"k{i}", b"x") for i in range(len(outcomes))]
+    assert d._provider_batch("put_many", "P0", items) == outcomes
+
+    reference = HealthMonitor(d.registry, metrics=MetricsRegistry())
+    for kind in kinds:
+        if kind == "ok":
+            reference.record_success("P0")
+        else:
+            reference.record_failure("P0", transport=kind == "transport")
+    got, want = d.health._record("P0"), reference._record("P0")
+    assert d.health.state("P0") is reference.state("P0")
+    assert got.consecutive_failures == want.consecutive_failures
+    assert (got.successes, got.failures) == (want.successes, want.failures)
+    assert got.error_ewma == pytest.approx(want.error_ewma, rel=1e-12)
+
+
+@pytest.mark.parametrize("answered", [0, 2, 4])
+def test_batch_answer_of_the_wrong_length_condemns_every_item(answered):
+    d = _distributor_with(_ScriptedProvider("P0", [None] * answered))
+    items = [(f"k{i}", b"x") for i in range(3)]
+    outcomes = d._provider_batch("put_many", "P0", items)
+    assert len(outcomes) == 3
+    assert all(type(exc) is ProviderError for exc in outcomes)
+    assert d.health.down("P0")  # three transport failures

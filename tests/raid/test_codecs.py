@@ -10,6 +10,7 @@ the whole matrix so a new codec cannot ship with a latent geometry bug.
 import os
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ReconstructionError, UnknownCodecError
@@ -21,7 +22,7 @@ from repro.raid.codecs import (
     codec_for_meta,
     stripe_meta_from_fields,
 )
-from repro.raid.striping import RaidLevel
+from repro.raid.striping import RaidLevel, StripeMeta
 
 # -- spec grammar -------------------------------------------------------------
 
@@ -239,3 +240,98 @@ def test_aont_rebuild_never_sees_plaintext():
     assert rebuilt == shards[2]
     for offset in range(0, len(payload) - 16, 256):
         assert payload[offset : offset + 16] not in rebuilt
+
+
+# -- the window encode --------------------------------------------------------
+
+WINDOW_SIZES = [0, 1, 2, 1024, 1024, 1024, 333, 1024]  # runs, k-1, odd tail
+
+
+def _window(seed=7):
+    rng = np.random.default_rng(seed)
+    return [rng.bytes(size) for size in WINDOW_SIZES]
+
+
+@pytest.mark.parametrize("make", CODECS)
+def test_encode_many_equals_encode_per_payload(make):
+    codec = make()
+    payloads = _window()
+    many = codec.encode_many(payloads)
+    assert len(many) == len(payloads)
+    if isinstance(codec, AontRSCodec):
+        # A fresh key per chunk: compare what decodes, not the bytes.
+        for payload, (meta, shards) in zip(payloads, many):
+            assert meta == codec.encode(payload)[0]
+            assert codec.decode(meta, dict(enumerate(shards))) == payload
+        return
+    assert many == [codec.encode(payload) for payload in payloads]
+    # Views into a buffer the caller refills encode to the same bytes,
+    # and the shards are copies.
+    buffers = [bytearray(payload) for payload in payloads]
+    viewed = codec.encode_many([memoryview(buf) for buf in buffers])
+    for buf in buffers:
+        buf[:] = bytes(len(buf))
+    assert viewed == many
+
+
+def _reference_xor_stripe(payload: bytes, k: int, parity: bool) -> list[bytes]:
+    """The XOR family one byte at a time: the loop the array code replaced."""
+    size = -(-len(payload) // k) if payload else 0
+    padded = payload + bytes(k * size - len(payload))
+    shards = [padded[i * size : (i + 1) * size] for i in range(k)]
+    if parity:
+        column = bytearray(size)
+        for shard in shards:
+            for i, byte in enumerate(shard):
+                column[i] ^= byte
+        shards.append(bytes(column))
+    return shards
+
+
+@pytest.mark.parametrize("level", [RaidLevel.RAID0, RaidLevel.RAID5])
+@pytest.mark.parametrize("width", [3, 4, 7])
+def test_xor_window_encode_matches_the_byte_loop(level, width, monkeypatch):
+    from repro.raid import codecs
+
+    codec = RaidCodec(level, width)
+    payloads = _window(seed=width)
+    want = [
+        _reference_xor_stripe(payload, codec.k, parity=codec.m == 1)
+        for payload in payloads
+    ]
+    assert [shards for _, shards in codec.encode_many(payloads)] == want
+    for meta, shards in codec.encode_many(payloads):
+        assert (meta.k, meta.m, meta.width) == (codec.k, codec.m, width)
+        assert all(len(shard) == meta.shard_size for shard in shards)
+    # Slab bounds cut runs differently; the bytes do not change.
+    monkeypatch.setattr(codecs, "XOR_SLAB_ROWS", 2)
+    assert [shards for _, shards in codec.encode_many(payloads)] == want
+    monkeypatch.setattr(codecs, "XOR_SLAB_BYTES", 1)
+    assert [shards for _, shards in codec.encode_many(payloads)] == want
+
+
+@pytest.mark.parametrize("make", CODECS)
+def test_encode_many_metrics_observe_once_and_count_every_byte(make):
+    from repro.obs.metrics import get_metrics
+
+    codec = make()
+    metrics = get_metrics()
+    seconds = metrics.histogram("raid_encode_seconds", codec=codec.label)
+    total = metrics.counter("raid_encode_bytes_total", codec=codec.label)
+    calls, nbytes = seconds.count, total.value
+    codec.encode_many(_window())
+    assert seconds.count == calls + 1
+    assert total.value == nbytes + sum(WINDOW_SIZES)
+
+
+def test_codec_for_meta_is_memoised_per_spec_and_width():
+    meta4, _ = RaidCodec(RaidLevel.RAID5, 4).encode(b"x" * 40)
+    meta5, _ = RaidCodec(RaidLevel.RAID5, 5).encode(b"x" * 40)
+    assert codec_for_meta(meta4) is codec_for_meta(meta4)
+    assert codec_for_meta(meta4).width == 4
+    assert codec_for_meta(meta5).width == 5
+    # An unparseable spec still raises, typed, on every call.
+    bad = StripeMeta("zfec(4,2)", 6, 4, 2, 10, 40)
+    for _ in range(2):
+        with pytest.raises(UnknownCodecError):
+            codec_for_meta(bad)
