@@ -43,7 +43,7 @@ class LaggedMemoryProvider(InMemoryProvider):
     releases the GIL, so overlapped requests genuinely run concurrently.
     """
 
-    def put(self, key, data):
+    def put(self, key, data, checksum=None):
         time.sleep(LAG_S)
         return super().put(key, data)
 

@@ -38,7 +38,9 @@ class Chunk:
 
 
 def equal_length_runs(
-    payloads: "Sequence[bytes | memoryview]", max_rows: Callable[[int], int]
+    payloads: "Sequence[bytes | memoryview]",
+    max_rows: Callable[[int], int],
+    beside: "Sequence[Sequence] | None" = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Cut a window into ``(start, stop, length)`` runs of consecutive
     payloads of one *length*, none longer than ``max_rows(length)``.
@@ -46,16 +48,18 @@ def equal_length_runs(
     The window stages work on a run as one array operation; a file's
     chunks are all one length but for its tail, so a window is one run
     (plus at most one more) unless ``max_rows`` slabs it for memory.
+    With *beside*, one entry per payload, a run also ends where the
+    length of those entries changes.
     """
     start = 0
     while start < len(payloads):
         length = len(payloads[start])
-        limit = start + max(1, max_rows(length))
+        limit = min(len(payloads), start + max(1, max_rows(length)))
         stop = start + 1
         while (
-            stop < len(payloads)
-            and stop < limit
+            stop < limit
             and len(payloads[stop]) == length
+            and (beside is None or len(beside[stop]) == len(beside[start]))
         ):
             stop += 1
         yield start, stop, length

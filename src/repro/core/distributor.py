@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ from repro.core.errors import (
     AuthorizationError,
     BlobCorruptedError,
     BlobNotFoundError,
+    MetadataCorruptedError,
     PlacementError,
     ProviderError,
     ReproError,
@@ -38,10 +40,14 @@ from repro.core.errors import (
     UnknownCodecError,
 )
 from repro.health.monitor import HealthMonitor
-from repro.core.misleading import (
+from repro.core.misleading import (  # noqa: F401
     InjectionRng,
     inject_window,
+    # Unused here since the read strips per window.  Goes with ROADMAP
+    # item 1(a), the PR that may edit benchmarks/e2e: test_harness.py
+    # checks its alias rebinding on this name until then.
     remove as remove_misleading,
+    remove_window,
 )
 from repro.obs.events import EventLog, get_events
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -66,7 +72,7 @@ from repro.raid.codecs import (
     codec_for_meta,
     stripe_meta_from_fields,
 )
-from repro.raid.reconstruct import read_stripe, rebuild_shard
+from repro.raid.reconstruct import read_stripes, rebuild_shard
 from repro.raid.striping import RaidLevel, StripeMeta
 from repro.net.resilience import current_retry_budget, retry_budget_scope
 from repro.util.crash import crashpoint
@@ -139,10 +145,13 @@ class _ChunkPlan:
 
     The upload engine makes every placement decision (and rng draw) of a
     window inside the critical section, in serial order, then transfers
-    the window's plans lock-free.  ``failed`` collects shard indices whose
-    put did not land anywhere; ``assigned`` is updated in place by
-    write-path failover; commit drops ``shards`` so a committed window's
-    bytes do not outlive their window.
+    the window's plans lock-free.  ``checksums`` is filled by the transfer,
+    one digest per shard, and is the value every later stage uses -- the
+    provider records it, the wire compares its echo with it, commit tables
+    it -- so a shard is hashed once per process on its way in.  ``failed``
+    collects shard indices whose put did not land anywhere; ``assigned``
+    is updated in place by write-path failover; commit drops ``shards`` so
+    a committed window's bytes do not outlive their window.
     """
 
     serial: int
@@ -152,6 +161,7 @@ class _ChunkPlan:
     shards: list[bytes]
     assigned: list[str]
     positions: tuple[int, ...]
+    checksums: list[str] = field(default_factory=list)
     failed: list[int] = field(default_factory=list)
     first_error: ProviderError | None = None
     # The (provider, key) pairs already in the journal for this plan;
@@ -200,8 +210,34 @@ class _FetchJob:
     state: _ChunkState
     names: list[str]
     cached: bytes | None = None
-    prefetched: dict = field(default_factory=dict)
-    # shard_index -> bytes | ProviderError (filled by the batched phase)
+
+
+def _check_chunk_row(entry: ChunkEntry, state: _ChunkState) -> None:
+    """Raise :class:`MetadataCorruptedError` for a loaded chunk row that
+    contradicts its own stripe.
+
+    The read path trusts both fields: a repeated position would leave a
+    misleading byte in the plaintext, one out of range or a short checksum
+    tuple would surface as a bare ``IndexError`` mid-read.
+    """
+    positions = entry.misleading_positions
+    if positions and not (
+        all(isinstance(position, int) for position in positions)
+        and all(map(operator.lt, positions, positions[1:]))
+        and 0 <= positions[0]
+        and positions[-1] < state.stripe.orig_len
+    ):
+        raise MetadataCorruptedError(
+            f"chunk {entry.virtual_id}: misleading positions are not "
+            f"strictly ascending indices into its "
+            f"{state.stripe.orig_len} stored bytes"
+        )
+    checksums = state.shard_checksums
+    if checksums is not None and len(checksums) != state.stripe.n:
+        raise MetadataCorruptedError(
+            f"chunk {entry.virtual_id}: {len(checksums)} shard checksums "
+            f"recorded for a stripe of {state.stripe.n}"
+        )
 
 
 _T = TypeVar("_T")
@@ -350,13 +386,15 @@ class CloudDataDistributor:
             )
             self.health.record_failure(name, transport=transport)
 
-    def _provider_put(self, name: str, key: str, data: bytes) -> None:
+    def _provider_put(
+        self, name: str, key: str, data: bytes, checksum: str | None = None
+    ) -> None:
         # Deadline check sits *outside* the try: an expired caller budget
         # is the caller's verdict, not provider evidence, so it must not
         # feed the health monitor a false transport failure.
         check_deadline(f"put {key} -> {name}")
         try:
-            self.registry.get(name).provider.put(key, data)
+            self.registry.get(name).provider.put(key, data, checksum=checksum)
         except ProviderError as exc:
             self._record_health(name, ok=False, exc=exc)
             raise
@@ -372,11 +410,18 @@ class CloudDataDistributor:
         self._record_health(name, ok=True)
         return data
 
-    def _provider_batch(self, method: str, name: str, items: list) -> list:
+    def _provider_batch(
+        self,
+        method: str,
+        name: str,
+        items: list,
+        checksums: list[str] | None = None,
+    ) -> list:
         """One batched provider call with per-item health accounting.
 
         *method* is ``put_many``/``put_stream`` (items are ``(key, data)``
-        pairs, an outcome is ``None`` when stored) or ``get_many``/
+        pairs, *checksums* their digests when the caller holds them, an
+        outcome is ``None`` when stored) or ``get_many``/
         ``get_stream`` (items are keys, an outcome is the bytes); a failed
         item's outcome is its :class:`ProviderError` either way.  A
         transport-level batch failure (the provider raised instead of
@@ -391,8 +436,13 @@ class CloudDataDistributor:
         successes is one ``record_success(name, count)``.
         """
         check_deadline(f"{method} ({len(items)} items) @ {name}")
+        call = getattr(self.registry.get(name).provider, method)
         try:
-            outcomes = getattr(self.registry.get(name).provider, method)(items)
+            outcomes = (
+                call(items)
+                if checksums is None
+                else call(items, checksums=checksums)
+            )
         except ProviderError as exc:
             outcomes = [exc] * len(items)
         if len(outcomes) != len(items):
@@ -755,6 +805,7 @@ class CloudDataDistributor:
         """
         by_provider: dict[str, list[tuple[_ChunkPlan, int]]] = {}
         for plan in plans:
+            plan.checksums = [blob_checksum(shard) for shard in plan.shards]
             for shard_index, name in enumerate(plan.assigned):
                 by_provider.setdefault(name, []).append((plan, shard_index))
 
@@ -773,7 +824,8 @@ class CloudDataDistributor:
                 >= STREAM_SEGMENT_THRESHOLD * len(items)
             )
             return self._provider_batch(
-                "put_stream" if streamed else "put_many", name, items
+                "put_stream" if streamed else "put_many", name, items,
+                [plan.checksums[shard_index] for plan, shard_index in members],
             )
 
         outcomes = self._transport_map(put_batch, groups)
@@ -800,7 +852,8 @@ class CloudDataDistributor:
             # alternate healthy eligible providers instead of aborting the
             # whole chunk.
             plan.failed = self._failover_shards(
-                plan.vid, plan.level, plan.shards, plan.assigned, plan.failed
+                plan.vid, plan.level, plan.shards, plan.checksums,
+                plan.assigned, plan.failed,
             )
         return bool(plan.failed) and (
             len(plan.assigned) - len(plan.failed) < plan.stripe.k
@@ -825,8 +878,9 @@ class CloudDataDistributor:
     def _commit_plan(self, plan: _ChunkPlan) -> int:
         """Record a transferred plan in the tables; returns its chunk index.
 
-        Must run inside the critical section.  The plan's shard bytes are
-        released once their checksums are on record.
+        Must run inside the critical section.  The checksums on record
+        are the ones the transfer computed; the plan's shard bytes are
+        released here.
         """
         self._note_audit(vids=(plan.vid,), providers=plan.assigned)
         provider_indices: list[int] = []
@@ -852,7 +906,7 @@ class CloudDataDistributor:
         self._chunk_state[plan.vid] = _ChunkState(
             stripe=plan.stripe,
             rotation=plan.serial % plan.stripe.width,
-            shard_checksums=tuple(blob_checksum(s) for s in plan.shards),
+            shard_checksums=tuple(plan.checksums),
         )
         plan.shards = []
         return chunk_index
@@ -927,6 +981,7 @@ class CloudDataDistributor:
         vid: int,
         level: PrivacyLevel,
         shards: list[bytes],
+        checksums: list[str],
         assigned: list[str],
         failed: list[int],
     ) -> list[int]:
@@ -949,7 +1004,9 @@ class CloudDataDistributor:
             placed = False
             for name in self._replacement_candidates(level, set(assigned)):
                 try:
-                    self._provider_put(name, key, shards[shard_index])
+                    self._provider_put(
+                        name, key, shards[shard_index], checksums[shard_index]
+                    )
                 except ProviderError:
                     with contextlib.suppress(ProviderError):
                         self.registry.get(name).provider.delete(key)
@@ -1380,13 +1437,14 @@ class CloudDataDistributor:
     ) -> Iterator[bytes]:
         """The read engine: yield each job's plaintext, window by window.
 
-        Per window of *window_chunks* jobs, lock-free: one batched fetch
-        of the data shards per provider, degraded-read decode and
-        misleading-byte strip per chunk, then the cache fill.  A window's
-        shard bytes are released before its payloads are yielded (the
-        generator may be held open for a long time), so memory is
-        O(window).  With *cipher* each payload is decrypted with
-        ``nonce=serial`` as it is yielded (the cache keeps what is stored).
+        Per window of *window_chunks* jobs, lock-free: the shards fetched
+        in rounds, one batched call per provider per round, then one
+        decode and one misleading-byte strip for the window
+        (:meth:`_read_window`), then the cache fill.  A window's shard
+        bytes are released before its payloads are yielded (the generator
+        may be held open for a long time), so memory is O(window).  With
+        *cipher* each payload is decrypted with ``nonce=serial`` as it is
+        yielded (the cache keeps what is stored).
 
         On the way out -- exhausted, failed, or closed early by the
         consumer -- the chunks actually fetched are noted for the audit
@@ -1403,11 +1461,7 @@ class CloudDataDistributor:
                 with self._parallel_window(parallel), self._phase(
                     "get_file", "fetch"
                 ):
-                    self._prefetch_jobs(batch)
-                    payloads = []
-                    for job in batch:
-                        payloads.append(self._assemble_job(job))
-                        job.prefetched.clear()
+                    payloads = self._read_window(batch)
                 if self.cache is not None:
                     with self.op_lock, self._phase("get_file", "cache_fill"):
                         for job, payload in zip(batch, payloads):
@@ -1435,74 +1489,85 @@ class CloudDataDistributor:
             if op is not None:
                 self._record_op(*op, ok=ok, detail=detail)
 
-    def _prefetch_jobs(self, jobs: list[_FetchJob]) -> None:
-        """Batch-fetch every uncached job's data shards, lock-free.
+    def _read_window(self, jobs: list[_FetchJob]) -> list[bytes]:
+        """Fetch, decode and strip one window's chunks, lock-free.
 
-        All data-shard keys bound for one provider across the window
-        coalesce into a single provider call and the providers fan out
-        concurrently.  Parity members are *not* prefetched -- they are
-        pulled lazily only by degraded reads, matching ``read_stripe``'s
-        prefer-data order.  The framing follows the batch's mean shard
-        size, as on upload: STREAM_GET (one frame per shard) at or above
+        :func:`read_stripes` asks in rounds -- every stripe's data members
+        first, then only as much parity as a stripe is short of -- and
+        each round's requests bound for one provider coalesce into a
+        single provider call, the providers in flight concurrently.  The
+        framing follows the batch's mean shard size, as on upload:
+        STREAM_GET (one frame per shard) at or above
         ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload, which
-        parses faster for shards that small.
+        parses faster for shards that small.  Every arrival is checked
+        against its write-time checksum; a mismatch is a failed member.
         """
-        by_provider: dict[str, list[tuple[_FetchJob, int]]] = {}
-        for job in jobs:
-            if job.cached is not None:
-                continue
-            for shard_index in range(job.state.stripe.k):
-                name = job.names[shard_index]
-                by_provider.setdefault(name, []).append((job, shard_index))
-
-        groups = list(by_provider.items())
+        live = [job for job in jobs if job.cached is None]
 
         def get_batch(
-            group: tuple[str, list[tuple[_FetchJob, int]]]
+            group: tuple[str, list[tuple[int, _FetchJob, int]]]
         ) -> list["bytes | ProviderError"]:
+            # One provider's share of a round: (answer slot, job, shard
+            # index) per member asked for.
             name, members = group
-            keys = [
-                shard_key(job.entry.virtual_id, shard_index)
-                for job, shard_index in members
-            ]
             streamed = (
-                sum(job.state.stripe.shard_size for job, _ in members)
+                sum(job.state.stripe.shard_size for _, job, _ in members)
                 >= STREAM_SEGMENT_THRESHOLD * len(members)
             )
-            return self._provider_batch(
-                "get_stream" if streamed else "get_many", name, keys
+            outcomes = self._provider_batch(
+                "get_stream" if streamed else "get_many",
+                name,
+                [
+                    shard_key(job.entry.virtual_id, shard_index)
+                    for _, job, shard_index in members
+                ],
             )
+            checked: list["bytes | ProviderError"] = []
+            for (_, job, shard_index), data in zip(members, outcomes):
+                if not isinstance(data, ProviderError):
+                    try:
+                        self._check_shard(
+                            job.state, job.entry.virtual_id, shard_index,
+                            name, data,
+                        )
+                    except BlobCorruptedError as exc:
+                        data = exc
+                checked.append(data)
+            return checked
 
-        outcomes = self._transport_map(get_batch, groups)
-        for (name, members), (per_item, exc) in zip(groups, outcomes):
-            if exc is not None:
-                per_item = [exc] * len(members)
-            for (job, shard_index), outcome in zip(members, per_item):
-                job.prefetched[shard_index] = outcome
-
-    def _assemble_job(self, job: _FetchJob) -> bytes:
-        """Decode one prefetched chunk (degraded-read + misleading strip)."""
-        if job.cached is not None:
-            return job.cached
-        entry, state = job.entry, job.state
-
-        def fetch(shard_index: int) -> bytes:
-            outcome = job.prefetched.get(shard_index)
-            if outcome is None:
-                # Parity member: pulled lazily, only on a degraded read.
-                outcome = self._provider_get(
-                    job.names[shard_index],
-                    shard_key(entry.virtual_id, shard_index),
+        def fetch_many(
+            requests: list[tuple[int, int]]
+        ) -> list["bytes | ProviderError"]:
+            by_provider: dict[str, list[tuple[int, _FetchJob, int]]] = {}
+            for slot, (number, shard_index) in enumerate(requests):
+                job = live[number]
+                by_provider.setdefault(job.names[shard_index], []).append(
+                    (slot, job, shard_index)
                 )
-            if isinstance(outcome, ProviderError):
-                raise outcome
-            return self._check_shard(
-                state, entry.virtual_id, shard_index,
-                job.names[shard_index], outcome,
-            )
+            groups = list(by_provider.items())
+            answers: list = [None] * len(requests)
+            for (_, members), (per_item, exc) in zip(
+                groups, self._transport_map(get_batch, groups)
+            ):
+                if exc is not None:
+                    per_item = [exc] * len(members)
+                for (slot, _, _), outcome in zip(members, per_item):
+                    answers[slot] = outcome
+            return answers
 
-        stored, _failed = read_stripe(state.stripe, fetch)
-        return remove_misleading(stored, entry.misleading_positions)
+        stripes = read_stripes(
+            [job.state.stripe for job in live], fetch_many
+        )
+        stripped = iter(
+            remove_window(
+                [stored for stored, _failed in stripes],
+                [job.entry.misleading_positions for job in live],
+            )
+        )
+        return [
+            job.cached if job.cached is not None else next(stripped)
+            for job in jobs
+        ]
 
     def get_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -2011,19 +2076,18 @@ class CloudDataDistributor:
             }
 
     def import_metadata(self, snapshot: dict) -> None:
-        """Replace this distributor's metadata with an exported snapshot."""
+        """Replace this distributor's metadata with an exported snapshot.
+
+        The chunk rows are parsed and checked before any table is touched,
+        so a refused snapshot (:class:`MetadataCorruptedError`) leaves the
+        distributor serving what it had.
+        """
         with self.op_lock:
-            if self.cache is not None:
-                # Chunks may have been updated at the snapshot's source; a
-                # stale local cache must not outlive the old metadata.
-                self.cache.clear()
-            self.access.import_state(snapshot["access"])
-            self.provider_table.import_state(snapshot["provider_table"])
-            self.client_table.import_state(snapshot["client_table"])
-            self.chunk_table.import_state(snapshot["chunk_table"])
-            self.ids.import_state(snapshot["ids"])
+            chunk_table = ChunkTable()
+            chunk_table.import_state(snapshot["chunk_table"])
             chunk_state: dict[int, _ChunkState] = {}
             quarantine: dict[int, tuple] = {}
+            unknown_specs: list[tuple[int, str]] = []
             for vid, packed in snapshot["chunk_state"].items():
                 # Accept both the current 8-field tuple and the 7-field
                 # layout from metadata exported before checksum tracking.
@@ -2039,15 +2103,7 @@ class CloudDataDistributor:
                     )
                 except UnknownCodecError as exc:
                     quarantine[int(vid)] = tuple(packed)
-                    self.metrics.counter(
-                        "distributor_codec_quarantined_total"
-                    ).inc()
-                    self.events.emit(
-                        "codec_quarantined",
-                        level="warning",
-                        vid=int(vid),
-                        spec=exc.spec,
-                    )
+                    unknown_specs.append((int(vid), exc.spec))
                     continue
                 rotation = packed[6]
                 checksums = packed[7] if len(packed) > 7 else None
@@ -2058,8 +2114,28 @@ class CloudDataDistributor:
                         tuple(checksums) if checksums is not None else None
                     ),
                 )
+            for _, entry in chunk_table:
+                state = chunk_state.get(entry.virtual_id)
+                if state is not None:
+                    _check_chunk_row(entry, state)
+            if self.cache is not None:
+                # Chunks may have been updated at the snapshot's source; a
+                # stale local cache must not outlive the old metadata.
+                self.cache.clear()
+            self.access.import_state(snapshot["access"])
+            self.provider_table.import_state(snapshot["provider_table"])
+            self.client_table.import_state(snapshot["client_table"])
+            self.chunk_table = chunk_table
+            self.ids.import_state(snapshot["ids"])
             self._chunk_state = chunk_state
             self._codec_quarantine = quarantine
+            for vid, spec in unknown_specs:
+                self.metrics.counter(
+                    "distributor_codec_quarantined_total"
+                ).inc()
+                self.events.emit(
+                    "codec_quarantined", level="warning", vid=vid, spec=spec
+                )
 
     def stripe_meta(self, client: str, filename: str, serial: int) -> StripeMeta:
         with self.op_lock:

@@ -100,6 +100,11 @@ class UnknownCodecError(ReproError):
         self.virtual_id = virtual_id
 
 
+class MetadataCorruptedError(ReproError, RuntimeError):
+    """Distributor metadata failed a check at load: the persisted file's
+    integrity digest, or a chunk row that contradicts its own stripe."""
+
+
 class ReconstructionError(ReproError):
     """Too many stripe members lost for the RAID level to recover."""
 

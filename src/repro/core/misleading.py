@@ -24,9 +24,10 @@ from repro.obs.metrics import get_metrics
 from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 
 
-#: A window is drawn in slabs of at most this many chunks, and at most
-#: this many random keys (one float64 per stored byte), so the transient
-#: arrays stay a few MiB however long the window or large the chunks.
+#: A window is drawn, and stripped, in slabs of at most this many chunks
+#: and at most this many stored bytes (one float64 random key per byte on
+#: the way in, one mask byte on the way out), so the transient arrays stay
+#: a few MiB however long the window or large the chunks.
 SLAB_ROWS = 256
 SLAB_KEYS = 1 << 19
 
@@ -204,3 +205,71 @@ def remove(
     )
     metrics.counter("misleading_bytes_total", op="remove").inc(len(pos))
     return out
+
+
+def remove_window(
+    stored: "Sequence[bytes]",
+    positions: "Sequence[Sequence[int]]",
+) -> list[bytes]:
+    """:func:`remove` for every chunk of a window, stripped in bulk.
+
+    Consecutive chunks of one stored length and one position count are
+    stripped together, one mask and one fancy-index per slab.  A run of
+    one row is :func:`remove`'s; a chunk with no positions passes through.
+    ``misleading_transform_seconds{op="remove"}`` observes once per call
+    for the slabs (a run of one observes as :func:`remove` does), the byte
+    counter advances by every byte removed.
+    """
+    out: list[bytes] = []
+    removed = 0
+    busy = 0.0
+    for start, stop, length in equal_length_runs(
+        stored,
+        lambda length: min(SLAB_ROWS, SLAB_KEYS // max(1, length)),
+        beside=positions,
+    ):
+        count = len(positions[start])
+        if not count:
+            out.extend(stored[start:stop])
+        elif stop - start == 1:
+            out.append(remove(stored[start], positions[start]))
+        else:
+            t0 = time.perf_counter()
+            out.extend(
+                _remove_slab(stored[start:stop], positions[start:stop], length)
+            )
+            busy += time.perf_counter() - t0
+            removed += count * (stop - start)
+    if removed:
+        metrics = get_metrics()
+        metrics.histogram("misleading_transform_seconds", op="remove").observe(
+            busy
+        )
+        metrics.counter("misleading_bytes_total", op="remove").inc(removed)
+    return out
+
+
+def _remove_slab(
+    stored: "Sequence[bytes]", positions: "Sequence[Sequence[int]]", length: int
+) -> list[bytes]:
+    """Strip equally many positions from each of a slab of *length*-byte
+    chunks.
+
+    A position outside its own row, or one listed twice, would take a byte
+    from (or leave one to) the neighbouring row and shift every row after
+    it; both raise ``ValueError`` instead.
+    """
+    rows = len(stored)
+    where = np.array(positions, dtype=np.int64)
+    if where.min() < 0 or where.max() >= length:
+        raise ValueError(
+            f"misleading positions out of range for chunks of {length} bytes"
+        )
+    kept = length - where.shape[1]
+    where += np.arange(rows)[:, None] * length
+    genuine = np.ones(rows * length, dtype=bool)
+    genuine[where.ravel()] = False
+    blob = np.frombuffer(b"".join(stored), dtype=np.uint8)[genuine].tobytes()
+    if len(blob) != rows * kept:
+        raise ValueError("misleading positions contain duplicates")
+    return [blob[row * kept : (row + 1) * kept] for row in range(rows)]

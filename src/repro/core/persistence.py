@@ -15,13 +15,10 @@ import json
 from pathlib import Path
 
 from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import MetadataCorruptedError  # noqa: F401 - re-exported
 from repro.util.atomic import atomic_write_text
 
 FORMAT_VERSION = 1
-
-
-class MetadataCorruptedError(RuntimeError):
-    """The persisted metadata file failed its integrity check."""
 
 
 def _canonical(snapshot) -> str:

@@ -42,8 +42,8 @@ class NamespacedProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes) -> None:
-        self.inner.put(self._outer(key), data)
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+        self.inner.put(self._outer(key), data, checksum=checksum)
 
     def get(self, key: str) -> bytes:
         return self.inner.get(self._outer(key))
@@ -62,8 +62,14 @@ class NamespacedProvider(CloudProvider):
 
     # -- batched ops: preserve the inner provider's batching ----------------
 
-    def put_many(self, items: list[tuple[str, bytes]]) -> list:
-        return self.inner.put_many([(self._outer(k), v) for k, v in items])
+    def put_many(
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
+    ) -> list:
+        return self.inner.put_many(
+            [(self._outer(k), v) for k, v in items], checksums=checksums
+        )
 
     def get_many(self, keys: list[str]) -> list:
         return self.inner.get_many([self._outer(k) for k in keys])

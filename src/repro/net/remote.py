@@ -654,22 +654,38 @@ class RemoteProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         frame = self._request(OpCode.PUT, key=key, payload=bytes(data))
-        echoed = frame.payload.decode("utf-8", "replace")
-        if echoed != blob_checksum(data):
-            # The transport CRC passed but the server stored something else:
-            # end-to-end write verification failed.
-            raise BlobCorruptedError(
-                f"checksum echo mismatch from provider {self.name!r} "
-                f"for key {key!r}"
-            )
+        error = self._echo_mismatch(key, data, checksum, frame.payload)
+        if error is not None:
+            raise error
+
+    def _echo_mismatch(
+        self, key: str, data: bytes, checksum: str | None, echoed: bytes
+    ) -> BlobCorruptedError | None:
+        """The error for a put whose echo -- the digest the server's
+        backend recorded -- is not *data*'s (*checksum* when the caller
+        already holds it), or ``None``.
+
+        A mismatch means the transport CRC passed but the server stored
+        something else: end-to-end write verification failed.
+        """
+        if checksum is None:
+            checksum = blob_checksum(data)
+        if echoed.decode("utf-8", "replace") == checksum:
+            return None
+        return BlobCorruptedError(
+            f"checksum echo mismatch from provider {self.name!r} "
+            f"for key {key!r}"
+        )
 
     def get(self, key: str) -> bytes:
         return self._request(OpCode.GET, key=key).payload
 
     def put_many(
-        self, items: list[tuple[str, bytes]]
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
     ) -> list[ProviderError | None]:
         """Store many objects in one MULTI_PUT round-trip per batch frame.
 
@@ -686,29 +702,35 @@ class RemoteProvider(CloudProvider):
             for batch in batches
         ]
         frames = self._request_batches(requests)
-        outcomes: list[ProviderError | None] = []
+        results: list[tuple[int, bytes]] = []
         for batch, frame in zip(batches, frames):
-            results = decode_batch_results(frame.payload)
-            if len(results) != len(batch):
+            answered = decode_batch_results(frame.payload)
+            if len(answered) != len(batch):
                 raise ProtocolError(
-                    f"MULTI_PUT answered {len(results)} results for "
+                    f"MULTI_PUT answered {len(answered)} results for "
                     f"{len(batch)} items"
                 )
-            for (key, data), (status, body) in zip(batch, results):
-                if status != Status.OK:
-                    outcomes.append(
-                        error_for_status(status, body.decode("utf-8", "replace"))
-                    )
-                elif body.decode("utf-8", "replace") != blob_checksum(data):
-                    outcomes.append(
-                        BlobCorruptedError(
-                            f"checksum echo mismatch from provider "
-                            f"{self.name!r} for key {key!r}"
-                        )
-                    )
-                else:
-                    outcomes.append(None)
-        return outcomes
+            results.extend(answered)
+        return self._put_outcomes(items, checksums, results)
+
+    def _put_outcomes(
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None,
+        results: list[tuple[int, bytes]],
+    ) -> list[ProviderError | None]:
+        """Per-item outcomes of a batched put from its ``(status, body)``
+        answers: the server's error, an echo mismatch, or ``None``."""
+        if checksums is None:
+            checksums = [None] * len(items)
+        return [
+            error_for_status(status, body.decode("utf-8", "replace"))
+            if status != Status.OK
+            else self._echo_mismatch(key, data, checksum, body)
+            for (key, data), checksum, (status, body) in zip(
+                items, checksums, results, strict=True
+            )
+        ]
 
     def get_many(self, keys: list[str]) -> list["bytes | ProviderError"]:
         """Fetch many objects in one MULTI_GET round-trip per batch frame."""
@@ -893,7 +915,9 @@ class RemoteProvider(CloudProvider):
                 raise self._classify(exc, leased.fresh) from exc
 
     def put_stream(
-        self, items: list[tuple[str, bytes]]
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
     ) -> list[ProviderError | None]:
         """Store many objects over one stream session (frame per shard).
 
@@ -905,7 +929,7 @@ class RemoteProvider(CloudProvider):
         if not items:
             return []
         if self._server_stream is False:
-            return self.put_many(items)
+            return self.put_many(items, checksums=checksums)
         t0 = time.perf_counter()
         with self.tracer.span(
             "net.STREAM_PUT", provider=self.name, frames=len(items)
@@ -915,7 +939,7 @@ class RemoteProvider(CloudProvider):
             )
         if result is None:
             self._server_stream = False
-            return self.put_many(items)
+            return self.put_many(items, checksums=checksums)
         self._server_stream = True
         self._account(
             OpCode.STREAM_PUT,
@@ -931,22 +955,7 @@ class RemoteProvider(CloudProvider):
             + 2 * HEADER.size,
             t0=t0,
         )
-        outcomes: list[ProviderError | None] = []
-        for (key, data), (status, body) in zip(items, result):
-            if status != Status.OK:
-                outcomes.append(
-                    error_for_status(status, body.decode("utf-8", "replace"))
-                )
-            elif body.decode("utf-8", "replace") != blob_checksum(data):
-                outcomes.append(
-                    BlobCorruptedError(
-                        f"checksum echo mismatch from provider "
-                        f"{self.name!r} for key {key!r}"
-                    )
-                )
-            else:
-                outcomes.append(None)
-        return outcomes
+        return self._put_outcomes(items, checksums, result)
 
     def get_stream(self, keys: list[str]) -> list["bytes | ProviderError"]:
         """Fetch many objects as one frame per key (no aggregate payload).

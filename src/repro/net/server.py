@@ -349,10 +349,10 @@ class RequestEngine:
                 "(send STREAM_PUT first)"
             )
         if op == OpCode.STREAM_SEG:
-            self.backend.put(frame.key, frame.payload)
+            echo = self._put(frame.key, frame.payload)
             session.staged.append(frame.key)
             self._stream_owners[frame.key] = session.id
-            return Status.OK, frame.key, blob_checksum(frame.payload).encode()
+            return Status.OK, frame.key, echo
         # STREAM_END: commit -- staged keys stop being rollback candidates.
         count = len(session.staged)
         for key in session.staged:
@@ -437,15 +437,23 @@ class RequestEngine:
                 len(keys),
             )
 
+    def _put(self, key: str, data: bytes) -> bytes:
+        """Store one received payload; returns the checksum echo.
+
+        The payload is hashed once, as received: the backend records that
+        digest and the client compares it with the digest of what it sent,
+        so the echo vouches for the bytes the backend was handed.
+        """
+        checksum = blob_checksum(data)
+        self.backend.put(key, data, checksum=checksum)
+        return checksum.encode()
+
     def _handle(self, frame: Frame) -> tuple[Status, str, bytes]:
         op = frame.code
         if op == OpCode.PING:
             return Status.OK, "", frame.payload  # echo
         if op == OpCode.PUT:
-            self.backend.put(frame.key, frame.payload)
-            # Checksum echo: the client verifies the server stored exactly
-            # the bytes it sent.
-            return Status.OK, frame.key, blob_checksum(frame.payload).encode()
+            return Status.OK, frame.key, self._put(frame.key, frame.payload)
         if op == OpCode.GET:
             return Status.OK, frame.key, self.backend.get(frame.key)
         if op == OpCode.DELETE:
@@ -466,10 +474,7 @@ class RequestEngine:
                 # stored stay stored -- same ambiguity as a dropped reply).
                 check_deadline("MULTI_PUT item")
                 try:
-                    self.backend.put(key, data)
-                    results.append(
-                        (int(Status.OK), blob_checksum(data).encode())
-                    )
+                    results.append((int(Status.OK), self._put(key, data)))
                 except Exception as exc:  # noqa: BLE001 - per-item verdicts
                     results.append(
                         (int(status_for_error(exc)), str(exc).encode("utf-8"))

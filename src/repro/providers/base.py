@@ -50,8 +50,15 @@ class CloudProvider(ABC):
     # -- core S3-style interface ------------------------------------------
 
     @abstractmethod
-    def put(self, key: str, data: bytes) -> None:
-        """Store *data* under *key*, overwriting any previous object."""
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+        """Store *data* under *key*, overwriting any previous object.
+
+        *checksum*, when given, is ``blob_checksum(data)`` as the caller
+        already computed it: the backend records it instead of hashing the
+        same bytes again.  A wrong one cannot pass bad bytes for good --
+        it only makes every later ``get`` of the object raise
+        :class:`BlobCorruptedError`.
+        """
 
     @abstractmethod
     def get(self, key: str) -> bytes:
@@ -84,13 +91,20 @@ class CloudProvider(ABC):
     # down) may instead be raised directly by an override.
 
     def put_many(
-        self, items: list[tuple[str, bytes]]
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
     ) -> list[ProviderError | None]:
-        """Store many objects; one outcome (``None`` = stored) per item."""
+        """Store many objects; one outcome (``None`` = stored) per item.
+
+        *checksums*, when given, holds one ``put`` checksum per item.
+        """
         outcomes: list[ProviderError | None] = []
-        for key, data in items:
+        if checksums is None:
+            checksums = [None] * len(items)
+        for (key, data), checksum in zip(items, checksums, strict=True):
             try:
-                self.put(key, data)
+                self.put(key, data, checksum=checksum)
                 outcomes.append(None)
             except ProviderError as exc:
                 outcomes.append(exc)
@@ -115,10 +129,12 @@ class CloudProvider(ABC):
     # so delegating is exact.
 
     def put_stream(
-        self, items: list[tuple[str, bytes]]
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
     ) -> list[ProviderError | None]:
         """Store one streaming window of objects; outcome per item."""
-        return self.put_many(items)
+        return self.put_many(items, checksums=checksums)
 
     def get_stream(self, keys: list[str]) -> list["bytes | ProviderError"]:
         """Fetch one streaming window of objects; bytes or error per slot."""

@@ -197,10 +197,10 @@ class ChaosProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         fault, delay = self._draw("put", key, write=True)
         self._apply(fault, delay, "put", key)
-        self.inner.put(key, data)
+        self.inner.put(key, data, checksum=checksum)
         if fault == "partial-write":
             # The bytes landed but the acknowledgement was lost: the caller
             # sees a failure while the object exists (torn write).

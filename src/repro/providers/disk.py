@@ -17,6 +17,7 @@ overwrite migrates them to the record format and removes the sidecar.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from repro.core.errors import BlobCorruptedError, BlobNotFoundError
@@ -29,6 +30,7 @@ _SAFE = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 #: Record layout: magic + newline, 64 hex checksum chars, newline, payload.
 _MAGIC = b"RB1\n"
 _HEADER_LEN = len(_MAGIC) + 64 + 1
+_CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
 
 
 def _encode_key(key: str) -> str:
@@ -42,8 +44,15 @@ def _encode_key(key: str) -> str:
     )
 
 
-def _pack_record(data: bytes) -> bytes:
-    return _MAGIC + blob_checksum(data).encode("ascii") + b"\n" + data
+def _pack_record(data: bytes, checksum: str | None = None) -> bytes:
+    if checksum is None:
+        checksum = blob_checksum(data)
+    elif not _CHECKSUM_RE.fullmatch(checksum):
+        # The header is fixed-width: anything else would shift the payload.
+        raise ValueError(
+            f"checksum must be 64 lowercase hex characters, got {checksum!r}"
+        )
+    return _MAGIC + checksum.encode("ascii") + b"\n" + data
 
 
 def _unpack_record(raw: bytes) -> tuple[str, bytes] | None:
@@ -75,9 +84,9 @@ class DiskProvider(CloudProvider):
         # written, since the record format embeds the checksum.
         return self.root / (_encode_key(key) + ".sha256")
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         crashpoint("disk.put.start")
-        atomic_write_bytes(self._blob_path(key), _pack_record(data))
+        atomic_write_bytes(self._blob_path(key), _pack_record(data, checksum))
         crashpoint("disk.put.committed")
         # If this key predates the record format, its sidecar is now stale;
         # drop it.  A crash in between is harmless: readers prefer the

@@ -19,9 +19,11 @@ class InMemoryProvider(CloudProvider):
         self._blobs: dict[str, bytes] = {}
         self._checksums: dict[str, str] = {}
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         self._blobs[key] = bytes(data)
-        self._checksums[key] = blob_checksum(data)
+        self._checksums[key] = (
+            checksum if checksum is not None else blob_checksum(data)
+        )
 
     def get(self, key: str) -> bytes:
         try:

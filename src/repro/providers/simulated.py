@@ -166,10 +166,10 @@ class SimulatedProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         self._charge("put", key, len(data), upload=True)
         old = self.backend.head(key).size if self.backend.contains(key) else 0
-        self.backend.put(key, data)
+        self.backend.put(key, data, checksum=checksum)
         self.meter.record_put(len(data))
         self.meter.record_bytes_delta(len(data) - old)
 

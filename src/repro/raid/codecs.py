@@ -263,6 +263,12 @@ class ErasureCodec:
         """Reassemble the payload from >= k stripe members."""
         raise NotImplementedError
 
+    def decode_many(
+        self, stripes: "Sequence[tuple[StripeMeta, dict[int, bytes]]]"
+    ) -> list[bytes]:
+        """:meth:`decode` for every ``(meta, shards)`` of a window, in order."""
+        return [self.decode(meta, shards) for meta, shards in stripes]
+
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         """Regenerate the single shard *index* byte-exactly from survivors."""
         raise NotImplementedError

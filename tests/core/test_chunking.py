@@ -98,3 +98,13 @@ def test_equal_length_runs_cut_on_length_change_and_row_limit():
         (0, 1, 2), (1, 2, 2),
     ]
     assert list(equal_length_runs([], lambda length: 3)) == []
+
+
+def test_equal_length_runs_also_cut_where_the_entries_beside_change_length():
+    from repro.core.chunking import equal_length_runs
+
+    payloads = [b"aa", b"bb", b"cc", b"dd", b"e"]
+    beside = [(1,), (2,), (), (), ()]
+    assert list(equal_length_runs(payloads, lambda length: 9, beside=beside)) == [
+        (0, 2, 2), (2, 4, 2), (4, 5, 1),
+    ]

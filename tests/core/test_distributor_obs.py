@@ -130,7 +130,7 @@ def test_write_failover_emits_event_and_counter():
     providers, d, metrics, _, events = make_world(n=6, width=4)
     victim = providers[0]
 
-    def refuse(key, data):
+    def refuse(key, data, checksum=None):
         raise ProviderUnavailableError(f"{victim.name} refuses")
 
     victim.put = refuse
@@ -147,7 +147,7 @@ def test_write_failover_emits_event_and_counter():
 def test_total_write_failure_narrates_rollback():
     providers, d, metrics, _, events = make_world(n=4, width=4)
 
-    def refuse(key, data):
+    def refuse(key, data, checksum=None):
         raise ProviderUnavailableError("fleet-wide outage")
 
     for provider in providers:

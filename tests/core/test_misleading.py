@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.misleading import InjectionRng, inject, inject_window, remove
+from repro.core.misleading import (
+    InjectionRng,
+    inject,
+    inject_window,
+    remove,
+    remove_window,
+)
 
 
 def test_zero_fraction_is_identity():
@@ -194,3 +200,128 @@ def test_window_metrics_observe_once_and_count_every_byte():
     inject_window([bytes(100)] * 30 + [bytes(50)], 0.1, rng=1)
     assert seconds.count == calls + 1
     assert total.value == fakes + 30 * 10 + 5
+
+
+# -- the window strip ---------------------------------------------------------
+
+
+def _injected_window(lengths, fraction, seed=17):
+    gen = np.random.default_rng(seed)
+    payloads = [gen.bytes(n) for n in lengths]
+    results = inject_window(payloads, fraction, rng=seed)
+    return (
+        payloads,
+        [result.stored for result in results],
+        [result.positions for result in results],
+    )
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.01, 0.1, 1.0])
+def test_remove_window_equals_remove_per_chunk(fraction):
+    # Runs of one, a run broken by a different length, a 1 MiB chunk that
+    # has a slab to itself, empty and one-byte chunks.
+    lengths = [1024, 1024, 1024, 0, 1, 333, 1024, 1 << 20, 1024, 1024, 333, 333]
+    payloads, stored, positions = _injected_window(lengths, fraction)
+    stripped = remove_window(stored, positions)
+    assert stripped == [remove(s, p) for s, p in zip(stored, positions)]
+    assert stripped == payloads
+    assert remove_window([], []) == []
+
+
+def test_remove_window_with_empty_position_lists_inside_a_run():
+    # Equal stored lengths, unequal position counts: a chunk stored
+    # without misleading bytes between two that have them (an update can
+    # leave a file like this) must not be stripped with its neighbours.
+    _, stored, positions = _injected_window([110] * 6, 0.1)
+    plain = [bytes([i]) * 121 for i in range(3)]  # same stored length
+    stored[2:2] = plain[:2]
+    positions[2:2] = [(), ()]
+    stored.append(plain[2])
+    positions.append(())
+    stripped = remove_window(stored, positions)
+    assert stripped == [remove(s, p) for s, p in zip(stored, positions)]
+    assert stripped[2:4] == plain[:2] and stripped[-1] == plain[2]
+
+
+def test_slab_bounds_do_not_change_the_strip(monkeypatch):
+    from repro.core import misleading
+
+    payloads, stored, positions = _injected_window([100] * 40 + [64] * 3, 0.1)
+    assert remove_window(stored, positions) == payloads
+    monkeypatch.setattr(misleading, "SLAB_ROWS", 7)
+    assert remove_window(stored, positions) == payloads
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
+    assert remove_window(stored, positions) == payloads
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 1, 5, 64, 64, 64, 333]), min_size=1, max_size=24),
+    st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+    st.data(),
+)
+def test_property_any_partition_into_windows_strips_the_same(lengths, fraction, data):
+    payloads, stored, positions = _injected_window(lengths, fraction, len(lengths))
+    cuts = sorted(
+        data.draw(st.sets(st.integers(1, len(stored)), max_size=len(stored)))
+        | {len(stored)}
+    )
+    pieces, start = [], 0
+    for stop in cuts:
+        pieces.extend(remove_window(stored[start:stop], positions[start:stop]))
+        start = stop
+    assert pieces == remove_window(stored, positions) == payloads
+
+
+def test_remove_window_hands_a_run_of_one_to_remove(monkeypatch):
+    # The e2e harness counts misleading.bytes at `remove`, by its module
+    # name; get_chunk and the update pre-read are windows of one.
+    from repro.core import misleading
+
+    calls = []
+    monkeypatch.setattr(
+        misleading, "remove",
+        lambda stored, positions: calls.append(len(positions)) or remove(stored, positions),
+    )
+    _, stored, positions = _injected_window([100, 100, 100, 50], 0.1)
+    remove_window(stored[:1], positions[:1])
+    assert calls == [10]
+    remove_window(stored, positions)  # a slab of three, then the odd one
+    assert calls == [10, 5]
+
+
+def test_remove_window_metrics_observe_once_and_count_every_byte():
+    from repro.obs.metrics import get_metrics
+
+    metrics = get_metrics()
+    seconds = metrics.histogram("misleading_transform_seconds", op="remove")
+    total = metrics.counter("misleading_bytes_total", op="remove")
+    _, stored, positions = _injected_window([100] * 30 + [80] * 5 + [50], 0.1)
+    calls, removed = seconds.count, total.value
+    remove_window(stored[:35], positions[:35])  # two slabs, one observation
+    assert seconds.count == calls + 1
+    assert total.value == removed + 30 * 10 + 5 * 8
+    remove_window(stored[35:], positions[35:])  # a run of one is remove's
+    assert seconds.count == calls + 2
+    assert total.value == removed + 30 * 10 + 5 * 8 + 5
+    remove_window([b"abc"] * 4, [()] * 4)  # nothing to strip, nothing timed
+    assert seconds.count == calls + 2
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((3, 3), "duplicates"),
+        ((3, 110), "out of range"),
+        ((-1, 3), "out of range"),
+    ],
+)
+def test_one_bad_row_raises_instead_of_shifting_its_neighbours(bad, message):
+    # Regression: in one flat mask a repeated position leaves a fake byte
+    # behind and a position past the row's end takes a byte from the next
+    # row -- every later chunk of the slab would come back misaligned.
+    payloads, stored, positions = _injected_window([100] * 8, 0.1)
+    assert remove_window(stored, positions) == payloads
+    positions[2] = bad + positions[2][2:]
+    with pytest.raises(ValueError, match=message):
+        remove_window(stored, positions)

@@ -123,3 +123,124 @@ def test_crashed_save_leaves_previous_snapshot_readable(stored, registry):
     load_metadata(fresh, path)
     expected = distributor.get_file("Bob", "Ty7e", "f")
     assert fresh.get_file("Bob", "Ty7e", "f") == expected
+
+
+# -- rows that contradict their own stripe ------------------------------------
+#
+# Regressions: a snapshot whose digest is right but whose chunk rows are not
+# (bit rot before the save, or an edited file re-sealed) used to load, and
+# fail -- or worse, not fail -- at read time.
+
+
+def _reseal(path, edit):
+    """Apply *edit* to the saved snapshot and recompute its digest."""
+    import hashlib
+
+    from repro.core.persistence import _canonical
+
+    document = json.loads(path.read_text())
+    edit(document["metadata"])
+    document["sha256"] = hashlib.sha256(
+        _canonical(document["metadata"]).encode("utf-8")
+    ).hexdigest()
+    path.write_text(json.dumps(document))
+
+
+def _first_row_with_positions(metadata):
+    for row in metadata["chunk_table"]["entries"].values():
+        if len(row[4]) >= 2:
+            return row
+    raise AssertionError("fixture stores misleading bytes")
+
+
+def test_duplicated_misleading_position_is_refused_at_load(stored, registry):
+    # At the parent this loaded, and get_file returned one byte too many:
+    # a misleading byte handed to the client as plaintext.
+    _, path, _ = stored
+
+    def edit(metadata):
+        row = _first_row_with_positions(metadata)
+        row[4][1] = row[4][0]
+        edit.vid = row[0]
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=5)
+    with pytest.raises(MetadataCorruptedError, match=f"chunk {edit.vid}:"):
+        load_metadata(fresh, path)
+
+
+@pytest.mark.parametrize("position", [-1, 10**6, 2.5, "7"])
+def test_misleading_position_outside_the_chunk_is_refused_at_load(
+    stored, registry, position
+):
+    # At the parent: a bare numpy IndexError in the middle of a read.
+    _, path, _ = stored
+
+    def edit(metadata):
+        row = _first_row_with_positions(metadata)
+        row[4][0 if position == -1 else -1] = position
+        edit.vid = row[0]
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=6)
+    with pytest.raises(MetadataCorruptedError, match=f"chunk {edit.vid}:"):
+        load_metadata(fresh, path)
+
+
+def test_short_shard_checksum_tuple_is_refused_at_load(stored, registry):
+    # At the parent: "IndexError: tuple index out of range" in _check_shard.
+    _, path, _ = stored
+
+    def edit(metadata):
+        vid, packed = next(iter(metadata["chunk_state"].items()))
+        packed[7] = packed[7][:-1]
+        edit.vid = vid
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=7)
+    with pytest.raises(MetadataCorruptedError, match=f"chunk {edit.vid}:"):
+        load_metadata(fresh, path)
+
+
+def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored):
+    # The refusal comes before the first table is replaced: a peer that is
+    # handed a bad snapshot keeps serving what it had, tables in step.
+    distributor, path, _ = stored
+    extra = os.urandom(700)
+    distributor.upload_file("Bob", "Ty7e", "later", extra, PrivacyLevel.PRIVATE)
+    before = distributor.export_metadata()
+    expected = distributor.get_file("Bob", "Ty7e", "f")
+
+    def edit(metadata):
+        row = _first_row_with_positions(metadata)
+        row[4][1] = row[4][0]
+
+    _reseal(path, edit)
+    with pytest.raises(MetadataCorruptedError):
+        load_metadata(distributor, path)
+    assert distributor.export_metadata() == before
+    assert distributor.get_file("Bob", "Ty7e", "f") == expected
+    assert distributor.get_file("Bob", "Ty7e", "later") == extra
+
+
+def test_rows_without_checksums_or_positions_still_load(stored, registry):
+    # Legacy snapshots: no checksum tracking, no misleading bytes.
+    distributor, path, _ = stored
+    expected = distributor.get_file("Bob", "Ty7e", "f")
+
+    def edit(metadata):
+        for packed in metadata["chunk_state"].values():
+            packed[7] = None
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=8)
+    load_metadata(fresh, path)
+    assert fresh.get_file("Bob", "Ty7e", "f") == expected
+
+
+def test_metadata_corrupted_error_is_one_type_in_the_library_hierarchy():
+    from repro.core import errors
+
+    assert MetadataCorruptedError is errors.MetadataCorruptedError
+    assert issubclass(MetadataCorruptedError, errors.ReproError)
+    assert issubclass(MetadataCorruptedError, RuntimeError)  # as before

@@ -53,7 +53,7 @@ def make_distributor(n=6, width=4, seed=63, **kwargs):
 
 
 def sabotage_puts(victim):
-    def put(key, data):
+    def put(key, data, checksum=None):
         raise ProviderUnavailableError(f"{victim.name} sabotaged")
 
     victim.put = put
@@ -63,7 +63,7 @@ def answer_short(victim):
     """*victim* drops the last item of every batch and answers for the
     rest only: one outcome fewer than items."""
     put_many = victim.put_many
-    victim.put_many = lambda items: put_many(items[:-1])
+    victim.put_many = lambda items, checksums=None: put_many(items[:-1])
 
 
 DATA = bytes(range(256)) * 40  # 10240 bytes -> 20 chunks at 512

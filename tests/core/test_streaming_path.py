@@ -148,7 +148,7 @@ def _fail_after(victim, allowed: int):
     original = victim.put
     state = {"n": 0}
 
-    def put_(key, data):
+    def put_(key, data, checksum=None):
         state["n"] += 1
         if state["n"] > allowed:
             raise ProviderUnavailableError(f"{victim.name} sabotaged")

@@ -55,7 +55,7 @@ def sabotage_after_first_put(victim):
     original_put = victim.put
     state = {"puts": 0}
 
-    def put(key, data):
+    def put(key, data, checksum=None):
         state["puts"] += 1
         if state["puts"] > 1:
             victim.set_available(False)

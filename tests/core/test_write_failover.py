@@ -41,7 +41,7 @@ def sabotage_puts(victim):
     """All of *victim*'s puts fail from now on; returns an undo handle."""
     original = victim.put
 
-    def put(key, data):
+    def put(key, data, checksum=None):
         raise ProviderUnavailableError(f"{victim.name} sabotaged")
 
     victim.put = put
@@ -124,7 +124,7 @@ def test_torn_write_scrubbed_during_failover():
     victim = providers[1]
     original = victim.put
 
-    def torn_put(key, data):
+    def torn_put(key, data, checksum=None):
         original(key, data)  # the object lands...
         raise ProviderUnavailableError("ack lost")  # ...but the ack is lost
 

@@ -111,7 +111,7 @@ def test_default_get_many_captures_per_item_errors():
 class _PickyProvider(InMemoryProvider):
     """Rejects puts whose key contains the marker substring."""
 
-    def put(self, key, data):
+    def put(self, key, data, checksum=None):
         if "reject" in key:
             raise ProviderUnavailableError(f"{key} refused")
         super().put(key, data)
@@ -300,7 +300,7 @@ class _ScriptedProvider(InMemoryProvider):
         super().__init__(name)
         self.script = script
 
-    def put_many(self, items):
+    def put_many(self, items, checksums=None):
         return list(self.script)
 
 

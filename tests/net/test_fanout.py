@@ -44,7 +44,7 @@ class GateProvider(CloudProvider):
         with self.lock:
             self.in_flight -= 1
 
-    def put(self, key: str, data: bytes) -> None:
+    def put(self, key: str, data: bytes, checksum=None) -> None:
         self._enter("put")
         try:
             self.inner.put(key, data)

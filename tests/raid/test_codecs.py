@@ -335,3 +335,36 @@ def test_codec_for_meta_is_memoised_per_spec_and_width():
     for _ in range(2):
         with pytest.raises(UnknownCodecError):
             codec_for_meta(bad)
+
+
+# -- the window decode --------------------------------------------------------
+
+
+def _erasure_patterns(n, m):
+    """Every set of at most *m* lost members of an *n*-wide stripe."""
+    for lost in range(m + 1):
+        yield from combinations(range(n), lost)
+
+
+@pytest.mark.parametrize("make", CODECS)
+def test_decode_many_equals_decode_per_stripe_under_every_erasure(make):
+    codec = make()
+    payloads = _window()
+    encoded = codec.encode_many(payloads)
+    # One window per erasure pattern, and one window that mixes them all
+    # (healthy stripes between degraded ones, as a real window has).
+    mixed = []
+    for gone in _erasure_patterns(codec.n, codec.m):
+        stripes = [
+            (meta, {i: s for i, s in enumerate(shards) if i not in gone})
+            for meta, shards in encoded
+        ]
+        want = [codec.decode(meta, have) for meta, have in stripes]
+        assert want == payloads
+        assert codec.decode_many(stripes) == want
+        mixed.append(stripes[len(mixed) % len(stripes)])
+    assert codec.decode_many(mixed) == [
+        codec.decode(meta, have) for meta, have in mixed
+    ]
+    assert codec.decode_many([]) == []
+
