@@ -1,8 +1,8 @@
 """Subprocess driver for the constant-memory streaming gate.
 
 Streams a sparse-synthesized multi-GB file through the full data path --
-``put_stream`` -> STREAM_PUT wire sessions -> :class:`AsyncChunkServer`
--> :class:`DiskProvider`, then back via ``get_stream`` -- and reports the
+``put_stream`` -> STREAM_PUT wire sessions -> :class:`ChunkServer` ->
+:class:`DiskProvider`, then back via ``get_stream`` -- and reports the
 process's RSS high-water against a baseline taken after warm-up.
 
 Runs in its own process because ``ru_maxrss`` is a monotonic high-water
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.privacy import PrivacyLevel
-from repro.net.async_server import AsyncChunkServer
 from repro.net.cluster import LocalCluster
 from repro.net.remote import RetryPolicy
 from repro.providers.disk import DiskProvider
@@ -83,7 +82,6 @@ def main() -> None:
     ]
     with LocalCluster(
         backends=backends,
-        server_cls=AsyncChunkServer,
         retry=RetryPolicy(attempts=2, base_delay=0.01),
         op_timeout=60.0,
     ) as cluster:

@@ -338,10 +338,7 @@ def test_stream_throughput(benchmark, save_result):
              f"{big['upload_mbps']:.1f}", f"{big['download_mbps']:.1f}",
              f"{big['rss_delta_mib']:.1f} MiB"],
         ],
-        title=(
-            f"NET: STREAMING DATA PATH ({NODES} socket providers, "
-            f"async server on the multi-GB case)"
-        ),
+        title=f"NET: STREAMING DATA PATH ({NODES} socket providers)",
     )
     save_result("stream_throughput", table)
 

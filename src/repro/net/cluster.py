@@ -23,10 +23,8 @@ class LocalCluster:
 
     ``backends`` defaults to in-memory stores named ``node0..node{n-1}``;
     pass explicit :class:`CloudProvider` instances (e.g. ``DiskProvider``)
-    to persist across restarts.  ``server_cls`` picks the front-end --
-    the threaded :class:`ChunkServer` (default) or the event-loop
-    :class:`~repro.net.async_server.AsyncChunkServer`; both speak the
-    same wire.  Usable as a context manager.
+    to persist across restarts.  ``server_cls`` lets a test substitute a
+    misbehaving :class:`ChunkServer` subclass.  Usable as a context manager.
     """
 
     def __init__(
@@ -115,8 +113,8 @@ class LocalCluster:
         server = self.servers[index]
         if server.running:
             raise RuntimeError(f"server {index} is still running")
-        # Revive with the dead server's own class, so mixed fleets
-        # (threaded + async front-ends) restart into the same shape.
+        # Revive with the dead server's own class: a substituted fake
+        # comes back as the fake.
         revived = type(server)(
             server.backend, host=self.host, port=self._ports[index]
         ).start()

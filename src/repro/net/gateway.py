@@ -18,9 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
-import queue
 import socket
-import threading
 
 from repro.core import errors as core_errors
 from repro.core.errors import (
@@ -30,6 +28,7 @@ from repro.core.errors import (
     ResourceExhaustedError,
 )
 from repro.fleet.gateway import FleetGateway
+from repro.net.admission import AdmissionServer
 from repro.util.deadline import Deadline, current_deadline, deadline_scope
 
 log = logging.getLogger(__name__)
@@ -66,15 +65,17 @@ def _read_line(sock_file, max_line: int = _MAX_LINE) -> dict | None:
         raise GatewayProtocolError(f"bad gateway frame: {exc}") from exc
 
 
-class GatewayServer:
+class GatewayServer(AdmissionServer):
     """Serves a :class:`FleetGateway` over newline-delimited JSON/TCP.
 
-    Admission control mirrors :class:`~repro.net.server.ChunkServer`: a
-    bounded pool of ``max_workers`` threads serves connections popped from
-    a bounded accept queue; once both are full, new connections get one
+    Admission control is :class:`~repro.net.admission.AdmissionServer`'s,
+    as for :class:`~repro.net.server.ChunkServer`: once the workers and
+    the accept queue are full, a new connection gets one
     ``ResourceExhaustedError`` payload (with a ``retry_after`` hint) and
-    are closed instead of being accepted-and-stalled.
+    is closed instead of being accepted-and-stalled.
     """
+
+    metric_prefix = "gateway"
 
     def __init__(
         self,
@@ -86,167 +87,30 @@ class GatewayServer:
         shed_retry_after: float = 0.1,
         max_line: int = _MAX_LINE,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if accept_queue < 1:
-            raise ValueError(f"accept_queue must be >= 1, got {accept_queue}")
+        super().__init__(
+            "gateway", host, port, max_workers, accept_queue, shed_retry_after
+        )
         if max_line < 1:
             raise ValueError(f"max_line must be >= 1, got {max_line}")
         self.gateway = gateway
-        self.host = host
-        self.max_workers = max_workers
-        self.shed_retry_after = shed_retry_after
         self.max_line = max_line
-        self._requested_port = port
-        self._sock: socket.socket | None = None
-        self._workers: list[threading.Thread] = []
-        self._accept_thread: threading.Thread | None = None
-        self._conn_queue: queue.Queue[socket.socket | None] = queue.Queue(
-            maxsize=accept_queue
-        )
-        self._connections: set[socket.socket] = set()
-        self._state_lock = threading.Lock()
-        self._running = False
-        self.requests_shed = 0
 
     @property
     def metrics(self):
         return self.gateway.metrics
 
-    @property
-    def port(self) -> int:
-        if self._sock is None:
-            raise RuntimeError("server is not running")
-        return self._sock.getsockname()[1]
-
-    def start(self) -> "GatewayServer":
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self._requested_port))
-        sock.listen(32)
-        self._sock = sock
-        self._running = True
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"gateway-worker-{i}", daemon=True
-            )
-            for i in range(self.max_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="gateway-accept", daemon=True
+    def _shed_reply(self) -> bytes:
+        return _encode(
+            {
+                "ok": False,
+                "error": "ResourceExhaustedError",
+                "message": "gateway overloaded: accept queue full",
+                "retry_after": self.shed_retry_after,
+            }
         )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._running = False
-        listener, self._sock = self._sock, None
-        if listener is not None:
-            port = listener.getsockname()[1]
-            # close() alone does not wake a thread blocked in accept();
-            # shutdown() does on Linux, and the self-connection covers
-            # platforms where it does not.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                socket.create_connection((self.host, port), timeout=0.2).close()
-            except OSError:
-                pass
-            listener.close()
-        with self._state_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        for _ in self._workers:
-            self._conn_queue.put(None)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        self._workers = []
-        while True:
-            try:
-                leftover = self._conn_queue.get_nowait()
-            except queue.Empty:
-                break
-            if leftover is not None:
-                leftover.close()
-
-    def __enter__(self) -> "GatewayServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def _accept_loop(self) -> None:
-        listener = self._sock
-        while self._running and listener is not None:
-            try:
-                conn, _ = listener.accept()
-            except OSError:
-                return  # socket closed by stop()
-            with self._state_lock:
-                if not self._running:
-                    conn.close()
-                    return
-                self._connections.add(conn)
-            try:
-                self._conn_queue.put_nowait(conn)
-            except queue.Full:
-                with self._state_lock:
-                    self._connections.discard(conn)
-                self._shed(conn)
-                continue
-            self.metrics.gauge("gateway_accept_queue_depth").set(
-                self._conn_queue.qsize()
-            )
-
-    def _worker_loop(self) -> None:
-        while True:
-            conn = self._conn_queue.get()
-            if conn is None:
-                return  # stop() sentinel
-            self.metrics.gauge("gateway_accept_queue_depth").set(
-                self._conn_queue.qsize()
-            )
-            try:
-                self._serve_connection(conn)
-            except Exception:  # noqa: BLE001 -- a pooled worker must survive
-                log.exception("gateway connection handler failed")
-            finally:
-                with self._state_lock:
-                    self._connections.discard(conn)
-
-    def _shed(self, conn: socket.socket) -> None:
-        """One typed refusal, then close -- never accept-and-stall."""
-        self.requests_shed += 1
-        self.metrics.counter("gateway_shed_total").inc()
-        payload = {
-            "ok": False,
-            "error": "ResourceExhaustedError",
-            "message": "gateway overloaded: accept queue full",
-            "retry_after": self.shed_retry_after,
-        }
-        try:
-            conn.settimeout(1.0)
-            conn.sendall(_encode(payload))
-        except OSError:
-            pass
-        finally:
-            conn.close()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rb") as reader:
+        with conn.makefile("rb") as reader:
             while True:
                 try:
                     request = _read_line(reader, self.max_line)

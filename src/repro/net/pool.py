@@ -38,16 +38,13 @@ class StaleConnectionError(OSError):
 
 
 def classify_stale(exc: Exception, fresh: bool) -> Exception:
-    """Shared reclassification for transport failures on pooled sockets.
+    """Reclassification of transport failures on pooled sockets.
 
     A failure on a *reused* socket is pool staleness -- the park-then-die
     pattern -- and comes back as :class:`StaleConnectionError` so callers
     redial for free instead of burning retry budget.  A failure on a
     freshly dialed socket is returned unchanged: that one really is
-    evidence about the server.  Both the threaded
-    (:class:`~repro.net.remote.RemoteProvider`) and asyncio
-    (:class:`~repro.net.async_client.AsyncChunkClient`) paths route
-    through here so the semantics cannot drift apart.
+    evidence about the server.
     """
     if fresh or isinstance(exc, StaleConnectionError):
         return exc
@@ -72,7 +69,7 @@ class Lease:
 class ConnectionPool:
     """Stack of reusable sockets to ``(host, port)``.
 
-    ``acquire()`` yields a connected socket; on clean exit the socket is
+    ``lease()`` yields a connected socket; on clean exit the socket is
     returned for reuse (up to *size* idle sockets are retained), on error
     it is closed -- a connection that failed mid-request is never reused,
     because the stream position can no longer be trusted.
@@ -117,24 +114,15 @@ class ConnectionPool:
         return sock
 
     @contextmanager
-    def acquire(self, op: str = "") -> Iterator[socket.socket]:
+    def lease(self, op: str = "") -> Iterator[Lease]:
         """Borrow a socket for one request/response exchange.
 
         *op* names the wire operation waiting on the checkout, purely for
         telemetry -- it labels the saturation event when the wait crosses
-        the threshold.
-        """
-        with self.lease(op=op) as leased:
-            yield leased.sock
-
-    @contextmanager
-    def lease(self, op: str = "") -> Iterator[Lease]:
-        """Like :meth:`acquire`, but the caller also learns *how* the
-        socket was obtained (:attr:`Lease.fresh`).
-
-        Transport-aware callers use this to tell a dead reused socket (a
-        pool-staleness artifact, fixed by redialing) from a dead freshly
-        dialed one (the server really is unreachable).
+        the threshold.  The caller also learns *how* the socket was
+        obtained (:attr:`Lease.fresh`), which tells a dead reused socket
+        (a pool-staleness artifact, fixed by redialing) from a dead
+        freshly dialed one (the server really is unreachable).
         """
         if self._closed:
             raise RuntimeError("connection pool is closed")
@@ -166,33 +154,6 @@ class ConnectionPool:
                 self._idle.append(sock)
                 return
         sock.close()
-
-    def prewarm(self, count: int | None = None) -> int:
-        """Open up to *count* (default: pool size) idle connections now.
-
-        Pipelined batch exchanges ride one connection per in-flight
-        request; pre-dialing moves the TCP setup cost off the first hot
-        operation.  Returns how many connections were opened; dial
-        failures stop the warm-up early (the pool stays usable -- the
-        next ``acquire`` will surface the error to the caller).
-        """
-        target = self.size if count is None else min(count, self.size)
-        opened = 0
-        while True:
-            with self._lock:
-                if self._closed or len(self._idle) >= target:
-                    return opened
-            try:
-                sock = self._connect()
-            except OSError:
-                return opened
-            with self._lock:
-                if not self._closed and len(self._idle) < self.size:
-                    self._idle.append(sock)
-                    opened += 1
-                    continue
-            sock.close()
-            return opened
 
     def discard_idle(self) -> None:
         """Drop every idle socket (e.g. after the server restarted)."""

@@ -27,6 +27,7 @@ The full specification (including error-code semantics) lives in
 
 from __future__ import annotations
 
+import io
 import json
 import socket
 import struct
@@ -252,57 +253,25 @@ def send_frame(sock: socket.socket, code: int, key: str = "",
     sendmsg_all(sock, frame_segments(code, key, payload))
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly *n* bytes; ``None`` on clean EOF before the first byte.
-
-    EOF in the *middle* of the read is a protocol violation (the peer hung
-    up mid-frame) and raises :class:`ProtocolError`.
-    """
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            if not chunks:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-frame ({n - remaining}/{n} bytes)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks) if chunks else b""
-
-
-def recv_frame(sock: socket.socket) -> Frame | None:
-    """Read one frame from *sock*; ``None`` on clean EOF between frames."""
-    raw = _recv_exact(sock, HEADER.size)
-    if raw is None:
-        return None
-    magic, version, code, key_len, payload_len, crc = HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    if payload_len > MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {payload_len} exceeds cap")
-    body = _recv_exact(sock, key_len + payload_len)
-    if body is None and key_len + payload_len > 0:
-        raise ProtocolError("connection closed mid-frame (body)")
-    body = body or b""
-    key_bytes, payload = body[:key_len], body[key_len:]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ProtocolError(f"payload CRC mismatch for key {key_bytes!r}")
-    return Frame(code=code, key=key_bytes.decode("utf-8"), payload=payload)
+def _utf8(raw: bytes | memoryview, what: str) -> str:
+    """Strict UTF-8 text off the wire; a peer's bad bytes are its fault."""
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"{what} is not valid UTF-8: {exc}") from None
 
 
 def read_frame(stream) -> Frame | None:
-    """:func:`recv_frame` over a buffered binary reader.
+    """Read one frame; ``None`` on clean EOF between frames.
 
     Accepts anything with a ``read(n)`` method that blocks until *n*
     bytes or EOF (e.g. ``sock.makefile("rb")``); the buffering cuts the
     two-syscalls-per-frame cost of :func:`recv_frame`, which matters on
-    the streaming path where every shard is its own small frame.
-    Returns ``None`` on clean EOF between frames.
+    the streaming path where every shard is its own small frame.  EOF in
+    the *middle* of a frame is a protocol violation (the peer hung up
+    mid-frame) and raises :class:`ProtocolError`.  This is the one place
+    a frame is checked: :func:`recv_frame` and :func:`decode_frame` read
+    through it.
     """
     raw = stream.read(HEADER.size)
     if not raw:
@@ -324,7 +293,29 @@ def read_frame(stream) -> Frame | None:
     key_bytes, payload = body[:key_len], body[key_len:]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ProtocolError(f"payload CRC mismatch for key {key_bytes!r}")
-    return Frame(code=code, key=key_bytes.decode("utf-8"), payload=payload)
+    return Frame(code=code, key=_utf8(key_bytes, "frame key"), payload=payload)
+
+
+class _SocketReader:
+    """``read(n)`` over a bare socket: blocks until *n* bytes or EOF."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+
+    def read(self, n: int) -> bytes:
+        chunks: list[bytes] = []
+        while n > 0:
+            chunk = self._sock.recv(min(n, 1 << 20))
+            if not chunk:
+                break
+            chunks.append(chunk)
+            n -= len(chunk)
+        return b"".join(chunks)
+
+
+def recv_frame(sock: socket.socket) -> Frame | None:
+    """:func:`read_frame` straight off *sock*, unbuffered (two recv()s)."""
+    return read_frame(_SocketReader(sock))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -334,25 +325,13 @@ def decode_frame(data: bytes) -> Frame:
     this is the TRACED envelope's way of nesting a frame inside another
     frame's payload without a socket in between.
     """
-    if len(data) < HEADER.size:
-        raise ProtocolError("frame buffer shorter than header")
-    magic, version, code, key_len, payload_len, crc = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    if payload_len > MAX_PAYLOAD:
-        raise ProtocolError(f"payload length {payload_len} exceeds cap")
-    end = HEADER.size + key_len + payload_len
-    if len(data) != end:
+    stream = io.BytesIO(data)
+    frame = read_frame(stream)
+    if frame is None or stream.tell() != len(data):
         raise ProtocolError(
-            f"frame buffer is {len(data)} bytes, expected {end}"
+            f"frame buffer is {len(data)} bytes, not exactly one frame"
         )
-    key_bytes = data[HEADER.size : HEADER.size + key_len]
-    payload = data[HEADER.size + key_len : end]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise ProtocolError(f"payload CRC mismatch for key {key_bytes!r}")
-    return Frame(code=code, key=key_bytes.decode("utf-8"), payload=payload)
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +365,7 @@ def decode_traced_request(payload: bytes) -> tuple[str, Frame]:
     offset = _CTX_LEN.size
     if offset + ctx_len > len(payload):
         raise ProtocolError("TRACED request payload truncated")
-    context = payload[offset : offset + ctx_len].decode("utf-8")
+    context = _utf8(payload[offset : offset + ctx_len], "trace context")
     return context, decode_frame(payload[offset + ctx_len :])
 
 
@@ -481,7 +460,7 @@ def decode_stat(key: str, payload: bytes) -> BlobStat:
     if len(payload) < _STAT_HEADER.size:
         raise ProtocolError("HEAD payload truncated")
     (size,) = _STAT_HEADER.unpack(payload[: _STAT_HEADER.size])
-    checksum = payload[_STAT_HEADER.size :].decode("utf-8")
+    checksum = _utf8(payload[_STAT_HEADER.size :], "HEAD checksum")
     return BlobStat(key=key, size=size, checksum=checksum)
 
 
@@ -508,7 +487,7 @@ def decode_keys(payload: bytes) -> list[str]:
         offset += 2
         if offset + length > len(payload):
             raise ProtocolError("KEYS payload truncated")
-        keys.append(payload[offset : offset + length].decode("utf-8"))
+        keys.append(_utf8(payload[offset : offset + length], "key"))
         offset += length
     return keys
 
@@ -585,7 +564,7 @@ def decode_multi_put(payload: bytes) -> list[tuple[str, bytes]]:
         offset += _ITEM_KEY_LEN.size
         if offset + key_len + _ITEM_BODY_LEN.size > len(payload):
             raise ProtocolError("MULTI_PUT payload truncated")
-        key = payload[offset : offset + key_len].decode("utf-8")
+        key = _utf8(payload[offset : offset + key_len], "MULTI_PUT key")
         offset += key_len
         (data_len,) = _ITEM_BODY_LEN.unpack_from(payload, offset)
         offset += _ITEM_BODY_LEN.size
@@ -611,7 +590,7 @@ def first_batch_key(payload: bytes) -> str:
     if len(payload) < header:
         return ""
     (key_len,) = _ITEM_KEY_LEN.unpack_from(payload, _BATCH_COUNT.size)
-    return bytes(payload[header : header + key_len]).decode("utf-8")
+    return _utf8(payload[header : header + key_len], "batch key")
 
 
 def encode_batch_results(results: list[tuple[int, bytes]]) -> bytes:

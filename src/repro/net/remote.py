@@ -175,7 +175,7 @@ class RemoteProvider(CloudProvider):
         caller to resend plainly on the same socket.  Any shipped span
         records are grafted into the active trace here.
         """
-        if frame.code == Status.BAD_REQUEST and b"unknown op code" in frame.payload:
+        if self._bounced(frame):
             return None
         if frame.code != Status.OK:
             return frame  # envelope-level error; surfaces like any other
@@ -183,20 +183,6 @@ class RemoteProvider(CloudProvider):
         if records:
             self.tracer.attach_remote(records)
         return inner
-
-    @staticmethod
-    def _classify(exc: Exception, fresh: bool) -> Exception:
-        """A transport failure on a *reused* socket is pool staleness.
-
-        The server may have restarted since the socket was parked; the
-        failure says nothing about its current health, so it is re-raised
-        as :class:`StaleConnectionError` -- redialed for free by
-        ``_with_retries`` instead of burning retry budget or feeding
-        false negatives to circuit breakers and health monitors.  The
-        rule itself lives in :func:`repro.net.pool.classify_stale`, shared
-        with the asyncio client so the two paths cannot drift.
-        """
-        return classify_stale(exc, fresh)
 
     def _check_deadline(self, what: str) -> Deadline | None:
         """Ambient deadline, checked (and counted) before starting I/O."""
@@ -224,76 +210,13 @@ class RemoteProvider(CloudProvider):
         )
 
     @staticmethod
-    def _deadline_bounced(frame: Frame) -> bool:
-        """An old server answered the DEADLINE envelope with unknown-op."""
+    def _bounced(frame: Frame) -> bool:
+        """An old server answered an envelope or stream op with unknown-op
+        (and kept the connection in sync): the downgrade signal."""
         return (
             frame.code == Status.BAD_REQUEST
             and b"unknown op code" in frame.payload
         )
-
-    def _exchange(self, op: OpCode, key: str, payload: bytes) -> Frame:
-        """One framed request/response on a pooled connection.
-
-        The request may ride inside up to two envelopes, outermost first:
-        DEADLINE (remaining budget) wrapping TRACED (trace context) wrapping
-        the operation.  Either envelope downgrades independently when an
-        older server bounces it with BAD_REQUEST "unknown op code" -- the
-        stream stays in sync, so the request is resent one layer thinner on
-        the same socket and the verdict is cached for this provider.
-        """
-        deadline = self._check_deadline(f"net.{op.name}")
-        context = self._trace_context()
-        send_deadline = deadline is not None and self._server_deadline is not False
-        send_traced = context is not None
-        with self.pool.lease(op=op.name) as leased:
-            sock = leased.sock
-            try:
-                sock.settimeout(self._op_timeout(deadline))
-                while True:
-                    if send_traced or send_deadline:
-                        # Envelope nesting needs the inner frame as one
-                        # buffer; only enveloped sends pay the join.
-                        frame_bytes = encode_frame(op, key=key, payload=payload)
-                        if send_traced:
-                            frame_bytes = encode_frame(
-                                OpCode.TRACED,
-                                payload=encode_traced_request(
-                                    context, frame_bytes
-                                ),
-                            )
-                        if send_deadline:
-                            frame_bytes = self._wrap_deadline(
-                                deadline, frame_bytes
-                            )
-                        sock.sendall(frame_bytes)
-                    else:
-                        # Bare sends go scatter-gather: header + payload
-                        # view, no O(payload) copy.
-                        sendmsg_all(
-                            sock, frame_segments(op, key=key, payload=payload)
-                        )
-                    frame = recv_frame(sock)
-                    if frame is None:
-                        raise ProtocolError(
-                            "server closed connection before responding"
-                        )
-                    if send_deadline and self._deadline_bounced(frame):
-                        self._server_deadline = False
-                        send_deadline = False
-                        continue  # resend without the DEADLINE envelope
-                    if send_deadline:
-                        self._server_deadline = True
-                    if send_traced:
-                        inner = self._unwrap_traced(frame)
-                        if inner is None:
-                            self._server_traced = False
-                            send_traced = False
-                            continue  # resend without the TRACED envelope
-                        self._server_traced = True
-                        return inner
-                    return frame
-            except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
 
     @staticmethod
     def _join_payload(payload) -> bytes:
@@ -308,17 +231,24 @@ class RemoteProvider(CloudProvider):
             return sum(len(part) for part in payload)
         return len(payload)
 
-    def _exchange_pipelined(
+    def _exchange(
         self, requests: list[tuple[OpCode, str, bytes]]
     ) -> list[Frame]:
-        """Pipeline several frames on one pooled connection.
+        """Pipeline a window of frames on one pooled connection.
 
         Every request is written before any response is read, so N frames
-        cost one round-trip of latency instead of N.  Safe for the batch
-        ops because their requests and responses are never both large
-        (MULTI_PUT answers small status lists, MULTI_GET asks with small
-        key lists), so the two directions cannot deadlock on full socket
-        buffers.
+        cost one round-trip of latency instead of N (a single-frame op is
+        the window of one).  Safe for the batch ops because their
+        requests and responses are never both large (MULTI_PUT answers
+        small status lists, MULTI_GET asks with small key lists), so the
+        two directions cannot deadlock on full socket buffers.
+
+        Each request may ride inside up to two envelopes, outermost first:
+        DEADLINE (remaining budget) wrapping TRACED (trace context) wrapping
+        the operation.  Either envelope downgrades independently when an
+        older server bounces it with BAD_REQUEST "unknown op code" -- the
+        stream stays in sync, so the window is resent one layer thinner on
+        the same socket and the verdict is cached for this provider.
 
         A request payload may be a list of buffer parts (see
         :func:`~repro.net.protocol.encode_multi_put_parts`); bare windows
@@ -376,7 +306,7 @@ class RemoteProvider(CloudProvider):
                             raise ProtocolError(
                                 "server closed connection before responding"
                             )
-                        if send_deadline and self._deadline_bounced(frame):
+                        if send_deadline and self._bounced(frame):
                             deadline_bounced = True
                             continue
                         if send_traced:
@@ -404,7 +334,7 @@ class RemoteProvider(CloudProvider):
                         self._server_traced = True
                     return frames
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def _with_retries(self, exchange):
         """Run *exchange* under the retry budget and circuit breaker.
@@ -549,77 +479,60 @@ class RemoteProvider(CloudProvider):
                 return error
         return None
 
-    def _account(self, op: OpCode, sent: int, received: int, t0: float) -> None:
-        """Per-opcode request count, wire bytes and latency for one exchange."""
-        self.metrics.counter(
-            "net_client_requests_total", op=op.name, provider=self.name
-        ).inc()
-        self.metrics.counter(
-            "net_client_wire_bytes_total", direction="out"
-        ).inc(sent)
-        self.metrics.counter(
-            "net_client_wire_bytes_total", direction="in"
-        ).inc(received)
-        self.metrics.histogram(
-            "net_client_request_seconds", op=op.name
-        ).observe(time.perf_counter() - t0)
+    def _account(
+        self, exchanged: list[tuple[OpCode, int, int]], t0: float
+    ) -> None:
+        """Request count and wire bytes per ``(op, sent, received)`` frame
+        exchanged, and one latency sample for the window.
 
-    def _request(self, op: OpCode, key: str = "", payload: bytes = b"") -> Frame:
-        """Exchange one frame with transport retries; raises on error status."""
-        t0 = time.perf_counter()
-        # The span is active while _exchange reads wire_context(), so
-        # server-side spans shipped back parent under this net span.
-        with self.tracer.span(f"net.{op.name}", provider=self.name):
-            frame = self._with_retries(lambda: self._exchange(op, key, payload))
-        self._account(
-            op,
-            sent=HEADER.size + len(key.encode()) + len(payload),
-            received=HEADER.size + len(frame.key.encode()) + len(frame.payload),
-            t0=t0,
-        )
-        if frame.code != Status.OK:
-            if frame.code == Status.DEADLINE_EXCEEDED:
-                self.metrics.counter(
-                    "net_client_deadline_exceeded_total", provider=self.name
-                ).inc()
-            raise error_for_status(
-                frame.code, frame.payload.decode("utf-8", "replace")
-            )
-        return frame
-
-    def _request_batches(
-        self, requests: list[tuple[OpCode, str, bytes]]
-    ) -> list[Frame]:
-        """Pipelined batch frames with transport retries.
-
-        Retrying replays the whole window -- idempotent at this layer
-        because PUT overwrites whole objects and GET reads.
+        One sample, not one per frame: pipelined frames share a
+        round-trip, and N identical samples would skew the histogram.
         """
-        t0 = time.perf_counter()
-        with self.tracer.span(
-            f"net.{requests[0][0].name}",
-            provider=self.name,
-            frames=len(requests),
-        ):
-            frames = self._with_retries(
-                lambda: self._exchange_pipelined(requests)
-            )
-        for (op, key, payload), frame in zip(requests, frames):
+        for op, sent, received in exchanged:
             self.metrics.counter(
                 "net_client_requests_total", op=op.name, provider=self.name
             ).inc()
             self.metrics.counter(
                 "net_client_wire_bytes_total", direction="out"
-            ).inc(HEADER.size + len(key.encode()) + self._payload_len(payload))
+            ).inc(sent)
             self.metrics.counter(
                 "net_client_wire_bytes_total", direction="in"
-            ).inc(HEADER.size + len(frame.key.encode()) + len(frame.payload))
-        # One latency sample per pipelined window (not per frame): the
-        # frames share one round-trip, and N identical samples would skew
-        # the histogram.
+            ).inc(received)
         self.metrics.histogram(
-            "net_client_request_seconds", op=requests[0][0].name
+            "net_client_request_seconds", op=exchanged[0][0].name
         ).observe(time.perf_counter() - t0)
+
+    def _request(self, requests: list[tuple[OpCode, str, bytes]], decode=None):
+        """Exchange a window of frames with transport retries; raises on
+        an error status.
+
+        Retrying replays the whole window -- idempotent at this layer
+        because PUT overwrites whole objects and GET reads.  Returns the
+        response frames, or ``decode(frames)`` when given: a
+        :class:`ProtocolError` from it -- a CRC-correct answer whose
+        payload is junk -- is raised as a :class:`ProviderError`, so a
+        degraded read goes around this provider as around any other
+        failure.
+        """
+        t0 = time.perf_counter()
+        first_op = requests[0][0]
+        # The span is active while _exchange reads wire_context(), so
+        # server-side spans shipped back parent under this net span.
+        with self.tracer.span(
+            f"net.{first_op.name}", provider=self.name, frames=len(requests)
+        ):
+            frames = self._with_retries(lambda: self._exchange(requests))
+        self._account(
+            [
+                (
+                    op,
+                    HEADER.size + len(key.encode()) + self._payload_len(payload),
+                    HEADER.size + len(frame.key.encode()) + len(frame.payload),
+                )
+                for (op, key, payload), frame in zip(requests, frames)
+            ],
+            t0,
+        )
         for frame in frames:
             if frame.code != Status.OK:
                 if frame.code == Status.DEADLINE_EXCEEDED:
@@ -630,12 +543,20 @@ class RemoteProvider(CloudProvider):
                 raise error_for_status(
                     frame.code, frame.payload.decode("utf-8", "replace")
                 )
-        return frames
+        if decode is None:
+            return frames
+        try:
+            return decode(frames)
+        except ProtocolError as exc:
+            raise ProviderError(
+                f"provider {self.name!r} answered a malformed "
+                f"{first_op.name} payload: {exc}"
+            ) from exc
 
     def ping(self) -> float:
         """Round-trip one empty frame; returns the wall-clock seconds."""
         started = time.perf_counter()
-        self._request(OpCode.PING, payload=b"ping")
+        self._request([(OpCode.PING, "", b"ping")])
         return time.perf_counter() - started
 
     def reset_circuit(self) -> None:
@@ -655,7 +576,7 @@ class RemoteProvider(CloudProvider):
     # -- CloudProvider interface -------------------------------------------
 
     def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
-        frame = self._request(OpCode.PUT, key=key, payload=bytes(data))
+        (frame,) = self._request([(OpCode.PUT, key, bytes(data))])
         error = self._echo_mismatch(key, data, checksum, frame.payload)
         if error is not None:
             raise error
@@ -680,7 +601,7 @@ class RemoteProvider(CloudProvider):
         )
 
     def get(self, key: str) -> bytes:
-        return self._request(OpCode.GET, key=key).payload
+        return self._request([(OpCode.GET, key, b"")])[0].payload
 
     def put_many(
         self,
@@ -697,20 +618,13 @@ class RemoteProvider(CloudProvider):
         if not items:
             return []
         batches = self._split_batches(items, lambda item: len(item[1]))
-        requests = [
-            (OpCode.MULTI_PUT, "", encode_multi_put_parts(batch))
-            for batch in batches
-        ]
-        frames = self._request_batches(requests)
-        results: list[tuple[int, bytes]] = []
-        for batch, frame in zip(batches, frames):
-            answered = decode_batch_results(frame.payload)
-            if len(answered) != len(batch):
-                raise ProtocolError(
-                    f"MULTI_PUT answered {len(answered)} results for "
-                    f"{len(batch)} items"
-                )
-            results.extend(answered)
+        results = self._request(
+            [
+                (OpCode.MULTI_PUT, "", encode_multi_put_parts(batch))
+                for batch in batches
+            ],
+            lambda frames: self._batch_results(batches, frames),
+        )
         return self._put_outcomes(items, checksums, results)
 
     def _put_outcomes(
@@ -737,26 +651,41 @@ class RemoteProvider(CloudProvider):
         if not keys:
             return []
         batches = self._split_batches(keys, len)
-        requests = [
-            (OpCode.MULTI_GET, "", encode_keys(batch)) for batch in batches
+        results = self._request(
+            [(OpCode.MULTI_GET, "", encode_keys(batch)) for batch in batches],
+            lambda frames: self._batch_results(batches, frames),
+        )
+        return self._get_outcomes(results)
+
+    @staticmethod
+    def _get_outcomes(
+        results: list[tuple[int, bytes]]
+    ) -> list["bytes | ProviderError"]:
+        """Per-item outcomes of a batched get from its ``(status, body)``
+        answers: the object's bytes, or the server's error."""
+        return [
+            body
+            if status == Status.OK
+            else error_for_status(status, body.decode("utf-8", "replace"))
+            for status, body in results
         ]
-        frames = self._request_batches(requests)
-        outcomes: list[bytes | ProviderError] = []
+
+    @staticmethod
+    def _batch_results(
+        batches: list[list], frames: list[Frame]
+    ) -> list[tuple[int, bytes]]:
+        """Per-item ``(status, body)`` answers of a window of batch frames,
+        one answer per item asked or :class:`ProtocolError`."""
+        results: list[tuple[int, bytes]] = []
         for batch, frame in zip(batches, frames):
-            results = decode_batch_results(frame.payload)
-            if len(results) != len(batch):
+            answered = decode_batch_results(frame.payload)
+            if len(answered) != len(batch):
                 raise ProtocolError(
-                    f"MULTI_GET answered {len(results)} results for "
-                    f"{len(batch)} keys"
+                    f"batch frame answered {len(answered)} results for "
+                    f"{len(batch)} items"
                 )
-            for status, body in results:
-                if status != Status.OK:
-                    outcomes.append(
-                        error_for_status(status, body.decode("utf-8", "replace"))
-                    )
-                else:
-                    outcomes.append(body)
-        return outcomes
+            results.extend(answered)
+        return results
 
     def _exchange_stream_put(self, items: list[tuple[str, bytes]]):
         """One stream-upload session (open, segments, commit) on a lease.
@@ -796,10 +725,7 @@ class RemoteProvider(CloudProvider):
                         acked += 1
                         if frame.code == Status.RESOURCE_EXHAUSTED:
                             shed = frame
-                        elif (
-                            frame.code == Status.BAD_REQUEST
-                            and b"unknown op code" in frame.payload
-                        ):
+                        elif self._bounced(frame):
                             downgraded = True
                         elif 1 <= index <= len(items):
                             results.append((int(frame.code), frame.payload))
@@ -855,7 +781,7 @@ class RemoteProvider(CloudProvider):
                 finally:
                     rfile.close()
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def _exchange_stream_get(self, keys: list[str]):
         """One STREAM_GET exchange: count header, then one frame per key.
@@ -884,10 +810,7 @@ class RemoteProvider(CloudProvider):
                         )
                     if header.code == Status.RESOURCE_EXHAUSTED:
                         return header
-                    if (
-                        header.code == Status.BAD_REQUEST
-                        and b"unknown op code" in header.payload
-                    ):
+                    if self._bounced(header):
                         return None
                     if header.code != Status.OK:
                         raise error_for_status(
@@ -912,7 +835,7 @@ class RemoteProvider(CloudProvider):
                 finally:
                     rfile.close()
             except (OSError, ProtocolError) as exc:
-                raise self._classify(exc, leased.fresh) from exc
+                raise classify_stale(exc, leased.fresh) from exc
 
     def put_stream(
         self,
@@ -941,20 +864,14 @@ class RemoteProvider(CloudProvider):
             self._server_stream = False
             return self.put_many(items, checksums=checksums)
         self._server_stream = True
-        self._account(
-            OpCode.STREAM_PUT,
-            sent=sum(
-                HEADER.size + len(key.encode()) + len(data)
-                for key, data in items
-            )
-            + 2 * HEADER.size,
-            received=sum(
-                HEADER.size + len(key.encode()) + len(body)
-                for (key, _), (_, body) in zip(items, result)
-            )
-            + 2 * HEADER.size,
-            t0=t0,
+        sent = 2 * HEADER.size + sum(
+            HEADER.size + len(key.encode()) + len(data) for key, data in items
         )
+        received = 2 * HEADER.size + sum(
+            HEADER.size + len(key.encode()) + len(body)
+            for (key, _), (_, body) in zip(items, result)
+        )
+        self._account([(OpCode.STREAM_PUT, sent, received)], t0)
         return self._put_outcomes(items, checksums, result)
 
     def get_stream(self, keys: list[str]) -> list["bytes | ProviderError"]:
@@ -978,28 +895,15 @@ class RemoteProvider(CloudProvider):
             self._server_stream = False
             return self.get_many(keys)
         self._server_stream = True
-        self._account(
-            OpCode.STREAM_GET,
-            sent=HEADER.size + sum(len(key.encode()) + 2 for key in keys) + 4,
-            received=sum(
-                HEADER.size + len(frame.key.encode()) + len(frame.payload)
-                for frame in frames
-            )
-            + HEADER.size
-            + 4,
-            t0=t0,
+        sent = HEADER.size + 4 + sum(len(key.encode()) + 2 for key in keys)
+        received = HEADER.size + 4 + sum(
+            HEADER.size + len(frame.key.encode()) + len(frame.payload)
+            for frame in frames
         )
-        outcomes: list[bytes | ProviderError] = []
-        for frame in frames:
-            if frame.code != Status.OK:
-                outcomes.append(
-                    error_for_status(
-                        frame.code, frame.payload.decode("utf-8", "replace")
-                    )
-                )
-            else:
-                outcomes.append(frame.payload)
-        return outcomes
+        self._account([(OpCode.STREAM_GET, sent, received)], t0)
+        return self._get_outcomes(
+            [(frame.code, frame.payload) for frame in frames]
+        )
 
     @staticmethod
     def _split_batches(items: list, weigh) -> list[list]:
@@ -1023,11 +927,16 @@ class RemoteProvider(CloudProvider):
         return batches
 
     def delete(self, key: str) -> None:
-        self._request(OpCode.DELETE, key=key)
+        self._request([(OpCode.DELETE, key, b"")])
 
     def keys(self) -> list[str]:
-        return decode_keys(self._request(OpCode.KEYS).payload)
+        return self._request(
+            [(OpCode.KEYS, "", b"")],
+            lambda frames: decode_keys(frames[0].payload),
+        )
 
     def head(self, key: str) -> BlobStat:
-        frame = self._request(OpCode.HEAD, key=key)
-        return decode_stat(key, frame.payload)
+        return self._request(
+            [(OpCode.HEAD, key, b"")],
+            lambda frames: decode_stat(key, frames[0].payload),
+        )

@@ -3,10 +3,11 @@
 "The main tasks of Cloud Providers are: storing chunks of data, responding
 to a query by providing the desired data, and removing chunks when asked"
 (Section IV-B).  A :class:`ChunkServer` is exactly that entity as a network
-process: it binds a localhost TCP port, accepts one thread per connection,
-and answers the wire protocol of :mod:`repro.net.protocol` by delegating to
-its backend -- so the same in-memory or on-disk store used in-process can
-also be reached the way a real provider would be.
+process: it binds a localhost TCP port, serves connections from a bounded
+worker pool (:mod:`repro.net.admission`), and answers the wire protocol of
+:mod:`repro.net.protocol` by delegating to its backend -- so the same
+in-memory or on-disk store used in-process can also be reached the way a
+real provider would be.
 
 Backend exceptions are translated into wire status codes (never into a
 dropped connection), so a remote client can distinguish "no such object"
@@ -18,13 +19,13 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import queue
 import select
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.net.admission import AdmissionServer
 from repro.net.protocol import (
     HEADER,
     STREAM_OPS,
@@ -140,26 +141,38 @@ class StreamSession:
     staged: list[str] = field(default_factory=list)
 
 
-class RequestEngine:
-    """Wire-request dispatch shared by the threaded and asyncio servers.
+class ChunkServer(AdmissionServer):
+    """TCP front-end for one provider backend.
 
     Everything between "a decoded request frame arrived" and "these are
-    the response frames" lives here -- envelope unwrapping, backend
-    serialization, error-to-status translation, stream sessions -- so
-    :class:`ChunkServer` and
-    :class:`~repro.net.async_server.AsyncChunkServer` answer every request
-    byte-identically and cannot drift apart.  Subclasses own the
-    networking (threads vs. an event loop) and call :meth:`_init_engine`
-    once, then :meth:`_dispatch_multi` per request.
+    the response frames" is :meth:`_dispatch_multi` -- envelope
+    unwrapping, backend serialization, error-to-status translation, stream
+    sessions; :meth:`_serve_connection` is the socket loop around it.
+    Admission (``max_workers``, ``accept_queue``, the one
+    ``RESOURCE_EXHAUSTED`` frame with a retry-after hint sent to a shed
+    connection) is :class:`~repro.net.admission.AdmissionServer`'s.
     """
 
-    def _init_engine(
+    metric_prefix = "net_server"
+
+    def __init__(
         self,
         backend: CloudProvider,
-        metrics: MetricsRegistry | None,
-        tracer: Tracer | None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        wire_faults: WireFaults | None = None,
+        metrics: MetricsRegistry | None = None,
+        tracer: Tracer | None = None,
+        max_workers: int = 32,
+        accept_queue: int = 64,
+        shed_retry_after: float = 0.1,
     ) -> None:
+        super().__init__(
+            f"chunk-server-{backend.name}",
+            host, port, max_workers, accept_queue, shed_retry_after,
+        )
         self.backend = backend
+        self.wire_faults = wire_faults
         self.metrics = metrics if metrics is not None else get_metrics()
         self.tracer = tracer if tracer is not None else get_tracer()
         # Serializes backend access: connection handlers run concurrently
@@ -172,9 +185,7 @@ class RequestEngine:
         # late rollback.
         self._stream_owners: dict[str, int] = {}
         self._session_ids = itertools.count(1)
-
-    def _new_session(self) -> StreamSession:
-        return StreamSession(id=next(self._session_ids))
+        self.requests_served = 0
 
     @staticmethod
     def _fault_key(frame: Frame) -> str:
@@ -493,223 +504,15 @@ class RequestEngine:
             return Status.OK, "", encode_batch_results(results)
         raise ProtocolError(f"unknown op code {op:#x}")
 
-
-class ChunkServer(RequestEngine):
-    """TCP front-end for one provider backend.
-
-    Usable as a context manager; ``port=0`` (the default) binds an
-    ephemeral port, readable from :attr:`port` after :meth:`start`.
-
-    Admission control: instead of one unbounded thread per connection, a
-    bounded pool of ``max_workers`` threads serves connections popped from
-    a bounded accept queue of ``accept_queue`` slots.  When both are full
-    the server *sheds*: the new connection is answered with a single
-    ``RESOURCE_EXHAUSTED`` frame carrying a retry-after hint and closed,
-    rather than accepted-and-stalled -- the client learns immediately that
-    it should back off, and the server's memory/thread footprint stays
-    bounded no matter the offered load.
-    """
-
-    def __init__(
-        self,
-        backend: CloudProvider,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        wire_faults: WireFaults | None = None,
-        metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        max_workers: int = 32,
-        accept_queue: int = 64,
-        shed_retry_after: float = 0.1,
-    ) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if accept_queue < 1:
-            raise ValueError(f"accept_queue must be >= 1, got {accept_queue}")
-        if shed_retry_after < 0:
-            raise ValueError(
-                f"shed_retry_after must be >= 0, got {shed_retry_after}"
-            )
-        self._init_engine(backend, metrics, tracer)
-        self.wire_faults = wire_faults
-        self.host = host
-        self.max_workers = max_workers
-        self.shed_retry_after = shed_retry_after
-        self._requested_port = port
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._workers: list[threading.Thread] = []
-        self._conn_queue: queue.Queue[socket.socket | None] = queue.Queue(
-            maxsize=accept_queue
-        )
-        self._connections: set[socket.socket] = set()
-        self._state_lock = threading.Lock()
-        self._running = False
-        self.requests_served = 0
-        self.requests_shed = 0
-
-    # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound port (only meaningful after :meth:`start`)."""
-        if self._listener is None:
-            return self._requested_port
-        return self._listener.getsockname()[1]
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.host, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self) -> "ChunkServer":
-        """Bind the port and begin accepting connections in the background."""
-        if self._running:
-            raise RuntimeError(f"chunk server {self.backend.name!r} already running")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self._requested_port))
-        listener.listen()
-        self._listener = listener
-        self._running = True
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                name=f"chunk-worker-{self.backend.name}-{i}",
-                daemon=True,
-            )
-            for i in range(self.max_workers)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            name=f"chunk-server-{self.backend.name}",
-            daemon=True,
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting, sever live connections, release the port."""
-        if not self._running:
-            return
-        self._running = False
-        listener, self._listener = self._listener, None
-        if listener is not None:
-            port = listener.getsockname()[1]
-            # A plain close() does not wake a thread blocked in accept();
-            # shutdown() does on Linux, and the self-connection covers
-            # platforms where it does not.
-            try:
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                socket.create_connection((self.host, port), timeout=0.2).close()
-            except OSError:
-                pass
-            listener.close()
-        with self._state_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        # Wake every worker with a sentinel, then drain whatever the accept
-        # loop queued but no worker reached (those sockets are already
-        # severed above; close() here releases the descriptors).
-        for _ in self._workers:
-            self._conn_queue.put(None)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        self._workers = []
-        while True:
-            try:
-                leftover = self._conn_queue.get_nowait()
-            except queue.Empty:
-                break
-            if leftover is not None:
-                leftover.close()
-
-    def __enter__(self) -> "ChunkServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- serving -----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        listener = self._listener
-        while self._running and listener is not None:
-            try:
-                conn, _peer = listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            with self._state_lock:
-                if not self._running:
-                    conn.close()
-                    break
-                self._connections.add(conn)
-            try:
-                self._conn_queue.put_nowait(conn)
-            except queue.Full:
-                with self._state_lock:
-                    self._connections.discard(conn)
-                self._shed(conn)
-                continue
-            self.metrics.gauge("net_server_accept_queue_depth").set(
-                self._conn_queue.qsize()
-            )
-
-    def _worker_loop(self) -> None:
-        while True:
-            conn = self._conn_queue.get()
-            if conn is None:
-                return  # stop() sentinel
-            self.metrics.gauge("net_server_accept_queue_depth").set(
-                self._conn_queue.qsize()
-            )
-            try:
-                self._serve_connection(conn)
-            except Exception:  # noqa: BLE001 -- a pooled worker must survive
-                log.exception(
-                    "chunk server %r connection handler failed",
-                    self.backend.name,
-                )
-
-    def _shed(self, conn: socket.socket) -> None:
-        """Refuse a connection at admission: one shed frame, then close.
-
-        The client gets a definitive "overloaded, come back in ~N seconds"
-        instead of a socket that accepts requests and never answers them.
-        """
-        self.requests_shed += 1
-        self.metrics.counter("net_server_shed_total").inc()
+    def _shed_reply(self) -> bytes:
         hint = encode_retry_hint(
             self.shed_retry_after,
             f"server {self.backend.name!r} overloaded: accept queue full",
         )
-        try:
-            conn.settimeout(1.0)
-            send_frame(conn, Status.RESOURCE_EXHAUSTED, payload=hint.encode())
-        except OSError:
-            pass
-        finally:
-            conn.close()
+        return encode_frame(Status.RESOURCE_EXHAUSTED, payload=hint.encode())
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        session = self._new_session()
+        session = StreamSession(id=next(self._session_ids))
         rfile = None
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -832,6 +635,3 @@ class ChunkServer(RequestEngine):
                     rfile.close()
                 except OSError:
                     pass
-            with self._state_lock:
-                self._connections.discard(conn)
-            conn.close()

@@ -1,0 +1,176 @@
+"""Everything a peer sends is hostile input, in both directions.
+
+The paper's adversary *is* the provider (the malicious insider of Section
+III), so whatever a live, CRC-correct server answers must come back from
+:class:`RemoteProvider` as a :class:`ProviderError` -- the one thing
+degraded reads, fsck and the health monitor know how to go around -- and
+a request no client of ours would send must cost the server one
+``BAD_REQUEST`` frame, never a worker's traceback.
+"""
+
+from __future__ import annotations
+
+import io
+import logging
+import socket
+import struct
+import threading
+import zlib
+
+import pytest
+
+from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import ProviderError
+from repro.net.cluster import LocalCluster
+from repro.net.protocol import (
+    HEADER,
+    MAGIC,
+    VERSION,
+    OpCode,
+    Status,
+    encode_frame,
+    read_frame,
+    recv_frame,
+)
+from repro.net.remote import RemoteProvider, RetryPolicy
+from repro.net.server import ChunkServer
+from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.providers.memory import InMemoryProvider
+
+FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
+
+NOT_UTF8 = b"\xff\xfe"
+
+
+def _raw_frame(code: int, key: bytes, payload: bytes) -> bytes:
+    """A CRC-correct frame whose key bytes ``encode_frame`` would refuse."""
+    header = HEADER.pack(
+        MAGIC, VERSION, code, len(key), len(payload), zlib.crc32(payload)
+    )
+    return header + key + payload
+
+
+class _CannedServer:
+    """Answers every request frame with the same well-framed bytes."""
+
+    def __init__(self, answer: bytes) -> None:
+        self.answer = answer
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rb") as reader:
+                while read_frame(reader) is not None:
+                    conn.sendall(self.answer)
+
+    def close(self) -> None:
+        self._listener.close()
+
+
+# A KEYS listing of one key that is not UTF-8; a batch answer that
+# promises three results and carries none; a HEAD stat cut short.
+BAD_KEYS = struct.pack("!IH", 1, len(NOT_UTF8)) + NOT_UTF8
+BAD_BATCH = struct.pack("!I", 3) + b"\x00"
+BAD_STAT = b"\x00\x01"
+
+
+@pytest.mark.parametrize(
+    "answer,call",
+    [
+        (_raw_frame(Status.OK, NOT_UTF8, b"data"), lambda p: p.get("k")),
+        (encode_frame(Status.OK, payload=BAD_KEYS), lambda p: p.keys()),
+        (encode_frame(Status.OK, payload=BAD_BATCH),
+         lambda p: p.get_many(["a", "b", "c"])),
+        (encode_frame(Status.OK, payload=BAD_BATCH),
+         lambda p: p.put_many([("a", b"1"), ("b", b"2"), ("c", b"3")])),
+        (encode_frame(Status.OK, key="k", payload=BAD_STAT),
+         lambda p: p.head("k")),
+    ],
+    ids=["frame-key", "keys", "multi-get", "multi-put", "head"],
+)
+def test_junk_from_a_live_server_is_a_provider_error(answer, call):
+    server = _CannedServer(answer)
+    provider = RemoteProvider(
+        "evil", "127.0.0.1", server.port, retry=FAST_RETRY,
+        metrics=MetricsRegistry(),
+    )
+    try:
+        with pytest.raises(ProviderError):
+            call(provider)
+    finally:
+        provider.close()
+        server.close()
+
+
+def test_non_utf8_request_key_gets_bad_request_and_a_quiet_log(caplog):
+    with ChunkServer(InMemoryProvider("srv"), max_workers=1) as server:
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(_raw_frame(OpCode.GET, NOT_UTF8, b""))
+                frame = recv_frame(sock)
+                assert frame is not None and frame.code == Status.BAD_REQUEST
+                assert b"UTF-8" in frame.payload
+                assert recv_frame(sock) is None  # then the hang-up
+            # The only worker is back in the pool, and said nothing.
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(encode_frame(OpCode.PING, payload=b"x"))
+                assert recv_frame(sock).code == Status.OK
+        assert caplog.records == []
+
+
+class _JunkReadsOnNode0(ChunkServer):
+    """``node0`` stores faithfully and answers every batched read with a
+    well-framed payload that decodes to nothing."""
+
+    def _dispatch_multi(self, frame, session):
+        if self.backend.name == "node0" and frame.code in (
+            OpCode.MULTI_GET, OpCode.STREAM_GET
+        ):
+            return [(Status.OK, "", b"junk!")]
+        return super()._dispatch_multi(frame, session)
+
+
+@pytest.mark.parametrize(
+    "chunk_size,wire_op",
+    [(4 * 1024, "MULTI_GET"), (512 * 1024, "STREAM_GET")],
+)
+def test_a_provider_answering_junk_costs_a_parity_read(chunk_size, wire_op):
+    data = bytes(range(256)) * 2048  # 512 KiB
+    previous = set_metrics(MetricsRegistry())
+    try:
+        with LocalCluster(
+            4, server_cls=_JunkReadsOnNode0, retry=FAST_RETRY
+        ) as cluster:
+            dist = CloudDataDistributor(
+                cluster.build_registry(privacy_level=3),
+                codec="raid5@4", seed=11,
+            )
+            dist.register_client("c")
+            dist.add_password("c", "pw", 3)
+            dist.put_stream(
+                "c", "pw", "f.bin", io.BytesIO(data), 3, chunk_size=chunk_size
+            )
+            assert dist.get_file("c", "pw", "f.bin") == data
+            assert b"".join(dist.get_stream("c", "pw", "f.bin")) == data
+            dist.close()
+    finally:
+        metrics = set_metrics(previous)
+    # This chunk size rides the op under test (the honest nodes answered
+    # it), and the monitor heard about node0 -- and about nobody else.
+    assert metrics.value(
+        "net_client_requests_total", op=wire_op, provider="node1"
+    ) > 0
+    failures = [
+        metrics.value(
+            "health_provider_results_total",
+            provider=f"node{i}", outcome="failure",
+        )
+        for i in range(4)
+    ]
+    assert failures[0] > 0 and failures[1:] == [0, 0, 0]

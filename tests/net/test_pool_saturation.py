@@ -38,7 +38,7 @@ def test_slow_checkout_emits_saturation_warning(pool, monkeypatch):
         "repro.net.pool.time.perf_counter",
         lambda: ticks.pop(0) if ticks else 101.0,
     )
-    with p.acquire(op="MULTI_PUT"):
+    with p.lease(op="MULTI_PUT"):
         pass
     event = events.last("pool_saturation")
     assert event is not None
@@ -55,10 +55,10 @@ def test_slow_checkout_emits_saturation_warning(pool, monkeypatch):
 
 def test_fast_checkout_stays_quiet(pool):
     p, metrics, events = pool
-    with p.acquire(op="GET"):
+    with p.lease(op="GET"):
         pass
     # The socket went back to the idle stack; reusing it is instant.
-    with p.acquire(op="GET"):
+    with p.lease(op="GET"):
         pass
     assert events.named("pool_saturation") == []
     hist = metrics.histogram(
@@ -81,7 +81,7 @@ def test_real_dial_wait_feeds_histogram():
         saturation_threshold=60.0,  # never fires on a loopback dial
     )
     try:
-        with pool.acquire(op="PING"):
+        with pool.lease(op="PING"):
             pass
         hist = metrics.histogram(
             "net_pool_checkout_wait_seconds", pool=pool.label

@@ -13,8 +13,15 @@ from repro.core.errors import (
     ProviderError,
     ProviderUnavailableError,
 )
+from repro.net.cluster import LocalCluster
 from repro.net.pool import ConnectionPool
-from repro.net.protocol import Status, encode_frame, recv_frame
+from repro.net.protocol import (
+    OpCode,
+    Status,
+    encode_deadline_request,
+    encode_frame,
+    recv_frame,
+)
 from repro.net.remote import RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.providers.memory import InMemoryProvider
@@ -183,14 +190,14 @@ def test_pool_caps_idle_connections():
         pool = ConnectionPool(server.host, server.port, size=2)
         socks = []
         for _ in range(4):
-            cm = pool.acquire()
+            cm = pool.lease()
             socks.append((cm, cm.__enter__()))
         for cm, _ in socks:
             cm.__exit__(None, None, None)
         assert pool.idle_count == 2  # the two extras were closed, not leaked
         pool.close()
         with pytest.raises(RuntimeError):
-            with pool.acquire():
+            with pool.lease():
                 pass
 
 
@@ -201,3 +208,95 @@ def test_wire_errors_stay_in_provider_hierarchy(served):
     server.stop()
     with pytest.raises(ProviderError):
         provider.get("k")
+
+
+# -- the wire's answers, byte for byte ----------------------------------------
+#
+# Response bytes recorded from ChunkServer at 93c6afe (backend "same"), when
+# a second, event-loop server was deleted and these scenarios stopped being
+# compared between the two: whatever moves under the connection loop or the
+# frame reader, a request still gets exactly these bytes back.
+
+_SHA_DATA = b"3a6eb0790f39ac87c94f3856b2dd2c5d110e6811602261a9a923d3bb23adc8b7"
+_SHA_SEG = b"ea42cfa102bd7aac62b7cc8f323802129072eca6c96585421adc1c5ace46c1dd"
+
+PINNED_ANSWERS = {
+    "ping": (
+        [encode_frame(OpCode.PING, payload=b"ping")],
+        b"RP\x01\x00\x00\x00\x00\x00\x00\x04%\xd5=\xfdping",
+    ),
+    "put-get-missing": (
+        [
+            encode_frame(OpCode.PUT, key="k", payload=b"data"),
+            encode_frame(OpCode.GET, key="k"),
+            encode_frame(OpCode.GET, key="missing"),
+        ],
+        b"RP\x01\x00\x00\x01\x00\x00\x00@4\x19\xd3\x9ak" + _SHA_DATA
+        + b"RP\x01\x00\x00\x01\x00\x00\x00\x04\xad\xf3\xf3ckdata"
+        + b"RP\x01\x01\x00\x07\x00\x00\x00'\xd7\xd1\xa1Dmissing"
+        + b"provider 'same' has no object 'missing'",
+    ),
+    "unknown-opcode": (  # the downgrade signal
+        [encode_frame(0x7F)],
+        b"RP\x01\x04\x00\x00\x00\x00\x00\x14\x1d\xfd\xf7\xd6"
+        + b"unknown op code 0x7f",
+    ),
+    "stream-op-in-deadline-envelope": (
+        [
+            encode_frame(
+                OpCode.DEADLINE,
+                payload=encode_deadline_request(
+                    5000, encode_frame(OpCode.STREAM_PUT)
+                ),
+            )
+        ],
+        b"RP\x01\x04\x00\x00\x00\x00\x00B\xe6\xc2\xa6\xc8stream op STREAM_PUT "
+        + b"cannot ride inside a TRACED/DEADLINE envelope",
+    ),
+    "stream-session-then-get": (
+        [
+            encode_frame(OpCode.STREAM_PUT),
+            encode_frame(OpCode.STREAM_SEG, key="s", payload=b"seg"),
+            encode_frame(OpCode.STREAM_END),
+            encode_frame(OpCode.GET, key="s"),
+        ],
+        b"RP\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+        + b"RP\x01\x00\x00\x01\x00\x00\x00@\xe1\x7f\xc3\xe5s" + _SHA_SEG
+        + b"RP\x01\x00\x00\x00\x00\x00\x00\x04VC\xef\x8a\x00\x00\x00\x01"
+        + b"RP\x01\x00\x00\x01\x00\x00\x00\x03b\xaad\x02sseg",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", PINNED_ANSWERS)
+def test_raw_answers_are_pinned(scenario):
+    requests, expected = PINNED_ANSWERS[scenario]
+    with ChunkServer(InMemoryProvider("same")) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(b"".join(requests))
+            answered = b""
+            while len(answered) < len(expected):
+                piece = sock.recv(len(expected) - len(answered))
+                assert piece, f"server hung up after {answered!r}"
+                answered += piece
+            assert answered == expected
+            # ... and not a byte more.
+            sock.settimeout(0.1)
+            with pytest.raises(socket.timeout):
+                sock.recv(1)
+
+
+class _SubclassedServer(ChunkServer):
+    pass
+
+
+def test_cluster_restart_preserves_server_class():
+    with LocalCluster(
+        2, server_cls=_SubclassedServer, retry=FAST_RETRY
+    ) as cluster:
+        assert all(isinstance(s, _SubclassedServer) for s in cluster.servers)
+        cluster.kill_server(0)
+        cluster.restart_server(0)
+        assert isinstance(cluster.servers[0], _SubclassedServer)
+        cluster.providers[0].put("k", b"v")
+        assert cluster.providers[0].get("k") == b"v"

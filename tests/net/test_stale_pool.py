@@ -16,7 +16,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.net.pool import ConnectionPool, Lease, StaleConnectionError
+from repro.net.pool import (
+    ConnectionPool,
+    Lease,
+    StaleConnectionError,
+    classify_stale,
+)
 from repro.net.remote import RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry
@@ -123,8 +128,8 @@ def test_stale_error_classification():
     """StaleConnectionError stays inside the OSError hierarchy so generic
     transport handling still catches it."""
     assert issubclass(StaleConnectionError, OSError)
-    exc = RemoteProvider._classify(OSError("boom"), fresh=False)
+    exc = classify_stale(OSError("boom"), fresh=False)
     assert isinstance(exc, StaleConnectionError)
-    assert RemoteProvider._classify(OSError("boom"), fresh=True).args == ("boom",)
+    assert classify_stale(OSError("boom"), fresh=True).args == ("boom",)
     already = StaleConnectionError("x")
-    assert RemoteProvider._classify(already, fresh=False) is already
+    assert classify_stale(already, fresh=False) is already
