@@ -43,6 +43,8 @@ class LaggedMemoryProvider(InMemoryProvider):
     releases the GIL, so overlapped requests genuinely run concurrently.
     """
 
+    waits = True  # it sleeps: its legs belong on the transport pool
+
     def put(self, key, data, checksum=None):
         time.sleep(LAG_S)
         return super().put(key, data)

@@ -77,7 +77,7 @@ def client_exposure(
             shard_bytes[name] = shard_bytes.get(name, 0) + shard_size
             chunks_touched.setdefault(name, set()).add(chunk.virtual_id)
             total_bytes += shard_size
-    n_chunks = len(entry.chunk_refs)
+    n_chunks = entry.count
     per_provider = []
     for name in distributor.registry.names():
         count = shard_counts.get(name, 0)

@@ -6,7 +6,11 @@ equal to** the chunk's privacy level.  This reproduces the paper's worked
 example: Bob's password ``x9pr`` (PL 1) may fetch chunk 0 of ``file1``
 (PL 1), while ``aB1c`` (PL 0) is denied.
 
-Passwords are stored salted-and-hashed, never in the clear.
+Passwords are stored salted-and-hashed, never in the clear.  A pair that
+has passed the full PBKDF2 scan is remembered, in memory only, under a
+keyed tag, so a request pays for the scan once and not once per request
+(``docs/threat-model.md`` says what that does and does not change for an
+attacker).
 """
 
 from __future__ import annotations
@@ -14,10 +18,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 from repro.core.errors import AuthenticationError, UnknownClientError
 from repro.core.privacy import PrivacyLevel
+from repro.obs.metrics import MetricsRegistry, get_metrics
+
+#: How many verified pairs a controller remembers.  At the bound it
+#: forgets them all: no recency bookkeeping on the hit path, and the next
+#: request of each live pair pays one scan.
+VERIFIED_PAIRS_MAX = 1024
 
 
 def _hash_password(password: str, salt: bytes) -> bytes:
@@ -47,11 +58,45 @@ _DECOY = _Credential(
 )
 
 
-@dataclass
 class AccessController:
     """Registry of clients and their ⟨password, PL⟩ credential sets."""
 
-    _clients: dict[str, list[_Credential]] = field(default_factory=dict)
+    def __init__(self, metrics: MetricsRegistry | None = None) -> None:
+        self._clients: dict[str, list[_Credential]] = {}
+        # Verified pairs: HMAC tag of (client, password) under a key this
+        # process drew -> the level the scan returned.  Tags, key and lock
+        # stay in the process (see __getstate__ / export_state); every
+        # mutation forgets everything.
+        self._tag_key = os.urandom(32)
+        self._verified: dict[bytes, PrivacyLevel] = {}
+        self._generation = 0
+        self._verified_lock = threading.Lock()
+        registry = metrics if metrics is not None else get_metrics()
+        self._cached, self._scanned, self._refused = (
+            registry.counter(
+                "access_authentications_total",
+                "Password checks by outcome: answered from the verified-"
+                "pair table, verified by a PBKDF2 scan, or refused.",
+                outcome=outcome,
+            )
+            for outcome in ("cached", "verified", "refused")
+        )
+
+    def __getstate__(self) -> dict:
+        # A pickle carries what export_state does: hashed credentials.
+        return {"_clients": self._clients}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__()
+        self._clients = state["_clients"]
+
+    def _forget(self) -> None:
+        """Drop every verified pair.  Runs *after* a mutation took effect;
+        a scan still in flight sees the generation move and records
+        nothing."""
+        with self._verified_lock:
+            self._generation += 1
+            self._verified.clear()
 
     def register_client(self, client_name: str) -> None:
         """Create an (initially credential-less) client entry."""
@@ -72,13 +117,48 @@ class AccessController:
         pl = PrivacyLevel.coerce(level)
         salt = os.urandom(16)
         creds.append(_Credential(salt, _hash_password(password, salt), pl))
+        self._forget()
 
     def authenticate(self, client_name: str, password: str) -> PrivacyLevel:
         """Return the privacy level of *password* for *client_name*.
 
         Raises :class:`AuthenticationError` for an unknown password and
         :class:`UnknownClientError` for an unknown client.
+
+        A pair that passed the scan before (and no credential changed
+        since) is answered from the verified-pair table: one HMAC, one
+        lookup.  Everything else -- a first use, a wrong password, an
+        unknown or credential-less client -- runs the full scan, every
+        time; only a match is recorded.
         """
+        name = client_name.encode("utf-8")
+        tag = hmac.digest(
+            self._tag_key,
+            len(name).to_bytes(4, "big") + name + password.encode("utf-8"),
+            "sha256",
+        )
+        level = self._verified.get(tag)
+        if level is not None:
+            self._cached.inc()
+            return level
+        generation = self._generation
+        try:
+            level = self._scan(client_name, password)
+        except (AuthenticationError, UnknownClientError):
+            self._refused.inc()
+            raise
+        with self._verified_lock:
+            # PBKDF2 releases the GIL: a revocation may have completed
+            # while this scan ran, and must not be outlived by its result.
+            if generation == self._generation:
+                if len(self._verified) >= VERIFIED_PAIRS_MAX:
+                    self._verified.clear()
+                self._verified[tag] = level
+        self._scanned.inc()
+        return level
+
+    def _scan(self, client_name: str, password: str) -> PrivacyLevel:
+        """The constant-work PBKDF2 scan behind :meth:`authenticate`."""
         try:
             creds = self._require_client(client_name)
         except UnknownClientError:
@@ -123,6 +203,7 @@ class AccessController:
         """
         self._require_client(client_name)
         del self._clients[client_name]
+        self._forget()
 
     def remove_password(self, client_name: str, password: str) -> PrivacyLevel:
         """Revoke one credential, returning the privacy level it carried.
@@ -134,6 +215,7 @@ class AccessController:
         for i, cred in enumerate(creds):
             if cred.matches(password):
                 del creds[i]
+                self._forget()
                 return cred.level
         raise AuthenticationError(
             f"cannot revoke: invalid password for client {client_name!r}"
@@ -188,3 +270,4 @@ class AccessController:
             ]
             for name, creds in state.items()
         }
+        self._forget()

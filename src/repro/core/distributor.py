@@ -20,7 +20,7 @@ import itertools
 import operator
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
@@ -305,7 +305,7 @@ class CloudDataDistributor:
         self.ids = VirtualIdAllocator(seed=seeds[1])
         self._misleading_rng = InjectionRng.spawn(seeds[2])
 
-        self.access = AccessController()
+        self.access = AccessController(metrics=self.metrics)
         self.provider_table = CloudProviderTable()
         self.client_table = ClientTable()
         self.chunk_table = ChunkTable()
@@ -317,6 +317,15 @@ class CloudDataDistributor:
             )
         self.max_transport_workers = max_transport_workers
         self._transport_pool: ThreadPoolExecutor | None = None
+        self._legs_on_caller, self._legs_on_pool = (
+            self.metrics.counter(
+                "distributor_transport_legs_total",
+                "Provider requests of the data path by where they ran: on "
+                "the calling thread, or handed to a transport pool thread.",
+                where=where,
+            )
+            for where in ("caller", "pool")
+        )
         # Filenames with an upload in flight per client: the duplicate-name
         # check must hold across the lock-free transfer phases.
         self._inflight_uploads: dict[str, set[str]] = {}
@@ -351,10 +360,19 @@ class CloudDataDistributor:
     # internal helpers
     # ------------------------------------------------------------------
 
-    def _authorize(
-        self, client: str, password: str, level: PrivacyLevel | int
+    @staticmethod
+    def _require_level(
+        client: str, granted: PrivacyLevel, level: PrivacyLevel | int
     ) -> None:
-        if not self.access.is_authorized(client, password, level):
+        """The Section V rule: *granted*, the level ``access.authenticate``
+        returned for the caller's password, must reach *level*.
+
+        A request that names a stored file authenticates first, resolves
+        second and comes here third, so a caller without a valid password
+        learns nothing from the tables -- not even whether the file
+        exists.
+        """
+        if int(granted) < int(PrivacyLevel.coerce(level)):
             raise AuthorizationError(
                 f"password of client {client!r} is not privileged enough for "
                 f"PL {int(PrivacyLevel.coerce(level))} data"
@@ -569,16 +587,10 @@ class CloudDataDistributor:
     def _transport_workers(self) -> int:
         """How many provider requests of one stripe may be in flight.
 
-        Simulated fleets always run serially: their shared clock is not
-        thread-safe and :class:`ParallelWindow` already models concurrency
-        in simulated time, so threading them would double-count overlap.
-        Real transports (remote/disk/memory) default to one worker per
-        provider, capped at 8; ``max_transport_workers=1`` runs them in
-        order on the calling thread.
+        One worker per provider by default, capped at 8;
+        ``max_transport_workers=1`` runs every request in order on the
+        calling thread.
         """
-        for entry in self.registry.all():
-            if isinstance(entry.provider, SimulatedProvider):
-                return 1
         if self.max_transport_workers is not None:
             return self.max_transport_workers
         return min(8, max(1, len(self.registry)))
@@ -606,44 +618,61 @@ class CloudDataDistributor:
         self,
         fn: Callable[[_T], _R],
         items: list[_T],
+        names: list[str],
     ) -> list[tuple[_R | None, ProviderError | None]]:
         """Run one provider request per item; returns (result, error) pairs.
 
-        Every item is attempted (write failover, scrub audits and repair
-        reads need the full damage at once): dispatched all at once with
-        multiple transport workers, in order with one.
+        *names* holds the provider each item's request goes to.  Every
+        item is attempted (write failover, scrub audits and repair reads
+        need the full damage at once).  A request whose provider can wait
+        (:attr:`CloudProvider.waits`: a socket, a disk, a sleep) is handed
+        to a transport thread; the others -- dict lookups, simulated time
+        -- run in order on the calling thread while those are in flight,
+        since a pool hand-off buys a request that only computes nothing.
+        A lone request, or ``max_transport_workers=1``, stays on the
+        caller whatever its provider.
         """
-        workers = self._transport_workers()
-        if workers <= 1 or len(items) <= 1:
-            outcomes: list[tuple[_R | None, ProviderError | None]] = []
-            for item in items:
+        pooled: list[int] = []
+        if len(items) > 1 and (workers := self._transport_workers()) > 1:
+            pooled = [
+                i
+                for i, name in enumerate(names)
+                if self.registry.get(name).provider.waits
+            ]
+        futures: dict[int, Future] = {}
+        if pooled:
+            # Pool workers have no active span; hand them the dispatching
+            # thread's context so their net spans (and TRACED wire
+            # contexts) stay inside this request's trace.  The ambient
+            # deadline and retry budget are thread-local for the same
+            # reason -- capture them here so every parallel leg races the
+            # *same* clock and spends from the *same* budget as the
+            # dispatching thread would.
+            captured = self.tracer.capture()
+            deadline = current_deadline()
+            budget = current_retry_budget()
+
+            def run(item: _T) -> _R:
+                with self.tracer.adopt(captured):
+                    with deadline_scope(deadline), retry_budget_scope(budget):
+                        return fn(item)
+
+            executor = self._executor(workers)
+            futures = {i: executor.submit(run, items[i]) for i in pooled}
+            self._legs_on_pool.inc(len(pooled))
+        self._legs_on_caller.inc(len(items) - len(pooled))
+        outcomes: list = [None] * len(items)
+        for i, item in enumerate(items):
+            if i not in futures:
                 try:
-                    outcomes.append((fn(item), None))
+                    outcomes[i] = (fn(item), None)
                 except ProviderError as exc:
-                    outcomes.append((None, exc))
-            return outcomes
-        # Pool workers have no active span; hand them the dispatching
-        # thread's context so their net spans (and TRACED wire contexts)
-        # stay inside this request's trace.  The ambient deadline and
-        # retry budget are thread-local for the same reason -- capture
-        # them here so every parallel leg races the *same* clock and
-        # spends from the *same* budget as the dispatching thread would.
-        captured = self.tracer.capture()
-        deadline = current_deadline()
-        budget = current_retry_budget()
-
-        def run(item: _T) -> _R:
-            with self.tracer.adopt(captured):
-                with deadline_scope(deadline), retry_budget_scope(budget):
-                    return fn(item)
-
-        futures = [self._executor(workers).submit(run, item) for item in items]
-        outcomes = []
-        for future in futures:
+                    outcomes[i] = (None, exc)
+        for i, future in futures.items():
             try:
-                outcomes.append((future.result(), None))
+                outcomes[i] = (future.result(), None)
             except ProviderError as exc:
-                outcomes.append((None, exc))
+                outcomes[i] = (None, exc)
         return outcomes
 
     def _stripe_width_for(
@@ -828,7 +857,7 @@ class CloudDataDistributor:
                 [plan.checksums[shard_index] for plan, shard_index in members],
             )
 
-        outcomes = self._transport_map(put_batch, groups)
+        outcomes = self._transport_map(put_batch, groups, list(by_provider))
         for (name, members), (per_item, exc) in zip(groups, outcomes):
             if exc is not None:
                 per_item = [exc] * len(members)
@@ -1096,9 +1125,9 @@ class CloudDataDistributor:
         Must run inside the critical section.
         """
         client_entry = self.client_table.get(client)
-        if filename in self._inflight_uploads.get(client, set()) or any(
-            ref.filename == filename for ref in client_entry.chunk_refs
-        ):
+        if filename in self._inflight_uploads.get(
+            client, set()
+        ) or client_entry.has_file(filename):
             raise ValueError(
                 f"client {client!r} already stores a file named {filename!r}"
             )
@@ -1117,7 +1146,9 @@ class CloudDataDistributor:
     ) -> None:
         """Authorize an upload at *level*; a refusal is an audited op."""
         try:
-            self._authorize(client, password, level)
+            self._require_level(
+                client, self.access.authenticate(client, password), level
+            )
         except ReproError as exc:
             self._record_op("upload", client, filename, None,
                             ok=False, detail=type(exc).__name__)
@@ -1266,7 +1297,7 @@ class CloudDataDistributor:
                             ],
                         },
                     )
-                self.client_table.get(client).chunk_refs.extend(refs)
+                self.client_table.get(client).add_refs(refs)
 
         try:
             for payloads, last in windows:
@@ -1400,13 +1431,17 @@ class CloudDataDistributor:
         filename, serial)``, the whole file when *serial* is ``None`` --
         into fetch jobs, in serial order.
 
-        Client Table quadruples -> Chunk Table entries -> provider names,
-        under the op lock.  A refusal (unknown file, wrong password) is
-        recorded as a failed *operation*, so the audit log's
+        The password is checked before any table is read (Section V: the
+        distributor checks the ⟨password, PL⟩ pair, then resolves), so
+        what a refusal says does not depend on whether the file exists;
+        then Client Table quadruples -> Chunk Table entries -> provider
+        names, under the op lock.  A refusal (wrong password, unknown
+        file) is recorded as a failed *operation*, so the audit log's
         ``auth_failure_streak`` sees it whichever read asked.
         """
         _, client, filename, serial = op
         try:
+            granted = self.access.authenticate(client, password)
             with self.op_lock, self._phase("get_file", "resolve"):
                 table = self.client_table.get(client)
                 refs = (
@@ -1414,7 +1449,7 @@ class CloudDataDistributor:
                     if serial is None
                     else [table.ref_for_chunk(filename, serial)]
                 )
-                self._authorize(client, password, refs[0].privacy_level)
+                self._require_level(client, granted, refs[0].privacy_level)
                 return [
                     self._job_for(
                         self.chunk_table.get(ref.chunk_index), ref.serial,
@@ -1547,7 +1582,8 @@ class CloudDataDistributor:
             groups = list(by_provider.items())
             answers: list = [None] * len(requests)
             for (_, members), (per_item, exc) in zip(
-                groups, self._transport_map(get_batch, groups)
+                groups,
+                self._transport_map(get_batch, groups, list(by_provider)),
             ):
                 if exc is not None:
                     per_item = [exc] * len(members)
@@ -1681,10 +1717,11 @@ class CloudDataDistributor:
         """Remove one chunk; forwarded to every stripe member."""
 
         def work() -> None:
+            granted = self.access.authenticate(client, password)
             with self.op_lock:
                 client_entry = self.client_table.get(client)
                 ref = client_entry.ref_for_chunk(filename, serial)
-                self._authorize(client, password, ref.privacy_level)
+                self._require_level(client, granted, ref.privacy_level)
                 self._remove_refs(client, client_entry, filename, [ref])
 
         self._audited("remove_chunk", client, filename, serial, work)
@@ -1693,10 +1730,11 @@ class CloudDataDistributor:
         """Remove every chunk of *filename*."""
 
         def work() -> None:
+            granted = self.access.authenticate(client, password)
             with self.op_lock:
                 client_entry = self.client_table.get(client)
                 refs = client_entry.refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
+                self._require_level(client, granted, refs[0].privacy_level)
                 self._remove_refs(client, client_entry, filename, refs)
 
         self._audited("remove_file", client, filename, None, work)
@@ -1719,7 +1757,7 @@ class CloudDataDistributor:
             crashpoint("remove.intent_logged")
         for i, ref in enumerate(refs):
             self._delete_chunk(ref)
-            client_entry.chunk_refs.remove(ref)
+            client_entry.remove_refs([ref])
             if i == 0:
                 crashpoint("remove.partial")
         if txn is not None:
@@ -1767,10 +1805,11 @@ class CloudDataDistributor:
         serial: int,
         new_payload: bytes,
     ) -> None:
+        granted = self.access.authenticate(client, password)
         with self.op_lock:
             client_entry = self.client_table.get(client)
             ref = client_entry.ref_for_chunk(filename, serial)
-            self._authorize(client, password, ref.privacy_level)
+            self._require_level(client, granted, ref.privacy_level)
             entry = self.chunk_table.get(ref.chunk_index)
             vid = entry.virtual_id
             state = self._chunk_state_for(entry, filename)
@@ -1847,8 +1886,7 @@ class CloudDataDistributor:
             # the old one (shards, old snapshot, tables, id).
             old_snapshot_index = entry.snapshot_index
             entry.snapshot_index = None
-            i = client_entry.chunk_refs.index(ref)
-            client_entry.chunk_refs[i] = replace(ref, chunk_index=new_index)
+            client_entry.replace_ref(replace(ref, chunk_index=new_index))
             if old_snapshot_index is not None:
                 old_snap_name = self.provider_table.get(old_snapshot_index).name
                 with contextlib.suppress(ProviderError):
@@ -1884,9 +1922,10 @@ class CloudDataDistributor:
         self, client: str, password: str, filename: str, serial: int
     ) -> bytes:
         """Read the pre-modification state of a chunk (if one exists)."""
+        granted = self.access.authenticate(client, password)
         with self.op_lock:
             ref = self.client_table.get(client).ref_for_chunk(filename, serial)
-            self._authorize(client, password, ref.privacy_level)
+            self._require_level(client, granted, ref.privacy_level)
             entry = self.chunk_table.get(ref.chunk_index)
             if entry.snapshot_index is None:
                 raise UnknownChunkError(
@@ -1908,9 +1947,10 @@ class CloudDataDistributor:
         """
 
         def work() -> RepairReport:
+            granted = self.access.authenticate(client, password)
             with self.op_lock:
                 refs = self.client_table.get(client).refs_for_file(filename)
-                self._authorize(client, password, refs[0].privacy_level)
+                self._require_level(client, granted, refs[0].privacy_level)
                 missing = rebuilt = unrecoverable = 0
                 relocations: list[tuple[int, int, str, str]] = []
                 for ref in refs:
@@ -1956,7 +1996,9 @@ class CloudDataDistributor:
             data = self._provider_get(name, shard_key(vid, shard_index))
             return self._check_shard(state, vid, shard_index, name, data)
 
-        outcomes = self._transport_map(read, to_read)
+        outcomes = self._transport_map(
+            read, to_read, [names[i] for i in to_read]
+        )
         shards: dict[int, bytes] = {}
         bad = sorted(suspect_set)
         for shard_index, (data, exc) in zip(to_read, outcomes):
@@ -2078,13 +2120,18 @@ class CloudDataDistributor:
     def import_metadata(self, snapshot: dict) -> None:
         """Replace this distributor's metadata with an exported snapshot.
 
-        The chunk rows are parsed and checked before any table is touched,
-        so a refused snapshot (:class:`MetadataCorruptedError`) leaves the
-        distributor serving what it had.
+        The chunk and client rows are parsed and checked before any table
+        is touched, so a refused snapshot (:class:`MetadataCorruptedError`)
+        leaves the distributor serving what it had.
         """
         with self.op_lock:
             chunk_table = ChunkTable()
             chunk_table.import_state(snapshot["chunk_table"])
+            client_table = ClientTable()
+            try:
+                client_table.import_state(snapshot["client_table"])
+            except ValueError as exc:
+                raise MetadataCorruptedError(f"client table: {exc}") from exc
             chunk_state: dict[int, _ChunkState] = {}
             quarantine: dict[int, tuple] = {}
             unknown_specs: list[tuple[int, str]] = []
@@ -2124,7 +2171,7 @@ class CloudDataDistributor:
                 self.cache.clear()
             self.access.import_state(snapshot["access"])
             self.provider_table.import_state(snapshot["provider_table"])
-            self.client_table.import_state(snapshot["client_table"])
+            self.client_table = client_table
             self.chunk_table = chunk_table
             self.ids.import_state(snapshot["ids"])
             self._chunk_state = chunk_state

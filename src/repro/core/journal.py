@@ -40,11 +40,13 @@ from typing import TYPE_CHECKING
 from repro.core.errors import (
     BlobNotFoundError,
     ProviderError,
+    UnknownChunkError,
     UnknownClientError,
     UnknownCodecError,
+    UnknownFileError,
 )
 from repro.core.privacy import PrivacyLevel
-from repro.core.tables import ChunkEntry, FileChunkRef
+from repro.core.tables import ChunkEntry, ClientEntry, FileChunkRef
 from repro.core.virtual_id import shard_key, snapshot_key
 from repro.raid.codecs import stripe_meta_from_fields
 from repro.util.atomic import atomic_write_bytes, fsync_dir
@@ -331,9 +333,19 @@ def _purge_spec(
         except UnknownClientError:
             client_entry = None
         if client_entry is not None:
-            client_entry.chunk_refs = [
-                r for r in client_entry.chunk_refs if r.chunk_index != index
-            ]
+            ref = _tabled_ref(client_entry, spec)
+            if ref is not None and ref.chunk_index == index:
+                client_entry.remove_refs([ref])
+
+
+def _tabled_ref(client_entry: ClientEntry, spec: dict) -> FileChunkRef | None:
+    """The quadruple tabled under a spec's (filename, serial), if any."""
+    try:
+        return client_entry.ref_for_chunk(
+            spec["filename"], int(spec["serial"])
+        )
+    except (UnknownFileError, UnknownChunkError):
+        return None
 
 
 def _shards_surviving(distributor: "CloudDataDistributor", spec: dict) -> int:
@@ -432,15 +444,10 @@ def _restore_spec(
         privacy_level=distributor.chunk_table.get(index).privacy_level,
         chunk_index=index,
     )
-    for i, existing in enumerate(client_entry.chunk_refs):
-        if (
-            existing.filename == ref.filename
-            and existing.serial == ref.serial
-        ):
-            client_entry.chunk_refs[i] = ref
-            break
+    if _tabled_ref(client_entry, spec) is not None:
+        client_entry.replace_ref(ref)
     else:
-        client_entry.chunk_refs.append(ref)
+        client_entry.add_refs([ref])
     report.chunks_restored += 1
 
 

@@ -14,7 +14,7 @@ the lifetime of an entry (removals leave holes rather than renumbering).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from repro.core.errors import UnknownChunkError, UnknownClientError, UnknownFileError
 from repro.core.privacy import CostLevel, PrivacyLevel
@@ -294,42 +294,93 @@ class ClientEntry:
 
     Passwords live in :class:`repro.core.access_control.AccessController`
     (hashed); this entry records the password *levels* for rendering plus
-    the client's chunk quadruples.
+    the client's chunk quadruples, held by name -- filename -> serial ->
+    quadruple, files in first-stored order and a file's serials ascending
+    -- so that finding a file costs the same whatever else the client
+    stores.  :attr:`chunk_refs` is the flat Table II view of them.
     """
 
     name: str
     password_levels: list[PrivacyLevel] = field(default_factory=list)
-    chunk_refs: list[FileChunkRef] = field(default_factory=list)
+    _files: dict[str, dict[int, FileChunkRef]] = field(
+        default_factory=dict, repr=False
+    )
+
+    @property
+    def chunk_refs(self) -> list[FileChunkRef]:
+        """Every quadruple, file by file: a fresh list, for reading only
+        (the tables change through :meth:`add_refs`, :meth:`replace_ref`
+        and :meth:`remove_refs`)."""
+        return [ref for refs in self._files.values() for ref in refs.values()]
 
     @property
     def count(self) -> int:
-        return len(self.chunk_refs)
+        return sum(map(len, self._files.values()))
+
+    def _file(self, filename: str) -> dict[int, FileChunkRef]:
+        try:
+            return self._files[filename]
+        except KeyError:
+            raise UnknownFileError(
+                f"client {self.name!r} has no file {filename!r}"
+            ) from None
 
     def refs_for_file(self, filename: str) -> list[FileChunkRef]:
-        refs = sorted(
-            (r for r in self.chunk_refs if r.filename == filename),
-            key=lambda r: r.serial,
-        )
-        if not refs:
-            raise UnknownFileError(f"client {self.name!r} has no file {filename!r}")
-        return refs
+        return list(self._file(filename).values())
 
     def ref_for_chunk(self, filename: str, serial: int) -> FileChunkRef:
-        for ref in self.chunk_refs:
-            if ref.filename == filename and ref.serial == serial:
-                return ref
         # Distinguish "no such file" from "no such serial".
-        if not any(r.filename == filename for r in self.chunk_refs):
-            raise UnknownFileError(f"client {self.name!r} has no file {filename!r}")
-        raise UnknownChunkError(
-            f"file {filename!r} of client {self.name!r} has no chunk {serial}"
-        )
+        try:
+            return self._file(filename)[serial]
+        except KeyError:
+            raise UnknownChunkError(
+                f"file {filename!r} of client {self.name!r} has no chunk {serial}"
+            ) from None
+
+    def has_file(self, filename: str) -> bool:
+        return filename in self._files
 
     def filenames(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for ref in self.chunk_refs:
-            seen.setdefault(ref.filename, None)
-        return list(seen)
+        return list(self._files)
+
+    def add_refs(self, refs: Iterable[FileChunkRef]) -> None:
+        """Table *refs*, all or none: a (filename, serial) already tabled
+        raises ``ValueError``.  A new file goes after the stored ones; a
+        serial below its file's last one (journal recovery re-adding a
+        chunk) is sorted into place."""
+        added: list[FileChunkRef] = []
+        for ref in refs:
+            serials = self._files.setdefault(ref.filename, {})
+            if ref.serial in serials:
+                self.remove_refs(added)
+                raise ValueError(
+                    f"client {self.name!r} already tables chunk {ref.serial} "
+                    f"of {ref.filename!r}"
+                )
+            in_order = not serials or next(reversed(serials)) < ref.serial
+            serials[ref.serial] = ref
+            added.append(ref)
+            if not in_order:
+                self._files[ref.filename] = dict(sorted(serials.items()))
+
+    def replace_ref(self, ref: FileChunkRef) -> None:
+        """Table *ref* in place of the quadruple with its filename and
+        serial (which must exist: the two errors of :meth:`ref_for_chunk`)."""
+        self.ref_for_chunk(ref.filename, ref.serial)
+        self._files[ref.filename][ref.serial] = ref
+
+    def remove_refs(self, refs: Iterable[FileChunkRef]) -> None:
+        """Untable *refs*; one that is not tabled raises ``ValueError``.
+        A file's name goes with its last quadruple."""
+        for ref in refs:
+            serials = self._files.get(ref.filename, {})
+            if serials.get(ref.serial) != ref:
+                raise ValueError(
+                    f"client {self.name!r} does not table {ref!r}"
+                )
+            del serials[ref.serial]
+            if not serials:
+                del self._files[ref.filename]
 
 
 class ClientTable:
@@ -374,34 +425,34 @@ class ClientTable:
         }
 
     def import_state(self, state: dict) -> None:
-        self._entries = {
-            name: ClientEntry(
+        entries: dict[str, ClientEntry] = {}
+        for name, (levels, refs) in state.items():
+            entry = entries[name] = ClientEntry(
                 name=name,
                 password_levels=[PrivacyLevel.coerce(pl) for pl in levels],
-                chunk_refs=[
-                    FileChunkRef(
-                        filename=f,
-                        serial=int(sl),
-                        privacy_level=PrivacyLevel.coerce(pl),
-                        chunk_index=int(idx),
-                    )
-                    for f, sl, pl, idx in refs
-                ],
             )
-            for name, (levels, refs) in state.items()
-        }
+            entry.add_refs(
+                FileChunkRef(
+                    filename=f,
+                    serial=int(sl),
+                    privacy_level=PrivacyLevel.coerce(pl),
+                    chunk_index=int(idx),
+                )
+                for f, sl, pl, idx in refs
+            )
+        self._entries = entries
 
     def rows(self, ref_preview: int = 2) -> list[list[object]]:
         """Render rows shaped like the paper's Table II."""
         out: list[list[object]] = []
         for entry in self:
             pls = ", ".join(f"(****, {int(pl)})" for pl in entry.password_levels)
-            refs = entry.chunk_refs[:ref_preview]
+            refs = entry.chunk_refs
             quad = "; ".join(
                 f"({r.filename}, {r.serial}, {int(r.privacy_level)}, {r.chunk_index})"
-                for r in refs
+                for r in refs[:ref_preview]
             )
-            if len(entry.chunk_refs) > ref_preview:
+            if len(refs) > ref_preview:
                 quad += "; ..."
-            out.append([entry.name, pls, entry.count, quad])
+            out.append([entry.name, pls, len(refs), quad])
         return out

@@ -6,12 +6,15 @@ membership route identically (consistent hashing), which is what lets the
 metadata plane scale horizontally while each shard stays a small,
 crash-consistent distributor.
 
-Data-path requests are authenticated here (the paper's ⟨password, PL⟩
-check via :class:`~repro.core.access_control.AccessController`), checked
-against the tenant's quota, then forwarded to the owning shard -- which
-authenticates *again* with its own synced credential copy, so a request
-that somehow bypassed the gateway faces the same check twice.  Cross-shard
-operations (list, fsck, stats, usage) fan out and merge.
+``upload_file`` and ``list_files`` are authenticated here (the paper's
+⟨password, PL⟩ check via
+:class:`~repro.core.access_control.AccessController`) before the quota
+check and the fan-out, which act on the tenant's behalf, and again by
+each shard they reach.  ``get_file``, ``update_chunk`` and
+``remove_file`` are only routed here: the owning shard authenticates
+them against its synced credential copy, before it looks the file up,
+so what a refusal says does not depend on whether the file exists.
+Cross-shard operations (list, fsck, stats, usage) fan out and merge.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class FleetGateway:
         self.max_transport_workers = max_transport_workers
         self.metrics = metrics if metrics is not None else get_metrics()
         self.router = FleetRouter(m_bits=m_bits, metrics=self.metrics)
-        self.access = AccessController()
+        self.access = AccessController(metrics=self.metrics)
         self.quotas: dict[str, TenantQuota] = {}
         self.shards: dict[str, FleetShard] = {}
         # Degraded fleet mode: per-shard verdicts from live data-path

@@ -80,6 +80,10 @@ class NamespacedProvider(CloudProvider):
     # -- passthroughs the distributor introspects ---------------------------
 
     @property
+    def waits(self) -> bool:
+        return self.inner.waits
+
+    @property
     def available(self) -> bool:
         return getattr(self.inner, "available", True)
 

@@ -103,10 +103,12 @@ class FleetShard:
     def sync_access(self, access_state: dict) -> None:
         """Install the gateway's credential snapshot on this shard.
 
-        Every shard can then authenticate every tenant locally (defense in
-        depth: a request that somehow bypassed the gateway still faces the
-        same password check at the shard).  Client-table entries are
-        created for tenants this shard has not seen yet, and the display
+        Every shard authenticates the requests it serves locally (for a
+        get, update or remove it is the only check; the gateway just
+        routes).  ``import_state`` also empties the shard's table of
+        verified pairs, so a rotated or revoked password is refused here
+        on the very next call.  Client-table entries are created for
+        tenants this shard has not seen yet, and the display
         password-level list is rebuilt from the snapshot.
         """
         d = self.distributor
@@ -182,7 +184,7 @@ class FleetShard:
         with d.op_lock:
             if tenant not in d.client_table:
                 return False
-            return key in d.client_table.get(tenant).filenames()
+            return d.client_table.get(tenant).has_file(key)
 
     # -- migration service ops (no tenant password involved) ----------------
 

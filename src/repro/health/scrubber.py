@@ -178,7 +178,7 @@ class Scrubber:
             return stat
 
         indices = list(range(len(names)))
-        outcomes = d._transport_map(check, indices)
+        outcomes = d._transport_map(check, indices, names)
         bad = [i for i, (_, exc) in zip(indices, outcomes) if exc is not None]
         return len(indices), bad
 

@@ -42,6 +42,12 @@ class BlobStat:
 class CloudProvider(ABC):
     """Abstract S3-like object store."""
 
+    #: Can a call wait on anything but the CPU -- a socket, a disk, a
+    #: sleep?  A fact each backend states, not a setting: the distributor
+    #: hands a request to a transport thread only where another request
+    #: could make progress meanwhile.  True unless a backend knows better.
+    waits: bool = True
+
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("provider name must be non-empty")

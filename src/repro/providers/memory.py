@@ -14,6 +14,8 @@ from repro.providers.base import BlobStat, CloudProvider, blob_checksum
 class InMemoryProvider(CloudProvider):
     """Dictionary-backed object store with integrity verification."""
 
+    waits = False  # a dict lookup and a hash: a pool thread buys it nothing
+
     def __init__(self, name: str) -> None:
         super().__init__(name)
         self._blobs: dict[str, bytes] = {}

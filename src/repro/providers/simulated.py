@@ -116,6 +116,10 @@ def _active_window(clock: SimulatedClock) -> "ParallelWindow | None":
 class SimulatedProvider(CloudProvider):
     """Latency-and-billing wrapper over a concrete backend."""
 
+    # Its time is simulated (ParallelWindow models the overlap) and the
+    # shared clock is not thread-safe: every call stays on the caller.
+    waits = False
+
     def __init__(
         self,
         backend: CloudProvider,

@@ -72,3 +72,21 @@ def bob(distributor):
     distributor.add_password("Bob", "6S4r", PrivacyLevel.MODERATE)
     distributor.add_password("Bob", "Ty7e", PrivacyLevel.PRIVATE)
     return "Bob"
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The password of every ``_hash_password`` call made while the test
+    runs: one PBKDF2 per credential a scan tried (or per password set).
+    Costs are asserted by this count, never by clock."""
+    from repro.core import access_control
+
+    real = access_control._hash_password
+    calls: list[str] = []
+
+    def counted(password, salt):
+        calls.append(password)
+        return real(password, salt)
+
+    monkeypatch.setattr(access_control, "_hash_password", counted)
+    return calls

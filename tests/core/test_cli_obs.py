@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.core.errors import AuthenticationError
 from repro.net.server import ChunkServer
 from repro.providers.memory import InMemoryProvider
 
@@ -183,3 +184,44 @@ def test_trace_prints_joined_span_tree(remote_state, tmp_path, capsys):
     assert "server.backend" in out
     assert "└─" in out
     assert "spans recorded" in out
+
+
+def labelled(snapshot, name, label):
+    """The value of the series of counter *name* whose labels mention *label*."""
+    return sum(
+        value for labels, value in snapshot["counters"].get(name, {}).items()
+        if label in labels
+    )
+
+
+@pytest.mark.parametrize("deployment", ["state", "remote_state"])
+def test_stats_answer_what_a_request_paid_besides_its_bytes(
+    deployment, request, tmp_path, capsys
+):
+    """How many password checks were PBKDF2 scans, and how many provider
+    legs took a pool hand-off -- from ``repro stats``, not a profiler."""
+    state = request.getfixturevalue(deployment)
+    src = tmp_path / "s.bin"
+    src.write_bytes(os.urandom(9000))
+    assert run("put", "--state", str(state), "Bob", "s3cret", str(src),
+               "--level", "2") == 0
+    # --verify reads twice in one process: a scan, then a table hit.
+    assert run("get", "--state", str(state), "Bob", "s3cret", "s.bin",
+               "-o", str(tmp_path / "o.bin"), "--verify") == 0
+    with pytest.raises(AuthenticationError):
+        run("get", "--state", str(state), "Bob", "wrong", "s.bin",
+            "-o", str(tmp_path / "o.bin"))
+
+    snap = stats_json(state, capsys)
+    auth = "access_authentications_total"
+    assert labelled(snap, auth, "verified") == 2  # one per process
+    assert labelled(snap, auth, "cached") >= 1
+    assert labelled(snap, auth, "refused") == 1
+    # Disks and sockets can wait: the put and the gets fanned out.
+    assert labelled(snap, "distributor_transport_legs_total", "pool") > 0
+
+    capsys.readouterr()
+    assert run("stats", "--state", str(state)) == 0
+    out = capsys.readouterr().out
+    assert "access_authentications_total" in out
+    assert "distributor_transport_legs_total" in out

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import UnknownChunkError, UnknownClientError, UnknownFileError
 from repro.core.privacy import CostLevel, PrivacyLevel
 from repro.core.tables import (
     ChunkEntry,
     ChunkTable,
+    ClientEntry,
     ClientTable,
     CloudProviderTable,
     FileChunkRef,
@@ -123,9 +126,9 @@ def test_chunk_table_rows_na_rendering():
 def test_client_table_basic():
     table = ClientTable()
     entry = table.add("Bob")
-    entry.chunk_refs.append(FileChunkRef("file1", 0, PrivacyLevel.LOW, 0))
-    entry.chunk_refs.append(FileChunkRef("file1", 1, PrivacyLevel.LOW, 1))
-    entry.chunk_refs.append(FileChunkRef("file2", 0, PrivacyLevel.MODERATE, 2))
+    entry.add_refs([FileChunkRef("file1", 0, PrivacyLevel.LOW, 0)])
+    entry.add_refs([FileChunkRef("file1", 1, PrivacyLevel.LOW, 1)])
+    entry.add_refs([FileChunkRef("file2", 0, PrivacyLevel.MODERATE, 2)])
     assert entry.count == 3
     assert table.get("Bob").filenames() == ["file1", "file2"]
     assert "Bob" in table
@@ -135,8 +138,8 @@ def test_client_table_basic():
 def test_client_refs_for_file_sorted():
     table = ClientTable()
     entry = table.add("Bob")
-    entry.chunk_refs.append(FileChunkRef("f", 1, PrivacyLevel.LOW, 5))
-    entry.chunk_refs.append(FileChunkRef("f", 0, PrivacyLevel.LOW, 4))
+    entry.add_refs([FileChunkRef("f", 1, PrivacyLevel.LOW, 5)])
+    entry.add_refs([FileChunkRef("f", 0, PrivacyLevel.LOW, 4)])
     serials = [r.serial for r in entry.refs_for_file("f")]
     assert serials == [0, 1]
 
@@ -144,7 +147,7 @@ def test_client_refs_for_file_sorted():
 def test_client_missing_file_vs_missing_chunk():
     table = ClientTable()
     entry = table.add("Bob")
-    entry.chunk_refs.append(FileChunkRef("f", 0, PrivacyLevel.LOW, 0))
+    entry.add_refs([FileChunkRef("f", 0, PrivacyLevel.LOW, 0)])
     with pytest.raises(UnknownFileError):
         entry.refs_for_file("ghost")
     with pytest.raises(UnknownFileError):
@@ -204,8 +207,181 @@ def test_client_table_state_roundtrip():
     table = ClientTable()
     entry = table.add("Bob")
     entry.password_levels.append(PrivacyLevel.LOW)
-    entry.chunk_refs.append(FileChunkRef("f", 0, PrivacyLevel.LOW, 7))
+    entry.add_refs([FileChunkRef("f", 0, PrivacyLevel.LOW, 7)])
     restored = ClientTable()
     restored.import_state(table.export_state())
     assert restored.get("Bob").chunk_refs[0].chunk_index == 7
     assert restored.get("Bob").password_levels == [PrivacyLevel.LOW]
+
+
+# -- ClientEntry against the flat list it used to be -------------------------
+
+NAMES = ["a", "b", "ab", "c"]
+MAX_SERIAL = 6
+
+
+class ListModel:
+    """Table II as one flat list of quadruples, scanned on every question:
+    the lookups ``ClientEntry`` had before it held its refs by name."""
+
+    def __init__(self):
+        self.refs = []
+
+    def refs_for_file(self, filename):
+        refs = sorted(
+            (r for r in self.refs if r.filename == filename),
+            key=lambda r: r.serial,
+        )
+        if not refs:
+            raise UnknownFileError(filename)
+        return refs
+
+    def ref_for_chunk(self, filename, serial):
+        for ref in self.refs:
+            if ref.filename == filename and ref.serial == serial:
+                return ref
+        if not any(r.filename == filename for r in self.refs):
+            raise UnknownFileError(filename)
+        raise UnknownChunkError(filename)
+
+    def filenames(self):
+        return list(dict.fromkeys(r.filename for r in self.refs))
+
+    def file_by_file(self):
+        """Is the list already file by file, each file's serials ascending?
+        It is, until a ref is re-added to a file after the fact."""
+        return self.refs == [
+            ref for name in self.filenames() for ref in self.refs_for_file(name)
+        ]
+
+
+def answer(fn, *args):
+    try:
+        return fn(*args)
+    except (UnknownFileError, UnknownChunkError) as exc:
+        return type(exc)
+
+
+def assert_same_answers(entry: ClientEntry, model: ListModel, in_list_order):
+    assert entry.count == len(model.refs)
+    assert sorted(entry.filenames()) == sorted(model.filenames())
+    # The view goes file by file, a file's serials ascending ...
+    assert entry.chunk_refs == [
+        ref for name in entry.filenames() for ref in model.refs_for_file(name)
+    ]
+    if in_list_order:  # ... which is the list itself, order and all.
+        assert entry.filenames() == model.filenames()
+        assert entry.chunk_refs == model.refs
+    for name in NAMES:
+        assert entry.has_file(name) == (name in model.filenames())
+        assert answer(entry.refs_for_file, name) == answer(
+            model.refs_for_file, name
+        )
+        for serial in range(MAX_SERIAL + 1):
+            assert answer(entry.ref_for_chunk, name, serial) == answer(
+                model.ref_for_chunk, name, serial
+            )
+
+
+OPS = st.one_of(
+    st.tuples(st.just("upload"), st.sampled_from(NAMES), st.integers(1, MAX_SERIAL)),
+    st.tuples(st.just("replace"), st.integers(0), st.integers(100, 10_000)),
+    st.tuples(st.just("remove_chunk"), st.integers(0), st.none()),
+    st.tuples(st.just("remove_file"), st.integers(0), st.none()),
+)
+READD = st.tuples(
+    st.just("readd"), st.sampled_from(NAMES), st.integers(0, MAX_SERIAL)
+)
+
+
+def run_ops(ops):
+    entry, model = ClientEntry(name="C"), ListModel()
+    in_list_order = True
+    next_index = 0
+    for kind, which, arg in ops:
+        if kind == "upload":  # a new file's refs, serials 0..n-1, at once
+            refs = [
+                FileChunkRef(which, serial, PrivacyLevel.LOW, next_index + serial)
+                for serial in range(arg)
+            ]
+            next_index += arg
+            if which in model.filenames():
+                # _check_new_filename refuses this before the tables see
+                # it; if they do see it, a clash changes nothing.
+                if isinstance(
+                    answer(model.ref_for_chunk, which, arg - 1), FileChunkRef
+                ):
+                    with pytest.raises(ValueError):
+                        entry.add_refs(refs)
+                    assert_same_answers(entry, model, in_list_order)
+                continue
+            entry.add_refs(refs)
+            model.refs.extend(refs)
+        elif kind == "readd":  # journal recovery: one ref, any serial
+            ref = FileChunkRef(which, arg, PrivacyLevel.LOW, next_index)
+            next_index += 1
+            if isinstance(answer(model.ref_for_chunk, which, arg), FileChunkRef):
+                with pytest.raises(ValueError):
+                    entry.add_refs([ref])
+                continue
+            entry.add_refs([ref])
+            model.refs.append(ref)
+            in_list_order = in_list_order and model.file_by_file()
+        elif not model.refs:
+            with pytest.raises(ValueError):
+                entry.remove_refs([FileChunkRef("a", 0, PrivacyLevel.LOW, 0)])
+            with pytest.raises(UnknownFileError):
+                entry.replace_ref(FileChunkRef("a", 0, PrivacyLevel.LOW, 0))
+        else:
+            old = model.refs[which % len(model.refs)]
+            if kind == "replace":  # update_chunk: same slot, new chunk index
+                new = FileChunkRef(old.filename, old.serial, old.privacy_level, arg)
+                entry.replace_ref(new)
+                model.refs[model.refs.index(old)] = new
+            elif kind == "remove_chunk":
+                entry.remove_refs([old])
+                model.refs.remove(old)
+                with pytest.raises(ValueError):
+                    entry.remove_refs([old])
+            else:
+                gone = model.refs_for_file(old.filename)
+                entry.remove_refs(gone)
+                for ref in gone:
+                    model.refs.remove(ref)
+        assert_same_answers(entry, model, in_list_order)
+    # What persistence writes is the view, and it round-trips.
+    table = ClientTable()
+    table._entries["C"] = entry
+    restored = ClientTable()
+    restored.import_state(table.export_state())
+    assert restored.export_state() == table.export_state()
+    return entry, model
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(OPS, max_size=30))
+def test_client_entry_matches_flat_list_on_what_the_distributor_does(ops):
+    """upload / update / remove histories: every answer, and the order of
+    the exported quadruples, are the flat list's own."""
+    entry, model = run_ops(ops)
+    assert entry.chunk_refs == model.refs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(OPS, READD), max_size=30))
+def test_client_entry_matches_flat_list_with_recovery_re_adds(ops):
+    """A ref re-added on its own (journal recovery) lands inside its
+    file's run where the list had it at the end; every lookup agrees."""
+    run_ops(ops)
+
+
+def test_replace_ref_needs_the_slot():
+    entry = ClientEntry(name="C")
+    entry.add_refs([FileChunkRef("f", 0, PrivacyLevel.LOW, 1)])
+    with pytest.raises(UnknownFileError):
+        entry.replace_ref(FileChunkRef("g", 0, PrivacyLevel.LOW, 2))
+    with pytest.raises(UnknownChunkError):
+        entry.replace_ref(FileChunkRef("f", 1, PrivacyLevel.LOW, 2))
+    with pytest.raises(ValueError):  # tabled under that name, but not this ref
+        entry.remove_refs([FileChunkRef("f", 0, PrivacyLevel.LOW, 2)])
+    assert entry.chunk_refs == [FileChunkRef("f", 0, PrivacyLevel.LOW, 1)]

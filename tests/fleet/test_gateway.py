@@ -8,6 +8,7 @@ from repro.core.errors import (
     AuthenticationError,
     FleetError,
     QuotaExceededError,
+    UnknownClientError,
     UnknownFileError,
 )
 from repro.core.privacy import PrivacyLevel
@@ -176,8 +177,105 @@ class TestTenantManagement:
         gateway.remove_tenant("alice")
         assert "alice" not in gateway.tenants()
 
+    @staticmethod
+    def warm_every_shard(gateway) -> list:
+        """Have the gateway and every shard verify alice's password, so
+        each holds it in its verified-pair table."""
+        gateway.list_files("alice", "pw-a")  # gateway, then every shard
+        controllers = [gateway.access] + [
+            shard.distributor.access for shard in gateway.shards.values()
+        ]
+        assert len(controllers) == 4
+        assert all(len(c._verified) == 1 for c in controllers)
+        return controllers
+
+    def test_verified_pairs_are_in_nothing_the_fleet_writes(
+        self, disk_gateway, tmp_path
+    ):
+        """``fleet-state.json``, every shard's ``metadata.json`` and
+        journal, ``export_metadata``: no tag, no key, no password."""
+        import json
+
+        gateway = disk_gateway
+        gateway.upload_file("alice", "pw-a", "f", b"x" * 900, 3)
+        controllers = self.warm_every_shard(gateway)
+        gateway.save()
+        written = [p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()]
+        assert len(written) >= 1 + 2 * len(gateway.shards)
+        written += [
+            json.dumps(shard.distributor.export_metadata()).encode()
+            for shard in gateway.shards.values()
+        ]
+        for controller in controllers:
+            for secret in (b"pw-a", controller._tag_key, *controller._verified):
+                for form in (secret, secret.hex().encode()):
+                    assert not any(form in blob for blob in written)
+
+    def test_rotation_reaches_every_shard_at_once(self, gateway):
+        controllers = self.warm_every_shard(gateway)
+        gateway.rotate_tenant_password("alice", "pw-a", "pw-a2")
+        assert all(c._verified == {} for c in controllers)
+        for controller in controllers:  # the very next call, on each
+            with pytest.raises(AuthenticationError):
+                controller.authenticate("alice", "pw-a")
+            assert controller.authenticate("alice", "pw-a2") == PrivacyLevel.PRIVATE
+        # bob's pair went with the rest and re-verifies.
+        assert gateway.list_files("bob", "pw-b") == []
+
+    def test_removed_tenant_is_refused_on_every_shard_at_once(self, gateway):
+        controllers = self.warm_every_shard(gateway)
+        gateway.remove_tenant("alice")
+        assert all(c._verified == {} for c in controllers)
+        for controller in controllers:
+            with pytest.raises(UnknownClientError):
+                controller.authenticate("alice", "pw-a")
+        for shard in gateway.shards.values():
+            with pytest.raises(UnknownClientError):
+                shard.distributor.get_file("alice", "pw-a", "alice/anything")
+
 
 class TestFanOut:
+    def test_merged_metrics_sum_the_shards_fixed_costs(self, base_registry):
+        """Password checks by outcome and provider legs by where they ran
+        are counted where they happen -- the gateway's controller, each
+        shard's controller and distributor -- and merge into one view."""
+        from repro.obs.metrics import MetricsRegistry
+
+        gateway = FleetGateway(
+            base_registry, seed=FLEET_SEED, metrics=MetricsRegistry()
+        )
+        for shard_id in ("s0", "s1", "s2"):
+            gateway.add_shard(shard_id)
+        add_tenants(gateway)
+        upload_corpus(gateway, n=3)
+        for i in range(3):
+            gateway.get_file("alice", "pw-a", f"doc-{i}.txt")
+        with pytest.raises(AuthenticationError):
+            gateway.get_file("alice", "wrong", "doc-0.txt")
+
+        merged = gateway.merged_metrics()
+        parts = [gateway.metrics] + [s.metrics for s in gateway.shards.values()]
+        auth, legs = "access_authentications_total", "distributor_transport_legs_total"
+        for outcome in ("cached", "verified", "refused"):
+            assert merged.value(auth, outcome=outcome) == sum(
+                part.value(auth, outcome=outcome) for part in parts
+            )
+        # alice and bob each verified once at the gateway and once on each
+        # shard that served them; the wrong password was refused by the
+        # one shard that answered.
+        assert gateway.metrics.value(auth, outcome="verified") == 2
+        assert 4 <= merged.value(auth, outcome="verified") <= 8
+        assert merged.value(auth, outcome="refused") == 1
+        assert merged.value(auth, outcome="cached") > 0
+        # The fleet's providers are namespaced views of in-memory ones:
+        # they cannot wait, so no leg went to a pool.
+        assert merged.value(legs, where="pool") == 0
+        assert merged.value(legs, where="caller") == sum(
+            s.metrics.value(legs, where="caller")
+            for s in gateway.shards.values()
+        ) > 0
+        gateway.close()
+
     def test_tenant_usage_sums_all_shards(self, gateway):
         corpus = upload_corpus(gateway, n=6)
         usage = gateway.tenant_usage("alice")
