@@ -1,6 +1,6 @@
 # Convenience targets; see README.md for details.
 
-.PHONY: install test bench bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
+.PHONY: install test bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,6 +10,19 @@ test:
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only
+
+# The benchmark every PR is judged by (BENCHMARK.json): every workload end
+# to end, each in a fresh subprocess, then the summary table.
+bench-e2e:
+	python3 benchmarks/e2e/run.py
+
+# The same workloads at smoke size with every read SHA-256 verified (what
+# the CI e2e-smoke job runs): fails unless each is correct with 0 failed ops.
+bench-e2e-smoke:
+	set -eu; for w in $$(python3 -c "import json; print(*[w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']])"); do \
+		out=$$(python3 benchmarks/e2e/run.py --workload "$$w" --smoke --trace 0); echo "$$out"; \
+		echo "$$out" | tail -n 1 | python3 -c "import json, sys; r = json.load(sys.stdin); sys.exit(not (r['correct'] is True and r['failed'] == 0))"; \
+	done
 
 # The data-path gate: regenerates BENCH_pipeline.json and fails if the
 # RAID-5 upload does not beat the sequential_baseline recorded at 5eb68ee

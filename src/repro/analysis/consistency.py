@@ -112,13 +112,6 @@ def collect_garbage(
     no table references at the moment of the (re)scan.
     """
     report = report or verify_deployment(distributor)
-    removed = 0
-    for name, keys in report.orphans.items():
-        provider = distributor.registry.get(name).provider
-        for key in keys:
-            try:
-                provider.delete(key)
-                removed += 1
-            except ProviderError:
-                continue
-    return removed
+    return distributor._delete_objects(
+        (name, key) for name, keys in report.orphans.items() for key in keys
+    )

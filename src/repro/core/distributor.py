@@ -92,6 +92,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: materialize the aggregate payload on one side or the other).
 STREAM_SEGMENT_THRESHOLD = 64 * 1024
 
+#: Chunks a remove erases per window (shards in one batch per provider,
+#: then rows and refs): bounds the batch it holds -- 2 MiB at PL-3 is 8,192
+#: shards -- and keeps "half removed" a state a crash can leave.
+REMOVE_WINDOW_CHUNKS = 256
+
 
 @dataclass(frozen=True)
 class FileReceipt:
@@ -675,6 +680,35 @@ class CloudDataDistributor:
                 outcomes[i] = (None, exc)
         return outcomes
 
+    def _delete_objects(self, pairs: Iterable[tuple[str, str]]) -> int:
+        """Best-effort removal of ``(provider, key)`` objects; returns how
+        many went.  One ``delete_many`` per provider, side by side on the
+        transport executor; where no provider is asked for two keys (an
+        update's retire), a ``delete`` each in turn on this thread, cheaper
+        than a pool hand-off apiece.  A :class:`ProviderError`, of a key or
+        a provider, is swallowed (the orphan is ``fsck``'s to collect);
+        deletes do not feed the health monitor."""
+        by_provider: dict[str, list[str]] = {}
+        for name, key in pairs:
+            by_provider.setdefault(name, []).append(key)
+        if all(len(keys) == 1 for keys in by_provider.values()):
+            gone = 0
+            for name, (key,) in by_provider.items():
+                with contextlib.suppress(ProviderError):
+                    self.registry.get(name).provider.delete(key)
+                    gone += 1
+            return gone
+
+        def batch(name: str) -> list[ProviderError | None]:
+            return self.registry.get(name).provider.delete_many(by_provider[name])
+
+        names = list(by_provider)
+        return sum(
+            outcome is None
+            for outcomes, _ in self._transport_map(batch, names, names)
+            for outcome in outcomes or ()
+        )
+
     def _stripe_width_for(
         self, level: PrivacyLevel, spec: "CodecSpec | RaidLevel"
     ) -> int:
@@ -888,22 +922,6 @@ class CloudDataDistributor:
             len(plan.assigned) - len(plan.failed) < plan.stripe.k
         )
 
-    def _rollback_plan(self, plan: _ChunkPlan) -> None:
-        """Best-effort removal of a plan's fleet footprint; frees its id.
-
-        Safe to call lock-free (the upload abort path does): only the id
-        allocator touch re-enters the critical section.
-        """
-        self.metrics.counter("distributor_rollbacks_total").inc()
-        self.events.emit("upload_rollback", level="warning", vid=plan.vid)
-        for shard_index, name in enumerate(plan.assigned):
-            with contextlib.suppress(ProviderError):
-                self.registry.get(name).provider.delete(
-                    shard_key(plan.vid, shard_index)
-                )
-        with self.op_lock:
-            self.ids.release(plan.vid)
-
     def _commit_plan(self, plan: _ChunkPlan) -> int:
         """Record a transferred plan in the tables; returns its chunk index.
 
@@ -1024,12 +1042,11 @@ class CloudDataDistributor:
         caller accepts the chunk degraded if >= k landed, or rolls back.
         """
         remaining: list[int] = []
+        # A failed member may hold a torn write (bytes stored, ack lost);
+        # scrub them so no relocated shard has an orphan twin.
+        self._delete_objects([(assigned[i], shard_key(vid, i)) for i in failed])
         for shard_index in failed:
             key = shard_key(vid, shard_index)
-            # The failed member may hold a torn write (bytes stored, ack
-            # lost); scrub it so the relocated shard has no orphan twin.
-            with contextlib.suppress(ProviderError):
-                self.registry.get(assigned[shard_index]).provider.delete(key)
             placed = False
             for name in self._replacement_candidates(level, set(assigned)):
                 try:
@@ -1037,8 +1054,7 @@ class CloudDataDistributor:
                         name, key, shards[shard_index], checksums[shard_index]
                     )
                 except ProviderError:
-                    with contextlib.suppress(ProviderError):
-                        self.registry.get(name).provider.delete(key)
+                    self._delete_objects([(name, key)])
                     continue
                 self.metrics.counter("distributor_failover_shards_total").inc()
                 self.events.emit(
@@ -1357,11 +1373,8 @@ class CloudDataDistributor:
                 # settle the wire before erasing it.
                 flight.join()
             if isinstance(exc, Exception):
-                for plan in pending:
-                    self._rollback_plan(plan)
                 with self.op_lock:
-                    for ref in refs:
-                        self._delete_chunk(ref)
+                    self._delete_chunks(refs, rolled_back=pending)
                 if txn is not None:
                     self.journal.abort(txn)
                 self._record_op("upload", client, filename, None,
@@ -1675,41 +1688,45 @@ class CloudDataDistributor:
     # removal path: remove_chunk() / remove_file()   (Section VI)
     # ------------------------------------------------------------------
 
-    def _delete_chunk(self, ref: FileChunkRef) -> None:
-        entry = self.chunk_table.get(ref.chunk_index)
-        vid = entry.virtual_id
-        self._note_audit(
-            vids=(vid,),
-            providers=(
-                self.provider_table.get(i).name
-                for i in entry.provider_indices
-            ),
-        )
-        for shard_index, table_index in enumerate(entry.provider_indices):
-            name = self.provider_table.get(table_index).name
-            key = shard_key(vid, shard_index)
-            try:
-                self.registry.get(name).provider.delete(key)
-            except ProviderError:
-                # Best effort: a down provider keeps a garbage shard keyed by
-                # an id that no longer resolves to anything.
-                pass
-            self.provider_table.record_remove(table_index, key)
-        if entry.snapshot_index is not None:
-            name = self.provider_table.get(entry.snapshot_index).name
-            try:
-                self.snapshots.drop(name, vid)
-            except ProviderError:
-                pass
-            self.provider_table.record_remove(
-                entry.snapshot_index, snapshot_key(vid)
+    def _delete_chunks(self, refs: list[FileChunkRef], rolled_back=()) -> None:
+        """Erase, lock held, the tabled chunks behind *refs* and whatever the
+        *rolled_back* plans (transferred, never tabled) left: every shard in
+        one :meth:`_delete_objects` batch, then rows, snapshots, states, ids."""
+        entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
+        doomed = [p for plan in rolled_back for p in self._plan_put_keys(plan)]
+        for entry in entries:
+            names = [
+                self.provider_table.get(i).name for i in entry.provider_indices
+            ]
+            self._note_audit(vids=(entry.virtual_id,), providers=names)
+            doomed.extend(
+                (name, shard_key(entry.virtual_id, shard_index))
+                for shard_index, name in enumerate(names)
             )
-        self.chunk_table.remove(ref.chunk_index)
-        self._chunk_state.pop(vid, None)
-        self._codec_quarantine.pop(vid, None)
-        if self.cache is not None:
-            self.cache.invalidate(vid)
-        self.ids.release(vid)
+        self._delete_objects(doomed)
+        for plan in rolled_back:
+            self.metrics.counter("distributor_rollbacks_total").inc()
+            self.events.emit("upload_rollback", level="warning", vid=plan.vid)
+            self.ids.release(plan.vid)
+        for ref, entry in zip(refs, entries):
+            vid = entry.virtual_id
+            for shard_index, table_index in enumerate(entry.provider_indices):
+                self.provider_table.record_remove(
+                    table_index, shard_key(vid, shard_index)
+                )
+            if entry.snapshot_index is not None:
+                name = self.provider_table.get(entry.snapshot_index).name
+                with contextlib.suppress(ProviderError):
+                    self.snapshots.drop(name, vid)
+                self.provider_table.record_remove(
+                    entry.snapshot_index, snapshot_key(vid)
+                )
+            self.chunk_table.remove(ref.chunk_index)
+            self._chunk_state.pop(vid, None)
+            self._codec_quarantine.pop(vid, None)
+            if self.cache is not None:
+                self.cache.invalidate(vid)
+            self.ids.release(vid)
 
     def remove_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1746,7 +1763,9 @@ class CloudDataDistributor:
 
         The intent record carries the full chunk specs: a remove that
         crashes half-done can only roll *forward* (shards cannot be
-        un-deleted), so recovery needs enough to finish the job.
+        un-deleted), so recovery needs enough to finish the job.  Chunks
+        go :data:`REMOVE_WINDOW_CHUNKS` at a time, shards then rows and
+        refs: a crash between windows leaves each chunk gone or tabled.
         """
         txn = None
         if self.journal is not None:
@@ -1755,11 +1774,11 @@ class CloudDataDistributor:
                 "remove", client, filename, remove_specs=specs
             )
             crashpoint("remove.intent_logged")
-        for i, ref in enumerate(refs):
-            self._delete_chunk(ref)
-            client_entry.remove_refs([ref])
-            if i == 0:
-                crashpoint("remove.partial")
+        for start in range(0, len(refs), REMOVE_WINDOW_CHUNKS):
+            window = refs[start : start + REMOVE_WINDOW_CHUNKS]
+            self._delete_chunks(window)
+            client_entry.remove_refs(window)
+            crashpoint("remove.partial")
         if txn is not None:
             self.journal.commit(
                 txn,
@@ -1811,7 +1830,6 @@ class CloudDataDistributor:
             ref = client_entry.ref_for_chunk(filename, serial)
             self._require_level(client, granted, ref.privacy_level)
             entry = self.chunk_table.get(ref.chunk_index)
-            vid = entry.virtual_id
             state = self._chunk_state_for(entry, filename)
             (pre_state,) = self._read_jobs(
                 [self._job_for(entry, serial, filename)], 1
@@ -1848,7 +1866,7 @@ class CloudDataDistributor:
                 crashpoint("update.intent_logged")
             self._transfer_plans([plan])
             if self._recover_plan(plan):
-                self._rollback_plan(plan)
+                self._delete_chunks([], rolled_back=[plan])
                 if txn is not None:
                     self.journal.abort(txn)
                 raise plan.first_error
@@ -1874,7 +1892,7 @@ class CloudDataDistributor:
                 snap_key = self.snapshots.write(snap_name, new_vid, pre_state)
             except (ProviderError, PlacementError):
                 # Unstage the new version; the chunk is untouched.
-                self._delete_chunk(replace(ref, chunk_index=new_index))
+                self._delete_chunks([replace(ref, chunk_index=new_index)])
                 if txn is not None:
                     self.journal.abort(txn)
                 raise
@@ -1884,27 +1902,8 @@ class CloudDataDistributor:
 
             # Swap the client's quadruple to the new stripe, then retire
             # the old one (shards, old snapshot, tables, id).
-            old_snapshot_index = entry.snapshot_index
-            entry.snapshot_index = None
             client_entry.replace_ref(replace(ref, chunk_index=new_index))
-            if old_snapshot_index is not None:
-                old_snap_name = self.provider_table.get(old_snapshot_index).name
-                with contextlib.suppress(ProviderError):
-                    self.snapshots.drop(old_snap_name, vid)
-                self.provider_table.record_remove(
-                    old_snapshot_index, snapshot_key(vid)
-                )
-            for shard_index, table_index in enumerate(entry.provider_indices):
-                name = self.provider_table.get(table_index).name
-                shard = shard_key(vid, shard_index)
-                with contextlib.suppress(ProviderError):
-                    self.registry.get(name).provider.delete(shard)
-                self.provider_table.record_remove(table_index, shard)
-            self.chunk_table.remove(ref.chunk_index)
-            del self._chunk_state[vid]
-            self.ids.release(vid)
-            if self.cache is not None:
-                self.cache.invalidate(vid)
+            self._delete_chunks([ref])
             if txn is not None:
                 new_ref = replace(ref, chunk_index=new_index)
                 self.journal.commit(
@@ -2042,8 +2041,7 @@ class CloudDataDistributor:
             if stored_to != old_name:
                 # Best effort: clear the stale twin so the old provider
                 # does not resurface an orphan (or rotten bytes) later.
-                with contextlib.suppress(ProviderError):
-                    self.registry.get(old_name).provider.delete(key)
+                self._delete_objects([(old_name, key)])
                 relocations.append((vid, shard_index, old_name, stored_to))
                 self.metrics.counter(
                     "distributor_shards_relocated_total"

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.errors import (
-    BlobNotFoundError,
+    MetadataCorruptedError,
     ProviderError,
     UnknownChunkError,
     UnknownClientError,
@@ -274,19 +274,21 @@ class RecoveryReport:
         )
 
 
-def _delete_object(
-    distributor: "CloudDataDistributor", name: str, key: str
-) -> bool:
-    """Best-effort delete of one provider object; True if it went away."""
-    if name not in distributor.registry:
-        return False
-    try:
-        distributor.registry.get(name).provider.delete(key)
-        return True
-    except BlobNotFoundError:
-        return False
-    except ProviderError:
-        return False
+def _registered(
+    distributor: "CloudDataDistributor", pairs
+) -> list[tuple[str, str]]:
+    """The ``(provider, key)`` pairs whose provider is still registered;
+    what a provider since removed holds is out of reach."""
+    return [pair for pair in pairs if pair[0] in distributor.registry]
+
+
+def _owned(txn: JournalTxn, specs) -> list[dict]:
+    """*specs*, each naming the transaction's client and filename."""
+    specs = list(specs)
+    for spec in specs:
+        spec.setdefault("client", txn.client)
+        spec.setdefault("filename", txn.filename)
+    return specs
 
 
 def _spec_keys(spec: dict) -> list[tuple[str, str]]:
@@ -300,29 +302,30 @@ def _spec_keys(spec: dict) -> list[tuple[str, str]]:
     return pairs
 
 
-def _chunk_index_for_vid(distributor: "CloudDataDistributor", vid: int):
-    for index, entry in distributor.chunk_table:
-        if entry.virtual_id == vid:
-            return index
-    return None
-
-
-def _purge_spec(
-    distributor: "CloudDataDistributor", spec: dict, report: RecoveryReport
+def _purge_specs(
+    distributor: "CloudDataDistributor",
+    specs: list[dict],
+    report: RecoveryReport,
+    tabled: dict[int, int],
 ) -> None:
-    """Roll a chunk spec forward out of existence: objects, tables, refs."""
-    vid = int(spec["vid"])
-    for name, key in _spec_keys(spec):
-        if _delete_object(distributor, name, key):
-            report.objects_deleted += 1
-        if name in distributor.registry:
-            try:
-                table_index = distributor.provider_table.index_of(name)
-            except KeyError:
-                continue
-            distributor.provider_table.record_remove(table_index, key)
-    index = _chunk_index_for_vid(distributor, vid)
-    if index is not None:
+    """Roll chunk specs forward out of existence: objects (one batch per
+    provider), tables, refs.  *tabled* is the pass's vid -> chunk index
+    map; a purged row leaves it."""
+    doomed = _registered(
+        distributor, (pair for spec in specs for pair in _spec_keys(spec))
+    )
+    report.objects_deleted += distributor._delete_objects(doomed)
+    for name, key in doomed:
+        try:
+            table_index = distributor.provider_table.index_of(name)
+        except KeyError:
+            continue
+        distributor.provider_table.record_remove(table_index, key)
+    for spec in specs:
+        vid = int(spec["vid"])
+        index = tabled.pop(vid, None)
+        if index is None:
+            continue
         distributor.chunk_table.remove(index)
         distributor._chunk_state.pop(vid, None)
         distributor.ids.release(vid)
@@ -368,9 +371,16 @@ def _shards_surviving(distributor: "CloudDataDistributor", spec: dict) -> int:
 
 
 def _restore_spec(
-    distributor: "CloudDataDistributor", spec: dict, report: RecoveryReport
+    distributor: "CloudDataDistributor",
+    spec: dict,
+    report: RecoveryReport,
+    tabled: dict[int, int],
 ) -> None:
-    """Roll a committed chunk spec forward into the tables (if viable)."""
+    """Roll a committed chunk spec forward into the tables (if viable).
+
+    The record's positions and checksums pass the check a loaded chunk
+    row passes before anything is tabled; a restored row joins *tabled*.
+    """
     vid = int(spec["vid"])
     stripe = spec["stripe"]
     k = int(stripe[2])
@@ -379,42 +389,38 @@ def _restore_spec(
         client_entry = distributor.client_table.get(client)
     except UnknownClientError:
         client_entry = None
-    already = _chunk_index_for_vid(distributor, vid)
-    if already is not None or client_entry is None:
-        if already is None:
+    if vid in tabled or client_entry is None:
+        if vid not in tabled:
             # No client row to hang the chunk on: unreachable data, purge.
-            _purge_spec(distributor, spec, report)
+            _purge_specs(distributor, [spec], report, tabled)
             report.chunks_dropped += 1
         return
     if _shards_surviving(distributor, spec) < k:
         # Too few shards made it to disk: resurrecting the entry would be
         # a permanent table hole.  The upload never finished from the
         # client's point of view; delete the remnants instead.
-        _purge_spec(distributor, spec, report)
+        _purge_specs(distributor, [spec], report, tabled)
         report.chunks_dropped += 1
         return
 
-    from repro.core.distributor import _ChunkState  # cycle-free at runtime
+    from repro.core.distributor import (  # cycle-free at runtime
+        _check_chunk_row,
+        _ChunkState,
+    )
 
-    provider_indices = []
-    for i, name in enumerate(spec["providers"]):
-        table_index = distributor.provider_table.index_of(name)
-        distributor.provider_table.record_store(table_index, shard_key(vid, i))
-        provider_indices.append(table_index)
+    provider_indices = [
+        distributor.provider_table.index_of(name)
+        for name in spec["providers"]
+    ]
     snapshot_index = None
     if spec.get("snapshot"):
         snapshot_index = distributor.provider_table.index_of(spec["snapshot"])
-        distributor.provider_table.record_store(
-            snapshot_index, snapshot_key(vid)
-        )
-    index = distributor.chunk_table.add(
-        ChunkEntry(
-            virtual_id=vid,
-            privacy_level=PrivacyLevel.coerce(spec["level"]),
-            provider_indices=provider_indices,
-            snapshot_index=snapshot_index,
-            misleading_positions=tuple(spec.get("positions", ())),
-        )
+    entry = ChunkEntry(
+        virtual_id=vid,
+        privacy_level=PrivacyLevel.coerce(spec["level"]),
+        provider_indices=provider_indices,
+        snapshot_index=snapshot_index,
+        misleading_positions=tuple(spec.get("positions", ())),
     )
     checksums = spec.get("checksums")
     try:
@@ -431,11 +437,20 @@ def _restore_spec(
             + ((list(checksums),) if checksums else (None,))
         )
     else:
-        distributor._chunk_state[vid] = _ChunkState(
+        state = _ChunkState(
             stripe=meta,
             rotation=int(spec.get("rotation", 0)),
             shard_checksums=tuple(checksums) if checksums else None,
         )
+        _check_chunk_row(entry, state)
+        distributor._chunk_state[vid] = state
+    for i, table_index in enumerate(provider_indices):
+        distributor.provider_table.record_store(table_index, shard_key(vid, i))
+    if snapshot_index is not None:
+        distributor.provider_table.record_store(
+            snapshot_index, snapshot_key(vid)
+        )
+    index = tabled[vid] = distributor.chunk_table.add(entry)
     if vid not in distributor.ids:
         distributor.ids.reserve(vid)
     ref = FileChunkRef(
@@ -464,34 +479,42 @@ def recover_from_journal(
     """
     report = RecoveryReport()
     with distributor.op_lock:
+        # One pass over the Chunk Table for the whole recovery, kept
+        # current as specs are purged and restored.
+        tabled = {
+            entry.virtual_id: index for index, entry in distributor.chunk_table
+        }
+
         for txn in journal.replay():
             report.txns_seen += 1
             if txn.state == "committed" and txn.delta is not None:
                 delta = txn.delta
-                for spec in delta.get("remove", ()):
-                    spec.setdefault("client", txn.client)
-                    spec.setdefault("filename", txn.filename)
-                    _purge_spec(distributor, spec, report)
-                for spec in delta.get("add", ()):
-                    spec.setdefault("client", txn.client)
-                    spec.setdefault("filename", txn.filename)
-                    _restore_spec(distributor, spec, report)
+                _purge_specs(
+                    distributor, _owned(txn, delta.get("remove", ())), report, tabled
+                )
+                for spec in _owned(txn, delta.get("add", ())):
+                    try:
+                        _restore_spec(distributor, spec, report, tabled)
+                    except MetadataCorruptedError as exc:
+                        raise MetadataCorruptedError(
+                            f"journal transaction {txn.txn} ({txn.op} of "
+                            f"{txn.filename!r}): {exc}"
+                        ) from exc
                 report.rolled_forward += 1
                 continue
             # Open or aborted transaction: the op never (durably) finished.
             if txn.op == "remove":
                 # Shards cannot be un-deleted; completing the remove is
                 # the only consistent end state.
-                for spec in txn.remove_specs:
-                    spec.setdefault("client", txn.client)
-                    spec.setdefault("filename", txn.filename)
-                    _purge_spec(distributor, spec, report)
+                _purge_specs(
+                    distributor, _owned(txn, txn.remove_specs), report, tabled
+                )
                 report.rolled_forward += 1
             else:
                 report.rolled_back += 1
-            for name, key in txn.put_keys:
-                if _delete_object(distributor, name, key):
-                    report.objects_deleted += 1
+            report.objects_deleted += distributor._delete_objects(
+                _registered(distributor, txn.put_keys)
+            )
             if txn.state == "open":
                 # Durably mark the txn resolved, or it would outlive the
                 # next checkpoint (which preserves open transactions) and

@@ -74,6 +74,9 @@ class NamespacedProvider(CloudProvider):
     def get_many(self, keys: list[str]) -> list:
         return self.inner.get_many([self._outer(k) for k in keys])
 
+    def delete_many(self, keys: list[str]) -> list:
+        return self.inner.delete_many([self._outer(k) for k in keys])
+
     def contains(self, key: str) -> bool:
         return self.inner.contains(self._outer(key))
 

@@ -267,17 +267,12 @@ def _delete_loose(
     distributor: "CloudDataDistributor", report: FsckReport
 ) -> int:
     """Delete every orphan / stale snapshot the audit condemned."""
-    removed = 0
-    for loose in (report.orphans, report.stale_snapshots):
-        for name, keys in loose.items():
-            provider = distributor.registry.get(name).provider
-            for key in keys:
-                try:
-                    provider.delete(key)
-                    removed += 1
-                except ProviderError:
-                    continue
-    return removed
+    return distributor._delete_objects(
+        (name, key)
+        for loose in (report.orphans, report.stale_snapshots)
+        for name, keys in loose.items()
+        for key in keys
+    )
 
 
 def run_fsck(

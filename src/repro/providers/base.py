@@ -92,8 +92,9 @@ class CloudProvider(ABC):
     # The distributor's data path stores/fetches every shard of a window bound
     # for one provider in a single call.  The defaults below loop the
     # per-object primitives with per-item error capture, so any backend is
-    # batch-capable; RemoteProvider overrides both with one MULTI_PUT /
-    # MULTI_GET wire round-trip.  A whole-provider failure (e.g. transport
+    # batch-capable; RemoteProvider overrides put_many/get_many with one
+    # MULTI_PUT / MULTI_GET wire round-trip and delete_many with windows of
+    # pipelined DELETE frames.  A whole-provider failure (e.g. transport
     # down) may instead be raised directly by an override.
 
     def put_many(
@@ -122,6 +123,21 @@ class CloudProvider(ABC):
         for key in keys:
             try:
                 outcomes.append(self.get(key))
+            except ProviderError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def delete_many(self, keys: list[str]) -> list[ProviderError | None]:
+        """Remove many objects; one outcome (``None`` = removed) per key.
+
+        An absent key answers :class:`BlobNotFoundError` in its slot and
+        does not stop the rest.
+        """
+        outcomes: list[ProviderError | None] = []
+        for key in keys:
+            try:
+                self.delete(key)
+                outcomes.append(None)
             except ProviderError as exc:
                 outcomes.append(exc)
         return outcomes

@@ -43,7 +43,7 @@ KILL_POINTS: frozenset[str] = frozenset(
         "upload.committed",  # commit durable, metadata snapshot stale
         # repro.core.distributor -- remove
         "remove.intent_logged",  # intent durable, every shard still present
-        "remove.partial",  # some chunks deleted, some not
+        "remove.partial",  # after each window of chunks: some gone, some not
         "remove.committed",  # commit durable, metadata snapshot stale
         # repro.core.distributor -- update (copy-on-write swap)
         "update.intent_logged",  # intent durable, no staged shard written

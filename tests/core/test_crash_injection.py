@@ -23,11 +23,13 @@ from collections import defaultdict
 
 import pytest
 
+from repro.core import distributor as distributor_module
 from repro.core.distributor import CloudDataDistributor
 from repro.core.errors import UnknownFileError
 from repro.core.journal import IntentJournal, recover_from_journal
 from repro.core.persistence import load_metadata, save_metadata
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
+from repro.core.virtual_id import shard_key
 from repro.health.fsck import run_fsck
 from repro.providers.disk import DiskProvider
 from repro.providers.registry import ProviderRegistry
@@ -167,6 +169,55 @@ def test_recovery_restores_invariants(tmp_path, point, streamed, after):
     rebooted.upload_file("Bob", "pw", "rt", KEEP, PrivacyLevel.PRIVATE)
     assert rebooted.get_file("Bob", "pw", "rt") == KEEP
     rebooted.remove_file("Bob", "pw", "rt")
+    _assert_no_table_holes(rebooted)
+
+
+def test_remove_dying_between_windows_is_finished_at_boot(
+    tmp_path, monkeypatch
+):
+    """``remove.partial`` falls between a remove's windows.  Eight chunks
+    in windows of three, dead after the second: six chunks are gone from
+    tables and providers alike, two are whole, and recovery finishes the
+    job from the intent record."""
+    monkeypatch.setattr(distributor_module, "REMOVE_WINDOW_CHUNKS", 3)
+    distributor = _setup(tmp_path)
+    homes = [
+        [
+            (distributor.provider_table.get(t).name, shard_key(entry.virtual_id, i))
+            for i, t in enumerate(entry.provider_indices)
+        ]
+        for entry in (
+            distributor.chunk_table.get(ref.chunk_index)
+            for ref in distributor.client_table.get("Bob").refs_for_file("victim")
+        )
+    ]
+    widths = [len(home) for home in homes]
+
+    def stored() -> list[int]:
+        return [
+            sum(
+                distributor.registry.get(name).provider.contains(key)
+                for name, key in home
+            )
+            for home in homes
+        ]
+
+    assert stored() == widths
+    with crashing_at("remove.partial", after=1) as reached:
+        with pytest.raises(CrashPoint):
+            distributor.remove_file("Bob", "pw", "victim")
+    assert reached.count("remove.partial") == 2
+    assert stored() == [0] * 6 + widths[6:]
+    left = distributor.client_table.get("Bob").refs_for_file("victim")
+    assert [ref.serial for ref in left] == [6, 7]
+
+    rebooted, report = boot(tmp_path)
+    assert report.rolled_forward == 1
+    assert report.objects_deleted == sum(widths[6:])
+    assert run_fsck(rebooted).clean
+    with pytest.raises(UnknownFileError):
+        rebooted.get_file("Bob", "pw", "victim")
+    assert rebooted.get_file("Bob", "pw", "keep") == KEEP
     _assert_no_table_holes(rebooted)
 
 

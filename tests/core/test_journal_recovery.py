@@ -1,0 +1,144 @@
+"""Journal recovery: what it believes of a record, and what it costs.
+
+A committed record is metadata on disk like ``metadata.json``: positions
+and checksums in it pass the check a loaded chunk row passes, or boot
+stops with a typed error naming the transaction.  And recovery walks the
+Chunk Table once per pass, not once per chunk spec.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import MetadataCorruptedError, UnknownFileError
+from repro.core.journal import IntentJournal, recover_from_journal
+from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
+from repro.core.tables import ChunkTable
+from repro.providers.memory import InMemoryProvider
+from repro.providers.registry import ProviderRegistry
+from repro.util.crash import CrashPoint, crashing_at
+
+DATA = bytes(range(256)) * 4
+
+
+@pytest.fixture
+def registry() -> ProviderRegistry:
+    registry = ProviderRegistry()
+    for i in range(6):
+        registry.register(
+            InMemoryProvider(f"P{i}"), PrivacyLevel.PRIVATE, CostLevel(1)
+        )
+    return registry
+
+
+def boot(registry, path, chunk: int = 256) -> CloudDataDistributor:
+    """A process start over the same providers and journal: empty tables
+    (no snapshot was saved), the client registered again."""
+    d = CloudDataDistributor(
+        registry,
+        chunk_policy=ChunkSizePolicy.uniform(chunk),
+        seed=7,
+        journal=IntentJournal(path),
+    )
+    d.register_client("Bob")
+    d.add_password("Bob", "pw", PrivacyLevel.PRIVATE)
+    return d
+
+
+def edit_commit(path, edit) -> int:
+    """Apply *edit* to the first added spec of the commit record on disk,
+    as a hand or a torn write would; returns the transaction id."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (commit,) = [r for r in records if r["rec"] == "commit"]
+    edit(commit["delta"]["add"][0])
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return commit["txn"]
+
+
+def _positions(value):
+    return lambda spec: spec.__setitem__("positions", value(spec))
+
+
+HOSTILE = {
+    "repeated": _positions(lambda s: s["positions"][:1] * 2),
+    "descending": _positions(lambda s: s["positions"][::-1]),
+    "negative": _positions(lambda s: [-1] + s["positions"]),
+    "past-the-end": _positions(lambda s: s["positions"] + [10**6]),
+    "not-integers": _positions(lambda s: [str(p) for p in s["positions"]]),
+    "short-checksums": lambda s: s.__setitem__("checksums", s["checksums"][:-1]),
+}
+
+
+@pytest.mark.parametrize("edit", HOSTILE.values(), ids=HOSTILE.keys())
+def test_a_committed_record_that_contradicts_its_stripe_stops_the_boot(
+    registry, tmp_path, edit
+):
+    path = tmp_path / "journal.jsonl"
+    first = boot(registry, path)
+    first.upload_file(
+        "Bob", "pw", "f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=0.1
+    )
+    txn = edit_commit(path, edit)
+    rebooted = boot(registry, path)
+    with pytest.raises(MetadataCorruptedError, match=f"transaction {txn} ") as err:
+        recover_from_journal(rebooted, rebooted.journal)
+    assert "'f'" in str(err.value)
+    # The bad row was never tabled: nothing reads as plaintext with a
+    # misleading byte in it, nothing waits to raise IndexError mid-read.
+    assert len(rebooted.chunk_table) == 0
+    with pytest.raises(UnknownFileError):
+        rebooted.get_file("Bob", "pw", "f")
+
+
+def test_the_same_record_untouched_is_restored(registry, tmp_path):
+    path = tmp_path / "journal.jsonl"
+    first = boot(registry, path)
+    first.upload_file(
+        "Bob", "pw", "f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=0.1
+    )
+    edit_commit(path, lambda spec: None)
+    rebooted = boot(registry, path)
+    report = recover_from_journal(rebooted, rebooted.journal)
+    assert report.chunks_restored == len(DATA) // 256
+    assert rebooted.get_file("Bob", "pw", "f") == DATA
+
+
+def test_recovering_a_512_chunk_remove_walks_the_chunk_table_once(
+    registry, tmp_path, monkeypatch
+):
+    """By count, not by clock: a scan per spec made this remove's
+    recovery 512 walks of a 520-row table."""
+    path = tmp_path / "journal.jsonl"
+    d = boot(registry, path, chunk=16)
+    d.upload_file("Bob", "pw", "keep", DATA[:128], PrivacyLevel.PRIVATE)
+    d.upload_file("Bob", "pw", "victim", DATA * 8, PrivacyLevel.PRIVATE)
+    d.journal.checkpoint()  # the uploads are history
+    refs = d.client_table.get("Bob").refs_for_file("victim")
+    assert len(refs) == 512
+    shards = sum(
+        len(d.chunk_table.get(ref.chunk_index).provider_indices)
+        for ref in refs
+    )
+    kept = sum(len(entry.provider.keys()) for entry in registry.all()) - shards
+    with crashing_at("remove.intent_logged"):
+        with pytest.raises(CrashPoint):
+            d.remove_file("Bob", "pw", "victim")
+
+    walks = []
+    walk = ChunkTable.__iter__
+    monkeypatch.setattr(
+        ChunkTable, "__iter__", lambda self: walks.append(1) or walk(self)
+    )
+    # The process died with its tables; this one stands in for a reboot
+    # that loaded them from the last snapshot.
+    report = recover_from_journal(d, d.journal)
+    assert walks == [1]
+    assert report.rolled_forward == 1
+    assert report.objects_deleted == shards
+    assert d.client_table.get("Bob").filenames() == ["keep"]
+    assert len(d.chunk_table) == 8
+    assert d.get_file("Bob", "pw", "keep") == DATA[:128]
+    assert sum(len(entry.provider.keys()) for entry in registry.all()) == kept

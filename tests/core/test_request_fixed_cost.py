@@ -121,6 +121,32 @@ def test_sockets_still_get_one_pool_leg_per_provider_asked(submits, hashes):
         d.close()
 
 
+def test_a_retire_of_one_key_a_provider_is_no_pool_leg_and_a_batch_is_one(
+    submits,
+):
+    """Deletes over sockets: the four shards an update retires sit on four
+    providers, one round-trip each, and run in turn on the caller (the
+    update's seven legs are its read and its write); a remove asks each
+    provider for a batch and hands each batch to the pool."""
+    with LocalCluster(6) as cluster:
+        d = CloudDataDistributor(
+            cluster.build_registry(), seed=3, metrics=MetricsRegistry()
+        )
+        d.register_client("C")
+        d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+        d.upload_file("C", "pw", "f", SMALL * 4, PrivacyLevel.MODERATE)
+        del submits[:]
+        d.update_chunk("C", "pw", "f", 1, b"patched")
+        assert len(submits) == 3 + 4  # k shards read, n written, 0 retired
+        holders = {name for name, load in d.provider_loads().items() if load}
+        assert len(holders) == 6
+        del submits[:]
+        d.remove_file("C", "pw", "f")
+        assert len(submits) == len(holders)
+        assert [backend.keys() for backend in cluster.backends] == [[]] * 6
+        d.close()
+
+
 class WitnessProvider(InMemoryProvider):
     """An in-memory provider that notes which thread served each call."""
 

@@ -15,6 +15,7 @@ import logging
 import socket
 import struct
 import threading
+import time
 import zlib
 
 import pytest
@@ -28,14 +29,18 @@ from repro.net.protocol import (
     VERSION,
     OpCode,
     Status,
+    encode_deadline_request,
     encode_frame,
+    encode_traced_request,
     read_frame,
     recv_frame,
 )
-from repro.net.remote import RemoteProvider, RetryPolicy
+from repro.net.remote import DELETE_WINDOW, RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs.trace import Tracer
 from repro.providers.memory import InMemoryProvider
+from repro.util.deadline import Deadline, deadline_scope
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
 
@@ -174,3 +179,60 @@ def test_a_provider_answering_junk_costs_a_parity_read(chunk_size, wire_op):
         for i in range(4)
     ]
     assert failures[0] > 0 and failures[1:] == [0, 0, 0]
+
+
+class _SlowReader(ChunkServer):
+    """Takes each connection's frames off a 4 KiB receive buffer, one
+    every few milliseconds: a full window's requests are all on the wire
+    long before the first is answered."""
+
+    def _serve_connection(self, conn):
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        super()._serve_connection(conn)
+
+    def _dispatch_multi(self, frame, session):
+        time.sleep(0.003)
+        return super()._dispatch_multi(frame, session)
+
+
+def test_a_full_delete_window_in_both_envelopes_cannot_deadlock():
+    """The client writes a whole window before it reads one answer.  With
+    TRACED and DEADLINE on, that window still fits a send buffer (the
+    bound DELETE_WINDOW's comment states), so a server that reads slowly
+    stalls nobody: the window completes, every key answered."""
+    inner = InMemoryProvider("slow")
+    keys = [f"fleet/s0/{9_000_000 + i}.{i % 4}" for i in range(DELETE_WINDOW)]
+    inner.put_many([(key, b"v") for key in keys])
+    tracer = Tracer()
+    with _SlowReader(inner) as server:
+        provider = RemoteProvider(
+            "slow", server.host, server.port, retry=FAST_RETRY,
+            metrics=MetricsRegistry(), tracer=tracer,
+        )
+        try:
+            with tracer.trace("remove"), deadline_scope(Deadline.after(30)):
+                context = tracer.wire_context()
+                outcomes = provider.delete_many(keys)
+            assert provider._server_traced and provider._server_deadline
+        finally:
+            provider.close()
+    assert outcomes == [None] * DELETE_WINDOW
+    assert inner.keys() == []
+    enveloped = sum(
+        len(
+            encode_frame(
+                OpCode.DEADLINE,
+                payload=encode_deadline_request(
+                    30_000,
+                    encode_frame(
+                        OpCode.TRACED,
+                        payload=encode_traced_request(
+                            context, encode_frame(OpCode.DELETE, key=key)
+                        ),
+                    ),
+                ),
+            )
+        )
+        for key in keys
+    )
+    assert enveloped < 16 * 1024  # the smallest default SO_SNDBUF

@@ -3,7 +3,11 @@ all, and the client's retry loop must still converge on correct results."""
 
 import pytest
 
-from repro.net.remote import RemoteProvider, RetryPolicy
+from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import BlobNotFoundError
+from repro.core.privacy import ChunkSizePolicy, PrivacyLevel
+from repro.net.cluster import LocalCluster
+from repro.net.remote import DELETE_WINDOW, RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer, WireFaults
 from repro.providers.memory import InMemoryProvider
 
@@ -120,3 +124,97 @@ def test_prefix_scoped_stall_sees_the_keys_inside_a_batch():
     assert unscoped.injected["stall"] == 5
     assert scoped.draw("fleet/sB/next") == unscoped.draw("fleet/sB/next")
     assert scoped._rng.random() == unscoped._rng.random()
+
+
+# -- pipelined DELETE windows ---------------------------------------------------
+
+
+class ScriptedFaults(WireFaults):
+    """Faults exactly the responses its script numbers (1-based, counted
+    from :meth:`arm`), once each: no rates, no luck."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.script: dict[int, str] = {}
+        self.answered = 0
+
+    def arm(self, script: dict[int, str]) -> None:
+        with self._lock:
+            self.script, self.answered = dict(script), 0
+
+    def draw(self, key: str = "") -> str | None:
+        with self._lock:
+            self.answered += 1
+            fault = self.script.pop(self.answered, None)
+            if fault is not None:
+                self.injected[fault] += 1
+            return fault
+
+
+class ScriptedServer(ChunkServer):
+    def __init__(self, backend, **kwargs) -> None:
+        super().__init__(backend, wire_faults=ScriptedFaults(), **kwargs)
+
+
+def test_a_reply_lost_or_damaged_mid_window_replays_the_window():
+    """Three windows.  The reply to the 36th frame of the second is
+    dropped with the connection (the delete itself took effect), one in
+    the middle of the third arrives with a bad CRC: each window is
+    replayed whole, and a key that went the first time answers not-found
+    the second -- gone either way."""
+    inner = InMemoryProvider("W")
+    keys = [f"k{i}" for i in range(2 * DELETE_WINDOW + 22)]
+    inner.put_many([(key, b"v") for key in keys])
+    inner.put("kept", b"kept")
+    faults = ScriptedFaults()
+    with ChunkServer(inner, wire_faults=faults) as server:
+        client = make_client(server)
+        try:
+            # Answers: 64 for the first window, 36 until the drop, 64 for
+            # the replayed second window, then the third.
+            faults.arm({DELETE_WINDOW + 36: "drop", 2 * DELETE_WINDOW + 46: "corrupt"})
+            outcomes = client.delete_many(keys)
+            assert client.keys() == ["kept"]  # and the server still serves
+        finally:
+            client.close()
+    assert faults.injected == {"stall": 0, "drop": 1, "corrupt": 1}
+    assert len(outcomes) == len(keys)
+    assert {type(outcome) for outcome in outcomes} == {
+        type(None), BlobNotFoundError
+    }
+    # First window untouched; the dropped window's first 36 keys had gone.
+    assert outcomes[:DELETE_WINDOW] == [None] * DELETE_WINDOW
+    assert all(
+        isinstance(outcome, BlobNotFoundError)
+        for outcome in outcomes[DELETE_WINDOW : DELETE_WINDOW + 36]
+    )
+    assert outcomes[DELETE_WINDOW + 36 : 2 * DELETE_WINDOW] == [None] * 28
+
+
+def test_remove_file_rides_out_faults_inside_its_windows():
+    """Every node loses one reply and damages another inside the remove's
+    windows: ``remove_file`` does not raise, no shard stays behind, and
+    the transport pool serves the next request."""
+    retry = RetryPolicy(attempts=8, base_delay=0.005)
+    with LocalCluster(6, retry=retry, server_cls=ScriptedServer) as cluster:
+        d = CloudDataDistributor(
+            cluster.build_registry(),
+            chunk_policy=ChunkSizePolicy.uniform(64),
+            seed=3,
+        )
+        d.register_client("C")
+        d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+        data = bytes(range(256)) * 128  # 512 chunks, ~342 shards a node
+        d.upload_file("C", "pw", "f", data, PrivacyLevel.MODERATE, codec="raid5@4")
+        for server in cluster.servers:
+            server.wire_faults.arm({30: "drop", 150: "corrupt"})
+        d.remove_file("C", "pw", "f")
+        for server in cluster.servers:
+            assert server.wire_faults.injected == {
+                "stall": 0, "drop": 1, "corrupt": 1
+            }
+        assert [backend.keys() for backend in cluster.backends] == [[]] * 6
+        assert d.list_files("C", "pw") == []
+        d.upload_file("C", "pw", "g", data[:4096], PrivacyLevel.MODERATE)
+        assert d.get_file("C", "pw", "g") == data[:4096]
+        d.close()

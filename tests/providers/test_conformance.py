@@ -3,8 +3,9 @@
 The distributor treats backends as interchangeable (Section IV-B's "virtual
 id is all a provider sees"), which only holds if put/get/delete/head/keys,
 overwrite, missing-key and corruption-detection semantics are *identical*
-across in-memory, on-disk, simulated and remote-socket providers.  Each
-test here runs once per backend.
+across in-memory, on-disk, simulated and remote-socket providers, and
+through the chaos and namespace wrappers.  Each test here runs once per
+backend.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import BlobCorruptedError, BlobNotFoundError
-from repro.net.remote import RemoteProvider, RetryPolicy
+from repro.fleet.namespace import NamespacedProvider
+from repro.net.remote import DELETE_WINDOW, RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.providers.base import blob_checksum
 from repro.providers.chaos import ChaosProvider
@@ -21,7 +23,7 @@ from repro.providers.memory import InMemoryProvider
 from repro.providers.simulated import SimulatedProvider
 from repro.util.clock import SimulatedClock
 
-BACKENDS = ["memory", "disk", "simulated", "remote", "chaos"]
+BACKENDS = ["memory", "disk", "simulated", "remote", "chaos", "namespaced"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -54,6 +56,10 @@ def conformant(request, tmp_path):
         inner = InMemoryProvider("conf")
         provider = ChaosProvider(inner, seed=5)
         yield provider, inner.corrupt_blob
+    elif request.param == "namespaced":
+        inner = InMemoryProvider("conf")
+        provider = NamespacedProvider(inner, "s0")
+        yield provider, lambda key: inner.corrupt_blob(f"fleet/s0/{key}")
     else:
         inner = InMemoryProvider("conf")
         with ChunkServer(inner) as server:
@@ -164,3 +170,47 @@ def test_overwrite_clears_corruption(conformant):
     corrupt("k")
     provider.put("k", b"fresh")
     assert provider.get("k") == b"fresh"
+
+
+def test_delete_many_answers_every_key_in_order(conformant):
+    """One outcome per key, in the order asked; an absent key is a
+    ``BlobNotFoundError`` in its slot and the keys after it still go.
+    More keys than one wire window, so the remote backend pipelines
+    several."""
+    provider, _ = conformant
+    count = 2 * DELETE_WINDOW + 7
+    stored = [f"k{i}" for i in range(count) if i % 5]
+    provider.put_many([(key, key.encode()) for key in stored])
+    provider.put("kept", b"kept")
+    outcomes = provider.delete_many([f"k{i}" for i in range(count)])
+    assert [type(outcome) for outcome in outcomes] == [
+        type(None) if i % 5 else BlobNotFoundError for i in range(count)
+    ]
+    assert provider.keys() == ["kept"]
+
+
+def test_delete_many_of_nothing_answers_nothing(conformant):
+    provider, _ = conformant
+    provider.put("kept", b"kept")
+    assert provider.delete_many([]) == []
+    assert provider.keys() == ["kept"]
+
+
+def test_namespaced_delete_many_is_one_inner_delete_many():
+    calls = []
+
+    class Counting(InMemoryProvider):
+        def delete_many(self, keys):
+            calls.append(list(keys))
+            return super().delete_many(keys)
+
+    inner = Counting("conf")
+    provider = NamespacedProvider(inner, "s0")
+    provider.put_many([("a", b"1"), ("b", b"2")])
+    inner.put("fleet/s1/a", b"someone else's")
+    outcomes = provider.delete_many(["a", "absent", "b"])
+    assert calls == [["fleet/s0/a", "fleet/s0/absent", "fleet/s0/b"]]
+    assert [type(outcome) for outcome in outcomes] == [
+        type(None), BlobNotFoundError, type(None)
+    ]
+    assert inner.keys() == ["fleet/s1/a"]
