@@ -1,12 +1,27 @@
 # Convenience targets; see README.md for details.
 
-.PHONY: install test bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
+.PHONY: install test loc loc-check bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
 
 install:
 	pip install -e . || python setup.py develop
 
 test:
 	PYTHONPATH=src pytest tests/
+
+# Line counts the diet is judged by (ROADMAP item 6).
+loc:
+	@for d in src tests benchmarks; do \
+		printf '%-34s %6d\n' "$$d/" "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
+	@for f in core/distributor.py core/rebalance.py net/remote.py; do \
+		printf '%-34s %6d\n' "src/repro/$$f" "$$(wc -l < src/repro/$$f)"; done
+
+# The ratchet CI holds core/distributor.py to: the count the last diet PR
+# landed.  The next one lowers it; nothing raises it.
+DISTRIBUTOR_MAX_LINES = 2018
+loc-check:
+	@lines=$$(wc -l < src/repro/core/distributor.py); \
+	echo "core/distributor.py: $$lines lines (ratchet $(DISTRIBUTOR_MAX_LINES))"; \
+	test "$$lines" -le $(DISTRIBUTOR_MAX_LINES)
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only

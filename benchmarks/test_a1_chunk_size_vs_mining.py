@@ -30,7 +30,7 @@ def run_a1():
         distributor = CloudDataDistributor(
             registry,
             chunk_policy=ChunkSizePolicy.uniform(chunk_size),
-            stripe_width=4,
+            codec="raid5@4",
             seed=112,
         )
         distributor.register_client("C")

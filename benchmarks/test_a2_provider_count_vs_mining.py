@@ -14,7 +14,6 @@ from repro.mining.adversary import Adversary
 from repro.mining.naive_bayes import fit_gaussian_nb
 from repro.mining.regression import coefficient_distance, fit_linear
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
-from repro.raid.striping import RaidLevel
 from repro.util.tables import render_table
 from repro.workloads.bidding import PARSERS, generate_bidding_history, rows_from_salvaged
 from repro.workloads.records import PARSERS as RECORD_PARSERS
@@ -41,8 +40,7 @@ def run_a2():
         distributor = CloudDataDistributor(
             registry,
             chunk_policy=ChunkSizePolicy.uniform(1024),
-            stripe_width=min(4, n) if n >= 3 else n,
-            raid_level=RaidLevel.RAID5 if n >= 3 else RaidLevel.RAID0,
+            codec=f"raid5@{min(4, n)}" if n >= 3 else f"raid0@{n}",
             seed=124,
         )
         distributor.register_client("C")

@@ -28,7 +28,7 @@ def run_a3():
         distributor = CloudDataDistributor(
             registry,
             chunk_policy=ChunkSizePolicy.uniform(2048),
-            stripe_width=4,
+            codec="raid5@4",
             seed=132,
         )
         distributor.register_client("C")

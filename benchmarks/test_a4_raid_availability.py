@@ -33,8 +33,7 @@ def run_a4():
         distributor = CloudDataDistributor(
             registry,
             chunk_policy=ChunkSizePolicy.uniform(4096),
-            raid_level=level,
-            stripe_width=width,
+            codec=f"{level.value}@{width}",
             seed=142,
         )
         distributor.register_client("C")

@@ -28,7 +28,7 @@ def run_a5():
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(1024),
-        stripe_width=4,
+        codec="raid5@4",
         seed=152,
     )
     distributor.register_client("C")

@@ -33,7 +33,7 @@ def run_pattern(pattern_name, serials, cache_chunks):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(CHUNK),
-        stripe_width=4,
+        codec="raid5@4",
         seed=191,
         cache=cache,
     )

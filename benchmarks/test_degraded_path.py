@@ -37,8 +37,7 @@ def make_world(level, n):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(CHUNK),
-        raid_level=level,
-        stripe_width=WIDTH,
+        codec=f"{level.value}@{WIDTH}",
         seed=153,
     )
     d.register_client("C")

@@ -95,7 +95,7 @@ def _build_world(instrumented: bool, stack: contextlib.ExitStack) -> dict:
 def _timed_round(distributor, data: bytes, name: str) -> tuple[float, float]:
     started = time.perf_counter()
     distributor.upload_file("c0", "pw", name, data, LEVEL,
-                            raid_level=RaidLevel.RAID5)
+                            codec=RaidLevel.RAID5)
     upload_s = time.perf_counter() - started
 
     started = time.perf_counter()

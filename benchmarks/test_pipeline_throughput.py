@@ -112,7 +112,7 @@ def _single_file(cluster, raid: RaidLevel) -> dict:
         for round_no in range(ROUNDS):
             name = f"bench{round_no}.bin"
             started = time.perf_counter()
-            d.upload_file("c0", "pw", name, data, LEVEL, raid_level=raid)
+            d.upload_file("c0", "pw", name, data, LEVEL, codec=raid)
             upload_s = min(upload_s, time.perf_counter() - started)
 
             started = time.perf_counter()
@@ -142,7 +142,7 @@ def _concurrent_clients(cluster, raid: RaidLevel) -> dict:
             try:
                 if phase == "upload":
                     d.upload_file(client, "pw", "f.bin", payloads[client],
-                                  LEVEL, raid_level=raid)
+                                  LEVEL, codec=raid)
                 else:
                     got = d.get_file(client, "pw", "f.bin")
                     assert got == payloads[client]
@@ -262,7 +262,7 @@ def _stream_single_file(cluster) -> dict:
             name = f"stream{round_no}.bin"
             started = time.perf_counter()
             d.put_stream("c0", "pw", name, io.BytesIO(data), LEVEL,
-                         raid_level=RaidLevel.RAID5,
+                         codec=RaidLevel.RAID5,
                          window_chunks=STREAM_WINDOW_CHUNKS)
             upload_s = min(upload_s, time.perf_counter() - started)
 

@@ -31,7 +31,7 @@ def raid_drill() -> None:
         registry, fleet, clock = build_simulated_fleet(specs, seed=2)
         d = CloudDataDistributor(
             registry, chunk_policy=ChunkSizePolicy.uniform(4096),
-            raid_level=level, stripe_width=width, seed=3,
+            codec=f"{level.value}@{width}", seed=3,
         )
         d.register_client("C")
         d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -56,7 +56,7 @@ def death_and_repair() -> None:
     ]
     registry, fleet, clock = build_simulated_fleet(specs, seed=4)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(4096), stripe_width=4, seed=5
+        registry, chunk_policy=ChunkSizePolicy.uniform(4096), codec="raid5@4", seed=5
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)

@@ -68,9 +68,9 @@ def client_exposure(
             shard_size = state.stripe.shard_size
         else:
             # Unknown-codec quarantine: the stripe never deserialized, but
-            # the preserved raw tuple still carries the shard size — enough
+            # the preserved raw row still carries the shard size -- enough
             # for a byte-share bound.
-            shard_size = int(distributor._codec_quarantine[chunk.virtual_id][4])
+            shard_size = int(distributor._packed(chunk.virtual_id).shard_size)
         for table_index in chunk.provider_indices:
             name = distributor.provider_table.get(table_index).name
             shard_counts[name] = shard_counts.get(name, 0) + 1

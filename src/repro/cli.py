@@ -221,12 +221,9 @@ def _put(args) -> int:
             misleading_fraction=args.misleading,
         )
     _commit(distributor, meta)
-    codec_label = receipt.codec or (
-        receipt.raid_level.name if receipt.raid_level else "?"
-    )
     print(
         f"stored {filename!r}: {format_bytes(receipt.file_size)} in "
-        f"{receipt.chunk_count} chunks ({codec_label}, "
+        f"{receipt.chunk_count} chunks ({receipt.codec}, "
         f"width {receipt.stripe_width})"
     )
     return 0

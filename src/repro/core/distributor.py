@@ -65,12 +65,12 @@ from repro.core.tables import (
 from repro.core.virtual_id import VirtualIdAllocator, shard_key, snapshot_key
 from repro.providers.base import blob_checksum
 from repro.providers.registry import ProviderRegistry
-from repro.providers.simulated import ParallelWindow, SimulatedProvider
 from repro.raid.codecs import (
+    ChunkState,
     CodecSpec,
     ErasureCodec,
+    PackedChunk,
     codec_for_meta,
-    stripe_meta_from_fields,
 )
 from repro.raid.reconstruct import read_stripes, rebuild_shard
 from repro.raid.striping import RaidLevel, StripeMeta
@@ -130,30 +130,16 @@ class RepairReport:
 
 
 @dataclass
-class _ChunkState:
-    """Distributor-private per-chunk state beyond the paper's Table III.
-
-    ``shard_checksums`` records each shard's end-to-end checksum at write
-    time, so reads and the scrubber can detect silent corruption a
-    provider never reports (``None`` for chunks imported from metadata
-    snapshots that predate checksum tracking).
-    """
-
-    stripe: StripeMeta
-    rotation: int
-    shard_checksums: tuple[str, ...] | None = None
-
-
-@dataclass
 class _ChunkPlan:
     """One chunk's placement decision, staged before any bytes move.
 
     The upload engine makes every placement decision (and rng draw) of a
     window inside the critical section, in serial order, then transfers
-    the window's plans lock-free.  ``checksums`` is filled by the transfer,
-    one digest per shard, and is the value every later stage uses -- the
-    provider records it, the wire compares its echo with it, commit tables
-    it -- so a shard is hashed once per process on its way in.  ``failed``
+    the window's plans lock-free.  ``state`` is what commit tables; its
+    ``shard_checksums`` are filled by the transfer, one digest per shard,
+    and are the value every later stage uses -- the provider records it,
+    the wire compares its echo with it -- so a shard is hashed once per
+    process on its way in.  ``failed``
     collects shard indices whose put did not land anywhere; ``assigned``
     is updated in place by write-path failover; commit drops ``shards`` so
     a committed window's bytes do not outlive their window.
@@ -162,11 +148,10 @@ class _ChunkPlan:
     serial: int
     level: PrivacyLevel
     vid: int
-    stripe: StripeMeta
+    state: ChunkState
     shards: list[bytes]
     assigned: list[str]
     positions: tuple[int, ...]
-    checksums: list[str] = field(default_factory=list)
     failed: list[int] = field(default_factory=list)
     first_error: ProviderError | None = None
     # The (provider, key) pairs already in the journal for this plan;
@@ -212,12 +197,12 @@ class _FetchJob:
 
     serial: int
     entry: ChunkEntry
-    state: _ChunkState
+    state: ChunkState
     names: list[str]
     cached: bytes | None = None
 
 
-def _check_chunk_row(entry: ChunkEntry, state: _ChunkState) -> None:
+def _check_chunk_row(entry: ChunkEntry, state: ChunkState) -> None:
     """Raise :class:`MetadataCorruptedError` for a loaded chunk row that
     contradicts its own stripe.
 
@@ -257,9 +242,7 @@ class CloudDataDistributor:
         registry: ProviderRegistry,
         chunk_policy: ChunkSizePolicy | None = None,
         placement: PlacementPolicy | None = None,
-        raid_level: RaidLevel = RaidLevel.RAID5,
-        stripe_width: int | None = None,
-        codec: "CodecSpec | str | None" = None,
+        codec: "CodecSpec | RaidLevel | str | None" = None,
         seed: SeedLike = None,
         audit: "AuditLog | None" = None,
         cache: "ChunkCache | None" = None,
@@ -295,12 +278,9 @@ class CloudDataDistributor:
         self.op_lock = threading.RLock()
         self.chunk_policy = chunk_policy or ChunkSizePolicy()
         self.placement = placement or PlacementPolicy(seed=seeds[0])
-        self.default_raid_level = raid_level
-        self.default_stripe_width = stripe_width
-        # Default codec spec; ``codec=`` takes precedence over the legacy
-        # raid_level/stripe_width pair when both are configured.
-        self.default_codec: CodecSpec | None = (
-            CodecSpec.coerce(codec) if codec is not None else None
+        # The codec of an upload that names none.
+        self.default_codec = CodecSpec.coerce(
+            codec if codec is not None else RaidLevel.RAID5
         )
         # Chunks whose metadata names a codec this build cannot parse:
         # vid -> the raw packed chunk-state tuple, preserved verbatim so
@@ -315,7 +295,7 @@ class CloudDataDistributor:
         self.client_table = ClientTable()
         self.chunk_table = ChunkTable()
         self.snapshots = SnapshotManager(registry, self.placement)
-        self._chunk_state: dict[int, _ChunkState] = {}
+        self._chunk_state: dict[int, ChunkState] = {}
         if max_transport_workers is not None and max_transport_workers < 1:
             raise ValueError(
                 f"max_transport_workers must be >= 1, got {max_transport_workers}"
@@ -383,7 +363,8 @@ class CloudDataDistributor:
                 f"PL {int(PrivacyLevel.coerce(level))} data"
             )
 
-    def _provider_load(self) -> dict[str, int]:
+    def provider_loads(self) -> dict[str, int]:
+        """Shard-object count per provider (Table I's Count column)."""
         return {
             entry.name: entry.count for _, entry in self.provider_table
         }
@@ -399,7 +380,7 @@ class CloudDataDistributor:
         they raise the provider's error EWMA (toward SUSPECT) without
         counting toward the consecutive-failure DOWN verdict.
         """
-        if self.health is None or name not in self.registry:
+        if name not in self.registry:
             return
         if ok:
             self.health.record_success(name)
@@ -409,29 +390,21 @@ class CloudDataDistributor:
             )
             self.health.record_failure(name, transport=transport)
 
-    def _provider_put(
-        self, name: str, key: str, data: bytes, checksum: str | None = None
-    ) -> None:
+    def _provider_call(self, method: str, name: str, key: str, *args, **kwargs):
+        """One ``put``, ``get`` or ``head`` of *key* at provider *name*,
+        its outcome fed to the health monitor."""
         # Deadline check sits *outside* the try: an expired caller budget
         # is the caller's verdict, not provider evidence, so it must not
         # feed the health monitor a false transport failure.
-        check_deadline(f"put {key} -> {name}")
+        check_deadline(f"{method} {key} @ {name}")
+        call = getattr(self.registry.get(name).provider, method)
         try:
-            self.registry.get(name).provider.put(key, data, checksum=checksum)
+            result = call(key, *args, **kwargs)
         except ProviderError as exc:
             self._record_health(name, ok=False, exc=exc)
             raise
         self._record_health(name, ok=True)
-
-    def _provider_get(self, name: str, key: str) -> bytes:
-        check_deadline(f"get {key} <- {name}")
-        try:
-            data = self.registry.get(name).provider.get(key)
-        except ProviderError as exc:
-            self._record_health(name, ok=False, exc=exc)
-            raise
-        self._record_health(name, ok=True)
-        return data
+        return result
 
     def _provider_batch(
         self,
@@ -475,7 +448,7 @@ class CloudDataDistributor:
                     f"to a {method} of {len(items)} items"
                 )
             ] * len(items)
-        if self.health is None or name not in self.registry:
+        if name not in self.registry:
             return outcomes
         for failed, run in itertools.groupby(
             outcomes, key=lambda outcome: isinstance(outcome, ProviderError)
@@ -499,11 +472,7 @@ class CloudDataDistributor:
         available = getattr(provider, "available", True)
         if not callable(available) and not available:
             return False
-        if self.health is not None:
-            return self.health.is_usable(name)
-        from repro.health.monitor import probe_provider
-
-        return probe_provider(provider)
+        return self.health.is_usable(name)
 
     @contextlib.contextmanager
     def _phase(self, op: str, phase: str):
@@ -571,19 +540,6 @@ class CloudDataDistributor:
                 raise
             self._record_op(operation, client, filename, serial, ok=True)
         return result
-
-    def _parallel_window(self, parallel: bool):
-        """A context that, when *parallel*, charges overlapping provider
-        requests as concurrent (Section VII-E's "parallel query
-        processing").
-
-        A no-op otherwise, or when the fleet is not simulated-clock based.
-        """
-        if parallel:
-            for entry in self.registry.all():
-                if isinstance(entry.provider, SimulatedProvider):
-                    return ParallelWindow(entry.provider.clock)
-        return contextlib.nullcontext()
 
     # ------------------------------------------------------------------
     # transport executor (concurrent fan-out across providers)
@@ -709,79 +665,46 @@ class CloudDataDistributor:
             for outcome in outcomes or ()
         )
 
-    def _stripe_width_for(
-        self, level: PrivacyLevel, spec: "CodecSpec | RaidLevel"
-    ) -> int:
-        """Pick a stripe width for a codec spec that leaves it open.
+    def _resolve_codec(
+        self, level: PrivacyLevel, codec: "CodecSpec | RaidLevel | str | None"
+    ) -> ErasureCodec:
+        """The codec of one upload: *codec* (anything
+        :meth:`CodecSpec.coerce` takes), else the distributor's default.
 
-        *spec* is anything exposing ``min_width`` (a :class:`CodecSpec`
-        or, for legacy callers, a bare :class:`RaidLevel`).
+        A raid-family spec that leaves its width open spreads as wide as
+        the paper intends (more targets for the attacker), capped at 4 so
+        huge fleets don't shred tiny chunks.  Must run inside the critical
+        section: that width comes from fleet state.
         """
-        if self.default_stripe_width is not None:
-            return self.default_stripe_width
+        spec = self.default_codec if codec is None else CodecSpec.coerce(codec)
+        if spec.fixed_width is not None:
+            return spec.instantiate()
         available = self.placement.max_stripe_width(
             self.registry, level, health=self.health
         )
-        # Spread as wide as the paper intends (more targets for the
-        # attacker) but cap so huge fleets don't shred tiny chunks.
-        return max(spec.min_width, min(available, 4))
+        return spec.instantiate(max(spec.min_width, min(available, 4)))
 
-    def _resolve_codec(
-        self,
-        level: PrivacyLevel,
-        raid_level: RaidLevel | None,
-        stripe_width: int | None,
-        codec: "CodecSpec | str | None",
-    ) -> ErasureCodec:
-        """Resolve per-call codec/raid/width arguments into a codec.
-
-        Precedence: explicit ``codec=``, then explicit ``raid_level=``,
-        then the distributor-level ``codec=`` default, then the legacy
-        ``raid_level`` default.  ``stripe_width`` applies to raid-family
-        specs (the rs families fix their width at k+m and reject a
-        conflicting one).  Must run inside the critical section when no
-        explicit width is given (placement reads fleet state).
-        """
-        if codec is not None:
-            spec = CodecSpec.coerce(codec)
-            if raid_level is not None and spec.raid_level is not raid_level:
-                raise ValueError(
-                    f"conflicting codec={spec.canonical()!r} and "
-                    f"raid_level={raid_level.name}; pass one"
-                )
-        elif raid_level is not None:
-            spec = CodecSpec(family=raid_level.value)
-        elif self.default_codec is not None:
-            spec = self.default_codec
-        else:
-            spec = CodecSpec(family=self.default_raid_level.value)
-        fixed = spec.fixed_width
-        if fixed is not None:
-            if stripe_width is not None and stripe_width != fixed:
-                raise ValueError(
-                    f"codec {spec.canonical()} fixes stripe width {fixed}, "
-                    f"got stripe_width={stripe_width}"
-                )
-            return spec.instantiate()
-        width = (
-            stripe_width
-            if stripe_width is not None
-            else self._stripe_width_for(level, spec)
-        )
-        return spec.instantiate(width)
+    def _packed(self, vid: int) -> PackedChunk:
+        """A tabled chunk's packed row -- for a chunk quarantined under an
+        unknown codec the raw one, which still has to answer for its
+        geometry (exposure, quotas) and finish a journalled remove."""
+        state = self._chunk_state.get(vid)
+        if state is None:
+            return PackedChunk(*self._codec_quarantine[vid])
+        return PackedChunk.pack(state)
 
     def _chunk_state_for(
         self, entry: ChunkEntry, filename: str | None = None
-    ) -> _ChunkState:
+    ) -> ChunkState:
         """The chunk's stripe state, or a typed error for quarantined chunks."""
         state = self._chunk_state.get(entry.virtual_id)
         if state is None:
-            packed = self._codec_quarantine.get(entry.virtual_id)
-            if packed is not None:
+            if entry.virtual_id in self._codec_quarantine:
+                label = self._packed(entry.virtual_id).codec
                 raise UnknownCodecError(
-                    f"chunk {entry.virtual_id} uses codec {packed[0]!r} "
+                    f"chunk {entry.virtual_id} uses codec {label!r} "
                     f"unknown to this build; quarantined at metadata load",
-                    spec=str(packed[0]),
+                    spec=str(label),
                     filename=filename,
                     virtual_id=entry.virtual_id,
                 )
@@ -840,7 +763,7 @@ class CloudDataDistributor:
                         serial=serial,
                         level=level,
                         vid=self.ids.allocate(),
-                        stripe=meta,
+                        state=ChunkState(meta, serial % width),
                         shards=shards,
                         assigned=assigned,
                         positions=where,
@@ -868,7 +791,7 @@ class CloudDataDistributor:
         """
         by_provider: dict[str, list[tuple[_ChunkPlan, int]]] = {}
         for plan in plans:
-            plan.checksums = [blob_checksum(shard) for shard in plan.shards]
+            plan.state.shard_checksums = tuple(map(blob_checksum, plan.shards))
             for shard_index, name in enumerate(plan.assigned):
                 by_provider.setdefault(name, []).append((plan, shard_index))
 
@@ -888,7 +811,10 @@ class CloudDataDistributor:
             )
             return self._provider_batch(
                 "put_stream" if streamed else "put_many", name, items,
-                [plan.checksums[shard_index] for plan, shard_index in members],
+                [
+                    plan.state.shard_checksums[shard_index]
+                    for plan, shard_index in members
+                ],
             )
 
         outcomes = self._transport_map(put_batch, groups, list(by_provider))
@@ -911,15 +837,14 @@ class CloudDataDistributor:
         whole upload, or the one staged stripe of an update).
         """
         if plan.failed:
-            # Write-path failover: re-place only the failed shards on
-            # alternate healthy eligible providers instead of aborting the
-            # whole chunk.
-            plan.failed = self._failover_shards(
-                plan.vid, plan.level, plan.shards, plan.checksums,
-                plan.assigned, plan.failed,
-            )
+            # Write-path failover: re-place only the failed shards instead
+            # of aborting the whole chunk.  What finds no taker stays
+            # failed: accepted degraded if >= k landed, else rolled back.
+            moves, _ = self._replace_shards(plan, plan.failed)
+            placed = {shard_index for _, shard_index, _, _ in moves}
+            plan.failed = [i for i in plan.failed if i not in placed]
         return bool(plan.failed) and (
-            len(plan.assigned) - len(plan.failed) < plan.stripe.k
+            len(plan.assigned) - len(plan.failed) < plan.state.stripe.k
         )
 
     def _commit_plan(self, plan: _ChunkPlan) -> int:
@@ -950,11 +875,7 @@ class CloudDataDistributor:
                 misleading_positions=plan.positions,
             )
         )
-        self._chunk_state[plan.vid] = _ChunkState(
-            stripe=plan.stripe,
-            rotation=plan.serial % plan.stripe.width,
-            shard_checksums=tuple(plan.checksums),
-        )
+        self._chunk_state[plan.vid] = plan.state
         plan.shards = []
         return chunk_index
 
@@ -968,51 +889,20 @@ class CloudDataDistributor:
         """
         entry = self.chunk_table.get(ref.chunk_index)
         vid = entry.virtual_id
-        state = self._chunk_state.get(vid)
-        if state is None and vid in self._codec_quarantine:
-            # Quarantined chunk (unknown codec): the journal still needs a
-            # spec to finish a remove, so replay the raw packed fields.
-            packed = self._codec_quarantine[vid]
-            stripe = list(packed[:6])
-            rotation = packed[6]
-            checksums = (
-                list(packed[7]) if len(packed) > 7 and packed[7] else None
-            )
-        else:
-            state = self._chunk_state[vid]
-            stripe = [
-                state.stripe.codec,
-                state.stripe.width,
-                state.stripe.k,
-                state.stripe.m,
-                state.stripe.shard_size,
-                state.stripe.orig_len,
-            ]
-            rotation = state.rotation
-            checksums = (
-                list(state.shard_checksums)
-                if state.shard_checksums is not None
-                else None
-            )
         return {
             "vid": vid,
             "client": client,
             "filename": ref.filename,
             "serial": ref.serial,
             "level": int(entry.privacy_level),
-            "providers": [
-                self.provider_table.get(i).name
-                for i in entry.provider_indices
-            ],
+            "providers": self._members(entry),
             "snapshot": (
                 None
                 if entry.snapshot_index is None
                 else self.provider_table.get(entry.snapshot_index).name
             ),
             "positions": list(entry.misleading_positions),
-            "stripe": stripe,
-            "rotation": rotation,
-            "checksums": checksums,
+            **self._packed(vid).journal_fields(),
         }
 
     @staticmethod
@@ -1023,61 +913,135 @@ class CloudDataDistributor:
             for shard_index, name in enumerate(plan.assigned)
         ]
 
-    def _failover_shards(
-        self,
-        vid: int,
-        level: PrivacyLevel,
-        shards: list[bytes],
-        checksums: list[str],
-        assigned: list[str],
-        failed: list[int],
-    ) -> list[int]:
-        """Re-place failed shard puts on alternate providers, in place.
+    def _members(self, entry: ChunkEntry) -> list[str]:
+        """The provider holding each shard of *entry*, by shard index."""
+        return [self.provider_table.get(i).name for i in entry.provider_indices]
 
-        For each failed shard index, healthy eligible providers outside
-        the current assignment (one shard per provider, or RAID failure
-        independence is forfeit) are tried in placement-preference order.
-        ``assigned`` is updated with the providers that accepted a shard;
-        the returned list holds the indices nowhere to be placed -- the
-        caller accepts the chunk degraded if >= k landed, or rolls back.
+    def _read_members(
+        self,
+        state: "ChunkState | None",
+        vid: int,
+        names: list[str],
+        indices: list[int],
+    ) -> dict[int, bytes]:
+        """The shards of one stripe, out of *indices*, that read back and
+        match their recorded checksum: side by side on real transports,
+        every outcome fed to the health monitor.  (*state* is ``None`` for
+        a chunk quarantined under an unknown codec: read, not judged.)"""
+
+        def read(shard_index: int) -> bytes:
+            name = names[shard_index]
+            data = self._provider_call("get", name, shard_key(vid, shard_index))
+            if state is None:
+                return data
+            return self._check_shard(state, vid, shard_index, name, data)
+
+        outcomes = self._transport_map(
+            read, indices, [names[i] for i in indices]
+        )
+        return {
+            shard_index: data
+            for shard_index, (data, exc) in zip(indices, outcomes)
+            if exc is None
+        }
+
+    def _replace_shards(
+        self,
+        chunk: "ChunkEntry | _ChunkPlan",
+        displaced: list[int],
+        good: dict[int, bytes] | None = None,
+        targets: list[str] | None = None,
+    ) -> "tuple[list[tuple[int, int, str, str]], int] | None":
+        """Give each *displaced* shard of *chunk* a new home: the one way
+        a shard moves, for write failover (*chunk* a plan in flight, its
+        shards in hand), repair (so the scrubber), ``decommission_provider``
+        and ``rebalance`` (a tabled row, its caller holding the op lock).
+
+        *good* is the row's members in hand and verified (what a repair
+        read).  Without it -- a move of shards that may be healthy -- the
+        displaced members are read, and the rest of the stripe only if one
+        of them fails.  A displaced shard not in *good* is rebuilt from
+        >= k of them; with fewer, or under an unknown codec, nothing can
+        move: ``None``.  Each shard is offered under its *recorded*
+        checksum to *targets* in turn, by default
+        :meth:`_replacement_candidates` outside the stripe or, with none,
+        its own provider if the shard was rebuilt (the old copy is lost
+        anyway) and the provider is usable again.  Where it lands the old
+        twin is deleted, one event and counter tell, and the plan's
+        assignment, or the row and both provider counts, are swapped; a
+        shard nobody takes stays where it was.  Returns the ``(vid, shard,
+        old, new)`` of each shard that changed provider and how many
+        shards were rebuilt and stored.
         """
-        remaining: list[int] = []
-        # A failed member may hold a torn write (bytes stored, ack lost);
-        # scrub them so no relocated shard has an orphan twin.
-        self._delete_objects([(assigned[i], shard_key(vid, i)) for i in failed])
-        for shard_index in failed:
-            key = shard_key(vid, shard_index)
-            placed = False
-            for name in self._replacement_candidates(level, set(assigned)):
+        entry = chunk if isinstance(chunk, ChunkEntry) else None
+        if entry is not None:
+            vid, level = entry.virtual_id, entry.privacy_level
+            # No state: an unknown-codec quarantine, copied unjudged.
+            state, names = self._chunk_state.get(vid), self._members(entry)
+        else:
+            vid, level, state = chunk.vid, chunk.level, chunk.state
+            names, good = chunk.assigned, dict(enumerate(chunk.shards))
+        if good is None:
+            good = self._read_members(state, vid, names, displaced)
+            if len(good) < len(displaced):
+                rest = [i for i in range(len(names)) if i not in displaced]
+                good.update(self._read_members(state, vid, names, rest))
+        if any(i not in good for i in displaced) and (
+            state is None or len(good) < state.stripe.k
+        ):
+            return None
+        checksums = state.shard_checksums if state is not None else None
+        event, counter = (
+            ("write_failover", "distributor_failover_shards_total")
+            if entry is None
+            else ("shard_relocated", "distributor_shards_relocated_total")
+        )
+        moves: list[tuple[int, int, str, str]] = []
+        rebuilt = 0
+        for shard_index in displaced:
+            key, old = shard_key(vid, shard_index), names[shard_index]
+            fresh = shard_index not in good
+            if fresh:
+                good[shard_index] = rebuild_shard(state.stripe, shard_index, good)
+            offers = targets
+            if offers is None:
+                offers = self._replacement_candidates(level, set(names))
+                if not offers and fresh and self._provider_usable(old):
+                    offers = [old]
+            for new in offers:
                 try:
-                    self._provider_put(
-                        name, key, shards[shard_index], checksums[shard_index]
+                    self._provider_call(
+                        "put", new, key, good[shard_index],
+                        checksum=checksums[shard_index] if checksums else None,
                     )
+                    break
                 except ProviderError:
-                    self._delete_objects([(name, key)])
-                    continue
-                self.metrics.counter("distributor_failover_shards_total").inc()
-                self.events.emit(
-                    "write_failover",
-                    vid=vid,
-                    shard=shard_index,
-                    src=assigned[shard_index],
-                    dst=name,
-                )
-                assigned[shard_index] = name
-                placed = True
-                break
-            if not placed:
+                    # The refusal may be a torn write (stored, ack lost).
+                    self._delete_objects([(new, key)])
+            else:
                 self.metrics.counter("distributor_failover_failed_total").inc()
                 self.events.emit(
-                    "failover_exhausted",
-                    level="warning",
-                    vid=vid,
-                    shard=shard_index,
-                    src=assigned[shard_index],
+                    "failover_exhausted", level="warning",
+                    vid=vid, shard=shard_index, src=old,
                 )
-                remaining.append(shard_index)
-        return remaining
+                continue
+            if new != old:
+                self._delete_objects([(old, key)])
+                self.metrics.counter(counter).inc()
+                self.events.emit(
+                    event, vid=vid, shard=shard_index, src=old, dst=new
+                )
+                moves.append((vid, shard_index, old, new))
+            if entry is not None:
+                new_index = self.provider_table.index_of(new)
+                self.provider_table.record_remove(
+                    entry.provider_indices[shard_index], key
+                )
+                self.provider_table.record_store(new_index, key)
+                entry.provider_indices[shard_index] = new_index
+            names[shard_index] = new
+            rebuilt += fresh
+        return moves, rebuilt
 
     def _replacement_candidates(
         self, level: PrivacyLevel, exclude: set[str]
@@ -1097,20 +1061,18 @@ class CloudDataDistributor:
                 )
                 if c.name not in exclude and self._provider_usable(c.name)
             ]
-            load = self._provider_load()
+            load = self.provider_loads()
 
-        def sort_key(e):
-            suspect = (
-                1 if self.health is not None and self.health.suspect(e.name)
-                else 0
+        candidates.sort(
+            key=lambda c: (
+                self.health.suspect(c.name), int(c.cost_level),
+                load.get(c.name, 0),
             )
-            return (suspect, int(e.cost_level), load.get(e.name, 0))
-
-        candidates.sort(key=sort_key)
+        )
         return [c.name for c in candidates]
 
     def _check_shard(
-        self, state: _ChunkState, vid: int, shard_index: int, name: str,
+        self, state: ChunkState, vid: int, shard_index: int, name: str,
         data: bytes,
     ) -> bytes:
         """*data* if it matches the shard's write-time checksum.
@@ -1177,11 +1139,8 @@ class CloudDataDistributor:
         filename: str,
         data: bytes,
         level: PrivacyLevel | int,
-        raid_level: RaidLevel | None = None,
-        stripe_width: int | None = None,
-        codec: "CodecSpec | str | None" = None,
+        codec: "CodecSpec | RaidLevel | str | None" = None,
         misleading_fraction: float = 0.0,
-        parallel: bool = False,
     ) -> FileReceipt:
         """Receive a file, split it, and distribute the chunks.
 
@@ -1189,10 +1148,8 @@ class CloudDataDistributor:
         level.  Chunk size follows the PL schedule; each chunk is
         erasure-coded over a freshly chosen provider group -- by default
         with the distributor's configured codec, overridable per call
-        with ``codec=`` (a :class:`CodecSpec` or spec string like
-        ``"rs(6,3)"``) or the legacy ``raid_level``/``stripe_width``
-        pair.  With ``parallel=True`` shard uploads overlap across
-        providers in simulated time.
+        with ``codec=`` (a :class:`CodecSpec`, a spec string like
+        ``"rs(6,3)"`` or ``"raid6@5"``, or a :class:`RaidLevel`).
 
         The whole file is one window of the upload engine
         (:meth:`_upload_windows`): the op lock is held only to plan and to
@@ -1207,8 +1164,7 @@ class CloudDataDistributor:
             return self._upload_windows(
                 client, pl, filename,
                 [([chunk.payload for chunk in chunks], True)],
-                raid_level=raid_level, stripe_width=stripe_width, codec=codec,
-                misleading_fraction=misleading_fraction, parallel=parallel,
+                codec=codec, misleading_fraction=misleading_fraction,
             )
 
     def _upload_windows(
@@ -1218,11 +1174,8 @@ class CloudDataDistributor:
         filename: str,
         windows: "Iterable[tuple[list[bytes | memoryview], bool]]",
         *,
-        raid_level: RaidLevel | None = None,
-        stripe_width: int | None = None,
-        codec: "CodecSpec | str | None" = None,
+        codec: "CodecSpec | RaidLevel | str | None" = None,
         misleading_fraction: float = 0.0,
-        parallel: bool = False,
         cipher: "StreamCipher | None" = None,
     ) -> FileReceipt:
         """The upload engine: plan -> transfer -> commit, window by window.
@@ -1253,7 +1206,7 @@ class CloudDataDistributor:
         """
         with self.op_lock:
             self._check_new_filename(client, filename)
-            codec_obj = self._resolve_codec(pl, raid_level, stripe_width, codec)
+            codec_obj = self._resolve_codec(pl, codec)
             self._inflight_uploads.setdefault(client, set()).add(filename)
 
         txn: int | None = None
@@ -1264,9 +1217,7 @@ class CloudDataDistributor:
         serial = total_bytes = 0
 
         def transfer(plans: list[_ChunkPlan]) -> None:
-            with self._parallel_window(parallel), self._phase(
-                "upload", "transfer"
-            ):
+            with self._phase("upload", "transfer"):
                 self._transfer_plans(plans)
                 lost = [plan for plan in plans if self._recover_plan(plan)]
             if lost:
@@ -1320,7 +1271,7 @@ class CloudDataDistributor:
                 # -- plan (critical section) -------------------------------
                 with self.op_lock, self._phase("upload", "plan"):
                     if load is None:
-                        load = self._provider_load()
+                        load = self.provider_loads()
                     plans = self._plan_window(
                         payloads
                         if cipher is None
@@ -1427,9 +1378,7 @@ class CloudDataDistributor:
             serial=serial,
             entry=entry,
             state=self._chunk_state_for(entry, filename),
-            names=[
-                self.provider_table.get(i).name for i in entry.provider_indices
-            ],
+            names=self._members(entry),
             cached=(
                 self.cache.get(entry.virtual_id)
                 if self.cache is not None
@@ -1479,7 +1428,6 @@ class CloudDataDistributor:
         jobs: list[_FetchJob],
         window_chunks: int,
         *,
-        parallel: bool = False,
         cipher: "StreamCipher | None" = None,
         op: "tuple[str, str, str, int | None] | None" = None,
     ) -> Iterator[bytes]:
@@ -1506,9 +1454,7 @@ class CloudDataDistributor:
             for start in range(0, len(jobs), window_chunks):
                 batch = jobs[start : start + window_chunks]
                 fetched = start + len(batch)
-                with self._parallel_window(parallel), self._phase(
-                    "get_file", "fetch"
-                ):
+                with self._phase("get_file", "fetch"):
                     payloads = self._read_window(batch)
                 if self.cache is not None:
                     with self.op_lock, self._phase("get_file", "cache_fill"):
@@ -1633,30 +1579,18 @@ class CloudDataDistributor:
             )
         return payload
 
-    def get_file(
-        self,
-        client: str,
-        password: str,
-        filename: str,
-        parallel: bool = False,
-    ) -> bytes:
+    def get_file(self, client: str, password: str, filename: str) -> bytes:
         """Fetch and reassemble every chunk of *filename*.
 
         Every chunk's metadata is resolved under the op lock; the data
         shards of *all* chunks are then fetched as one window of the read
         engine (:meth:`_read_jobs`) -- batched per provider, providers in
         flight concurrently -- and joined in serial order.
-
-        With ``parallel=True`` the overlap is also modelled in simulated
-        time (one serial chain per provider), the parallel query
-        processing Section VII-E credits fragmentation with.
         """
         op = ("get_file", client, filename, None)
         with self.tracer.span("distributor.get_file", client=client):
             jobs = self._resolve_read(op, password)
-            return b"".join(
-                self._read_jobs(jobs, len(jobs), parallel=parallel, op=op)
-            )
+            return b"".join(self._read_jobs(jobs, len(jobs), op=op))
 
     def get_stream(
         self, client: str, password: str, filename: str, **options
@@ -1695,9 +1629,7 @@ class CloudDataDistributor:
         entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
         doomed = [p for plan in rolled_back for p in self._plan_put_keys(plan)]
         for entry in entries:
-            names = [
-                self.provider_table.get(i).name for i in entry.provider_indices
-            ]
+            names = self._members(entry)
             self._note_audit(vids=(entry.virtual_id,), providers=names)
             doomed.extend(
                 (name, shard_key(entry.virtual_id, shard_index))
@@ -1855,7 +1787,7 @@ class CloudDataDistributor:
             # from the stripe metadata (works across codec generations).
             (plan,) = self._plan_window(
                 [new_payload], entry.privacy_level, state.rotation,
-                codec_for_meta(state.stripe), fraction, self._provider_load(),
+                codec_for_meta(state.stripe), fraction, self.provider_loads(),
             )
             txn = None
             if self.journal is not None:
@@ -1874,13 +1806,9 @@ class CloudDataDistributor:
             new_entry = self.chunk_table.get(new_index)
             new_vid = new_entry.virtual_id
             try:
-                new_names = {
-                    self.provider_table.get(i).name
-                    for i in new_entry.provider_indices
-                }
                 snap_name = self.snapshots.choose_provider(
-                    entry.privacy_level, exclude=new_names,
-                    load=self._provider_load(),
+                    entry.privacy_level, exclude=set(self._members(new_entry)),
+                    load=self.provider_loads(),
                 )
                 if txn is not None:
                     # The snapshot object joins the transaction's write
@@ -1976,99 +1904,25 @@ class CloudDataDistributor:
         """Audit and heal one chunk's stripe.
 
         Reads every shard not already condemned by *suspect* (indices the
-        caller's ``head`` audit flagged), concurrently on real transports,
-        verifying each against its recorded checksum.  Lost/rotten shards
-        are rebuilt from >= k survivors and placed on healthy eligible
-        providers outside the group (or back on a recovered member).
-        Returns ``(missing, rebuilt, unrecoverable, relocations)``.
+        caller's ``head`` audit flagged), verifying each against its
+        recorded checksum; what is lost or rotten is rebuilt from >= k
+        survivors and re-placed by :meth:`_replace_shards`.  Returns
+        ``(missing, rebuilt, unrecoverable, relocations)``.
         """
         vid = entry.virtual_id
         state = self._chunk_state_for(entry)
-        names = [
-            self.provider_table.get(i).name for i in entry.provider_indices
-        ]
-        suspect_set = set(suspect)
-        to_read = [i for i in range(len(names)) if i not in suspect_set]
-
-        def read(shard_index: int) -> bytes:
-            name = names[shard_index]
-            data = self._provider_get(name, shard_key(vid, shard_index))
-            return self._check_shard(state, vid, shard_index, name, data)
-
-        outcomes = self._transport_map(
-            read, to_read, [names[i] for i in to_read]
+        names = self._members(entry)
+        good = self._read_members(
+            state, vid, names,
+            [i for i in range(len(names)) if i not in suspect],
         )
-        shards: dict[int, bytes] = {}
-        bad = sorted(suspect_set)
-        for shard_index, (data, exc) in zip(to_read, outcomes):
-            if exc is None:
-                shards[shard_index] = data
-            else:
-                bad.append(shard_index)
-        bad.sort()
-        missing = len(bad)
+        bad = [i for i in range(len(names)) if i not in good]
         if not bad:
             return 0, 0, 0, []
-        if len(shards) < state.stripe.k:
-            return missing, 0, 1, []
-        group_names = set(names)
-        rebuilt = 0
-        relocations: list[tuple[int, int, str, str]] = []
-        for shard_index in bad:
-            old_table_index = entry.provider_indices[shard_index]
-            old_name = self.provider_table.get(old_table_index).name
-            targets = self._replacement_candidates(
-                entry.privacy_level, group_names
-            )
-            if not targets and self._provider_usable(old_name):
-                # No eligible provider outside the stripe but the failed
-                # member recovered: re-store in place.
-                targets = [old_name]
-            key = shard_key(vid, shard_index)
-            shard = rebuild_shard(state.stripe, shard_index, shards)
-            stored_to = None
-            for new_name in targets:
-                try:
-                    self._provider_put(new_name, key, shard)
-                except ProviderError:
-                    continue
-                stored_to = new_name
-                break
-            if stored_to is None:
-                # No healthy eligible provider outside the stripe: the
-                # chunk stays degraded (still readable) until one heals.
-                continue
-            if stored_to != old_name:
-                # Best effort: clear the stale twin so the old provider
-                # does not resurface an orphan (or rotten bytes) later.
-                self._delete_objects([(old_name, key)])
-                relocations.append((vid, shard_index, old_name, stored_to))
-                self.metrics.counter(
-                    "distributor_shards_relocated_total"
-                ).inc()
-                self.events.emit(
-                    "shard_relocated",
-                    vid=vid,
-                    shard=shard_index,
-                    src=old_name,
-                    dst=stored_to,
-                )
-            self.provider_table.record_remove(old_table_index, key)
-            new_table_index = self.provider_table.index_of(stored_to)
-            self.provider_table.record_store(new_table_index, key)
-            entry.provider_indices[shard_index] = new_table_index
-            group_names.add(stored_to)
-            shards[shard_index] = shard
-            rebuilt += 1
-        return missing, rebuilt, 0, relocations
-
-    # ------------------------------------------------------------------
-    # introspection used by experiments
-    # ------------------------------------------------------------------
-
-    def provider_loads(self) -> dict[str, int]:
-        """Shard-object count per provider (Table I's Count column)."""
-        return self._provider_load()
+        if len(good) < state.stripe.k:
+            return len(bad), 0, 1, []
+        moves, rebuilt = self._replace_shards(entry, bad, good)
+        return len(bad), rebuilt, 0, moves
 
     # ------------------------------------------------------------------
     # metadata replication (Fig. 2 secondaries) and persistence
@@ -2098,18 +1952,7 @@ class CloudDataDistributor:
                         for vid, packed in self._codec_quarantine.items()
                     },
                     **{
-                        vid: (
-                            state.stripe.codec,
-                            state.stripe.width,
-                            state.stripe.k,
-                            state.stripe.m,
-                            state.stripe.shard_size,
-                            state.stripe.orig_len,
-                            state.rotation,
-                            list(state.shard_checksums)
-                            if state.shard_checksums is not None
-                            else None,
-                        )
+                        vid: tuple(PackedChunk.pack(state))
                         for vid, state in self._chunk_state.items()
                     },
                 },
@@ -2130,35 +1973,21 @@ class CloudDataDistributor:
                 client_table.import_state(snapshot["client_table"])
             except ValueError as exc:
                 raise MetadataCorruptedError(f"client table: {exc}") from exc
-            chunk_state: dict[int, _ChunkState] = {}
+            chunk_state: dict[int, ChunkState] = {}
             quarantine: dict[int, tuple] = {}
             unknown_specs: list[tuple[int, str]] = []
             for vid, packed in snapshot["chunk_state"].items():
-                # Accept both the current 8-field tuple and the 7-field
-                # layout from metadata exported before checksum tracking.
-                # Field 0 is the codec label; for chunks written before
-                # the codec refactor it holds RaidLevel.value strings,
-                # which parse identically.  An unparseable codec (from a
-                # newer build, or corruption) quarantines the one chunk
-                # -- with its raw tuple preserved for re-export -- rather
-                # than failing the entire metadata load.
+                # An unparseable codec (from a newer build, or
+                # corruption) quarantines the one chunk -- its raw tuple
+                # preserved for re-export -- rather than failing the
+                # entire metadata load.
                 try:
-                    meta = stripe_meta_from_fields(
-                        packed[:6], virtual_id=int(vid)
+                    chunk_state[int(vid)] = PackedChunk(*packed).unpack(
+                        virtual_id=int(vid)
                     )
                 except UnknownCodecError as exc:
                     quarantine[int(vid)] = tuple(packed)
                     unknown_specs.append((int(vid), exc.spec))
-                    continue
-                rotation = packed[6]
-                checksums = packed[7] if len(packed) > 7 else None
-                chunk_state[int(vid)] = _ChunkState(
-                    stripe=meta,
-                    rotation=rotation,
-                    shard_checksums=(
-                        tuple(checksums) if checksums is not None else None
-                    ),
-                )
             for _, entry in chunk_table:
                 state = chunk_state.get(entry.virtual_id)
                 if state is not None:

@@ -48,7 +48,7 @@ from repro.core.errors import (
 from repro.core.privacy import PrivacyLevel
 from repro.core.tables import ChunkEntry, ClientEntry, FileChunkRef
 from repro.core.virtual_id import shard_key, snapshot_key
-from repro.raid.codecs import stripe_meta_from_fields
+from repro.raid.codecs import PackedChunk
 from repro.util.atomic import atomic_write_bytes, fsync_dir
 from repro.util.crash import crashpoint
 
@@ -382,8 +382,7 @@ def _restore_spec(
     row passes before anything is tabled; a restored row joins *tabled*.
     """
     vid = int(spec["vid"])
-    stripe = spec["stripe"]
-    k = int(stripe[2])
+    packed = PackedChunk.from_journal(spec)
     client = spec.get("client", "")
     try:
         client_entry = distributor.client_table.get(client)
@@ -395,7 +394,7 @@ def _restore_spec(
             _purge_specs(distributor, [spec], report, tabled)
             report.chunks_dropped += 1
         return
-    if _shards_surviving(distributor, spec) < k:
+    if _shards_surviving(distributor, spec) < int(packed.k):
         # Too few shards made it to disk: resurrecting the entry would be
         # a permanent table hole.  The upload never finished from the
         # client's point of view; delete the remnants instead.
@@ -403,10 +402,7 @@ def _restore_spec(
         report.chunks_dropped += 1
         return
 
-    from repro.core.distributor import (  # cycle-free at runtime
-        _check_chunk_row,
-        _ChunkState,
-    )
+    from repro.core.distributor import _check_chunk_row  # cycle-free at runtime
 
     provider_indices = [
         distributor.provider_table.index_of(name)
@@ -422,26 +418,14 @@ def _restore_spec(
         snapshot_index=snapshot_index,
         misleading_positions=tuple(spec.get("positions", ())),
     )
-    checksums = spec.get("checksums")
     try:
-        meta = stripe_meta_from_fields(
-            stripe[:6], filename=spec.get("filename"), virtual_id=vid
-        )
+        state = packed.unpack(filename=spec.get("filename"), virtual_id=vid)
     except UnknownCodecError:
         # Same quarantine path as import_metadata: keep the chunk's raw
         # stripe fields aside instead of crashing recovery; reads of it
         # raise a typed error and fsck classifies it.
-        distributor._codec_quarantine[vid] = (
-            tuple(stripe[:6])
-            + (int(spec.get("rotation", 0)),)
-            + ((list(checksums),) if checksums else (None,))
-        )
+        distributor._codec_quarantine[vid] = tuple(packed)
     else:
-        state = _ChunkState(
-            stripe=meta,
-            rotation=int(spec.get("rotation", 0)),
-            shard_checksums=tuple(checksums) if checksums else None,
-        )
         _check_chunk_row(entry, state)
         distributor._chunk_state[vid] = state
     for i, table_index in enumerate(provider_indices):

@@ -11,6 +11,9 @@ Section III-A).  This module keeps a live deployment healthy through both:
   dark) before it leaves the fleet;
 * :func:`rebalance` migrates shards from the most- to the least-loaded
   eligible providers until loads are even.
+
+The last two only choose the shard that leaves (and, rebalancing, where to);
+``CloudDataDistributor._replace_shards`` moves it, as for failover and repair.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import PlacementError, ProviderError
+from repro.core.errors import PlacementError, ProviderError, UnknownChunkError
 from repro.core.privacy import CostLevel, PrivacyLevel
-from repro.core.virtual_id import shard_key
+from repro.core.tables import ChunkEntry
 from repro.providers.base import CloudProvider
-from repro.raid.reconstruct import rebuild_shard
 
 
 @dataclass
@@ -48,87 +50,21 @@ def admit_provider(
     return distributor.provider_table.add(provider.name, privacy_level, cost_level)
 
 
-def _move_shard(
-    distributor: CloudDataDistributor,
-    entry,
-    shard_index: int,
-    target_name: str,
-    shard_bytes: bytes,
-) -> None:
-    """Write one shard at its new home and update both tables."""
-    vid = entry.virtual_id
-    key = shard_key(vid, shard_index)
-    old_index = entry.provider_indices[shard_index]
-    old_name = distributor.provider_table.get(old_index).name
-    distributor.registry.get(target_name).provider.put(key, shard_bytes)
-    new_index = distributor.provider_table.index_of(target_name)
-    distributor.provider_table.record_store(new_index, key)
-    try:
-        distributor.registry.get(old_name).provider.delete(key)
-    except ProviderError:
-        pass  # dead/dark source keeps an orphan blob under an opaque key
-    distributor.provider_table.record_remove(old_index, key)
-    entry.provider_indices[shard_index] = new_index
-
-
-def _fetch_or_rebuild(
-    distributor: CloudDataDistributor, entry, shard_index: int
-) -> tuple[bytes | None, bool]:
-    """Shard bytes for migration: direct read, else stripe rebuild.
-
-    Returns (bytes or None, rebuilt?).
-    """
-    vid = entry.virtual_id
-    source_name = distributor.provider_table.get(
-        entry.provider_indices[shard_index]
-    ).name
-    try:
-        return (
-            distributor.registry.get(source_name).provider.get(
-                shard_key(vid, shard_index)
-            ),
-            False,
-        )
-    except ProviderError:
-        pass
-    state = distributor._chunk_state.get(vid)
-    if state is None:
-        # Unknown-codec quarantine: without the codec there is no rebuild.
-        return None, False
-    survivors: dict[int, bytes] = {}
-    for other_index, table_index in enumerate(entry.provider_indices):
-        if other_index == shard_index:
-            continue
-        name = distributor.provider_table.get(table_index).name
-        try:
-            survivors[other_index] = distributor.registry.get(name).provider.get(
-                shard_key(vid, other_index)
-            )
-        except ProviderError:
-            continue
-    if len(survivors) < state.stripe.k:
-        return None, False
-    return rebuild_shard(state.stripe, shard_index, survivors), True
-
-
-def _replacement_target(
-    distributor: CloudDataDistributor,
-    entry,
-    exclude: set[str],
-) -> str | None:
-    candidates = [
-        c
-        for c in distributor.placement.candidates(
-            distributor.registry, entry.privacy_level
-        )
-        if c.name not in exclude
-        and getattr(distributor.registry.get(c.name).provider, "available", True)
-    ]
-    if not candidates:
+def _relocate(
+    distributor: CloudDataDistributor, entry: ChunkEntry, leaving: list[int],
+    report: MigrationReport, targets: list[str] | None = None,
+) -> int | None:
+    """Hand *entry*'s *leaving* shards to the distributor's one re-placement
+    routine (op lock held) and book what moved: how many did, or ``None``
+    when their bytes can be neither read nor rebuilt."""
+    outcome = distributor._replace_shards(entry, leaving, targets=targets)
+    if outcome is None:
         return None
-    load = distributor.provider_loads()
-    candidates.sort(key=lambda e: (int(e.cost_level), load.get(e.name, 0)))
-    return candidates[0].name
+    moves, rebuilt = outcome
+    report.shards_moved += len(moves)
+    report.shards_rebuilt += rebuilt
+    report.moves.extend(moves)
+    return len(moves)
 
 
 def decommission_provider(
@@ -136,66 +72,51 @@ def decommission_provider(
 ) -> MigrationReport:
     """Drain every shard (and snapshot) off provider *name*.
 
-    Shards whose provider is already unreachable are rebuilt from their
-    stripes.  Raises :class:`PlacementError` if nothing eligible can host
-    the displaced shards.  The provider stays registered (empty) so stale
-    readers fail cleanly; remove it from the registry afterwards if
-    desired.
+    Shards whose provider is already unreachable, or whose bytes no longer
+    match their recorded checksum, are rebuilt from their stripes.  Raises
+    :class:`PlacementError` if nothing eligible can host the displaced
+    shards.  The provider stays registered (empty) so stale readers fail
+    cleanly; remove it from the registry afterwards if desired.  The op
+    lock is taken per chunk, as ``Scrubber.run_once`` takes it.
     """
     victim_index = distributor.provider_table.index_of(name)
     report = MigrationReport()
-    for _, entry in list(distributor.chunk_table):
-        group_names = {
-            distributor.provider_table.get(i).name for i in entry.provider_indices
-        }
-        for shard_index, table_index in enumerate(entry.provider_indices):
-            if table_index != victim_index:
-                continue
-            shard_bytes, rebuilt = _fetch_or_rebuild(distributor, entry, shard_index)
-            if shard_bytes is None:
-                report.shards_stuck += 1
-                continue
-            target = _replacement_target(
-                distributor, entry, exclude=group_names | {name}
-            )
-            if target is None:
+    with distributor.op_lock:
+        chunk_indices = [index for index, _ in distributor.chunk_table]
+    for index in chunk_indices:
+        with distributor.op_lock:
+            try:
+                entry = distributor.chunk_table.get(index)
+            except UnknownChunkError:
+                continue  # removed since the snapshot of indices
+            leaving = [
+                i for i, t in enumerate(entry.provider_indices) if t == victim_index
+            ]
+            moved = _relocate(distributor, entry, leaving, report) if leaving else 0
+            if moved is None:
+                report.shards_stuck += len(leaving)
+            elif moved < len(leaving):
                 raise PlacementError(
                     f"no eligible provider can absorb PL-"
                     f"{int(entry.privacy_level)} shards from {name!r}"
                 )
-            _move_shard(distributor, entry, shard_index, target, shard_bytes)
-            group_names.add(target)
-            report.shards_moved += 1
-            report.shards_rebuilt += int(rebuilt)
-            report.moves.append((entry.virtual_id, shard_index, name, target))
-
-        # Relocate any snapshot hosted at the victim.
-        if entry.snapshot_index == victim_index:
-            try:
-                pre_state = distributor.snapshots.read(name, entry.virtual_id)
-            except ProviderError:
-                report.shards_stuck += 1
-                continue
-            target = distributor.snapshots.choose_provider(
-                entry.privacy_level,
-                exclude={name}
-                | {
-                    distributor.provider_table.get(i).name
-                    for i in entry.provider_indices
-                },
-                load=distributor.provider_loads(),
-            )
-            key = distributor.snapshots.write(target, entry.virtual_id, pre_state)
-            distributor.provider_table.record_store(
-                distributor.provider_table.index_of(target), key
-            )
-            try:
-                distributor.snapshots.drop(name, entry.virtual_id)
-            except ProviderError:
-                pass
-            distributor.provider_table.record_remove(victim_index, key)
-            entry.snapshot_index = distributor.provider_table.index_of(target)
-            report.shards_moved += 1
+            if entry.snapshot_index == victim_index:  # its snapshot moves too
+                try:
+                    pre_state = distributor.snapshots.read(name, entry.virtual_id)
+                except ProviderError:
+                    report.shards_stuck += 1
+                    continue
+                target = distributor.snapshots.choose_provider(
+                    entry.privacy_level,
+                    exclude={name, *distributor._members(entry)},
+                    load=distributor.provider_loads(),
+                )
+                key = distributor.snapshots.write(target, entry.virtual_id, pre_state)
+                entry.snapshot_index = distributor.provider_table.index_of(target)
+                distributor.provider_table.record_store(entry.snapshot_index, key)
+                distributor._delete_objects([(name, key)])
+                distributor.provider_table.record_remove(victim_index, key)
+                report.shards_moved += 1
     return report
 
 
@@ -204,58 +125,45 @@ def rebalance(
 ) -> MigrationReport:
     """Even out shard counts by migrating from hottest to coldest providers.
 
-    Moves one shard at a time from the most-loaded provider to the
-    least-loaded provider eligible for that shard's privacy level (and not
-    already in its stripe group), stopping when the spread is <= 1 shard
-    or *max_moves* is reached.
+    Moves one shard at a time (each found and made under the op lock) from
+    the most-loaded provider to the least-loaded provider eligible for that
+    shard's privacy level (and not already in its stripe group), stopping
+    when the spread is <= 1 shard or *max_moves* is reached.
     """
     report = MigrationReport()
     budget = max_moves if max_moves is not None else 10_000
-    while budget > 0:
-        loads = distributor.provider_loads()
-        if not loads:
-            break
-        hottest = max(loads, key=lambda n: (loads[n], n))
-        # Find a shard on the hottest provider that a colder eligible
-        # provider can take.
-        hottest_index = distributor.provider_table.index_of(hottest)
-        moved = False
-        for _, entry in distributor.chunk_table:
-            for shard_index, table_index in enumerate(entry.provider_indices):
-                if table_index != hottest_index:
-                    continue
-                group_names = {
-                    distributor.provider_table.get(i).name
-                    for i in entry.provider_indices
-                }
-                candidates = [
-                    c
-                    for c in distributor.placement.candidates(
-                        distributor.registry, entry.privacy_level
-                    )
-                    if c.name not in group_names
-                    and loads.get(c.name, 0) + 1 < loads[hottest]
-                ]
-                if not candidates:
-                    continue
-                candidates.sort(key=lambda c: (loads.get(c.name, 0), c.name))
-                shard_bytes, rebuilt = _fetch_or_rebuild(
-                    distributor, entry, shard_index
-                )
-                if shard_bytes is None:
-                    continue
-                target = candidates[0].name
-                _move_shard(distributor, entry, shard_index, target, shard_bytes)
-                report.shards_moved += 1
-                report.shards_rebuilt += int(rebuilt)
-                report.moves.append(
-                    (entry.virtual_id, shard_index, hottest, target)
-                )
-                moved = True
-                budget -= 1
+    while report.shards_moved < budget:
+        with distributor.op_lock:
+            if not _cool_hottest(distributor, report):
                 break
-            if moved:
-                break
-        if not moved:
-            break
     return report
+
+
+def _cool_hottest(distributor: CloudDataDistributor, report: MigrationReport) -> bool:
+    """Move one shard off the most-loaded provider to a colder eligible
+    one; False when no shard there has anywhere colder to go."""
+    loads = distributor.provider_loads()
+    if not loads:
+        return False
+    hottest = max(loads, key=lambda n: (loads[n], n))
+    hottest_index = distributor.provider_table.index_of(hottest)
+    for _, entry in distributor.chunk_table:
+        for shard_index, table_index in enumerate(entry.provider_indices):
+            if table_index != hottest_index:
+                continue
+            group = distributor._members(entry)
+            eligible = distributor.placement.candidates(
+                distributor.registry, entry.privacy_level
+            )
+            colder = sorted(
+                (
+                    c.name
+                    for c in eligible
+                    if c.name not in group
+                    and loads.get(c.name, 0) + 1 < loads[hottest]
+                ),
+                key=lambda n: (loads.get(n, 0), n),
+            )
+            if colder and _relocate(distributor, entry, [shard_index], report, colder):
+                return True
+    return False

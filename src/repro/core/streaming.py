@@ -77,9 +77,7 @@ def put_stream(
     filename: str,
     fileobj,
     level: "PrivacyLevel | int",
-    raid_level: "RaidLevel | None" = None,
-    stripe_width: int | None = None,
-    codec: "CodecSpec | str | None" = None,
+    codec: "CodecSpec | RaidLevel | str | None" = None,
     misleading_fraction: float = 0.0,
     chunk_size: int | None = None,
     window_chunks: int = DEFAULT_WINDOW_CHUNKS,
@@ -105,8 +103,7 @@ def put_stream(
     return dist._upload_windows(
         client, pl, filename,
         _read_windows(fileobj, chunk_size, window_chunks),
-        raid_level=raid_level, stripe_width=stripe_width, codec=codec,
-        misleading_fraction=misleading_fraction, cipher=cipher,
+        codec=codec, misleading_fraction=misleading_fraction, cipher=cipher,
     )
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from repro.core.distributor import CloudDataDistributor
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
+from repro.raid.codecs import CodecSpec
 from repro.raid.striping import RaidLevel
 from repro.util.rng import SeedLike
 from repro.workloads.files import random_bytes
@@ -40,8 +41,7 @@ def distribution_time_once(
     file_size: int,
     chunk_size: int = 4096,
     n_providers: int = 6,
-    raid_level: RaidLevel = RaidLevel.RAID5,
-    stripe_width: int = 4,
+    codec: "CodecSpec | RaidLevel | str" = "raid5@4",
     seed: SeedLike = 90,
 ) -> DistributionTiming:
     """Upload + retrieve one file on a fresh fleet; report simulated times."""
@@ -53,8 +53,7 @@ def distribution_time_once(
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(chunk_size),
-        raid_level=raid_level,
-        stripe_width=stripe_width,
+        codec=codec,
         seed=seed,
     )
     distributor.register_client("C")
@@ -76,8 +75,8 @@ def distribution_time_once(
         file_size=file_size,
         chunk_size=chunk_size,
         n_providers=n_providers,
-        raid_level=raid_level,
-        stripe_width=stripe_width,
+        raid_level=receipt.raid_level,
+        stripe_width=receipt.stripe_width,
         n_chunks=receipt.chunk_count,
         upload_sim_s=upload_time,
         retrieve_sim_s=retrieve_time,
@@ -110,8 +109,7 @@ def distribution_time_sweep(
             distribution_time_once(
                 mid_file,
                 chunk_size=mid_chunk,
-                raid_level=level,
-                stripe_width=max(4, level.min_width),
+                codec=CodecSpec(level.value, width=max(4, level.min_width)),
                 seed=seed,
             )
         )

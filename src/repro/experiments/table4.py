@@ -22,7 +22,6 @@ from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.mining.adversary import Adversary
 from repro.mining.regression import RegressionModel, coefficient_distance, fit_linear
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
-from repro.raid.striping import RaidLevel
 from repro.util.rng import SeedLike
 from repro.workloads.bidding import (
     FEATURE_NAMES,
@@ -101,8 +100,7 @@ def table4_bidding_experiment(
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(-(-len(blob) // parts)),
-        raid_level=RaidLevel.RAID0,
-        stripe_width=1,
+        codec="raid0@1",
         seed=seed,
     )
     distributor.register_client("Hercules")

@@ -102,7 +102,6 @@ class FleetGateway:
         m_bits: int = 32,
         seed: SeedLike = None,
         chunk_policy: ChunkSizePolicy | None = None,
-        stripe_width: int | None = None,
         max_transport_workers: int | None = None,
         metrics: MetricsRegistry | None = None,
         shard_health: ShardHealthTracker | None = None,
@@ -113,7 +112,6 @@ class FleetGateway:
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.seed = seed
         self.chunk_policy = chunk_policy
-        self.stripe_width = stripe_width
         self.max_transport_workers = max_transport_workers
         self.metrics = metrics if metrics is not None else get_metrics()
         self.router = FleetRouter(m_bits=m_bits, metrics=self.metrics)
@@ -215,7 +213,6 @@ class FleetGateway:
             self.shard_state_dir(shard_id),
             seed=self.seed,
             chunk_policy=self.chunk_policy,
-            stripe_width=self.stripe_width,
             max_transport_workers=self.max_transport_workers,
         )
 

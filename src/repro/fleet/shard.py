@@ -51,7 +51,6 @@ class FleetShard:
         *,
         seed: SeedLike = None,
         chunk_policy: ChunkSizePolicy | None = None,
-        stripe_width: int | None = None,
         max_transport_workers: int | None = None,
     ) -> None:
         if "/" in shard_id or not shard_id:
@@ -69,7 +68,6 @@ class FleetShard:
         self.distributor = CloudDataDistributor(
             self.registry,
             chunk_policy=chunk_policy,
-            stripe_width=stripe_width,
             seed=_shard_seed(seed, shard_id),
             max_transport_workers=max_transport_workers,
             metrics=self.metrics,
@@ -143,13 +141,12 @@ class FleetShard:
         for ref in refs:
             entry = d.chunk_table.get(ref.chunk_index)
             state = d._chunk_state.get(entry.virtual_id)
-            if state is None:
-                # Quarantined chunk (unknown codec): the raw packed tuple
-                # still records orig_len at index 5 -- keep quota math alive.
-                packed = d._codec_quarantine.get(entry.virtual_id)
-                orig_len = int(packed[5]) if packed is not None else 0
-            else:
+            if state is not None:
                 orig_len = state.stripe.orig_len
+            else:
+                # Quarantined chunk (unknown codec): the raw packed row
+                # still records orig_len -- keep quota math alive.
+                orig_len = int(d._packed(entry.virtual_id).orig_len)
             total += orig_len - len(entry.misleading_positions)
         return total
 

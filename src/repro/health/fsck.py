@@ -174,8 +174,8 @@ def _audit(distributor: "CloudDataDistributor") -> FsckReport:
             name: {} for name in distributor.registry.names()
         }
         issues_by_key: dict[tuple[str, str], FsckIssue] = {}
-        for vid, packed in sorted(distributor._codec_quarantine.items()):
-            report.unknown_codec.append((vid, str(packed[0])))
+        for vid in sorted(distributor._codec_quarantine):
+            report.unknown_codec.append((vid, str(distributor._packed(vid).codec)))
         for _, entry in distributor.chunk_table:
             vid = entry.virtual_id
             state = distributor._chunk_state.get(vid)

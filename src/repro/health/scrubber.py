@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.errors import BlobCorruptedError, ProviderError
+from repro.core.errors import BlobCorruptedError
 from repro.core.virtual_id import shard_key
 from repro.obs.metrics import MetricsRegistry, get_metrics
 
@@ -94,7 +94,7 @@ class Scrubber:
         """Audit every chunk once, repairing damage; returns the report."""
         d = self.distributor
         started = time.perf_counter()
-        if self.probe_fleet and d.health is not None:
+        if self.probe_fleet:
             d.health.probe_all()
         chunks_checked = shards_checked = 0
         shards_missing = shards_rebuilt = chunks_unrecoverable = 0
@@ -156,20 +156,13 @@ class Scrubber:
         """
         d = self.distributor
         state = d._chunk_state[entry.virtual_id]
-        names = [
-            d.provider_table.get(i).name for i in entry.provider_indices
-        ]
+        names = d._members(entry)
         expected = state.shard_checksums
 
         def check(shard_index: int):
             name = names[shard_index]
             key = shard_key(entry.virtual_id, shard_index)
-            try:
-                stat = d.registry.get(name).provider.head(key)
-            except ProviderError as exc:
-                d._record_health(name, ok=False, exc=exc)
-                raise
-            d._record_health(name, ok=True)
+            stat = d._provider_call("head", name, key)
             if expected is not None and stat.checksum != expected[shard_index]:
                 raise BlobCorruptedError(
                     f"shard {key!r} at provider {name!r} drifted from its "

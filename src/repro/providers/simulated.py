@@ -77,7 +77,6 @@ class ParallelWindow:
     def __init__(self, clock: SimulatedClock) -> None:
         self.clock = clock
         self._per_provider: dict[str, float] = {}
-        self._active = False
 
     # -- used by SimulatedProvider._charge ---------------------------------
 
@@ -92,24 +91,22 @@ class ParallelWindow:
         return max(self._per_provider.values(), default=0.0)
 
     def __enter__(self) -> "ParallelWindow":
-        self._active = True
-        _parallel_windows.setdefault(id(self.clock), []).append(self)
+        _open_windows.setdefault(id(self.clock), []).append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        self._active = False
-        stack = _parallel_windows.get(id(self.clock), [])
+        stack = _open_windows.get(id(self.clock), [])
         if self in stack:
             stack.remove(self)
         self.clock.advance(self.elapsed)
 
 
 #: Active parallel windows per clock (keyed by clock identity).
-_parallel_windows: dict[int, list["ParallelWindow"]] = {}
+_open_windows: dict[int, list["ParallelWindow"]] = {}
 
 
 def _active_window(clock: SimulatedClock) -> "ParallelWindow | None":
-    stack = _parallel_windows.get(id(clock))
+    stack = _open_windows.get(id(clock))
     return stack[-1] if stack else None
 
 

@@ -38,6 +38,8 @@ string (``"rs(6,3)"``).  :func:`stripe_meta_from_fields` is the single
 deserialization choke point -- it raises :class:`UnknownCodecError`
 (typed, carrying filename/virtual id) instead of a bare ``ValueError``,
 so metadata loaders quarantine the one bad chunk instead of dying.
+:class:`PackedChunk` is the one place that knows the layout of the packed
+per-chunk row those fields travel in.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -596,3 +598,80 @@ def stripe_meta_from_fields(
             virtual_id=virtual_id,
         )
     return meta
+
+
+@dataclass
+class ChunkState:
+    """What the distributor keeps of a stored chunk beyond the paper's
+    Table III: its stripe, the rotation of its shard -> provider
+    assignment, and each shard's end-to-end checksum at write time, so
+    reads and the scrubber can detect silent corruption a provider never
+    reports (``None`` for chunks imported from metadata snapshots that
+    predate checksum tracking).
+    """
+
+    stripe: StripeMeta
+    rotation: int
+    shard_checksums: tuple[str, ...] | None = None
+
+
+class PackedChunk(NamedTuple):
+    """The packed per-chunk row: ``metadata.json``'s ``chunk_state`` values
+    and, as ``stripe``/``rotation``/``checksums``, a journal chunk spec.
+
+    ``PackedChunk(*row)`` names a stored row's fields without judging
+    them -- a 7-field row from before checksum tracking leaves
+    ``checksums`` ``None`` -- so a row whose codec this build cannot parse
+    (kept verbatim in the distributor's quarantine) still answers for its
+    label, shard size and length; :meth:`unpack` is the parse that can
+    refuse.  Nothing outside this class indexes a row.
+    """
+
+    codec: object
+    width: object
+    k: object
+    m: object
+    shard_size: object
+    orig_len: object
+    rotation: object
+    checksums: "Sequence[str] | None" = None
+
+    @classmethod
+    def pack(cls, state: ChunkState) -> "PackedChunk":
+        stripe, checksums = state.stripe, state.shard_checksums
+        return cls(
+            stripe.codec, stripe.width, stripe.k, stripe.m,
+            stripe.shard_size, stripe.orig_len, state.rotation,
+            list(checksums) if checksums is not None else None,
+        )
+
+    def unpack(
+        self, *, filename: str | None = None, virtual_id: int | None = None
+    ) -> ChunkState:
+        """Raises :class:`UnknownCodecError` (carrying *filename* and
+        *virtual_id*) for a codec this build cannot parse."""
+        checksums = self.checksums
+        return ChunkState(
+            stripe=stripe_meta_from_fields(
+                self[:6], filename=filename, virtual_id=virtual_id
+            ),
+            rotation=self.rotation,
+            shard_checksums=tuple(checksums) if checksums is not None else None,
+        )
+
+    def journal_fields(self) -> dict:
+        """The row as the three keys a journal chunk spec spreads it over."""
+        return {
+            "stripe": list(self[:6]),
+            "rotation": self.rotation,
+            "checksums": list(self.checksums) if self.checksums else None,
+        }
+
+    @classmethod
+    def from_journal(cls, spec: dict) -> "PackedChunk":
+        checksums = spec.get("checksums")
+        return cls(
+            *spec["stripe"][:6],
+            int(spec.get("rotation", 0)),
+            list(checksums) if checksums else None,
+        )

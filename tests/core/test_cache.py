@@ -92,7 +92,7 @@ def cached_world():
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(1024),
-        stripe_width=4,
+        codec="raid5@4",
         seed=321,
         cache=cache,
     )

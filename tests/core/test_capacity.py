@@ -19,7 +19,7 @@ def build(capacities):
     ]
     registry, providers, clock = build_simulated_fleet(specs, seed=601)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(512), stripe_width=4, seed=602
+        registry, chunk_policy=ChunkSizePolicy.uniform(512), codec="raid5@4", seed=602
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)

@@ -146,7 +146,7 @@ def test_misleading_data_roundtrip(distributor, bob, registry):
 def test_raid_level_per_file(distributor, bob):
     distributor.upload_file(
         bob, "x9pr", "f6", b"x" * 2000, PrivacyLevel.LOW,
-        raid_level=RaidLevel.RAID6, stripe_width=4,
+        codec="raid6@4",
     )
     meta = distributor.stripe_meta(bob, "f6", 0)
     assert meta.level is RaidLevel.RAID6
@@ -236,3 +236,45 @@ def test_property_roundtrip_any_payload(data, level, fraction):
     d.add_password("P", "pw", PrivacyLevel.PRIVATE)
     d.upload_file("P", "pw", "f", data, level, misleading_fraction=fraction)
     assert d.get_file("P", "pw", "f") == data
+
+
+def test_no_entry_point_takes_the_retired_options():
+    # One way to name a codec (``codec=``: a CodecSpec, a spec string, a
+    # RaidLevel) and no simulated-clock switch inside the engines: a caller
+    # who wants Section VII-E's overlapped clock wraps the call in
+    # ``with ParallelWindow(clock):``.
+    import inspect
+
+    from repro.core import streaming
+    from repro.experiments import distribution_time, table4
+    from repro.fleet.gateway import FleetGateway
+    from repro.fleet.shard import FleetShard
+
+    entry_points = [
+        CloudDataDistributor.__init__,
+        CloudDataDistributor.upload_file,
+        CloudDataDistributor.get_file,
+        CloudDataDistributor.get_chunk,
+        CloudDataDistributor.put_stream,
+        CloudDataDistributor.get_stream,
+        CloudDataDistributor._upload_windows,
+        CloudDataDistributor._read_jobs,
+        streaming.put_stream,
+        streaming.get_stream,
+        FleetGateway.__init__,
+        FleetGateway.upload_file,
+        FleetGateway.get_file,
+        FleetShard.__init__,
+        distribution_time.distribution_time_once,
+        distribution_time.distribution_time_sweep,
+        table4.table4_bidding_experiment,
+    ]
+    for function in entry_points:
+        retired = {"parallel", "raid_level", "stripe_width"} & set(
+            inspect.signature(function).parameters
+        )
+        assert not retired, f"{function.__qualname__} still takes {sorted(retired)}"
+    # ``put_stream(**options)`` forwards: the retired names die one level down.
+    for retired in ("raid_level", "stripe_width"):
+        with pytest.raises(TypeError, match=retired):
+            streaming.put_stream(None, "C", "pw", "f", None, 0, **{retired: 4})

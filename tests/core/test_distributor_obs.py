@@ -35,7 +35,7 @@ def make_world(n=6, width=4, cache=None, audit=None):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(512),
-        stripe_width=width,
+        codec=f"raid5@{width}",
         seed=72,
         cache=cache,
         audit=audit,

@@ -65,7 +65,7 @@ def test_local_placement_cuts_read_latency(regional_world):
             registry,
             chunk_policy=ChunkSizePolicy.uniform(4096),
             placement=policy,
-            stripe_width=3,
+            codec="raid5@3",
             seed=62,
         )
         d.register_client("C")

@@ -43,7 +43,7 @@ def make_distributor(n=6, width=4, seed=63, **kwargs):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(512),
-        stripe_width=width,
+        codec=f"raid5@{width}",
         seed=seed,
         **kwargs,
     )
@@ -159,7 +159,7 @@ def test_pipelined_roundtrip_both_raid_levels(raid):
     data = os.urandom(7000)
     receipt = d.upload_file(
         "C", "pw", "f", data, PrivacyLevel.PRIVATE,
-        raid_level=raid, misleading_fraction=0.2,
+        codec=raid, misleading_fraction=0.2,
     )
     assert receipt.raid_level is raid
     assert d.get_file("C", "pw", "f") == data
@@ -296,6 +296,6 @@ def test_placement_error_during_planning_releases_ids():
 
     with pytest.raises(PlacementError):
         d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE,
-                      stripe_width=5)  # wider than the fleet
+                      codec="raid5@5")  # wider than the fleet
     assert d.ids.export_state() == before
     assert d._inflight_uploads == {}

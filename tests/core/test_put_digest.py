@@ -251,6 +251,44 @@ def test_failover_and_update_commit_the_digest_the_backend_recorded():
         assert _table_matches_backends(d, backends) == CHUNKS * WIDTH
 
 
+def test_a_repair_stores_the_rebuilt_shard_under_its_recorded_digest(hashes):
+    backends = [InMemoryProvider(f"N{i}") for i in range(6)]
+    with _distributor(backends) as d:
+        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+        lost = next(b for b in backends if b.keys())
+        lost.drop_blob(lost.keys()[0])
+        del hashes[:]
+        report = d.repair_file("C", "pw", "f")
+        assert (report.shards_missing, report.shards_rebuilt) == (1, 1)
+        # Every member that read back is checked twice (at rest, end to
+        # end); the rebuilt shard is not hashed again on its way in (it
+        # was, by its backend, when repair handed down no digest).
+        assert len(hashes) == 2 * (CHUNKS * WIDTH - 1)
+        assert _table_matches_backends(d, backends) == CHUNKS * WIDTH
+
+
+def test_a_wrong_rebuild_is_not_vouched_for(monkeypatch):
+    # The recorded digest travels with the rebuilt shard, so bytes that are
+    # not the shard's can only fail its next read -- never pass for it.
+    from repro.core import distributor as distributor_module
+
+    backends = [InMemoryProvider(f"N{i}") for i in range(6)]
+    with _distributor(backends) as d:
+        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+        lost = next(b for b in backends if b.keys())
+        lost.drop_blob(lost.keys()[0])
+        monkeypatch.setattr(
+            distributor_module, "rebuild_shard",
+            lambda meta, index, shards: b"\0" * meta.shard_size,
+        )
+        (relocation,) = d.repair_file("C", "pw", "f").relocations
+        vid, shard_index, _, new_home = relocation
+        home = next(b for b in backends if b.name == new_home)
+        with pytest.raises(BlobCorruptedError):
+            home.get(shard_key(vid, shard_index))
+        assert d.get_file("C", "pw", "f") == DATA  # degraded, not garbage
+
+
 def test_wrappers_forward_the_checksum(hashes):
     from repro.fleet.namespace import NamespacedProvider
     from repro.providers.chaos import ChaosProvider

@@ -1,6 +1,7 @@
 """Provider churn: admission, draining, rebalancing."""
 
 import os
+import threading
 
 import pytest
 
@@ -8,9 +9,18 @@ from repro.core.distributor import CloudDataDistributor
 from repro.core.errors import PlacementError
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.core.rebalance import admit_provider, decommission_provider, rebalance
+from repro.core.virtual_id import shard_key
+from repro.health.fsck import run_fsck
+from repro.health.scrubber import Scrubber
+from repro.obs.metrics import get_metrics
+from repro.providers.base import blob_checksum
 from repro.providers.failures import FailureInjector
 from repro.providers.memory import InMemoryProvider
-from repro.providers.registry import ProviderSpec, build_simulated_fleet
+from repro.providers.registry import (
+    ProviderRegistry,
+    ProviderSpec,
+    build_simulated_fleet,
+)
 
 
 @pytest.fixture
@@ -21,7 +31,7 @@ def world():
     ]
     registry, providers, clock = build_simulated_fleet(specs, seed=71)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(512), stripe_width=4, seed=72
+        registry, chunk_policy=ChunkSizePolicy.uniform(512), codec="raid5@4", seed=72
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -83,7 +93,7 @@ def test_decommission_without_spare_capacity_raises():
     ]
     registry, _, _ = build_simulated_fleet(specs, seed=73)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(512), stripe_width=4, seed=74
+        registry, chunk_policy=ChunkSizePolicy.uniform(512), codec="raid5@4", seed=74
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -121,7 +131,7 @@ def test_rebalance_noop_when_even():
     ]
     registry, _, _ = build_simulated_fleet(specs, seed=75)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(512), stripe_width=4, seed=76
+        registry, chunk_policy=ChunkSizePolicy.uniform(512), codec="raid5@4", seed=76
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -196,3 +206,149 @@ def test_decommission_snapshot_on_dark_victim_counts_stuck(world):
     # reported stuck rather than silently dropped.
     assert report.shards_stuck >= 1
     assert entry.snapshot_index == d.provider_table.index_of(snap_name)
+
+
+# -- a drain moves a shard the way a repair does: verified, or rebuilt --------
+
+
+def rot_silently(provider, key):
+    """Flip a byte at rest and re-stamp the provider-side checksum, so only
+    the distributor's recorded checksum can notice (as
+    ``tests/health/test_scrubber.py`` does it)."""
+    blob = bytearray(provider.backend._blobs[key])
+    blob[0] ^= 0xFF
+    provider.backend._blobs[key] = bytes(blob)
+    provider.backend._checksums[key] = blob_checksum(bytes(blob))
+
+
+def stored_shards_match_their_records(d, registry):
+    for _, entry in d.chunk_table:
+        recorded = d._chunk_state[entry.virtual_id].shard_checksums
+        for shard_index, table_index in enumerate(entry.provider_indices):
+            provider = registry.get(d.provider_table.get(table_index).name).provider
+            data = provider.backend.get(shard_key(entry.virtual_id, shard_index))
+            assert blob_checksum(data) == recorded[shard_index]
+
+
+def degraded_reads():
+    return get_metrics().sum_counter("raid_degraded_reads_total")
+
+
+def test_decommission_does_not_copy_a_silently_rotten_shard(world):
+    registry, providers, _, d, payload = world
+    victim = max(d.provider_loads(), key=d.provider_loads().get)
+    backend = registry.get(victim).provider
+    rotten = backend.backend.keys()[0]
+    rot_silently(backend, rotten)
+    report = decommission_provider(d, victim)
+    assert report.shards_stuck == 0
+    assert d.provider_loads()[victim] == 0
+    # The rotten member was a failed member: rebuilt from its stripe, not
+    # copied verbatim to its new home.
+    assert report.shards_rebuilt == 1
+    stored_shards_match_their_records(d, registry)
+    before = degraded_reads()
+    assert d.get_file("C", "pw", "f") == payload
+    assert degraded_reads() == before
+
+
+def test_dark_drain_does_not_fold_a_rotten_survivor_into_the_rebuild(world):
+    registry, providers, clock, d, payload = world
+    victim = max(d.provider_loads(), key=d.provider_loads().get)
+    victim_index = d.provider_table.index_of(victim)
+    # One chunk the victim holds a shard of: rot a *survivor* of its stripe.
+    entry = next(
+        entry for _, entry in d.chunk_table if victim_index in entry.provider_indices
+    )
+    survivor_shard, survivor_index = next(
+        (i, t) for i, t in enumerate(entry.provider_indices) if t != victim_index
+    )
+    survivor = registry.get(d.provider_table.get(survivor_index).name).provider
+    rot_silently(survivor, shard_key(entry.virtual_id, survivor_shard))
+    FailureInjector(providers, clock, seed=6).take_down(victim)
+    report = decommission_provider(d, victim)
+    # raid5 survives one loss: with the victim dark and a survivor rotten
+    # this stripe has k-1 sound members, so its shard stays put (stuck)
+    # rather than being "rebuilt" from rot and reported moved.
+    assert report.shards_stuck == 1
+    moved = {(vid, shard) for vid, shard, _, _ in report.moves}
+    assert all(vid != entry.virtual_id for vid, _ in moved)
+    assert report.shards_rebuilt == report.shards_moved > 0
+
+
+# -- a drain and a scrub of the same chunk take turns (the op lock) -----------
+
+
+def in_memory_world(chunks):
+    registry = ProviderRegistry()
+    providers = [InMemoryProvider(f"M{i}") for i in range(7)]
+    for provider in providers:
+        registry.register(provider, PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    d = CloudDataDistributor(
+        registry, chunk_policy=ChunkSizePolicy.uniform(256), codec="raid5@4", seed=78
+    )
+    d.register_client("C")
+    d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+    payload = os.urandom(chunks * 256)
+    d.upload_file("C", "pw", "f", payload, PrivacyLevel.PRIVATE)
+    return providers, d, payload
+
+
+def test_scrubber_and_drain_together_leave_a_clean_table():
+    providers, d, payload = in_memory_world(chunks=64)
+    victim = max(d.provider_loads(), key=d.provider_loads().get)
+    # Damage for the scrubber to find while the drain runs: every shard of
+    # one other provider dropped behind the distributor's back.
+    other = next(p for p in providers if p.name != victim)
+    for key in other.keys():
+        other.delete(key)
+
+    scrubber = Scrubber(d, probe_fleet=False)
+    stop = threading.Event()
+    errors = []
+
+    def scrub():
+        try:
+            while not stop.is_set():
+                scrubber.run_once()
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    thread = threading.Thread(target=scrub)
+    thread.start()
+    try:
+        report = decommission_provider(d, victim)
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and not errors
+    scrubber.run_once()  # whatever the last drain moves left to heal
+    assert report.shards_stuck == 0 and report.shards_moved > 0
+    assert run_fsck(d).clean
+    for serial in range(64):
+        assert d.get_chunk("C", "pw", "f", serial) == payload[serial * 256:][:256]
+    assert d.get_file("C", "pw", "f") == payload
+
+
+@pytest.mark.parametrize("migrate", [decommission_provider, rebalance])
+def test_migration_waits_for_the_op_lock(migrate):
+    providers, d, payload = in_memory_world(chunks=8)
+    admit_provider(d, InMemoryProvider("N1"), PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    victim = max(d.provider_loads(), key=d.provider_loads().get)
+    rows = [list(entry.provider_indices) for _, entry in d.chunk_table]
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(
+            migrate(d, victim) if migrate is decommission_provider else migrate(d)
+        )
+    )
+    with d.op_lock:  # a scrub cycle, or a client op, mid-chunk
+        thread.start()
+        thread.join(timeout=0.5)
+        # The parent mutated rows and provider counts without the lock and
+        # had finished by now.
+        assert thread.is_alive() and not reports
+        assert rows == [list(entry.provider_indices) for _, entry in d.chunk_table]
+    thread.join(timeout=60)
+    assert not thread.is_alive() and reports[0].shards_moved > 0
+    assert d.get_file("C", "pw", "f") == payload

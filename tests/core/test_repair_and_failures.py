@@ -23,8 +23,7 @@ def make_world(n=6, raid=RaidLevel.RAID5, width=4):
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(512),
-        raid_level=raid,
-        stripe_width=width,
+        codec=f"{raid.value}@{width}",
         seed=13,
     )
     distributor.register_client("C")

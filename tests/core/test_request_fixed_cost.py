@@ -176,7 +176,7 @@ def test_mixed_fleet_waiting_legs_overlap_while_the_rest_run_on_the_caller(
     providers = [GateProvider(f"G{i}", gates) for i in range(3)] + [
         WitnessProvider(f"M{i}", threads) for i in range(3)
     ]
-    d = distributor_over(providers, stripe_width=6)
+    d = distributor_over(providers, codec="raid5@6")
     d.upload_file("C", "pw", "f", b"one small chunk", PrivacyLevel.PRIVATE)
     assert len(submits) == 3
     assert len(threads) == 3

@@ -40,7 +40,7 @@ def make_distributor(n=6, width=4, seed=63, **kwargs):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(512),
-        stripe_width=width,
+        codec=f"raid5@{width}",
         seed=seed,
         **kwargs,
     )

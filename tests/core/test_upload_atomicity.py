@@ -19,7 +19,7 @@ def make_world(n=6):
     registry, providers, clock = build_simulated_fleet(specs, seed=91)
     injector = FailureInjector(providers, clock, seed=92)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(512), stripe_width=4, seed=93
+        registry, chunk_policy=ChunkSizePolicy.uniform(512), codec="raid5@4", seed=93
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)

@@ -29,7 +29,7 @@ def make_world(n=6, width=4):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(512),
-        stripe_width=width,
+        codec=f"raid5@{width}",
         seed=63,
     )
     d.register_client("C")

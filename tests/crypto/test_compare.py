@@ -66,7 +66,7 @@ def _fragmented(registry, chunk_size=1024):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(chunk_size),
-        stripe_width=4,
+        codec="raid5@4",
         seed=502,
     )
     d.register_client("C")

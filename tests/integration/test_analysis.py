@@ -28,7 +28,7 @@ def deployed():
     ]
     registry, _, _ = build_simulated_fleet(specs, seed=310)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(1024), stripe_width=4, seed=311
+        registry, chunk_policy=ChunkSizePolicy.uniform(1024), codec="raid5@4", seed=311
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -61,8 +61,7 @@ def test_exposure_single_provider_baseline():
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(1024),
-        raid_level=RaidLevel.RAID0,
-        stripe_width=1,
+        codec="raid0@1",
         seed=313,
     )
     d.register_client("C")

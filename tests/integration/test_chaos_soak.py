@@ -75,7 +75,7 @@ def make_world(seed):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(CHUNK),
-        stripe_width=4,
+        codec="raid5@4",
         seed=seed,
         max_transport_workers=1,  # serial I/O: one deterministic op order
         health=health,

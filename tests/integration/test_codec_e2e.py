@@ -32,7 +32,7 @@ def make_world(n=12, width=4, seed=71):
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(1024),
-        stripe_width=width,
+        codec=f"raid5@{width}",
         seed=seed + 2,
     )
     d.register_client("C")
@@ -89,7 +89,7 @@ def test_scrubber_rebuilds_across_codec_generations():
     legacy_data, rs_data = os.urandom(900), os.urandom(900)
     d.upload_file(
         "C", "pw", "legacy", legacy_data, PrivacyLevel.PRIVATE,
-        raid_level=RaidLevel.RAID5,
+        codec=RaidLevel.RAID5,
     )
     d.upload_file(
         "C", "pw", "modern", rs_data, PrivacyLevel.PRIVATE, codec="rs(6,3)"
@@ -147,8 +147,7 @@ def test_legacy_seven_field_metadata_loads_and_reads():
     _, _, _, d = make_world(n=6)
     data = os.urandom(1500)
     d.upload_file(
-        "C", "pw", "f", data, PrivacyLevel.PRIVATE, raid_level=RaidLevel.RAID6,
-        stripe_width=5,
+        "C", "pw", "f", data, PrivacyLevel.PRIVATE, codec="raid6@5",
     )
     snapshot = d.export_metadata()
     # Re-pack every chunk state as the pre-checksum 7-field layout with

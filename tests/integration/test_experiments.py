@@ -10,7 +10,6 @@ from repro.experiments.encryption import encryption_vs_fragmentation
 from repro.experiments.gps_clustering import gps_clustering_experiment
 from repro.experiments.metadata_tables import populated_system, render_paper_tables
 from repro.experiments.table4 import table4_bidding_experiment
-from repro.raid.striping import RaidLevel
 from repro.workloads.bidding import TRUE_COEFFICIENTS, TRUE_INTERCEPT
 
 
@@ -116,8 +115,8 @@ def test_distribution_time_falls_with_chunk_size():
 
 
 def test_raid6_costs_more_than_raid5():
-    r5 = distribution_time_once(64 * 1024, raid_level=RaidLevel.RAID5, seed=3)
-    r6 = distribution_time_once(64 * 1024, raid_level=RaidLevel.RAID6, seed=3)
+    r5 = distribution_time_once(64 * 1024, codec="raid5@4", seed=3)
+    r6 = distribution_time_once(64 * 1024, codec="raid6@4", seed=3)
     assert r6.storage_overhead > r5.storage_overhead
 
 

@@ -28,7 +28,7 @@ def world():
     d = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(1024),
-        stripe_width=4,
+        codec="raid5@4",
         seed=202,
     )
     d.register_client("Corp")

@@ -43,7 +43,7 @@ class DistributorMachine(RuleBasedStateMachine):
         self.distributor = CloudDataDistributor(
             registry,
             chunk_policy=ChunkSizePolicy.uniform(256),
-            stripe_width=WIDTH,
+            codec=f"raid5@{WIDTH}",
             seed=seed + 2,
             # A small cache so the fuzz also exercises hit/invalidation paths.
             cache=ChunkCache(4 * 1024),
@@ -103,10 +103,10 @@ class DistributorMachine(RuleBasedStateMachine):
     # -- observations -------------------------------------------------------
 
     @precondition(lambda self: self.model)
-    @rule(data=st.data(), parallel=st.booleans())
-    def download_matches_model(self, data, parallel):
+    @rule(data=st.data())
+    def download_matches_model(self, data):
         name = data.draw(st.sampled_from(sorted(self.model)))
-        got = self.distributor.get_file("C", "pw", name, parallel=parallel)
+        got = self.distributor.get_file("C", "pw", name)
         assert got == self.model[name]
 
     @precondition(lambda self: self.model)

@@ -25,7 +25,7 @@ def world():
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(256),
-        stripe_width=4,
+        codec="raid5@4",
         seed=52,
     )
     distributor.register_client("Hercules")
@@ -129,7 +129,7 @@ def test_misleading_bytes_hurt_even_global_adversary():
     ]
     registry, _, _ = build_simulated_fleet(specs, seed=61)
     distributor = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(256), stripe_width=4, seed=62
+        registry, chunk_policy=ChunkSizePolicy.uniform(256), codec="raid5@4", seed=62
     )
     distributor.register_client("C")
     distributor.add_password("C", "pw", PrivacyLevel.PRIVATE)

@@ -26,7 +26,7 @@ def world():
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(256),
-        stripe_width=4,
+        codec="raid5@4",
         seed=82,
     )
     distributor.register_client("C")
@@ -80,7 +80,7 @@ def test_plain_striping_leaks_where_aont_does_not():
     distributor = CloudDataDistributor(
         registry,
         chunk_policy=ChunkSizePolicy.uniform(256),
-        stripe_width=4,
+        codec="raid5@4",
         seed=92,
     )
     distributor.register_client("C")

@@ -95,7 +95,7 @@ def test_mixed_raid_levels_over_sockets(cluster, distributor):
         name = f"file-{raid.name}"
         payload = name.encode() * 1000
         distributor.upload_file(
-            "Alice", "pl3", name, payload, 3, raid_level=raid
+            "Alice", "pl3", name, payload, 3, codec=raid
         )
         assert distributor.get_file("Alice", "pl3", name) == payload
 

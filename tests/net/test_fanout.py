@@ -74,7 +74,7 @@ def build(gates: dict, **distributor_kwargs):
     for p in providers:
         registry.register(p, PrivacyLevel.PRIVATE, CostLevel.CHEAP)
     d = CloudDataDistributor(
-        registry, seed=11, stripe_width=WIDTH, **distributor_kwargs
+        registry, seed=11, codec=f"raid5@{WIDTH}", **distributor_kwargs
     )
     d.register_client("C")
     d.add_password("C", "pw", 3)

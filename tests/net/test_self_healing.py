@@ -37,7 +37,7 @@ def distributor(cluster):
     d = CloudDataDistributor(
         cluster.build_registry(),
         chunk_policy=ChunkSizePolicy.uniform(512),
-        stripe_width=4,
+        codec="raid5@4",
         seed=31,
     )
     d.register_client("Alice")

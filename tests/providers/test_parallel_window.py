@@ -82,7 +82,7 @@ def test_distributor_parallel_read_faster():
     ]
     registry, _, clock = build_simulated_fleet(specs, seed=1)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(4096), stripe_width=4, seed=2
+        registry, chunk_policy=ChunkSizePolicy.uniform(4096), codec="raid5@4", seed=2
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -94,10 +94,15 @@ def test_distributor_parallel_read_faster():
     serial_time = clock.now - t0
 
     t1 = clock.now
-    assert d.get_file("C", "pw", "f", parallel=True) == payload
+    with ParallelWindow(clock):
+        assert d.get_file("C", "pw", "f") == payload
     parallel_time = clock.now - t1
     # 6 providers share the load: expect roughly a 4-6x speedup.
     assert parallel_time < serial_time / 3
+    # What ``get_file`` with its ``parallel`` switch on read on this clock at e833a21,
+    # before the window moved out of the read engine to the caller.
+    assert serial_time == 3.7964727402898566
+    assert parallel_time == 0.8359091465661077
 
 
 def test_distributor_parallel_upload_faster():
@@ -106,7 +111,7 @@ def test_distributor_parallel_upload_faster():
     ]
     registry, _, clock = build_simulated_fleet(specs, seed=3)
     d = CloudDataDistributor(
-        registry, chunk_policy=ChunkSizePolicy.uniform(4096), stripe_width=4, seed=4
+        registry, chunk_policy=ChunkSizePolicy.uniform(4096), codec="raid5@4", seed=4
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
@@ -116,7 +121,11 @@ def test_distributor_parallel_upload_faster():
     d.upload_file("C", "pw", "serial.bin", payload, PrivacyLevel.PRIVATE)
     serial_time = clock.now - t0
     t1 = clock.now
-    d.upload_file("C", "pw", "parallel.bin", payload, PrivacyLevel.PRIVATE, parallel=True)
+    with ParallelWindow(clock):
+        d.upload_file("C", "pw", "parallel.bin", payload, PrivacyLevel.PRIVATE)
     parallel_time = clock.now - t1
     assert parallel_time < serial_time / 3
+    # What ``upload_file`` with its ``parallel`` switch on read at e833a21.
+    assert serial_time == 5.132423015753215
+    assert parallel_time == 0.92279036923237
     assert d.get_file("C", "pw", "parallel.bin") == payload
