@@ -17,7 +17,7 @@ loc:
 
 # The ratchet CI holds core/distributor.py to: the count the last diet PR
 # landed.  The next one lowers it; nothing raises it.
-DISTRIBUTOR_MAX_LINES = 2018
+DISTRIBUTOR_MAX_LINES = 2016
 loc-check:
 	@lines=$$(wc -l < src/repro/core/distributor.py); \
 	echo "core/distributor.py: $$lines lines (ratchet $(DISTRIBUTOR_MAX_LINES))"; \

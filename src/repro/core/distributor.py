@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import operator
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+
+import numpy as np
 
 from repro.core import chunking
 from repro.core.access_control import AccessController
@@ -41,6 +42,7 @@ from repro.core.errors import (
 )
 from repro.health.monitor import HealthMonitor
 from repro.core.misleading import (  # noqa: F401
+    NO_POSITIONS,
     InjectionRng,
     inject_window,
     # Unused here since the read strips per window.  Goes with ROADMAP
@@ -151,7 +153,7 @@ class _ChunkPlan:
     state: ChunkState
     shards: list[bytes]
     assigned: list[str]
-    positions: tuple[int, ...]
+    positions: np.ndarray
     failed: list[int] = field(default_factory=list)
     first_error: ProviderError | None = None
     # The (provider, key) pairs already in the journal for this plan;
@@ -210,12 +212,11 @@ def _check_chunk_row(entry: ChunkEntry, state: ChunkState) -> None:
     misleading byte in the plaintext, one out of range or a short checksum
     tuple would surface as a bare ``IndexError`` mid-read.
     """
+    # A row is unsigned integers by construction (ChunkEntry packs it).
     positions = entry.misleading_positions
-    if positions and not (
-        all(isinstance(position, int) for position in positions)
-        and all(map(operator.lt, positions, positions[1:]))
-        and 0 <= positions[0]
-        and positions[-1] < state.stripe.orig_len
+    if len(positions) and not (
+        int(positions[-1]) < state.stripe.orig_len
+        and (positions[:-1] < positions[1:]).all()
     ):
         raise MetadataCorruptedError(
             f"chunk {entry.virtual_id}: misleading positions are not "
@@ -734,7 +735,7 @@ class CloudDataDistributor:
         will have produced once they commit.  The plans never alias
         *payloads*.
         """
-        positions: "list[tuple[int, ...]]" = [()] * len(payloads)
+        positions = [NO_POSITIONS] * len(payloads)
         if misleading_fraction > 0:
             injected = inject_window(
                 payloads, misleading_fraction, rng=self._misleading_rng
@@ -901,7 +902,7 @@ class CloudDataDistributor:
                 if entry.snapshot_index is None
                 else self.provider_table.get(entry.snapshot_index).name
             ),
-            "positions": list(entry.misleading_positions),
+            "positions": entry.misleading_positions.tolist(),
             **self._packed(vid).journal_fields(),
         }
 
@@ -1767,11 +1768,8 @@ class CloudDataDistributor:
                 [self._job_for(entry, serial, filename)], 1
             )
             # Re-inject misleading bytes at the same budget the chunk had.
-            fraction = 0.0
-            if entry.misleading_positions:
-                fraction = len(entry.misleading_positions) / max(
-                    1, state.stripe.orig_len - len(entry.misleading_positions)
-                )
+            injected = len(entry.misleading_positions)
+            fraction = injected / max(1, state.stripe.orig_len - injected)
 
             # Copy-on-write: the new version is staged as a fresh stripe
             # (fresh virtual id, freshly placed group, full write-path

@@ -416,7 +416,7 @@ def _restore_spec(
         privacy_level=PrivacyLevel.coerce(spec["level"]),
         provider_indices=provider_indices,
         snapshot_index=snapshot_index,
-        misleading_positions=tuple(spec.get("positions", ())),
+        misleading_positions=spec.get("positions", ()),
     )
     try:
         state = packed.unpack(filename=spec.get("filename"), virtual_id=vid)

@@ -31,13 +31,79 @@ from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 SLAB_ROWS = 256
 SLAB_KEYS = 1 << 19
 
+def _row(packed: bytes) -> np.ndarray:
+    """The ``M`` row over *packed*, its positions as native ``uint32``."""
+    return np.frombuffer(packed, dtype=np.uint32)
+
+
+#: The ``M`` row of every chunk stored without misleading bytes.
+NO_POSITIONS = _row(b"")
+
+
+def position_row(positions: "np.ndarray | Sequence[int]") -> np.ndarray:
+    """*positions* as a row of the Chunk Table's ``M`` column.
+
+    A row is a ``uint32`` array over a ``bytes`` object of exactly its
+    size: 4 bytes a position, read-only for good (its memory is immutable),
+    nothing it was cut from kept alive, and allocated like any small
+    Python object (as arrays owning their data, a file's 2,048 rows were
+    2,048 C-heap blocks freed with the file, and uploads read slower than
+    with tuples: docs/performance.md).  A row passes through as it is; an
+    integer array or a sequence of ``int`` (a tuple, a list parsed from
+    JSON) is packed into one.  Anything else -- ``bool``,
+    ``float`` or ``str`` members, nesting, a value outside ``[0, 2**32)``
+    -- raises ``ValueError``.
+    """
+    if positions is NO_POSITIONS:
+        # Every chunk of every file stored without misleading bytes: told
+        # by identity, before anything asks numpy a question.
+        return positions
+    if isinstance(positions, np.ndarray):
+        base = positions.base
+        if (
+            type(base) is bytes
+            and len(base) == positions.nbytes
+            and positions.dtype == np.uint32
+            and positions.ndim == 1
+        ):
+            return positions
+        values = positions
+    else:
+        try:
+            # Member types first: numpy would take True for 1 and 1.5 for 1.
+            ints = set(map(type, positions)) <= {int}
+            values = np.array(positions, dtype=np.int64) if ints else None
+        except (TypeError, OverflowError):  # not a sequence; past int64
+            values = None
+    if (
+        values is None
+        or values.ndim != 1
+        or values.dtype.kind not in "iu"
+        or (len(values) and not 0 <= values.min() <= values.max() < 1 << 32)
+    ):
+        raise ValueError(
+            "misleading positions are not a flat sequence of integers "
+            "in [0, 2**32)"
+        )
+    if not len(values):
+        return NO_POSITIONS
+    return _row(values.astype(np.uint32).tobytes())
+
 
 @dataclass(frozen=True)
 class InjectionResult:
-    """Stored bytes plus the position list the Chunk Table must remember."""
+    """Stored bytes plus the ``M`` row the Chunk Table must remember."""
 
     stored: bytes
-    positions: tuple[int, ...]
+    positions: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        # The generated one would ask an array for a single truth value.
+        if not isinstance(other, InjectionResult):
+            return NotImplemented
+        return self.stored == other.stored and np.array_equal(
+            self.positions, other.positions
+        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +182,7 @@ def inject_window(
             injected += n_fake * (stop - start)
         else:
             results.extend(
-                InjectionResult(stored=bytes(payload), positions=())
+                InjectionResult(stored=bytes(payload), positions=NO_POSITIONS)
                 for payload in payloads[start:stop]
             )
     if injected:
@@ -161,17 +227,22 @@ def _inject_slab(
     stored[flat] = fake.ravel()
     stored[genuine] = source.ravel()
     blob = stored.tobytes()
+    # One bytes object a row: a view into the slab's would keep all 256
+    # rows alive for as long as any one of their chunks stays tabled.
+    packed = positions.astype(np.uint32).tobytes()
+    width = 4 * n_fake
     return [
         InjectionResult(
-            stored=blob[row * total : (row + 1) * total], positions=tuple(where)
+            blob[row * total : (row + 1) * total],
+            _row(packed[row * width : (row + 1) * width]),
         )
-        for row, where in enumerate(positions.tolist())
+        for row in range(rows)
     ]
 
 
 def remove(
     stored: bytes,
-    positions: tuple[int, ...] | list[int],
+    positions: "np.ndarray | Sequence[int]",
     validate: bool = False,
 ) -> bytes:
     """Strip the misleading bytes at *positions* from *stored*.
@@ -186,7 +257,7 @@ def remove(
     callers handling untrusted position lists (tests, imported
     metadata): out-of-range or duplicate positions raise ``ValueError``.
     """
-    if not positions:
+    if not len(positions):
         return stored
     t0 = time.perf_counter()
     pos = np.asarray(positions, dtype=np.int64)
@@ -209,10 +280,12 @@ def remove(
 
 def remove_window(
     stored: "Sequence[bytes]",
-    positions: "Sequence[Sequence[int]]",
+    positions: "Sequence[np.ndarray | Sequence[int]]",
 ) -> list[bytes]:
     """:func:`remove` for every chunk of a window, stripped in bulk.
 
+    *positions* holds one row per chunk: the Chunk Table's packed rows on
+    the read path, a tuple or a list of ints from any other caller.
     Consecutive chunks of one stored length and one position count are
     stripped together, one mask and one fancy-index per slab.  A run of
     one row is :func:`remove`'s; a chunk with no positions passes through.
@@ -250,7 +323,9 @@ def remove_window(
 
 
 def _remove_slab(
-    stored: "Sequence[bytes]", positions: "Sequence[Sequence[int]]", length: int
+    stored: "Sequence[bytes]",
+    positions: "Sequence[np.ndarray | Sequence[int]]",
+    length: int,
 ) -> list[bytes]:
     """Strip equally many positions from each of a slab of *length*-byte
     chunks.
@@ -260,16 +335,18 @@ def _remove_slab(
     it; both raise ``ValueError`` instead.
     """
     rows = len(stored)
-    where = np.array(positions, dtype=np.int64)
-    if where.min() < 0 or where.max() >= length:
+    # Table rows are uint32 arrays and stack without a parse; a caller's
+    # tuples and lists come out as int64, so a negative member shows.
+    where = np.concatenate(positions).reshape(rows, -1)
+    if where.dtype.kind not in "iu" or where.min() < 0 or where.max() >= length:
         raise ValueError(
             f"misleading positions out of range for chunks of {length} bytes"
         )
     kept = length - where.shape[1]
-    where += np.arange(rows)[:, None] * length
     genuine = np.ones(rows * length, dtype=bool)
-    genuine[where.ravel()] = False
-    blob = np.frombuffer(b"".join(stored), dtype=np.uint8)[genuine].tobytes()
+    genuine[(where + np.arange(rows)[:, None] * length).ravel()] = False
+    blob = np.frombuffer(b"".join(stored), dtype=np.uint8)
+    blob = blob.compress(genuine).tobytes()  # faster than blob[genuine]
     if len(blob) != rows * kept:
         raise ValueError("misleading positions contain duplicates")
     return [blob[row * kept : (row + 1) * kept] for row in range(rows)]

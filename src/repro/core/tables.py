@@ -13,10 +13,20 @@ the lifetime of an entry (removals leave holes rather than renumbering).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.core.errors import UnknownChunkError, UnknownClientError, UnknownFileError
+import numpy as np
+
+from repro.core.errors import (
+    MetadataCorruptedError,
+    UnknownChunkError,
+    UnknownClientError,
+    UnknownFileError,
+)
+from repro.core.misleading import position_row
 from repro.core.privacy import CostLevel, PrivacyLevel
 
 
@@ -164,14 +174,40 @@ class ChunkEntry:
     providers, so we keep the full list with the primary first);
     ``snapshot_index`` the provider holding the pre-modification snapshot
     (``None`` -> the paper's ``NA``); ``misleading_positions`` the ``M``
-    column.
+    column, held as one :func:`~repro.core.misleading.position_row`
+    whatever sequence the entry was built from (a list of ints is its
+    form in exported state only).  Positions that cannot make a row raise
+    :class:`MetadataCorruptedError`.
     """
 
     virtual_id: int
     privacy_level: PrivacyLevel
     provider_indices: list[int]
     snapshot_index: int | None = None
-    misleading_positions: tuple[int, ...] = ()
+    misleading_positions: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        try:
+            self.misleading_positions = position_row(self.misleading_positions)
+        except ValueError as exc:
+            raise MetadataCorruptedError(
+                f"chunk {self.virtual_id}: {exc}"
+            ) from None
+
+    def __eq__(self, other: object) -> bool:
+        # The generated one would compare the rows with ==, and an array
+        # has no single truth value to answer with.
+        if not isinstance(other, ChunkEntry):
+            return NotImplemented
+        return (
+            self.virtual_id == other.virtual_id
+            and self.privacy_level == other.privacy_level
+            and self.provider_indices == other.provider_indices
+            and self.snapshot_index == other.snapshot_index
+            and np.array_equal(
+                self.misleading_positions, other.misleading_positions
+            )
+        )
 
     @property
     def provider_index(self) -> int:
@@ -232,7 +268,7 @@ class ChunkTable:
                     int(e.privacy_level),
                     list(e.provider_indices),
                     e.snapshot_index,
-                    list(e.misleading_positions),
+                    e.misleading_positions.tolist(),
                 )
                 for index, e in self._entries.items()
             },
@@ -245,7 +281,7 @@ class ChunkTable:
                 privacy_level=PrivacyLevel.coerce(pl),
                 provider_indices=list(cps),
                 snapshot_index=sp,
-                misleading_positions=tuple(m),
+                misleading_positions=m,
             )
             for index, (vid, pl, cps, sp, m) in state["entries"].items()
         }
@@ -256,8 +292,8 @@ class ChunkTable:
         """Render rows shaped like the paper's Table III."""
         out: list[list[object]] = []
         for _, e in self:
-            if e.misleading_positions:
-                mm = ", ".join(str(p) for p in e.misleading_positions[:m_preview])
+            if len(e.misleading_positions):
+                mm = ", ".join(map(str, e.misleading_positions[:m_preview]))
                 m_cell = "{" + mm + (", ...}" if len(e.misleading_positions) > m_preview else "}")
             else:
                 m_cell = "NA"
@@ -286,6 +322,9 @@ class FileChunkRef:
     serial: int
     privacy_level: PrivacyLevel
     chunk_index: int
+
+
+_FILENAME = operator.attrgetter("filename")
 
 
 @dataclass
@@ -347,21 +386,34 @@ class ClientEntry:
         """Table *refs*, all or none: a (filename, serial) already tabled
         raises ``ValueError``.  A new file goes after the stored ones; a
         serial below its file's last one (journal recovery re-adding a
-        chunk) is sorted into place."""
+        chunk) is sorted into place.  A new file's refs with serials
+        ascending -- an upload, a loaded table -- are tabled in one pass,
+        whatever their number."""
         added: list[FileChunkRef] = []
-        for ref in refs:
-            serials = self._files.setdefault(ref.filename, {})
-            if ref.serial in serials:
-                self.remove_refs(added)
-                raise ValueError(
-                    f"client {self.name!r} already tables chunk {ref.serial} "
-                    f"of {ref.filename!r}"
-                )
-            in_order = not serials or next(reversed(serials)) < ref.serial
-            serials[ref.serial] = ref
-            added.append(ref)
-            if not in_order:
-                self._files[ref.filename] = dict(sorted(serials.items()))
+        for filename, run in itertools.groupby(refs, _FILENAME):
+            run = list(run)
+            new = {ref.serial: ref for ref in run}
+            if (
+                filename not in self._files
+                and len(new) == len(run)
+                and list(new) == sorted(new)
+            ):
+                self._files[filename] = new
+                added += run
+                continue
+            for ref in run:
+                serials = self._files.setdefault(filename, {})
+                if ref.serial in serials:
+                    self.remove_refs(added)
+                    raise ValueError(
+                        f"client {self.name!r} already tables chunk "
+                        f"{ref.serial} of {filename!r}"
+                    )
+                in_order = not serials or next(reversed(serials)) < ref.serial
+                serials[ref.serial] = ref
+                added.append(ref)
+                if not in_order:
+                    self._files[filename] = dict(sorted(serials.items()))
 
     def replace_ref(self, ref: FileChunkRef) -> None:
         """Table *ref* in place of the quadruple with its filename and

@@ -21,9 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
+import numpy as np
+
 from repro.core import chunking
 from repro.core.errors import DHTError, ProviderError, UnknownFileError
 from repro.core.misleading import (
+    NO_POSITIONS,
     InjectionRng,
     inject,
     remove as remove_misleading,
@@ -76,7 +79,7 @@ class LocalChunkRecord:
     level: PrivacyLevel
     virtual_id: int
     providers: list[str]
-    misleading_positions: tuple[int, ...]
+    misleading_positions: np.ndarray  # a repro.core.misleading.position_row
 
 
 class ClientSideDistributor:
@@ -153,7 +156,7 @@ class ClientSideDistributor:
         chunks = chunking.split(data, pl, policy=self.chunk_policy)
         for chunk in chunks:
             vid = self.ids.allocate()
-            stored, positions = chunk.payload, ()
+            stored, positions = chunk.payload, NO_POSITIONS
             if misleading_fraction > 0:
                 result = inject(chunk.payload, misleading_fraction, rng=self._rng)
                 stored, positions = result.stored, result.positions
@@ -168,7 +171,7 @@ class ClientSideDistributor:
                 level=pl,
                 virtual_id=vid,
                 providers=list(providers),
-                misleading_positions=tuple(positions),
+                misleading_positions=positions,
             )
         return len(chunks)
 
@@ -294,5 +297,5 @@ class ClientSideDistributor:
         for record in self.chunk_table.values():
             total += len(record.filename) + 8 + 8
             total += sum(len(p) for p in record.providers)
-            total += 8 * len(record.misleading_positions)
+            total += record.misleading_positions.nbytes
         return total

@@ -68,6 +68,13 @@ HOSTILE = {
     "negative": _positions(lambda s: [-1] + s["positions"]),
     "past-the-end": _positions(lambda s: s["positions"] + [10**6]),
     "not-integers": _positions(lambda s: [str(p) for p in s["positions"]]),
+    "past-uint32": _positions(lambda s: s["positions"] + [2**32]),
+    "wraps-to-in-range": _positions(lambda s: s["positions"][:-1] + [2**32 + 200]),
+    "past-int64": _positions(lambda s: s["positions"] + [2**70]),
+    "a-bool": _positions(lambda s: [True] + s["positions"][1:]),
+    "a-float": _positions(lambda s: s["positions"][:-1] + [200.5]),
+    "nested": _positions(lambda s: [s["positions"]]),
+    "not-a-sequence": _positions(lambda s: 7),
     "short-checksums": lambda s: s.__setitem__("checksums", s["checksums"][:-1]),
 }
 
@@ -104,6 +111,35 @@ def test_the_same_record_untouched_is_restored(registry, tmp_path):
     report = recover_from_journal(rebooted, rebooted.journal)
     assert report.chunks_restored == len(DATA) // 256
     assert rebooted.get_file("Bob", "pw", "f") == DATA
+
+
+def test_recovered_rows_are_the_rows_an_upload_tables(registry, tmp_path):
+    from repro.core.misleading import NO_POSITIONS
+    from tests.core.test_misleading import is_row
+
+    path = tmp_path / "journal.jsonl"
+    first = boot(registry, path)
+    first.upload_file(
+        "Bob", "pw", "f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=0.1
+    )
+    first.upload_file("Bob", "pw", "plain", DATA, PrivacyLevel.PRIVATE)
+    rebooted = boot(registry, path)
+    recover_from_journal(rebooted, rebooted.journal)
+    by_vid = {entry.virtual_id: entry for _, entry in first.chunk_table}
+    assert len(rebooted.chunk_table) == len(by_vid) == 8
+    for _, entry in rebooted.chunk_table:
+        row = entry.misleading_positions
+        assert entry.misleading_positions.tolist() == (
+            by_vid[entry.virtual_id].misleading_positions.tolist()
+        )
+        assert is_row(row)
+        assert (len(row) == 0) == (row is NO_POSITIONS)
+    assert sum(
+        entry.misleading_positions is NO_POSITIONS
+        for _, entry in rebooted.chunk_table
+    ) == 4
+    assert rebooted.get_file("Bob", "pw", "f") == DATA
+    assert rebooted.get_file("Bob", "pw", "plain") == DATA
 
 
 def test_recovering_a_512_chunk_remove_walks_the_chunk_table_once(

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.misleading import (
+    NO_POSITIONS,
     InjectionRng,
     inject,
     inject_window,
+    position_row,
     remove,
     remove_window,
 )
@@ -15,7 +17,7 @@ from repro.core.misleading import (
 def test_zero_fraction_is_identity():
     result = inject(b"payload", 0.0, rng=1)
     assert result.stored == b"payload"
-    assert result.positions == ()
+    assert len(result.positions) == 0
 
 
 def test_inject_grows_buffer():
@@ -89,7 +91,7 @@ def test_determinism_by_seed():
     a = inject(b"data" * 50, 0.2, rng=7)
     b = inject(b"data" * 50, 0.2, rng=7)
     assert a.stored == b.stored
-    assert a.positions == b.positions
+    assert np.array_equal(a.positions, b.positions)
 
 
 @settings(max_examples=80, deadline=None)
@@ -322,6 +324,122 @@ def test_one_bad_row_raises_instead_of_shifting_its_neighbours(bad, message):
     # row -- every later chunk of the slab would come back misaligned.
     payloads, stored, positions = _injected_window([100] * 8, 0.1)
     assert remove_window(stored, positions) == payloads
-    positions[2] = bad + positions[2][2:]
+    positions[2] = bad + tuple(positions[2][2:])
     with pytest.raises(ValueError, match=message):
         remove_window(stored, positions)
+
+
+# -- the M row ----------------------------------------------------------------
+
+
+def is_row(row) -> bool:
+    """One uint32 array over a bytes object of exactly its size: immutable,
+    and nothing else kept alive."""
+    return (
+        isinstance(row, np.ndarray)
+        and row.dtype == np.uint32
+        and row.ndim == 1
+        and not row.flags.writeable
+        and type(row.base) is bytes
+        and len(row.base) == row.nbytes
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([0, 1, 5, 64, 64, 64, 333]), min_size=1, max_size=24),
+    st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+    st.data(),
+)
+def test_property_every_row_is_one_packed_array_however_the_window_is_cut(
+    lengths, fraction, data
+):
+    gen = np.random.default_rng(len(lengths))
+    payloads = [gen.bytes(n) for n in lengths]
+    cuts = sorted(
+        data.draw(st.sets(st.integers(1, len(payloads)), max_size=len(payloads)))
+        | {len(payloads)}
+    )
+    rng = InjectionRng.spawn(5)
+    results, start = [], 0
+    for stop in cuts:
+        results.extend(inject_window(payloads[start:stop], fraction, rng=rng))
+        start = stop
+    stored = [result.stored for result in results]
+    rows = [result.positions for result in results]
+    for row, blob in zip(rows, stored):
+        assert is_row(row)
+        assert (row[:-1] < row[1:]).all()  # sorted and distinct
+        assert not len(row) or int(row[-1]) < len(blob)
+        with pytest.raises(ValueError):
+            row[:1] = 0
+        with pytest.raises(ValueError):
+            row.setflags(write=True)  # not even on request
+        if not len(row):
+            assert row is NO_POSITIONS
+    assert remove_window(stored, rows) == payloads
+    # A row read back from a tuple or a JSON list strips the same.
+    assert remove_window(stored, [tuple(row.tolist()) for row in rows]) == payloads
+    assert remove_window(stored, [row.tolist() for row in rows]) == payloads
+    for blob, row, payload in zip(stored, rows, payloads):
+        for form in (row, tuple(row.tolist()), row.tolist()):
+            assert remove(blob, form, validate=True) == payload
+
+
+def test_a_kept_row_does_not_keep_the_slab_it_was_drawn_in():
+    import gc
+    import tracemalloc
+
+    payloads = [bytes(1024)] * 256  # one slab: 256 x 102 positions
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        results = inject_window(payloads, 0.1, rng=1)
+        kept = results[0].positions
+        slab = sum(result.positions.nbytes for result in results)
+        del results
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert slab == 256 * 102 * 4
+    assert kept.nbytes == 102 * 4
+    assert held < 2048, held  # the row and its headers, not 104 KiB of slab
+
+
+def test_position_row_packs_sequences_and_passes_rows_through():
+    row = position_row((3, 7, 4_000_000_000))
+    assert is_row(row) and row.tolist() == [3, 7, 4_000_000_000]
+    assert position_row(row) is row
+    assert position_row([3, 7]).tolist() == [3, 7]
+    packed = position_row(np.array([3, 7]))  # int64, writeable: repacked
+    assert is_row(packed) and packed.tolist() == [3, 7]
+    owned = np.array([3, 7], dtype=np.uint32)
+    owned.setflags(write=False)  # could be flipped back: repacked
+    assert is_row(position_row(owned)) and position_row(owned) is not owned
+    cut = np.frombuffer(bytes(32), dtype=np.uint32)[2:4]
+    assert is_row(position_row(cut))  # a view would pin what it was cut from
+    for empty in ((), [], np.array([], dtype=np.int64), NO_POSITIONS):
+        assert position_row(empty) is NO_POSITIONS
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [-1], [1 << 32], [1 << 70], [True, 5], [1.5], ["7"], [[1, 2]], "12",
+        5, None, {1: 2}, np.array([1.5]), np.array([[1, 2]]), np.array([True]),
+        np.array([-1]),
+    ],
+    ids=repr,
+)
+def test_position_row_refuses_what_is_not_a_flat_run_of_uint32(bad):
+    with pytest.raises(ValueError, match="flat sequence of integers"):
+        position_row(bad)
+
+
+def test_injection_results_compare_without_asking_an_array_for_its_truth():
+    a, b = (inject(bytes(range(200)), 0.1, rng=7) for _ in range(2))
+    other = inject(bytes(range(200)), 0.1, rng=8)
+    assert a == b and not a != b
+    assert a != other and a != "not a result"

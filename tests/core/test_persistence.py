@@ -169,22 +169,78 @@ def test_duplicated_misleading_position_is_refused_at_load(stored, registry):
         load_metadata(fresh, path)
 
 
-@pytest.mark.parametrize("position", [-1, 10**6, 2.5, "7"])
+@pytest.mark.parametrize(
+    "position", [-1, 10**6, 2**32, 2**32 + 5, 2**70, 2.5, "7", True, [3], None]
+)
 def test_misleading_position_outside_the_chunk_is_refused_at_load(
     stored, registry, position
 ):
-    # At the parent: a bare numpy IndexError in the middle of a read.
+    # Once a bare numpy IndexError in the middle of a read; and packing a
+    # row must not answer OverflowError or TypeError in its place.  2**32
+    # + 5 would wrap to an in-range 5 in a uint32.
     _, path, _ = stored
 
     def edit(metadata):
         row = _first_row_with_positions(metadata)
-        row[4][0 if position == -1 else -1] = position
+        row[4][0 if position in (-1, True) else -1] = position
         edit.vid = row[0]
 
     _reseal(path, edit)
     fresh = CloudDataDistributor(registry, seed=6)
     with pytest.raises(MetadataCorruptedError, match=f"chunk {edit.vid}:"):
         load_metadata(fresh, path)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda m: m[::-1],  # descending
+        lambda m: m[:1] + m,  # repeated, at the front
+        lambda m: [m],  # nested one level down
+        lambda m: 7,  # not a sequence at all
+        lambda m: {"0": m[0]},
+        lambda m: "".join(map(str, m)),
+    ],
+    ids=["descending", "repeated", "nested", "scalar", "object", "string"],
+)
+def test_a_row_of_the_wrong_shape_is_refused_at_load(stored, registry, shape):
+    _, path, _ = stored
+
+    def edit(metadata):
+        row = _first_row_with_positions(metadata)
+        row[4] = shape(row[4])
+        edit.vid = row[0]
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=6)
+    with pytest.raises(MetadataCorruptedError, match=f"chunk {edit.vid}:"):
+        load_metadata(fresh, path)
+    assert len(fresh.chunk_table) == 0
+
+
+def test_loaded_rows_are_the_rows_an_upload_tables(stored, registry):
+    # One row type however it arrived; and a chunk stored without
+    # misleading bytes shares the one empty row.
+    from repro.core.misleading import NO_POSITIONS
+    from tests.core.test_misleading import is_row
+
+    distributor, path, _ = stored
+    distributor.upload_file("Bob", "Ty7e", "plain", b"p" * 900, PrivacyLevel.PRIVATE)
+    save_metadata(distributor, path)
+    fresh = CloudDataDistributor(registry, seed=6)
+    load_metadata(fresh, path)
+    for (_, loaded), (_, tabled) in zip(fresh.chunk_table, distributor.chunk_table):
+        row = loaded.misleading_positions
+        assert loaded == tabled
+        assert is_row(row) and is_row(tabled.misleading_positions)
+        assert (len(row) == 0) == (row is NO_POSITIONS)
+    plain = fresh.client_table.get("Bob").refs_for_file("plain")
+    assert all(
+        fresh.chunk_table.get(ref.chunk_index).misleading_positions is NO_POSITIONS
+        for ref in plain
+    )
+    assert fresh.export_metadata() == distributor.export_metadata()
+    assert fresh.get_file("Bob", "Ty7e", "plain") == b"p" * 900
 
 
 def test_short_shard_checksum_tuple_is_refused_at_load(stored, registry):

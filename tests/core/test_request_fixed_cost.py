@@ -258,6 +258,43 @@ def request_costs(other_refs: int) -> dict[str, int]:
     return costs
 
 
+def calls_of_any_kind(fn) -> int:
+    """Calls *fn* makes from Python code on this thread, into Python and
+    into C alike (a per-ref loop of dict and list methods shows here)."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_tabling_a_new_files_refs_is_one_pass_whatever_their_number():
+    """An upload's ``add_refs``: four calls a ref as a loop (8,192 for a
+    2 MiB PL-3 file), a fixed handful since."""
+
+    def tabling(chunks: int) -> int:
+        entry = in_memory().client_table.get("C")
+        entry.add_refs([FileChunkRef("old", 0, PrivacyLevel.PRIVATE, -1)])
+        refs = [
+            FileChunkRef("new", serial, PrivacyLevel.PRIVATE, serial)
+            for serial in range(chunks)
+        ]
+        calls = calls_of_any_kind(lambda: entry.add_refs(refs))
+        assert entry.refs_for_file("new") == refs
+        assert entry.filenames() == ["old", "new"]
+        return calls
+
+    assert tabling(2048) == tabling(16) <= 16
+
+
 def test_request_cost_does_not_grow_with_the_clients_other_refs():
     alone, crowded = request_costs(0), request_costs(16_000)
     for op, calls in alone.items():

@@ -78,7 +78,7 @@ def test_chunk_table_add_get_by_vid():
     table = ChunkTable()
     index = table.add(_entry(41367, m=(12, 90)))
     assert table.get(index).virtual_id == 41367
-    assert table.by_virtual_id(41367).misleading_positions == (12, 90)
+    assert table.by_virtual_id(41367).misleading_positions.tolist() == [12, 90]
 
 
 def test_chunk_table_duplicate_vid():
@@ -118,6 +118,56 @@ def test_chunk_table_rows_na_rendering():
     rows = table.rows()
     assert rows[0][3] == "NA" and rows[0][4] == "NA"
     assert rows[1][3] == 1 and rows[1][4].startswith("{12, 14")
+
+
+def test_the_m_column_is_one_row_type_and_a_list_only_in_exported_state():
+    import json
+
+    from repro.core.misleading import NO_POSITIONS, position_row
+    from tests.core.test_misleading import is_row
+
+    table = ChunkTable()
+    drawn = position_row([4, 9, 70_000])
+    indices = [
+        table.add(_entry(1, m=(4, 9, 70_000))),
+        table.add(ChunkEntry(2, PrivacyLevel.PRIVATE, [0], None, [4, 9, 70_000])),
+        table.add(ChunkEntry(3, PrivacyLevel.PRIVATE, [0], None, drawn)),
+        table.add(_entry(4)),
+    ]
+    rows = [table.get(index).misleading_positions for index in indices]
+    for row in rows[:3]:
+        assert is_row(row) and row.tolist() == [4, 9, 70_000]
+    assert rows[2] is drawn  # a row is tabled as it is, not copied
+    assert rows[3] is NO_POSITIONS
+    state = table.export_state()
+    assert [state["entries"][i][4] for i in indices] == [[4, 9, 70_000]] * 3 + [[]]
+    assert all(type(p) is int for p in state["entries"][indices[0]][4])
+    restored = ChunkTable()
+    restored.import_state(json.loads(json.dumps(state)))
+    assert restored.export_state() == state
+    assert [entry for _, entry in restored] == [entry for _, entry in table]
+    assert restored.get(indices[3]).misleading_positions is NO_POSITIONS
+
+
+def test_chunk_entries_compare_whatever_their_rows_hold():
+    # A dataclass's own __eq__ would ask a 3-element array for one truth
+    # value and raise.
+    same = [_entry(7, cps=(1, 2), sp=0, m=(4, 5, 6)) for _ in range(2)]
+    assert same[0] == same[1] and not same[0] != same[1]
+    assert _entry(7, m=(4, 5, 6)) != _entry(7, m=(4, 5, 7))
+    assert _entry(7, m=(4, 5, 6)) != _entry(7, m=(4, 5))
+    assert _entry(7, m=(4, 5, 6)) != _entry(7)
+    assert _entry(7) == _entry(7) and _entry(7) != _entry(8)
+    assert _entry(7, cps=(1,)) != _entry(7, cps=(2,))
+    assert _entry(7) != "a chunk entry" and _entry(7) in [_entry(6), _entry(7)]
+
+
+def test_positions_that_cannot_make_a_row_name_their_chunk():
+    from repro.core.errors import MetadataCorruptedError
+
+    for bad in ([1.5], [True, 3], ["7"], [[1]], [-1], [1 << 32], 7, None):
+        with pytest.raises(MetadataCorruptedError, match="chunk 77: "):
+            ChunkEntry(77, PrivacyLevel.PRIVATE, [0], None, bad)
 
 
 # -- Client Table (Table II) ----------------------------------------------------
@@ -200,7 +250,7 @@ def test_chunk_table_state_roundtrip():
     assert entry.virtual_id == 99
     assert entry.provider_indices == [1, 2, 3]
     assert entry.snapshot_index == 0
-    assert entry.misleading_positions == (4, 5)
+    assert entry.misleading_positions.tolist() == [4, 5]
 
 
 def test_client_table_state_roundtrip():
@@ -373,6 +423,30 @@ def test_client_entry_matches_flat_list_with_recovery_re_adds(ops):
     """A ref re-added on its own (journal recovery) lands inside its
     file's run where the list had it at the end; every lookup agrees."""
     run_ops(ops)
+
+
+def test_add_refs_is_all_or_none_across_the_one_pass_and_the_loop():
+    # A new file in serial order is tabled in one pass, anything else ref
+    # by ref; a clash in either undoes both.
+    entry = ClientEntry(name="C")
+    kept = [FileChunkRef("kept", s, PrivacyLevel.LOW, s) for s in range(3)]
+    entry.add_refs(kept)
+    fresh = [FileChunkRef("fresh", s, PrivacyLevel.LOW, 10 + s) for s in range(4)]
+    clash = FileChunkRef("kept", 1, PrivacyLevel.LOW, 99)
+    with pytest.raises(
+        ValueError, match="client 'C' already tables chunk 1 of 'kept'"
+    ):
+        entry.add_refs(fresh + [clash])
+    assert entry.chunk_refs == kept and entry.filenames() == ["kept"]
+    twice = fresh[:2] + [fresh[1]]  # a new file naming one serial twice
+    with pytest.raises(
+        ValueError, match="client 'C' already tables chunk 1 of 'fresh'"
+    ):
+        entry.add_refs(twice)
+    assert entry.chunk_refs == kept and entry.filenames() == ["kept"]
+    entry.add_refs(reversed(fresh))  # new, but not in order: sorted into place
+    assert entry.refs_for_file("fresh") == fresh
+    assert entry.chunk_refs == kept + fresh
 
 
 def test_replace_ref_needs_the_slot():

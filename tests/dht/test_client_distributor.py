@@ -126,6 +126,39 @@ def test_table_memory_grows_with_chunks(dist):
     assert dist.table_memory_bytes > before
 
 
+def test_misleading_rows_are_packed_and_the_report_counts_what_is_held(dist):
+    # The client-side table holds the distributor's row type: 4 bytes a
+    # position (it charged a flat 8, and would have held 102 numpy scalars
+    # a chunk once inject returned arrays), and reads still round-trip.
+    from repro.core.misleading import NO_POSITIONS
+    from tests.core.test_misleading import is_row
+
+    data = os.urandom(4096)
+    dist.upload_file("plain", data, PrivacyLevel.LOW)
+    assert all(
+        record.misleading_positions is NO_POSITIONS
+        for record in dist.chunk_table.values()
+    )
+    dist.upload_file("f", data, PrivacyLevel.LOW, misleading_fraction=0.25)
+    rows = [
+        record.misleading_positions
+        for (name, _), record in dist.chunk_table.items()
+        if name == "f"
+    ]
+    assert len(rows) == 8
+    for row in rows:
+        assert is_row(row) and len(row) == 128
+    fixed = sum(
+        len(record.filename) + 16 + sum(map(len, record.providers))
+        for record in dist.chunk_table.values()
+    )
+    assert dist.table_memory_bytes == fixed + 4 * 128 * 8
+    assert dist.table_memory_bytes < fixed + 8 * 128 * 8  # what it used to charge
+    assert dist.get_file("f") == data
+    assert dist.get_chunk("f", 3) == data[3 * 512 : 4 * 512]
+    assert dist.get_file("plain") == data
+
+
 def test_replicas_validation(world):
     registry, _, _ = world
     with pytest.raises(ValueError):

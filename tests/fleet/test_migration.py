@@ -17,6 +17,7 @@ from repro.fleet.router import fleet_key
 from repro.util.crash import CrashPoint, crashing_at
 
 from tests.fleet.conftest import add_tenants, make_gateway
+from tests.core.test_misleading import is_row
 
 FLEET_POINTS = [
     "fleet.migrate.planned",
@@ -92,6 +93,32 @@ class TestDrainMigration:
         assert victim not in disk_gateway.shards
         assert victim not in disk_gateway.router.shard_ids
         assert_all_readable(disk_gateway, corpus)
+        assert_fleet_clean(disk_gateway)
+
+    def test_a_migrated_files_m_rows_are_the_rows_an_upload_tables(
+        self, disk_gateway
+    ):
+        # A move re-derives the misleading budget from the stored rows and
+        # re-uploads: the same packed row type on the other side, the same
+        # count of positions, the same quota bytes.
+        data = bytes(range(256)) * 12  # 3 chunks of 1 KiB at PL-3
+        names = [f"m-{i}.bin" for i in range(8)]
+        for name in names:
+            disk_gateway.upload_file(
+                "alice", "pw-a", name, data, PrivacyLevel.PRIVATE,
+                misleading_fraction=0.1,
+            )
+        usage = disk_gateway.tenant_usage("alice")
+        report = ShardRebalancer(disk_gateway).drain_shard("s1")
+        assert report.files_moved > 0
+        for key, _, dst in report.moves:
+            d = disk_gateway.shards[dst].distributor
+            for ref in d.client_table.get("alice").refs_for_file(key):
+                row = d.chunk_table.get(ref.chunk_index).misleading_positions
+                assert is_row(row) and len(row) == 102
+        assert disk_gateway.tenant_usage("alice") == usage
+        for name in names:
+            assert disk_gateway.get_file("alice", "pw-a", name) == data
         assert_fleet_clean(disk_gateway)
 
     def test_cannot_drain_last_shard(self, base_registry, tmp_path):
