@@ -12,16 +12,21 @@ test:
 loc:
 	@for d in src tests benchmarks; do \
 		printf '%-34s %6d\n' "$$d/" "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
-	@for f in core/distributor.py core/rebalance.py net/remote.py; do \
+	@for f in core/distributor.py core/tables.py core/persistence.py core/journal.py \
+			core/rebalance.py net/remote.py; do \
 		printf '%-34s %6d\n' "src/repro/$$f" "$$(wc -l < src/repro/$$f)"; done
 
 # The ratchet CI holds core/distributor.py to: the count the last diet PR
 # landed.  The next one lowers it; nothing raises it.
-DISTRIBUTOR_MAX_LINES = 2016
+DISTRIBUTOR_MAX_LINES = 1890
+# A chunk's stripe record lives on its Chunk Table row and nowhere else: the
+# per-chunk stores the distributor once kept beside the table stay gone.  (The
+# \b keeps the distributor_codec_quarantined_total metric out of the net.)
 loc-check:
 	@lines=$$(wc -l < src/repro/core/distributor.py); \
 	echo "core/distributor.py: $$lines lines (ratchet $(DISTRIBUTOR_MAX_LINES))"; \
 	test "$$lines" -le $(DISTRIBUTOR_MAX_LINES)
+	@! grep -rnE '\._chunk_state\b|_codec_quarantine\b|\._packed\(' src/
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only

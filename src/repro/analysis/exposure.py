@@ -63,14 +63,9 @@ def client_exposure(
     total_bytes = 0
     for ref in entry.chunk_refs:
         chunk = distributor.chunk_table.get(ref.chunk_index)
-        state = distributor._chunk_state.get(chunk.virtual_id)
-        if state is not None:
-            shard_size = state.stripe.shard_size
-        else:
-            # Unknown-codec quarantine: the stripe never deserialized, but
-            # the preserved raw row still carries the shard size -- enough
-            # for a byte-share bound.
-            shard_size = int(distributor._packed(chunk.virtual_id).shard_size)
+        # Under an unknown-codec quarantine the stripe never deserialized, but
+        # its raw row still carries the shard size: enough for a byte-share bound.
+        shard_size = int(chunk.packed.shard_size)
         for table_index in chunk.provider_indices:
             name = distributor.provider_table.get(table_index).name
             shard_counts[name] = shard_counts.get(name, 0) + 1

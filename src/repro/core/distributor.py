@@ -33,12 +33,10 @@ from repro.core.errors import (
     AuthorizationError,
     BlobCorruptedError,
     BlobNotFoundError,
-    MetadataCorruptedError,
     PlacementError,
     ProviderError,
     ReproError,
     UnknownChunkError,
-    UnknownCodecError,
 )
 from repro.health.monitor import HealthMonitor
 from repro.core.misleading import (  # noqa: F401
@@ -71,7 +69,6 @@ from repro.raid.codecs import (
     ChunkState,
     CodecSpec,
     ErasureCodec,
-    PackedChunk,
     codec_for_meta,
 )
 from repro.raid.reconstruct import read_stripes, rebuild_shard
@@ -204,33 +201,6 @@ class _FetchJob:
     cached: bytes | None = None
 
 
-def _check_chunk_row(entry: ChunkEntry, state: ChunkState) -> None:
-    """Raise :class:`MetadataCorruptedError` for a loaded chunk row that
-    contradicts its own stripe.
-
-    The read path trusts both fields: a repeated position would leave a
-    misleading byte in the plaintext, one out of range or a short checksum
-    tuple would surface as a bare ``IndexError`` mid-read.
-    """
-    # A row is unsigned integers by construction (ChunkEntry packs it).
-    positions = entry.misleading_positions
-    if len(positions) and not (
-        int(positions[-1]) < state.stripe.orig_len
-        and (positions[:-1] < positions[1:]).all()
-    ):
-        raise MetadataCorruptedError(
-            f"chunk {entry.virtual_id}: misleading positions are not "
-            f"strictly ascending indices into its "
-            f"{state.stripe.orig_len} stored bytes"
-        )
-    checksums = state.shard_checksums
-    if checksums is not None and len(checksums) != state.stripe.n:
-        raise MetadataCorruptedError(
-            f"chunk {entry.virtual_id}: {len(checksums)} shard checksums "
-            f"recorded for a stripe of {state.stripe.n}"
-        )
-
-
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
@@ -283,11 +253,6 @@ class CloudDataDistributor:
         self.default_codec = CodecSpec.coerce(
             codec if codec is not None else RaidLevel.RAID5
         )
-        # Chunks whose metadata names a codec this build cannot parse:
-        # vid -> the raw packed chunk-state tuple, preserved verbatim so
-        # export round-trips it untouched.  Reads/repairs of these chunks
-        # raise UnknownCodecError; fsck classifies them.
-        self._codec_quarantine: dict[int, tuple] = {}
         self.ids = VirtualIdAllocator(seed=seeds[1])
         self._misleading_rng = InjectionRng.spawn(seeds[2])
 
@@ -296,7 +261,6 @@ class CloudDataDistributor:
         self.client_table = ClientTable()
         self.chunk_table = ChunkTable()
         self.snapshots = SnapshotManager(registry, self.placement)
-        self._chunk_state: dict[int, ChunkState] = {}
         if max_transport_workers is not None and max_transport_workers < 1:
             raise ValueError(
                 f"max_transport_workers must be >= 1, got {max_transport_workers}"
@@ -685,33 +649,6 @@ class CloudDataDistributor:
         )
         return spec.instantiate(max(spec.min_width, min(available, 4)))
 
-    def _packed(self, vid: int) -> PackedChunk:
-        """A tabled chunk's packed row -- for a chunk quarantined under an
-        unknown codec the raw one, which still has to answer for its
-        geometry (exposure, quotas) and finish a journalled remove."""
-        state = self._chunk_state.get(vid)
-        if state is None:
-            return PackedChunk(*self._codec_quarantine[vid])
-        return PackedChunk.pack(state)
-
-    def _chunk_state_for(
-        self, entry: ChunkEntry, filename: str | None = None
-    ) -> ChunkState:
-        """The chunk's stripe state, or a typed error for quarantined chunks."""
-        state = self._chunk_state.get(entry.virtual_id)
-        if state is None:
-            if entry.virtual_id in self._codec_quarantine:
-                label = self._packed(entry.virtual_id).codec
-                raise UnknownCodecError(
-                    f"chunk {entry.virtual_id} uses codec {label!r} "
-                    f"unknown to this build; quarantined at metadata load",
-                    spec=str(label),
-                    filename=filename,
-                    virtual_id=entry.virtual_id,
-                )
-            raise KeyError(entry.virtual_id)
-        return state
-
     def _plan_window(
         self,
         payloads: "list[bytes | memoryview]",
@@ -874,9 +811,9 @@ class CloudDataDistributor:
                 provider_indices=provider_indices,
                 snapshot_index=None,
                 misleading_positions=plan.positions,
+                record=plan.state,
             )
         )
-        self._chunk_state[plan.vid] = plan.state
         plan.shards = []
         return chunk_index
 
@@ -889,9 +826,8 @@ class CloudDataDistributor:
         Must run inside the critical section.
         """
         entry = self.chunk_table.get(ref.chunk_index)
-        vid = entry.virtual_id
         return {
-            "vid": vid,
+            "vid": entry.virtual_id,
             "client": client,
             "filename": ref.filename,
             "serial": ref.serial,
@@ -903,7 +839,7 @@ class CloudDataDistributor:
                 else self.provider_table.get(entry.snapshot_index).name
             ),
             "positions": entry.misleading_positions.tolist(),
-            **self._packed(vid).journal_fields(),
+            **entry.packed.journal_fields(),
         }
 
     @staticmethod
@@ -978,7 +914,8 @@ class CloudDataDistributor:
         if entry is not None:
             vid, level = entry.virtual_id, entry.privacy_level
             # No state: an unknown-codec quarantine, copied unjudged.
-            state, names = self._chunk_state.get(vid), self._members(entry)
+            state = None if entry.quarantined else entry.record
+            names = self._members(entry)
         else:
             vid, level, state = chunk.vid, chunk.level, chunk.state
             names, good = chunk.assigned, dict(enumerate(chunk.shards))
@@ -1378,7 +1315,7 @@ class CloudDataDistributor:
         return _FetchJob(
             serial=serial,
             entry=entry,
-            state=self._chunk_state_for(entry, filename),
+            state=entry.state(filename),
             names=self._members(entry),
             cached=(
                 self.cache.get(entry.virtual_id)
@@ -1626,7 +1563,7 @@ class CloudDataDistributor:
     def _delete_chunks(self, refs: list[FileChunkRef], rolled_back=()) -> None:
         """Erase, lock held, the tabled chunks behind *refs* and whatever the
         *rolled_back* plans (transferred, never tabled) left: every shard in
-        one :meth:`_delete_objects` batch, then rows, snapshots, states, ids."""
+        one :meth:`_delete_objects` batch, then rows, snapshots, ids."""
         entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
         doomed = [p for plan in rolled_back for p in self._plan_put_keys(plan)]
         for entry in entries:
@@ -1655,8 +1592,6 @@ class CloudDataDistributor:
                     entry.snapshot_index, snapshot_key(vid)
                 )
             self.chunk_table.remove(ref.chunk_index)
-            self._chunk_state.pop(vid, None)
-            self._codec_quarantine.pop(vid, None)
             if self.cache is not None:
                 self.cache.invalidate(vid)
             self.ids.release(vid)
@@ -1763,7 +1698,7 @@ class CloudDataDistributor:
             ref = client_entry.ref_for_chunk(filename, serial)
             self._require_level(client, granted, ref.privacy_level)
             entry = self.chunk_table.get(ref.chunk_index)
-            state = self._chunk_state_for(entry, filename)
+            state = entry.state(filename)
             (pre_state,) = self._read_jobs(
                 [self._job_for(entry, serial, filename)], 1
             )
@@ -1908,7 +1843,7 @@ class CloudDataDistributor:
         ``(missing, rebuilt, unrecoverable, relocations)``.
         """
         vid = entry.virtual_id
-        state = self._chunk_state_for(entry)
+        state = entry.state()
         names = self._members(entry)
         good = self._read_members(
             state, vid, names,
@@ -1932,85 +1867,24 @@ class CloudDataDistributor:
         Covers the three tables, hashed credentials, virtual-id state and
         per-chunk stripe geometry -- everything a secondary distributor
         needs to serve retrievals, and everything persistence needs to
-        survive a restart.  Provider *data* stays at the providers.
+        survive a restart.  Provider *data* stays at the providers.  Thin
+        veneer over :mod:`repro.core.persistence`, which owns the
+        document's shape (lazy import keeps the dependency one-way).
         """
-        with self.op_lock:
-            return {
-                "access": self.access.export_state(),
-                "provider_table": self.provider_table.export_state(),
-                "client_table": self.client_table.export_state(),
-                "chunk_table": self.chunk_table.export_state(),
-                "ids": self.ids.export_state(),
-                "chunk_state": {
-                    # Quarantined chunks (unknown codec) round-trip their
-                    # raw packed tuples untouched so a newer build that
-                    # understands the codec can still read them.
-                    **{
-                        vid: tuple(packed)
-                        for vid, packed in self._codec_quarantine.items()
-                    },
-                    **{
-                        vid: tuple(PackedChunk.pack(state))
-                        for vid, state in self._chunk_state.items()
-                    },
-                },
-            }
+        from repro.core.persistence import export_metadata
+
+        return export_metadata(self)
 
     def import_metadata(self, snapshot: dict) -> None:
-        """Replace this distributor's metadata with an exported snapshot.
+        """Replace this distributor's metadata with an exported snapshot; a
+        refused one (:class:`MetadataCorruptedError`) leaves it serving
+        what it had.  Thin veneer over :mod:`repro.core.persistence`."""
+        from repro.core.persistence import import_metadata
 
-        The chunk and client rows are parsed and checked before any table
-        is touched, so a refused snapshot (:class:`MetadataCorruptedError`)
-        leaves the distributor serving what it had.
-        """
-        with self.op_lock:
-            chunk_table = ChunkTable()
-            chunk_table.import_state(snapshot["chunk_table"])
-            client_table = ClientTable()
-            try:
-                client_table.import_state(snapshot["client_table"])
-            except ValueError as exc:
-                raise MetadataCorruptedError(f"client table: {exc}") from exc
-            chunk_state: dict[int, ChunkState] = {}
-            quarantine: dict[int, tuple] = {}
-            unknown_specs: list[tuple[int, str]] = []
-            for vid, packed in snapshot["chunk_state"].items():
-                # An unparseable codec (from a newer build, or
-                # corruption) quarantines the one chunk -- its raw tuple
-                # preserved for re-export -- rather than failing the
-                # entire metadata load.
-                try:
-                    chunk_state[int(vid)] = PackedChunk(*packed).unpack(
-                        virtual_id=int(vid)
-                    )
-                except UnknownCodecError as exc:
-                    quarantine[int(vid)] = tuple(packed)
-                    unknown_specs.append((int(vid), exc.spec))
-            for _, entry in chunk_table:
-                state = chunk_state.get(entry.virtual_id)
-                if state is not None:
-                    _check_chunk_row(entry, state)
-            if self.cache is not None:
-                # Chunks may have been updated at the snapshot's source; a
-                # stale local cache must not outlive the old metadata.
-                self.cache.clear()
-            self.access.import_state(snapshot["access"])
-            self.provider_table.import_state(snapshot["provider_table"])
-            self.client_table = client_table
-            self.chunk_table = chunk_table
-            self.ids.import_state(snapshot["ids"])
-            self._chunk_state = chunk_state
-            self._codec_quarantine = quarantine
-            for vid, spec in unknown_specs:
-                self.metrics.counter(
-                    "distributor_codec_quarantined_total"
-                ).inc()
-                self.events.emit(
-                    "codec_quarantined", level="warning", vid=vid, spec=spec
-                )
+        import_metadata(self, snapshot)
 
     def stripe_meta(self, client: str, filename: str, serial: int) -> StripeMeta:
         with self.op_lock:
             ref = self.client_table.get(client).ref_for_chunk(filename, serial)
             entry = self.chunk_table.get(ref.chunk_index)
-            return self._chunk_state_for(entry, filename).stripe
+            return entry.state(filename).stripe

@@ -42,10 +42,8 @@ from repro.core.errors import (
     ProviderError,
     UnknownChunkError,
     UnknownClientError,
-    UnknownCodecError,
     UnknownFileError,
 )
-from repro.core.privacy import PrivacyLevel
 from repro.core.tables import ChunkEntry, ClientEntry, FileChunkRef
 from repro.core.virtual_id import shard_key, snapshot_key
 from repro.raid.codecs import PackedChunk
@@ -283,17 +281,31 @@ def _registered(
 
 
 def _owned(txn: JournalTxn, specs) -> list[dict]:
-    """*specs*, each naming the transaction's client and filename."""
+    """*specs*, each naming the transaction's client and holding what
+    recovery reads of a spec without a default -- ``vid`` and ``serial``
+    integers, ``filename``, ``stripe``, ``providers`` a list of names --
+    or :class:`MetadataCorruptedError`."""
     specs = list(specs)
     for spec in specs:
         spec.setdefault("client", txn.client)
-        spec.setdefault("filename", txn.filename)
+        lacks = {"vid", "filename", "serial", "providers", "stripe"} - spec.keys()
+        names = spec.get("providers")
+        try:
+            if lacks:
+                raise ValueError(f"lacks {', '.join(sorted(lacks))}")
+            spec["vid"], spec["serial"] = int(spec["vid"]), int(spec["serial"])
+            if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+                raise ValueError(f"providers {names!r} are not a list of names")
+        except (TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(
+                f"chunk spec {spec.get('vid', '?')}: {exc}"
+            ) from None
     return specs
 
 
 def _spec_keys(spec: dict) -> list[tuple[str, str]]:
     """Every (provider, key) pair a chunk spec occupies."""
-    vid = int(spec["vid"])
+    vid = spec["vid"]
     pairs = [
         (name, shard_key(vid, i)) for i, name in enumerate(spec["providers"])
     ]
@@ -306,11 +318,10 @@ def _purge_specs(
     distributor: "CloudDataDistributor",
     specs: list[dict],
     report: RecoveryReport,
-    tabled: dict[int, int],
 ) -> None:
     """Roll chunk specs forward out of existence: objects (one batch per
-    provider), tables, refs.  *tabled* is the pass's vid -> chunk index
-    map; a purged row leaves it."""
+    provider), tables, refs.  A chunk's row is all the tables know of it,
+    so nothing of a purged chunk stays behind."""
     doomed = _registered(
         distributor, (pair for spec in specs for pair in _spec_keys(spec))
     )
@@ -322,12 +333,11 @@ def _purge_specs(
             continue
         distributor.provider_table.record_remove(table_index, key)
     for spec in specs:
-        vid = int(spec["vid"])
-        index = tabled.pop(vid, None)
+        vid = spec["vid"]
+        index = distributor.chunk_table.find_index(vid)
         if index is None:
             continue
         distributor.chunk_table.remove(index)
-        distributor._chunk_state.pop(vid, None)
         distributor.ids.release(vid)
         if distributor.cache is not None:
             distributor.cache.invalidate(vid)
@@ -344,16 +354,14 @@ def _purge_specs(
 def _tabled_ref(client_entry: ClientEntry, spec: dict) -> FileChunkRef | None:
     """The quadruple tabled under a spec's (filename, serial), if any."""
     try:
-        return client_entry.ref_for_chunk(
-            spec["filename"], int(spec["serial"])
-        )
+        return client_entry.ref_for_chunk(spec["filename"], spec["serial"])
     except (UnknownFileError, UnknownChunkError):
         return None
 
 
 def _shards_surviving(distributor: "CloudDataDistributor", spec: dict) -> int:
     """How many of a spec's shards demonstrably still exist."""
-    vid = int(spec["vid"])
+    vid = spec["vid"]
     present = 0
     for i, name in enumerate(spec["providers"]):
         if name not in distributor.registry:
@@ -371,76 +379,53 @@ def _shards_surviving(distributor: "CloudDataDistributor", spec: dict) -> int:
 
 
 def _restore_spec(
-    distributor: "CloudDataDistributor",
-    spec: dict,
-    report: RecoveryReport,
-    tabled: dict[int, int],
+    distributor: "CloudDataDistributor", spec: dict, report: RecoveryReport
 ) -> None:
-    """Roll a committed chunk spec forward into the tables (if viable).
-
-    The record's positions and checksums pass the check a loaded chunk
-    row passes before anything is tabled; a restored row joins *tabled*.
-    """
-    vid = int(spec["vid"])
-    packed = PackedChunk.from_journal(spec)
-    client = spec.get("client", "")
+    """Roll a committed chunk spec forward into the tables (if viable),
+    its row through the door a row of ``metadata.json`` comes in by: the
+    same refusals, the same quarantine of a codec this build cannot parse."""
+    vid = spec["vid"]
+    provider_table = distributor.provider_table
+    if distributor.chunk_table.find_index(vid) is not None:
+        return
     try:
-        client_entry = distributor.client_table.get(client)
-    except UnknownClientError:
-        client_entry = None
-    if vid in tabled or client_entry is None:
-        if vid not in tabled:
-            # No client row to hang the chunk on: unreachable data, purge.
-            _purge_specs(distributor, [spec], report, tabled)
-            report.chunks_dropped += 1
-        return
-    if _shards_surviving(distributor, spec) < int(packed.k):
-        # Too few shards made it to disk: resurrecting the entry would be
-        # a permanent table hole.  The upload never finished from the
-        # client's point of view; delete the remnants instead.
-        _purge_specs(distributor, [spec], report, tabled)
-        report.chunks_dropped += 1
-        return
-
-    from repro.core.distributor import _check_chunk_row  # cycle-free at runtime
-
-    provider_indices = [
-        distributor.provider_table.index_of(name)
-        for name in spec["providers"]
-    ]
-    snapshot_index = None
-    if spec.get("snapshot"):
-        snapshot_index = distributor.provider_table.index_of(spec["snapshot"])
-    entry = ChunkEntry(
-        virtual_id=vid,
-        privacy_level=PrivacyLevel.coerce(spec["level"]),
-        provider_indices=provider_indices,
-        snapshot_index=snapshot_index,
-        misleading_positions=spec.get("positions", ()),
+        members = [provider_table.index_of(name) for name in spec["providers"]]
+        snapshot = None
+        if spec.get("snapshot"):
+            snapshot = provider_table.index_of(spec["snapshot"])
+        packed = PackedChunk.from_journal(spec)
+    except KeyError as exc:  # a provider that is not registered
+        raise MetadataCorruptedError(f"chunk {vid}: {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise MetadataCorruptedError(f"chunk {vid}: {exc}") from None
+    entry = ChunkEntry.load(
+        vid, spec.get("level"), members, snapshot,
+        spec.get("positions", ()), packed, provider_table,
     )
     try:
-        state = packed.unpack(filename=spec.get("filename"), virtual_id=vid)
-    except UnknownCodecError:
-        # Same quarantine path as import_metadata: keep the chunk's raw
-        # stripe fields aside instead of crashing recovery; reads of it
-        # raise a typed error and fsck classifies it.
-        distributor._codec_quarantine[vid] = tuple(packed)
-    else:
-        _check_chunk_row(entry, state)
-        distributor._chunk_state[vid] = state
-    for i, table_index in enumerate(provider_indices):
-        distributor.provider_table.record_store(table_index, shard_key(vid, i))
-    if snapshot_index is not None:
-        distributor.provider_table.record_store(
-            snapshot_index, snapshot_key(vid)
-        )
-    index = tabled[vid] = distributor.chunk_table.add(entry)
+        client_entry = distributor.client_table.get(spec.get("client", ""))
+    except UnknownClientError:
+        client_entry = None
+    # No client row to hang the chunk on: unreachable data.  Too few shards
+    # on disk: resurrecting the entry would be a permanent table hole, and
+    # the upload never finished from the client's point of view.  Purge.
+    if client_entry is None or (
+        _shards_surviving(distributor, spec) < int(entry.packed.k)
+    ):
+        _purge_specs(distributor, [spec], report)
+        report.chunks_dropped += 1
+        return
+    for i, table_index in enumerate(entry.provider_indices):
+        provider_table.record_store(table_index, shard_key(vid, i))
+    if entry.snapshot_index is not None:
+        provider_table.record_store(entry.snapshot_index, snapshot_key(vid))
+    index = distributor.chunk_table.add(entry)
     if vid not in distributor.ids:
         distributor.ids.reserve(vid)
     ref = FileChunkRef(
         filename=spec["filename"],
-        serial=int(spec["serial"]),
-        privacy_level=distributor.chunk_table.get(index).privacy_level,
+        serial=spec["serial"],
+        privacy_level=entry.privacy_level,
         chunk_index=index,
     )
     if _tabled_ref(client_entry, spec) is not None:
@@ -463,39 +448,32 @@ def recover_from_journal(
     """
     report = RecoveryReport()
     with distributor.op_lock:
-        # One pass over the Chunk Table for the whole recovery, kept
-        # current as specs are purged and restored.
-        tabled = {
-            entry.virtual_id: index for index, entry in distributor.chunk_table
-        }
-
         for txn in journal.replay():
             report.txns_seen += 1
-            if txn.state == "committed" and txn.delta is not None:
-                delta = txn.delta
-                _purge_specs(
-                    distributor, _owned(txn, delta.get("remove", ())), report, tabled
-                )
-                for spec in _owned(txn, delta.get("add", ())):
-                    try:
-                        _restore_spec(distributor, spec, report, tabled)
-                    except MetadataCorruptedError as exc:
-                        raise MetadataCorruptedError(
-                            f"journal transaction {txn.txn} ({txn.op} of "
-                            f"{txn.filename!r}): {exc}"
-                        ) from exc
-                report.rolled_forward += 1
-                continue
-            # Open or aborted transaction: the op never (durably) finished.
-            if txn.op == "remove":
-                # Shards cannot be un-deleted; completing the remove is
-                # the only consistent end state.
-                _purge_specs(
-                    distributor, _owned(txn, txn.remove_specs), report, tabled
-                )
-                report.rolled_forward += 1
-            else:
-                report.rolled_back += 1
+            try:
+                if txn.state == "committed" and txn.delta is not None:
+                    _purge_specs(
+                        distributor, _owned(txn, txn.delta.get("remove", ())), report
+                    )
+                    for spec in _owned(txn, txn.delta.get("add", ())):
+                        _restore_spec(distributor, spec, report)
+                    report.rolled_forward += 1
+                    continue
+                # Open or aborted: the op never (durably) finished.
+                if txn.op == "remove":
+                    # Shards cannot be un-deleted; completing the remove
+                    # is the only consistent end state.
+                    _purge_specs(
+                        distributor, _owned(txn, txn.remove_specs), report
+                    )
+                    report.rolled_forward += 1
+                else:
+                    report.rolled_back += 1
+            except MetadataCorruptedError as exc:
+                raise MetadataCorruptedError(
+                    f"journal transaction {txn.txn} ({txn.op} of "
+                    f"{txn.filename!r}): {exc}"
+                ) from exc
             report.objects_deleted += distributor._delete_objects(
                 _registered(distributor, txn.put_keys)
             )

@@ -2,10 +2,11 @@
 
 The distributor's metadata (the three tables, hashed credentials, stripe
 geometry) is the only state that lives outside the providers; losing it
-orphans every chunk.  This module serializes
-:meth:`CloudDataDistributor.export_metadata` snapshots to JSON on disk --
-with integrity checksums -- so a distributor can restart, or a secondary
-can bootstrap, from a file.
+orphans every chunk.  This module owns the shape of that document: its
+six keys (:func:`export_metadata` / :func:`import_metadata`, behind the
+:class:`CloudDataDistributor` methods of the same names) and the JSON file
+-- with integrity checksums -- a distributor restarts, or a secondary
+bootstraps, from.
 """
 
 from __future__ import annotations
@@ -16,9 +17,69 @@ from pathlib import Path
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.errors import MetadataCorruptedError  # noqa: F401 - re-exported
+from repro.core.tables import ChunkTable, ClientTable, CloudProviderTable
 from repro.util.atomic import atomic_write_text
 
 FORMAT_VERSION = 1
+
+
+def export_metadata(distributor: CloudDataDistributor) -> dict:
+    """The snapshot :meth:`CloudDataDistributor.export_metadata` returns."""
+    with distributor.op_lock:
+        return {
+            "access": distributor.access.export_state(),
+            "provider_table": distributor.provider_table.export_state(),
+            "client_table": distributor.client_table.export_state(),
+            "chunk_table": distributor.chunk_table.export_state(),
+            "ids": distributor.ids.export_state(),
+            # In memory a stripe record rides its Chunk Table row; here it
+            # is a column of its own, keyed by virtual id.
+            "chunk_state": distributor.chunk_table.export_records(),
+        }
+
+
+def import_metadata(distributor: CloudDataDistributor, snapshot: dict) -> None:
+    """Replace *distributor*'s metadata with an exported snapshot.
+
+    Every table is parsed and checked before any is replaced, so a refused
+    snapshot (:class:`MetadataCorruptedError`) leaves the distributor
+    serving what it had.  A codec this build cannot parse (a newer build's,
+    or corruption) quarantines the one chunk rather than failing the load;
+    a ``chunk_state`` row that no chunk row names is dropped with a
+    warning, since builds that leaked such rows wrote such files.
+    """
+    with distributor.op_lock:
+        provider_table = CloudProviderTable()
+        provider_table.import_state(snapshot["provider_table"])
+        chunk_table = ChunkTable()
+        orphans = chunk_table.import_state(
+            snapshot["chunk_table"], snapshot["chunk_state"], provider_table
+        )
+        client_table = ClientTable()
+        try:
+            client_table.import_state(snapshot["client_table"])
+        except ValueError as exc:
+            raise MetadataCorruptedError(f"client table: {exc}") from exc
+        if distributor.cache is not None:
+            # Chunks may have been updated at the snapshot's source; a
+            # stale local cache must not outlive the old metadata.
+            distributor.cache.clear()
+        distributor.access.import_state(snapshot["access"])
+        distributor.provider_table = provider_table
+        distributor.client_table = client_table
+        distributor.chunk_table = chunk_table
+        distributor.ids.import_state(snapshot["ids"])
+        if orphans:
+            distributor.events.emit(
+                "chunk_state_orphans_dropped", level="warning", vids=orphans
+            )
+        for _, entry in chunk_table:
+            if entry.quarantined:
+                distributor.metrics.counter("distributor_codec_quarantined_total").inc()
+                distributor.events.emit(
+                    "codec_quarantined", level="warning",
+                    vid=entry.virtual_id, spec=str(entry.packed.codec),
+                )
 
 
 def _canonical(snapshot) -> str:
@@ -47,16 +108,12 @@ def save_metadata(distributor: CloudDataDistributor, path: str | Path) -> None:
     atomic_write_text(path, json.dumps(document, sort_keys=True))
 
 
-def _intify_keys(mapping: dict) -> dict:
-    return {int(k): v for k, v in mapping.items()}
-
-
 def load_metadata(distributor: CloudDataDistributor, path: str | Path) -> None:
     """Restore a distributor's metadata from a file written by
     :func:`save_metadata`.
 
-    Verifies the integrity checksum and format version, then rebuilds the
-    int-keyed structures JSON stringified.
+    Verifies the integrity checksum and format version.  (JSON stringified
+    the int keys of the tables; their ``import_state`` takes them back.)
     """
     try:
         document = json.loads(Path(path).read_text())
@@ -78,13 +135,4 @@ def load_metadata(distributor: CloudDataDistributor, path: str | Path) -> None:
     digest = hashlib.sha256(_canonical(snapshot).encode("utf-8")).hexdigest()
     if digest != document.get("sha256"):
         raise MetadataCorruptedError(f"metadata checksum mismatch in {path}")
-
-    # JSON stringified the int keys; coerce them back before import.
-    snapshot["provider_table"]["entries"] = _intify_keys(
-        snapshot["provider_table"]["entries"]
-    )
-    snapshot["chunk_table"]["entries"] = _intify_keys(
-        snapshot["chunk_table"]["entries"]
-    )
-    snapshot["chunk_state"] = _intify_keys(snapshot["chunk_state"])
     distributor.import_metadata(snapshot)

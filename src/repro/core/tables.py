@@ -24,10 +24,12 @@ from repro.core.errors import (
     MetadataCorruptedError,
     UnknownChunkError,
     UnknownClientError,
+    UnknownCodecError,
     UnknownFileError,
 )
 from repro.core.misleading import position_row
 from repro.core.privacy import CostLevel, PrivacyLevel
+from repro.raid.codecs import ChunkState, PackedChunk
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,8 @@ class CloudProviderTable:
 
 @dataclass
 class ChunkEntry:
-    """One row of the Chunk Table.
+    """One row of the Chunk Table: everything the distributor knows of a
+    chunk.
 
     ``virtual_id`` is the provider-facing key; ``privacy_level`` the chunk's
     sensitivity; ``provider_indices`` the Cloud Provider Table indices of
@@ -178,6 +181,13 @@ class ChunkEntry:
     whatever sequence the entry was built from (a list of ints is its
     form in exported state only).  Positions that cannot make a row raise
     :class:`MetadataCorruptedError`.
+
+    ``record`` is ours, not the paper's: the chunk's stripe record, a
+    parsed :class:`~repro.raid.codecs.ChunkState` or, under a codec this
+    build cannot parse, the packed ``chunk_state`` row exactly as loaded.
+    That *is* the unknown-codec quarantine: the row exports those fields
+    untouched (a newer build can still read them), answers for its
+    geometry through :attr:`packed`, and refuses :meth:`state`.
     """
 
     virtual_id: int
@@ -185,6 +195,7 @@ class ChunkEntry:
     provider_indices: list[int]
     snapshot_index: int | None = None
     misleading_positions: np.ndarray = ()
+    record: "ChunkState | tuple" = field(kw_only=True)
 
     def __post_init__(self) -> None:
         try:
@@ -204,6 +215,7 @@ class ChunkEntry:
             and self.privacy_level == other.privacy_level
             and self.provider_indices == other.provider_indices
             and self.snapshot_index == other.snapshot_index
+            and self.record == other.record
             and np.array_equal(
                 self.misleading_positions, other.misleading_positions
             )
@@ -213,6 +225,92 @@ class ChunkEntry:
     def provider_index(self) -> int:
         """Primary provider index (the paper's ``CP index`` column)."""
         return self.provider_indices[0]
+
+    @property
+    def quarantined(self) -> bool:
+        """Does the stripe record name a codec this build cannot parse?"""
+        return not isinstance(self.record, ChunkState)
+
+    @property
+    def packed(self) -> PackedChunk:
+        """The stripe record as a packed row, parsed or not: a journal
+        spec carries it; exposure and quotas ask it for geometry."""
+        if self.quarantined:
+            return PackedChunk(*self.record)
+        return PackedChunk.pack(self.record)
+
+    def state(self, filename: str | None = None) -> ChunkState:
+        """The parsed stripe record; a quarantined row raises
+        :class:`UnknownCodecError` (carrying *filename*)."""
+        record = self.record
+        if isinstance(record, ChunkState):  # (no property call: the read path)
+            return record
+        label = self.packed.codec
+        raise UnknownCodecError(
+            f"chunk {self.virtual_id} uses codec {label!r} "
+            f"unknown to this build; quarantined at metadata load",
+            spec=str(label),
+            filename=filename,
+            virtual_id=self.virtual_id,
+        )
+
+    @classmethod
+    def load(
+        cls, vid, level, members, snapshot, positions, packed,
+        provider_table: CloudProviderTable,
+    ) -> "ChunkEntry":
+        """The one door a row from disk comes in by, ``metadata.json`` or a
+        journal record: its Table III fields and *packed*, the fields of
+        its ``chunk_state`` row, as exported; a row under an unknown codec
+        is quarantined, its stripe fields unjudged.  Raises
+        :class:`MetadataCorruptedError` naming the chunk.
+
+        The read path, repair and the scrubber trust every field: a
+        repeated position would leave a misleading byte in the plaintext;
+        one out of range, a short checksum tuple or a provider index the
+        provider table lacks would be a bare ``IndexError`` or ``KeyError``
+        mid-read; a shard beyond the recorded members is never audited.
+        """
+        try:
+            vid = int(vid)
+            try:
+                record = PackedChunk(*packed).unpack()
+            except UnknownCodecError:
+                record = tuple(packed)
+            entry = cls(
+                vid, PrivacyLevel.coerce(level), [int(i) for i in members],
+                None if snapshot is None else int(snapshot), positions,
+                record=record,
+            )
+            for index in (*entry.provider_indices, entry.snapshot_index):
+                if index is not None:
+                    provider_table.get(index)
+        except KeyError as exc:
+            raise MetadataCorruptedError(f"chunk {vid}: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(f"chunk {vid}: {exc}") from None
+        if entry.quarantined:
+            return entry
+        stripe, checksums = record.stripe, record.shard_checksums
+        n = stripe.n
+        # A row is unsigned integers by construction (__post_init__).
+        positions = entry.misleading_positions
+        problem = None
+        if len(positions) and not (
+            int(positions[-1]) < stripe.orig_len
+            and (positions[:-1] < positions[1:]).all()
+        ):
+            problem = (
+                f"misleading positions are not strictly ascending indices "
+                f"into its {stripe.orig_len} stored bytes"
+            )
+        elif checksums is not None and len(checksums) != n:
+            problem = f"{len(checksums)} shard checksums for a stripe of {n}"
+        elif len(entry.provider_indices) != n:
+            problem = f"{len(entry.provider_indices)} providers for a stripe of {n}"
+        if problem is not None:
+            raise MetadataCorruptedError(f"chunk {vid}: {problem}")
+        return entry
 
 
 class ChunkTable:
@@ -240,11 +338,9 @@ class ChunkTable:
         except KeyError:
             raise UnknownChunkError(f"no chunk at table index {index}") from None
 
-    def by_virtual_id(self, vid: int) -> ChunkEntry:
-        try:
-            return self._entries[self._by_vid[vid]]
-        except KeyError:
-            raise UnknownChunkError(f"no chunk with virtual id {vid}") from None
+    def find_index(self, vid: int) -> int | None:
+        """The table index of virtual id *vid*'s row; ``None`` without one."""
+        return self._by_vid.get(vid)
 
     def remove(self, index: int) -> ChunkEntry:
         entry = self.get(index)
@@ -274,19 +370,39 @@ class ChunkTable:
             },
         }
 
-    def import_state(self, state: dict) -> None:
-        self._entries = {
-            int(index): ChunkEntry(
-                virtual_id=int(vid),
-                privacy_level=PrivacyLevel.coerce(pl),
-                provider_indices=list(cps),
-                snapshot_index=sp,
-                misleading_positions=m,
-            )
-            for index, (vid, pl, cps, sp, m) in state["entries"].items()
+    def export_records(self) -> dict:
+        """``metadata.json``'s ``chunk_state``: virtual id -> packed stripe
+        record, a quarantined one with its fields as loaded."""
+        return {
+            e.virtual_id: tuple(e.record if e.quarantined else e.packed)
+            for e in self._entries.values()
         }
-        self._by_vid = {e.virtual_id: i for i, e in self._entries.items()}
-        self._next_index = int(state["next_index"])
+
+    def import_state(
+        self, state: dict, records: dict, provider_table: CloudProviderTable
+    ) -> list[int]:
+        """Rebuild from :meth:`export_state` and :meth:`export_records`
+        output together, each row through :meth:`ChunkEntry.load`; a refusal
+        leaves the table as it was.  The only code that pairs a chunk row
+        with its ``chunk_state`` row: a chunk row without one is refused;
+        ``chunk_state`` rows no chunk row names are left out, their virtual
+        ids returned."""
+        entries: dict[int, ChunkEntry] = {}
+        try:
+            records = {int(vid): packed for vid, packed in records.items()}
+            for index, (vid, pl, cps, sp, m) in state["entries"].items():
+                if (vid := int(vid)) not in records:
+                    raise MetadataCorruptedError(f"chunk {vid}: no chunk_state row")
+                entries[int(index)] = ChunkEntry.load(
+                    vid, pl, cps, sp, m, records[vid], provider_table
+                )
+            next_index = int(state["next_index"])
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(f"chunk table: {exc}") from None
+        self._entries = entries
+        self._by_vid = {e.virtual_id: i for i, e in entries.items()}
+        self._next_index = next_index
+        return sorted(records.keys() - self._by_vid.keys())
 
     def rows(self, m_preview: int = 2) -> list[list[object]]:
         """Render rows shaped like the paper's Table III."""

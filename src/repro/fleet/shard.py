@@ -140,14 +140,9 @@ class FleetShard:
         total = 0
         for ref in refs:
             entry = d.chunk_table.get(ref.chunk_index)
-            state = d._chunk_state.get(entry.virtual_id)
-            if state is not None:
-                orig_len = state.stripe.orig_len
-            else:
-                # Quarantined chunk (unknown codec): the raw packed row
-                # still records orig_len -- keep quota math alive.
-                orig_len = int(d._packed(entry.virtual_id).orig_len)
-            total += orig_len - len(entry.misleading_positions)
+            # A quarantined chunk's (unknown codec) raw row still records
+            # orig_len: quota math stays alive.
+            total += int(entry.packed.orig_len) - len(entry.misleading_positions)
         return total
 
     def tenant_usage(self) -> dict[str, dict[str, int]]:

@@ -174,12 +174,11 @@ def _audit(distributor: "CloudDataDistributor") -> FsckReport:
             name: {} for name in distributor.registry.names()
         }
         issues_by_key: dict[tuple[str, str], FsckIssue] = {}
-        for vid in sorted(distributor._codec_quarantine):
-            report.unknown_codec.append((vid, str(distributor._packed(vid).codec)))
         for _, entry in distributor.chunk_table:
             vid = entry.virtual_id
-            state = distributor._chunk_state.get(vid)
-            checksums = state.shard_checksums if state is not None else None
+            checksums = None if entry.quarantined else entry.record.shard_checksums
+            if entry.quarantined:
+                report.unknown_codec.append((vid, str(entry.packed.codec)))
             for shard_index, table_index in enumerate(entry.provider_indices):
                 name = distributor.provider_table.get(table_index).name
                 key = shard_key(vid, shard_index)
@@ -199,6 +198,7 @@ def _audit(distributor: "CloudDataDistributor") -> FsckReport:
                 issues_by_key[(name, key)] = FsckIssue(
                     virtual_id=vid, shard_index=-1, provider=name, problem="",
                 )
+        report.unknown_codec.sort()
 
     for name in sorted(expected):
         provider = distributor.registry.get(name).provider

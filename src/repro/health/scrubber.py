@@ -107,7 +107,7 @@ class Scrubber:
                     entry = d.chunk_table.get(index)
                 except Exception:
                     continue  # removed since the snapshot of indices
-                if entry.virtual_id not in d._chunk_state:
+                if entry.quarantined:
                     continue
                 checked, bad = self._audit_chunk(entry)
                 chunks_checked += 1
@@ -155,9 +155,8 @@ class Scrubber:
         recorded at write time (silent at-rest corruption).
         """
         d = self.distributor
-        state = d._chunk_state[entry.virtual_id]
         names = d._members(entry)
-        expected = state.shard_checksums
+        expected = entry.record.shard_checksums
 
         def check(shard_index: int):
             name = names[shard_index]

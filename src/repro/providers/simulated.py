@@ -91,23 +91,13 @@ class ParallelWindow:
         return max(self._per_provider.values(), default=0.0)
 
     def __enter__(self) -> "ParallelWindow":
-        _open_windows.setdefault(id(self.clock), []).append(self)
+        self.clock.open_windows.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _open_windows.get(id(self.clock), [])
-        if self in stack:
-            stack.remove(self)
+        if self in self.clock.open_windows:
+            self.clock.open_windows.remove(self)
         self.clock.advance(self.elapsed)
-
-
-#: Active parallel windows per clock (keyed by clock identity).
-_open_windows: dict[int, list["ParallelWindow"]] = {}
-
-
-def _active_window(clock: SimulatedClock) -> "ParallelWindow | None":
-    stack = _open_windows.get(id(clock))
-    return stack[-1] if stack else None
 
 
 class SimulatedProvider(CloudProvider):
@@ -142,9 +132,8 @@ class SimulatedProvider(CloudProvider):
 
     def _spend(self, duration: float) -> None:
         """Charge *duration* to the active parallel window, else the clock."""
-        window = _active_window(self.clock)
-        if window is not None:
-            window.record(self.name, duration)
+        if self.clock.open_windows:
+            self.clock.open_windows[-1].record(self.name, duration)
         else:
             self.clock.advance(duration)
 

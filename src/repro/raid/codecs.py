@@ -655,7 +655,7 @@ class PackedChunk(NamedTuple):
             stripe=stripe_meta_from_fields(
                 self[:6], filename=filename, virtual_id=virtual_id
             ),
-            rotation=self.rotation,
+            rotation=int(self.rotation),  # type: ignore[call-overload]
             shard_checksums=tuple(checksums) if checksums is not None else None,
         )
 
@@ -669,9 +669,12 @@ class PackedChunk(NamedTuple):
 
     @classmethod
     def from_journal(cls, spec: dict) -> "PackedChunk":
+        """Raises ``ValueError`` or ``TypeError`` for a ``stripe`` that is
+        not six fields or a ``rotation`` that is no integer."""
         checksums = spec.get("checksums")
+        codec, width, k, m, shard_size, orig_len = spec["stripe"][:6]
         return cls(
-            *spec["stripe"][:6],
+            codec, width, k, m, shard_size, orig_len,
             int(spec.get("rotation", 0)),
             list(checksums) if checksums else None,
         )

@@ -21,6 +21,8 @@ class SimulatedClock:
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         self._now = float(start)
+        # The ``ParallelWindow``s open on this clock, innermost last.
+        self.open_windows: list = []
 
     @property
     def now(self) -> float:

@@ -107,7 +107,7 @@ def _op_for(distributor: CloudDataDistributor, point: str, streamed: bool):
 
 def _assert_no_table_holes(distributor: CloudDataDistributor) -> None:
     for _, entry in distributor.chunk_table:
-        assert entry.virtual_id in distributor._chunk_state
+        assert not entry.quarantined
         assert entry.virtual_id in distributor.ids
     client = distributor.client_table.get("Bob")
     serials: dict[str, list[int]] = defaultdict(list)

@@ -1,9 +1,10 @@
 """Journal recovery: what it believes of a record, and what it costs.
 
-A committed record is metadata on disk like ``metadata.json``: positions
-and checksums in it pass the check a loaded chunk row passes, or boot
-stops with a typed error naming the transaction.  And recovery walks the
-Chunk Table once per pass, not once per chunk spec.
+A committed record is metadata on disk like ``metadata.json``: the row it
+describes comes in by the door a loaded chunk row comes in by, or boot
+stops with a typed error naming the transaction.  A purged chunk leaves
+nothing behind.  And recovery finds a chunk by its virtual id without
+walking the Chunk Table at all.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.core.errors import MetadataCorruptedError, UnknownFileError
 from repro.core.journal import IntentJournal, recover_from_journal
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.core.tables import ChunkTable
+from repro.health.fsck import run_fsck
 from repro.providers.memory import InMemoryProvider
 from repro.providers.registry import ProviderRegistry
 from repro.util.crash import CrashPoint, crashing_at
@@ -76,6 +78,24 @@ HOSTILE = {
     "nested": _positions(lambda s: [s["positions"]]),
     "not-a-sequence": _positions(lambda s: 7),
     "short-checksums": lambda s: s.__setitem__("checksums", s["checksums"][:-1]),
+    # Bare KeyError / TypeError / ValueError at 107f412, or (the three
+    # providers, the missing filename) a row loaded as if nothing were wrong.
+    "no-stripe": lambda s: s.pop("stripe"),
+    "no-providers": lambda s: s.pop("providers"),
+    "no-serial": lambda s: s.pop("serial"),
+    "no-filename": lambda s: s.pop("filename"),
+    "no-vid": lambda s: s.pop("vid"),
+    "vid-not-an-integer": lambda s: s.__setitem__("vid", "x"),
+    "short-stripe": lambda s: s.__setitem__("stripe", s["stripe"][:5]),
+    "stripe-not-integers": lambda s: s["stripe"].__setitem__(2, "x"),
+    "stripe-not-a-list": lambda s: s.__setitem__("stripe", 7),
+    "rotation-not-an-integer": lambda s: s.__setitem__("rotation", "x"),
+    "unregistered-provider": lambda s: s["providers"].__setitem__(0, "ghost"),
+    "providers-not-a-list": lambda s: s.__setitem__("providers", 7),
+    "three-providers-for-four-shards": lambda s: s["providers"].pop(),
+    "unregistered-snapshot-provider": lambda s: s.__setitem__("snapshot", "ghost"),
+    "level-99": lambda s: s.__setitem__("level", 99),
+    "no-level": lambda s: s.pop("level"),
 }
 
 
@@ -142,11 +162,43 @@ def test_recovered_rows_are_the_rows_an_upload_tables(registry, tmp_path):
     assert rebooted.get_file("Bob", "pw", "plain") == DATA
 
 
-def test_recovering_a_512_chunk_remove_walks_the_chunk_table_once(
+def test_a_purged_chunk_leaves_nothing_behind(registry, tmp_path):
+    """At 107f412 the purge forgot the unknown-codec quarantine: four rows
+    that described nothing rode every later save, and fsck was never clean
+    again."""
+    path = tmp_path / "journal.jsonl"
+    d = boot(registry, path)
+    d.upload_file("Bob", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+    snapshot = d.export_metadata()
+    snapshot["chunk_state"] = {
+        vid: ("bogus",) + tuple(packed[1:])
+        for vid, packed in snapshot["chunk_state"].items()
+    }
+    d.import_metadata(snapshot)
+    assert all(entry.quarantined for _, entry in d.chunk_table)
+    saved = d.export_metadata()
+    with crashing_at("remove.intent_logged"):
+        with pytest.raises(CrashPoint):
+            d.remove_file("Bob", "pw", "f")
+
+    rebooted = boot(registry, path)
+    rebooted.import_metadata(saved)
+    assert len(rebooted.chunk_table) == 4
+    report = recover_from_journal(rebooted, rebooted.journal)
+    assert report.rolled_forward == 2  # the upload (a no-op) and the remove
+    assert len(rebooted.chunk_table) == 0
+    assert rebooted.client_table.get("Bob").chunk_refs == []
+    assert rebooted.export_metadata()["chunk_state"] == {}
+    assert run_fsck(rebooted).unknown_codec == []
+    assert run_fsck(rebooted).clean
+
+
+def test_recovering_a_512_chunk_remove_never_walks_the_chunk_table(
     registry, tmp_path, monkeypatch
 ):
     """By count, not by clock: a scan per spec made this remove's
-    recovery 512 walks of a 520-row table."""
+    recovery 512 walks of a 520-row table, then a map built per pass one;
+    the table's own vid -> index map makes it none."""
     path = tmp_path / "journal.jsonl"
     d = boot(registry, path, chunk=16)
     d.upload_file("Bob", "pw", "keep", DATA[:128], PrivacyLevel.PRIVATE)
@@ -171,7 +223,7 @@ def test_recovering_a_512_chunk_remove_walks_the_chunk_table_once(
     # The process died with its tables; this one stands in for a reboot
     # that loaded them from the last snapshot.
     report = recover_from_journal(d, d.journal)
-    assert walks == [1]
+    assert walks == []
     assert report.rolled_forward == 1
     assert report.objects_deleted == shards
     assert d.client_table.get("Bob").filenames() == ["keep"]

@@ -6,8 +6,9 @@ a ``chunk_state`` row of ``metadata.json`` and of the ``stripe`` /
 family, with and without checksums, in the 7-field layout from before
 checksum tracking and under a codec this build cannot parse, goes through
 ``export_metadata``, ``_chunk_spec`` -> ``_restore_spec`` and the quarantine
-and comes back as the parent commit (e833a21) wrote it -- and the files that
-commit wrote (``tests/core/data``, made by running the distributor there)
+(a Chunk Table row whose ``record`` is the packed row as loaded) and comes
+back as the parent commit (e833a21) wrote it -- and the files that commit
+wrote (``tests/core/data``, made by running the distributor there)
 load here and are written back byte for byte.
 """
 
@@ -59,6 +60,11 @@ def distributor(provider_cls=InMemoryProvider, **kwargs) -> CloudDataDistributor
     return d
 
 
+def quarantined(d) -> dict:
+    """vid -> the packed row as loaded, of every quarantined chunk."""
+    return {e.virtual_id: e.record for _, e in d.chunk_table if e.quarantined}
+
+
 def as_json(value):
     return json.loads(json.dumps(value))
 
@@ -92,7 +98,7 @@ def test_a_row_survives_every_way_through_the_codec(family, shape):
         vid: row if len(row) == 8 else row + (None,) for vid, row in rows.items()
     }
     assert d.export_metadata()["chunk_state"] == expected
-    assert set(d._codec_quarantine) == (set(rows) if unknown else set())
+    assert set(quarantined(d)) == (set(rows) if unknown else set())
 
     # _chunk_spec -> _restore_spec -> _chunk_spec and export_metadata again.
     refs = d.client_table.get("C").refs_for_file("f")
@@ -102,9 +108,8 @@ def test_a_row_survives_every_way_through_the_codec(family, shape):
         assert spec["stripe"] == list(row[:6]) and spec["rotation"] == row[6]
         assert spec["checksums"] == (row[7] if len(row) == 8 else None)
     fresh = distributor(_Holding)
-    tabled: dict[int, int] = {}
     for spec in specs:
-        _restore_spec(fresh, spec, RecoveryReport(), tabled)
+        _restore_spec(fresh, spec, RecoveryReport())
     fresh_refs = fresh.client_table.get("C").refs_for_file("f")
     assert [as_json(fresh._chunk_spec("C", ref)) for ref in fresh_refs] == specs
     assert as_json(fresh.export_metadata()["chunk_state"]) == as_json(
@@ -132,12 +137,10 @@ def test_nothing_outside_the_codec_indexes_a_row():
     # every module that touches a row (the GF(2^8) kernels have a "packed"
     # of their own).
     handles_rows = re.compile(
-        r"_codec_quarantine|PackedChunk|\._packed\(|chunk_state\b|\"stripe\""
+        r"\.quarantined|PackedChunk|\.packed\b|chunk_state\b|\"stripe\""
     )
     indexes_one = re.compile(
-        r"\b(?:packed|stripe|row)\s*\[\s*[-\d:]"
-        r"|_codec_quarantine\s*\[[^\]]*\]\s*\["
-        r"|_codec_quarantine\.get\([^)]*\)\s*\["
+        r"\b(?:packed|stripe|row|record)\s*\[\s*[-\d:]"
     )
     scanned, offenders = [], []
     for path in sorted(SRC.rglob("*.py")):
@@ -150,7 +153,10 @@ def test_nothing_outside_the_codec_indexes_a_row():
             for number, line in enumerate(text.splitlines(), 1)
             if indexes_one.search(line)
         ]
-    assert {"distributor.py", "journal.py", "fsck.py", "exposure.py", "shard.py"} <= set(scanned)
+    assert {
+        "distributor.py", "journal.py", "fsck.py", "exposure.py", "shard.py",
+        "tables.py", "persistence.py",
+    } <= set(scanned)
     assert offenders == []
 
 
@@ -161,8 +167,8 @@ def test_a_metadata_file_of_the_parent_commit_is_written_back_byte_for_byte(tmp_
     d = distributor()
     load_metadata(d, DATA / "e833a21_metadata.json")
     # It holds a quarantined row of each layout beside the six families.
-    assert sorted(len(row) for row in d._codec_quarantine.values()) == [7, 8]
-    assert len(d._chunk_state) == 15
+    assert sorted(len(row) for row in quarantined(d).values()) == [7, 8]
+    assert len(d.chunk_table) - len(quarantined(d)) == 15
     save_metadata(d, tmp_path / "metadata.json")
     assert (tmp_path / "metadata.json").read_bytes() == (
         DATA / "e833a21_metadata.json"
@@ -191,6 +197,6 @@ def test_a_journal_of_the_parent_commit_recovers_to_the_specs_it_holds(tmp_path)
     }
     assert as_json(recovered) == as_json(expected)
     # One committed spec names a codec this build cannot parse.
-    assert [PackedChunk(*row).codec for row in d._codec_quarantine.values()] == [
+    assert [PackedChunk(*row).codec for row in quarantined(d).values()] == [
         "zfec(4,2)"
     ]

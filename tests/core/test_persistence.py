@@ -258,7 +258,68 @@ def test_short_shard_checksum_tuple_is_refused_at_load(stored, registry):
         load_metadata(fresh, path)
 
 
-def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored):
+# -- rows that contradict the other tables, or have no other half ------------
+#
+# At 107f412 every one of these loaded -- the pairing of a chunk row with its
+# chunk_state row was a .get() that skipped the check when it found nothing --
+# or left import_metadata as a bare TypeError / ValueError; the reads, repairs
+# and scrubber passes after a load that "worked" died with a bare KeyError.
+
+
+def _row_and_state(metadata):
+    """The updated chunk's row (it has a snapshot) and its chunk_state row."""
+    (row,) = [
+        row
+        for row in metadata["chunk_table"]["entries"].values()
+        if row[3] is not None
+    ]
+    return row, metadata["chunk_state"][str(row[0])]
+
+
+def _repeat_a_position(metadata):
+    row = _first_row_with_positions(metadata)
+    row[4][1] = row[4][0]
+    return row[0]
+
+
+def _contradiction(change):
+    def edit(metadata):
+        row, state = _row_and_state(metadata)
+        change(row, state, metadata)
+        return row[0]
+
+    return edit
+
+
+CONTRADICTIONS = {
+    "repeated-position": _repeat_a_position,
+    "no-chunk-state-row": _contradiction(
+        lambda row, state, metadata: metadata["chunk_state"].pop(str(row[0]))
+    ),
+    "provider-index-99": _contradiction(lambda row, s, m: row[2].__setitem__(0, 99)),
+    "snapshot-index-99": _contradiction(lambda row, s, m: row.__setitem__(3, 99)),
+    "three-providers-for-four-shards": _contradiction(lambda row, s, m: row[2].pop()),
+    "five-providers-for-four-shards": _contradiction(lambda row, s, m: row[2].append(0)),
+    "provider-index-not-an-integer": _contradiction(
+        lambda row, s, m: row[2].__setitem__(0, "x")
+    ),
+    "level-99": _contradiction(lambda row, s, m: row.__setitem__(1, 99)),
+    "three-field-chunk-state": _contradiction(
+        lambda row, state, m: state.__delitem__(slice(3, None))
+    ),
+    "nine-field-chunk-state": _contradiction(lambda row, state, m: state.append(0)),
+    "chunk-state-not-integers": _contradiction(lambda row, state, m: state.__setitem__(2, "x")),
+    "chunk-state-not-a-row": _contradiction(
+        lambda row, s, metadata: metadata["chunk_state"].__setitem__(str(row[0]), 7)
+    ),
+    "rotation-not-an-integer": _contradiction(lambda row, state, m: state.__setitem__(6, "x")),
+    "checksums-not-a-sequence": _contradiction(lambda row, state, m: state.__setitem__(7, 7)),
+    "four-field-chunk-row": _contradiction(lambda row, s, m: row.pop()),
+}
+
+
+@pytest.mark.parametrize("edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
+def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored, edit):
     # The refusal comes before the first table is replaced: a peer that is
     # handed a bad snapshot keeps serving what it had, tables in step.
     distributor, path, _ = stored
@@ -267,16 +328,42 @@ def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored):
     before = distributor.export_metadata()
     expected = distributor.get_file("Bob", "Ty7e", "f")
 
-    def edit(metadata):
-        row = _first_row_with_positions(metadata)
-        row[4][1] = row[4][0]
+    def named(metadata):
+        named.vid = edit(metadata)
 
-    _reseal(path, edit)
-    with pytest.raises(MetadataCorruptedError):
+    _reseal(path, named)
+    with pytest.raises(MetadataCorruptedError, match=f"chunk {named.vid}\\b|chunk table"):
         load_metadata(distributor, path)
     assert distributor.export_metadata() == before
     assert distributor.get_file("Bob", "Ty7e", "f") == expected
     assert distributor.get_file("Bob", "Ty7e", "later") == extra
+
+
+def test_a_chunk_state_row_no_chunk_row_names_is_dropped_with_a_warning(
+    stored, registry
+):
+    # The reverse orphan is not refused: builds up to 107f412 wrote such
+    # files (a journal purge left a quarantined chunk's row behind).
+    from repro.obs.events import EventLog
+
+    distributor, path, _ = stored
+
+    def edit(metadata):
+        row = next(iter(metadata["chunk_state"].values()))
+        metadata["chunk_state"]["424242"] = ["bogus"] + row[1:]
+        metadata["chunk_state"]["7"] = list(row)
+
+    _reseal(path, edit)
+    events = EventLog()
+    fresh = CloudDataDistributor(registry, seed=8, events=events)
+    load_metadata(fresh, path)
+    (warning,) = events.named("chunk_state_orphans_dropped")
+    assert warning["level"] == "warning" and warning["vids"] == [7, 424242]
+    assert fresh.export_metadata() == distributor.export_metadata()
+    assert fresh.get_file("Bob", "Ty7e", "f") == distributor.get_file("Bob", "Ty7e", "f")
+    from repro.health.fsck import run_fsck
+
+    assert run_fsck(fresh).clean
 
 
 def test_rows_without_checksums_or_positions_still_load(stored, registry):

@@ -66,7 +66,7 @@ def _table_matches_backends(d, backends):
     by_name = {backend.name: backend for backend in backends}
     checked = 0
     for _, entry in d.chunk_table:
-        state = d._chunk_state[entry.virtual_id]
+        state = entry.record
         for index, table_index in enumerate(entry.provider_indices):
             backend = by_name[d.provider_table.get(table_index).name]
             key = shard_key(entry.virtual_id, index)

@@ -97,6 +97,10 @@ class World:
             self.d.provider_table.get(i).name for i in entry.provider_indices
         ]
 
+    def stripe(self, serial):
+        ref = self.d.client_table.get("C").ref_for_chunk("f", serial)
+        return self.d.chunk_table.get(ref.chunk_index).record.stripe
+
     def reset_counts(self):
         for counter in self.counters.values():
             counter.calls.clear()
@@ -184,8 +188,7 @@ def test_healthy_window_asks_for_no_parity(codec, transport):
         data_holders = set()
         for serial in range(CHUNKS):
             vid, names = w.holders(serial)
-            k = w.d._chunk_state[vid].stripe.k
-            data_holders.update(names[:k])
+            data_holders.update(names[: w.stripe(serial).k])
         asked = {name for name, c in w.counters.items() if c.batched}
         assert asked == data_holders
 
@@ -221,7 +224,7 @@ def test_unrecoverable_window_is_typed_counted_and_audited(codec, transport):
     audit = AuditLog()
     with world(codec, transport, audit=audit) as w:
         vid, names = w.holders(2)
-        label = w.d._chunk_state[vid].stripe.codec
+        label = w.stripe(2).codec
         for name in names[: TOLERATES[codec] + 1]:
             w.counters[name].dark = True
         counter = get_metrics().counter(
@@ -250,7 +253,6 @@ def test_cached_jobs_fetch_nothing(codec):
         vid, names = w.holders(5)
         w.d.cache.invalidate(vid)
         assert w.read("get_file", CHUNKS) == DATA
-        k = w.d._chunk_state[vid].stripe.k
         asked = {name for name, c in w.counters.items() if c.batched}
-        assert asked == set(names[:k])
+        assert asked == set(names[: w.stripe(5).k])
 

@@ -223,7 +223,7 @@ def rot_silently(provider, key):
 
 def stored_shards_match_their_records(d, registry):
     for _, entry in d.chunk_table:
-        recorded = d._chunk_state[entry.virtual_id].shard_checksums
+        recorded = entry.record.shard_checksums
         for shard_index, table_index in enumerate(entry.provider_indices):
             provider = registry.get(d.provider_table.get(table_index).name).provider
             data = provider.backend.get(shard_key(entry.virtual_id, shard_index))

@@ -106,7 +106,7 @@ def test_sockets_still_get_one_pool_leg_per_provider_asked(submits, hashes):
         asked = set()
         for ref in d.client_table.get("C").refs_for_file("f"):
             entry = d.chunk_table.get(ref.chunk_index)
-            k = d._chunk_state[entry.virtual_id].stripe.k
+            k = entry.record.stripe.k
             asked.update(
                 d.provider_table.get(i).name
                 for i in entry.provider_indices[:k]

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import UnknownChunkError, UnknownClientError, UnknownFileError
+from repro.core.errors import (
+    MetadataCorruptedError,
+    UnknownChunkError,
+    UnknownClientError,
+    UnknownCodecError,
+    UnknownFileError,
+)
 from repro.core.privacy import CostLevel, PrivacyLevel
 from repro.core.tables import (
     ChunkEntry,
@@ -12,6 +18,8 @@ from repro.core.tables import (
     CloudProviderTable,
     FileChunkRef,
 )
+from repro.raid.codecs import ChunkState
+from repro.raid.striping import StripeMeta
 
 
 # -- Cloud Provider Table (Table I) -----------------------------------------
@@ -64,21 +72,43 @@ def test_provider_table_rows_render_like_paper():
 # -- Chunk Table (Table III) --------------------------------------------------
 
 
-def _entry(vid, pl=3, cps=(0,), sp=None, m=()):
+def _record(n=1, rotation=0, checksums=None):
+    """A stripe record for a row with *n* members."""
+    return ChunkState(StripeMeta("raid1", n, 1, n - 1, 100_000, 100_000), rotation, checksums)
+
+
+def _entry(vid, pl=3, cps=(0,), sp=None, m=(), record=None):
     return ChunkEntry(
         virtual_id=vid,
         privacy_level=PrivacyLevel.coerce(pl),
         provider_indices=list(cps),
         snapshot_index=sp,
         misleading_positions=tuple(m),
+        record=record or _record(len(cps)),
     )
+
+
+def _providers(n=4):
+    table = CloudProviderTable()
+    for i in range(n):
+        table.add(f"CP{i}", PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    return table
+
+
+def _reloaded(table):
+    restored = ChunkTable()
+    assert restored.import_state(
+        table.export_state(), table.export_records(), _providers()
+    ) == []
+    return restored
 
 
 def test_chunk_table_add_get_by_vid():
     table = ChunkTable()
     index = table.add(_entry(41367, m=(12, 90)))
     assert table.get(index).virtual_id == 41367
-    assert table.by_virtual_id(41367).misleading_positions.tolist() == [12, 90]
+    assert table.find_index(41367) == index
+    assert table.get(index).misleading_positions.tolist() == [12, 90]
 
 
 def test_chunk_table_duplicate_vid():
@@ -107,8 +137,7 @@ def test_chunk_table_remove_keeps_indices_stable():
 
 
 def test_chunk_table_unknown_vid():
-    with pytest.raises(UnknownChunkError):
-        ChunkTable().by_virtual_id(404)
+    assert ChunkTable().find_index(404) is None
 
 
 def test_chunk_table_rows_na_rendering():
@@ -130,8 +159,8 @@ def test_the_m_column_is_one_row_type_and_a_list_only_in_exported_state():
     drawn = position_row([4, 9, 70_000])
     indices = [
         table.add(_entry(1, m=(4, 9, 70_000))),
-        table.add(ChunkEntry(2, PrivacyLevel.PRIVATE, [0], None, [4, 9, 70_000])),
-        table.add(ChunkEntry(3, PrivacyLevel.PRIVATE, [0], None, drawn)),
+        table.add(ChunkEntry(2, PrivacyLevel.PRIVATE, [0], None, [4, 9, 70_000], record=_record())),
+        table.add(ChunkEntry(3, PrivacyLevel.PRIVATE, [0], None, drawn, record=_record())),
         table.add(_entry(4)),
     ]
     rows = [table.get(index).misleading_positions for index in indices]
@@ -143,7 +172,11 @@ def test_the_m_column_is_one_row_type_and_a_list_only_in_exported_state():
     assert [state["entries"][i][4] for i in indices] == [[4, 9, 70_000]] * 3 + [[]]
     assert all(type(p) is int for p in state["entries"][indices[0]][4])
     restored = ChunkTable()
-    restored.import_state(json.loads(json.dumps(state)))
+    restored.import_state(
+        json.loads(json.dumps(state)),
+        json.loads(json.dumps(table.export_records())),
+        _providers(),
+    )
     assert restored.export_state() == state
     assert [entry for _, entry in restored] == [entry for _, entry in table]
     assert restored.get(indices[3]).misleading_positions is NO_POSITIONS
@@ -163,11 +196,9 @@ def test_chunk_entries_compare_whatever_their_rows_hold():
 
 
 def test_positions_that_cannot_make_a_row_name_their_chunk():
-    from repro.core.errors import MetadataCorruptedError
-
     for bad in ([1.5], [True, 3], ["7"], [[1]], [-1], [1 << 32], 7, None):
         with pytest.raises(MetadataCorruptedError, match="chunk 77: "):
-            ChunkEntry(77, PrivacyLevel.PRIVATE, [0], None, bad)
+            ChunkEntry(77, PrivacyLevel.PRIVATE, [0], None, bad, record=_record())
 
 
 # -- Client Table (Table II) ----------------------------------------------------
@@ -244,13 +275,97 @@ def test_provider_table_state_roundtrip():
 def test_chunk_table_state_roundtrip():
     table = ChunkTable()
     index = table.add(_entry(99, pl=2, cps=(1, 2, 3), sp=0, m=(4, 5)))
-    restored = ChunkTable()
-    restored.import_state(table.export_state())
-    entry = restored.get(index)
+    entry = _reloaded(table).get(index)
     assert entry.virtual_id == 99
     assert entry.provider_indices == [1, 2, 3]
     assert entry.snapshot_index == 0
     assert entry.misleading_positions.tolist() == [4, 5]
+
+
+# One table holding, for every codec family, parsed rows (with and without
+# checksums) and quarantined ones (in both layouts a row was ever written in).
+FAMILY_ROWS = [
+    ("raid0", 2, 2, 0), ("raid1", 3, 1, 2), ("raid5", 4, 3, 1),
+    ("raid6", 4, 2, 2), ("rs(6,3)", 9, 6, 3), ("aont-rs(4,2)", 6, 4, 2),
+]
+
+
+def _family_table(rotations):
+    table = ChunkTable()
+    for i, ((codec, width, k, m), rotation) in enumerate(zip(FAMILY_ROWS, rotations)):
+        cps = [(i + j) % 4 for j in range(width)]
+        checksums = tuple(f"{i}{j}" * 32 for j in range(width))
+        for j, record in enumerate([
+            ChunkState(StripeMeta(codec, width, k, m, 128, 500), rotation, checksums),
+            ChunkState(StripeMeta(codec, width, k, m, 128, 500), rotation, None),
+            (f"zfec-{codec}", width, k, m, 128, 500, rotation, list(checksums)),
+            (f"zfec-{codec}", width, k, m, 128, 500, rotation),
+        ]):
+            table.add(_entry(100 * i + j, cps=cps, sp=j or None, m=(3, 40 + j), record=record))
+    return table
+
+
+@given(st.lists(st.integers(0, 8), min_size=6, max_size=6), st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_row_carries_its_stripe_record_out_and_back_and_away(rotations, data):
+    import json
+
+    table = _family_table(rotations)
+    assert sum(entry.quarantined for _, entry in table) == 12
+    # export -> import -> export, through JSON as persistence sends it.
+    state, records = table.export_state(), table.export_records()
+    restored = ChunkTable()
+    assert restored.import_state(
+        json.loads(json.dumps(state)), json.loads(json.dumps(records)), _providers()
+    ) == []
+    assert json.dumps(restored.export_state()) == json.dumps(state)
+    assert json.dumps(restored.export_records()) == json.dumps(records)
+    assert [e.quarantined for _, e in restored] == [e.quarantined for _, e in table]
+    assert [e.packed for _, e in restored] == [e.packed for _, e in table]
+    for _, entry in restored:
+        if entry.quarantined:
+            with pytest.raises(UnknownCodecError, match=f"chunk {entry.virtual_id} "):
+                entry.state("f")
+        else:
+            assert entry.state() is entry.record
+
+    # __eq__ sees the record: a changed checksum, a changed rotation.
+    index = data.draw(st.sampled_from([i for i, _ in table]))
+    entry, twin = table.get(index), restored.get(index)
+    packed = entry.packed
+    if not entry.quarantined:  # (a loaded raw row keeps its lists as loaded)
+        assert twin == entry
+    turned = packed._replace(rotation=packed.rotation + 1)
+    rehashed = packed._replace(checksums=["f" * 64] * len(entry.provider_indices))
+    for changed in (turned, rehashed):
+        other = _entry(
+            entry.virtual_id, cps=entry.provider_indices, sp=entry.snapshot_index,
+            m=entry.misleading_positions.tolist(),
+            record=tuple(changed) if entry.quarantined else changed.unpack(),
+        )
+        assert other != entry and other.packed == changed
+
+    # remove leaves no trace of the vid.
+    vid = entry.virtual_id
+    assert table.remove(index) is entry
+    assert table.find_index(vid) is None
+    assert vid not in table.export_records()
+    assert all(row[0] != vid for row in table.export_state()["entries"].values())
+    assert len(table.export_records()) == len(table) == 23
+    assert table.add(entry) != index  # and the vid is free to be tabled again
+
+
+def test_a_chunk_state_row_without_a_chunk_row_is_left_out_not_loaded():
+    table = _family_table([0] * 6)
+    records = table.export_records()
+    records[9999] = records[0]
+    restored = ChunkTable()
+    assert restored.import_state(table.export_state(), records, _providers()) == [9999]
+    assert restored.export_records() == table.export_records()
+    del records[0]
+    with pytest.raises(MetadataCorruptedError, match="chunk 0: no chunk_state row"):
+        restored.import_state(table.export_state(), records, _providers())
+    assert len(restored) == 24  # a refusal leaves the table as it was
 
 
 def test_client_table_state_roundtrip():

@@ -221,6 +221,10 @@ def test_unknown_codec_quarantines_instead_of_crashing():
     assert d.get_file("C", "pw", "bad") == bad
 
 
+def quarantined(d):
+    return [entry.virtual_id for _, entry in d.chunk_table if entry.quarantined]
+
+
 def snapshot_fixup(packed):
     level = "raid5" if int(packed[3]) == 1 else "raid6"
     return (level,) + tuple(packed[1:])
@@ -238,7 +242,7 @@ def test_exposure_analysis_survives_quarantined_chunks():
         for vid, packed in snapshot["chunk_state"].items()
     }
     d.import_metadata(snapshot)
-    assert d._codec_quarantine
+    assert quarantined(d)
     # The byte-share bound comes from the preserved raw geometry, so the
     # report is identical to the pre-quarantine one.
     after = client_exposure(d, "C")
@@ -257,7 +261,7 @@ def test_decommission_with_quarantined_chunks_does_not_crash():
         for vid, packed in snapshot["chunk_state"].items()
     }
     d.import_metadata(snapshot)
-    assert d._codec_quarantine
+    assert quarantined(d)
 
     # A live victim drains fine: moving a shard is a codec-agnostic byte
     # copy, no decode needed.
@@ -289,11 +293,13 @@ def test_quarantined_chunk_removal_cleans_up():
         for vid, packed in snapshot["chunk_state"].items()
     }
     d.import_metadata(snapshot)
-    assert d._codec_quarantine
-    # Deleting the file drops the quarantine entries with the chunks.
+    assert quarantined(d)
+    # Deleting the file drops the quarantined rows, and with them every
+    # trace of the chunks.
     d.remove_file("C", "pw", "f")
-    assert not d._codec_quarantine
     assert len(d.chunk_table) == 0
+    assert d.export_metadata()["chunk_state"] == {}
+    assert run_fsck(d).unknown_codec == []
 
 
 # -- codec-aware availability math -------------------------------------------
