@@ -63,7 +63,7 @@ from repro.core.tables import (
     FileChunkRef,
 )
 from repro.core.virtual_id import VirtualIdAllocator, shard_key, snapshot_key
-from repro.providers.base import blob_checksum
+from repro.providers.base import blob_checksum, check_answers
 from repro.providers.registry import ProviderRegistry
 from repro.raid.codecs import (
     ChunkState,
@@ -190,7 +190,7 @@ class _WindowTransfer(threading.Thread):
             raise self._error
 
 
-@dataclass
+@dataclass(slots=True)
 class _FetchJob:
     """One chunk's retrieval state on the read path."""
 
@@ -394,7 +394,8 @@ class CloudDataDistributor:
         pass for stored.
 
         The monitor hears the outcomes in order; each run of consecutive
-        successes is one ``record_success(name, count)``.
+        successes is one ``record_success(name, count)``, so a batch with
+        no failure is one call.
         """
         check_deadline(f"{method} ({len(items)} items) @ {name}")
         call = getattr(self.registry.get(name).provider, method)
@@ -413,7 +414,11 @@ class CloudDataDistributor:
                     f"to a {method} of {len(items)} items"
                 )
             ] * len(items)
-        if name not in self.registry:
+        if name not in self.registry or not outcomes:
+            return outcomes
+        kinds = set(map(type, outcomes))
+        if not any(issubclass(kind, ProviderError) for kind in kinds):
+            self.health.record_success(name, len(outcomes))
             return outcomes
         for failed, run in itertools.groupby(
             outcomes, key=lambda outcome: isinstance(outcome, ProviderError)
@@ -852,7 +857,7 @@ class CloudDataDistributor:
 
     def _members(self, entry: ChunkEntry) -> list[str]:
         """The provider holding each shard of *entry*, by shard index."""
-        return [self.provider_table.get(i).name for i in entry.provider_indices]
+        return self.provider_table.names(entry.provider_indices)
 
     def _read_members(
         self,
@@ -862,16 +867,20 @@ class CloudDataDistributor:
         indices: list[int],
     ) -> dict[int, bytes]:
         """The shards of one stripe, out of *indices*, that read back and
-        match their recorded checksum: side by side on real transports,
-        every outcome fed to the health monitor.  (*state* is ``None`` for
-        a chunk quarantined under an unknown codec: read, not judged.)"""
+        pass :meth:`_check_batch`: side by side on real transports, every
+        outcome fed to the health monitor.  (*state* is ``None`` for a
+        chunk quarantined under an unknown codec: read, not judged.)"""
+        digests = (state and state.shard_checksums) or (None,) * len(names)
 
         def read(shard_index: int) -> bytes:
-            name = names[shard_index]
-            data = self._provider_call("get", name, shard_key(vid, shard_index))
-            if state is None:
-                return data
-            return self._check_shard(state, vid, shard_index, name, data)
+            name, key = names[shard_index], shard_key(vid, shard_index)
+            data = self._provider_call("get", name, key)
+            (data,) = self._check_batch(
+                name, [key], [digests[shard_index]], [data]
+            )
+            if isinstance(data, ProviderError):
+                raise data
+            return data
 
         outcomes = self._transport_map(
             read, indices, [names[i] for i in indices]
@@ -1009,27 +1018,19 @@ class CloudDataDistributor:
         )
         return [c.name for c in candidates]
 
-    def _check_shard(
-        self, state: ChunkState, vid: int, shard_index: int, name: str,
-        data: bytes,
-    ) -> bytes:
-        """*data* if it matches the shard's write-time checksum.
-
-        A silently rotten shard surfaces as a failed member
-        (:class:`BlobCorruptedError`, fed to the health monitor as a data
-        failure) so a degraded read or repair rebuilds it from parity
-        instead of returning corrupt plaintext.
-        """
-        expected = state.shard_checksums
-        if expected is not None and blob_checksum(data) != expected[shard_index]:
-            key = shard_key(vid, shard_index)
-            error = BlobCorruptedError(
-                f"shard {key!r} from provider {name!r} does not match "
-                f"its recorded checksum"
-            )
-            self._record_health(name, ok=False, exc=error)
-            raise error
-        return data
+    def _check_batch(
+        self, name: str, keys: list[str], digests: list, outcomes: list
+    ) -> list:
+        """:func:`check_answers` over one provider's batch, each failed
+        member it makes fed to the health monitor (a rotten shard as a
+        data failure), so a degraded read or repair rebuilds it from
+        parity instead of returning corrupt plaintext."""
+        checked = check_answers(name, keys, digests, outcomes)
+        if checked is not outcomes:
+            for before, after in zip(outcomes, checked):
+                if after is not before:
+                    self._record_health(name, ok=False, exc=after)
+        return checked
 
     # ------------------------------------------------------------------
     # upload path: split() + distribute()          (Section VI)
@@ -1413,9 +1414,9 @@ class CloudDataDistributor:
             raise
         finally:
             self._note_audit(
-                vids=(job.entry.virtual_id for job in jobs[:fetched]),
-                providers=(
-                    name for job in jobs[:fetched] for name in job.names
+                vids=[job.entry.virtual_id for job in jobs[:fetched]],
+                providers=itertools.chain.from_iterable(
+                    [job.names for job in jobs[:fetched]]
                 ),
             )
             if op is not None:
@@ -1431,65 +1432,56 @@ class CloudDataDistributor:
         framing follows the batch's mean shard size, as on upload:
         STREAM_GET (one frame per shard) at or above
         ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload, which
-        parses faster for shards that small.  Every arrival is checked
-        against its write-time checksum; a mismatch is a failed member.
+        parses faster for shards that small.  A round is grouped once into
+        per-provider columns (answer slots, keys, recorded digests), and
+        each provider's answers are checked as one batch
+        (:meth:`_check_batch`); a mismatch is a failed member.
         """
         live = [job for job in jobs if job.cached is None]
+        names = [job.names for job in live]
+        vids = [job.entry.virtual_id for job in live]
+        digests = [
+            job.state.shard_checksums or (None,) * len(job.names) for job in live
+        ]
+        sizes = [job.state.stripe.shard_size for job in live]
 
-        def get_batch(
-            group: tuple[str, list[tuple[int, _FetchJob, int]]]
-        ) -> list["bytes | ProviderError"]:
-            # One provider's share of a round: (answer slot, job, shard
-            # index) per member asked for.
-            name, members = group
-            streamed = (
-                sum(job.state.stripe.shard_size for _, job, _ in members)
-                >= STREAM_SEGMENT_THRESHOLD * len(members)
-            )
-            outcomes = self._provider_batch(
-                "get_stream" if streamed else "get_many",
-                name,
-                [
-                    shard_key(job.entry.virtual_id, shard_index)
-                    for _, job, shard_index in members
-                ],
-            )
-            checked: list["bytes | ProviderError"] = []
-            for (_, job, shard_index), data in zip(members, outcomes):
-                if not isinstance(data, ProviderError):
-                    try:
-                        self._check_shard(
-                            job.state, job.entry.virtual_id, shard_index,
-                            name, data,
-                        )
-                    except BlobCorruptedError as exc:
-                        data = exc
-                checked.append(data)
-            return checked
-
-        def fetch_many(
+        def fetch_round(
             requests: list[tuple[int, int]]
         ) -> list["bytes | ProviderError"]:
-            by_provider: dict[str, list[tuple[int, _FetchJob, int]]] = {}
-            for slot, (number, shard_index) in enumerate(requests):
-                job = live[number]
-                by_provider.setdefault(job.names[shard_index], []).append(
-                    (slot, job, shard_index)
+            # The round as one column set per provider: answer slots, keys,
+            # recorded digests and shard sizes, in the order asked.
+            columns: dict[str, tuple[list, list, list, list]] = {}
+            for slot, (number, index) in enumerate(requests):
+                name = names[number][index]
+                column = columns.get(name)
+                if column is None:
+                    column = columns[name] = ([], [], [], [])
+                slots, keys, expected, sized = column
+                slots.append(slot)
+                keys.append(shard_key(vids[number], index))
+                expected.append(digests[number][index])
+                sized.append(sizes[number])
+
+            def fetch(name: str) -> list["bytes | ProviderError"]:
+                _, keys, expected, sized = columns[name]
+                streamed = sum(sized) >= STREAM_SEGMENT_THRESHOLD * len(sized)
+                outcomes = self._provider_batch(
+                    "get_stream" if streamed else "get_many", name, keys
                 )
-            groups = list(by_provider.items())
+                return self._check_batch(name, keys, expected, outcomes)
+
             answers: list = [None] * len(requests)
-            for (_, members), (per_item, exc) in zip(
-                groups,
-                self._transport_map(get_batch, groups, list(by_provider)),
+            order = list(columns)
+            for name, (checked, exc) in zip(
+                order, self._transport_map(fetch, order, order)
             ):
-                if exc is not None:
-                    per_item = [exc] * len(members)
-                for (slot, _, _), outcome in zip(members, per_item):
+                slots = columns[name][0]
+                for slot, outcome in zip(slots, checked or [exc] * len(slots)):
                     answers[slot] = outcome
             return answers
 
         stripes = read_stripes(
-            [job.state.stripe for job in live], fetch_many
+            [job.state.stripe for job in live], fetch_round
         )
         stripped = iter(
             remove_window(

@@ -19,15 +19,56 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from repro.core.errors import (
+    BlobCorruptedError,
     BlobNotFoundError,
     ProviderError,
     ProviderUnavailableError,
 )
 
+#: What a backend may answer for an object besides a ProviderError.
+_BYTES_LIKE = (bytes, bytearray, memoryview)
+_BYTES = frozenset(_BYTES_LIKE)
+
 
 def blob_checksum(data: bytes) -> str:
     """Content checksum used for at-rest integrity verification."""
     return hashlib.sha256(data).hexdigest()
+
+
+def check_answers(
+    name: str, keys: list[str], digests: list, outcomes: list
+) -> list:
+    """Provider *name*'s *outcomes* for *keys*, each arrival checked
+    against its write-time digest in *digests* (``None``: not judged).
+
+    An arrival whose :func:`blob_checksum` differs becomes a
+    :class:`BlobCorruptedError`, and an answer that is neither bytes nor a
+    :class:`ProviderError` (a buggy backend) a :class:`ProviderError`
+    naming the provider; every other slot is kept.  One hash per judged
+    arrival; a batch of bytes that all match comes back as *outcomes*
+    itself, after one compare.
+    """
+    actual: list = [None] * len(outcomes)  # hashed below, as judged
+    if _BYTES.issuperset(map(type, outcomes)) and None not in digests:
+        actual = list(map(blob_checksum, outcomes))
+        if actual == digests:
+            return outcomes
+    checked = []
+    for key, digest, data, got in zip(keys, digests, outcomes, actual):
+        if isinstance(data, ProviderError):
+            pass
+        elif not isinstance(data, _BYTES_LIKE):
+            data = ProviderError(
+                f"provider {name!r} answered {type(data).__name__} "
+                f"for {key!r}"
+            )
+        elif digest is not None and (got or blob_checksum(data)) != digest:
+            data = BlobCorruptedError(
+                f"shard {key!r} from provider {name!r} does not match "
+                f"its recorded checksum"
+            )
+        checked.append(data)
+    return checked
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,28 @@ the torn window the old sidecar layout had (new blob renamed in, stale
 ``.sha256`` still on disk) is gone by construction.  Files written by older
 versions (raw payload + ``.sha256`` sidecar) are still readable; the first
 overwrite migrates them to the record format and removes the sidecar.
+
+An operating-system failure is answered in the provider's own terms, never
+as a bare ``OSError``: on ``get``/``head`` a blob that cannot be read (EIO,
+EACCES, a directory where the file should be) is a
+:class:`BlobCorruptedError` -- a data failure, so parity serves the read --
+and on ``put``/``delete`` a refused write (ENOSPC, EROFS) is a
+:class:`ProviderUnavailableError`, so write failover moves the shard.  A
+missing file stays :class:`BlobNotFoundError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 from pathlib import Path
 
-from repro.core.errors import BlobCorruptedError, BlobNotFoundError
+from repro.core.errors import (
+    BlobCorruptedError,
+    BlobNotFoundError,
+    ProviderError,
+    ProviderUnavailableError,
+)
 from repro.providers.base import BlobStat, CloudProvider, blob_checksum
 from repro.util.atomic import atomic_write_bytes
 from repro.util.crash import crashpoint
@@ -79,40 +93,58 @@ class DiskProvider(CloudProvider):
     def _blob_path(self, key: str) -> Path:
         return self.root / (_encode_key(key) + ".blob")
 
+    @contextlib.contextmanager
+    def _os_errors(self, op: str, key: str, error: type[ProviderError]):
+        """Answer an ``OSError`` of *op* on *key* as *error*; a missing
+        file is :class:`BlobNotFoundError`, except to a put (for which
+        only the root can be missing)."""
+        try:
+            yield
+        except OSError as exc:
+            if isinstance(exc, FileNotFoundError) and op != "put":
+                raise BlobNotFoundError(
+                    f"provider {self.name!r} has no object {key!r}"
+                ) from None
+            raise error(
+                f"{op} of {key!r} at provider {self.name!r} failed: {exc}"
+            ) from exc
+
     def _sum_path(self, key: str) -> Path:
         # Legacy sidecar location; only ever read (and cleaned up), never
         # written, since the record format embeds the checksum.
         return self.root / (_encode_key(key) + ".sha256")
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
-        crashpoint("disk.put.start")
-        atomic_write_bytes(self._blob_path(key), _pack_record(data, checksum))
-        crashpoint("disk.put.committed")
-        # If this key predates the record format, its sidecar is now stale;
-        # drop it.  A crash in between is harmless: readers prefer the
-        # embedded checksum, so the leftover sidecar is ignored garbage.
-        self._sum_path(key).unlink(missing_ok=True)
-
-    def _read_record(self, key: str) -> tuple[str, bytes]:
-        """(expected checksum, payload) for *key* in either format."""
-        path = self._blob_path(key)
+    def _sidecar(self, key: str) -> str:
+        """The legacy sidecar checksum of *key* (inside :meth:`_os_errors`)."""
         try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            raise BlobNotFoundError(
-                f"provider {self.name!r} has no object {key!r}"
-            ) from None
-        unpacked = _unpack_record(raw)
-        if unpacked is not None:
-            return unpacked
-        # Legacy layout: raw payload with a sidecar checksum.
-        try:
-            return self._sum_path(key).read_text(), raw
+            return self._sum_path(key).read_text()
         except FileNotFoundError:
             raise BlobCorruptedError(
                 f"object {key!r} at provider {self.name!r} has neither an "
                 f"embedded checksum nor a sidecar"
             ) from None
+
+    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+        crashpoint("disk.put.start")
+        record = _pack_record(data, checksum)
+        with self._os_errors("put", key, ProviderUnavailableError):
+            atomic_write_bytes(self._blob_path(key), record)
+            crashpoint("disk.put.committed")
+            # If this key predates the record format, its sidecar is now
+            # stale; drop it.  A crash in between is harmless: readers
+            # prefer the embedded checksum, so the leftover sidecar is
+            # ignored garbage.
+            self._sum_path(key).unlink(missing_ok=True)
+
+    def _read_record(self, key: str) -> tuple[str, bytes]:
+        """(expected checksum, payload) for *key* in either format."""
+        with self._os_errors("get", key, BlobCorruptedError):
+            raw = self._blob_path(key).read_bytes()
+            unpacked = _unpack_record(raw)
+            if unpacked is not None:
+                return unpacked
+            # Legacy layout: raw payload with a sidecar checksum.
+            return self._sidecar(key), raw
 
     def get(self, key: str) -> bytes:
         expected, data = self._read_record(key)
@@ -123,13 +155,9 @@ class DiskProvider(CloudProvider):
         return data
 
     def delete(self, key: str) -> None:
-        path = self._blob_path(key)
-        if not path.exists():
-            raise BlobNotFoundError(
-                f"provider {self.name!r} has no object {key!r}"
-            )
-        path.unlink()
-        self._sum_path(key).unlink(missing_ok=True)
+        with self._os_errors("delete", key, ProviderUnavailableError):
+            self._blob_path(key).unlink()
+            self._sum_path(key).unlink(missing_ok=True)
 
     def keys(self) -> list[str]:
         out = []
@@ -149,21 +177,13 @@ class DiskProvider(CloudProvider):
 
     def head(self, key: str) -> BlobStat:
         path = self._blob_path(key)
-        if not path.exists():
-            raise BlobNotFoundError(
-                f"provider {self.name!r} has no object {key!r}"
-            )
-        with path.open("rb") as fh:
-            header = fh.read(_HEADER_LEN)
-        unpacked = _unpack_record(header)
-        if unpacked is not None:
-            return BlobStat(
-                key=key,
-                size=path.stat().st_size - _HEADER_LEN,
-                checksum=unpacked[0],
-            )
-        return BlobStat(
-            key=key,
-            size=path.stat().st_size,
-            checksum=self._sum_path(key).read_text(),
-        )
+        with self._os_errors("head", key, BlobCorruptedError):
+            with path.open("rb") as fh:
+                header = fh.read(_HEADER_LEN)
+            size = path.stat().st_size
+            unpacked = _unpack_record(header)
+            if unpacked is not None:
+                return BlobStat(
+                    key=key, size=size - _HEADER_LEN, checksum=unpacked[0]
+                )
+            return BlobStat(key=key, size=size, checksum=self._sidecar(key))

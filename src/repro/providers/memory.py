@@ -7,7 +7,11 @@ way a misbehaving real provider would.
 
 from __future__ import annotations
 
-from repro.core.errors import BlobCorruptedError, BlobNotFoundError
+from repro.core.errors import (
+    BlobCorruptedError,
+    BlobNotFoundError,
+    ProviderError,
+)
 from repro.providers.base import BlobStat, CloudProvider, blob_checksum
 
 
@@ -28,17 +32,30 @@ class InMemoryProvider(CloudProvider):
         )
 
     def get(self, key: str) -> bytes:
-        try:
-            data = self._blobs[key]
-        except KeyError:
-            raise BlobNotFoundError(
-                f"provider {self.name!r} has no object {key!r}"
-            ) from None
-        if blob_checksum(data) != self._checksums[key]:
-            raise BlobCorruptedError(
-                f"object {key!r} at provider {self.name!r} failed integrity check"
-            )
-        return data
+        (outcome,) = self.get_many([key])
+        if isinstance(outcome, ProviderError):
+            raise outcome
+        return outcome
+
+    def get_many(self, keys: list[str]) -> list["bytes | ProviderError"]:
+        """One pass over the two dicts; each object is checked at rest
+        against the checksum recorded when it was put."""
+        blobs, checksums = self._blobs, self._checksums
+        outcomes: list[bytes | ProviderError] = []
+        for key in keys:
+            data = blobs.get(key)
+            if data is None:
+                outcomes.append(BlobNotFoundError(
+                    f"provider {self.name!r} has no object {key!r}"
+                ))
+            elif blob_checksum(data) != checksums[key]:
+                outcomes.append(BlobCorruptedError(
+                    f"object {key!r} at provider {self.name!r} failed "
+                    f"integrity check"
+                ))
+            else:
+                outcomes.append(data)
+        return outcomes
 
     def delete(self, key: str) -> None:
         if key not in self._blobs:

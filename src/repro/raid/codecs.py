@@ -433,6 +433,20 @@ class RaidCodec(ErasureCodec):
             data = code.decode(shards)
         return self._join(data, meta.orig_len)
 
+    def decode_many(
+        self, stripes: "Sequence[tuple[StripeMeta, dict[int, bytes]]]"
+    ) -> list[bytes]:
+        # A healthy stripe -- its k data members, in index order, as a
+        # data-first read delivers them -- is the members joined, whatever
+        # the level; only a degraded one needs :meth:`decode`.
+        k, healthy = self.k, tuple(range(self.k))
+        return [
+            b"".join(shards.values())[: meta.orig_len]
+            if meta.k == k and tuple(shards) == healthy
+            else self.decode(meta, shards)
+            for meta, shards in stripes
+        ]
+
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:
             return b""

@@ -5,7 +5,8 @@ and over real sockets: the bytes are those of the chunk-serial read this
 engine replaced, a degraded window costs batched calls only (no single
 ``get`` per missing member), a bad shard is one piece of evidence for the
 health monitor, and an unrecoverable window fails typed, counted and
-audited.
+audited; and an answer that is neither bytes nor a provider error -- an
+unreadable disk blob, a buggy backend's ``None`` -- is a failed member too.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from repro.net.cluster import LocalCluster
 from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.providers.base import CloudProvider
 from repro.providers.chaos import ChaosProvider, FaultPlan
+from repro.providers.disk import DiskProvider
 from repro.providers.memory import InMemoryProvider
 from repro.providers.registry import ProviderRegistry
 
@@ -256,3 +258,60 @@ def test_cached_jobs_fetch_nothing(codec):
         asked = {name for name, c in w.counters.items() if c.batched}
         assert asked == set(names[: w.stripe(5).k])
 
+
+
+# -- what a backend answers is judged, whatever it answers -------------------
+
+
+def test_an_unreadable_disk_blob_is_read_around(tmp_path):
+    """A blob the OS will not read (a directory where the file should be,
+    standing in for EIO or EACCES) is a failed member, so parity serves
+    the read -- not a bare ``IsADirectoryError`` out of ``get_file``."""
+    registry = ProviderRegistry()
+    for i in range(5):
+        registry.register(
+            DiskProvider(f"D{i}", tmp_path / f"d{i}"),
+            PrivacyLevel.PRIVATE, CostLevel.CHEAP,
+        )
+    with CloudDataDistributor(
+        registry, chunk_policy=ChunkSizePolicy.uniform(CHUNK),
+        codec="raid5@4", seed=31, metrics=MetricsRegistry(),
+    ) as d:
+        d.register_client("C")
+        d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+        d.upload_file("C", "pw", "f", DATA, PrivacyLevel.PRIVATE)
+        entry = d.chunk_table.get(
+            d.client_table.get("C").ref_for_chunk("f", 3).chunk_index
+        )
+        victim = d.provider_table.get(entry.provider_indices[0]).name
+        path = registry.get(victim).provider._blob_path(
+            shard_key(entry.virtual_id, 0)
+        )
+        path.unlink()
+        path.mkdir()
+        before = d.health._record(victim).failures
+        assert d.get_file("C", "pw", "f") == DATA
+        assert d.health._record(victim).failures == before + 1
+        assert not d.health.down(victim)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_a_slot_that_is_neither_bytes_nor_an_error_is_a_failed_member(codec):
+    """A buggy in-process backend answering ``None`` for one shard: the
+    read rebuilds around it, and the health monitor hears of it."""
+    with world(codec, "inproc") as w:
+        vid, names = w.holders(6)
+        key, victim = shard_key(vid, 1), names[1]
+        counter = w.counters[victim]
+        honest = counter.get_many
+
+        def get_many(keys):
+            return [
+                None if asked == key else outcome
+                for asked, outcome in zip(keys, honest(keys))
+            ]
+
+        counter.get_many = get_many
+        before = w.d.health._record(victim).failures
+        assert w.read("get_file", CHUNKS) == DATA
+        assert w.d.health._record(victim).failures == before + 1

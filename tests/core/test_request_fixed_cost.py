@@ -158,9 +158,9 @@ class WitnessProvider(InMemoryProvider):
         self.threads.append(threading.current_thread())
         super().put(key, data, checksum=checksum)
 
-    def get(self, key):
+    def get_many(self, keys):
         self.threads.append(threading.current_thread())
-        return super().get(key)
+        return super().get_many(keys)
 
 
 def test_mixed_fleet_waiting_legs_overlap_while_the_rest_run_on_the_caller(

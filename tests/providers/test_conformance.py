@@ -214,3 +214,69 @@ def test_namespaced_delete_many_is_one_inner_delete_many():
         type(None), BlobNotFoundError, type(None)
     ]
     assert inner.keys() == ["fleet/s1/a"]
+
+
+# -- get and get_many never disagree -------------------------------------------
+
+IN_TREE = ["memory", "disk", "chaos", "namespaced"]
+
+
+@pytest.fixture(params=IN_TREE)
+def damageable(request, tmp_path):
+    """(provider, corrupt, drop) for each in-process backend: *corrupt*
+    flips a stored byte behind the provider's back, *drop* loses the
+    object silently."""
+    if request.param == "disk":
+        provider = DiskProvider("conf", tmp_path / "store")
+
+        def corrupt(key: str) -> None:
+            path = provider._blob_path(key)
+            record = bytearray(path.read_bytes())
+            record[-1] ^= 0xFF
+            path.write_bytes(bytes(record))
+
+        def drop(key: str) -> None:
+            provider._blob_path(key).unlink()
+
+        return provider, corrupt, drop
+    inner = InMemoryProvider("conf")
+    if request.param == "namespaced":
+        return (
+            NamespacedProvider(inner, "s0"),
+            lambda key: inner.corrupt_blob(f"fleet/s0/{key}"),
+            lambda key: inner.drop_blob(f"fleet/s0/{key}"),
+        )
+    provider = inner if request.param == "memory" else ChaosProvider(inner, seed=5)
+    return provider, inner.corrupt_blob, inner.drop_blob
+
+
+def _answers(call):
+    """An outcome as comparable evidence: the bytes, or the error type."""
+    try:
+        outcome = call()
+    except (BlobCorruptedError, BlobNotFoundError) as exc:
+        return type(exc)
+    return outcome if isinstance(outcome, bytes) else type(outcome)
+
+
+def test_get_many_answers_slot_for_slot_as_get_does(damageable):
+    """Present, absent, corrupted and dropped keys, one asked twice, in an
+    order that is not the order they were stored in: one answer per key,
+    in order, each what ``get`` says of that key, and a failed slot does
+    not stop the slots after it."""
+    provider, corrupt, drop = damageable
+    for name in ("a", "b", "rotten", "lost", "z"):
+        provider.put(name, name.encode() * 7)
+    corrupt("rotten")
+    drop("lost")
+    keys = ["z", "absent", "rotten", "a", "lost", "a", "b"]
+    batch = [
+        outcome if isinstance(outcome, bytes) else type(outcome)
+        for outcome in provider.get_many(keys)
+    ]
+    assert batch == [_answers(lambda key=key: provider.get(key)) for key in keys]
+    assert batch == [
+        b"z" * 7, BlobNotFoundError, BlobCorruptedError, b"a" * 7,
+        BlobNotFoundError, b"a" * 7, b"b" * 7,
+    ]
+    assert provider.get_many([]) == []

@@ -1,7 +1,19 @@
+import errno
+import os
+
 import pytest
 
-from repro.core.errors import BlobCorruptedError, BlobNotFoundError
+from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import (
+    BlobCorruptedError,
+    BlobNotFoundError,
+    ProviderUnavailableError,
+)
+from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
+from repro.obs.metrics import MetricsRegistry
+from repro.providers import disk
 from repro.providers.disk import DiskProvider
+from repro.providers.registry import ProviderRegistry
 
 
 @pytest.fixture
@@ -121,3 +133,77 @@ def test_legacy_migration_crash_leaves_readable_state(provider):
     provider.put("m", b"again")
     assert provider.get("m") == b"again"
     assert not provider._sum_path("m").exists()
+
+
+# -- an OS error is answered in the provider's own terms ----------------------
+
+
+def _unreadable(provider, key):
+    """Make *key*'s blob a directory: every read of it fails with an
+    ``OSError`` that is not ENOENT (as EIO or EACCES would)."""
+    path = provider._blob_path(key)
+    path.unlink()
+    path.mkdir()
+
+
+def _full(monkeypatch, provider):
+    """Every write under *provider*'s root fails as a full disk does."""
+    write = disk.atomic_write_bytes
+
+    def refusing(path, data, **kwargs):
+        if path.parent == provider.root:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write(path, data, **kwargs)
+
+    monkeypatch.setattr(disk, "atomic_write_bytes", refusing)
+
+
+def test_an_unreadable_blob_is_corrupt_to_get_and_head(provider):
+    provider.put("k", b"data")
+    _unreadable(provider, "k")
+    with pytest.raises(BlobCorruptedError):
+        provider.get("k")
+    with pytest.raises(BlobCorruptedError):
+        provider.head("k")
+    [outcome] = provider.get_many(["k"])
+    assert isinstance(outcome, BlobCorruptedError)
+
+
+def test_a_refused_delete_is_unavailable(provider):
+    provider.put("k", b"data")
+    _unreadable(provider, "k")
+    with pytest.raises(ProviderUnavailableError):
+        provider.delete("k")
+
+
+def test_a_full_disk_refuses_a_put_as_unavailable(provider, monkeypatch):
+    provider.put("old", b"kept")
+    _full(monkeypatch, provider)
+    with pytest.raises(ProviderUnavailableError, match="No space left"):
+        provider.put("k", b"data")
+    [outcome] = provider.put_many([("k", b"data")])
+    assert isinstance(outcome, ProviderUnavailableError)
+    assert provider.get("old") == b"kept"
+    assert provider.keys() == ["old"]
+
+
+def test_a_full_disk_fails_its_shards_over_instead_of_the_upload(
+    tmp_path, monkeypatch
+):
+    providers = [DiskProvider(f"D{i}", tmp_path / f"d{i}") for i in range(5)]
+    registry = ProviderRegistry()
+    for p in providers:
+        registry.register(p, PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    _full(monkeypatch, providers[0])
+    data = bytes(range(256)) * 12
+    with CloudDataDistributor(
+        registry, chunk_policy=ChunkSizePolicy.uniform(256), codec="raid5@4",
+        seed=5, metrics=MetricsRegistry(),
+    ) as d:
+        d.register_client("C")
+        d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+        d.upload_file("C", "pw", "f", data, PrivacyLevel.PRIVATE)
+        assert d.metrics.value("distributor_failover_shards_total") > 0
+        assert providers[0].keys() == []
+        assert d.provider_loads()[providers[0].name] == 0
+        assert d.get_file("C", "pw", "f") == data

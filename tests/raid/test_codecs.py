@@ -366,5 +366,10 @@ def test_decode_many_equals_decode_per_stripe_under_every_erasure(make):
     assert codec.decode_many(mixed) == [
         codec.decode(meta, have) for meta, have in mixed
     ]
+    # The same members handed over in reverse index order.
+    backwards = [(meta, dict(reversed(have.items()))) for meta, have in mixed]
+    assert codec.decode_many(backwards) == [
+        codec.decode(meta, have) for meta, have in backwards
+    ]
     assert codec.decode_many([]) == []
 
