@@ -1,6 +1,6 @@
 # Convenience targets; see README.md for details.
 
-.PHONY: install test loc loc-check bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
+.PHONY: install test test-dirs loc loc-check bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -8,18 +8,28 @@ install:
 test:
 	PYTHONPATH=src pytest tests/
 
+# Each tests/*/ directory in its own pytest process, run twice over in it: a
+# test that passes only because of what the suite ran before it, or did not
+# -- say, one that reads a process-wide metric as an absolute value -- fails
+# here whatever order the full run happens to use.
+test-dirs:
+	set -eu; for dir in tests/*/; do \
+		echo "== $$dir"; \
+		PYTHONPATH=src python -m pytest -x -q -p no:cacheprovider --keep-duplicates "$$dir" "$$dir"; \
+	done
+
 # Line counts the diet is judged by (ROADMAP item 6).
 loc:
 	@for d in src tests benchmarks; do \
 		printf '%-34s %6d\n' "$$d/" "$$(find $$d -name '*.py' | xargs cat | wc -l)"; done
 	@for f in core/distributor.py core/tables.py core/persistence.py core/journal.py \
-			core/rebalance.py net/remote.py providers/memory.py raid/reconstruct.py \
-			raid/codecs.py; do \
+			core/rebalance.py core/placement.py core/misleading.py core/virtual_id.py \
+			net/remote.py providers/memory.py raid/reconstruct.py raid/codecs.py; do \
 		printf '%-34s %6d\n' "src/repro/$$f" "$$(wc -l < src/repro/$$f)"; done
 
 # The ratchet CI holds core/distributor.py to: the count the last diet PR
 # landed.  The next one lowers it; nothing raises it.
-DISTRIBUTOR_MAX_LINES = 1882
+DISTRIBUTOR_MAX_LINES = 1877
 # A chunk's stripe record lives on its Chunk Table row and nowhere else: the
 # per-chunk stores the distributor once kept beside the table stay gone.  (The
 # \b keeps the distributor_codec_quarantined_total metric out of the net.)

@@ -49,8 +49,16 @@ def equal_length_runs(
     chunks are all one length but for its tail, so a window is one run
     (plus at most one more) unless ``max_rows`` slabs it for memory.
     With *beside*, one entry per payload, a run also ends where the
-    length of those entries changes.
+    length of those entries changes.  *payloads* may be a 2-D array, its
+    rows the payloads: one length throughout.
     """
+    shape = getattr(payloads, "shape", None)
+    if shape is not None and len(shape) == 2 and beside is None:
+        rows, length = shape
+        step = max(1, max_rows(length))
+        for start in range(0, rows, step):
+            yield start, min(start + step, rows), length
+        return
     start = 0
     while start < len(payloads):
         length = len(payloads[start])

@@ -19,6 +19,7 @@ import contextlib
 import itertools
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
@@ -42,7 +43,8 @@ from repro.health.monitor import HealthMonitor
 from repro.core.misleading import (  # noqa: F401
     NO_POSITIONS,
     InjectionRng,
-    inject_window,
+    check_fraction,
+    inject_runs,
     # Unused here since the read strips per window.  Goes with ROADMAP
     # item 1(a), the PR that may edit benchmarks/e2e: test_harness.py
     # checks its alias rebinding on this name until then.
@@ -128,20 +130,22 @@ class RepairReport:
     # (virtual_id, shard_index, old_provider, new_provider)
 
 
-@dataclass
+@dataclass(slots=True)
 class _ChunkPlan:
     """One chunk's placement decision, staged before any bytes move.
 
     The upload engine makes every placement decision (and rng draw) of a
     window inside the critical section, in serial order, then transfers
-    the window's plans lock-free.  ``state`` is what commit tables; its
-    ``shard_checksums`` are filled by the transfer, one digest per shard,
-    and are the value every later stage uses -- the provider records it,
-    the wire compares its echo with it -- so a shard is hashed once per
-    process on its way in.  ``failed``
-    collects shard indices whose put did not land anywhere; ``assigned``
-    is updated in place by write-path failover; commit drops ``shards`` so
-    a committed window's bytes do not outlive their window.
+    the window's plans lock-free.  ``keys`` are the shards' provider keys,
+    formatted once for the journal, the transfer and the commit.
+    ``state`` is what commit tables; its ``shard_checksums`` are filled by
+    the transfer, one digest per shard, and are the value every later
+    stage uses -- the provider records it, the wire compares its echo
+    with it -- so a shard is hashed once per process on its way in.
+    ``failed`` becomes the list of shard indices whose put did not land
+    anywhere (an empty tuple while none failed); ``assigned`` is updated
+    in place by write-path failover; commit drops ``shards`` so a
+    committed window's bytes do not outlive their window.
     """
 
     serial: int
@@ -150,12 +154,13 @@ class _ChunkPlan:
     state: ChunkState
     shards: list[bytes]
     assigned: list[str]
+    keys: list[str]
     positions: np.ndarray
-    failed: list[int] = field(default_factory=list)
+    failed: "list[int] | tuple[()]" = ()
     first_error: ProviderError | None = None
     # The (provider, key) pairs already in the journal for this plan;
     # failover relocations are logged as the difference.
-    logged: list[tuple[str, str]] = field(default_factory=list)
+    logged: "list[tuple[str, str]] | tuple[()]" = ()
 
 
 class _WindowTransfer(threading.Thread):
@@ -668,159 +673,156 @@ class CloudDataDistributor:
         Must run inside the critical section: it consumes rng draws
         (misleading injection, placement) and allocates virtual ids, and
         the order of those draws across a file's chunks is what the pinned
-        placement digests in tier-1 hold constant.  The work that does
-        not differ from chunk to chunk is done once for the window: one
-        misleading draw, one encode call, one look at the registry and the
-        health monitor.  *load* is the caller's working copy of the
-        per-provider shard counts; each planned shard advances it, so
-        later chunks of the same upload see the loads the earlier ones
-        will have produced once they commit.  The plans never alias
-        *payloads*.
+        placement digests in tier-1 hold constant.  Each step is one pass
+        over the window: the misleading draw (its arrays of stored chunks
+        go to the encoder as they are), the placement of every chunk
+        against one registry snapshot, one draw of virtual ids (last, so a
+        placement refusal leaves none to give back), the shard keys.
+        *load* is the caller's working copy of the per-provider shard
+        counts; each planned shard advances it, so later chunks of the same
+        upload see the loads the earlier ones will have produced once they
+        commit.  The plans never alias *payloads*.
         """
-        positions = [NO_POSITIONS] * len(payloads)
-        if misleading_fraction > 0:
-            injected = inject_window(
-                payloads, misleading_fraction, rng=self._misleading_rng
-            )
-            payloads = [result.stored for result in injected]
-            positions = [result.positions for result in injected]
-        stripes = codec.encode_many(payloads)
+        runs = (
+            inject_runs(payloads, misleading_fraction, rng=self._misleading_rng)
+            if misleading_fraction > 0
+            else [(payloads, [NO_POSITIONS] * len(payloads))]
+        )
+        stripes: list = []
+        positions: list[np.ndarray] = []
+        for stored, rows in runs:
+            stripes += codec.encode_many(stored)
+            positions += rows
         width = codec.n
-        snapshot = self.placement.snapshot(self.registry, level, self.health)
+        groups = self.placement.stripe_groups(
+            self.placement.snapshot(self.registry, level, self.health),
+            width, len(stripes), load,
+        )
+        vids = self.ids.allocate_many(len(stripes))
+        keys = [shard_key(vid, index) for vid in vids for index in range(width)]
         plans: list[_ChunkPlan] = []
-        try:
-            for serial, ((meta, shards), where) in enumerate(
-                zip(stripes, positions), first_serial
-            ):
-                group = self.placement.stripe_group(
-                    self.registry, level, width, load=load,
-                    health=self.health, snapshot=snapshot,
-                )
-                # Rotate the shard->provider assignment by serial so
-                # parity cycles around the group, RAID-5 style.
-                assigned = group[serial % width :] + group[: serial % width]
-                for name in assigned:
-                    load[name] = load.get(name, 0) + 1
-                plans.append(
-                    _ChunkPlan(
-                        serial=serial,
-                        level=level,
-                        vid=self.ids.allocate(),
-                        state=ChunkState(meta, serial % width),
-                        shards=shards,
-                        assigned=assigned,
-                        positions=where,
-                    )
-                )
-        except BaseException:
-            # Nothing moved yet: only the ids to give back.
-            for plan in plans:
-                self.ids.release(plan.vid)
-            raise
+        for at, (vid, (meta, shards), group, where) in enumerate(
+            zip(vids, stripes, groups, positions)
+        ):
+            # Rotate the shard->provider assignment by serial so parity
+            # cycles around the group, RAID-5 style.
+            serial = first_serial + at
+            turn = serial % width
+            plans.append(_ChunkPlan(
+                serial=serial, level=level, vid=vid, state=ChunkState(meta, turn),
+                shards=shards, assigned=group[turn:] + group[:turn],
+                keys=keys[at * width : (at + 1) * width], positions=where,
+            ))
         return plans
 
-    def _transfer_plans(self, plans: list[_ChunkPlan]) -> None:
-        """Upload one window's shards, one batched request per provider.
+    def _transfer_plans(self, plans: list[_ChunkPlan]) -> list[_ChunkPlan]:
+        """Upload one window's shards, one batched request per provider;
+        returns the plans with shards that did not land, to recover.
 
-        All shards bound for one provider across the window coalesce into
-        a single provider call and the per-provider batches fan out
-        concurrently over the transport executor -- chunk-level and
-        shard-level parallelism at once, with no per-chunk barrier.  The
-        wire framing follows the batch's mean shard size: at or above
-        ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame per
-        shard, no aggregate payload), below it one MULTI_PUT frame (the
-        batch is still just one window's shards for one provider, and
-        per-segment stream acks would dominate shard bytes this small).
+        The window is flattened once -- every shard hashed, and its key,
+        bytes and digest laid out in plan order -- and each shard's slot
+        sorted to its provider; each provider's slots are then one call,
+        and the calls fan out concurrently over the transport executor --
+        chunk-level and shard-level parallelism at once, with no per-chunk
+        barrier.  The wire framing follows the batch's mean shard size: at
+        or above ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one
+        frame per shard, no aggregate payload), below it one MULTI_PUT
+        frame (the batch is still just one window's shards for one
+        provider, and per-segment stream acks would dominate shard bytes
+        this small).
         """
-        by_provider: dict[str, list[tuple[_ChunkPlan, int]]] = {}
+        shards: list[bytes] = []
+        keys: list[str] = []
+        digests: list[str] = []
         for plan in plans:
-            plan.state.shard_checksums = tuple(map(blob_checksum, plan.shards))
-            for shard_index, name in enumerate(plan.assigned):
-                by_provider.setdefault(name, []).append((plan, shard_index))
+            plan.state.shard_checksums = hashed = tuple(map(blob_checksum, plan.shards))
+            shards += plan.shards
+            keys += plan.keys
+            digests += hashed
+        slots: defaultdict[str, list[int]] = defaultdict(list)
+        for slot, name in enumerate([n for plan in plans for n in plan.assigned]):
+            slots[name].append(slot)
 
-        groups = list(by_provider.items())
-
-        def put_batch(
-            group: tuple[str, list[tuple[_ChunkPlan, int]]]
-        ) -> list[ProviderError | None]:
-            name, members = group
-            items = [
-                (shard_key(plan.vid, shard_index), plan.shards[shard_index])
-                for plan, shard_index in members
-            ]
-            streamed = (
-                sum(len(data) for _, data in items)
-                >= STREAM_SEGMENT_THRESHOLD * len(items)
-            )
+        def put_batch(name: str) -> list[ProviderError | None]:
+            picked = slots[name]
+            datas = list(map(shards.__getitem__, picked))
+            streamed = sum(map(len, datas)) >= STREAM_SEGMENT_THRESHOLD * len(datas)
             return self._provider_batch(
-                "put_stream" if streamed else "put_many", name, items,
-                [
-                    plan.state.shard_checksums[shard_index]
-                    for plan, shard_index in members
-                ],
+                "put_stream" if streamed else "put_many", name,
+                list(zip(map(keys.__getitem__, picked), datas)),
+                list(map(digests.__getitem__, picked)),
             )
 
-        outcomes = self._transport_map(put_batch, groups, list(by_provider))
-        for (name, members), (per_item, exc) in zip(groups, outcomes):
-            if exc is not None:
-                per_item = [exc] * len(members)
-            for (plan, shard_index), item_exc in zip(members, per_item):
+        failed: list[_ChunkPlan] = []
+        owners: list[tuple[_ChunkPlan, int]] = []  # slot -> (plan, shard)
+        order = list(slots)
+        for name, (per_item, exc) in zip(
+            order, self._transport_map(put_batch, order, order)
+        ):
+            if exc is None and not any(per_item):
+                continue
+            owners = owners or [
+                (plan, index) for plan in plans for index in range(len(plan.shards))
+            ]
+            for slot, item_exc in zip(slots[name], per_item or [exc] * len(slots[name])):
                 if item_exc is not None:
-                    plan.failed.append(shard_index)
-                    if plan.first_error is None:
-                        plan.first_error = item_exc
-        for plan in plans:
+                    plan, index = owners[slot]
+                    if not plan.failed:
+                        plan.failed, plan.first_error = [], item_exc
+                        failed.append(plan)
+                    plan.failed.append(index)
+        for plan in failed:
             plan.failed.sort()
+        return failed
 
     def _recover_plan(self, plan: _ChunkPlan) -> bool:
         """Failover a plan's failed shards; returns True if the chunk is lost.
 
-        The terminal case -- fewer than k shards landed anywhere -- is
-        reported, not raised: the caller decides the rollback scope (the
-        whole upload, or the one staged stripe of an update).
+        Write-path failover re-places only the failed shards instead of
+        aborting the whole chunk.  What finds no taker stays failed:
+        accepted degraded if >= k landed, else the chunk is lost -- the
+        terminal case, reported, not raised: the caller decides the
+        rollback scope (the whole upload, or the one staged stripe of an
+        update).
         """
-        if plan.failed:
-            # Write-path failover: re-place only the failed shards instead
-            # of aborting the whole chunk.  What finds no taker stays
-            # failed: accepted degraded if >= k landed, else rolled back.
-            moves, _ = self._replace_shards(plan, plan.failed)
-            placed = {shard_index for _, shard_index, _, _ in moves}
-            plan.failed = [i for i in plan.failed if i not in placed]
+        moves, _ = self._replace_shards(plan, plan.failed)
+        placed = {shard_index for _, shard_index, _, _ in moves}
+        plan.failed = [i for i in plan.failed if i not in placed]
         return bool(plan.failed) and (
             len(plan.assigned) - len(plan.failed) < plan.state.stripe.k
         )
 
-    def _commit_plan(self, plan: _ChunkPlan) -> int:
-        """Record a transferred plan in the tables; returns its chunk index.
+    def _commit_plans(self, plans: list[_ChunkPlan]) -> range:
+        """Table a window of transferred plans; returns their chunk indices.
 
-        Must run inside the critical section.  The checksums on record
-        are the ones the transfer computed; the plan's shard bytes are
-        released here.
+        Must run inside the critical section.  One audit note, one
+        Provider Table lookup and one ``record_store`` per distinct
+        provider, the rows appended in one pass.  Failed-but-accepted
+        shards are recorded too: the table is the scrubber's work list,
+        and the next scrub cycle rebuilds them from the >= k members that
+        did land.  The checksums on record are the ones the transfer
+        computed; the plans' shard bytes are released here.
         """
-        self._note_audit(vids=(plan.vid,), providers=plan.assigned)
-        provider_indices: list[int] = []
-        for shard_index, provider_name in enumerate(plan.assigned):
-            table_index = self.provider_table.index_of(provider_name)
-            # Failed-but-accepted shards are recorded too: the table is
-            # the scrubber's work list, and the next scrub cycle rebuilds
-            # them from the >= k members that did land.
-            self.provider_table.record_store(
-                table_index, shard_key(plan.vid, shard_index)
-            )
-            provider_indices.append(table_index)
-
-        chunk_index = self.chunk_table.add(
-            ChunkEntry(
-                virtual_id=plan.vid,
-                privacy_level=plan.level,
-                provider_indices=provider_indices,
-                snapshot_index=None,
-                misleading_positions=plan.positions,
+        homes: dict[str, tuple[int, list[str]]] = {}  # table index, keys
+        entries: list[ChunkEntry] = []
+        for plan in plans:
+            members: list[int] = []
+            for name, key in zip(plan.assigned, plan.keys):
+                home = homes.get(name)
+                if home is None:
+                    home = homes[name] = (self.provider_table.index_of(name), [])
+                home[1].append(key)
+                members.append(home[0])
+            entries.append(ChunkEntry(
+                plan.vid, plan.level, members, None, plan.positions,
                 record=plan.state,
-            )
-        )
-        plan.shards = []
-        return chunk_index
+            ))
+            plan.shards = []
+        self._note_audit(vids=[plan.vid for plan in plans], providers=homes)
+        indices = self.chunk_table.add_many(entries)
+        for index, keys in homes.values():
+            self.provider_table.record_store(index, *keys)
+        return indices
 
     def _chunk_spec(self, client: str, ref: FileChunkRef) -> dict:
         """Self-contained description of one stored chunk for the journal.
@@ -846,14 +848,6 @@ class CloudDataDistributor:
             "positions": entry.misleading_positions.tolist(),
             **entry.packed.journal_fields(),
         }
-
-    @staticmethod
-    def _plan_put_keys(plan: _ChunkPlan) -> list[tuple[str, str]]:
-        """The (provider, key) pairs a plan's transfer is about to create."""
-        return [
-            (name, shard_key(plan.vid, shard_index))
-            for shard_index, name in enumerate(plan.assigned)
-        ]
 
     def _members(self, entry: ChunkEntry) -> list[str]:
         """The provider holding each shard of *entry*, by shard index."""
@@ -1125,7 +1119,9 @@ class CloudDataDistributor:
         draws, placement against a working copy of the provider loads
         carried across windows, id allocation), journals the keys about
         to exist, moves the shards lock-free (batched per provider, with
-        write failover), and commits the tables.  A window transfers on
+        write failover), and commits the tables: each stage one pass over
+        the window (:meth:`_plan_window`, :meth:`_transfer_plans`,
+        :meth:`_commit_plans`), not a step per chunk.  A window transfers on
         its own thread while the next is read and planned -- except one
         the source marked last, which transfers inline: a whole-file
         upload is a single last window and never leaves the caller's
@@ -1141,8 +1137,11 @@ class CloudDataDistributor:
         is released, and the exception propagates.  (A simulated crash is
         a ``BaseException`` and tears through untouched.)  The filename
         is reserved in ``_inflight_uploads`` throughout, so a racing
-        duplicate upload is rejected up front.
+        duplicate upload is rejected up front -- after *misleading_fraction*
+        is checked (:func:`~repro.core.misleading.check_fraction`), so a
+        refused one reserves nothing and opens no journal transaction.
         """
+        misleading_fraction = check_fraction(misleading_fraction)
         with self.op_lock:
             self._check_new_filename(client, filename)
             codec_obj = self._resolve_codec(pl, codec)
@@ -1157,8 +1156,8 @@ class CloudDataDistributor:
 
         def transfer(plans: list[_ChunkPlan]) -> None:
             with self._phase("upload", "transfer"):
-                self._transfer_plans(plans)
-                lost = [plan for plan in plans if self._recover_plan(plan)]
+                failed = self._transfer_plans(plans)
+                lost = [plan for plan in failed if self._recover_plan(plan)]
             if lost:
                 # Atomicity: one unrecoverable chunk aborts the whole file.
                 raise lost[0].first_error
@@ -1169,22 +1168,17 @@ class CloudDataDistributor:
                 moved = [
                     pair
                     for plan in plans
-                    for pair in self._plan_put_keys(plan)
+                    for pair in zip(plan.assigned, plan.keys)
                     if pair not in plan.logged
                 ]
                 if moved:
                     self.journal.extend(txn, moved)
             crashpoint("upload.transferred")
             with self.op_lock, self._phase("upload", "commit"):
-                for plan in plans:
-                    refs.append(
-                        FileChunkRef(
-                            filename=filename,
-                            serial=plan.serial,
-                            privacy_level=pl,
-                            chunk_index=self._commit_plan(plan),
-                        )
-                    )
+                refs.extend([
+                    FileChunkRef(filename, plan.serial, pl, chunk_index)
+                    for plan, chunk_index in zip(plans, self._commit_plans(plans))
+                ])
                 del pending[: len(plans)]
                 if not last:
                     return
@@ -1222,11 +1216,11 @@ class CloudDataDistributor:
                     )
                 pending.extend(plans)
                 serial += len(plans)
-                total_bytes += sum(len(payload) for payload in payloads)
+                total_bytes += sum(map(len, payloads))
                 # -- intent (durable): every key this window creates -------
                 if self.journal is not None:
                     for plan in plans:
-                        plan.logged = self._plan_put_keys(plan)
+                        plan.logged = list(zip(plan.assigned, plan.keys))
                     keys = [pair for plan in plans for pair in plan.logged]
                     if txn is None:
                         # The first window rides the begin record, so a
@@ -1557,7 +1551,9 @@ class CloudDataDistributor:
         *rolled_back* plans (transferred, never tabled) left: every shard in
         one :meth:`_delete_objects` batch, then rows, snapshots, ids."""
         entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
-        doomed = [p for plan in rolled_back for p in self._plan_put_keys(plan)]
+        doomed = [
+            pair for plan in rolled_back for pair in zip(plan.assigned, plan.keys)
+        ]
         for entry in entries:
             names = self._members(entry)
             self._note_audit(vids=(entry.virtual_id,), providers=names)
@@ -1718,16 +1714,15 @@ class CloudDataDistributor:
             if self.journal is not None:
                 txn = self.journal.begin(
                     "update", client, filename,
-                    put_keys=self._plan_put_keys(plan),
+                    put_keys=list(zip(plan.assigned, plan.keys)),
                 )
                 crashpoint("update.intent_logged")
-            self._transfer_plans([plan])
-            if self._recover_plan(plan):
+            if any(map(self._recover_plan, self._transfer_plans([plan]))):
                 self._delete_chunks([], rolled_back=[plan])
                 if txn is not None:
                     self.journal.abort(txn)
                 raise plan.first_error
-            new_index = self._commit_plan(plan)
+            (new_index,) = self._commit_plans([plan])
             new_entry = self.chunk_table.get(new_index)
             new_vid = new_entry.virtual_id
             try:

@@ -13,6 +13,9 @@ is a pure function of (stored bytes, positions).
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -31,9 +34,12 @@ from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 SLAB_ROWS = 256
 SLAB_KEYS = 1 << 19
 
+_UINT32 = np.dtype(np.uint32)  # (a dtype object: the fastest frombuffer)
+
+
 def _row(packed: bytes) -> np.ndarray:
     """The ``M`` row over *packed*, its positions as native ``uint32``."""
-    return np.frombuffer(packed, dtype=np.uint32)
+    return np.frombuffer(packed, _UINT32)
 
 
 #: The ``M`` row of every chunk stored without misleading bytes.
@@ -146,64 +152,111 @@ def inject(
     return inject_window([payload], fraction, rng, mimic)[0]
 
 
+def check_fraction(fraction: object) -> float:
+    """*fraction* as a ratio of misleading bytes to payload bytes: a real,
+    finite, non-negative number (``bool`` is not one).  Anything else
+    raises ``ValueError``."""
+    value = -1.0
+    # (Exact types first: they skip the slower ABC check.)
+    if type(fraction) in (float, int) or (
+        isinstance(fraction, numbers.Real)
+        and not isinstance(fraction, (bool, np.bool_))
+    ):
+        with contextlib.suppress(OverflowError):  # an int past float range
+            value = float(fraction)
+    if not 0 <= value < math.inf:  # NaN fails both
+        raise ValueError(
+            f"misleading fraction must be a finite number >= 0, "
+            f"got {fraction!r}"
+        )
+    return value
+
+
 def inject_window(
     payloads: "Sequence[bytes | memoryview]",
     fraction: float,
     rng: "SeedLike | InjectionRng" = None,
     mimic: bool = True,
 ) -> list[InjectionResult]:
-    """:func:`inject` for every chunk of a window, drawn in bulk.
+    """:func:`inject` for every chunk of a window, drawn in bulk: the
+    per-payload view of :func:`inject_runs`.
 
-    Consecutive payloads of equal length are drawn together, one
-    vectorised pass per slab.  Any cut of the same payload sequence into
-    windows gives the same results when the calls share one
-    :class:`InjectionRng`.  Results never alias *payloads*.
+    Any cut of the same payload sequence into windows gives the same
+    results when the calls share one :class:`InjectionRng`.  Results never
+    alias *payloads*.
+    """
+    return [
+        InjectionResult(bytes(chunk), row)
+        for stored, rows in inject_runs(payloads, fraction, rng, mimic)
+        for chunk, row in zip(stored, rows)
+    ]
+
+
+def inject_runs(
+    payloads: "Sequence[bytes | memoryview]",
+    fraction: float,
+    rng: "SeedLike | InjectionRng" = None,
+    mimic: bool = True,
+) -> "list[tuple[np.ndarray | Sequence[bytes | memoryview], list[np.ndarray]]]":
+    """A window's misleading bytes, injected one run of equal-length
+    payloads at a time: ``(stored, rows)`` per run, in window order.
+
+    *stored* holds the run's stored chunks as the rows of one ``uint8``
+    array -- or, for a run whose length rounds to no misleading byte, is
+    the run's payloads themselves -- and *rows* holds each chunk's ``M``
+    row (:func:`position_row`'s layout, one ``bytes`` a row).  This is the
+    form :meth:`~repro.raid.codecs.ErasureCodec.encode_many` takes, so the
+    upload engine stripes the array without a copy per chunk.  A run is
+    drawn in slabs of bounded size; the draw does not depend on where
+    slabs, runs or windows are cut.
     """
     if fraction < 0:
         raise ValueError(f"fraction must be >= 0, got {fraction}")
     if not isinstance(rng, InjectionRng):
         rng = InjectionRng.spawn(rng)
     t0 = time.perf_counter()
-    results: list[InjectionResult] = []
+    runs: list = []
     injected = 0
-
-    def n_fake_for(length: int) -> int:
-        return int(round(length * fraction))
-
-    def slab_rows(length: int) -> int:
-        return min(SLAB_ROWS, SLAB_KEYS // max(1, length + n_fake_for(length)))
-
-    for start, stop, length in equal_length_runs(payloads, slab_rows):
-        n_fake = n_fake_for(length)
-        if n_fake:
-            results.extend(
-                _inject_slab(payloads[start:stop], length, n_fake, rng, mimic)
+    for start, stop, length in equal_length_runs(
+        payloads, lambda length: len(payloads)
+    ):
+        n_fake = int(round(length * fraction))
+        if not n_fake:
+            runs.append((payloads[start:stop], [NO_POSITIONS] * (stop - start)))
+            continue
+        total = length + n_fake
+        stored = np.empty((stop - start, total), dtype=np.uint8)
+        rows: list[np.ndarray] = []
+        step = max(1, min(SLAB_ROWS, SLAB_KEYS // total))
+        for at in range(start, stop, step):
+            slab = payloads[at : min(at + step, stop)]
+            rows += _inject_slab(
+                slab, n_fake, rng, mimic,
+                stored[at - start : at - start + len(slab)],
             )
-            injected += n_fake * (stop - start)
-        else:
-            results.extend(
-                InjectionResult(stored=bytes(payload), positions=NO_POSITIONS)
-                for payload in payloads[start:stop]
-            )
+        runs.append((stored, rows))
+        injected += n_fake * (stop - start)
     if injected:
         metrics = get_metrics()
         metrics.histogram("misleading_transform_seconds", op="inject").observe(
             time.perf_counter() - t0
         )
         metrics.counter("misleading_bytes_total", op="inject").inc(injected)
-    return results
+    return runs
 
 
 def _inject_slab(
     payloads: "Sequence[bytes | memoryview]",
-    length: int,
     n_fake: int,
     rng: InjectionRng,
     mimic: bool,
-) -> list[InjectionResult]:
-    """Inject *n_fake* bytes into each of a slab of *length*-byte payloads."""
-    rows = len(payloads)
-    total = length + n_fake
+    out: np.ndarray,
+) -> list[np.ndarray]:
+    """Inject *n_fake* bytes into each of a slab of equal-length payloads,
+    the stored chunks written to the rows of *out*; returns their ``M``
+    rows."""
+    rows, total = out.shape
+    length = total - n_fake
     source = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
         rows, length
     )
@@ -221,21 +274,17 @@ def _inject_slab(
         fake = rng.fakes.integers(0, 256, (rows, n_fake)).astype(np.uint8)
 
     flat = (positions + np.arange(rows)[:, None] * total).ravel()
-    stored = np.empty(rows * total, dtype=np.uint8)
+    stored = out.reshape(-1)  # a view: *out* is whole rows of a C array
     genuine = np.ones(rows * total, dtype=bool)
     genuine[flat] = False
     stored[flat] = fake.ravel()
     stored[genuine] = source.ravel()
-    blob = stored.tobytes()
     # One bytes object a row: a view into the slab's would keep all 256
     # rows alive for as long as any one of their chunks stays tabled.
     packed = positions.astype(np.uint32).tobytes()
     width = 4 * n_fake
     return [
-        InjectionResult(
-            blob[row * total : (row + 1) * total],
-            _row(packed[row * width : (row + 1) * width]),
-        )
+        np.frombuffer(packed[row * width : (row + 1) * width], _UINT32)
         for row in range(rows)
     ]
 

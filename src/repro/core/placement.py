@@ -160,10 +160,9 @@ class PlacementPolicy:
         candidates and their verdicts come from it instead of being
         looked up again.
         Raises :class:`PlacementError` if fewer than ``width`` providers are
-        eligible.
+        eligible.  :meth:`stripe_groups` for one chunk, charged to a copy
+        of *load*.
         """
-        if width < 1:
-            raise ValueError(f"stripe width must be >= 1, got {width}")
         if snapshot is None:
             snapshot = self.snapshot(registry, chunk_level, health)
         elif int(snapshot.level) != int(chunk_level):
@@ -171,20 +170,49 @@ class PlacementPolicy:
                 f"placement snapshot taken for PL {int(snapshot.level)}, "
                 f"asked to place PL {int(chunk_level)}"
             )
-        if len(snapshot.ranked) < width:
+        return self.stripe_groups(snapshot, width, 1, dict(load or {}))[0]
+
+    def stripe_groups(
+        self,
+        snapshot: PlacementSnapshot,
+        width: int,
+        count: int,
+        load: dict[str, int],
+    ) -> list[list[str]]:
+        """Stripe groups for *count* chunks in a row, as many
+        :meth:`stripe_group` calls would pick them with each group charged
+        to *load* before the next: the same groups, the same draws.
+
+        Validates once; then per chunk one shuffle of the candidates (so
+        equal-key providers are picked uniformly) and a stable sort by
+        (suspect verdict, region preference, cost tier, load), the first
+        *width* of which are the group.  *load* is advanced by one per
+        member as it goes.
+        """
+        if width < 1:
+            raise ValueError(f"stripe width must be >= 1, got {width}")
+        ranked = snapshot.ranked
+        if len(ranked) < width:
             raise PlacementError(
                 f"need {width} providers eligible for PL "
-                f"{int(snapshot.level)}, only {len(snapshot.ranked)} "
-                f"available"
+                f"{int(snapshot.level)}, only {len(ranked)} available"
             )
-        load = load or {}
-
-        # Randomize first so equal-key providers are picked uniformly, then
-        # stable-sort by (region preference, cost tier, load).
-        shuffled = list(snapshot.ranked)
-        self._rng.shuffle(shuffled)
-        shuffled.sort(key=lambda entry: (entry[0], load.get(entry[1], 0)))
-        return [name for _, name in shuffled[:width]]
+        # Each candidate's sort key, kept current as its load is charged,
+        # so a chunk's sort asks a dict, not a function, for its keys.
+        keyed = {name: (key, load.get(name, 0)) for key, name in ranked}
+        names = list(keyed)
+        shuffle = self._rng.shuffle
+        groups = []
+        for _ in range(count):
+            shuffled = names.copy()
+            shuffle(shuffled)
+            shuffled.sort(key=keyed.__getitem__)
+            group = shuffled[:width]
+            for name in group:
+                load[name] = charged = load.get(name, 0) + 1
+                keyed[name] = (keyed[name][0], charged)
+            groups.append(group)
+        return groups
 
     def max_stripe_width(
         self,

@@ -105,9 +105,9 @@ class CloudProviderTable:
         except KeyError:
             raise KeyError(f"no provider named {name!r}") from None
 
-    def record_store(self, index: int, key: str) -> None:
-        """Note that object *key* now lives at provider *index*."""
-        self.get(index).virtual_ids.add(key)
+    def record_store(self, index: int, *keys: str) -> None:
+        """Note that the objects *keys* now live at provider *index*."""
+        self.get(index).virtual_ids.update(keys)
 
     def record_remove(self, index: int, key: str) -> None:
         self.get(index).virtual_ids.discard(key)
@@ -331,15 +331,30 @@ class ChunkTable:
         self._next_index = 0
 
     def add(self, entry: ChunkEntry) -> int:
-        if entry.virtual_id in self._by_vid:
-            raise ValueError(f"virtual id {entry.virtual_id} already tabled")
-        if not entry.provider_indices:
-            raise ValueError("chunk entry needs at least one provider index")
-        index = self._next_index
-        self._next_index += 1
-        self._entries[index] = entry
-        self._by_vid[entry.virtual_id] = index
-        return index
+        """Table *entry*; returns its index (:meth:`add_many` of one)."""
+        return self.add_many([entry])[0]
+
+    def add_many(self, entries: list[ChunkEntry]) -> range:
+        """Table *entries*, all or none, at consecutive indices; returns
+        them.  A virtual id tabled already (or twice in *entries*), or a
+        row with no provider index, raises ``ValueError``."""
+        by_vid, rows = self._by_vid, self._entries
+        start = index = self._next_index
+        try:
+            for entry in entries:
+                if entry.virtual_id in by_vid:
+                    raise ValueError(f"virtual id {entry.virtual_id} already tabled")
+                if not entry.provider_indices:
+                    raise ValueError("chunk entry needs at least one provider index")
+                rows[index] = entry
+                by_vid[entry.virtual_id] = index
+                index += 1
+        except ValueError:
+            for tabled in range(start, index):
+                del by_vid[rows.pop(tabled).virtual_id]
+            raise
+        self._next_index = index
+        return range(start, index)
 
     def get(self, index: int) -> ChunkEntry:
         try:

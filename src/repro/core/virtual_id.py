@@ -38,13 +38,36 @@ class VirtualIdAllocator:
 
     def allocate(self) -> int:
         """Return a fresh virtual id, never previously returned."""
-        if len(self._used) >= self._id_space:
+        return self.allocate_many(1)[0]
+
+    def allocate_many(self, count: int) -> list[int]:
+        """*count* fresh virtual ids, in the order *count* :meth:`allocate`
+        calls would return them.
+
+        One vector draw, then a redraw of only as many as collided with
+        an id in use (or an earlier one of the same draw).  The generator
+        hands out the same stream to a vector draw as to scalar ones, so
+        the ids -- and the generator's state after them -- are those of
+        the scalar calls.
+        """
+        used, rng, space = self._used, self._rng, self._id_space
+        if len(used) + count > space:
             raise RuntimeError("virtual id space exhausted")
-        while True:
-            vid = int(self._rng.integers(0, self._id_space))
-            if vid not in self._used:
-                self._used.add(vid)
-                return vid
+        vids: list[int] = []
+        while short := count - len(vids):
+            # Fewer than three ids (an update's one, a small file's two)
+            # come cheaper as scalar draws than as a vector: the same
+            # numbers, without the array.
+            drawn = (
+                rng.integers(0, space, short).tolist()
+                if short >= 3
+                else [int(rng.integers(0, space)) for _ in range(short)]
+            )
+            for vid in drawn:
+                if vid not in used:
+                    used.add(vid)
+                    vids.append(vid)
+        return vids
 
     def reserve(self, vid: int) -> None:
         """Mark *vid* as used (e.g. when rebuilding state from metadata)."""

@@ -178,7 +178,8 @@ class GatewayServer(AdmissionServer):
                 request["filename"],
                 base64.b64decode(request["data"]),
                 int(request.get("level", 2)),
-                misleading_fraction=float(request.get("misleading", 0.0)),
+                # As sent: the engine refuses what is no fraction.
+                misleading_fraction=request.get("misleading", 0.0),
             )
             return {
                 "ok": True,

@@ -233,10 +233,12 @@ class ErasureCodec:
         return self.encode_many([payload])[0]
 
     def encode_many(
-        self, payloads: "Sequence[bytes | memoryview]"
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
     ) -> list[tuple[StripeMeta, list[bytes]]]:
         """:meth:`encode` for every payload of a window, in order.
 
+        *payloads* may also be a 2-D ``uint8`` array, one payload a row
+        (a run of :func:`repro.core.misleading.inject_runs`).
         ``raid_encode_seconds`` observes once per call; the byte counter
         advances by every payload's length.
         """
@@ -247,7 +249,7 @@ class ErasureCodec:
             time.perf_counter() - t0
         )
         metrics.counter("raid_encode_bytes_total", codec=self.label).inc(
-            sum(meta.orig_len for meta, _ in stripes)
+            sum([meta.orig_len for meta, _ in stripes])
         )
         return stripes
 
@@ -346,7 +348,7 @@ class RaidCodec(ErasureCodec):
         )
 
     def _encode_many(
-        self, payloads: "Sequence[bytes | memoryview]"
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
     ) -> list[tuple[StripeMeta, list[bytes]]]:
         if self.level not in (RaidLevel.RAID0, RaidLevel.RAID5):
             return super()._encode_many(payloads)
@@ -361,7 +363,7 @@ class RaidCodec(ErasureCodec):
         return stripes
 
     def _encode_xor_slab(
-        self, payloads: "Sequence[bytes | memoryview]", length: int
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray", length: int
     ) -> list[tuple[StripeMeta, list[bytes]]]:
         """Stripe (and for RAID-5, XOR) a slab of *length*-byte payloads."""
         rows, k, n = len(payloads), self.k, self.n
@@ -370,31 +372,25 @@ class RaidCodec(ErasureCodec):
         if not length:
             return [(meta, [b""] * n) for _ in range(rows)]
         # One (rows, n, shard_size) buffer: each payload lands in its row
-        # once (zero padding after it), RAID-5 parity fills the last
-        # plane, and every shard is one copy out of the buffer.  Written
-        # row by row and read through a memoryview so that a slab of one
-        # large chunk costs no more copies than a slab of many small ones.
+        # once (zero padding after it; an array of rows in one assignment),
+        # and RAID-5 parity fills the last plane.
         stripe = np.empty((rows, n * shard_size), dtype=np.uint8)
         stripe[:, length : k * shard_size] = 0
-        for row, payload in enumerate(payloads):
-            stripe[row, :length] = np.frombuffer(payload, dtype=np.uint8)
+        if isinstance(payloads, np.ndarray):
+            stripe[:, :length] = payloads
+        else:
+            for row, payload in enumerate(payloads):
+                stripe[row, :length] = np.frombuffer(payload, dtype=np.uint8)
         planes = stripe.reshape(rows, n, shard_size)
         if self.m:
             np.bitwise_xor.reduce(planes[:, :k], axis=1, out=planes[:, k])
+        # Every shard is one copy out of the buffer.
         view = memoryview(stripe.reshape(-1))
-        return [
-            (
-                meta,
-                [
-                    bytes(view[offset : offset + shard_size])
-                    for offset in range(
-                        row * n * shard_size, (row + 1) * n * shard_size,
-                        shard_size,
-                    )
-                ],
-            )
-            for row in range(rows)
+        shards = [
+            bytes(view[offset : offset + shard_size])
+            for offset in range(0, rows * n * shard_size, shard_size)
         ]
+        return [(meta, shards[row : row + n]) for row in range(0, rows * n, n)]
 
     def _encode(
         self, payload: "bytes | memoryview"

@@ -58,6 +58,8 @@ def test_provider_table_store_tracking():
     assert table.get(index).count == 2
     table.record_remove(index, "41367.0")
     assert table.get(index).count == 1
+    table.record_store(index, "41367.2", "41367.3", "41367.1")  # one batch
+    assert table.get(index).virtual_ids == {"41367.1", "41367.2", "41367.3"}
 
 
 def test_provider_table_rows_render_like_paper():
@@ -122,6 +124,20 @@ def test_chunk_table_requires_provider():
     table = ChunkTable()
     with pytest.raises(ValueError):
         table.add(_entry(1, cps=()))
+
+
+@pytest.mark.parametrize(
+    "bad", [_entry(1), _entry(3), _entry(4, cps=())], ids=["tabled", "twice", "no-cp"]
+)
+def test_chunk_table_add_many_tables_all_or_none(bad):
+    table = ChunkTable()
+    table.add(_entry(1))
+    with pytest.raises(ValueError):
+        table.add_many([_entry(2), _entry(3), bad, _entry(5)])
+    assert [e.virtual_id for _, e in table] == [1]
+    assert table.find_index(2) is None and table.find_index(3) is None
+    assert table.add_many([_entry(2), _entry(3)]) == range(1, 3)
+    assert table.find_index(3) == 2
 
 
 def test_chunk_table_remove_keeps_indices_stable():

@@ -1,0 +1,241 @@
+"""What a PL-3 upload pays per chunk, by count, not by clock.
+
+The paper's answer to mining is smaller chunks plus misleading bytes for
+more sensitive data, so a PL-3 upload is thousands of 1 KiB chunks and
+whatever Python runs per chunk is most of its cost.  The upload engine
+plans, transfers and commits a window as a window: one placement pass,
+one virtual-id draw, one formatting of each shard key, one table write per
+provider.  What these tests pin: one hash per stored shard (the digest
+the provider records and the read path checks against), one key
+formatting per shard, a fixed and small number of Python calls per chunk,
+and that the window forms of placement and id allocation draw exactly
+what the per-chunk forms drew.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core import virtual_id
+from repro.core.distributor import CloudDataDistributor
+from repro.core.placement import PlacementPolicy
+from repro.core.privacy import CostLevel, PrivacyLevel
+from repro.core.virtual_id import VirtualIdAllocator
+from repro.obs.metrics import MetricsRegistry
+from repro.providers import base
+from repro.providers.memory import InMemoryProvider
+from repro.providers.registry import ProviderRegistry, ProviderSpec, build_simulated_fleet
+
+from tests.core.test_read_path_cost import python_calls
+
+WIDTH = 4  # raid5@4
+#: Python calls per chunk an upload makes below ``upload_file``, beyond
+#: its fixed cost: 21.06 as landed (four each of ``blob_checksum``,
+#: ``shard_key`` and the in-memory ``put``; the chunk's split, plan, row
+#: and quadruple objects); 59.06 while placement, id allocation and commit
+#: went chunk by chunk.
+PER_CHUNK = 21.25
+
+
+def distributor() -> CloudDataDistributor:
+    """Six in-memory providers under ``raid5@4``, 1 KiB chunks at PL-3."""
+    registry = ProviderRegistry()
+    for i in range(6):
+        registry.register(
+            InMemoryProvider(f"P{i}"), PrivacyLevel.PRIVATE, CostLevel.CHEAP
+        )
+    d = CloudDataDistributor(
+        registry, codec="raid5@4", seed=13, metrics=MetricsRegistry()
+    )
+    d.register_client("C")
+    d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+    return d
+
+
+def upload(d: CloudDataDistributor, chunks: int) -> bytes:
+    data = os.urandom(chunks * 1024)
+    receipt = d.upload_file(
+        "C", "pw", "f", data, PrivacyLevel.PRIVATE, misleading_fraction=0.1
+    )
+    assert receipt.chunk_count == chunks
+    return data
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """The first argument of every call to ``module.name``, in any repro
+    module that imported it by name."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("repro") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_an_upload_hashes_every_stored_shard_once(monkeypatch):
+    hashed = counted(monkeypatch, base, "blob_checksum")
+    d = distributor()
+    data = upload(d, 64)
+    assert len(hashed) == 64 * WIDTH
+    assert {len(shard) for shard in hashed} == {376}  # (1,024 + 102) / 3
+    assert sum(d.provider_loads().values()) == 64 * WIDTH
+    assert d.get_file("C", "pw", "f") == data
+
+
+def test_an_upload_formats_each_shard_key_once(monkeypatch):
+    formatted = counted(monkeypatch, virtual_id, "shard_key")
+    d = distributor()
+    upload(d, 64)
+    assert len(formatted) <= 64 * WIDTH
+    assert len(set(formatted)) == 64  # one vid a chunk
+
+
+def test_an_upload_costs_a_fixed_number_of_python_calls_per_chunk():
+    def cost(chunks: int) -> int:
+        d = distributor()
+        calls = python_calls(lambda: upload(d, chunks))
+        d.close()
+        return calls
+
+    small, large = cost(64), cost(512)
+    marginal = (large - small) / (512 - 64)
+    assert marginal <= PER_CHUNK, marginal
+    # The rest is a fixed cost: no more per chunk at 512 chunks than at 64.
+    assert large / 512 <= small / 64
+    assert large / 512 <= PER_CHUNK + 1.25, large / 512
+
+
+# -- the window forms draw what the per-chunk forms drew ----------------------
+
+
+def _mixed_fleet():
+    registry, _, _ = build_simulated_fleet(
+        [
+            ProviderSpec(f"p{i}", PrivacyLevel.PRIVATE, cost, region=region)
+            for i, (cost, region) in enumerate(
+                [
+                    (CostLevel.CHEAP, "eu"), (CostLevel.CHEAP, "us"),
+                    (CostLevel.CHEAP, "eu"), (CostLevel.PREMIUM, "eu"),
+                    (CostLevel.CHEAPEST, "us"), (CostLevel.CHEAP, "ap"),
+                    (CostLevel.CHEAP, "us"),
+                ]
+            )
+        ],
+        seed=1,
+    )
+    return registry
+
+
+def _reference_group(policy, snapshot, width, load):
+    """Placement one chunk at a time as it was written before the window
+    pass: shuffle, then a stable sort keyed by (rank, load)."""
+    shuffled = list(snapshot.ranked)
+    policy._rng.shuffle(shuffled)
+    shuffled.sort(key=lambda entry: (entry[0], load.get(entry[1], 0)))
+    return [name for _, name in shuffled[:width]]
+
+
+@pytest.mark.parametrize("regions", [(), ("eu",)])
+@pytest.mark.parametrize("width", [1, 3, 4])
+def test_the_window_pass_places_as_per_chunk_calls_would(regions, width):
+    registry = _mixed_fleet()
+    policies = [PlacementPolicy(seed=9, preferred_regions=regions) for _ in range(3)]
+    snapshot = policies[0].snapshot(registry, PrivacyLevel.PRIVATE)
+    loads: list[dict[str, int]] = [{"p1": 3, "p6": 1} for _ in range(3)]
+
+    window = policies[0].stripe_groups(snapshot, width, 200, loads[0])
+    per_chunk, reference = [], []
+    for _ in range(200):
+        group = policies[1].stripe_group(
+            registry, PrivacyLevel.PRIVATE, width, load=loads[1],
+            snapshot=snapshot,
+        )
+        old = _reference_group(policies[2], snapshot, width, loads[2])
+        for name in group:
+            loads[1][name] = loads[1].get(name, 0) + 1
+        for name in old:
+            loads[2][name] = loads[2].get(name, 0) + 1
+        per_chunk.append(group)
+        reference.append(old)
+    assert window == per_chunk == reference
+    assert {k: v for k, v in loads[0].items() if v} == loads[1] == loads[2]
+    states = [policy._rng.bit_generator.state for policy in policies]
+    assert states[0] == states[1] == states[2]
+
+
+def test_a_single_stripe_group_charges_only_a_copy_of_the_load():
+    registry = _mixed_fleet()
+    load = {"p0": 2}
+    PlacementPolicy(seed=1).stripe_group(
+        registry, PrivacyLevel.PRIVATE, 3, load=load
+    )
+    assert load == {"p0": 2}
+
+
+def _scalar_draws(seed, id_space, used, count):
+    """Virtual ids one scalar draw at a time, as :meth:`allocate` drew
+    them before the window draw."""
+    rng = VirtualIdAllocator(seed=seed, id_space=id_space)._rng
+    used, vids = set(used), []
+    while len(vids) < count:
+        vid = int(rng.integers(0, id_space))
+        if vid not in used:
+            used.add(vid)
+            vids.append(vid)
+    return vids, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("id_space", [virtual_id.ID_SPACE, 600])
+@pytest.mark.parametrize("cuts", [(250,), (3, 4), (1, 120, 1, 128)])
+def test_allocate_many_draws_what_allocate_drew(id_space, cuts):
+    count = sum(cuts)
+    # Reserve ids the draw is about to produce, to force collisions.
+    upcoming, _ = _scalar_draws(5, id_space, (), count)
+    reserved = upcoming[1:count:3]
+    want, state = _scalar_draws(5, id_space, reserved, count)
+    many = VirtualIdAllocator(seed=5, id_space=id_space)
+    one = VirtualIdAllocator(seed=5, id_space=id_space)
+    for allocator in (many, one):
+        for vid in reserved:
+            allocator.reserve(vid)
+    got = [vid for cut in cuts for vid in many.allocate_many(cut)]
+    assert got == [one.allocate() for _ in range(count)] == want
+    assert many._rng.bit_generator.state == one._rng.bit_generator.state == state
+    assert many.allocated_count == count + len(reserved)
+    assert np.unique(got).size == count and not set(got) & set(reserved)
+
+
+def test_allocate_many_refuses_past_the_id_space():
+    allocator = VirtualIdAllocator(seed=1, id_space=10)
+    allocator.allocate_many(8)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        allocator.allocate_many(3)
+    assert allocator.allocated_count == 8
+
+
+def test_tabling_rows_never_walks_the_table():
+    # A commit checks its new virtual ids against the tabled ones by
+    # looking each up, never by iterating every tabled id: an update or a
+    # journal replay adds a row or a few to a table of thousands.
+    class Unwalkable(dict):
+        def __iter__(self):
+            raise AssertionError("walked every tabled virtual id")
+
+    d = distributor()
+    data = upload(d, 64)
+    d.chunk_table._by_vid = Unwalkable(d.chunk_table._by_vid)
+    d.update_chunk("C", "pw", "f", 3, b"\x01" * 1024)
+    d.upload_file("C", "pw", "g", data[:4096], PrivacyLevel.PRIVATE)
+    assert d.get_chunk("C", "pw", "f", 3) == b"\x01" * 1024
+    assert len(d.chunk_table) == 68

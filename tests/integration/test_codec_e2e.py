@@ -17,6 +17,7 @@ from repro.core.errors import UnknownCodecError
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.health.fsck import run_fsck
 from repro.health.scrubber import Scrubber
+from repro.obs.metrics import MetricsRegistry
 from repro.providers.failures import FailureInjector
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
 from repro.raid.striping import RaidLevel
@@ -34,6 +35,9 @@ def make_world(n=12, width=4, seed=71):
         chunk_policy=ChunkSizePolicy.uniform(1024),
         codec=f"raid5@{width}",
         seed=seed + 2,
+        # Its own registry: the quarantine counter is read as an absolute
+        # value, and other tests bump the process-wide one.
+        metrics=MetricsRegistry(),
     )
     d.register_client("C")
     d.add_password("C", "pw", PrivacyLevel.PRIVATE)
