@@ -1,6 +1,6 @@
 # Convenience targets; see README.md for details.
 
-.PHONY: install test test-dirs loc loc-check bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
+.PHONY: install test test-dirs paper-smoke loc loc-check bench bench-e2e bench-e2e-smoke bench-pipeline bench-stream bench-obs bench-load bench-codec load-smoke examples reproduce clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -17,6 +17,16 @@ test-dirs:
 		echo "== $$dir"; \
 		PYTHONPATH=src python -m pytest -x -q -p no:cacheprovider --keep-duplicates "$$dir" "$$dir"; \
 	done
+
+# The paper's cheap tables, each asserting its shape (a couple of seconds;
+# CI runs it after tier-1): A3 is the end-to-end guard on the misleading-
+# byte draw, A5 on collusion, Table IV and Figs 4-6 on the mining attacks.
+# Rewrites their benchmarks/results/*.txt.
+paper-smoke:
+	PYTHONPATH=src python -m pytest -q -p no:cacheprovider --benchmark-disable \
+		benchmarks/test_a3_misleading_data.py benchmarks/test_a5_collusion.py \
+		benchmarks/test_table4_bidding_regression.py \
+		benchmarks/test_fig456_gps_clustering.py
 
 # Line counts the diet is judged by (ROADMAP item 6).
 loc:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import join, split
-from repro.core.misleading import inject, remove
+from repro.core.misleading import inject, inject_runs, remove, remove_window
 from repro.mining.hierarchical import linkage
 from repro.raid.parity import xor_parity
 from repro.raid.reed_solomon import RSCode
@@ -74,6 +74,30 @@ def test_bench_misleading_remove_fast_path(benchmark):
 
     result = benchmark(remove, injected.stored, injected.positions)
     assert result == data
+
+
+@pytest.fixture(scope="module")
+def pl3_window():
+    """The PL-3 upload's draw: 2 MiB as 1 KiB chunks at 10% misleading
+    bytes, cut into several slabs (one 256 KiB payload never is)."""
+    data = PAYLOAD * 2
+    payloads = [data[i : i + 1024] for i in range(0, len(data), 1024)]
+    runs = inject_runs(payloads, 0.1, rng=1)
+    stored = [bytes(chunk) for run, _ in runs for chunk in run]
+    rows = [row for _, run_rows in runs for row in run_rows]
+    return data, payloads, stored, rows
+
+
+def test_bench_misleading_inject_runs_pl3(benchmark, pl3_window):
+    _, payloads, _, _ = pl3_window
+    runs = benchmark(inject_runs, payloads, 0.1, rng=1)
+    assert sum(len(run) for run, _ in runs) == len(payloads)
+    assert {run.shape[1] for run, _ in runs} == {1126}
+
+
+def test_bench_misleading_remove_window_pl3(benchmark, pl3_window):
+    data, _, stored, rows = pl3_window
+    assert b"".join(benchmark(remove_window, stored, rows)) == data
 
 
 def test_bench_frame_segments_zero_copy(benchmark):

@@ -27,12 +27,16 @@ from repro.obs.metrics import get_metrics
 from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 
 
-#: A window is drawn, and stripped, in slabs of at most this many chunks
-#: and at most this many stored bytes (one float64 random key per byte on
-#: the way in, one mask byte on the way out), so the transient arrays stay
-#: a few MiB however long the window or large the chunks.
-SLAB_ROWS = 256
-SLAB_KEYS = 1 << 19
+#: A window is drawn, and stripped, in slabs of at most this many stored
+#: bytes (one chunk when a chunk alone is longer).  The draw holds a float64
+#: key and an int64 index per stored byte, 1 MiB of each at this size, so a
+#: slab's working set stays in a core's 2 MiB L2 cache.  At 1 << 19 it
+#: spills to L3 and a PL-3 window takes about 1.5x as long to draw.  1 << 16
+#: and 1 << 18 draw as fast as this; 1 << 16 cuts twice the slabs, and its
+#: extra Python calls per chunk break tests/core/test_write_path_cost.py's
+#: pin (docs/performance.md, "The misleading kernels in cache").  The strip
+#: holds a byte or two per stored byte.
+SLAB_KEYS = 1 << 17
 
 _UINT32 = np.dtype(np.uint32)  # (a dtype object: the fastest frombuffer)
 
@@ -208,10 +212,10 @@ def inject_runs(
     form :meth:`~repro.raid.codecs.ErasureCodec.encode_many` takes, so the
     upload engine stripes the array without a copy per chunk.  A run is
     drawn in slabs of bounded size; the draw does not depend on where
-    slabs, runs or windows are cut.
+    slabs, runs or windows are cut.  A *fraction* :func:`check_fraction`
+    refuses raises ``ValueError`` before anything is drawn.
     """
-    if fraction < 0:
-        raise ValueError(f"fraction must be >= 0, got {fraction}")
+    fraction = check_fraction(fraction)
     if not isinstance(rng, InjectionRng):
         rng = InjectionRng.spawn(rng)
     t0 = time.perf_counter()
@@ -227,7 +231,7 @@ def inject_runs(
         total = length + n_fake
         stored = np.empty((stop - start, total), dtype=np.uint8)
         rows: list[np.ndarray] = []
-        step = max(1, min(SLAB_ROWS, SLAB_KEYS // total))
+        step = max(1, SLAB_KEYS // total)
         for at in range(start, stop, step):
             slab = payloads[at : min(at + step, stop)]
             rows += _inject_slab(
@@ -279,7 +283,7 @@ def _inject_slab(
     genuine[flat] = False
     stored[flat] = fake.ravel()
     stored[genuine] = source.ravel()
-    # One bytes object a row: a view into the slab's would keep all 256
+    # One bytes object a row: a view into the slab's would keep all its
     # rows alive for as long as any one of their chunks stays tabled.
     packed = positions.astype(np.uint32).tobytes()
     width = 4 * n_fake
@@ -347,7 +351,7 @@ def remove_window(
     busy = 0.0
     for start, stop, length in equal_length_runs(
         stored,
-        lambda length: min(SLAB_ROWS, SLAB_KEYS // max(1, length)),
+        lambda length: SLAB_KEYS // max(1, length),
         beside=positions,
     ):
         count = len(positions[start])

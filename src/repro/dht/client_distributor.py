@@ -28,6 +28,7 @@ from repro.core.errors import DHTError, ProviderError, UnknownFileError
 from repro.core.misleading import (
     NO_POSITIONS,
     InjectionRng,
+    check_fraction,
     inject,
     remove as remove_misleading,
 )
@@ -148,8 +149,11 @@ class ClientSideDistributor:
         """Split *data* and store each chunk at its DHT replica set.
 
         Returns the number of chunks (the client keeps the Chunk Table, so
-        no third party needs notifying).
+        no third party needs notifying).  A *misleading_fraction*
+        :func:`~repro.core.misleading.check_fraction` refuses raises
+        ``ValueError`` before any id is drawn or byte stored.
         """
+        misleading_fraction = check_fraction(misleading_fraction)
         pl = PrivacyLevel.coerce(level)
         if any(key[0] == filename for key in self.chunk_table):
             raise ValueError(f"file {filename!r} already uploaded")

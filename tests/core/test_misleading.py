@@ -1,12 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import misleading
 from repro.core.misleading import (
     NO_POSITIONS,
     InjectionRng,
     inject,
+    inject_runs,
     inject_window,
     position_row,
     remove,
@@ -66,6 +71,23 @@ def test_remove_fast_path_matches_validated_path():
 def test_negative_fraction_rejected():
     with pytest.raises(ValueError):
         inject(b"abc", -0.1)
+
+
+@pytest.mark.parametrize(
+    "fraction", [-0.1, math.nan, math.inf, -math.inf, True, False, "0.1", None, 10**400],
+    ids=lambda value: repr(value)[:12],
+)
+@pytest.mark.parametrize("kernel", [inject, inject_window, inject_runs])
+def test_every_kernel_refuses_what_is_not_a_fraction(kernel, fraction):
+    # True once drew 100% misleading bytes, inf escaped as OverflowError,
+    # NaN raised only by accident and a string as TypeError.  The rng is
+    # the caller's: a refused call leaves it where it was.
+    rng = InjectionRng.spawn(4)
+    payload = b"x" * 64
+    with pytest.raises(ValueError, match="misleading fraction"):
+        kernel(payload if kernel is inject else [payload], fraction, rng=rng)
+    assert rng.positions.random() == InjectionRng.spawn(4).positions.random()
+    assert rng.fakes.random() == InjectionRng.spawn(4).fakes.random()
 
 
 def test_inject_empty_payload():
@@ -168,14 +190,105 @@ def test_property_any_partition_into_windows_draws_the_same(lengths, fraction, d
 
 
 def test_slabs_do_not_change_the_draw(monkeypatch):
-    from repro.core import misleading
-
     payloads = [bytes([i]) * 100 for i in range(40)]
     whole = inject_window(payloads, 0.1, rng=8)
-    monkeypatch.setattr(misleading, "SLAB_ROWS", 7)
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 7 * 110)  # 7 rows a slab
     assert inject_window(payloads, 0.1, rng=8) == whole
     monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
     assert inject_window(payloads, 0.1, rng=8) == whole
+
+
+# -- the draw itself, pinned --------------------------------------------------
+
+# Chunk shapes the upload engine meets at 10%: PL-3's 1 KiB with an odd
+# tail, 4 and 16 KiB, one chunk past any slab budget, and 5-byte chunks
+# whose 0.5 misleading bytes round to none.
+DRAW_SHAPES = {
+    "1KiB": [1024] * 300 + [1023],
+    "4KiB": [4096] * 40,
+    "16KiB": [16384] * 10,
+    "1MiB": [1 << 20],
+    "5B": [5] * 8,
+}
+#: SHA-256 of each shape's stored bytes, M rows and one further draw from
+#: each generator, recorded before the slab budget changed from 256 rows
+#: and 1 << 19 keys.  A slab cut never moves the draw; a digest that moves
+#: means a draw, a position or a fake byte did, and ROADMAP item 3(a) has
+#: to show the attacker's yield unmoved before it may.
+DRAW_DIGESTS = {
+    "1KiB": "55a14e847c444098109881dcee4f9876f11024d85644042b2e9ef76ae062874a",
+    "4KiB": "d01217628d861f54eb5172a8fb49ad592019598df8fe03906b61907717e7ff37",
+    "16KiB": "5caa613497984b19c6f5e2f4e0c9703217b83798030879ae859a19bcf65b2823",
+    "1MiB": "e477f9b77a604dc1da8f12515e29f0f52fdb38d30fb9a84db0a526f5b7c70617",
+    "5B": "3c7f90c1a3f5ec39fd74e141bbcb2356f872a1d4aa74ffdc1a0f27030b618eeb",
+}
+
+
+def drawn(lengths: list[int]) -> tuple[list[bytes], list[bytes], list, str]:
+    """Inject 10% into payloads of *lengths*: the payloads, the stored
+    chunks, their ``M`` rows and the digest of all three plus the draw
+    after them."""
+    gen = np.random.default_rng(len(lengths))
+    payloads = [gen.bytes(n) for n in lengths]
+    rng = InjectionRng.spawn(2718)
+    digest = hashlib.sha256()
+    stored, rows = [], []
+    for run, run_rows in inject_runs(payloads, 0.1, rng=rng):
+        for chunk, row in zip(run, run_rows):
+            stored.append(bytes(chunk))
+            rows.append(row)
+            digest.update(stored[-1])
+            digest.update(np.asarray(row, dtype="<u4").tobytes())
+    digest.update(rng.positions.random(4).tobytes())
+    digest.update(rng.fakes.integers(0, 1 << 32, 4).tobytes())
+    return payloads, stored, rows, digest.hexdigest()
+
+
+@pytest.mark.parametrize("budget", [1, misleading.SLAB_KEYS, 1 << 19])
+@pytest.mark.parametrize("shape", DRAW_SHAPES)
+def test_the_draw_is_pinned_at_every_slab_budget(monkeypatch, shape, budget):
+    monkeypatch.setattr(misleading, "SLAB_KEYS", budget)
+    payloads, stored, rows, digest = drawn(DRAW_SHAPES[shape])
+    assert digest == DRAW_DIGESTS[shape]
+    assert remove_window(stored, rows) == payloads
+
+
+class KeyShapes:
+    """A positions generator that records the shape of every key array
+    the draw asks it for."""
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        self.gen = gen
+        self.shapes: list[tuple[int, int]] = []
+
+    def random(self, size):
+        self.shapes.append(size)
+        return self.gen.random(size)
+
+
+#: 1 MiB of float64 keys and as much in argpartition's int64 indices: a
+#: slab's draw inside a 2 MiB per-core L2 cache.  256 rows of PL-3's 1,126
+#: stored bytes drew 288,256 keys a slab (4.4 MiB), and the kernels
+#: streamed from L3.
+L2_KEYS = 1 << 17
+
+
+# Stored lengths from 64 B to 64 KiB, PL-3's 1,126 B among them, and one
+# chunk longer than the budget.
+@pytest.mark.parametrize("length", [58, 233, 931, 1024, 3724, 14895, 59578, 1 << 18])
+def test_a_slab_of_keys_fits_the_cache_budget(length):
+    total = length + round(length * 0.1)
+    rows = 2 * max(1, L2_KEYS // total) + 3  # two full slabs and a short one
+    keys = KeyShapes(np.random.default_rng(1))
+    rng = InjectionRng(keys, np.random.default_rng(2))
+    inject_runs([bytes(length)] * rows, 0.1, rng=rng)
+    assert sum(shape[0] for shape in keys.shapes) == rows
+    assert {shape[1] for shape in keys.shapes} == {total}
+    largest = max(shape[0] for shape in keys.shapes)
+    if total > L2_KEYS:
+        assert largest == 1  # one chunk alone already exceeds the budget
+    else:
+        assert largest * total <= L2_KEYS < (largest + 1) * total
 
 
 def test_positions_are_uniform_over_the_stored_buffer():
@@ -246,11 +359,9 @@ def test_remove_window_with_empty_position_lists_inside_a_run():
 
 
 def test_slab_bounds_do_not_change_the_strip(monkeypatch):
-    from repro.core import misleading
-
     payloads, stored, positions = _injected_window([100] * 40 + [64] * 3, 0.1)
     assert remove_window(stored, positions) == payloads
-    monkeypatch.setattr(misleading, "SLAB_ROWS", 7)
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 7 * 110)  # 7 rows a slab
     assert remove_window(stored, positions) == payloads
     monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
     assert remove_window(stored, positions) == payloads
@@ -278,8 +389,6 @@ def test_property_any_partition_into_windows_strips_the_same(lengths, fraction, 
 def test_remove_window_hands_a_run_of_one_to_remove(monkeypatch):
     # The e2e harness counts misleading.bytes at `remove`, by its module
     # name; get_chunk and the update pre-read are windows of one.
-    from repro.core import misleading
-
     calls = []
     monkeypatch.setattr(
         misleading, "remove",
@@ -390,7 +499,7 @@ def test_a_kept_row_does_not_keep_the_slab_it_was_drawn_in():
     import gc
     import tracemalloc
 
-    payloads = [bytes(1024)] * 256  # one slab: 256 x 102 positions
+    payloads = [bytes(1024)] * 256  # 256 x 102 positions over three slabs
     tracemalloc.start()
     try:
         gc.collect()

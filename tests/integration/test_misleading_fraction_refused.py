@@ -5,7 +5,9 @@ A negative or NaN fraction once stored the file with no misleading bytes
 at all (the engine's ``> 0`` test skipped injection, so the injector's own
 ``< 0`` check never ran), ``True`` passed for 100%, infinity escaped as a
 bare ``OverflowError`` after the filename was reserved, and a string as a
-bare ``TypeError``.  Each is a ``ValueError`` now, over the wire too.
+bare ``TypeError``.  Each is a ``ValueError`` now, over the wire too, and
+on the client-side (DHT) distributor, which skipped injection the same way
+and handed ``True`` and infinity to the injector.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.core.distributor import CloudDataDistributor
 from repro.core.journal import IntentJournal
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
+from repro.dht.client_distributor import ClientSideDistributor
 from repro.net.gateway import GatewayClient, GatewayServer
 from repro.obs.metrics import MetricsRegistry
 from repro.providers.memory import InMemoryProvider
@@ -90,6 +93,29 @@ def test_every_finite_non_negative_number_is_taken(journaled, fraction):
     ]
     assert positions == [round(1024 * fraction)] * 2
     assert d.get_file("C", "pw", "f") == DATA
+
+
+@pytest.mark.parametrize("protocol", ["chord", "can"])
+@pytest.mark.parametrize("fraction", BAD, ids=ids)
+def test_the_client_side_distributor_refuses_and_stores_nothing(protocol, fraction):
+    providers = [InMemoryProvider(f"P{i}") for i in range(6)]
+    registry = ProviderRegistry()
+    for provider in providers:
+        registry.register(provider, PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    d = ClientSideDistributor(
+        registry, protocol=protocol, chunk_policy=ChunkSizePolicy.uniform(1024),
+        seed=3,
+    )
+    with pytest.raises(ValueError, match="misleading fraction"):
+        d.upload_file("f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=fraction)
+    assert d.ids.allocated_count == 0
+    assert d.chunk_table == {}
+    assert not any(provider.keys() for provider in providers)
+    assert d.upload_file("f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=0.1) == 2
+    assert [len(record.misleading_positions) for record in d.chunk_table.values()] == [
+        102, 102
+    ]
+    assert d.get_file("f") == DATA
 
 
 def _shards_idle(gateway) -> bool:
