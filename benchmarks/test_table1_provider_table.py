@@ -16,7 +16,8 @@ def test_table1_provider_table(benchmark, save_result):
     assert len(table) == 7
     names = {entry.name for _, entry in table}
     assert {"Adobe", "AWS", "Google", "Microsoft", "Sky", "Sea", "Earth"} == names
-    # Counts equal the number of shard objects actually at each provider.
-    for _, entry in table:
-        provider = system.registry.get(entry.name).provider
-        assert entry.count == provider.object_count
+    # Counts (kept by the Chunk Table) equal the number of shard objects
+    # actually at each provider.
+    loads = system.distributor.provider_loads()
+    for name in names:
+        assert loads[name] == system.registry.get(name).provider.object_count

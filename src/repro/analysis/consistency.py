@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.errors import ProviderError
-from repro.core.virtual_id import shard_key, snapshot_key
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,10 @@ def verify_deployment(distributor: CloudDataDistributor) -> ConsistencyReport:
     expected: dict[str, set[str]] = {
         name: set() for name in distributor.registry.names()
     }
-    for _, entry in distributor.chunk_table:
-        for shard_index, table_index in enumerate(entry.provider_indices):
-            name = distributor.provider_table.get(table_index).name
-            expected[name].add(shard_key(entry.virtual_id, shard_index))
-        if entry.snapshot_index is not None:
-            name = distributor.provider_table.get(entry.snapshot_index).name
-            expected[name].add(snapshot_key(entry.virtual_id))
+    with distributor.op_lock:
+        placed = distributor.chunk_table.provider_keys()
+    for index, keys in placed.items():
+        expected[distributor.provider_table.get(index).name].update(keys)
 
     for name in distributor.registry.names():
         provider = distributor.registry.get(name).provider
@@ -83,20 +79,10 @@ def verify_deployment(distributor: CloudDataDistributor) -> ConsistencyReport:
             else:
                 report.shards_checked += 1
             if key not in present:
-                if is_snapshot:
-                    vid = int(key[1:])
-                    shard_index = -1
-                else:
-                    stem, _, shard = key.partition(".")
-                    vid, shard_index = int(stem), int(shard)
-                report.missing.append(
-                    ShardIssue(
-                        virtual_id=vid,
-                        shard_index=shard_index,
-                        provider=name,
-                        problem="missing",
-                    )
-                )
+                # The key says which object it is: "S<vid>" or "<vid>.<shard>".
+                vid, _, shard = key.lstrip("S").partition(".")
+                shard_index = -1 if is_snapshot else int(shard)
+                report.missing.append(ShardIssue(int(vid), shard_index, name, "missing"))
         orphans = sorted(present - expected[name])
         if orphans:
             report.orphans[name] = orphans

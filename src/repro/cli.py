@@ -301,7 +301,7 @@ def _status(args) -> int:
     print(
         render_table(
             ["Cloud Provider", "PL", "CL", "Count", "Virtual id list"],
-            distributor.provider_table.rows(),
+            distributor.provider_table.rows(distributor.chunk_table.provider_keys()),
             title="Cloud Provider Table",
         )
     )

@@ -334,10 +334,9 @@ class CloudDataDistributor:
             )
 
     def provider_loads(self) -> dict[str, int]:
-        """Shard-object count per provider (Table I's Count column)."""
-        return {
-            entry.name: entry.count for _, entry in self.provider_table
-        }
+        """Shards plus snapshots per provider (Table I's Count column)."""
+        load = self.chunk_table.load
+        return {entry.name: load(index) for index, entry in self.provider_table}
 
     # -- health accounting -------------------------------------------------
 
@@ -795,34 +794,30 @@ class CloudDataDistributor:
     def _commit_plans(self, plans: list[_ChunkPlan]) -> range:
         """Table a window of transferred plans; returns their chunk indices.
 
-        Must run inside the critical section.  One audit note, one
-        Provider Table lookup and one ``record_store`` per distinct
-        provider, the rows appended in one pass.  Failed-but-accepted
-        shards are recorded too: the table is the scrubber's work list,
-        and the next scrub cycle rebuilds them from the >= k members that
-        did land.  The checksums on record are the ones the transfer
-        computed; the plans' shard bytes are released here.
+        Must run inside the critical section.  One audit note and one
+        Provider Table lookup per distinct provider, the rows appended
+        (and counted) in one pass.  Failed-but-accepted shards are
+        recorded too: the table is the scrubber's work list, and the next
+        scrub cycle rebuilds them from the >= k members that did land.
+        The checksums on record are the ones the transfer computed; the
+        plans' shard bytes are released here.
         """
-        homes: dict[str, tuple[int, list[str]]] = {}  # table index, keys
+        homes: dict[str, int] = {}  # provider name -> table index
         entries: list[ChunkEntry] = []
         for plan in plans:
             members: list[int] = []
-            for name, key in zip(plan.assigned, plan.keys):
+            for name in plan.assigned:
                 home = homes.get(name)
                 if home is None:
-                    home = homes[name] = (self.provider_table.index_of(name), [])
-                home[1].append(key)
-                members.append(home[0])
+                    home = homes[name] = self.provider_table.index_of(name)
+                members.append(home)
             entries.append(ChunkEntry(
                 plan.vid, plan.level, members, None, plan.positions,
                 record=plan.state,
             ))
             plan.shards = []
         self._note_audit(vids=[plan.vid for plan in plans], providers=homes)
-        indices = self.chunk_table.add_many(entries)
-        for index, keys in homes.values():
-            self.provider_table.record_store(index, *keys)
-        return indices
+        return self.chunk_table.add_many(entries)
 
     def _chunk_spec(self, client: str, ref: FileChunkRef) -> dict:
         """Self-contained description of one stored chunk for the journal.
@@ -974,12 +969,9 @@ class CloudDataDistributor:
                 )
                 moves.append((vid, shard_index, old, new))
             if entry is not None:
-                new_index = self.provider_table.index_of(new)
-                self.provider_table.record_remove(
-                    entry.provider_indices[shard_index], key
+                self.chunk_table.move_shard(
+                    entry, shard_index, self.provider_table.index_of(new)
                 )
-                self.provider_table.record_store(new_index, key)
-                entry.provider_indices[shard_index] = new_index
             names[shard_index] = new
             rebuilt += fresh
         return moves, rebuilt
@@ -1568,17 +1560,10 @@ class CloudDataDistributor:
             self.ids.release(plan.vid)
         for ref, entry in zip(refs, entries):
             vid = entry.virtual_id
-            for shard_index, table_index in enumerate(entry.provider_indices):
-                self.provider_table.record_remove(
-                    table_index, shard_key(vid, shard_index)
-                )
             if entry.snapshot_index is not None:
                 name = self.provider_table.get(entry.snapshot_index).name
                 with contextlib.suppress(ProviderError):
                     self.snapshots.drop(name, vid)
-                self.provider_table.record_remove(
-                    entry.snapshot_index, snapshot_key(vid)
-                )
             self.chunk_table.remove(ref.chunk_index)
             if self.cache is not None:
                 self.cache.invalidate(vid)
@@ -1737,16 +1722,16 @@ class CloudDataDistributor:
                         txn, [(snap_name, snapshot_key(new_vid))]
                     )
                 crashpoint("update.staged")
-                snap_key = self.snapshots.write(snap_name, new_vid, pre_state)
+                self.snapshots.write(snap_name, new_vid, pre_state)
             except (ProviderError, PlacementError):
                 # Unstage the new version; the chunk is untouched.
                 self._delete_chunks([replace(ref, chunk_index=new_index)])
                 if txn is not None:
                     self.journal.abort(txn)
                 raise
-            snap_table_index = self.provider_table.index_of(snap_name)
-            self.provider_table.record_store(snap_table_index, snap_key)
-            new_entry.snapshot_index = snap_table_index
+            self.chunk_table.set_snapshot(
+                new_entry, self.provider_table.index_of(snap_name)
+            )
 
             # Swap the client's quadruple to the new stripe, then retire
             # the old one (shards, old snapshot, tables, id).

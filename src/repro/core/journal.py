@@ -41,7 +41,6 @@ from repro.core.errors import (
     MetadataCorruptedError,
     ProviderError,
     UnknownChunkError,
-    UnknownClientError,
     UnknownFileError,
 )
 from repro.core.tables import ChunkEntry, ClientEntry, FileChunkRef
@@ -326,12 +325,6 @@ def _purge_specs(
         distributor, (pair for spec in specs for pair in _spec_keys(spec))
     )
     report.objects_deleted += distributor._delete_objects(doomed)
-    for name, key in doomed:
-        try:
-            table_index = distributor.provider_table.index_of(name)
-        except KeyError:
-            continue
-        distributor.provider_table.record_remove(table_index, key)
     for spec in specs:
         vid = spec["vid"]
         index = distributor.chunk_table.find_index(vid)
@@ -341,14 +334,17 @@ def _purge_specs(
         distributor.ids.release(vid)
         if distributor.cache is not None:
             distributor.cache.invalidate(vid)
-        try:
-            client_entry = distributor.client_table.get(spec.get("client", ""))
-        except UnknownClientError:
-            client_entry = None
+        client_entry = _client_of(distributor, spec)
         if client_entry is not None:
             ref = _tabled_ref(client_entry, spec)
             if ref is not None and ref.chunk_index == index:
                 client_entry.remove_refs([ref])
+
+
+def _client_of(distributor: "CloudDataDistributor", spec: dict) -> ClientEntry | None:
+    """The Client Table row a spec's chunk belongs to, if one is tabled."""
+    clients, name = distributor.client_table, spec.get("client", "")
+    return clients.get(name) if name in clients else None
 
 
 def _tabled_ref(client_entry: ClientEntry, spec: dict) -> FileChunkRef | None:
@@ -390,9 +386,7 @@ def _restore_spec(
         return
     try:
         members = [provider_table.index_of(name) for name in spec["providers"]]
-        snapshot = None
-        if spec.get("snapshot"):
-            snapshot = provider_table.index_of(spec["snapshot"])
+        snapshot = provider_table.index_of(spec["snapshot"]) if spec.get("snapshot") else None
         packed = PackedChunk.from_journal(spec)
     except KeyError as exc:  # a provider that is not registered
         raise MetadataCorruptedError(f"chunk {vid}: {exc.args[0]}") from None
@@ -402,10 +396,7 @@ def _restore_spec(
         vid, spec.get("level"), members, snapshot,
         spec.get("positions", ()), packed, provider_table,
     )
-    try:
-        client_entry = distributor.client_table.get(spec.get("client", ""))
-    except UnknownClientError:
-        client_entry = None
+    client_entry = _client_of(distributor, spec)
     # No client row to hang the chunk on: unreachable data.  Too few shards
     # on disk: resurrecting the entry would be a permanent table hole, and
     # the upload never finished from the client's point of view.  Purge.
@@ -415,10 +406,6 @@ def _restore_spec(
         _purge_specs(distributor, [spec], report)
         report.chunks_dropped += 1
         return
-    for i, table_index in enumerate(entry.provider_indices):
-        provider_table.record_store(table_index, shard_key(vid, i))
-    if entry.snapshot_index is not None:
-        provider_table.record_store(entry.snapshot_index, snapshot_key(vid))
     index = distributor.chunk_table.add(entry)
     if vid not in distributor.ids:
         distributor.ids.reserve(vid)

@@ -15,8 +15,9 @@ import hashlib
 import json
 from pathlib import Path
 
+from repro.core.access_control import AccessController
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import MetadataCorruptedError  # noqa: F401 - re-exported
+from repro.core.errors import MetadataCorruptedError
 from repro.core.tables import ChunkTable, ClientTable, CloudProviderTable
 from repro.util.atomic import atomic_write_text
 
@@ -28,7 +29,9 @@ def export_metadata(distributor: CloudDataDistributor) -> dict:
     with distributor.op_lock:
         return {
             "access": distributor.access.export_state(),
-            "provider_table": distributor.provider_table.export_state(),
+            "provider_table": distributor.provider_table.export_state(
+                distributor.chunk_table.provider_keys()
+            ),
             "client_table": distributor.client_table.export_state(),
             "chunk_table": distributor.chunk_table.export_state(),
             "ids": distributor.ids.export_state(),
@@ -41,38 +44,49 @@ def export_metadata(distributor: CloudDataDistributor) -> dict:
 def import_metadata(distributor: CloudDataDistributor, snapshot: dict) -> None:
     """Replace *distributor*'s metadata with an exported snapshot.
 
-    Every table is parsed and checked before any is replaced, so a refused
-    snapshot (:class:`MetadataCorruptedError`) leaves the distributor
-    serving what it had.  A codec this build cannot parse (a newer build's,
-    or corruption) quarantines the one chunk rather than failing the load;
-    a ``chunk_state`` row that no chunk row names is dropped with a
-    warning, since builds that leaked such rows wrote such files.
+    Every section is parsed and checked into a fresh object before any is
+    replaced, so a refused snapshot (:class:`MetadataCorruptedError`, naming
+    its section) leaves the distributor serving what it had.  A codec this
+    build cannot parse (a newer build's, or corruption) quarantines the one
+    chunk rather than failing the load.  Provider id lists are checked
+    against the rows, not loaded.  A ``chunk_state`` row no chunk row names,
+    or a listed key no row places, is dropped with a warning, since builds
+    that leaked such rows and keys wrote such files.
     """
     with distributor.op_lock:
         provider_table = CloudProviderTable()
-        provider_table.import_state(snapshot["provider_table"])
+        listed = provider_table.import_state(snapshot.get("provider_table"))
         chunk_table = ChunkTable()
         orphans = chunk_table.import_state(
-            snapshot["chunk_table"], snapshot["chunk_state"], provider_table
+            snapshot.get("chunk_table"), snapshot.get("chunk_state"), provider_table
         )
+        dropped = _unplaced_keys(provider_table, listed, chunk_table)
         client_table = ClientTable()
+        access = AccessController(metrics=distributor.metrics)
+        section = "client table"
         try:
-            client_table.import_state(snapshot["client_table"])
-        except ValueError as exc:
-            raise MetadataCorruptedError(f"client table: {exc}") from exc
+            client_table.import_state(snapshot.get("client_table"))
+            section = "access"
+            access.import_state(snapshot.get("access"))
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(f"{section}: {exc}") from None
+        # The allocator keeps its draw stream: refilled, not replaced, and
+        # checked whole first -- the last step that may refuse.
+        distributor.ids.import_state(snapshot.get("ids"))
         if distributor.cache is not None:
             # Chunks may have been updated at the snapshot's source; a
             # stale local cache must not outlive the old metadata.
             distributor.cache.clear()
-        distributor.access.import_state(snapshot["access"])
+        distributor.access = access
         distributor.provider_table = provider_table
         distributor.client_table = client_table
         distributor.chunk_table = chunk_table
-        distributor.ids.import_state(snapshot["ids"])
         if orphans:
             distributor.events.emit(
                 "chunk_state_orphans_dropped", level="warning", vids=orphans
             )
+        if dropped:
+            distributor.events.emit("provider_keys_dropped", level="warning", keys=dropped)
         for _, entry in chunk_table:
             if entry.quarantined:
                 distributor.metrics.counter("distributor_codec_quarantined_total").inc()
@@ -80,6 +94,25 @@ def import_metadata(distributor: CloudDataDistributor, snapshot: dict) -> None:
                     "codec_quarantined", level="warning",
                     vid=entry.virtual_id, spec=str(entry.packed.codec),
                 )
+
+
+def _unplaced_keys(
+    provider_table: CloudProviderTable, listed: dict, chunk_table: ChunkTable
+) -> dict[str, list[str]]:
+    """The keys each provider lists that no chunk row places there, sorted,
+    by provider name; a key a row places that its provider does not list
+    refuses the snapshot."""
+    placed, unplaced = chunk_table.provider_keys(), {}
+    for index, entry in provider_table:
+        stated, keys = set(listed[index]), placed.get(index, [])
+        if missing := [key for key in keys if key not in stated]:
+            raise MetadataCorruptedError(
+                f"provider table: {entry.name!r} does not list {missing[0]!r}, "
+                f"which a chunk row places there"
+            )
+        if unlisted := stated.difference(keys):
+            unplaced[entry.name] = sorted(unlisted)
+    return unplaced
 
 
 def _canonical(snapshot) -> str:

@@ -112,10 +112,10 @@ def decommission_provider(
                     load=distributor.provider_loads(),
                 )
                 key = distributor.snapshots.write(target, entry.virtual_id, pre_state)
-                entry.snapshot_index = distributor.provider_table.index_of(target)
-                distributor.provider_table.record_store(entry.snapshot_index, key)
+                distributor.chunk_table.set_snapshot(
+                    entry, distributor.provider_table.index_of(target)
+                )
                 distributor._delete_objects([(name, key)])
-                distributor.provider_table.record_remove(victim_index, key)
                 report.shards_moved += 1
     return report
 

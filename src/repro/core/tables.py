@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.core.errors import (
 )
 from repro.core.misleading import position_row
 from repro.core.privacy import CostLevel, PrivacyLevel
+from repro.core.virtual_id import shard_key, snapshot_key
 from repro.raid.codecs import ChunkState, PackedChunk
 
 
@@ -39,26 +41,18 @@ from repro.raid.codecs import ChunkState, PackedChunk
 
 @dataclass
 class ProviderEntry:
-    """One row of the Cloud Provider Table.
-
-    ``name``/``privacy_level``/``cost_level`` are the provider's identity
-    and trust/price buckets; ``virtual_ids`` is "the list of ids
-    corresponding to the chunks given to this provider" and ``count`` is
-    its length (kept explicit to match Table I).
+    """One row of the Cloud Provider Table: the provider's identity and
+    trust/price buckets.  Table I's id list and count are derived from the
+    Chunk Table (:meth:`ChunkTable.provider_keys`, :meth:`ChunkTable.load`).
     """
 
     name: str
     privacy_level: PrivacyLevel
     cost_level: CostLevel
-    virtual_ids: set[str] = field(default_factory=set)
-
-    @property
-    def count(self) -> int:
-        return len(self.virtual_ids)
 
 
 class CloudProviderTable:
-    """Index-addressable registry of providers (Table I)."""
+    """Index-addressable registry of providers (Table I's first columns)."""
 
     def __init__(self) -> None:
         self._entries: dict[int, ProviderEntry] = {}
@@ -105,67 +99,61 @@ class CloudProviderTable:
         except KeyError:
             raise KeyError(f"no provider named {name!r}") from None
 
-    def record_store(self, index: int, *keys: str) -> None:
-        """Note that the objects *keys* now live at provider *index*."""
-        self.get(index).virtual_ids.update(keys)
-
-    def record_remove(self, index: int, key: str) -> None:
-        self.get(index).virtual_ids.discard(key)
-
-    def indices(self) -> list[int]:
-        return sorted(self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[tuple[int, ProviderEntry]]:
         return iter(sorted(self._entries.items()))
 
-    def export_state(self) -> dict:
-        """Serializable snapshot for replication/persistence."""
+    def export_state(self, keys: Mapping[int, list[str]]) -> dict:
+        """Serializable snapshot for replication/persistence, each row with
+        its id list from *keys* (:meth:`ChunkTable.provider_keys`)."""
         return {
             "next_index": self._next_index,
             "entries": {
-                index: (
-                    e.name,
-                    int(e.privacy_level),
-                    int(e.cost_level),
-                    sorted(e.virtual_ids),
-                )
+                index: (e.name, int(e.privacy_level), int(e.cost_level), keys.get(index, []))
                 for index, e in self._entries.items()
             },
         }
 
-    def import_state(self, state: dict) -> None:
-        self._entries = {
-            int(index): ProviderEntry(
-                name=name,
-                privacy_level=PrivacyLevel.coerce(pl),
-                cost_level=CostLevel.coerce(cl),
-                virtual_ids=set(vids),
-            )
-            for index, (name, pl, cl, vids) in state["entries"].items()
-        }
-        self._by_name = {e.name: i for i, e in self._entries.items()}
-        self._next_index = int(state["next_index"])
+    def import_state(self, state: dict) -> dict[int, list[str]]:
+        """Rebuild from :meth:`export_state` output, or raise
+        :class:`MetadataCorruptedError` and leave the table as it was;
+        returns each row's id list as stated, for the caller to check."""
+        entries: dict[int, ProviderEntry] = {}
+        by_name, listed = {}, {}
+        try:
+            next_index = int(state["next_index"])
+            for index, (name, pl, cl, keys) in state["entries"].items():
+                index = int(index)
+                if not (isinstance(name, str) and name not in by_name):
+                    raise ValueError(f"row {index}: {name!r} is not a new name")
+                if not 0 <= index < next_index:
+                    raise ValueError(f"row {index}: not below next_index {next_index}")
+                if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)):
+                    raise ValueError(f"row {index}: the id list is not a list of keys")
+                entries[index] = ProviderEntry(name, PrivacyLevel.coerce(pl), CostLevel.coerce(cl))
+                by_name[name], listed[index] = index, keys
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(f"provider table: {exc}") from None
+        self._entries, self._by_name, self._next_index = entries, by_name, next_index
+        return listed
 
-    def rows(self, id_preview: int = 1) -> list[list[object]]:
-        """Render rows shaped like the paper's Table I."""
+    def rows(self, keys: Mapping[int, list[str]], id_preview: int = 1) -> list[list[object]]:
+        """Render rows shaped like the paper's Table I, each provider's id
+        list from *keys* (:meth:`ChunkTable.provider_keys`)."""
         out: list[list[object]] = []
-        for _, entry in self:
-            ids = sorted(entry.virtual_ids)
-            preview = ", ".join(str(v) for v in ids[:id_preview])
-            suffix = ", ..." if len(ids) > id_preview else ""
-            out.append(
-                [
-                    entry.name,
-                    int(entry.privacy_level),
-                    int(entry.cost_level),
-                    entry.count,
-                    "{" + preview + suffix + "}",
-                ]
-            )
+        for index, e in self:
+            ids = keys.get(index, [])
+            out.append([e.name, int(e.privacy_level), int(e.cost_level), len(ids),
+                        _braced(ids, id_preview)])
         return out
+
+
+def _braced(items, preview: int) -> str:
+    """``{a, b, ...}``: the first *preview* of *items*, and a mark if more follow."""
+    more = ", ..." if len(items) > preview else ""
+    return "{" + ", ".join(map(str, items[:preview])) + more + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +173,8 @@ class ChunkEntry:
     ``CP index`` -- with RAID striping a chunk's stripe may span several
     providers, so we keep the full list with the primary first);
     ``snapshot_index`` the provider holding the pre-modification snapshot
-    (``None`` -> the paper's ``NA``); ``misleading_positions`` the ``M``
+    (``None`` -> the paper's ``NA``) -- once tabled, these two change only
+    through the table, which counts them; ``misleading_positions`` the ``M``
     column, held as one :func:`~repro.core.misleading.position_row`
     whatever sequence the entry was built from (a list of ints is its
     form in exported state only).  Positions that cannot make a row raise
@@ -323,12 +312,16 @@ class ChunkEntry:
 
 
 class ChunkTable:
-    """Index-addressable registry of chunk metadata (Table III)."""
+    """Index-addressable registry of chunk metadata (Table III), and the
+    one record of where each shard and snapshot lives.  Beside the rows it
+    keeps Table I's Count column per provider index (:meth:`load`), which
+    every change of a row's placement updates: no reader recounts."""
 
     def __init__(self) -> None:
         self._entries: dict[int, ChunkEntry] = {}
         self._by_vid: dict[int, int] = {}
         self._next_index = 0
+        self._loads: defaultdict[int, int] = defaultdict(int)
 
     def add(self, entry: ChunkEntry) -> int:
         """Table *entry*; returns its index (:meth:`add_many` of one)."""
@@ -354,7 +347,18 @@ class ChunkTable:
                 del by_vid[rows.pop(tabled).virtual_id]
             raise
         self._next_index = index
+        self._count(entries, 1)
         return range(start, index)
+
+    def _count(self, entries: Iterable[ChunkEntry], step: int) -> None:
+        """Add *step* to the load of each provider index *entries* place a
+        shard or a snapshot at: a window of rows in one call."""
+        loads = self._loads
+        for entry in entries:
+            for provider in entry.provider_indices:
+                loads[provider] += step
+            if entry.snapshot_index is not None:
+                loads[entry.snapshot_index] += step
 
     def get(self, index: int) -> ChunkEntry:
         try:
@@ -370,7 +374,41 @@ class ChunkTable:
         entry = self.get(index)
         del self._entries[index]
         del self._by_vid[entry.virtual_id]
+        self._count((entry,), -1)
         return entry
+
+    def move_shard(self, entry: ChunkEntry, shard_index: int, provider: int) -> None:
+        """Place shard *shard_index* of the tabled row *entry* at provider
+        index *provider*: the only change of a row's CP column."""
+        members = entry.provider_indices
+        self._loads[members[shard_index]] -= 1
+        self._loads[provider] += 1
+        members[shard_index] = provider
+
+    def set_snapshot(self, entry: ChunkEntry, provider: int) -> None:
+        """Place the tabled row *entry*'s snapshot at provider index
+        *provider*: the only change of a row's SP column."""
+        if entry.snapshot_index is not None:
+            self._loads[entry.snapshot_index] -= 1
+        self._loads[provider] += 1
+        entry.snapshot_index = provider
+
+    def load(self, provider: int) -> int:
+        """How many shards and snapshots the rows place at provider index
+        *provider*: Table I's Count column, kept, not recounted."""
+        return self._loads.get(provider, 0)
+
+    def provider_keys(self) -> dict[int, list[str]]:
+        """Table I's id lists: each provider index's shard and snapshot
+        keys, sorted, from one pass over the rows."""
+        keys: defaultdict[int, list[str]] = defaultdict(list)
+        for e in self._entries.values():
+            vid = e.virtual_id
+            for shard_index, provider in enumerate(e.provider_indices):
+                keys[provider].append(shard_key(vid, shard_index))
+            if e.snapshot_index is not None:
+                keys[e.snapshot_index].append(snapshot_key(vid))
+        return {provider: sorted(listed) for provider, listed in keys.items()}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -421,32 +459,28 @@ class ChunkTable:
                     vid, pl, cps, sp, m, records[vid], provider_table
                 )
             next_index = int(state["next_index"])
-        except (LookupError, TypeError, ValueError) as exc:
+        except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise MetadataCorruptedError(f"chunk table: {exc}") from None
         self._entries = entries
         self._by_vid = {e.virtual_id: i for i, e in entries.items()}
         self._next_index = next_index
+        self._loads = defaultdict(int)
+        self._count(entries.values(), 1)
         return sorted(records.keys() - self._by_vid.keys())
 
     def rows(self, m_preview: int = 2) -> list[list[object]]:
         """Render rows shaped like the paper's Table III."""
-        out: list[list[object]] = []
-        for _, e in self:
-            if len(e.misleading_positions):
-                mm = ", ".join(map(str, e.misleading_positions[:m_preview]))
-                m_cell = "{" + mm + (", ...}" if len(e.misleading_positions) > m_preview else "}")
-            else:
-                m_cell = "NA"
-            out.append(
-                [
-                    e.virtual_id,
-                    int(e.privacy_level),
-                    e.provider_index,
-                    "NA" if e.snapshot_index is None else e.snapshot_index,
-                    m_cell,
-                ]
-            )
-        return out
+        return [
+            [
+                e.virtual_id,
+                int(e.privacy_level),
+                e.provider_index,
+                "NA" if e.snapshot_index is None else e.snapshot_index,
+                _braced(e.misleading_positions, m_preview)
+                if len(e.misleading_positions) else "NA",
+            ]
+            for _, e in self
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ with :func:`snapshot_key`.
 
 from __future__ import annotations
 
+from repro.core.errors import MetadataCorruptedError
 from repro.util.rng import SeedLike, derive_rng
 
 #: Virtual ids are drawn from this half-open range; the paper's examples use
@@ -91,8 +92,15 @@ class VirtualIdAllocator:
         return {"used": sorted(self._used), "id_space": self._id_space}
 
     def import_state(self, state: dict) -> None:
-        self._id_space = int(state["id_space"])
-        self._used = set(state["used"])
+        """Refill from :meth:`export_state` output; a malformed one raises
+        :class:`MetadataCorruptedError` and changes nothing."""
+        try:
+            id_space, used = int(state["id_space"]), set(state["used"])
+            if not all(type(vid) is int for vid in used):
+                raise TypeError("a used id is not an integer")
+        except (LookupError, TypeError, ValueError) as exc:
+            raise MetadataCorruptedError(f"ids: {exc}") from None
+        self._id_space, self._used = id_space, used
 
 
 def storage_key(virtual_id: int) -> str:

@@ -63,7 +63,7 @@ def render_paper_tables(system: PopulatedSystem) -> dict[str, str]:
     d = system.distributor
     table1 = render_table(
         ["Cloud Provider", "PL", "CL", "Count", "Virtual id list"],
-        d.provider_table.rows(),
+        d.provider_table.rows(d.chunk_table.provider_keys()),
         title="TABLE I: CLOUD PROVIDER TABLE",
     )
     table2 = render_table(

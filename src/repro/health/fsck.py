@@ -29,7 +29,7 @@ returned report reflects the *post*-repair state -- a second
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.errors import BlobNotFoundError, ProviderError
@@ -169,35 +169,26 @@ def _audit(distributor: "CloudDataDistributor") -> FsckReport:
     """One read-only pass: list, cross-reference, head-check."""
     report = FsckReport()
     with distributor.op_lock:
-        # (provider name -> key -> expected checksum | None)
-        expected: dict[str, dict[str, str | None]] = {
+        # provider name -> key -> (the object as an issue still unjudged,
+        # its expected checksum or None)
+        expected: dict[str, dict[str, tuple[FsckIssue, str | None]]] = {
             name: {} for name in distributor.registry.names()
         }
-        issues_by_key: dict[tuple[str, str], FsckIssue] = {}
+        providers = distributor.provider_table
         for _, entry in distributor.chunk_table:
             vid = entry.virtual_id
             checksums = None if entry.quarantined else entry.record.shard_checksums
             if entry.quarantined:
                 report.unknown_codec.append((vid, str(entry.packed.codec)))
-            for shard_index, table_index in enumerate(entry.provider_indices):
-                name = distributor.provider_table.get(table_index).name
-                key = shard_key(vid, shard_index)
-                expected[name][key] = (
-                    checksums[shard_index] if checksums is not None else None
-                )
-                issues_by_key[(name, key)] = FsckIssue(
-                    virtual_id=vid, shard_index=shard_index,
-                    provider=name, problem="",
+            for shard_index, name in enumerate(providers.names(entry.provider_indices)):
+                expected[name][shard_key(vid, shard_index)] = (
+                    FsckIssue(vid, shard_index, name, ""),
+                    checksums[shard_index] if checksums is not None else None,
                 )
             if entry.snapshot_index is not None:
-                name = distributor.provider_table.get(
-                    entry.snapshot_index
-                ).name
-                key = snapshot_key(vid)
-                expected[name][key] = None  # snapshot checksums untracked
-                issues_by_key[(name, key)] = FsckIssue(
-                    virtual_id=vid, shard_index=-1, provider=name, problem="",
-                )
+                name = providers.get(entry.snapshot_index).name
+                # Snapshot checksums are untracked.
+                expected[name][snapshot_key(vid)] = (FsckIssue(vid, -1, name, ""), None)
         report.unknown_codec.sort()
 
     for name in sorted(expected):
@@ -208,51 +199,25 @@ def _audit(distributor: "CloudDataDistributor") -> FsckReport:
             report.unreachable.append(name)
             continue
         report.providers_checked += 1
-        for key, checksum in sorted(expected[name].items()):
-            issue = issues_by_key[(name, key)]
+        for key, (issue, checksum) in sorted(expected[name].items()):
             if issue.shard_index < 0:
                 report.snapshots_checked += 1
             else:
                 report.shards_checked += 1
-            if key not in present:
-                report.missing.append(
-                    FsckIssue(
-                        virtual_id=issue.virtual_id,
-                        shard_index=issue.shard_index,
-                        provider=name,
-                        problem="missing",
-                    )
-                )
-                continue
-            if checksum is None:
-                continue
-            try:
-                stat = provider.head(key)
-            except BlobNotFoundError:
-                report.missing.append(
-                    FsckIssue(
-                        virtual_id=issue.virtual_id,
-                        shard_index=issue.shard_index,
-                        provider=name,
-                        problem="missing",
-                    )
-                )
-                continue
-            except ProviderError:
-                # Listed a moment ago but now unanswerable; treat the
-                # provider as flaky rather than condemning the shard.
-                if name not in report.unreachable:
-                    report.unreachable.append(name)
-                continue
-            if stat.checksum != checksum:
-                report.corrupt.append(
-                    FsckIssue(
-                        virtual_id=issue.virtual_id,
-                        shard_index=issue.shard_index,
-                        provider=name,
-                        problem="corrupt",
-                    )
-                )
+            problem = None if key in present else "missing"
+            if problem is None and checksum is not None:
+                try:
+                    if provider.head(key).checksum != checksum:
+                        problem = "corrupt"
+                except BlobNotFoundError:
+                    problem = "missing"
+                except ProviderError:
+                    # Listed a moment ago but now unanswerable; treat the
+                    # provider as flaky rather than condemning the shard.
+                    if name not in report.unreachable:
+                        report.unreachable.append(name)
+            if problem is not None:
+                getattr(report, problem).append(replace(issue, problem=problem))
         loose = sorted(present - set(expected[name]))
         stale = [k for k in loose if k.startswith("S")]
         orphan = [k for k in loose if not k.startswith("S")]

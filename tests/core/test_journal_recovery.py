@@ -230,3 +230,65 @@ def test_recovering_a_512_chunk_remove_never_walks_the_chunk_table(
     assert len(d.chunk_table) == 8
     assert d.get_file("Bob", "pw", "keep") == DATA[:128]
     assert sum(len(entry.provider.keys()) for entry in registry.all()) == kept
+
+
+def recounted_loads(d: CloudDataDistributor) -> dict[str, int]:
+    """Shards plus snapshots per provider, counted row by row: what
+    ``provider_loads()`` must say without counting."""
+    loads = {entry.name: 0 for _, entry in d.provider_table}
+    for _, entry in d.chunk_table:
+        for index in (*entry.provider_indices, entry.snapshot_index):
+            if index is not None:
+                loads[d.provider_table.get(index).name] += 1
+    return loads
+
+
+def test_keys_a_recovered_remove_purged_leave_no_load_behind(tmp_path):
+    """At f1432f1 the Provider Table kept its own key lists beside the
+    rows: a repair moved P0's shards while P0 was down (their twins stayed
+    on it), the last snapshot still listed them under P0, and recovery's
+    purge took the moved copies off their new homes' lists only.  P0 kept
+    counting 5 shards it did not hold -- through ``fsck --repair``, and
+    into every later ``metadata.json``."""
+    from repro.core.persistence import load_metadata, save_metadata
+    from repro.providers.failures import FailureInjector
+    from repro.providers.registry import ProviderSpec, build_simulated_fleet
+
+    registry, providers, clock = build_simulated_fleet(
+        [ProviderSpec(f"P{i}", PrivacyLevel.PRIVATE, CostLevel.CHEAP) for i in range(6)],
+        seed=3,
+    )
+    injector = FailureInjector(providers, clock)
+
+    def boot_raid5():
+        return CloudDataDistributor(
+            registry, chunk_policy=ChunkSizePolicy.uniform(256),
+            codec="raid5@4", seed=5, journal=IntentJournal(tmp_path / "journal"),
+        )
+
+    d = boot_raid5()
+    d.register_client("C")
+    d.add_password("C", "pw", PrivacyLevel.PRIVATE)
+    d.upload_file("C", "pw", "f", DATA * 2, PrivacyLevel.PRIVATE)
+    d.upload_file("C", "pw", "g", DATA[:700], PrivacyLevel.PRIVATE)
+    save_metadata(d, tmp_path / "metadata.json")
+    injector.take_down("P0")
+    assert len(d.repair_file("C", "pw", "f").relocations) == 5
+    injector.bring_up("P0")
+    with crashing_at("remove.intent_logged"):
+        with pytest.raises(CrashPoint):
+            d.remove_file("C", "pw", "f")
+
+    rebooted = boot_raid5()
+    load_metadata(rebooted, tmp_path / "metadata.json")
+    recover_from_journal(rebooted, rebooted.journal)
+    assert rebooted.client_table.get("C").filenames() == ["g"]
+    loads = rebooted.provider_loads()
+    assert loads == recounted_loads(rebooted) and loads["P0"] == 3
+    listed = rebooted.export_metadata()["provider_table"]["entries"]
+    assert sum(len(row[3]) for row in listed.values()) == sum(loads.values())
+    report = run_fsck(rebooted, repair=True)
+    assert report.orphans_deleted == 5  # the twins the repair left on P0
+    assert rebooted.provider_loads() == loads
+    assert run_fsck(rebooted).clean
+    assert rebooted.get_file("C", "pw", "g") == DATA[:700]

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.core.persistence import (
     save_metadata,
 )
 from repro.core.privacy import PrivacyLevel
+from repro.providers.memory import InMemoryProvider
+from repro.providers.registry import ProviderRegistry
 
 
 @pytest.fixture
@@ -318,6 +321,64 @@ CONTRADICTIONS = {
 }
 
 
+def _section(name, change):
+    """An edit of one section that must be refused naming *name*."""
+
+    def edit(metadata):
+        change(metadata)
+        return name
+
+    return edit
+
+
+def _provider_row(change):
+    return _section(
+        "provider table",
+        lambda metadata: change(metadata["provider_table"]["entries"]["1"]),
+    )
+
+
+def _unlist(key_of):
+    """Take the key *key_of* picks off its provider's id list."""
+
+    def change(metadata):
+        row, _ = _row_and_state(metadata)
+        key, index = key_of(row)
+        metadata["provider_table"]["entries"][str(index)][3].remove(key)
+
+    return _section("provider table", change)
+
+
+# Found at f1432f1: each of these escaped ``import_metadata`` as a bare
+# TypeError, ValueError or KeyError -- the last three after the tables had
+# been swapped in, leaving a file uploaded since the snapshot untabled --
+# or, two rows under one name, was accepted.  The last two the parent
+# loaded: it read a provider's keys from its list, not from the rows.
+CONTRADICTIONS |= {
+    "provider-level-99": _provider_row(lambda row: row.__setitem__(1, 99)),
+    "provider-next-index-not-an-integer": _section(
+        "provider table",
+        lambda m: m["provider_table"].__setitem__("next_index", "x"),
+    ),
+    "provider-id-list-not-a-list": _provider_row(lambda row: row.__setitem__(3, 7)),
+    "provider-id-list-nested": _provider_row(lambda row: row.__setitem__(3, [[1]])),
+    "three-field-provider-row": _provider_row(lambda row: row.pop()),
+    "two-providers-one-name": _section(
+        "provider table",
+        lambda m: m["provider_table"]["entries"]["1"].__setitem__(
+            0, m["provider_table"]["entries"]["0"][0]
+        ),
+    ),
+    "no-provider-table": _section("provider table", lambda m: m.pop("provider_table")),
+    "id-space-not-an-integer": _section(
+        "ids", lambda m: m["ids"].__setitem__("id_space", "x")
+    ),
+    "used-ids-not-a-list": _section("ids", lambda m: m["ids"].__setitem__("used", 7)),
+    "shard-key-not-listed": _unlist(lambda row: (f"{row[0]}.0", row[2][0])),
+    "snapshot-key-not-listed": _unlist(lambda row: (f"S{row[0]}", row[3])),
+}
+
+
 @pytest.mark.parametrize("edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
 def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored, edit):
     # The refusal comes before the first table is replaced: a peer that is
@@ -329,10 +390,13 @@ def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored, edit):
     expected = distributor.get_file("Bob", "Ty7e", "f")
 
     def named(metadata):
-        named.vid = edit(metadata)
+        named.what = edit(metadata)
 
     _reseal(path, named)
-    with pytest.raises(MetadataCorruptedError, match=f"chunk {named.vid}\\b|chunk table"):
+    with pytest.raises(
+        MetadataCorruptedError,
+        match=f"chunk {named.what}\\b|chunk table|^{named.what}: ",
+    ):
         load_metadata(distributor, path)
     assert distributor.export_metadata() == before
     assert distributor.get_file("Bob", "Ty7e", "f") == expected
@@ -364,6 +428,42 @@ def test_a_chunk_state_row_no_chunk_row_names_is_dropped_with_a_warning(
     from repro.health.fsck import run_fsck
 
     assert run_fsck(fresh).clean
+
+
+def test_a_listed_key_no_row_places_is_dropped_with_a_warning():
+    # What f1432f1 wrote after a recovered remove whose chunks had been
+    # repaired off P0 (tests/core/test_journal_recovery.py): five keys
+    # listed under P0 that no chunk row places.
+    from repro.core.tables import CloudProviderTable
+    from repro.obs.events import EventLog
+    from tests.core.test_journal_recovery import recounted_loads
+
+    registry = ProviderRegistry()
+    for i in range(6):
+        registry.register(InMemoryProvider(f"P{i}"), PrivacyLevel.PRIVATE, 1)
+
+    path = Path(__file__).parent / "data" / "f1432f1_unplaced_keys_metadata.json"
+    stated = json.loads(path.read_text())["metadata"]["provider_table"]
+    events = EventLog()
+    fresh = CloudDataDistributor(registry, seed=8, events=events)
+    load_metadata(fresh, path)
+    (warning,) = events.named("provider_keys_dropped")
+    assert warning["level"] == "warning"
+    dropped = ["1736229.0", "2752575.1", "7306210.1", "8360109.2", "899813.0"]
+    assert warning["keys"] == {"P0": dropped}
+    assert fresh.provider_loads() == recounted_loads(fresh) == {
+        "P0": 3, "P1": 2, "P2": 2, "P3": 1, "P4": 2, "P5": 2
+    }
+    exported = fresh.export_metadata()["provider_table"]
+    listed = exported["entries"][0][3]
+    assert listed == sorted(set(stated["entries"]["0"][3]) - set(dropped))
+    # Everything else of the section is as stated; the next load is quiet.
+    exported["entries"][0] = (*exported["entries"][0][:3], stated["entries"]["0"][3])
+    assert json.loads(json.dumps(exported)) == stated
+    again = CloudDataDistributor(registry, seed=9, events=(quiet := EventLog()))
+    again.import_metadata(fresh.export_metadata())
+    assert quiet.named("provider_keys_dropped") == []
+    assert CloudProviderTable().import_state(stated)[0] == stated["entries"]["0"][3]
 
 
 def test_rows_without_checksums_or_positions_still_load(stored, registry):

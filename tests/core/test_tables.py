@@ -50,25 +50,16 @@ def test_provider_table_unknown_lookups():
         table.index_of("ghost")
 
 
-def test_provider_table_store_tracking():
-    table = CloudProviderTable()
-    index = table.add("CP1", 3, 3)
-    table.record_store(index, "41367.0")
-    table.record_store(index, "41367.1")
-    assert table.get(index).count == 2
-    table.record_remove(index, "41367.0")
-    assert table.get(index).count == 1
-    table.record_store(index, "41367.2", "41367.3", "41367.1")  # one batch
-    assert table.get(index).virtual_ids == {"41367.1", "41367.2", "41367.3"}
-
-
 def test_provider_table_rows_render_like_paper():
     table = CloudProviderTable()
-    index = table.add("CP1", 3, 3)
-    table.record_store(index, "41367")
-    rows = table.rows()
+    table.add("CP1", 3, 3)
+    table.add("CP2", 3, 3)
+    chunks = ChunkTable()
+    chunks.add(_entry(41367, cps=(0,)))
+    rows = table.rows(chunks.provider_keys())
     assert rows[0][:4] == ["CP1", 3, 3, 1]
-    assert "41367" in rows[0][4]
+    assert "41367.0" in rows[0][4]
+    assert rows[1] == ["CP2", 3, 3, 0, "{}"]
 
 
 # -- Chunk Table (Table III) --------------------------------------------------
@@ -154,6 +145,40 @@ def test_chunk_table_remove_keeps_indices_stable():
 
 def test_chunk_table_unknown_vid():
     assert ChunkTable().find_index(404) is None
+
+
+def test_chunk_table_counts_provider_loads():
+    # Table I's Count column, kept as rows come, move and go: never a
+    # recount, and always what a recount would say.
+    table = ChunkTable()
+
+    def recount():
+        keys = table.provider_keys()
+        return {p: table.load(p) for p in range(4)} == {
+            p: len(keys.get(p, [])) for p in range(4)
+        }
+
+    i0, i1 = table.add_many([_entry(1, cps=(0, 1, 2)), _entry(2, cps=(1, 2, 3))])
+    assert [table.load(p) for p in range(4)] == [1, 2, 2, 1] and recount()
+    row = table.get(i0)
+    table.move_shard(row, 1, 3)
+    table.set_snapshot(row, 0)
+    assert row.provider_indices == [0, 3, 2] and row.snapshot_index == 0
+    assert [table.load(p) for p in range(4)] == [2, 1, 2, 2] and recount()
+    table.set_snapshot(row, 1)
+    assert [table.load(p) for p in range(4)] == [1, 2, 2, 2] and recount()
+    assert table.provider_keys() == {
+        0: ["1.0"], 1: ["2.0", "S1"], 2: ["1.2", "2.1"], 3: ["1.1", "2.2"]
+    }
+    table.remove(i1)
+    assert [table.load(p) for p in range(4)] == [1, 1, 1, 1] and recount()
+    assert [_reloaded(table).load(p) for p in range(4)] == [1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        table.add_many([_entry(3, cps=(0,)), _entry(1)])
+    assert [table.load(p) for p in range(4)] == [1, 1, 1, 1]
+    table.remove(i0)
+    assert [table.load(p) for p in range(4)] == [0, 0, 0, 0]
+    assert table.provider_keys() == {}
 
 
 def test_chunk_table_rows_na_rendering():
@@ -280,12 +305,16 @@ def test_client_rows_hide_passwords():
 def test_provider_table_state_roundtrip():
     table = CloudProviderTable()
     index = table.add("CP1", 3, 2)
-    table.record_store(index, "k1")
+    table.add("CP2", 1, 0)
+    state = table.export_state({index: ["k1"]})
+    assert state["entries"][index + 1] == ("CP2", 1, 0, [])
     restored = CloudProviderTable()
-    restored.import_state(table.export_state())
-    assert restored.get(index).name == "CP1"
-    assert restored.get(index).virtual_ids == {"k1"}
+    # The id lists come back as stated, for the caller to check; the
+    # table itself keeps none.
+    assert restored.import_state(state) == {index: ["k1"], index + 1: []}
+    assert restored.get(index) == table.get(index)
     assert restored.index_of("CP1") == index
+    assert restored.export_state({}) == table.export_state({})
 
 
 def test_chunk_table_state_roundtrip():

@@ -1,9 +1,10 @@
 """Model-based fuzzing: the distributor vs. an in-memory reference model.
 
 Hypothesis drives random interleavings of upload / download / per-chunk
-read / update / remove / provider outage / recovery / repair, and checks
-after every step that the distributor serves exactly what a plain dict
-would -- under at most one concurrent provider outage (RAID-5's budget).
+read / update / remove / rebalance / provider outage / recovery / repair,
+and checks after every step that the distributor serves exactly what a
+plain dict would -- under at most one concurrent provider outage (RAID-5's
+budget) -- and that its metadata is in step with itself.
 """
 
 import hypothesis.strategies as st
@@ -18,8 +19,10 @@ from hypothesis.stateful import (
 
 from repro.core.distributor import CloudDataDistributor
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
+from repro.core.rebalance import rebalance
 from repro.providers.failures import FailureInjector
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
+from tests.core.test_journal_recovery import recounted_loads
 
 N_PROVIDERS = 6
 WIDTH = 4
@@ -78,6 +81,11 @@ class DistributorMachine(RuleBasedStateMachine):
         # Chunk 0 replaced: splice into the model at chunk granularity.
         self.model[name] = payload + old[256:]
 
+    @precondition(lambda self: self.model and not self.down)
+    @rule(moves=st.integers(min_value=1, max_value=8))
+    def rebalance(self, moves):
+        rebalance(self.distributor, max_moves=moves)
+
     # -- failures ----------------------------------------------------------
 
     @precondition(lambda self: not self.down)
@@ -124,9 +132,13 @@ class DistributorMachine(RuleBasedStateMachine):
     def table_counts_consistent(self):
         if not hasattr(self, "distributor"):
             return
-        # Provider Table counts equal the number of table-tracked keys.
-        for _, entry in self.distributor.provider_table:
-            assert entry.count == len(entry.virtual_ids)
+        # The kept per-provider loads are what a recount of the rows says.
+        assert self.distributor.provider_loads() == recounted_loads(self.distributor)
+        # The metadata document survives a trip through a fresh distributor.
+        exported = self.distributor.export_metadata()
+        fresh = CloudDataDistributor(self.distributor.registry, seed=0)
+        fresh.import_metadata(exported)
+        assert fresh.export_metadata() == exported
         # Client Table quadruples reference live Chunk Table entries.
         client = self.distributor.client_table.get("C")
         for ref in client.chunk_refs:
