@@ -21,8 +21,8 @@ import threading
 import time
 from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.core.errors import (
     AuthorizationError,
     BlobCorruptedError,
     BlobNotFoundError,
-    PlacementError,
     ProviderError,
     ReproError,
     UnknownChunkError,
@@ -145,7 +144,9 @@ class _ChunkPlan:
     ``failed`` becomes the list of shard indices whose put did not land
     anywhere (an empty tuple while none failed); ``assigned`` is updated
     in place by write-path failover; commit drops ``shards`` so a
-    committed window's bytes do not outlive their window.
+    committed window's bytes do not outlive their window.  An update's
+    ``snapshot`` (provider, pre-state) is one more object of the write set:
+    shard index ``len(assigned)`` in ``failed``.
     """
 
     serial: int
@@ -161,6 +162,14 @@ class _ChunkPlan:
     # The (provider, key) pairs already in the journal for this plan;
     # failover relocations are logged as the difference.
     logged: "list[tuple[str, str]] | tuple[()]" = ()
+    snapshot: "tuple[str, bytes] | None" = None
+
+    def writes(self) -> list[tuple[str, str]]:
+        """Every ``(provider, key)`` the plan stores: shards, then snapshot."""
+        pairs = list(zip(self.assigned, self.keys))
+        if self.snapshot is not None:
+            pairs.append((self.snapshot[0], snapshot_key(self.vid)))
+        return pairs
 
 
 class _WindowTransfer(threading.Thread):
@@ -195,6 +204,24 @@ class _WindowTransfer(threading.Thread):
             raise self._error
 
 
+class _Phase:
+    """One timed data-path phase: a trace span (a no-op outside a trace)
+    and, always, an observation of the phase's latency histogram."""
+
+    __slots__ = ("_span", "_seconds", "_t0")
+
+    def __init__(self, span, seconds) -> None:
+        self._span, self._seconds = span, seconds
+
+    def __enter__(self) -> None:
+        self._t0 = time.perf_counter()
+        self._span.__enter__()
+
+    def __exit__(self, *exc) -> None:
+        self._seconds.observe(time.perf_counter() - self._t0)
+        self._span.__exit__(*exc)
+
+
 @dataclass(slots=True)
 class _FetchJob:
     """One chunk's retrieval state on the read path."""
@@ -204,6 +231,12 @@ class _FetchJob:
     state: ChunkState
     names: list[str]
     cached: bytes | None = None
+
+    @property
+    def misleading_fraction(self) -> float:
+        """Misleading bytes per genuine byte, as the chunk is stored."""
+        injected = len(self.entry.misleading_positions)
+        return injected / max(1, self.state.stripe.orig_len - injected)
 
 
 _T = TypeVar("_T")
@@ -284,6 +317,7 @@ class CloudDataDistributor:
         # Filenames with an upload in flight per client: the duplicate-name
         # check must hold across the lock-free transfer phases.
         self._inflight_uploads: dict[str, set[str]] = {}
+        self._phase_seconds: dict[tuple[str, str], object] = {}
         # Per-thread scratch pad for the virtual ids / providers an op
         # touches, drained into its audit record (the provider-sweep
         # anomaly queries key on them).
@@ -448,20 +482,14 @@ class CloudDataDistributor:
             return False
         return self.health.is_usable(name)
 
-    @contextlib.contextmanager
-    def _phase(self, op: str, phase: str):
-        """Time one data-path phase: a trace span plus a latency histogram.
-
-        The histogram always fires; the span is a no-op outside a trace.
-        """
-        t0 = time.perf_counter()
-        with self.tracer.span(f"{op}.{phase}"):
-            try:
-                yield
-            finally:
-                self.metrics.histogram(
-                    "distributor_phase_seconds", op=op, phase=phase
-                ).observe(time.perf_counter() - t0)
+    def _phase(self, op: str, phase: str) -> _Phase:
+        """Time one data-path phase; its histogram handle is resolved once."""
+        seconds = self._phase_seconds.get((op, phase))
+        if seconds is None:
+            seconds = self._phase_seconds[op, phase] = self.metrics.histogram(
+                "distributor_phase_seconds", op=op, phase=phase
+            )
+        return _Phase(self.tracer.span(f"{op}.{phase}"), seconds)
 
     def _note_audit(self, vids=(), providers=()) -> None:
         """Remember virtual ids / provider names the current op touched."""
@@ -662,10 +690,11 @@ class CloudDataDistributor:
         self,
         payloads: "list[bytes | memoryview]",
         level: PrivacyLevel,
-        first_serial: int,
+        serials: "Sequence[int]",
         codec: ErasureCodec,
         misleading_fraction: float,
         load: dict[str, int],
+        snapshots: "list[bytes] | None" = None,
     ) -> list[_ChunkPlan]:
         """Encode and place one window's chunks without moving any bytes.
 
@@ -675,12 +704,14 @@ class CloudDataDistributor:
         placement digests in tier-1 hold constant.  Each step is one pass
         over the window: the misleading draw (its arrays of stored chunks
         go to the encoder as they are), the placement of every chunk
-        against one registry snapshot, one draw of virtual ids (last, so a
-        placement refusal leaves none to give back), the shard keys.
+        against one registry snapshot, a home outside its stripe group
+        for each of an update's *snapshots* (pre-states), one draw of
+        virtual ids (last, so a placement refusal leaves none to give
+        back), the shard keys; a chunk's shards rotate by its serial.
         *load* is the caller's working copy of the per-provider shard
-        counts; each planned shard advances it, so later chunks of the same
-        upload see the loads the earlier ones will have produced once they
-        commit.  The plans never alias *payloads*.
+        counts; each planned shard or snapshot advances it, so later chunks
+        of the same write see the loads the earlier ones will have produced
+        once they commit.  The plans never alias *payloads*.
         """
         runs = (
             inject_runs(payloads, misleading_fraction, rng=self._misleading_rng)
@@ -697,6 +728,11 @@ class CloudDataDistributor:
             self.placement.snapshot(self.registry, level, self.health),
             width, len(stripes), load,
         )
+        kept: list = [None] * len(stripes)
+        for at, pre_state in enumerate(snapshots or ()):
+            home = self.snapshots.choose_provider(level, exclude=set(groups[at]), load=load)
+            load[home] = load.get(home, 0) + 1
+            kept[at] = (home, pre_state)
         vids = self.ids.allocate_many(len(stripes))
         keys = [shard_key(vid, index) for vid in vids for index in range(width)]
         plans: list[_ChunkPlan] = []
@@ -705,12 +741,13 @@ class CloudDataDistributor:
         ):
             # Rotate the shard->provider assignment by serial so parity
             # cycles around the group, RAID-5 style.
-            serial = first_serial + at
+            serial = serials[at]
             turn = serial % width
             plans.append(_ChunkPlan(
                 serial=serial, level=level, vid=vid, state=ChunkState(meta, turn),
                 shards=shards, assigned=group[turn:] + group[:turn],
                 keys=keys[at * width : (at + 1) * width], positions=where,
+                snapshot=kept[at],
             ))
         return plans
 
@@ -718,28 +755,34 @@ class CloudDataDistributor:
         """Upload one window's shards, one batched request per provider;
         returns the plans with shards that did not land, to recover.
 
-        The window is flattened once -- every shard hashed, and its key,
-        bytes and digest laid out in plan order -- and each shard's slot
-        sorted to its provider; each provider's slots are then one call,
-        and the calls fan out concurrently over the transport executor --
-        chunk-level and shard-level parallelism at once, with no per-chunk
-        barrier.  The wire framing follows the batch's mean shard size: at
-        or above ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one
-        frame per shard, no aggregate payload), below it one MULTI_PUT
-        frame (the batch is still just one window's shards for one
-        provider, and per-segment stream acks would dominate shard bytes
-        this small).
+        The window is flattened once -- every shard, then every snapshot of
+        an update, hashed and laid out with its key and digest -- and each
+        slot sorted to its provider; each provider's slots are one call, the
+        calls side by side on the transport executor, with no per-chunk
+        barrier.  The framing follows the batch's mean shard size: at or
+        above ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame
+        per shard, no aggregate payload), below it one MULTI_PUT frame
+        (per-segment stream acks would dominate shard bytes this small).
         """
         shards: list[bytes] = []
         keys: list[str] = []
         digests: list[str] = []
+        names: list[str] = []
         for plan in plans:
             plan.state.shard_checksums = hashed = tuple(map(blob_checksum, plan.shards))
             shards += plan.shards
             keys += plan.keys
             digests += hashed
+            names += plan.assigned
+        kept = [plan for plan in plans if plan.snapshot is not None]
+        for plan in kept:
+            name, pre_state = plan.snapshot
+            shards.append(pre_state)
+            keys.append(snapshot_key(plan.vid))
+            digests.append(blob_checksum(pre_state))
+            names.append(name)
         slots: defaultdict[str, list[int]] = defaultdict(list)
-        for slot, name in enumerate([n for plan in plans for n in plan.assigned]):
+        for slot, name in enumerate(names):
             slots[name].append(slot)
 
         def put_batch(name: str) -> list[ProviderError | None]:
@@ -762,7 +805,7 @@ class CloudDataDistributor:
                 continue
             owners = owners or [
                 (plan, index) for plan in plans for index in range(len(plan.shards))
-            ]
+            ] + [(plan, len(plan.shards)) for plan in kept]
             for slot, item_exc in zip(slots[name], per_item or [exc] * len(slots[name])):
                 if item_exc is not None:
                     plan, index = owners[slot]
@@ -780,10 +823,12 @@ class CloudDataDistributor:
         Write-path failover re-places only the failed shards instead of
         aborting the whole chunk.  What finds no taker stays failed:
         accepted degraded if >= k landed, else the chunk is lost -- the
-        terminal case, reported, not raised: the caller decides the
-        rollback scope (the whole upload, or the one staged stripe of an
-        update).
+        terminal case, reported, not raised: the caller rolls the whole
+        write back.  An update's snapshot that did not land loses its
+        chunk too: a new version is not kept without its pre-state.
         """
+        if plan.failed[-1] == len(plan.assigned):
+            return True
         moves, _ = self._replace_shards(plan, plan.failed)
         placed = {shard_index for _, shard_index, _, _ in moves}
         plan.failed = [i for i in plan.failed if i not in placed]
@@ -811,8 +856,9 @@ class CloudDataDistributor:
                 if home is None:
                     home = homes[name] = self.provider_table.index_of(name)
                 members.append(home)
+            kept = plan.snapshot and self.provider_table.index_of(plan.snapshot[0])
             entries.append(ChunkEntry(
-                plan.vid, plan.level, members, None, plan.positions,
+                plan.vid, plan.level, members, kept, plan.positions,
                 record=plan.state,
             ))
             plan.shards = []
@@ -899,7 +945,9 @@ class CloudDataDistributor:
         >= k of them; with fewer, or under an unknown codec, nothing can
         move: ``None``.  Each shard is offered under its *recorded*
         checksum to *targets* in turn, by default
-        :meth:`_replacement_candidates` outside the stripe or, with none,
+        :meth:`_replacement_candidates` outside the stripe and the home of
+        the chunk's snapshot (Table III: no provider holds both states) or,
+        with none,
         its own provider if the shard was rebuilt (the old copy is lost
         anyway) and the provider is usable again.  Where it lands the old
         twin is deleted, one event and counter tell, and the plan's
@@ -913,10 +961,13 @@ class CloudDataDistributor:
             vid, level = entry.virtual_id, entry.privacy_level
             # No state: an unknown-codec quarantine, copied unjudged.
             state = None if entry.quarantined else entry.record
-            names = self._members(entry)
+            names, kept = self._members(entry), set()
+            if entry.snapshot_index is not None:
+                kept.add(self.provider_table.get(entry.snapshot_index).name)
         else:
             vid, level, state = chunk.vid, chunk.level, chunk.state
             names, good = chunk.assigned, dict(enumerate(chunk.shards))
+            kept = {chunk.snapshot[0]} if chunk.snapshot is not None else set()
         if good is None:
             good = self._read_members(state, vid, names, displaced)
             if len(good) < len(displaced):
@@ -941,7 +992,7 @@ class CloudDataDistributor:
                 good[shard_index] = rebuild_shard(state.stripe, shard_index, good)
             offers = targets
             if offers is None:
-                offers = self._replacement_candidates(level, set(names))
+                offers = self._replacement_candidates(level, {*names, *kept})
                 if not offers and fresh and self._provider_usable(old):
                     offers = [old]
             for new in offers:
@@ -1022,28 +1073,6 @@ class CloudDataDistributor:
     # upload path: split() + distribute()          (Section VI)
     # ------------------------------------------------------------------
 
-    def _check_new_filename(self, client: str, filename: str) -> None:
-        """Reject a duplicate filename (stored or upload-in-flight).
-
-        Must run inside the critical section.
-        """
-        client_entry = self.client_table.get(client)
-        if filename in self._inflight_uploads.get(
-            client, set()
-        ) or client_entry.has_file(filename):
-            raise ValueError(
-                f"client {client!r} already stores a file named {filename!r}"
-            )
-
-    def _release_upload_slot(self, client: str, filename: str) -> None:
-        """Drop an upload's in-flight filename reservation."""
-        with self.op_lock:
-            inflight = self._inflight_uploads.get(client)
-            if inflight is not None:
-                inflight.discard(filename)
-                if not inflight:
-                    self._inflight_uploads.pop(client, None)
-
     def _authorize_upload(
         self, client: str, password: str, filename: str, level: PrivacyLevel
     ) -> None:
@@ -1103,55 +1132,104 @@ class CloudDataDistributor:
         misleading_fraction: float = 0.0,
         cipher: "StreamCipher | None" = None,
     ) -> FileReceipt:
-        """The upload engine: plan -> transfer -> commit, window by window.
-
-        *windows* yields ``(payloads, last)`` pairs: one window's chunk
-        payloads in serial order, and whether the source knows nothing
-        follows.  Per window the engine plans under the op lock (rng
-        draws, placement against a working copy of the provider loads
-        carried across windows, id allocation), journals the keys about
-        to exist, moves the shards lock-free (batched per provider, with
-        write failover), and commits the tables: each stage one pass over
-        the window (:meth:`_plan_window`, :meth:`_transfer_plans`,
-        :meth:`_commit_plans`), not a step per chunk.  A window transfers on
-        its own thread while the next is read and planned -- except one
-        the source marked last, which transfers inline: a whole-file
-        upload is a single last window and never leaves the caller's
-        thread.  A payload may be a view into a buffer the source refills
-        for the next window; planning copies what it keeps.
-
-        Committed windows stay invisible (no client ref names their
-        chunks) until the final commit, which publishes the file and
-        closes the journal transaction in one step.  Any ``Exception`` --
-        an unrecoverable shard loss, a placement failure, an error raised
-        by the window source -- aborts: the journal transaction is
-        aborted, every chunk the upload created is erased, the filename
-        is released, and the exception propagates.  (A simulated crash is
-        a ``BaseException`` and tears through untouched.)  The filename
-        is reserved in ``_inflight_uploads`` throughout, so a racing
-        duplicate upload is rejected up front -- after *misleading_fraction*
-        is checked (:func:`~repro.core.misleading.check_fraction`), so a
-        refused one reserves nothing and opens no journal transaction.
-        """
+        """A new file through the write engine (:meth:`_write_windows`),
+        chunks numbered from 0 and encrypted with *cipher* (``nonce=serial``)
+        if given, audited as an ``upload``.  The filename is reserved in
+        ``_inflight_uploads`` throughout, so a racing duplicate is refused
+        up front -- after :func:`check_fraction`, so a refused fraction
+        reserves nothing and opens no journal transaction."""
         misleading_fraction = check_fraction(misleading_fraction)
         with self.op_lock:
-            self._check_new_filename(client, filename)
+            if filename in self._inflight_uploads.get(client, ()) or (
+                self.client_table.get(client).has_file(filename)
+            ):
+                raise ValueError(
+                    f"client {client!r} already stores a file named {filename!r}"
+                )
             codec_obj = self._resolve_codec(pl, codec)
             self._inflight_uploads.setdefault(client, set()).add(filename)
+        serial = total_bytes = 0
 
+        def plan(payloads: list, load: dict[str, int]) -> list[_ChunkPlan]:
+            nonlocal serial, total_bytes
+            plans = self._plan_window(
+                payloads
+                if cipher is None
+                else [
+                    cipher.encrypt(payload, nonce=serial + i)
+                    for i, payload in enumerate(payloads)
+                ],
+                pl, range(serial, serial + len(payloads)), codec_obj,
+                misleading_fraction, load,
+            )
+            serial += len(plans)
+            total_bytes += sum(map(len, payloads))
+            return plans
+
+        try:
+            self._write_windows(client, filename, windows, plan)
+        except Exception as exc:
+            self._record_op("upload", client, filename, None,
+                            ok=False, detail=type(exc).__name__)
+            raise
+        finally:
+            with self.op_lock:
+                inflight = self._inflight_uploads.get(client, set())
+                inflight.discard(filename)
+                if not inflight:
+                    self._inflight_uploads.pop(client, None)
+        self._record_op("upload", client, filename, None, ok=True)
+        return FileReceipt(
+            filename=filename,
+            privacy_level=pl,
+            chunk_count=serial,
+            file_size=total_bytes,
+            raid_level=codec_obj.raid_level,
+            stripe_width=codec_obj.n,
+            codec=codec_obj.label,
+        )
+
+    def _write_windows(
+        self,
+        client: str,
+        filename: str,
+        windows: "Iterable[tuple[list[bytes | memoryview], bool]]",
+        plan: "Callable[[list, dict[str, int]], list[_ChunkPlan]]",
+        retiring: "list[FileChunkRef] | None" = None,
+    ) -> None:
+        """The write engine: plan -> transfer -> commit, window by window.
+
+        *windows* yields ``(payloads, last)``: a window's chunk payloads in
+        serial order, and whether nothing follows.  Per window, *plan* runs
+        under the op lock (draws, placement against loads carried across
+        windows, ids), the keys about to exist are journaled, the shards
+        move lock-free (one batch per provider, write failover), and the
+        rows are tabled: each stage one pass over the window.  A window
+        transfers on its own thread while the next is read and planned,
+        except a last one, which transfers inline (a whole-file upload or an
+        update never leaves the caller's thread).  Planning copies what it
+        keeps: a payload may view a buffer the source refills.
+
+        Committed windows stay invisible until the final commit publishes
+        them with the journal commit.  An update (*retiring*: the quadruples
+        it replaces) swaps its quadruples in; its commit record names the
+        chunks the caller retires after it.  Any ``Exception`` before the
+        publish aborts the transaction and erases every chunk the write
+        created; a simulated crash (a ``BaseException``) tears through.
+        """
+        op = "upload" if retiring is None else "update"
         txn: int | None = None
         refs: list[FileChunkRef] = []  # committed windows, not yet visible
         pending: list[_ChunkPlan] = []  # planned, not yet committed
         flight: _WindowTransfer | None = None  # the window on the wire
         load: dict[str, int] | None = None
-        serial = total_bytes = 0
 
         def transfer(plans: list[_ChunkPlan]) -> None:
-            with self._phase("upload", "transfer"):
+            with self._phase(op, "transfer"):
                 failed = self._transfer_plans(plans)
                 lost = [plan for plan in failed if self._recover_plan(plan)]
             if lost:
-                # Atomicity: one unrecoverable chunk aborts the whole file.
+                # Atomicity: one unrecoverable chunk aborts the whole write.
                 raise lost[0].first_error
 
         def commit(plans: list[_ChunkPlan], last: bool) -> None:
@@ -1165,10 +1243,10 @@ class CloudDataDistributor:
                 ]
                 if moved:
                     self.journal.extend(txn, moved)
-            crashpoint("upload.transferred")
-            with self.op_lock, self._phase("upload", "commit"):
+            crashpoint("upload.transferred" if retiring is None else "update.staged")
+            with self.op_lock, self._phase(op, "commit"):
                 refs.extend([
-                    FileChunkRef(filename, plan.serial, pl, chunk_index)
+                    FileChunkRef(filename, plan.serial, plan.level, chunk_index)
                     for plan, chunk_index in zip(plans, self._commit_plans(plans))
                 ])
                 del pending[: len(plans)]
@@ -1176,53 +1254,41 @@ class CloudDataDistributor:
                     return
                 # Publish, in the same critical section as the last
                 # window's rows.  The journal commit goes first: should it
-                # fail, the abort below still finds the file invisible.
+                # fail, the abort below still finds the write invisible.
                 if txn is not None:
-                    self.journal.commit(
-                        txn,
-                        {
-                            "client": client,
-                            "filename": filename,
-                            "remove": [],
-                            "add": [
-                                self._chunk_spec(client, ref) for ref in refs
-                            ],
-                        },
-                    )
-                self.client_table.get(client).add_refs(refs)
+                    self.journal.commit(txn, {
+                        "client": client,
+                        "filename": filename,
+                        "remove": [self._chunk_spec(client, r) for r in retiring or ()],
+                        "add": [self._chunk_spec(client, r) for r in refs],
+                    })
+                client_entry = self.client_table.get(client)
+                if retiring is None:
+                    client_entry.add_refs(refs)
+                else:
+                    for ref in refs:
+                        client_entry.replace_ref(ref)
 
         try:
             for payloads, last in windows:
                 # -- plan (critical section) -------------------------------
-                with self.op_lock, self._phase("upload", "plan"):
+                with self.op_lock, self._phase(op, "plan"):
                     if load is None:
                         load = self.provider_loads()
-                    plans = self._plan_window(
-                        payloads
-                        if cipher is None
-                        else [
-                            cipher.encrypt(payload, nonce=serial + i)
-                            for i, payload in enumerate(payloads)
-                        ],
-                        pl, serial, codec_obj, misleading_fraction, load,
-                    )
+                    plans = plan(payloads, load)
                 pending.extend(plans)
-                serial += len(plans)
-                total_bytes += sum(map(len, payloads))
                 # -- intent (durable): every key this window creates -------
                 if self.journal is not None:
-                    for plan in plans:
-                        plan.logged = list(zip(plan.assigned, plan.keys))
-                    keys = [pair for plan in plans for pair in plan.logged]
+                    for planned in plans:
+                        planned.logged = planned.writes()
+                    keys = [pair for planned in plans for pair in planned.logged]
                     if txn is None:
                         # The first window rides the begin record, so a
-                        # one-window upload costs begin + commit.
-                        txn = self.journal.begin(
-                            "upload", client, filename, put_keys=keys
-                        )
+                        # one-window write costs begin + commit.
+                        txn = self.journal.begin(op, client, filename, put_keys=keys)
                     else:
                         self.journal.extend(txn, keys)
-                    crashpoint("upload.intent_logged")
+                    crashpoint(f"{op}.intent_logged")
                 # -- transfer (lock-free) and commit -----------------------
                 # The previous window's wire phase ran beside the read and
                 # plan above; settle and commit it before this one takes
@@ -1242,7 +1308,7 @@ class CloudDataDistributor:
                 flight.settle()
                 commit(flight.plans, last=True)
                 flight = None
-            crashpoint("upload.committed")
+            crashpoint(f"{op}.committed")
         except BaseException as exc:
             if flight is not None:
                 # Never leave a transfer running behind the caller -- and
@@ -1253,21 +1319,7 @@ class CloudDataDistributor:
                     self._delete_chunks(refs, rolled_back=pending)
                 if txn is not None:
                     self.journal.abort(txn)
-                self._record_op("upload", client, filename, None,
-                                ok=False, detail=type(exc).__name__)
             raise
-        finally:
-            self._release_upload_slot(client, filename)
-        self._record_op("upload", client, filename, None, ok=True)
-        return FileReceipt(
-            filename=filename,
-            privacy_level=pl,
-            chunk_count=serial,
-            file_size=total_bytes,
-            raid_level=codec_obj.raid_level,
-            stripe_width=codec_obj.n,
-            codec=codec_obj.label,
-        )
 
     def put_stream(
         self,
@@ -1540,34 +1592,27 @@ class CloudDataDistributor:
 
     def _delete_chunks(self, refs: list[FileChunkRef], rolled_back=()) -> None:
         """Erase, lock held, the tabled chunks behind *refs* and whatever the
-        *rolled_back* plans (transferred, never tabled) left: every shard in
-        one :meth:`_delete_objects` batch, then rows, snapshots, ids."""
+        *rolled_back* plans (transferred, never tabled) left: every shard and
+        snapshot in one :meth:`_delete_objects` batch, then rows and ids."""
         entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
-        doomed = [
-            pair for plan in rolled_back for pair in zip(plan.assigned, plan.keys)
-        ]
+        doomed = [pair for plan in rolled_back for pair in plan.writes()]
         for entry in entries:
-            names = self._members(entry)
-            self._note_audit(vids=(entry.virtual_id,), providers=names)
-            doomed.extend(
-                (name, shard_key(entry.virtual_id, shard_index))
-                for shard_index, name in enumerate(names)
-            )
+            vid, names = entry.virtual_id, self._members(entry)
+            self._note_audit(vids=(vid,), providers=names)
+            doomed.extend((name, shard_key(vid, i)) for i, name in enumerate(names))
+            if entry.snapshot_index is not None:
+                snapshot_home = self.provider_table.get(entry.snapshot_index).name
+                doomed.append((snapshot_home, snapshot_key(vid)))
         self._delete_objects(doomed)
         for plan in rolled_back:
             self.metrics.counter("distributor_rollbacks_total").inc()
             self.events.emit("upload_rollback", level="warning", vid=plan.vid)
             self.ids.release(plan.vid)
         for ref, entry in zip(refs, entries):
-            vid = entry.virtual_id
-            if entry.snapshot_index is not None:
-                name = self.provider_table.get(entry.snapshot_index).name
-                with contextlib.suppress(ProviderError):
-                    self.snapshots.drop(name, vid)
             self.chunk_table.remove(ref.chunk_index)
             if self.cache is not None:
-                self.cache.invalidate(vid)
-            self.ids.release(vid)
+                self.cache.invalidate(entry.virtual_id)
+            self.ids.release(entry.virtual_id)
 
     def remove_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1637,118 +1682,71 @@ class CloudDataDistributor:
     # ------------------------------------------------------------------
 
     def update_chunk(
-        self,
-        client: str,
-        password: str,
-        filename: str,
-        serial: int,
+        self, client: str, password: str, filename: str, serial: int,
         new_payload: bytes,
     ) -> None:
-        """Replace a chunk's contents, snapshotting the pre-state first.
+        """Replace a chunk's contents, snapshotting the pre-state first:
+        :meth:`update_chunks` of one chunk."""
+        self.update_chunks(client, password, filename, {serial: new_payload})
 
-        The pre-modification payload is written to a snapshot provider
-        (preferably outside the stripe group) and the Chunk Table's SP
-        column updated, per Table III.
+    def update_chunks(
+        self, client: str, password: str, filename: str,
+        updates: "Mapping[int, bytes]",
+    ) -> None:
+        """Replace chunks of *filename*, ``{serial: new payload}``, all or
+        none; each pre-modification payload is kept at a snapshot provider
+        outside its new stripe group (Table III's SP column).  Audited as
+        one ``update_chunk``, naming its serial if it has one.
+
+        Copy-on-write, one last window of the write engine under the op
+        lock: each new version a fresh stripe keeping its chunk's codec and
+        misleading-byte budget, its pre-state (read as one window) its
+        snapshot.  The old chunks are retired after the commit record.
         """
-        return self._audited(
-            "update_chunk", client, filename, serial,
-            lambda: self._update_chunk_inner(
-                client, password, filename, serial, new_payload
-            ),
-        )
+        serials = sorted(updates)
+        if not serials:
+            raise ValueError(f"an update of {filename!r} names no chunk")
 
-    def _update_chunk_inner(
-        self,
-        client: str,
-        password: str,
-        filename: str,
-        serial: int,
-        new_payload: bytes,
-    ) -> None:
-        granted = self.access.authenticate(client, password)
-        with self.op_lock:
-            client_entry = self.client_table.get(client)
-            ref = client_entry.ref_for_chunk(filename, serial)
-            self._require_level(client, granted, ref.privacy_level)
-            entry = self.chunk_table.get(ref.chunk_index)
-            state = entry.state(filename)
-            (pre_state,) = self._read_jobs(
-                [self._job_for(entry, serial, filename)], 1
-            )
-            # Re-inject misleading bytes at the same budget the chunk had.
-            injected = len(entry.misleading_positions)
-            fraction = injected / max(1, state.stripe.orig_len - injected)
+        def work() -> None:
+            granted = self.access.authenticate(client, password)
+            with self.op_lock:
+                client_entry = self.client_table.get(client)
+                refs = [client_entry.ref_for_chunk(filename, s) for s in serials]
+                self._require_level(client, granted, refs[0].privacy_level)
+                jobs = [
+                    self._job_for(self.chunk_table.get(ref.chunk_index), ref.serial, filename)
+                    for ref in refs
+                ]
+                pre_states = list(self._read_jobs(jobs, len(jobs)))
+                # The codec comes back from the stripe metadata (so across
+                # codec generations), the misleading bytes at the budget
+                # the chunk had; chunks alike are planned together.
+                recipes = [
+                    (codec_for_meta(job.state.stripe), job.misleading_fraction)
+                    for job in jobs
+                ]
 
-            # Copy-on-write: the new version is staged as a fresh stripe
-            # (fresh virtual id, freshly placed group, full write-path
-            # failover) and only swapped in once it fully lands.  A failed
-            # update therefore leaves the old version intact and readable
-            # instead of a torn half-written stripe.
-            old_spec = (
-                self._chunk_spec(client, ref)
-                if self.journal is not None
-                else None
-            )
-            # The new version keeps the chunk's codec: re-instantiate it
-            # from the stripe metadata (works across codec generations).
-            (plan,) = self._plan_window(
-                [new_payload], entry.privacy_level, state.rotation,
-                codec_for_meta(state.stripe), fraction, self.provider_loads(),
-            )
-            txn = None
-            if self.journal is not None:
-                txn = self.journal.begin(
-                    "update", client, filename,
-                    put_keys=list(zip(plan.assigned, plan.keys)),
-                )
-                crashpoint("update.intent_logged")
-            if any(map(self._recover_plan, self._transfer_plans([plan]))):
-                self._delete_chunks([], rolled_back=[plan])
-                if txn is not None:
-                    self.journal.abort(txn)
-                raise plan.first_error
-            (new_index,) = self._commit_plans([plan])
-            new_entry = self.chunk_table.get(new_index)
-            new_vid = new_entry.virtual_id
-            try:
-                snap_name = self.snapshots.choose_provider(
-                    entry.privacy_level, exclude=set(self._members(new_entry)),
-                    load=self.provider_loads(),
-                )
-                if txn is not None:
-                    # The snapshot object joins the transaction's write
-                    # set before its bytes move, same as the shards.
-                    self.journal.extend(
-                        txn, [(snap_name, snapshot_key(new_vid))]
-                    )
-                crashpoint("update.staged")
-                self.snapshots.write(snap_name, new_vid, pre_state)
-            except (ProviderError, PlacementError):
-                # Unstage the new version; the chunk is untouched.
-                self._delete_chunks([replace(ref, chunk_index=new_index)])
-                if txn is not None:
-                    self.journal.abort(txn)
-                raise
-            self.chunk_table.set_snapshot(
-                new_entry, self.provider_table.index_of(snap_name)
-            )
+                def plan(payloads: list, load: dict[str, int]) -> list[_ChunkPlan]:
+                    plans: list[_ChunkPlan] = []
+                    for (codec, fraction), run in itertools.groupby(
+                        range(len(jobs)), recipes.__getitem__
+                    ):
+                        run = list(run)
+                        plans += self._plan_window(
+                            [payloads[i] for i in run], refs[0].privacy_level,
+                            [serials[i] for i in run], codec, fraction, load,
+                            snapshots=[pre_states[i] for i in run],
+                        )
+                    return plans
 
-            # Swap the client's quadruple to the new stripe, then retire
-            # the old one (shards, old snapshot, tables, id).
-            client_entry.replace_ref(replace(ref, chunk_index=new_index))
-            self._delete_chunks([ref])
-            if txn is not None:
-                new_ref = replace(ref, chunk_index=new_index)
-                self.journal.commit(
-                    txn,
-                    {
-                        "client": client,
-                        "filename": filename,
-                        "remove": [old_spec],
-                        "add": [self._chunk_spec(client, new_ref)],
-                    },
+                self._write_windows(
+                    client, filename, [([updates[s] for s in serials], True)],
+                    plan, retiring=refs,
                 )
-                crashpoint("update.committed")
+                self._delete_chunks(refs)
+
+        one = serials[0] if len(serials) == 1 else None
+        self._audited("update_chunk", client, filename, one, work)
 
     def get_snapshot(
         self, client: str, password: str, filename: str, serial: int

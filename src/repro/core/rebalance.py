@@ -151,7 +151,10 @@ def _cool_hottest(distributor: CloudDataDistributor, report: MigrationReport) ->
         for shard_index, table_index in enumerate(entry.provider_indices):
             if table_index != hottest_index:
                 continue
+            # Not into the stripe, nor onto its snapshot's home.
             group = distributor._members(entry)
+            if entry.snapshot_index is not None:
+                group.append(distributor.provider_table.get(entry.snapshot_index).name)
             eligible = distributor.placement.candidates(
                 distributor.registry, entry.privacy_level
             )

@@ -11,7 +11,7 @@ the chunk's current stripe group so a provider never holds both states.
 
 from __future__ import annotations
 
-from repro.core.errors import BlobNotFoundError, PlacementError
+from repro.core.errors import PlacementError
 from repro.core.placement import PlacementPolicy
 from repro.core.privacy import PrivacyLevel
 from repro.core.virtual_id import snapshot_key
@@ -19,7 +19,9 @@ from repro.providers.registry import ProviderRegistry
 
 
 class SnapshotManager:
-    """Writes/reads/drops per-chunk snapshots."""
+    """Places, writes and reads per-chunk snapshots.  (The distributor
+    stores and deletes an update's snapshots in its own provider batches,
+    beside the shards.)"""
 
     def __init__(self, registry: ProviderRegistry, policy: PlacementPolicy) -> None:
         self.registry = registry
@@ -52,18 +54,3 @@ class SnapshotManager:
 
     def read(self, provider_name: str, virtual_id: int) -> bytes:
         return self.registry.get(provider_name).provider.get(snapshot_key(virtual_id))
-
-    def drop(self, provider_name: str, virtual_id: int) -> None:
-        """Delete the snapshot of *virtual_id*, idempotently.
-
-        A ``contains()``-then-``delete()`` sequence races with concurrent
-        drops (and with crash recovery replaying one): the object can
-        vanish between the two calls.  Delete unconditionally and swallow
-        only the already-gone case; every other provider failure still
-        surfaces to the caller.
-        """
-        provider = self.registry.get(provider_name).provider
-        try:
-            provider.delete(snapshot_key(virtual_id))
-        except BlobNotFoundError:
-            pass

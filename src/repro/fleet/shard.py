@@ -186,7 +186,7 @@ class FleetShard:
         Uses the same internal surface the update path uses: refs
         resolve to fetch jobs, the distributor's read engine reconstructs
         each chunk (RAID failover included), and the misleading budget is
-        re-derived from the stored positions the way ``update_chunk``
+        re-derived from the stored positions the way ``update_chunks``
         does, so the re-upload at the destination carries the same
         privacy posture.  The codec label travels too, so a migrated file
         keeps its erasure codec (raid-family files re-pick a stripe width
@@ -200,15 +200,7 @@ class FleetShard:
                 d._job_for(d.chunk_table.get(ref.chunk_index), ref.serial, key)
                 for ref in refs
             ]
-            fraction = max(
-                len(job.entry.misleading_positions)
-                / max(
-                    1,
-                    job.state.stripe.orig_len
-                    - len(job.entry.misleading_positions),
-                )
-                for job in jobs
-            )
+            fraction = max(job.misleading_fraction for job in jobs)
             data = b"".join(d._read_jobs(jobs, 1))
             return (
                 data, refs[0].privacy_level, fraction,

@@ -11,7 +11,8 @@ each discrepancy:
   transfer) drifted from the checksum recorded at write time;
 * **orphans** -- provider objects no table references (crash litter, failed
   deletes) -- snapshot-keyed orphans are reported separately as **stale
-  snapshots** since they usually mean an interrupted update;
+  snapshots** since they mean a chunk's pre-state outlived it (an update
+  the journal no longer covers, a retire whose delete failed);
 * **unreachable** -- providers that cannot be listed (their objects can be
   neither confirmed nor condemned);
 * **unknown codec** -- chunk-table rows whose codec spec this build cannot

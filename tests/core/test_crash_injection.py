@@ -25,12 +25,13 @@ import pytest
 
 from repro.core import distributor as distributor_module
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import UnknownFileError
+from repro.core.errors import ProviderUnavailableError, UnknownFileError
 from repro.core.journal import IntentJournal, recover_from_journal
 from repro.core.persistence import load_metadata, save_metadata
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.core.virtual_id import shard_key
 from repro.health.fsck import run_fsck
+from repro.providers.base import CloudProvider
 from repro.providers.disk import DiskProvider
 from repro.providers.registry import ProviderRegistry
 from repro.util.crash import KILL_POINTS, CrashPoint, crashing_at
@@ -42,6 +43,8 @@ CRASHED = b"\xab" * 2048
 STREAMED = CRASHED[:768]  # 3 PRIVATE chunks
 NEW_CHUNK = b"\x5a" * 128
 UPDATED_VICTIM = NEW_CHUNK + VICTIM[256:]  # PRIVATE chunk size is 256
+# update_chunks of serials 0 and 5 at once
+UPDATED_TWICE = NEW_CHUNK + VICTIM[256:1280] + NEW_CHUNK + VICTIM[1536:]
 
 
 def _fleet(root) -> ProviderRegistry:
@@ -218,6 +221,81 @@ def test_remove_dying_between_windows_is_finished_at_boot(
     with pytest.raises(UnknownFileError):
         rebooted.get_file("Bob", "pw", "victim")
     assert rebooted.get_file("Bob", "pw", "keep") == KEEP
+    _assert_no_table_holes(rebooted)
+
+
+@pytest.mark.parametrize(
+    "point", sorted(p for p in KILL_POINTS if p.startswith("update."))
+)
+def test_a_crashed_several_chunk_update_lands_whole_or_not_at_all(tmp_path, point):
+    """Two chunks in one update: recovery finds both new or both old,
+    with nothing left over for ``fsck`` even before a repair."""
+    distributor = _setup(tmp_path)
+    with crashing_at(point):
+        with pytest.raises(CrashPoint):
+            distributor.update_chunks(
+                "Bob", "pw", "victim", {0: NEW_CHUNK, 5: NEW_CHUNK}
+            )
+    rebooted, _ = boot(tmp_path)
+    assert run_fsck(rebooted).clean, run_fsck(rebooted).render_text()
+    assert rebooted.get_file("Bob", "pw", "victim") in (VICTIM, UPDATED_TWICE)
+    _assert_no_table_holes(rebooted)
+
+
+def test_an_update_cut_before_its_commit_record_keeps_the_old_version(
+    tmp_path, monkeypatch
+):
+    """Power lost while an update's commit record is half written: the
+    update never committed, so recovery rolls it back -- which leaves the
+    chunk readable only if the old version was still whole.  It is: the
+    old stripe is retired after the commit record, never before."""
+    distributor = _setup(tmp_path)
+    commit = IntentJournal.commit
+
+    def torn(journal, txn, delta):
+        with crashing_at("journal.append.torn"):
+            commit(journal, txn, delta)
+
+    monkeypatch.setattr(IntentJournal, "commit", torn)
+    with pytest.raises(CrashPoint):
+        distributor.update_chunk("Bob", "pw", "victim", 0, NEW_CHUNK)
+    monkeypatch.undo()
+
+    rebooted, report = boot(tmp_path)
+    assert (report.rolled_back, report.rolled_forward) == (1, 0)
+    assert rebooted.get_file("Bob", "pw", "victim") == VICTIM
+    assert run_fsck(rebooted).clean
+    _assert_no_table_holes(rebooted)
+
+
+def test_an_update_failed_over_then_cut_leaves_no_object_behind(
+    tmp_path, monkeypatch
+):
+    """One provider refuses the update's shard, write failover re-places
+    it on a spare, and the power goes before the commit.  The spare's
+    copy is in the journal before the kill point, so recovery's rollback
+    deletes it with the rest: no orphan is left for ``fsck`` to find."""
+    distributor = _setup(tmp_path)
+    refused: list[str] = []
+    put_many = CloudProvider.put_many
+
+    def refuse_once(provider, items, checksums=None):
+        if not refused:
+            refused.append(provider.name)
+            return [ProviderUnavailableError(f"{provider.name} refuses")] * len(items)
+        return put_many(provider, items, checksums=checksums)
+
+    monkeypatch.setattr(DiskProvider, "put_many", refuse_once)
+    with crashing_at("update.staged"):
+        with pytest.raises(CrashPoint):
+            distributor.update_chunk("Bob", "pw", "victim", 0, NEW_CHUNK)
+    monkeypatch.undo()
+    assert refused
+
+    rebooted, report = boot(tmp_path)
+    assert report.rolled_back == 1
+    assert run_fsck(rebooted).clean, run_fsck(rebooted).render_text()
+    assert rebooted.get_file("Bob", "pw", "victim") == VICTIM
     _assert_no_table_holes(rebooted)
 
 

@@ -126,8 +126,9 @@ def test_a_retire_of_one_key_a_provider_is_no_pool_leg_and_a_batch_is_one(
 ):
     """Deletes over sockets: the four shards an update retires sit on four
     providers, one round-trip each, and run in turn on the caller (the
-    update's seven legs are its read and its write); a remove asks each
-    provider for a batch and hands each batch to the pool."""
+    update's eight legs are its read and its write, the snapshot one batch
+    of the write beside the stripe's four); a remove asks each provider for
+    a batch and hands each batch to the pool."""
     with LocalCluster(6) as cluster:
         d = CloudDataDistributor(
             cluster.build_registry(), seed=3, metrics=MetricsRegistry()
@@ -137,7 +138,8 @@ def test_a_retire_of_one_key_a_provider_is_no_pool_leg_and_a_batch_is_one(
         d.upload_file("C", "pw", "f", SMALL * 4, PrivacyLevel.MODERATE)
         del submits[:]
         d.update_chunk("C", "pw", "f", 1, b"patched")
-        assert len(submits) == 3 + 4  # k shards read, n written, 0 retired
+        # k shards read, n written and the snapshot beside them, 0 retired
+        assert len(submits) == 3 + 4 + 1
         holders = {name for name, load in d.provider_loads().items() if load}
         assert len(holders) == 6
         del submits[:]
@@ -246,6 +248,7 @@ def request_costs(other_refs: int) -> dict[str, int]:
     d.upload_file("C", "pw", "f", SMALL, PrivacyLevel.MODERATE)
     d.upload_file("C", "pw", "g", SMALL, PrivacyLevel.MODERATE)  # f is not last
     d.get_file("C", "pw", "f")  # warm: metric handles, password
+    d.update_chunk("C", "pw", "g", 0, b"warm")  # an update's phase handles
     costs = {
         "get": python_calls(lambda: d.get_file("C", "pw", "f")),
         "update": python_calls(

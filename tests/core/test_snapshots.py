@@ -1,10 +1,11 @@
-"""SnapshotManager unit behaviour, including the drop() TOCTOU fix."""
+"""SnapshotManager unit behaviour.  (A snapshot is deleted with its
+chunk's shards, in the distributor's delete batches.)"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.errors import BlobNotFoundError, ProviderError
+from repro.core.errors import BlobNotFoundError
 from repro.core.placement import PlacementPolicy
 from repro.core.privacy import PrivacyLevel
 from repro.core.snapshots import SnapshotManager
@@ -15,38 +16,14 @@ def manager(registry):
     return SnapshotManager(registry, PlacementPolicy())
 
 
-def test_write_read_drop_cycle(manager):
+def test_write_read_cycle(manager):
     name = manager.choose_provider(PrivacyLevel.PUBLIC, exclude=set())
     key = manager.write(name, 7, b"pre-state")
     assert key == "S7"
     assert manager.read(name, 7) == b"pre-state"
-    manager.drop(name, 7)
+    manager.registry.get(name).provider.delete(key)
     with pytest.raises(BlobNotFoundError):
         manager.read(name, 7)
-
-
-def test_drop_is_idempotent(manager):
-    """A concurrent drop (or crash recovery replaying one) may have
-    deleted the object already; the second drop must be a no-op, not a
-    contains()-then-delete() race that blows up."""
-    name = manager.choose_provider(PrivacyLevel.PUBLIC, exclude=set())
-    manager.write(name, 9, b"pre")
-    manager.drop(name, 9)
-    manager.drop(name, 9)  # already gone: swallowed
-    manager.drop(name, 12345)  # never existed: also fine
-
-
-def test_drop_surfaces_real_provider_failures(manager, registry):
-    name = manager.choose_provider(PrivacyLevel.PUBLIC, exclude=set())
-    manager.write(name, 11, b"pre")
-    provider = registry.get(name).provider
-
-    def boom(key):
-        raise ProviderError("storage offline")
-
-    provider.delete = boom  # type: ignore[method-assign]
-    with pytest.raises(ProviderError):
-        manager.drop(name, 11)
 
 
 def test_choose_provider_prefers_outside_stripe(manager, registry):

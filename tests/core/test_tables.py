@@ -516,7 +516,7 @@ def run_ops(ops):
             ]
             next_index += arg
             if which in model.filenames():
-                # _check_new_filename refuses this before the tables see
+                # _upload_windows refuses this before the tables see
                 # it; if they do see it, a clash changes nothing.
                 if isinstance(
                     answer(model.ref_for_chunk, which, arg - 1), FileChunkRef

@@ -39,6 +39,11 @@ WIDTH = 4  # raid5@4
 #: and quadruple objects); 59.06 while placement, id allocation and commit
 #: went chunk by chunk.
 PER_CHUNK = 21.25
+#: Python calls per chunk of a many-chunk ``update_chunks``, beyond its
+#: fixed cost: 107.25 as landed -- the read of the current version (three
+#: shards fetched and checked twice), the new stripe and its snapshot
+#: planned, hashed and put, the old stripe and snapshot retired.
+UPDATE_PER_CHUNK = 110
 
 
 def distributor() -> CloudDataDistributor:
@@ -114,6 +119,29 @@ def test_an_upload_costs_a_fixed_number_of_python_calls_per_chunk():
     # The rest is a fixed cost: no more per chunk at 512 chunks than at 64.
     assert large / 512 <= small / 64
     assert large / 512 <= PER_CHUNK + 1.25, large / 512
+
+
+def test_an_update_costs_a_fixed_number_of_python_calls_per_chunk():
+    """An update is one window of the write engine: its fixed cost --
+    authentication, the journal-free transaction, the phases -- is paid
+    once however many chunks it replaces."""
+
+    def cost(chunks: int) -> int:
+        d = distributor()
+        upload(d, 512)
+        d.update_chunks("C", "pw", "f", {s: b"\x01" * 1000 for s in range(chunks)})
+        calls = python_calls(
+            lambda: d.update_chunks(
+                "C", "pw", "f", {s: b"\x02" * 1000 for s in range(chunks)}
+            )
+        )
+        d.close()
+        return calls
+
+    small, large = cost(64), cost(512)
+    marginal = (large - small) / (512 - 64)
+    assert marginal <= UPDATE_PER_CHUNK, marginal
+    assert large / 512 <= small / 64
 
 
 # -- the window forms draw what the per-chunk forms drew ----------------------

@@ -1,10 +1,11 @@
 """Model-based fuzzing: the distributor vs. an in-memory reference model.
 
 Hypothesis drives random interleavings of upload / download / per-chunk
-read / update / remove / rebalance / provider outage / recovery / repair,
-and checks after every step that the distributor serves exactly what a
-plain dict would -- under at most one concurrent provider outage (RAID-5's
-budget) -- and that its metadata is in step with itself.
+read / update of one or several chunks / remove / rebalance / provider
+outage / recovery / repair, and checks after every step that the
+distributor serves exactly what a plain dict of chunk lists would -- under
+at most one concurrent provider outage (RAID-5's budget) -- and that its
+metadata is in step with itself.
 """
 
 import hypothesis.strategies as st
@@ -53,7 +54,8 @@ class DistributorMachine(RuleBasedStateMachine):
         )
         self.distributor.register_client("C")
         self.distributor.add_password("C", "pw", PrivacyLevel.PRIVATE)
-        self.model: dict[str, bytes] = {}
+        # name -> its chunks' payloads, by serial
+        self.model: dict[str, list[bytes]] = {}
         self.down: set[str] = set()
 
     # -- mutations --------------------------------------------------------
@@ -63,7 +65,9 @@ class DistributorMachine(RuleBasedStateMachine):
         if name in self.model:
             return
         self.distributor.upload_file("C", "pw", name, payload, PrivacyLevel.PRIVATE)
-        self.model[name] = payload
+        self.model[name] = [
+            payload[at : at + 256] for at in range(0, len(payload), 256)
+        ] or [b""]
 
     @precondition(lambda self: self.model and not self.down)
     @rule(data=st.data())
@@ -73,13 +77,22 @@ class DistributorMachine(RuleBasedStateMachine):
         del self.model[name]
 
     @precondition(lambda self: self.model and not self.down)
-    @rule(data=st.data(), payload=st.binary(min_size=0, max_size=256))
-    def update_chunk0(self, data, payload):
+    @rule(data=st.data())
+    def update(self, data):
         name = data.draw(st.sampled_from(sorted(self.model)))
-        old = self.model[name]
-        self.distributor.update_chunk("C", "pw", name, 0, payload)
-        # Chunk 0 replaced: splice into the model at chunk granularity.
-        self.model[name] = payload + old[256:]
+        chunks = self.model[name]
+        updates = data.draw(st.dictionaries(
+            st.integers(min_value=0, max_value=len(chunks) - 1),
+            st.binary(min_size=0, max_size=256),
+            min_size=1, max_size=3,
+        ))
+        if len(updates) == 1:
+            ((serial, payload),) = updates.items()
+            self.distributor.update_chunk("C", "pw", name, serial, payload)
+        else:
+            self.distributor.update_chunks("C", "pw", name, updates)
+        for serial, payload in updates.items():
+            chunks[serial] = payload
 
     @precondition(lambda self: self.model and not self.down)
     @rule(moves=st.integers(min_value=1, max_value=8))
@@ -115,16 +128,17 @@ class DistributorMachine(RuleBasedStateMachine):
     def download_matches_model(self, data):
         name = data.draw(st.sampled_from(sorted(self.model)))
         got = self.distributor.get_file("C", "pw", name)
-        assert got == self.model[name]
+        assert got == b"".join(self.model[name])
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
     def chunk_read_matches_model(self, data):
         name = data.draw(st.sampled_from(sorted(self.model)))
         n = self.distributor.chunk_count("C", name)
+        assert n == len(self.model[name])
         serial = data.draw(st.integers(min_value=0, max_value=n - 1))
         got = self.distributor.get_chunk("C", "pw", name, serial)
-        assert got == self.model[name][serial * 256 : (serial + 1) * 256]
+        assert got == self.model[name][serial]
 
     # -- invariants -----------------------------------------------------------
 
@@ -139,6 +153,9 @@ class DistributorMachine(RuleBasedStateMachine):
         fresh = CloudDataDistributor(self.distributor.registry, seed=0)
         fresh.import_metadata(exported)
         assert fresh.export_metadata() == exported
+        # Table III: no shard lives where its chunk's snapshot does.
+        for _, entry in self.distributor.chunk_table:
+            assert entry.snapshot_index not in entry.provider_indices
         # Client Table quadruples reference live Chunk Table entries.
         client = self.distributor.client_table.get("C")
         for ref in client.chunk_refs:
