@@ -22,7 +22,9 @@ import time
 from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar,
+)
 
 import numpy as np
 
@@ -59,11 +61,12 @@ from repro.core.snapshots import SnapshotManager
 from repro.core.tables import (
     ChunkEntry,
     ChunkTable,
+    ChunkWindow,
     ClientTable,
     CloudProviderTable,
     FileChunkRef,
 )
-from repro.core.virtual_id import VirtualIdAllocator, shard_key, snapshot_key
+from repro.core.virtual_id import VirtualIdAllocator, shard_key, shard_keys, snapshot_key
 from repro.providers.base import blob_checksum, check_answers
 from repro.providers.registry import ProviderRegistry
 from repro.raid.codecs import (
@@ -114,6 +117,15 @@ class FileReceipt:
     # raid families ``raid_level`` is also set; for the general codecs it
     # is None and ``codec`` is the only authoritative description.
     codec: str = ""
+
+
+class _Reads(NamedTuple):
+    """A resolved read: a file's chunks in serial order, as their
+    ``serials`` and their Chunk Table indices (``chunks``)."""
+
+    filename: str
+    serials: list[int]
+    chunks: list[int]
 
 
 @dataclass(frozen=True)
@@ -220,23 +232,6 @@ class _Phase:
     def __exit__(self, *exc) -> None:
         self._seconds.observe(time.perf_counter() - self._t0)
         self._span.__exit__(*exc)
-
-
-@dataclass(slots=True)
-class _FetchJob:
-    """One chunk's retrieval state on the read path."""
-
-    serial: int
-    entry: ChunkEntry
-    state: ChunkState
-    names: list[str]
-    cached: bytes | None = None
-
-    @property
-    def misleading_fraction(self) -> float:
-        """Misleading bytes per genuine byte, as the chunk is stored."""
-        injected = len(self.entry.misleading_positions)
-        return injected / max(1, self.state.stripe.orig_len - injected)
 
 
 _T = TypeVar("_T")
@@ -841,29 +836,29 @@ class CloudDataDistributor:
 
         Must run inside the critical section.  One audit note and one
         Provider Table lookup per distinct provider, the rows appended
-        (and counted) in one pass.  Failed-but-accepted shards are
-        recorded too: the table is the scrubber's work list, and the next
-        scrub cycle rebuilds them from the >= k members that did land.
-        The checksums on record are the ones the transfer computed; the
-        plans' shard bytes are released here.
+        (and counted) to the Chunk Table's columns in one pass.
+        Failed-but-accepted shards are recorded too: the table is the
+        scrubber's work list, and the next scrub cycle rebuilds them from
+        the >= k members that did land.  The checksums on record are the
+        ones the transfer computed; the plans' shard bytes are released
+        here.
         """
-        homes: dict[str, int] = {}  # provider name -> table index
-        entries: list[ChunkEntry] = []
+        index_of = self.provider_table.index_of
+        names = {name for plan in plans for name in plan.assigned}
+        homes = {name: index_of(name) for name in names}
+        added = self.chunk_table.add_window(
+            [plan.vid for plan in plans],
+            [plan.level for plan in plans],
+            [len(plan.assigned) for plan in plans],
+            [homes[name] for plan in plans for name in plan.assigned],
+            [plan.snapshot and index_of(plan.snapshot[0]) for plan in plans],
+            [plan.positions for plan in plans],
+            [plan.state for plan in plans],
+        )
         for plan in plans:
-            members: list[int] = []
-            for name in plan.assigned:
-                home = homes.get(name)
-                if home is None:
-                    home = homes[name] = self.provider_table.index_of(name)
-                members.append(home)
-            kept = plan.snapshot and self.provider_table.index_of(plan.snapshot[0])
-            entries.append(ChunkEntry(
-                plan.vid, plan.level, members, kept, plan.positions,
-                record=plan.state,
-            ))
             plan.shards = []
         self._note_audit(vids=[plan.vid for plan in plans], providers=homes)
-        return self.chunk_table.add_many(entries)
+        return added
 
     def _chunk_spec(self, client: str, ref: FileChunkRef) -> dict:
         """Self-contained description of one stored chunk for the journal.
@@ -1219,7 +1214,9 @@ class CloudDataDistributor:
         """
         op = "upload" if retiring is None else "update"
         txn: int | None = None
-        refs: list[FileChunkRef] = []  # committed windows, not yet visible
+        # Committed windows, not yet visible: serials and chunk indices.
+        serials: list[int] = []
+        indices: list[int] = []
         pending: list[_ChunkPlan] = []  # planned, not yet committed
         flight: _WindowTransfer | None = None  # the window on the wire
         load: dict[str, int] | None = None
@@ -1245,16 +1242,19 @@ class CloudDataDistributor:
                     self.journal.extend(txn, moved)
             crashpoint("upload.transferred" if retiring is None else "update.staged")
             with self.op_lock, self._phase(op, "commit"):
-                refs.extend([
-                    FileChunkRef(filename, plan.serial, plan.level, chunk_index)
-                    for plan, chunk_index in zip(plans, self._commit_plans(plans))
-                ])
+                indices.extend(self._commit_plans(plans))
+                serials.extend([plan.serial for plan in plans])
                 del pending[: len(plans)]
                 if not last:
                     return
                 # Publish, in the same critical section as the last
                 # window's rows.  The journal commit goes first: should it
                 # fail, the abort below still finds the write invisible.
+                level = plans[0].level
+                refs = [
+                    FileChunkRef(filename, serial, level, index)
+                    for serial, index in zip(serials, indices)
+                ] if txn is not None or retiring is not None else ()
                 if txn is not None:
                     self.journal.commit(txn, {
                         "client": client,
@@ -1264,7 +1264,7 @@ class CloudDataDistributor:
                     })
                 client_entry = self.client_table.get(client)
                 if retiring is None:
-                    client_entry.add_refs(refs)
+                    client_entry.add_file(filename, serials, level, indices)
                 else:
                     for ref in refs:
                         client_entry.replace_ref(ref)
@@ -1316,7 +1316,7 @@ class CloudDataDistributor:
                 flight.join()
             if isinstance(exc, Exception):
                 with self.op_lock:
-                    self._delete_chunks(refs, rolled_back=pending)
+                    self._delete_chunks(indices, rolled_back=pending)
                 if txn is not None:
                     self.journal.abort(txn)
             raise
@@ -1345,192 +1345,176 @@ class CloudDataDistributor:
     # retrieval path: get_chunk() / get_file()      (Sections V and VI)
     # ------------------------------------------------------------------
 
-    def _job_for(
-        self, entry: ChunkEntry, serial: int, filename: str
-    ) -> _FetchJob:
-        """Retrieval state for one chunk (inside the critical section):
-        the paper's Chunk Table entry -> Cloud Provider Table rows, plus a
-        look in the (unsynchronized) chunk cache."""
-        return _FetchJob(
-            serial=serial,
-            entry=entry,
-            state=entry.state(filename),
-            names=self._members(entry),
-            cached=(
-                self.cache.get(entry.virtual_id)
-                if self.cache is not None
-                else None
-            ),
-        )
-
     def _resolve_read(
-        self, op: "tuple[str, str, str, int | None]", password: str
-    ) -> list[_FetchJob]:
+        self, op: "tuple[str, str, str, int | None]", password: str,
+        eager: bool = False,
+    ) -> _Reads:
         """Resolve and authorize the read *op* -- ``(operation, client,
         filename, serial)``, the whole file when *serial* is ``None`` --
-        into fetch jobs, in serial order.
+        into the chunks to read, in serial order.
 
         The password is checked before any table is read (Section V: the
         distributor checks the ⟨password, PL⟩ pair, then resolves), so
         what a refusal says does not depend on whether the file exists;
-        then Client Table quadruples -> Chunk Table entries -> provider
-        names, under the op lock.  A refusal (wrong password, unknown
+        then Client Table quadruples -> Chunk Table rows, under the op
+        lock, as one index array.  A refusal (wrong password, unknown
         file) is recorded as a failed *operation*, so the audit log's
-        ``auth_failure_streak`` sees it whichever read asked.
+        ``auth_failure_streak`` sees it whichever read asked.  With *eager*
+        (a stream, read window by window later) what a window would refuse
+        -- a chunk row gone, a chunk quarantined under an unknown codec --
+        is refused here too.
         """
         _, client, filename, serial = op
         try:
             granted = self.access.authenticate(client, password)
             with self.op_lock, self._phase("get_file", "resolve"):
-                table = self.client_table.get(client)
-                refs = (
-                    table.refs_for_file(filename)
-                    if serial is None
-                    else [table.ref_for_chunk(filename, serial)]
-                )
-                self._require_level(client, granted, refs[0].privacy_level)
-                return [
-                    self._job_for(
-                        self.chunk_table.get(ref.chunk_index), ref.serial,
-                        filename,
-                    )
-                    for ref in refs
-                ]
+                if serial is None:
+                    reads, level = self._reads_of(client, filename)
+                else:
+                    ref = self.client_table.get(client).ref_for_chunk(filename, serial)
+                    level = ref.privacy_level
+                    reads = _Reads(filename, [serial], [ref.chunk_index])
+                self._require_level(client, granted, level)
+                if eager:
+                    self.chunk_table.check(reads.chunks, filename)
+                return reads
         except ReproError as exc:
             self._record_op(*op, ok=False, detail=type(exc).__name__)
             raise
 
-    def _read_jobs(
+    def _reads_of(self, client: str, filename: str) -> tuple[_Reads, PrivacyLevel]:
+        """*client*'s file *filename* as a read of all its chunks, and its
+        level (op lock held; the caller authorizes)."""
+        refs = self.client_table.get(client).file(filename)
+        return _Reads(filename, refs.serials.tolist(), refs.chunks.tolist()), refs.level
+
+    def _read_rows(
         self,
-        jobs: list[_FetchJob],
+        reads: _Reads,
         window_chunks: int,
         *,
         cipher: "StreamCipher | None" = None,
         op: "tuple[str, str, str, int | None] | None" = None,
     ) -> Iterator[bytes]:
-        """The read engine: yield each job's plaintext, window by window.
+        """The read engine: yield each chunk's plaintext, window by window.
 
-        Per window of *window_chunks* jobs, lock-free: the shards fetched
-        in rounds, one batched call per provider per round, then one
-        decode and one misleading-byte strip for the window
-        (:meth:`_read_window`), then the cache fill.  A window's shard
-        bytes are released before its payloads are yielded (the generator
-        may be held open for a long time), so memory is O(window).  With
-        *cipher* each payload is decrypted with ``nonce=serial`` as it is
-        yielded (the cache keeps what is stored).
+        Per window of *window_chunks* chunks, lock-free but for the copy
+        of its Chunk Table rows: the shards fetched in rounds, one batched
+        call per provider per round, then one decode and one
+        misleading-byte strip for the window (:meth:`_read_window`), then
+        the cache fill.  A window's shard bytes are released before its
+        payloads are yielded (the generator may be held open for a long
+        time), so memory is O(window).  With *cipher* each payload is
+        decrypted with ``nonce=serial`` as it is yielded (the cache keeps
+        what is stored).
 
         On the way out -- exhausted, failed, or closed early by the
-        consumer -- the chunks actually fetched are noted for the audit
-        record, and with *op* (``operation, client, filename, serial``)
-        that record is written here: ``ok`` only if every job was yielded,
-        otherwise naming the error or the abandonment.
+        consumer -- the audit record has the chunks actually fetched
+        (each window notes its own), and with *op* (``operation, client,
+        filename, serial``) that record is written here: ``ok`` only if
+        every chunk was yielded, otherwise naming the error or the
+        abandonment.
         """
-        fetched = 0  # jobs[:fetched] went to the providers
+        chunks = reads.chunks
+        fetched = 0  # chunks[:fetched] went to the providers
         ok, detail = False, ""
         try:
-            for start in range(0, len(jobs), window_chunks):
-                batch = jobs[start : start + window_chunks]
+            for start in range(0, len(chunks), window_chunks):
+                batch = chunks[start : start + window_chunks]
                 fetched = start + len(batch)
                 with self._phase("get_file", "fetch"):
-                    payloads = self._read_window(batch)
-                if self.cache is not None:
-                    with self.op_lock, self._phase("get_file", "cache_fill"):
-                        for job, payload in zip(batch, payloads):
-                            if job.cached is None:
-                                self.cache.put(job.entry.virtual_id, payload)
-                for i, job in enumerate(batch):
+                    payloads, _ = self._read_window(batch, reads.filename)
+                serials = reads.serials[start:fetched]
+                for i, serial in enumerate(serials):
                     payload, payloads[i] = payloads[i], None
                     if cipher is not None:
-                        payload = cipher.decrypt(payload, nonce=job.serial)
+                        payload = cipher.decrypt(payload, nonce=serial)
                     yield payload
             ok = True
         except GeneratorExit:
-            detail = f"abandoned within {fetched} of {len(jobs)} chunks"
+            detail = f"abandoned within {fetched} of {len(chunks)} chunks"
             raise
         except Exception as exc:
             detail = type(exc).__name__
             raise
         finally:
-            self._note_audit(
-                vids=[job.entry.virtual_id for job in jobs[:fetched]],
-                providers=itertools.chain.from_iterable(
-                    [job.names for job in jobs[:fetched]]
-                ),
-            )
             if op is not None:
                 self._record_op(*op, ok=ok, detail=detail)
 
-    def _read_window(self, jobs: list[_FetchJob]) -> list[bytes]:
-        """Fetch, decode and strip one window's chunks, lock-free.
+    def _read_window(
+        self, chunks: list[int], filename: str
+    ) -> tuple[list[bytes], ChunkWindow]:
+        """Fetch, decode and strip the chunks at table indices *chunks*;
+        returns their payloads and the copy of their rows it read.
 
+        Under the op lock, their rows are copied out of the Chunk Table's
+        columns (:meth:`ChunkTable.window`) and noted for the audit record,
+        and the cache is asked for each; the rest runs without it.
         :func:`read_stripes` asks in rounds -- every stripe's data members
         first, then only as much parity as a stripe is short of -- and
-        each round's requests bound for one provider coalesce into a
-        single provider call, the providers in flight concurrently.  The
-        framing follows the batch's mean shard size, as on upload:
-        STREAM_GET (one frame per shard) at or above
-        ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload, which
-        parses faster for shards that small.  A round is grouped once into
-        per-provider columns (answer slots, keys, recorded digests), and
-        each provider's answers are checked as one batch
-        (:meth:`_check_batch`); a mismatch is a failed member.
+        :meth:`ChunkWindow.plan` groups each round by provider from the
+        window's columns, each provider's slice one batched call, the
+        providers in flight concurrently.  The framing follows the batch's
+        mean shard size, as on upload: STREAM_GET (one frame per shard) at
+        or above ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload,
+        which parses faster for shards that small.  Each provider's answers
+        are checked as one batch (:meth:`_check_batch`); a mismatch is a
+        failed member.  Cache misses are filled after the strip.
         """
-        live = [job for job in jobs if job.cached is None]
-        names = [job.names for job in live]
-        vids = [job.entry.virtual_id for job in live]
-        digests = [
-            job.state.shard_checksums or (None,) * len(job.names) for job in live
-        ]
-        sizes = [job.state.stripe.shard_size for job in live]
+        table = self.chunk_table
+        cached: "list[bytes | None] | None" = None
+        with self.op_lock:
+            window = rows = table.window(chunks, filename)
+            self._note_audit(
+                vids=window.vids,
+                providers=self.provider_table.names(window.providers()),
+            )
+            if self.cache is not None:
+                cached = [self.cache.get(vid) for vid in window.vids]
+                if cached.count(None) < len(cached):
+                    window = table.window(
+                        [chunk for chunk, payload in zip(chunks, cached) if payload is None]
+                    )
+        sizes = [stripe.shard_size for stripe in window.stripes]
+        large = max(sizes, default=0) >= STREAM_SEGMENT_THRESHOLD
 
         def fetch_round(
-            requests: list[tuple[int, int]]
+            numbers: np.ndarray, indices: np.ndarray
         ) -> list["bytes | ProviderError"]:
-            # The round as one column set per provider: answer slots, keys,
-            # recorded digests and shard sizes, in the order asked.
-            columns: dict[str, tuple[list, list, list, list]] = {}
-            for slot, (number, index) in enumerate(requests):
-                name = names[number][index]
-                column = columns.get(name)
-                if column is None:
-                    column = columns[name] = ([], [], [], [])
-                slots, keys, expected, sized = column
-                slots.append(slot)
-                keys.append(shard_key(vids[number], index))
-                expected.append(digests[number][index])
-                sized.append(sizes[number])
+            keys, expected, rows, runs, back = window.plan(numbers, indices)
+            names = self.provider_table.names([provider for provider, _, _ in runs])
+            jobs = {name: run[1:] for name, run in zip(names, runs)}
 
             def fetch(name: str) -> list["bytes | ProviderError"]:
-                _, keys, expected, sized = columns[name]
-                streamed = sum(sized) >= STREAM_SEGMENT_THRESHOLD * len(sized)
-                outcomes = self._provider_batch(
-                    "get_stream" if streamed else "get_many", name, keys
+                a, b = jobs[name]
+                streamed = large and (
+                    sum(map(sizes.__getitem__, rows[a:b]))
+                    >= STREAM_SEGMENT_THRESHOLD * (b - a)
                 )
-                return self._check_batch(name, keys, expected, outcomes)
+                outcomes = self._provider_batch(
+                    "get_stream" if streamed else "get_many", name, keys[a:b]
+                )
+                return self._check_batch(name, keys[a:b], expected[a:b], outcomes)
 
-            answers: list = [None] * len(requests)
-            order = list(columns)
-            for name, (checked, exc) in zip(
-                order, self._transport_map(fetch, order, order)
+            answers: list = [None] * len(back)  # in provider order
+            for (a, b), (checked, exc) in zip(
+                jobs.values(), self._transport_map(fetch, names, names)
             ):
-                slots = columns[name][0]
-                for slot, outcome in zip(slots, checked or [exc] * len(slots)):
-                    answers[slot] = outcome
-            return answers
+                answers[a:b] = checked if exc is None else [exc] * (b - a)
+            return list(map(answers.__getitem__, back))
 
-        stripes = read_stripes(
-            [job.state.stripe for job in live], fetch_round
+        stripes = read_stripes(window.stripes, fetch_round)
+        stripped = remove_window(
+            [stored for stored, _failed in stripes], window.positions
         )
-        stripped = iter(
-            remove_window(
-                [stored for stored, _failed in stripes],
-                [job.entry.misleading_positions for job in live],
-            )
-        )
-        return [
-            job.cached if job.cached is not None else next(stripped)
-            for job in jobs
-        ]
+        if cached is None:
+            return stripped, rows
+        if stripped:
+            with self.op_lock, self._phase("get_file", "cache_fill"):
+                for vid, payload in zip(window.vids, stripped):
+                    self.cache.put(vid, payload)
+        fresh = iter(stripped)
+        return [next(fresh) if payload is None else payload for payload in cached], rows
 
     def get_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1542,7 +1526,7 @@ class CloudDataDistributor:
         """
         op = ("get_chunk", client, filename, serial)
         with self.tracer.span("distributor.get_chunk", client=client):
-            (payload,) = self._read_jobs(
+            (payload,) = self._read_rows(
                 self._resolve_read(op, password), 1, op=op
             )
         return payload
@@ -1552,13 +1536,13 @@ class CloudDataDistributor:
 
         Every chunk's metadata is resolved under the op lock; the data
         shards of *all* chunks are then fetched as one window of the read
-        engine (:meth:`_read_jobs`) -- batched per provider, providers in
+        engine (:meth:`_read_rows`) -- batched per provider, providers in
         flight concurrently -- and joined in serial order.
         """
         op = ("get_file", client, filename, None)
         with self.tracer.span("distributor.get_file", client=client):
-            jobs = self._resolve_read(op, password)
-            return b"".join(self._read_jobs(jobs, len(jobs), op=op))
+            reads = self._resolve_read(op, password)
+            return b"".join(self._read_rows(reads, len(reads.chunks), op=op))
 
     def get_stream(
         self, client: str, password: str, filename: str, **options
@@ -1590,29 +1574,28 @@ class CloudDataDistributor:
     # removal path: remove_chunk() / remove_file()   (Section VI)
     # ------------------------------------------------------------------
 
-    def _delete_chunks(self, refs: list[FileChunkRef], rolled_back=()) -> None:
-        """Erase, lock held, the tabled chunks behind *refs* and whatever the
-        *rolled_back* plans (transferred, never tabled) left: every shard and
-        snapshot in one :meth:`_delete_objects` batch, then rows and ids."""
-        entries = [self.chunk_table.get(ref.chunk_index) for ref in refs]
+    def _delete_chunks(self, chunks: "Sequence[int]", rolled_back=()) -> None:
+        """Erase, lock held, the tabled chunks at Chunk Table indices
+        *chunks* and whatever the *rolled_back* plans (transferred, never
+        tabled) left: the rows untabled in one pass over the columns, then
+        every shard and snapshot they placed in one :meth:`_delete_objects`
+        batch, then the ids."""
         doomed = [pair for plan in rolled_back for pair in plan.writes()]
-        for entry in entries:
-            vid, names = entry.virtual_id, self._members(entry)
-            self._note_audit(vids=(vid,), providers=names)
-            doomed.extend((name, shard_key(vid, i)) for i, name in enumerate(names))
-            if entry.snapshot_index is not None:
-                snapshot_home = self.provider_table.get(entry.snapshot_index).name
-                doomed.append((snapshot_home, snapshot_key(vid)))
+        vids: list[int] = []
+        if len(chunks):
+            vids, providers, keys = self.chunk_table.remove_many(chunks)
+            names = self.provider_table.names(providers)
+            self._note_audit(vids=vids, providers=names)
+            doomed += zip(names, keys)
         self._delete_objects(doomed)
         for plan in rolled_back:
             self.metrics.counter("distributor_rollbacks_total").inc()
             self.events.emit("upload_rollback", level="warning", vid=plan.vid)
             self.ids.release(plan.vid)
-        for ref, entry in zip(refs, entries):
-            self.chunk_table.remove(ref.chunk_index)
+        for vid in vids:
             if self.cache is not None:
-                self.cache.invalidate(entry.virtual_id)
-            self.ids.release(entry.virtual_id)
+                self.cache.invalidate(vid)
+            self.ids.release(vid)
 
     def remove_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1662,7 +1645,7 @@ class CloudDataDistributor:
             crashpoint("remove.intent_logged")
         for start in range(0, len(refs), REMOVE_WINDOW_CHUNKS):
             window = refs[start : start + REMOVE_WINDOW_CHUNKS]
-            self._delete_chunks(window)
+            self._delete_chunks([ref.chunk_index for ref in window])
             client_entry.remove_refs(window)
             crashpoint("remove.partial")
         if txn is not None:
@@ -1713,23 +1696,20 @@ class CloudDataDistributor:
                 client_entry = self.client_table.get(client)
                 refs = [client_entry.ref_for_chunk(filename, s) for s in serials]
                 self._require_level(client, granted, refs[0].privacy_level)
-                jobs = [
-                    self._job_for(self.chunk_table.get(ref.chunk_index), ref.serial, filename)
-                    for ref in refs
-                ]
-                pre_states = list(self._read_jobs(jobs, len(jobs)))
+                chunks = [ref.chunk_index for ref in refs]
+                pre_states, rows = self._read_window(chunks, filename)
                 # The codec comes back from the stripe metadata (so across
                 # codec generations), the misleading bytes at the budget
                 # the chunk had; chunks alike are planned together.
                 recipes = [
-                    (codec_for_meta(job.state.stripe), job.misleading_fraction)
-                    for job in jobs
+                    (codec_for_meta(stripe), fraction)
+                    for stripe, fraction in rows.budgets()
                 ]
 
                 def plan(payloads: list, load: dict[str, int]) -> list[_ChunkPlan]:
                     plans: list[_ChunkPlan] = []
                     for (codec, fraction), run in itertools.groupby(
-                        range(len(jobs)), recipes.__getitem__
+                        range(len(chunks)), recipes.__getitem__
                     ):
                         run = list(run)
                         plans += self._plan_window(
@@ -1743,7 +1723,7 @@ class CloudDataDistributor:
                     client, filename, [([updates[s] for s in serials], True)],
                     plan, retiring=refs,
                 )
-                self._delete_chunks(refs)
+                self._delete_chunks(chunks)
 
         one = serials[0] if len(serials) == 1 else None
         self._audited("update_chunk", client, filename, one, work)

@@ -71,8 +71,13 @@ def import_metadata(distributor: CloudDataDistributor, snapshot: dict) -> None:
         except (AttributeError, LookupError, TypeError, ValueError) as exc:
             raise MetadataCorruptedError(f"{section}: {exc}") from None
         # The allocator keeps its draw stream: refilled, not replaced, and
-        # checked whole first -- the last step that may refuse.
+        # checked whole first -- the last step that may refuse.  A tabled id
+        # the document's set lacks is reserved: a commit tables the ids the
+        # allocator draws without looking them up again.
         distributor.ids.import_state(snapshot.get("ids"))
+        for vid in chunk_table.tabled_vids():
+            if vid not in distributor.ids:
+                distributor.ids.reserve(vid)
         if distributor.cache is not None:
             # Chunks may have been updated at the snapshot's source; a
             # stale local cache must not outlive the old metadata.

@@ -4,7 +4,7 @@
 holding the whole file -- fine for the paper's chunk-scale experiments,
 fatal for arbitrarily large files.  This module feeds the *same* engines
 (:meth:`CloudDataDistributor._upload_windows` and
-:meth:`CloudDataDistributor._read_jobs`) bounded windows instead: a
+:meth:`CloudDataDistributor._read_rows`) bounded windows instead: a
 buffer of ``window_chunks`` chunks is read, encoded, placed and
 transferred before the next window is read, so peak memory is O(window),
 not O(file).
@@ -129,6 +129,7 @@ def get_stream(
     if window_chunks < 1:
         raise ValueError(f"window_chunks must be >= 1, got {window_chunks}")
     op = ("get_file", client, filename, None)
-    return dist._read_jobs(
-        dist._resolve_read(op, password), window_chunks, cipher=cipher, op=op
+    return dist._read_rows(
+        dist._resolve_read(op, password, eager=True), window_chunks,
+        cipher=cipher, op=op,
     )

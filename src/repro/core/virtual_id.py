@@ -13,6 +13,8 @@ with :func:`snapshot_key`.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.errors import MetadataCorruptedError
 from repro.util.rng import SeedLike, derive_rng
 
@@ -115,6 +117,16 @@ def shard_key(virtual_id: int, shard_index: int) -> str:
     still learns nothing but an opaque key.
     """
     return f"{virtual_id}.{shard_index}"
+
+
+#: :func:`shard_key`'s format, applied a window at a time by :func:`shard_keys`.
+_SHARD_KEY = "{}.{}".format
+
+
+def shard_keys(virtual_ids: Iterable[int], shard_indices: Iterable[int]) -> list[str]:
+    """:func:`shard_key` of each ``(virtual id, shard index)`` pair, in one
+    call for a window's shards (the read path's keys, Table I's id lists)."""
+    return list(map(_SHARD_KEY, virtual_ids, shard_indices))
 
 
 def snapshot_key(virtual_id: int) -> str:

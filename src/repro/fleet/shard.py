@@ -183,28 +183,25 @@ class FleetShard:
     def export_file(self, key: str) -> tuple[bytes, PrivacyLevel, float, str]:
         """Read one file out for migration: (data, level, fraction, codec).
 
-        Uses the same internal surface the update path uses: refs
-        resolve to fetch jobs, the distributor's read engine reconstructs
-        each chunk (RAID failover included), and the misleading budget is
-        re-derived from the stored positions the way ``update_chunks``
-        does, so the re-upload at the destination carries the same
-        privacy posture.  The codec label travels too, so a migrated file
-        keeps its erasure codec (raid-family files re-pick a stripe width
-        from the destination's fleet).
+        The file is read as one window of the distributor's read engine,
+        the path ``get_file`` takes (RAID failover included, one batched
+        call per provider per round), and its misleading budget comes from
+        the Chunk Table's columns the way ``update_chunks`` takes it, so
+        the re-upload at the destination carries the same privacy posture.
+        The codec label travels too, so a migrated file keeps its erasure
+        codec (raid-family files re-pick a stripe width from the
+        destination's fleet).
         """
         tenant, _ = split_fleet_key(key)
         d = self.distributor
         with d.op_lock:
-            refs = d.client_table.get(tenant).refs_for_file(key)
-            jobs = [
-                d._job_for(d.chunk_table.get(ref.chunk_index), ref.serial, key)
-                for ref in refs
-            ]
-            fraction = max(job.misleading_fraction for job in jobs)
-            data = b"".join(d._read_jobs(jobs, 1))
+            reads, level = d._reads_of(tenant, key)
+            payloads, rows = d._read_window(reads.chunks, key)
+            budgets = rows.budgets()
+            data = b"".join(payloads)
             return (
-                data, refs[0].privacy_level, fraction,
-                jobs[0].state.stripe.codec,
+                data, level, max(fraction for _, fraction in budgets),
+                budgets[0][0].codec,
             )
 
     def import_file(

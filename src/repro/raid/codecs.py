@@ -273,6 +273,38 @@ class ErasureCodec:
         """:meth:`decode` for every ``(meta, shards)`` of a window, in order."""
         return [self.decode(meta, shards) for meta, shards in stripes]
 
+    #: Is a stripe's payload its k data members joined (zero padding
+    #: aside)?  Then a stripe read whole from them needs no decode.
+    systematic = False
+
+    def decode_data(
+        self, metas: "Sequence[StripeMeta]", shards: "Sequence[bytes]"
+    ) -> list[bytes]:
+        """:meth:`decode_many` for stripes whose k data members all arrived:
+        *shards* holds them, stripe after stripe, member after member.  A
+        systematic codec joins them a slab of about ``XOR_SLAB_BYTES`` at a
+        time and cuts each payload out (a stripe that fills a slab alone is
+        joined with its tail trimmed first: one copy)."""
+        k = self.k
+        if not self.systematic:
+            return self.decode_many([
+                (meta, dict(enumerate(shards[at * k : (at + 1) * k])))
+                for at, meta in enumerate(metas)
+            ])
+        payloads: list[bytes] = []
+        step = max(1, XOR_SLAB_BYTES // max(1, k * metas[0].shard_size)) if metas else 1
+        for start in range(0, len(metas), step):
+            slab = metas[start : start + step]
+            members = shards[start * k : (start + len(slab)) * k]
+            if len(slab) == 1:
+                payloads.append(self._join(members, slab[0].orig_len))
+                continue
+            blob, at = b"".join(members), 0
+            for meta in slab:
+                payloads.append(blob[at : at + meta.orig_len])
+                at += k * meta.shard_size
+        return payloads
+
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         """Regenerate the single shard *index* byte-exactly from survivors."""
         raise NotImplementedError
@@ -326,6 +358,8 @@ class RaidCodec(ErasureCodec):
     from the Vandermonde-derived generator (see
     :mod:`repro.raid.reed_solomon`), RAID-5 from XOR, RAID-1 from copies.
     """
+
+    systematic = True
 
     def __init__(self, level: RaidLevel, width: int) -> None:
         self.level = level
@@ -470,6 +504,7 @@ class RSStripeCodec(ErasureCodec):
     """General systematic Reed-Solomon rs(k,m) with the Cauchy generator."""
 
     family = "rs"
+    systematic = True
 
     def __init__(self, k: int, m: int) -> None:
         self.k = k
@@ -524,6 +559,7 @@ class AontRSCodec(RSStripeCodec):
     """
 
     family = "aont-rs"
+    systematic = False  # the data members carry the package, not the chunk
 
     def _encode(
         self, payload: "bytes | memoryview"

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import lru_cache
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.errors import ProviderError, ReconstructionError
 from repro.obs.metrics import get_metrics
@@ -34,58 +37,73 @@ def _decode(meta: StripeMeta, shards: dict[int, bytes]) -> bytes:
 def read_stripes(
     metas: Sequence[StripeMeta],
     fetch_many: Callable[
-        [list[tuple[int, int]]], "Sequence[bytes | ProviderError]"
+        [np.ndarray, np.ndarray], "Sequence[bytes | ProviderError]"
     ],
     prefer_data: bool = True,
 ) -> list[tuple[bytes, list[int]]]:
     """Fetch and decode a window of stripes, in rounds; returns one
     ``(payload, failed idxs)`` per stripe.
 
-    *fetch_many* takes a round's ``(stripe number, shard index)`` requests
-    and answers each, in order, with the shard bytes or the
-    :class:`ProviderError` that kept them (unavailable, lost, corrupt).
-    With ``prefer_data=True`` (the default read path) round 0 asks for
-    every stripe's k data members, and each later round asks, for every
-    stripe still short of k good members, for exactly as many untried
-    members as it is short of, in index order -- so parity is only pulled
-    when data shards fail, and never more of it than could be needed.
-    With ``prefer_data=False`` round 0 asks for all n members of every
-    stripe -- parity included -- for verify-style callers that want every
-    member exercised and every failure surfaced in ``failed``.  Raises
-    :class:`ReconstructionError` for the first stripe with too many
-    failed shards.
+    *fetch_many* takes a round's requests as two integer arrays, the
+    stripe number and the shard index of each, and answers each, in
+    order, with the shard bytes or the :class:`ProviderError` that kept
+    them (unavailable, lost, corrupt).  With ``prefer_data=True`` (the
+    default read path) round 0 asks for every stripe's k data members, and
+    each later round asks, for every stripe still short of k good members,
+    for exactly as many untried members as it is short of, in index order
+    -- so parity is only pulled when data shards fail, and never more of
+    it than could be needed.  With ``prefer_data=False`` round 0 asks for
+    all n members of every stripe -- parity included -- for verify-style
+    callers that want every member exercised and every failure surfaced in
+    ``failed``.  Raises :class:`ReconstructionError` for the first stripe
+    with too many failed shards.  A window whose data members all arrive
+    in round 0 is decoded from them as they came, with no per-shard pass.
     """
-    from repro.raid.codecs import codec_for_meta
-
-    shards: list[dict[int, bytes]] = [{} for _ in metas]
-    failed: list[list[int]] = [[] for _ in metas]
-    requests = [
-        (number, index)
-        for number, meta in enumerate(metas)
-        for index in range(meta.k if prefer_data else meta.n)
-    ]
-    short = range(len(metas))  # stripes that may still lack members
-    while requests:
-        for (number, index), outcome in zip(
-            requests, fetch_many(requests), strict=True
+    count = len(metas)
+    if not count:
+        return []
+    want = [meta.k if prefer_data else meta.k + meta.m for meta in metas]
+    if min(want) == max(want):  # one geometry: a grid
+        numbers, indices = _grid(count, want[0])
+    else:
+        numbers = np.arange(count).repeat(want)
+        indices = np.array([index for wanted in want for index in range(wanted)], np.int64)
+    first = True
+    while len(numbers):
+        outcomes = fetch_many(numbers, indices)
+        if len(outcomes) != len(numbers):
+            raise ValueError(
+                f"{len(outcomes)} answers to a round of {len(numbers)} requests"
+            )
+        if first and prefer_data and _BYTES.issuperset(map(type, outcomes)):
+            # Every stripe's data members, in order, and all arrived.
+            none: list[int] = []  # (shared: nothing failed anywhere)
+            return [(payload, none) for payload in _decode_window(metas, outcomes, joined=True)]
+        if first:
+            shards: list[dict[int, bytes]] = [{} for _ in metas]
+            failed: list[list[int]] = [[] for _ in metas]
+        first = False
+        short: dict[int, None] = {}  # the stripes a member failed, in order
+        for number, index, outcome in zip(
+            numbers.tolist(), indices.tolist(), outcomes
         ):
             if isinstance(outcome, ProviderError):
                 failed[number].append(index)
+                short[number] = None
             else:
                 shards[number][index] = outcome
-        short = [n for n in short if len(shards[n]) < metas[n].k]
-        requests = []
+        # Each asks for as many untried members as it is short of, from its
+        # first untried one (members are tried in index order, so the tried
+        # ones are a prefix of the stripe).
+        asked: list[int] = []
+        members: list[int] = []
         for number in short:
-            # Members are tried in index order, so the tried ones are a
-            # prefix of the stripe.
-            tried = len(shards[number]) + len(failed[number])
-            want = metas[number].k - len(shards[number])
-            requests.extend(
-                (number, index)
-                for index in range(
-                    tried, min(metas[number].n, tried + want)
-                )
-            )
+            have, meta = len(shards[number]), metas[number]
+            tried = have + len(failed[number])
+            more = min(meta.k - have, meta.k + meta.m - tried)
+            asked += [number] * more
+            members += range(tried, tried + more)
+        numbers, indices = np.array(asked, np.int64), np.array(members, np.int64)
 
     metrics = get_metrics()
     for meta, have, lost in zip(metas, shards, failed):
@@ -102,17 +120,46 @@ def read_stripes(
                 f"only {len(have)}/{meta.k} required shards readable"
             )
 
+    return list(zip(_decode_window(metas, shards, joined=False), failed))
+
+
+def _decode_window(metas: Sequence[StripeMeta], shards: list, joined: bool) -> list[bytes]:
+    """Each stripe's payload, a run of one codec at a time: from *shards*,
+    one ``{index: bytes}`` a stripe, or (*joined*) every stripe's k data
+    members end to end (:meth:`ErasureCodec.decode_data`)."""
+    from repro.raid.codecs import codec_for_meta
+
+    metrics = get_metrics()
     payloads: list[bytes] = []
-    for (label, _width), run in itertools.groupby(
-        zip(metas, shards), key=lambda stripe: (stripe[0].codec, stripe[0].width)
-    ):
-        stripes = list(run)
+    labels = [(meta.codec, meta.width) for meta in metas]
+    at = 0
+    for (label, _width), run in itertools.groupby(range(len(metas)), labels.__getitem__):
+        run = list(run)
+        codec, run_metas = codec_for_meta(metas[run[0]]), metas[run[0] : run[-1] + 1]
         t0 = time.perf_counter()
-        payloads.extend(codec_for_meta(stripes[0][0]).decode_many(stripes))
+        if joined:
+            members = codec.k * len(run)
+            payloads += codec.decode_data(run_metas, shards[at : at + members])
+            at += members
+        else:
+            payloads += codec.decode_many(list(zip(run_metas, shards[run[0] : run[-1] + 1])))
         metrics.histogram("raid_decode_seconds", codec=label).observe(
             time.perf_counter() - t0
         )
-    return list(zip(payloads, failed))
+    return payloads
+
+
+@lru_cache(maxsize=64)
+def _grid(count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Round 0 of *count* stripes asked for *width* members each: the
+    stripe number and member index of every request (read-only, shared:
+    a one-chunk read asks the same grid every time)."""
+    numbers, indices = np.divmod(np.arange(count * width), width)
+    numbers.flags.writeable = indices.flags.writeable = False
+    return numbers, indices
+
+
+_BYTES = frozenset((bytes, bytearray, memoryview))
 
 
 def read_stripe(
@@ -127,9 +174,9 @@ def read_stripe(
     unavailable/lost/corrupt shards.
     """
 
-    def fetch_many(requests: list[tuple[int, int]]) -> list:
+    def fetch_many(numbers: np.ndarray, indices: np.ndarray) -> list:
         outcomes: list = []
-        for _, index in requests:
+        for index in indices.tolist():
             try:
                 outcomes.append(fetch(index))
             except ProviderError as exc:

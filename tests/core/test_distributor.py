@@ -258,7 +258,7 @@ def test_no_entry_point_takes_the_retired_options():
         CloudDataDistributor.put_stream,
         CloudDataDistributor.get_stream,
         CloudDataDistributor._upload_windows,
-        CloudDataDistributor._read_jobs,
+        CloudDataDistributor._read_rows,
         streaming.put_stream,
         streaming.get_stream,
         FleetGateway.__init__,

@@ -96,6 +96,11 @@ HOSTILE = {
     "unregistered-snapshot-provider": lambda s: s.__setitem__("snapshot", "ghost"),
     "level-99": lambda s: s.__setitem__("level", 99),
     "no-level": lambda s: s.pop("level"),
+    # Loaded at 8025e85 (the first then failed every read of its shard); the
+    # Chunk Table keeps a checksum as its 32 raw bytes and a vid as a 64-bit
+    # integer, so both are refused at the door.
+    "checksum-not-a-hex-digest": lambda s: s["checksums"].__setitem__(0, "z" * 64),
+    "vid-past-int64": lambda s: s.__setitem__("vid", 2**70),
 }
 
 

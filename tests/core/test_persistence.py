@@ -378,6 +378,45 @@ CONTRADICTIONS |= {
     "snapshot-key-not-listed": _unlist(lambda row: (f"S{row[0]}", row[3])),
 }
 
+# The Chunk Table holds a shard's checksum as its 32 raw bytes and places
+# rows by index: a checksum that is no SHA-256 hex digest, a row index at
+# or past next_index, and a virtual id two rows name are refused, not
+# loaded (the parent loaded each: the first failed every read of its
+# shard, the other two let one row overwrite another).
+CONTRADICTIONS |= {
+    "checksum-not-a-hex-digest": _contradiction(
+        lambda row, state, m: state[7].__setitem__(0, "z" * 64)
+    ),
+    "checksum-in-capitals": _contradiction(
+        lambda row, state, m: state[7].__setitem__(0, state[7][0].upper())
+    ),
+    "row-index-past-next-index": lambda m: (
+        m["chunk_table"].__setitem__("next_index", 1),
+        min(m["chunk_table"]["entries"].items(), key=lambda item: int(item[0]))[1][0],
+    )[1],
+    "one-vid-two-rows": _section(
+        "chunk table",
+        lambda m: [
+            row.__setitem__(0, first[0])
+            for first, row in [list(m["chunk_table"]["entries"].values())[:2]]
+        ],
+    ),
+}
+
+
+def test_a_tabled_id_the_document_does_not_list_is_reserved(stored, registry):
+    # A commit tables the ids the allocator draws without looking them up
+    # in the table again, so no tabled id may be free to draw.
+    _, path, _ = stored
+
+    def edit(metadata):
+        edit.vid = metadata["ids"]["used"].pop(0)
+
+    _reseal(path, edit)
+    fresh = CloudDataDistributor(registry, seed=7)
+    load_metadata(fresh, path)
+    assert edit.vid in fresh.ids
+
 
 @pytest.mark.parametrize("edit", CONTRADICTIONS.values(), ids=CONTRADICTIONS.keys())
 def test_refused_snapshot_leaves_a_serving_distributor_as_it_was(stored, edit):

@@ -27,10 +27,12 @@ from repro.providers.registry import ProviderRegistry
 
 K = 3  # raid5@4: three data members a stripe
 #: Python calls per data shard a healthy read makes below ``get_file``,
-#: beyond its fixed cost: 6.01 as landed (two ``blob_checksum``, one
-#: ``shard_key``, the rest per chunk over its three shards); 15.34 before
+#: beyond its fixed cost: 2.36 as landed (two ``blob_checksum``, the rest
+#: per chunk over its three shards: the window is planned from the Chunk
+#: Table's columns, its keys formatted in one call); 6.01 while a read
+#: built a fetch job a chunk and a ``shard_key`` call a shard; 15.34 before
 #: the fetch-and-check pass went per provider.
-PER_SHARD = 6.1
+PER_SHARD = 2.4
 
 
 class Switchable(InMemoryProvider):

@@ -181,6 +181,23 @@ def test_chunk_table_counts_provider_loads():
     assert table.provider_keys() == {}
 
 
+def test_a_view_taken_before_a_move_reads_the_new_placement():
+    table = ChunkTable()
+    index = table.add(_entry(5, cps=(0, 1, 2)))
+    early, twin = table.get(index), table.get(index)
+    table.move_shard(twin, 2, 3)
+    table.set_snapshot(twin, 1)
+    assert early.provider_indices == [0, 1, 3] and early.snapshot_index == 1
+    assert early == twin and early.provider_index == 0
+    # A row handed to add_many becomes a view of what it tabled.
+    row = _entry(6, cps=(2,))
+    table.add(row)
+    table.move_shard(table.get(table.find_index(6)), 0, 0)
+    assert row.provider_indices == [0]
+    with pytest.raises(ValueError):
+        table.move_shard(_entry(7), 0, 1)  # not a row of this table
+
+
 def test_chunk_table_rows_na_rendering():
     table = ChunkTable()
     table.add(_entry(41367, sp=None, m=()))
@@ -207,7 +224,9 @@ def test_the_m_column_is_one_row_type_and_a_list_only_in_exported_state():
     rows = [table.get(index).misleading_positions for index in indices]
     for row in rows[:3]:
         assert is_row(row) and row.tolist() == [4, 9, 70_000]
-    assert rows[2] is drawn  # a row is tabled as it is, not copied
+    # The column keeps the positions, not the row they came in: each read
+    # is a row of its own, over 4 bytes a position.
+    assert rows[2] is not drawn and rows[2].base is not drawn.base
     assert rows[3] is NO_POSITIONS
     state = table.export_state()
     assert [state["entries"][i][4] for i in indices] == [[4, 9, 70_000]] * 3 + [[]]
@@ -372,7 +391,7 @@ def test_a_row_carries_its_stripe_record_out_and_back_and_away(rotations, data):
             with pytest.raises(UnknownCodecError, match=f"chunk {entry.virtual_id} "):
                 entry.state("f")
         else:
-            assert entry.state() is entry.record
+            assert entry.state() == entry.record
 
     # __eq__ sees the record: a changed checksum, a changed rotation.
     index = data.draw(st.sampled_from([i for i, _ in table]))
@@ -390,14 +409,18 @@ def test_a_row_carries_its_stripe_record_out_and_back_and_away(rotations, data):
         )
         assert other != entry and other.packed == changed
 
-    # remove leaves no trace of the vid.
+    # remove leaves no trace of the vid; the row it returns is no view.
     vid = entry.virtual_id
-    assert table.remove(index) is entry
+    removed = table.remove(index)
+    assert removed == twin
+    with pytest.raises(UnknownChunkError):
+        entry.virtual_id  # a view of a removed row
     assert table.find_index(vid) is None
     assert vid not in table.export_records()
     assert all(row[0] != vid for row in table.export_state()["entries"].values())
     assert len(table.export_records()) == len(table) == 23
-    assert table.add(entry) != index  # and the vid is free to be tabled again
+    assert table.add(removed) != index  # and the vid is free to be tabled again
+    assert table.get(table.find_index(vid)) == removed
 
 
 def test_a_chunk_state_row_without_a_chunk_row_is_left_out_not_loaded():

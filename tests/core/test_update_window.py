@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.audit import AuditLog
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import ProviderUnavailableError
+from repro.core.errors import ProviderUnavailableError, UnknownChunkError
 from repro.core.journal import IntentJournal
 from repro.core.privacy import CostLevel, PrivacyLevel
 from repro.core.virtual_id import shard_key, snapshot_key
@@ -105,12 +105,17 @@ def test_an_update_writes_one_batch_per_provider():
 def test_the_misleading_budget_and_codec_stay_with_the_chunk():
     d = world()
     before = row(d, 2)
+    # A view of the row reads the columns: what the old version was must be
+    # read before the update retires it.
+    was = (len(before.misleading_positions), before.record, before.virtual_id)
     d.update_chunk("C", "pw", "f", 2, b"\x07" * 1024)
+    with pytest.raises(UnknownChunkError):
+        before.virtual_id
     after = row(d, 2)
-    assert len(after.misleading_positions) == len(before.misleading_positions) == 102
-    assert after.record.stripe.codec == before.record.stripe.codec
-    assert after.record.rotation == before.record.rotation == 2 % 4
-    assert after.virtual_id != before.virtual_id
+    assert len(after.misleading_positions) == was[0] == 102
+    assert after.record.stripe.codec == was[1].stripe.codec
+    assert after.record.rotation == was[1].rotation == 2 % 4
+    assert after.virtual_id != was[2]
     assert d.get_chunk("C", "pw", "f", 2) == b"\x07" * 1024
 
 

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import virtual_id
 from repro.core.distributor import CloudDataDistributor
+from repro.core.tables import ChunkTable
 from repro.core.placement import PlacementPolicy
 from repro.core.privacy import CostLevel, PrivacyLevel
 from repro.core.virtual_id import VirtualIdAllocator
@@ -34,16 +35,17 @@ from tests.core.test_read_path_cost import python_calls
 
 WIDTH = 4  # raid5@4
 #: Python calls per chunk an upload makes below ``upload_file``, beyond
-#: its fixed cost: 21.06 as landed (four each of ``blob_checksum``,
-#: ``shard_key`` and the in-memory ``put``; the chunk's split, plan, row
-#: and quadruple objects); 59.06 while placement, id allocation and commit
-#: went chunk by chunk.
-PER_CHUNK = 21.25
+#: its fixed cost: 18.17 as landed (four each of ``blob_checksum``,
+#: ``shard_key`` and the in-memory ``put``; the chunk's split and plan);
+#: 21.06 while a commit built a row object and a quadruple object a chunk,
+#: 59.06 while placement, id allocation and commit went chunk by chunk.
+PER_CHUNK = 18.25
 #: Python calls per chunk of a many-chunk ``update_chunks``, beyond its
-#: fixed cost: 107.25 as landed -- the read of the current version (three
+#: fixed cost: 76.27 as landed -- the read of the current version (three
 #: shards fetched and checked twice), the new stripe and its snapshot
-#: planned, hashed and put, the old stripe and snapshot retired.
-UPDATE_PER_CHUNK = 110
+#: planned, hashed and put, the old stripe and snapshot retired; 107.25
+#: while the read built a fetch job and the tables a row object a chunk.
+UPDATE_PER_CHUNK = 77
 
 
 def distributor() -> CloudDataDistributor:
@@ -252,17 +254,18 @@ def test_allocate_many_refuses_past_the_id_space():
     assert allocator.allocated_count == 8
 
 
-def test_tabling_rows_never_walks_the_table():
-    # A commit checks its new virtual ids against the tabled ones by
-    # looking each up, never by iterating every tabled id: an update or a
-    # journal replay adds a row or a few to a table of thousands.
-    class Unwalkable(dict):
-        def __iter__(self):
-            raise AssertionError("walked every tabled virtual id")
+def test_tabling_rows_never_walks_the_table(monkeypatch):
+    # A commit appends its window's rows to the columns without looking
+    # up a tabled virtual id, let alone iterating every one: its ids are
+    # the allocator's, fresh by construction, and an update or a journal
+    # replay adds a row or a few to a table of thousands.
+    def refuse(*args):
+        raise AssertionError("looked through the tabled virtual ids")
 
     d = distributor()
     data = upload(d, 64)
-    d.chunk_table._by_vid = Unwalkable(d.chunk_table._by_vid)
+    monkeypatch.setattr(ChunkTable, "find_index", refuse)
+    monkeypatch.setattr(ChunkTable, "__iter__", refuse)
     d.update_chunk("C", "pw", "f", 3, b"\x01" * 1024)
     d.upload_file("C", "pw", "g", data[:4096], PrivacyLevel.PRIVATE)
     assert d.get_chunk("C", "pw", "f", 3) == b"\x01" * 1024

@@ -53,6 +53,34 @@ def assert_fleet_clean(gateway) -> None:
         assert report.clean, f"shard {shard_id} dirty: {report.summary()}"
 
 
+def test_exporting_a_file_reads_it_as_one_window(gateway, monkeypatch):
+    """A migration reads a file the way ``get_file`` does: one round, one
+    batched get per provider holding a data shard -- not a round a chunk
+    (64 rounds for this file at 8025e85)."""
+    from repro.providers.memory import InMemoryProvider
+
+    data = bytes(range(256)) * 256  # 64 chunks of 1 KiB at PL-3
+    gateway.upload_file(
+        "alice", "pw-a", "big.bin", data, PrivacyLevel.PRIVATE,
+        misleading_fraction=0.1,
+    )
+    key = fleet_key("alice", "big.bin")
+    (shard,) = [s for s in gateway.shards.values() if s.has_file(key)]
+    batches: list[str] = []
+    get_many = InMemoryProvider.get_many
+
+    def counted(self, keys):
+        batches.append(self.name)
+        return get_many(self, keys)
+
+    monkeypatch.setattr(InMemoryProvider, "get_many", counted)
+    got, level, fraction, codec = shard.export_file(key)
+    assert got == data and level == PrivacyLevel.PRIVATE and codec == "raid5"
+    assert 0.09 < fraction < 0.11
+    assert sorted(batches) == sorted(set(batches))  # one batch a provider
+    assert 1 < len(batches) <= 6
+
+
 class TestJoinMigration:
     def test_fourth_shard_takes_over_its_ranges(self, disk_gateway):
         corpus = upload_corpus(disk_gateway)

@@ -8,6 +8,8 @@ at most one concurrent provider outage (RAID-5's budget) -- and that its
 metadata is in step with itself.
 """
 
+import json
+
 import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import (
@@ -21,6 +23,7 @@ from hypothesis.stateful import (
 from repro.core.distributor import CloudDataDistributor
 from repro.core.privacy import ChunkSizePolicy, CostLevel, PrivacyLevel
 from repro.core.rebalance import rebalance
+from repro.core.tables import ChunkTable
 from repro.providers.failures import FailureInjector
 from repro.providers.registry import ProviderSpec, build_simulated_fleet
 from tests.core.test_journal_recovery import recounted_loads
@@ -148,6 +151,17 @@ class DistributorMachine(RuleBasedStateMachine):
             return
         # The kept per-provider loads are what a recount of the rows says.
         assert self.distributor.provider_loads() == recounted_loads(self.distributor)
+        # The Chunk Table's columns round-trip on their own, through JSON as
+        # persistence sends them.
+        table = self.distributor.chunk_table
+        state, records = table.export_state(), table.export_records()
+        again = ChunkTable()
+        assert again.import_state(
+            json.loads(json.dumps(state)), json.loads(json.dumps(records)),
+            self.distributor.provider_table,
+        ) == []
+        assert again.export_state() == state
+        assert again.export_records() == records
         # The metadata document survives a trip through a fresh distributor.
         exported = self.distributor.export_metadata()
         fresh = CloudDataDistributor(self.distributor.registry, seed=0)

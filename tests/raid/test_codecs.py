@@ -373,3 +373,16 @@ def test_decode_many_equals_decode_per_stripe_under_every_erasure(make):
     ]
     assert codec.decode_many([]) == []
 
+
+
+@pytest.mark.parametrize("make", CODECS)
+def test_decode_data_equals_decode_many_of_the_data_members(make):
+    # A window read whole from its data members: a systematic codec cuts
+    # the payloads out of one join, the others decode as decode_many does.
+    codec = make()
+    payloads = _window()
+    encoded = codec.encode_many(payloads)
+    flat = [shard for _, shards in encoded for shard in shards[: codec.k]]
+    assert codec.decode_data([meta for meta, _ in encoded], flat) == payloads
+    assert codec.decode_data([], []) == []
+    assert codec.systematic == (codec.label.split("(")[0] != "aont-rs")

@@ -161,8 +161,9 @@ def _loop_of_read_stripe(encoded, failing):
 def _scripted_fetch_many(encoded, failing):
     rounds = []
 
-    def fetch_many(requests):
-        rounds.append(list(requests))
+    def fetch_many(numbers, indices):
+        requests = list(zip(numbers.tolist(), indices.tolist()))
+        rounds.append(requests)
         return [
             ProviderUnavailableError(f"{number}:{index} down")
             if (number, index) in failing
@@ -245,7 +246,7 @@ def test_read_stripes_eager_mode_asks_for_every_member_in_one_round():
 
 
 def test_read_stripes_of_nothing_fetches_nothing():
-    def fetch_many(requests):
+    def fetch_many(numbers, indices):
         raise AssertionError("an empty window has nothing to ask for")
 
     assert read_stripes([], fetch_many) == []
@@ -254,7 +255,7 @@ def test_read_stripes_of_nothing_fetches_nothing():
 def test_read_stripes_refuses_an_answer_of_the_wrong_length():
     _, encoded = _encoded_window("raid5@4")
     with pytest.raises(ValueError):
-        read_stripes([m for m, _ in encoded], lambda requests: [])
+        read_stripes([m for m, _ in encoded], lambda numbers, indices: [])
 
 
 def test_decode_histogram_observes_decode_not_fetch():
@@ -264,9 +265,12 @@ def test_decode_histogram_observes_decode_not_fetch():
     seconds = get_metrics().histogram("raid_decode_seconds", codec="raid5")
     count, total = seconds.count, seconds.sum
 
-    def slow_fetch_many(requests):
+    def slow_fetch_many(numbers, indices):
         time.sleep(0.05)
-        return [encoded[number][1][index] for number, index in requests]
+        return [
+            encoded[number][1][index]
+            for number, index in zip(numbers.tolist(), indices.tolist())
+        ]
 
     read_stripes([m for m, _ in encoded], slow_fetch_many)
     assert seconds.count == count + 1  # once per decode_many call
