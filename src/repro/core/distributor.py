@@ -194,9 +194,7 @@ class _WindowTransfer(threading.Thread):
     """
 
     def __init__(
-        self,
-        transfer: "Callable[[list[_ChunkPlan]], None]",
-        plans: "list[_ChunkPlan]",
+        self, transfer: "Callable[[list[_ChunkPlan]], None]", plans: "list[_ChunkPlan]"
     ) -> None:
         super().__init__(name="upload-window-transfer", daemon=True)
         self._transfer = transfer
@@ -684,6 +682,7 @@ class CloudDataDistributor:
     def _plan_window(
         self,
         payloads: "list[bytes | memoryview]",
+        filename: str,
         level: PrivacyLevel,
         serials: "Sequence[int]",
         codec: ErasureCodec,
@@ -698,11 +697,11 @@ class CloudDataDistributor:
         the order of those draws across a file's chunks is what the pinned
         placement digests in tier-1 hold constant.  Each step is one pass
         over the window: the misleading draw (its arrays of stored chunks
-        go to the encoder as they are), the placement of every chunk
-        against one registry snapshot, a home outside its stripe group
-        for each of an update's *snapshots* (pre-states), one draw of
-        virtual ids (last, so a placement refusal leaves none to give
-        back), the shard keys; a chunk's shards rotate by its serial.
+        go to the encoder as they are), the placement of every chunk, by
+        *filename* and serial, against one registry snapshot, a home outside
+        its stripe group for each of an update's *snapshots* (pre-states),
+        one draw of virtual ids (last, so a placement refusal leaves none to
+        give back), the shard keys; a chunk's shards rotate by its serial.
         *load* is the caller's working copy of the per-provider shard
         counts; each planned shard or snapshot advances it, so later chunks
         of the same write see the loads the earlier ones will have produced
@@ -721,7 +720,7 @@ class CloudDataDistributor:
         width = codec.n
         groups = self.placement.stripe_groups(
             self.placement.snapshot(self.registry, level, self.health),
-            width, len(stripes), load,
+            width, len(stripes), load, filename=filename, serials=serials,
         )
         kept: list = [None] * len(stripes)
         for at, pre_state in enumerate(snapshots or ()):
@@ -1154,7 +1153,7 @@ class CloudDataDistributor:
                     cipher.encrypt(payload, nonce=serial + i)
                     for i, payload in enumerate(payloads)
                 ],
-                pl, range(serial, serial + len(payloads)), codec_obj,
+                filename, pl, range(serial, serial + len(payloads)), codec_obj,
                 misleading_fraction, load,
             )
             serial += len(plans)
@@ -1713,7 +1712,7 @@ class CloudDataDistributor:
                     ):
                         run = list(run)
                         plans += self._plan_window(
-                            [payloads[i] for i in run], refs[0].privacy_level,
+                            [payloads[i] for i in run], filename, refs[0].privacy_level,
                             [serials[i] for i in run], codec, fraction, load,
                             snapshots=[pre_states[i] for i in run],
                         )

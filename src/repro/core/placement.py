@@ -20,7 +20,7 @@ hold one chunk's RAID shards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.errors import PlacementError
 from repro.core.privacy import PrivacyLevel
@@ -178,10 +178,16 @@ class PlacementPolicy:
         width: int,
         count: int,
         load: dict[str, int],
+        *,
+        filename: str = "",
+        serials: Sequence[int] = (),
     ) -> list[list[str]]:
         """Stripe groups for *count* chunks in a row, as many
         :meth:`stripe_group` calls would pick them with each group charged
         to *load* before the next: the same groups, the same draws.
+        *filename* and *serials* name the chunks, for a policy that places
+        by name (:class:`repro.dht.placement.OverlayPlacement`); this one
+        needs only *count*.
 
         Validates once; then per chunk one shuffle of the candidates (so
         equal-key providers are picked uniformly) and a stable sort by

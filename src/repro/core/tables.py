@@ -875,6 +875,21 @@ class ChunkTable:
         """Every tabled virtual id, in table-index order."""
         return self._vid[self._live()].tolist()
 
+    def nbytes(self, indices: "Sequence[int] | np.ndarray") -> int:
+        """What the rows at *indices* hold in the columns: each row's
+        fixed fields, its shard slots (member and raw digest) and its
+        positions -- entries in use, not the arrays' spare capacity."""
+        slots = self._slots(indices)
+        fixed = (self._index, self._vid, self._level, self._snap, self._shape,
+                 self._sptr, self._mptr)
+        shards = int((self._sptr[slots + 1] - self._sptr[slots]).sum())
+        positions = int((self._mptr[slots + 1] - self._mptr[slots]).sum())
+        return (
+            len(slots) * sum(column.itemsize for column in fixed)
+            + shards * (self._members.itemsize + self._digests.shape[1])
+            + positions * self._positions.itemsize
+        )
+
     def __len__(self) -> int:
         return self._rows
 

@@ -2,16 +2,13 @@
 
 Chord (finger-table routing on an identifier circle) and CAN
 (d-dimensional coordinate-space zones), plus a client-side distributor
-that maps ⟨filename, chunk Sl⟩ pairs to providers through either overlay.
+that runs the one engine with either overlay mapping ⟨filename, chunk Sl⟩
+pairs to providers.
 """
 
 from repro.dht.can import CANetwork, CANLookupResult, CANNode, Zone, torus_distance
 from repro.dht.chord import ChordNode, ChordRing, LookupResult
-from repro.dht.client_distributor import (
-    ClientSideDistributor,
-    LocalChunkRecord,
-    build_overlays,
-)
+from repro.dht.client_distributor import ClientSideDistributor, build_overlays
 from repro.dht.hashing import hash_point, in_interval, stable_hash
 
 __all__ = [
@@ -24,7 +21,6 @@ __all__ = [
     "ChordRing",
     "LookupResult",
     "ClientSideDistributor",
-    "LocalChunkRecord",
     "build_overlays",
     "hash_point",
     "in_interval",

@@ -72,7 +72,7 @@ def test_no_orphans_left_behind(world):
     dist.handle_provider_failure(victim)
     # Every stored object is referenced by the local chunk table.
     expected = {
-        (name, f"{r.virtual_id}.{i}")
+        (name, f"{r.entry.virtual_id}.{i}")
         for r in dist.chunk_table.values()
         for i, name in enumerate(r.providers)
     }

@@ -108,11 +108,11 @@ def test_the_client_side_distributor_refuses_and_stores_nothing(protocol, fracti
     )
     with pytest.raises(ValueError, match="misleading fraction"):
         d.upload_file("f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=fraction)
-    assert d.ids.allocated_count == 0
-    assert d.chunk_table == {}
+    assert d.engine.ids.allocated_count == 0
+    assert len(d.engine.chunk_table) == 0
     assert not any(provider.keys() for provider in providers)
     assert d.upload_file("f", DATA, PrivacyLevel.PRIVATE, misleading_fraction=0.1) == 2
-    assert [len(record.misleading_positions) for record in d.chunk_table.values()] == [
+    assert [len(entry.misleading_positions) for _, entry in d.engine.chunk_table] == [
         102, 102
     ]
     assert d.get_file("f") == DATA
