@@ -101,6 +101,14 @@ STREAM_SEGMENT_THRESHOLD = 64 * 1024
 REMOVE_WINDOW_CHUNKS = 256
 
 
+def _failure_kind(kind: type) -> bool | None:
+    """``None`` for an outcome *kind* that is no failure, else whether it is a
+    transport one (a missing or corrupt blob is not: the provider answered)."""
+    if not issubclass(kind, ProviderError):
+        return None
+    return not issubclass(kind, (BlobNotFoundError, BlobCorruptedError))
+
+
 @dataclass(frozen=True)
 class FileReceipt:
     """Returned to the client after upload: "The total number of chunks for
@@ -367,24 +375,15 @@ class CloudDataDistributor:
 
     # -- health accounting -------------------------------------------------
 
-    def _record_health(
-        self, name: str, ok: bool, exc: Exception | None = None
-    ) -> None:
-        """Feed one live-traffic outcome into the fleet health monitor.
-
-        Missing or corrupt blobs are data problems, not transport ones:
-        they raise the provider's error EWMA (toward SUSPECT) without
-        counting toward the consecutive-failure DOWN verdict.
-        """
+    def _record_health(self, name: str, ok: bool, exc: Exception | None = None) -> None:
+        """Feed one live-traffic outcome into the fleet health monitor
+        (a failure's kind by :func:`_failure_kind`)."""
         if name not in self.registry:
             return
         if ok:
             self.health.record_success(name)
         else:
-            transport = not isinstance(
-                exc, (BlobNotFoundError, BlobCorruptedError)
-            )
-            self.health.record_failure(name, transport=transport)
+            self.health.record_failure(name, transport=bool(_failure_kind(type(exc))))
 
     def _provider_call(self, method: str, name: str, key: str, *args, **kwargs):
         """One ``put``, ``get`` or ``head`` of *key* at provider *name*,
@@ -425,8 +424,9 @@ class CloudDataDistributor:
         pass for stored.
 
         The monitor hears the outcomes in order; each run of consecutive
-        successes is one ``record_success(name, count)``, so a batch with
-        no failure is one call.
+        successes is one ``record_success(name, count)``, and each run of
+        failures of one kind (transport or data) one ``record_failure(name,
+        transport=..., count=...)``, so a batch with no failure is one call.
         """
         check_deadline(f"{method} ({len(items)} items) @ {name}")
         call = getattr(self.registry.get(name).provider, method)
@@ -451,14 +451,13 @@ class CloudDataDistributor:
         if not any(issubclass(kind, ProviderError) for kind in kinds):
             self.health.record_success(name, len(outcomes))
             return outcomes
-        for failed, run in itertools.groupby(
-            outcomes, key=lambda outcome: isinstance(outcome, ProviderError)
-        ):
-            if failed:
-                for exc in run:
-                    self._record_health(name, ok=False, exc=exc)
+        kind_of = {kind: _failure_kind(kind) for kind in kinds}
+        for transport, run in itertools.groupby(map(kind_of.__getitem__, map(type, outcomes))):
+            count = len(list(run))
+            if transport is None:
+                self.health.record_success(name, count)
             else:
-                self.health.record_success(name, sum(1 for _ in run))
+                self.health.record_failure(name, transport=transport, count=count)
         return outcomes
 
     def _provider_usable(self, name: str) -> bool:

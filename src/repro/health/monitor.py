@@ -129,8 +129,8 @@ class ProviderHealth:
     def count_success(self, count: int = 1) -> None:
         self._success.inc(count)
 
-    def count_failure(self) -> None:
-        self._failure.inc()
+    def count_failure(self, count: int = 1) -> None:
+        self._failure.inc(count)
 
 
 class HealthMonitor:
@@ -198,22 +198,29 @@ class HealthMonitor:
             record.marked_down = False
             record.error_ewma *= (1.0 - self.ewma_alpha) ** count
 
-    def record_failure(self, name: str, transport: bool = True) -> None:
-        """Record one failed request.
+    def record_failure(
+        self, name: str, transport: bool = True, count: int = 1
+    ) -> None:
+        """Record *count* consecutive failed requests as one update, the
+        record left exactly as *count* single ones leave it.
 
         ``transport=False`` marks an *application* failure (missing or
         corrupt blob): it raises the error EWMA (the provider is degrading
         data) but does not count toward the consecutive-failure DOWN
         threshold -- a provider that answers "not found" is reachable.
         """
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        keep = 1.0 - self.ewma_alpha
         with self._lock:
             record = self._record(name)
-            record.count_failure()
-            record.error_ewma = (
-                record.error_ewma * (1.0 - self.ewma_alpha) + self.ewma_alpha
-            )
+            record.count_failure(count)
+            ewma = record.error_ewma
+            for _ in range(count):  # step by step: the same float
+                ewma = ewma * keep + self.ewma_alpha
+            record.error_ewma = ewma
             if transport:
-                record.consecutive_failures += 1
+                record.consecutive_failures += count
                 if record.consecutive_failures >= self.down_after:
                     record.marked_down = True
 

@@ -44,10 +44,12 @@ per-chunk row those fields travel in.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -278,32 +280,57 @@ class ErasureCodec:
     systematic = False
 
     def decode_data(
-        self, metas: "Sequence[StripeMeta]", shards: "Sequence[bytes]"
+        self,
+        metas: "Sequence[StripeMeta]",
+        shards: "Sequence[bytes]",
+        members: "Sequence[int]",
     ) -> list[bytes]:
-        """:meth:`decode_many` for stripes whose k data members all arrived:
-        *shards* holds them, stripe after stripe, member after member.  A
-        systematic codec joins them a slab of about ``XOR_SLAB_BYTES`` at a
-        time and cuts each payload out (a stripe that fills a slab alone is
-        joined with its tail trimmed first: one copy)."""
-        k = self.k
-        if not self.systematic:
-            return self.decode_many([
-                (meta, dict(enumerate(shards[at * k : (at + 1) * k])))
-                for at, meta in enumerate(metas)
-            ])
-        payloads: list[bytes] = []
+        """:meth:`decode` for a window of stripes, each from k members,
+        data or parity: *shards* holds them, stripe after stripe, and
+        *members* each one's member index.  A stripe's shard i is its data
+        member i if it has that member, else another member (parity)
+        standing in for it.
+
+        The window goes a slab of about ``XOR_SLAB_BYTES`` at a time.  A
+        slab of a systematic codec whose members are all data members is
+        joined once and each payload cut out of it (a stripe that fills a
+        slab alone is joined with its tail trimmed first: one copy); any
+        other slab goes to :meth:`_decode_slab`.
+        """
+        k, payloads = self.k, []
         step = max(1, XOR_SLAB_BYTES // max(1, k * metas[0].shard_size)) if metas else 1
         for start in range(0, len(metas), step):
             slab = metas[start : start + step]
-            members = shards[start * k : (start + len(slab)) * k]
-            if len(slab) == 1:
-                payloads.append(self._join(members, slab[0].orig_len))
-                continue
-            blob, at = b"".join(members), 0
-            for meta in slab:
-                payloads.append(blob[at : at + meta.orig_len])
-                at += k * meta.shard_size
+            got = shards[start * k : (start + len(slab)) * k]
+            held = members[start * k : (start + len(slab)) * k]
+            if not self.systematic or max(held) >= k:
+                payloads += self._decode_slab(slab, got, held)
+            elif len(slab) == 1:
+                payloads.append(self._join(got, slab[0].orig_len))
+            else:
+                blob, at = b"".join(got), 0
+                for meta in slab:
+                    payloads.append(blob[at : at + meta.orig_len])
+                    at += k * meta.shard_size
         return payloads
+
+    def _decode_slab(
+        self,
+        metas: "Sequence[StripeMeta]",
+        shards: "Sequence[bytes]",
+        members: "Sequence[int]",
+    ) -> list[bytes]:
+        """:meth:`decode_data` of a slab with a parity member or of a codec
+        that is not systematic: stripe by stripe, one that holds its data
+        members (of a systematic codec) joined, any other through
+        :meth:`decode`."""
+        k = self.k
+        return [
+            b"".join(shards[at : at + k])[: meta.orig_len]
+            if self.systematic and max(members[at : at + k]) < k
+            else self.decode(meta, dict(zip(members[at : at + k], shards[at : at + k])))
+            for at, meta in zip(range(0, k * len(metas), k), metas)
+        ]
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         """Regenerate the single shard *index* byte-exactly from survivors."""
@@ -463,19 +490,61 @@ class RaidCodec(ErasureCodec):
             data = code.decode(shards)
         return self._join(data, meta.orig_len)
 
-    def decode_many(
-        self, stripes: "Sequence[tuple[StripeMeta, dict[int, bytes]]]"
+    def _decode_slab(
+        self,
+        metas: "Sequence[StripeMeta]",
+        shards: "Sequence[bytes]",
+        members: "Sequence[int]",
     ) -> list[bytes]:
-        # A healthy stripe -- its k data members, in index order, as a
-        # data-first read delivers them -- is the members joined, whatever
-        # the level; only a degraded one needs :meth:`decode`.
-        k, healthy = self.k, tuple(range(self.k))
-        return [
-            b"".join(shards.values())[: meta.orig_len]
-            if meta.k == k and tuple(shards) == healthy
-            else self.decode(meta, shards)
-            for meta, shards in stripes
-        ]
+        if self.level is not RaidLevel.RAID5:
+            return super()._decode_slab(metas, shards, members)
+        # RAID-5: one XOR for each run of one shard size.
+        k, payloads, at = self.k, [], 0
+        for size, run in itertools.groupby(metas, key=attrgetter("shard_size")):
+            run = list(run)
+            stop = at + len(run)
+            payloads += self._xor_decode(
+                run, shards[at * k : stop * k], members[at * k : stop * k], size
+            )
+            at = stop
+        return payloads
+
+    def _xor_decode(
+        self,
+        metas: "Sequence[StripeMeta]",
+        shards: "Sequence[bytes]",
+        members: "Sequence[int]",
+        size: int,
+    ) -> list[bytes]:
+        """RAID-5 stripes of one shard *size*: a degraded one holds its
+        parity in the slot of the data member it lacks, and that member is
+        the XOR of the k it holds -- one operation for all of them."""
+        k, width = self.k, self.k * size
+        if not size:  # empty payloads
+            return [b""] * len(metas)
+        blob = b"".join(shards)
+        parity = list(itertools.compress(itertools.count(), map(k.__le__, members)))
+        if not parity:
+            starts = range(0, len(blob), width)
+            return [blob[at : at + meta.orig_len] for at, meta in zip(starts, metas)]
+        # One XOR for the run: row r is the member stripe r lacks, if it
+        # lacks one (else its parity, unused).
+        stripes = np.frombuffer(blob, np.uint8).reshape(len(metas), k, size)
+        rebuilt = memoryview(np.bitwise_xor.reduce(stripes, axis=1).tobytes())
+        view, lacking = memoryview(blob), {at // k: at for at in parity}  # stripe -> parity slot
+        payloads = []
+        for number, (start, meta) in enumerate(zip(range(0, len(blob), width), metas)):
+            end, at = start + meta.orig_len, lacking.get(number)
+            if at is None:
+                payloads.append(blob[start:end])
+                continue
+            cut = at * size  # where the lost member goes
+            payloads.append(b"".join((
+                view[start : min(cut, end)],
+                rebuilt[number * size : number * size + max(0, min(size, end - cut))],
+                view[cut + size : end],
+            )))
+        return payloads
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:

@@ -212,3 +212,42 @@ def test_record_success_rejects_an_empty_run():
     monitor, _, _ = make_monitor()
     with pytest.raises(ValueError):
         monitor.record_success("P0", 0)
+
+
+# -- run-length failure recording ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(OUTCOMES, st.sampled_from([0.1, 0.3, 1.0]), st.sampled_from([1, 3]))
+def test_property_run_length_failures_equal_one_by_one(outcomes, alpha, down_after):
+    # A run of n failures is one record_failure(..., count=n); successes go
+    # one by one on both sides, so every field -- the EWMA too -- is equal.
+    folded, _, _ = make_monitor(
+        ewma_alpha=alpha, down_after=down_after, metrics=MetricsRegistry()
+    )
+    itemised, _, _ = make_monitor(
+        ewma_alpha=alpha, down_after=down_after, metrics=MetricsRegistry()
+    )
+    for outcome, run in itertools.groupby(outcomes):
+        count = len(list(run))
+        if outcome == "ok":
+            for _ in range(count):
+                folded.record_success("P0")
+                itemised.record_success("P0")
+            continue
+        transport = outcome == "transport"
+        folded.record_failure("P0", transport=transport, count=count)
+        for _ in range(count):
+            itemised.record_failure("P0", transport=transport)
+        a, b = folded._record("P0"), itemised._record("P0")
+        assert a.error_ewma == b.error_ewma
+        assert a.consecutive_failures == b.consecutive_failures
+        assert a.marked_down == b.marked_down
+        assert (a.successes, a.failures) == (b.successes, b.failures)
+        assert folded.state("P0") is itemised.state("P0")
+
+
+def test_record_failure_rejects_an_empty_run():
+    monitor, _, _ = make_monitor()
+    with pytest.raises(ValueError):
+        monitor.record_failure("P0", count=0)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.errors import ReconstructionError, UnknownCodecError
 from repro.raid.codecs import (
+    XOR_SLAB_BYTES,
     AontRSCodec,
     CodecSpec,
     RaidCodec,
@@ -383,6 +384,48 @@ def test_decode_data_equals_decode_many_of_the_data_members(make):
     payloads = _window()
     encoded = codec.encode_many(payloads)
     flat = [shard for _, shards in encoded for shard in shards[: codec.k]]
-    assert codec.decode_data([meta for meta, _ in encoded], flat) == payloads
-    assert codec.decode_data([], []) == []
+    members = list(range(codec.k)) * len(encoded)
+    assert codec.decode_data([meta for meta, _ in encoded], flat, members) == payloads
+    assert codec.decode_data([], [], members[:0]) == []
     assert codec.systematic == (codec.label.split("(")[0] != "aont-rs")
+
+
+def _received(codec, encoded, patterns):
+    """What a read hands :meth:`decode_data` when stripe i lost the members
+    in ``patterns[i % len(patterns)]``: each data member it kept in its
+    own slot, parity (lowest first) in the slot of each it lost; and
+    per-stripe ``decode`` of the same members, the reference."""
+    metas, shards, members, want = [], [], [], []
+    for i, (meta, stripe) in enumerate(encoded):
+        gone = patterns[i % len(patterns)]
+        parity = iter(index for index in range(codec.k, codec.n) if index not in gone)
+        held = [index if index not in gone else next(parity) for index in range(codec.k)]
+        metas.append(meta)
+        shards += [stripe[index] for index in held]
+        members += held
+        want.append(codec.decode(meta, {index: stripe[index] for index in held}))
+    return metas, shards, members, want
+
+
+@pytest.mark.parametrize("make", CODECS)
+def test_decode_data_equals_decode_per_stripe_under_every_erasure(make):
+    codec = make()
+    rng = np.random.default_rng(11)
+    big = XOR_SLAB_BYTES  # a stripe this large fills a slab alone
+    windows = [
+        _window(),  # empty, tiny and odd-sized stripes
+        [rng.bytes(1024) for _ in range(5)] + [rng.bytes(333)],  # a short last chunk
+        [rng.bytes(1024), rng.bytes(big), rng.bytes(1024)],
+        [rng.bytes(big + 5), rng.bytes(1024)],
+    ]
+    patterns = list(_erasure_patterns(codec.n, codec.m))
+    for payloads in windows:
+        encoded = codec.encode_many(payloads)
+        for gone in patterns:  # every stripe of the window loses the same
+            metas, shards, members, want = _received(codec, encoded, [gone])
+            assert want == payloads
+            assert codec.decode_data(metas, shards, members) == want
+        # Each stripe its own pattern: whole stripes between degraded ones.
+        metas, shards, members, want = _received(codec, encoded, patterns)
+        assert want == payloads
+        assert codec.decode_data(metas, shards, members) == want
