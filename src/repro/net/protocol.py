@@ -58,7 +58,11 @@ MAX_PAYLOAD = 256 * 1024 * 1024
 
 
 class OpCode(IntEnum):
-    """Request operations (client -> server)."""
+    """Request operations (client -> server).
+
+    There is one protocol: a peer that lacks an op answers BAD_REQUEST
+    ("unknown op code"), which the caller receives as a typed error.
+    """
 
     PING = 0x01
     PUT = 0x02
@@ -73,10 +77,7 @@ class OpCode(IntEnum):
     MULTI_GET = 0x08
     # Telemetry envelope: wraps any other request frame together with the
     # caller's trace context; the response wraps the inner response frame
-    # plus the server-side span records.  Servers that predate this op
-    # answer BAD_REQUEST ("unknown op code") with the connection intact,
-    # which is exactly the backward-compatible downgrade signal clients
-    # need -- see ``docs/net_protocol.md``.
+    # plus the server-side span records -- see ``docs/net_protocol.md``.
     TRACED = 0x09
     # Deadline envelope: wraps any other request frame (TRACED included)
     # together with the caller's *remaining* time budget in milliseconds.
@@ -84,28 +85,26 @@ class OpCode(IntEnum):
     # because monotonic clocks are per-process and wall clocks skew; the
     # server re-anchors the budget against its own clock.  The response is
     # the inner response frame directly (no response envelope needed: the
-    # deadline has nothing to report back).  Old servers answer BAD_REQUEST
-    # ("unknown op code"), the same downgrade signal TRACED uses.
+    # deadline has nothing to report back).
     DEADLINE = 0x0A
     # Streaming forms: where MULTI_PUT materializes a whole window into one
     # frame on both sides, a stream session carries each shard as its own
     # small frame with a per-segment ack, so neither side ever holds more
     # than a bounded window of bytes.  A session is STREAM_PUT (open),
-    # STREAM_SEG per object (acked with a checksum echo), STREAM_END
-    # (commit).  Segments staged by a session that dies before STREAM_END
-    # are rolled back by the server, which is what makes a mid-stream
-    # client crash leave no partial window behind.  Old servers answer
-    # each frame BAD_REQUEST ("unknown op code") with the connection in
-    # sync -- the same downgrade signal the envelopes use -- and the
-    # client falls back to MULTI_PUT.  Stream ops are always sent bare:
-    # they never ride inside a DEADLINE/TRACED envelope.
+    # STREAM_SEG per object (acked with its key and a checksum echo),
+    # STREAM_END (commit).  Segments staged by a session that dies before
+    # STREAM_END are rolled back by the server, which is what makes a
+    # mid-stream client crash leave no partial window behind.  Stream ops
+    # are always sent bare: they never ride inside a DEADLINE/TRACED
+    # envelope.
     STREAM_PUT = 0x0B
     STREAM_SEG = 0x0C
     STREAM_END = 0x0D
     # STREAM_GET asks for many keys (the KEYS encoding) and is answered by
-    # a count header frame followed by one frame per key (status + bytes),
-    # so the server streams objects out one at a time instead of joining
-    # them into one aggregate MULTI_GET payload.
+    # a count header frame followed by one frame per key, in the order
+    # asked (status + the key + bytes), so the server streams objects out
+    # one at a time instead of joining them into one aggregate MULTI_GET
+    # payload.
     STREAM_GET = 0x0E
 
 
@@ -139,76 +138,42 @@ class Frame:
     payload: bytes = b""
 
 
-def encode_frame(code: int, key: str = "", payload: bytes = b"") -> bytes:
-    """Serialize one frame to bytes."""
-    key_bytes = key.encode("utf-8")
-    if len(key_bytes) > 0xFFFF:
-        raise ProtocolError(f"key too long: {len(key_bytes)} bytes")
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload too large: {len(payload)} bytes")
-    header = HEADER.pack(
-        MAGIC, VERSION, code, len(key_bytes), len(payload),
-        zlib.crc32(payload) & 0xFFFFFFFF,
-    )
-    return header + key_bytes + payload
-
-
 def frame_segments(code: int, key: str = "",
-                   payload: bytes | bytearray | memoryview = b"",
+                   *parts: bytes | bytearray | memoryview,
                    ) -> list[bytes | memoryview]:
-    """Frame as scatter-gather segments without copying the payload.
-
-    Returns ``[header + key, payload-view]`` (the payload segment is
-    omitted when empty).  Where :func:`encode_frame` materializes
-    header + key + payload into one fresh ``bytes`` -- an O(payload)
-    copy on every send -- this only allocates the small header and
-    wraps the caller's payload in a :class:`memoryview`, so the send
-    path is O(1) in payload size.  Pair with :func:`sendmsg_all`.
-    """
-    key_bytes = key.encode("utf-8")
-    if len(key_bytes) > 0xFFFF:
-        raise ProtocolError(f"key too long: {len(key_bytes)} bytes")
-    if len(payload) > MAX_PAYLOAD:
-        raise ProtocolError(f"payload too large: {len(payload)} bytes")
-    header = HEADER.pack(
-        MAGIC, VERSION, code, len(key_bytes), len(payload),
-        zlib.crc32(payload) & 0xFFFFFFFF,
-    )
-    segments: list[bytes | memoryview] = [header + key_bytes]
-    if len(payload):
-        segments.append(
-            payload if isinstance(payload, memoryview) else memoryview(payload)
-        )
-    return segments
-
-
-def frame_segments_multi(code: int, key: str,
-                         parts: list[bytes | bytearray | memoryview],
-                         ) -> list[bytes | memoryview]:
     """Frame whose payload is the concatenation of *parts*, zero-copy.
 
-    The CRC is accumulated incrementally across the parts so the payload
-    is never joined into one buffer; this is what lets MULTI_PUT ship a
-    whole window of shards without materializing the aggregate.
+    Returns ``[header + key, *payload-views]`` (empty parts are dropped).
+    Only the small header is allocated: the CRC is accumulated across
+    the parts and each is wrapped in a :class:`memoryview`, so the send
+    path is O(1) in payload size and a MULTI_PUT window of shards is
+    never joined into one buffer.  An envelope is the same call with its
+    prefix and the inner frame's segments as the parts.  Pair with
+    :func:`sendmsg_all`.
     """
     key_bytes = key.encode("utf-8")
     if len(key_bytes) > 0xFFFF:
         raise ProtocolError(f"key too long: {len(key_bytes)} bytes")
-    crc = 0
-    total = 0
+    segments: list[bytes | memoryview] = [key_bytes]  # header goes first
+    crc = total = 0
     for part in parts:
-        crc = zlib.crc32(part, crc)
-        total += len(part)
+        if len(part):
+            crc = zlib.crc32(part, crc)
+            total += len(part)
+            segments.append(
+                part if isinstance(part, memoryview) else memoryview(part)
+            )
     if total > MAX_PAYLOAD:
         raise ProtocolError(f"payload too large: {total} bytes")
-    header = HEADER.pack(MAGIC, VERSION, code, len(key_bytes), total,
-                         crc & 0xFFFFFFFF)
-    segments: list[bytes | memoryview] = [header + key_bytes]
-    segments.extend(
-        p if isinstance(p, memoryview) else memoryview(p)
-        for p in parts if len(p)
+    segments[0] = (
+        HEADER.pack(MAGIC, VERSION, code, len(key_bytes), total, crc) + key_bytes
     )
     return segments
+
+
+def encode_frame(code: int, key: str = "", payload: bytes = b"") -> bytes:
+    """Serialize one frame to bytes."""
+    return b"".join(frame_segments(code, key, payload))
 
 
 #: Max buffers per sendmsg() call; kernels cap the iovec count (IOV_MAX,
@@ -335,7 +300,7 @@ def decode_frame(data: bytes) -> Frame:
 
 
 # ---------------------------------------------------------------------------
-# TRACED envelope (trace propagation, backward compatible)
+# TRACED envelope (trace propagation)
 # ---------------------------------------------------------------------------
 #
 # TRACED request payload:   context length (u16) + context (UTF-8, the
@@ -351,11 +316,16 @@ _CTX_LEN = struct.Struct("!H")
 _SPANS_LEN = struct.Struct("!I")
 
 
-def encode_traced_request(context: str, inner: bytes) -> bytes:
+def traced_prefix(context: str) -> bytes:
+    """What a TRACED request payload carries before its inner frame."""
     raw = context.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ProtocolError(f"trace context too long: {len(raw)} bytes")
-    return _CTX_LEN.pack(len(raw)) + raw + inner
+    return _CTX_LEN.pack(len(raw)) + raw
+
+
+def encode_traced_request(context: str, inner: bytes) -> bytes:
+    return traced_prefix(context) + inner
 
 
 def decode_traced_request(payload: bytes) -> tuple[str, Frame]:
@@ -390,7 +360,7 @@ def decode_traced_response(payload: bytes) -> tuple[list[dict], Frame]:
 
 
 # ---------------------------------------------------------------------------
-# DEADLINE envelope (remaining-budget propagation, backward compatible)
+# DEADLINE envelope (remaining-budget propagation)
 # ---------------------------------------------------------------------------
 #
 # DEADLINE request payload:  remaining budget in milliseconds (u32) + the
@@ -405,10 +375,15 @@ _BUDGET_MS = struct.Struct("!I")
 MAX_BUDGET_MS = 0xFFFFFFFF
 
 
-def encode_deadline_request(budget_ms: int, inner: bytes) -> bytes:
+def deadline_prefix(budget_ms: int) -> bytes:
+    """What a DEADLINE request payload carries before its inner frame."""
     if not 0 <= budget_ms <= MAX_BUDGET_MS:
         raise ProtocolError(f"deadline budget out of range: {budget_ms} ms")
-    return _BUDGET_MS.pack(budget_ms) + inner
+    return _BUDGET_MS.pack(budget_ms)
+
+
+def encode_deadline_request(budget_ms: int, inner: bytes) -> bytes:
+    return deadline_prefix(budget_ms) + inner
 
 
 def decode_deadline_request(payload: bytes) -> tuple[int, Frame]:
@@ -534,7 +509,7 @@ def encode_multi_put_parts(
     Byte-identical to :func:`encode_multi_put` once concatenated, but the
     item data buffers are wrapped in memoryviews instead of joined, so a
     32 MiB batch window costs small per-item headers rather than a fresh
-    32 MiB aggregate.  Feed the result to :func:`frame_segments_multi`.
+    32 MiB aggregate.  Feed the result to :func:`frame_segments`.
     """
     parts: list[bytes | memoryview] = [_BATCH_COUNT.pack(len(items))]
     for key, data in items:
@@ -702,4 +677,6 @@ def error_for_status(status: int, message: str) -> ProviderError:
         return ResourceExhaustedError(text or message, retry_after=retry_after)
     if status == Status.DEADLINE_EXCEEDED:
         return DeadlineExceeded(message)
+    if status in Status._value2member_map_:  # BAD_REQUEST, INTERNAL, ...
+        return ProviderError(f"{Status(status).name}: {message}")
     return ProviderError(f"status {status}: {message}")

@@ -42,17 +42,15 @@ from repro.net.protocol import (
     decode_stat,
     decode_stream_count,
     decode_traced_response,
-    encode_deadline_request,
-    encode_frame,
+    deadline_prefix,
     encode_keys,
     encode_multi_put_parts,
-    encode_traced_request,
     error_for_status,
     frame_segments,
-    frame_segments_multi,
     read_frame,
     recv_frame,
     sendmsg_all,
+    traced_prefix,
 )
 from repro.net.resilience import current_retry_budget
 from repro.util.deadline import Deadline, current_deadline
@@ -154,47 +152,12 @@ class RemoteProvider(CloudProvider):
         self.tracer = tracer if tracer is not None else get_tracer()
         self.events = events if events is not None else get_events()
         self._down_until = 0.0
-        # Whether the server understands TRACED envelopes: None until the
-        # first traced exchange answers, then cached for the connection's
-        # lifetime (a pre-telemetry server never starts understanding it
-        # mid-flight, and a rolling upgrade recreates the provider).
-        self._server_traced: bool | None = None
-        # Same tri-state for the DEADLINE envelope (an older server bounces
-        # it with BAD_REQUEST "unknown op code"; we then stop sending it).
-        self._server_deadline: bool | None = None
-        # And for the STREAM_* ops: an older server bounces every stream
-        # frame the same way, and the client falls back to MULTI_PUT /
-        # MULTI_GET batches for this provider's lifetime.
-        self._server_stream: bool | None = None
         self.pool = ConnectionPool(
             host, port, size=pool_size, connect_timeout=connect_timeout,
             metrics=self.metrics, events=self.events,
         )
 
     # -- transport ---------------------------------------------------------
-
-    def _trace_context(self) -> str | None:
-        """The active trace context, unless the server is known untraced."""
-        if self._server_traced is False:
-            return None
-        return self.tracer.wire_context()
-
-    def _unwrap_traced(self, frame: Frame) -> Frame | None:
-        """Inner frame of a TRACED response; ``None`` on server downgrade.
-
-        An old server answers a TRACED envelope with BAD_REQUEST ("unknown
-        op code") and keeps the connection in sync, so ``None`` tells the
-        caller to resend plainly on the same socket.  Any shipped span
-        records are grafted into the active trace here.
-        """
-        if self._bounced(frame):
-            return None
-        if frame.code != Status.OK:
-            return frame  # envelope-level error; surfaces like any other
-        records, inner = decode_traced_response(frame.payload)
-        if records:
-            self.tracer.attach_remote(records)
-        return inner
 
     def _check_deadline(self, what: str) -> Deadline | None:
         """Ambient deadline, checked (and counted) before starting I/O."""
@@ -212,40 +175,7 @@ class RemoteProvider(CloudProvider):
             return self.op_timeout
         return deadline.timeout(cap=self.op_timeout)
 
-    @staticmethod
-    def _wrap_deadline(deadline: Deadline, frame_bytes: bytes) -> bytes:
-        """Nest a complete frame inside a DEADLINE envelope frame."""
-        budget_ms = max(1, min(MAX_BUDGET_MS, int(deadline.remaining() * 1000)))
-        return encode_frame(
-            OpCode.DEADLINE,
-            payload=encode_deadline_request(budget_ms, frame_bytes),
-        )
-
-    @staticmethod
-    def _bounced(frame: Frame) -> bool:
-        """An old server answered an envelope or stream op with unknown-op
-        (and kept the connection in sync): the downgrade signal."""
-        return (
-            frame.code == Status.BAD_REQUEST
-            and b"unknown op code" in frame.payload
-        )
-
-    @staticmethod
-    def _join_payload(payload) -> bytes:
-        """Materialize a parts-list payload (envelope paths need one buffer)."""
-        if isinstance(payload, list):
-            return b"".join(payload)
-        return payload
-
-    @staticmethod
-    def _payload_len(payload) -> int:
-        if isinstance(payload, list):
-            return sum(len(part) for part in payload)
-        return len(payload)
-
-    def _exchange(
-        self, requests: list[tuple[OpCode, str, bytes]]
-    ) -> list[Frame]:
+    def _exchange(self, requests: list[tuple]) -> list[Frame]:
         """Pipeline a window of frames on one pooled connection.
 
         Every request is written before any response is read, so N frames
@@ -259,103 +189,57 @@ class RemoteProvider(CloudProvider):
         are read through one buffered reader, not two ``recv()`` calls
         per frame.
 
-        Each request may ride inside up to two envelopes, outermost first:
-        DEADLINE (remaining budget) wrapping TRACED (trace context) wrapping
-        the operation.  Either envelope downgrades independently when an
-        older server bounces it with BAD_REQUEST "unknown op code" -- the
-        stream stays in sync, so the window is resent one layer thinner on
-        the same socket and the verdict is cached for this provider.
-
-        A request payload may be a list of buffer parts (see
-        :func:`~repro.net.protocol.encode_multi_put_parts`); bare windows
-        send the parts scatter-gather, enveloped windows join them.
+        A request is ``(op, key, *payload_parts)``, the arguments of
+        :func:`~repro.net.protocol.frame_segments`.  Each may ride inside
+        up to two envelopes, outermost first: DEADLINE (remaining budget)
+        wrapping TRACED (trace context) wrapping the operation.  An
+        envelope is one more frame over its prefix and the inner frame's
+        segments, so the whole window goes out as one scatter-gather list
+        of small headers and views of the callers' buffers, never a joined
+        aggregate.  A server that does not know an envelope answers
+        BAD_REQUEST, which comes back like any other error status.
         """
         deadline = self._check_deadline(f"net.{requests[0][0].name}")
-        context = self._trace_context()
-        send_deadline = deadline is not None and self._server_deadline is not False
-        send_traced = context is not None
+        context = self.tracer.wire_context()
         with self.pool.lease(op=requests[0][0].name) as leased:
             sock = leased.sock
             rfile = None
             try:
                 sock.settimeout(self._op_timeout(deadline))
+                if deadline is not None:
+                    budget = deadline_prefix(max(1, min(
+                        MAX_BUDGET_MS, int(deadline.remaining() * 1000)
+                    )))
+                segments: list[bytes | memoryview] = []
+                for request in requests:
+                    frame = frame_segments(*request)
+                    if context is not None:
+                        frame = frame_segments(
+                            OpCode.TRACED, "", traced_prefix(context), *frame
+                        )
+                    if deadline is not None:
+                        frame = frame_segments(
+                            OpCode.DEADLINE, "", budget, *frame
+                        )
+                    segments.extend(frame)
+                sendmsg_all(sock, segments)
                 if len(requests) > 1:
                     rfile = sock.makefile("rb")
-                while True:
-                    if send_traced or send_deadline:
-                        # Envelope nesting needs each inner frame as one
-                        # buffer; only enveloped windows pay the joins.
-                        for op, key, payload in requests:
-                            frame_bytes = encode_frame(
-                                op, key=key, payload=self._join_payload(payload)
-                            )
-                            if send_traced:
-                                frame_bytes = encode_frame(
-                                    OpCode.TRACED,
-                                    payload=encode_traced_request(
-                                        context, frame_bytes
-                                    ),
-                                )
-                            if send_deadline:
-                                frame_bytes = self._wrap_deadline(
-                                    deadline, frame_bytes
-                                )
-                            sock.sendall(frame_bytes)
-                    else:
-                        # Bare windows go out as one scatter-gather list:
-                        # small per-frame headers plus views of the callers'
-                        # buffers, never a joined aggregate.
-                        segments: list[bytes | memoryview] = []
-                        for op, key, payload in requests:
-                            if isinstance(payload, list):
-                                segments.extend(
-                                    frame_segments_multi(op, key, payload)
-                                )
-                            else:
-                                segments.extend(
-                                    frame_segments(op, key=key, payload=payload)
-                                )
-                        sendmsg_all(sock, segments)
-                    frames: list[Frame] = []
-                    deadline_bounced = False
-                    traced_bounced = False
-                    for _ in requests:
-                        frame = (
-                            recv_frame(sock)
-                            if rfile is None
-                            else read_frame(rfile)
+                frames: list[Frame] = []
+                for _ in requests:
+                    frame = recv_frame(sock) if rfile is None else read_frame(rfile)
+                    if frame is None:
+                        raise ProtocolError(
+                            "server closed connection before responding"
                         )
-                        if frame is None:
-                            raise ProtocolError(
-                                "server closed connection before responding"
-                            )
-                        if send_deadline and self._bounced(frame):
-                            deadline_bounced = True
-                            continue
-                        if send_traced:
-                            inner = self._unwrap_traced(frame)
-                            if inner is None:
-                                traced_bounced = True
-                            else:
-                                frames.append(inner)
-                        else:
-                            frames.append(frame)
-                    # Old server: every envelope bounced but the stream is
-                    # in sync -- replay the whole window one layer thinner
-                    # on this same socket (idempotent at this layer).
-                    if deadline_bounced:
-                        self._server_deadline = False
-                        send_deadline = False
-                        continue
-                    if send_deadline:
-                        self._server_deadline = True
-                    if traced_bounced:
-                        self._server_traced = False
-                        send_traced = False
-                        continue
-                    if send_traced:
-                        self._server_traced = True
-                    return frames
+                    if context is not None and frame.code == Status.OK:
+                        # The envelope decoded; the inner frame carries the
+                        # operation's status, the records the server's spans.
+                        records, frame = decode_traced_response(frame.payload)
+                        if records:
+                            self.tracer.attach_remote(records)
+                    frames.append(frame)
+                return frames
             except (OSError, ProtocolError) as exc:
                 raise classify_stale(exc, leased.fresh) from exc
             finally:
@@ -498,9 +382,8 @@ class RemoteProvider(CloudProvider):
     def _find_shed(result) -> ResourceExhaustedError | None:
         """The shed verdict, if any frame of *result* was RESOURCE_EXHAUSTED.
 
-        Stream exchanges return non-Frame shapes (``None`` on downgrade,
-        per-item tuples on success), so anything without a status code is
-        simply not a shed verdict.
+        Stream exchanges return per-item tuples on success, so anything
+        without a status code is simply not a shed verdict.
         """
         frames = result if isinstance(result, list) else [result]
         for frame in frames:
@@ -533,9 +416,7 @@ class RemoteProvider(CloudProvider):
             "net_client_request_seconds", op=op.name
         ).observe(time.perf_counter() - t0)
 
-    def _roundtrip(
-        self, requests: list[tuple[OpCode, str, bytes]]
-    ) -> list[Frame]:
+    def _roundtrip(self, requests: list[tuple]) -> list[Frame]:
         """Exchange a window of frames of one op with transport retries,
         traced and accounted; returns the response frames, whatever their
         statuses.
@@ -555,8 +436,8 @@ class RemoteProvider(CloudProvider):
             frames = self._with_retries(lambda: self._exchange(requests))
         sent = received = 0
         expired = False
-        for (_, key, payload), frame in zip(requests, frames):
-            sent += HEADER.size + len(key.encode()) + self._payload_len(payload)
+        for (_, key, *parts), frame in zip(requests, frames):
+            sent += HEADER.size + len(key.encode()) + sum(map(len, parts))
             received += HEADER.size + len(frame.key.encode()) + len(frame.payload)
             expired = expired or frame.code == Status.DEADLINE_EXCEEDED
         self._account(op, len(requests), sent, received, t0)
@@ -566,7 +447,7 @@ class RemoteProvider(CloudProvider):
             ).inc()
         return frames
 
-    def _request(self, requests: list[tuple[OpCode, str, bytes]], decode=None):
+    def _request(self, requests: list[tuple], decode=None):
         """:meth:`_roundtrip` that raises on an error status.
 
         Returns the response frames, or ``decode(frames)`` when given: a
@@ -657,7 +538,7 @@ class RemoteProvider(CloudProvider):
         batches = self._split_batches(items, lambda item: len(item[1]))
         results = self._request(
             [
-                (OpCode.MULTI_PUT, "", encode_multi_put_parts(batch))
+                (OpCode.MULTI_PUT, "", *encode_multi_put_parts(batch))
                 for batch in batches
             ],
             lambda frames: self._batch_results(batches, frames),
@@ -730,12 +611,13 @@ class RemoteProvider(CloudProvider):
         Segments are pipelined behind the open frame with a sliding window
         of at most :data:`STREAM_ACK_WINDOW` unacknowledged frames, so a
         whole window costs ~1 round-trip of latency while the ack backlog
-        stays bounded.  Returns per-item ``(status, body)`` pairs; the shed
-        frame when the server refused us at admission (``_with_retries``
-        turns that into hinted backoff); or ``None`` when the server
-        predates streams -- every frame bounced BAD_REQUEST "unknown op
-        code" with the connection drained and in sync, and the caller
-        falls back to MULTI_PUT.
+        stays bounded.  Returns per-item ``(status, body)`` pairs, or the
+        error frame of a refused session: the shed frame when the server
+        refused us at admission (``_with_retries`` turns that into hinted
+        backoff), else the first non-OK open or commit answer, with every
+        ack drained so the connection stays in sync.  A segment ack must
+        echo the key of the segment at its position, or the session is a
+        :class:`ProtocolError`.
         """
         deadline = self._check_deadline("net.STREAM_PUT")
         with self.pool.lease(op="STREAM_PUT") as leased:
@@ -746,13 +628,11 @@ class RemoteProvider(CloudProvider):
                 try:
                     sent = 0
                     acked = 0
-                    downgraded = False
-                    shed: Frame | None = None
-                    session_error: Frame | None = None
+                    refused: Frame | None = None
                     results: list[tuple[int, bytes]] = []
 
                     def read_ack() -> None:
-                        nonlocal acked, downgraded, shed, session_error
+                        nonlocal acked, refused
                         frame = read_frame(rfile)
                         if frame is None:
                             raise ProtocolError(
@@ -761,25 +641,27 @@ class RemoteProvider(CloudProvider):
                         index = acked  # 0 = open ack, 1..N = segments, N+1 = end
                         acked += 1
                         if frame.code == Status.RESOURCE_EXHAUSTED:
-                            shed = frame
-                        elif self._bounced(frame):
-                            downgraded = True
+                            refused = frame
                         elif 1 <= index <= len(items):
+                            asked = items[index - 1][0]
+                            if frame.key != asked:
+                                raise ProtocolError(
+                                    f"STREAM_SEG ack {index} is for key "
+                                    f"{frame.key!r}, not {asked!r}"
+                                )
                             results.append((int(frame.code), frame.payload))
-                        elif frame.code != Status.OK and session_error is None:
-                            session_error = frame
+                        elif frame.code != Status.OK and refused is None:
+                            refused = frame
 
                     sendmsg_all(sock, frame_segments(OpCode.STREAM_PUT))
                     sent += 1
                     batch: list[bytes | memoryview] = []
                     batched = 0
                     for key, data in items:
-                        if downgraded or shed is not None:
+                        if refused is not None:
                             break
                         batch.extend(
-                            frame_segments(
-                                OpCode.STREAM_SEG, key=key, payload=data
-                            )
+                            frame_segments(OpCode.STREAM_SEG, key, data)
                         )
                         batched += 1
                         if batched >= STREAM_SEND_BATCH:
@@ -789,23 +671,19 @@ class RemoteProvider(CloudProvider):
                             batched = 0
                             while sent - acked > STREAM_ACK_WINDOW:
                                 read_ack()
-                    if batched and not downgraded and shed is None:
+                    if refused is None:
+                        batch.extend(frame_segments(OpCode.STREAM_END))
                         sendmsg_all(sock, batch)
-                        sent += batched
-                        batch.clear()
-                    if not downgraded and shed is None:
-                        sendmsg_all(sock, frame_segments(OpCode.STREAM_END))
-                        sent += 1
+                        sent += batched + 1
                     # Drain every outstanding ack so the connection is back
                     # in sync (a shed server closed it already; stop there).
-                    while acked < sent and shed is None:
+                    while acked < sent and (
+                        refused is None
+                        or refused.code != Status.RESOURCE_EXHAUSTED
+                    ):
                         read_ack()
-                    if shed is not None:
-                        return shed
-                    if downgraded:
-                        return None
-                    if session_error is not None:
-                        raise self._frame_error(session_error)
+                    if refused is not None:
+                        return refused
                     if len(results) != len(items):
                         raise ProtocolError(
                             f"stream session answered {len(results)} segment "
@@ -820,9 +698,11 @@ class RemoteProvider(CloudProvider):
     def _exchange_stream_get(self, keys: list[str]):
         """One STREAM_GET exchange: count header, then one frame per key.
 
-        Returns the per-key frames; the shed frame on admission refusal;
-        or ``None`` on old-server downgrade (caller falls back to
-        MULTI_GET).
+        Returns the per-key frames, or the header frame when it is not OK
+        (the shed frame on admission refusal, or the server's error).
+        Each frame must echo the key asked at its position, or the
+        exchange is a :class:`ProtocolError`: a server answering out of
+        order would otherwise hand one key's bytes back as another's.
         """
         deadline = self._check_deadline("net.STREAM_GET")
         with self.pool.lease(op="STREAM_GET") as leased:
@@ -831,9 +711,7 @@ class RemoteProvider(CloudProvider):
                 sock.settimeout(self._op_timeout(deadline))
                 sendmsg_all(
                     sock,
-                    frame_segments(
-                        OpCode.STREAM_GET, payload=encode_keys(keys)
-                    ),
+                    frame_segments(OpCode.STREAM_GET, "", encode_keys(keys)),
                 )
                 rfile = sock.makefile("rb")
                 try:
@@ -842,12 +720,8 @@ class RemoteProvider(CloudProvider):
                         raise ProtocolError(
                             "server closed connection before responding"
                         )
-                    if header.code == Status.RESOURCE_EXHAUSTED:
-                        return header
-                    if self._bounced(header):
-                        return None
                     if header.code != Status.OK:
-                        raise self._frame_error(header)
+                        return header
                     count = decode_stream_count(header.payload)
                     if count != len(keys):
                         raise ProtocolError(
@@ -855,11 +729,16 @@ class RemoteProvider(CloudProvider):
                             f"{len(keys)} keys"
                         )
                     frames: list[Frame] = []
-                    for _ in range(count):
+                    for key in keys:
                         frame = read_frame(rfile)
                         if frame is None:
                             raise ProtocolError(
                                 "server closed connection mid-stream"
+                            )
+                        if frame.key != key:
+                            raise ProtocolError(
+                                f"STREAM_GET answered key {frame.key!r} "
+                                f"where {key!r} was asked"
                             )
                         frames.append(frame)
                     return frames
@@ -877,13 +756,10 @@ class RemoteProvider(CloudProvider):
 
         Same contract as :meth:`put_many` -- per-item outcomes, checksum
         echoes verified -- but neither side ever materializes the window
-        into one aggregate buffer.  Falls back to :meth:`put_many`
-        transparently when the server predates the stream ops.
+        into one aggregate buffer.  A refused session raises its error.
         """
         if not items:
             return []
-        if self._server_stream is False:
-            return self.put_many(items, checksums=checksums)
         t0 = time.perf_counter()
         with self.tracer.span(
             "net.STREAM_PUT", provider=self.name, frames=len(items)
@@ -891,10 +767,8 @@ class RemoteProvider(CloudProvider):
             result = self._with_retries(
                 lambda: self._exchange_stream_put(items)
             )
-        if result is None:
-            self._server_stream = False
-            return self.put_many(items, checksums=checksums)
-        self._server_stream = True
+        if isinstance(result, Frame):
+            raise self._frame_error(result)
         sent = 2 * HEADER.size + sum(
             HEADER.size + len(key.encode()) + len(data) for key, data in items
         )
@@ -908,13 +782,10 @@ class RemoteProvider(CloudProvider):
     def get_stream(self, keys: list[str]) -> list["bytes | ProviderError"]:
         """Fetch many objects as one frame per key (no aggregate payload).
 
-        Same contract as :meth:`get_many`; falls back to it transparently
-        when the server predates the stream ops.
+        Same contract as :meth:`get_many`; a refused request raises.
         """
         if not keys:
             return []
-        if self._server_stream is False:
-            return self.get_many(keys)
         t0 = time.perf_counter()
         with self.tracer.span(
             "net.STREAM_GET", provider=self.name, frames=len(keys)
@@ -922,10 +793,8 @@ class RemoteProvider(CloudProvider):
             frames = self._with_retries(
                 lambda: self._exchange_stream_get(keys)
             )
-        if frames is None:
-            self._server_stream = False
-            return self.get_many(keys)
-        self._server_stream = True
+        if isinstance(frames, Frame):
+            raise self._frame_error(frames)
         sent = HEADER.size + 4 + sum(len(key.encode()) + 2 for key in keys)
         received = HEADER.size + 4 + sum(
             HEADER.size + len(frame.key.encode()) + len(frame.payload)

@@ -579,7 +579,7 @@ class ChunkServer(AdmissionServer):
                 ):
                     status, key, payload = responses[0]
                     held_acks.extend(
-                        frame_segments(status, key=key, payload=payload)
+                        frame_segments(status, key, payload)
                     )
                     held_count += 1
                     self.requests_served += 1
@@ -610,7 +610,7 @@ class ChunkServer(AdmissionServer):
                     segments: list[bytes | memoryview] = []
                     for status, key, payload in responses:
                         segments.extend(
-                            frame_segments(status, key=key, payload=payload)
+                            frame_segments(status, key, payload)
                         )
                     sendmsg_all(conn, segments)
                 self.requests_served += 1

@@ -22,8 +22,13 @@ from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry
 from repro.providers.memory import InMemoryProvider
 from repro.util.deadline import Deadline, deadline_scope
+from tests.net.conftest import RequestLog
 
 FAST_RETRY = RetryPolicy(attempts=3, base_delay=0.01, max_delay=0.05)
+
+
+class _LoggedServer(RequestLog, ChunkServer):
+    pass
 
 
 def test_admission_parameters_validated():
@@ -177,7 +182,7 @@ def test_oversized_response_answers_internal_not_worker_death(monkeypatch):
 def served():
     metrics = MetricsRegistry()
     backend = InMemoryProvider("dl")
-    with ChunkServer(backend, metrics=metrics) as server:
+    with _LoggedServer(backend, metrics=metrics) as server:
         yield backend, server, metrics
 
 
@@ -187,8 +192,9 @@ def test_client_wraps_requests_in_deadline_envelope(served):
         with deadline_scope(Deadline.after(10.0)):
             p.put("k", b"v")
             assert p.get("k") == b"v"
-        # The server accepted the DEADLINE envelope (no downgrade happened).
-        assert p._server_deadline is True
+    # The server unwrapped and served both DEADLINE envelopes.
+    assert server.ops == [OpCode.DEADLINE, OpCode.DEADLINE]
+    assert server.served["DEADLINE"] == 2
 
 
 def test_expired_ambient_deadline_fails_before_sending(served):

@@ -31,6 +31,7 @@ from repro.net.protocol import (
     Status,
     encode_deadline_request,
     encode_frame,
+    encode_stream_count,
     encode_traced_request,
     read_frame,
     recv_frame,
@@ -39,8 +40,10 @@ from repro.net.remote import DELETE_WINDOW, RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.obs.trace import Tracer
+from repro.providers.base import blob_checksum
 from repro.providers.memory import InMemoryProvider
 from repro.util.deadline import Deadline, deadline_scope
+from tests.net.conftest import RequestLog
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
 
@@ -83,6 +86,14 @@ class _CannedServer:
 BAD_KEYS = struct.pack("!IH", 1, len(NOT_UTF8)) + NOT_UTF8
 BAD_BATCH = struct.pack("!I", 3) + b"\x00"
 BAD_STAT = b"\x00\x01"
+# A STREAM_GET for ["a", "b"] answered in the other order.  (The
+# stream-seg-ack-key case acks a put_stream of key "a" with a correct
+# echo of its bytes, but for key "b".)
+SWAPPED_STREAM_GET = (
+    encode_frame(Status.OK, payload=encode_stream_count(2))
+    + encode_frame(Status.OK, key="b", payload=b"B")
+    + encode_frame(Status.OK, key="a", payload=b"A")
+)
 
 
 @pytest.mark.parametrize(
@@ -96,8 +107,12 @@ BAD_STAT = b"\x00\x01"
          lambda p: p.put_many([("a", b"1"), ("b", b"2"), ("c", b"3")])),
         (encode_frame(Status.OK, key="k", payload=BAD_STAT),
          lambda p: p.head("k")),
+        (SWAPPED_STREAM_GET, lambda p: p.get_stream(["a", "b"])),
+        (encode_frame(Status.OK, key="b", payload=blob_checksum(b"1").encode()),
+         lambda p: p.put_stream([("a", b"1")])),
     ],
-    ids=["frame-key", "keys", "multi-get", "multi-put", "head"],
+    ids=["frame-key", "keys", "multi-get", "multi-put", "head",
+         "stream-get-swapped", "stream-seg-ack-key"],
 )
 def test_junk_from_a_live_server_is_a_provider_error(answer, call):
     server = _CannedServer(answer)
@@ -181,7 +196,7 @@ def test_a_provider_answering_junk_costs_a_parity_read(chunk_size, wire_op):
     assert failures[0] > 0 and failures[1:] == [0, 0, 0]
 
 
-class _SlowReader(ChunkServer):
+class _SlowReader(RequestLog, ChunkServer):
     """Takes each connection's frames off a 4 KiB receive buffer, one
     every few milliseconds: a full window's requests are all on the wire
     long before the first is answered."""
@@ -213,9 +228,9 @@ def test_a_full_delete_window_in_both_envelopes_cannot_deadlock():
             with tracer.trace("remove"), deadline_scope(Deadline.after(30)):
                 context = tracer.wire_context()
                 outcomes = provider.delete_many(keys)
-            assert provider._server_traced and provider._server_deadline
         finally:
             provider.close()
+    assert server.served == {"DEADLINE": DELETE_WINDOW, "TRACED": DELETE_WINDOW}
     assert outcomes == [None] * DELETE_WINDOW
     assert inner.keys() == []
     enveloped = sum(

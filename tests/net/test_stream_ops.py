@@ -1,11 +1,11 @@
-"""STREAM_PUT/STREAM_GET sessions: round-trips, downgrade, rollback.
+"""STREAM_PUT/STREAM_GET sessions: round-trips, refusal, rollback.
 
-The streaming ops must honour the wire's compatibility contract the way
-TRACED/DEADLINE did: a pre-stream server answers each STREAM_* frame
-BAD_REQUEST ("unknown op code") with the connection in sync, and the
-client falls back to the batched MULTI path transparently.  The server
-side must also make a mid-stream sender crash invisible: segments staged
-by a session that dies before STREAM_END are rolled back.
+A server without the stream ops answers each STREAM_* frame BAD_REQUEST
+("unknown op code") with the connection in sync, and the client raises
+that as a typed error, as it does any refused request: it caches no
+verdict and sends nothing in the stream's place.  The server side must
+also make a mid-stream sender crash invisible: segments staged by a
+session that dies before STREAM_END are rolled back.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from repro.net.remote import RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry
 from repro.providers.memory import InMemoryProvider
+from repro.util.deadline import Deadline, deadline_scope
+from tests.net.conftest import RequestLog
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
 
@@ -62,6 +64,14 @@ class OldChunkServer(ChunkServer):
         return super()._dispatch_multi(frame, session)
 
 
+class _LoggedServer(RequestLog, ChunkServer):
+    pass
+
+
+class _LoggedOldServer(RequestLog, OldChunkServer):
+    pass
+
+
 def _provider(server: ChunkServer, **kwargs) -> RemoteProvider:
     return RemoteProvider(
         server.backend.name, server.host, server.port,
@@ -78,15 +88,19 @@ def _items(n: int, prefix: str = "k") -> list[tuple[str, bytes]]:
 
 def test_stream_put_get_roundtrip():
     backend = InMemoryProvider("s")
-    with ChunkServer(backend) as server:
+    with _LoggedServer(backend) as server:
         provider = _provider(server)
         items = _items(20)
         outcomes = provider.put_stream(items)
         assert outcomes == [None] * len(items)
-        assert provider._server_stream is True
         got = provider.get_stream([key for key, _ in items])
         assert got == [data for _, data in items]
         provider.close()
+    # Both directions rode stream sessions, nothing else.
+    assert set(server.ops) == {
+        OpCode.STREAM_PUT, OpCode.STREAM_SEG, OpCode.STREAM_END,
+        OpCode.STREAM_GET,
+    }
 
 
 def test_stream_put_larger_than_ack_window():
@@ -126,55 +140,71 @@ def test_stream_results_visible_to_batched_and_single_ops():
         provider.close()
 
 
-# -- downgrade handshake ------------------------------------------------------
+# -- refusal by an old server -------------------------------------------------
 
 
 def test_stream_put_downgrades_against_old_server():
+    """``put_stream`` on a server without streams raises the typed
+    refusal, stores nothing, and tries the stream again next time."""
     backend = InMemoryProvider("old")
-    with OldChunkServer(backend) as server:
+    with _LoggedOldServer(backend) as server:
         provider = _provider(server)
-        items = _items(8)
-        outcomes = provider.put_stream(items)
-        assert outcomes == [None] * len(items)
-        # The fallback really stored the bytes, and the verdict is cached
-        # so later calls skip the probe entirely.
-        assert provider._server_stream is False
-        assert backend.get("k3") == items[3][1]
-        assert provider.put_stream(_items(3, "second")) == [None] * 3
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="BAD_REQUEST: unknown op"):
+                provider.put_stream(_items(8))
+        assert backend.keys() == []
+        assert OpCode.MULTI_PUT not in server.ops  # no fallback was sent
+        assert server.ops.count(OpCode.STREAM_PUT) == 2
         provider.close()
 
 
 def test_stream_get_downgrades_against_old_server():
+    """``get_stream`` is refused the same way, and is asked again."""
     backend = InMemoryProvider("old")
     for key, data in _items(6):
         backend.put(key, data)
-    with OldChunkServer(backend) as server:
+    with _LoggedOldServer(backend) as server:
         provider = _provider(server)
-        got = provider.get_stream([k for k, _ in _items(6)])
-        assert got == [d for _, d in _items(6)]
-        assert provider._server_stream is False
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="BAD_REQUEST: unknown op"):
+                provider.get_stream([k for k, _ in _items(6)])
+        assert server.ops == [OpCode.STREAM_GET, OpCode.STREAM_GET]
         provider.close()
 
 
 def test_downgrade_leaves_connection_in_sync():
-    # After the bounced stream probe, ordinary ops reuse the same socket.
+    # After a refused stream, in both directions, ordinary ops reuse the
+    # same socket.
     backend = InMemoryProvider("old")
-    with OldChunkServer(backend) as server:
+    with _LoggedOldServer(backend) as server:
         provider = _provider(server, metrics=MetricsRegistry())
-        provider.put_stream(_items(4))
-        assert provider.pool.idle_count >= 1  # socket survived the bounce
-        assert provider.get("k1") == _items(4)[1][1]
+        with pytest.raises(ProviderError):
+            provider.put_stream(_items(4))
+        assert provider.pool.idle_count == 1  # socket survived the refusal
+        provider.put("k1", b"v")
+        with pytest.raises(ProviderError):
+            provider.get_stream(["k1"])
+        assert provider.get("k1") == b"v"
+        assert server.connections == 1
         provider.close()
 
 
 def test_envelopes_still_downgrade_on_old_server():
-    # The stream downgrade must not break the older TRACED/DEADLINE
-    # downgrade machinery -- an old server bounces all of them.
+    # Under a deadline scope an old server without streams still serves
+    # the DEADLINE envelope, refuses the bare stream ops with the typed
+    # error, and the request after the refusal is enveloped as before.
     backend = InMemoryProvider("old")
-    with OldChunkServer(backend) as server:
+    with _LoggedOldServer(backend) as server:
         provider = _provider(server, op_timeout=5.0)
-        provider.put("k", b"v")
-        assert provider.get("k") == b"v"
+        with deadline_scope(Deadline.after(30)):
+            provider.put("k", b"v")
+            with pytest.raises(ProviderError, match="BAD_REQUEST: unknown op"):
+                provider.put_stream(_items(2))
+            with pytest.raises(ProviderError, match="BAD_REQUEST: unknown op"):
+                provider.get_stream(["k"])
+            assert provider.get("k") == b"v"
+        assert server.served["DEADLINE"] == 2
+        assert server.ops[0] == server.ops[-1] == OpCode.DEADLINE
         provider.close()
 
 

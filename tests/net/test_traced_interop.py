@@ -1,16 +1,17 @@
-"""TRACED envelope: codecs, client<->server joins, version interop.
+"""TRACED envelope: codecs, client<->server joins, refusal by an old server.
 
-The envelope must never break the wire contract: a pre-telemetry server
-answers it BAD_REQUEST with the connection intact (the client downgrades
-and resends plainly), and a pre-telemetry client's plain frames are
-served by a telemetry server exactly as before -- no opcode or version
-renumbering on either side.
+The envelope must never break the wire contract: a server without it
+answers BAD_REQUEST with the connection intact, and the client raises
+that as a typed error without caching any verdict about the server; a
+client that never wraps has its plain frames served exactly as before --
+no opcode or version renumbering on either side.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import ProviderError
 from repro.net.protocol import (
     Frame,
     OpCode,
@@ -29,6 +30,7 @@ from repro.net.server import ChunkServer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.providers.memory import InMemoryProvider
+from tests.net.conftest import RequestLog
 
 FAST_RETRY = RetryPolicy(attempts=2, base_delay=0.01, max_delay=0.05)
 
@@ -47,6 +49,14 @@ class LegacyChunkServer(ChunkServer):
                 return self._handle(frame)
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             return status_for_error(exc), frame.key, str(exc).encode("utf-8")
+
+
+class _LoggedServer(RequestLog, ChunkServer):
+    pass
+
+
+class _LoggedLegacyServer(RequestLog, LegacyChunkServer):
+    pass
 
 
 # -- codec round-trips -------------------------------------------------------
@@ -95,12 +105,12 @@ def traced_pair():
     server_tracer = Tracer(export_events=False)
     metrics = MetricsRegistry()
     backend = InMemoryProvider("srv")
-    with ChunkServer(backend, tracer=server_tracer, metrics=metrics) as server:
+    with _LoggedServer(backend, tracer=server_tracer, metrics=metrics) as server:
         with RemoteProvider(
             "srv", server.host, server.port,
             retry=FAST_RETRY, tracer=client_tracer, metrics=metrics,
         ) as provider:
-            yield backend, provider, client_tracer
+            yield server, provider, client_tracer
 
 
 def test_server_spans_join_client_trace(traced_pair):
@@ -116,16 +126,16 @@ def test_server_spans_join_client_trace(traced_pair):
     assert spans["server.GET"].remote
     assert spans["server.GET"].parent_id == spans["net.GET"].span_id
     assert spans["server.backend"].parent_id == spans["server.GET"].span_id
-    assert provider._server_traced is True
 
 
 def test_untraced_requests_stay_plain(traced_pair):
-    _, provider, tracer = traced_pair
+    server, provider, tracer = traced_pair
     # No active trace: nothing to propagate, nothing recorded.
     provider.put("k", b"payload")
     assert provider.get("k") == b"payload"
     assert tracer.last_trace() is None
-    assert provider._server_traced is None  # no traced exchange happened
+    assert server.ops == [OpCode.PUT, OpCode.GET]  # no envelope was sent
+    assert server.served["TRACED"] == 0
 
 
 def test_error_statuses_survive_the_envelope(traced_pair):
@@ -153,26 +163,29 @@ def test_multi_ops_ride_the_envelope(traced_pair):
     assert "server.MULTI_GET" in down
 
 
-# -- new client <-> old server (downgrade) -----------------------------------
+# -- new client <-> old server (refusal) ------------------------------------
 
 
 @pytest.fixture
 def legacy_pair():
     tracer = Tracer(export_events=False)
     backend = InMemoryProvider("old")
-    with LegacyChunkServer(backend) as server:
+    with _LoggedLegacyServer(backend) as server:
         with RemoteProvider(
             "old", server.host, server.port, retry=FAST_RETRY, tracer=tracer
         ) as provider:
-            yield backend, provider, tracer
+            yield server, provider, tracer
 
 
 def test_old_server_triggers_plain_fallback(legacy_pair):
-    _, provider, tracer = legacy_pair
+    """A server without TRACED refuses a traced request: the call raises a
+    typed error naming the BAD_REQUEST, and nothing is resent plainly."""
+    server, provider, tracer = legacy_pair
     with tracer.trace("round_trip"):
-        provider.put("k", b"payload")
-        assert provider.get("k") == b"payload"
-    assert provider._server_traced is False
+        with pytest.raises(ProviderError, match="BAD_REQUEST: unknown op code"):
+            provider.put("k", b"payload")
+    assert server.ops == [OpCode.TRACED]
+    assert server.backend.keys() == []
     trace = tracer.last_trace()
     # Client-side spans still recorded; no server spans to graft.
     assert "net.PUT" in trace.span_names()
@@ -180,25 +193,33 @@ def test_old_server_triggers_plain_fallback(legacy_pair):
 
 
 def test_old_server_batch_fallback(legacy_pair):
-    _, provider, tracer = legacy_pair
+    """Batch windows are refused the same way, window by window."""
+    server, provider, tracer = legacy_pair
     items = [(f"k{i}", bytes([i]) * 32) for i in range(4)]
     with tracer.trace("upload"):
-        assert provider.put_many(items) == [None] * 4
-        assert provider.get_many(["k0", "k3"]) == [items[0][1], items[3][1]]
-    assert provider._server_traced is False
+        with pytest.raises(ProviderError, match="BAD_REQUEST"):
+            provider.put_many(items)
+        with pytest.raises(ProviderError, match="BAD_REQUEST"):
+            provider.get_many(["k0", "k3"])
+    assert server.ops == [OpCode.TRACED, OpCode.TRACED]
+    # Untraced, the same windows are served.
+    assert provider.put_many(items) == [None] * 4
+    assert provider.get_many(["k0", "k3"]) == [items[0][1], items[3][1]]
 
 
 def test_capability_cache_skips_wrapping(legacy_pair):
-    backend, provider, tracer = legacy_pair
-    with tracer.trace("first"):
-        provider.put("k", b"v")
-    served_after_first = backend  # downgrade cost one extra round-trip
-    assert provider._server_traced is False
-    with tracer.trace("second"):
-        assert provider.get("k") == b"v"
-    # Still downgraded; no flapping back to TRACED.
-    assert provider._server_traced is False
-    assert served_after_first.get("k") == b"v"
+    """A refusal caches nothing: the next traced call is framed exactly as
+    the first was, on the same pooled connection, and is refused again."""
+    server, provider, tracer = legacy_pair
+    provider.put("k", b"v")
+    for attempt in ("first", "second"):
+        with tracer.trace(attempt):
+            with pytest.raises(ProviderError, match="BAD_REQUEST"):
+                provider.get("k")
+    assert provider.get("k") == b"v"
+    assert server.ops == [OpCode.PUT, OpCode.TRACED, OpCode.TRACED, OpCode.GET]
+    assert server.connections == 1  # every refusal left the socket in sync
+    assert server.served["TRACED"] == 0
 
 
 # -- old client <-> new server ----------------------------------------------
