@@ -100,6 +100,46 @@ def test_bench_misleading_remove_window_pl3(benchmark, pl3_window):
     assert b"".join(benchmark(remove_window, stored, rows)) == data
 
 
+def test_bench_write_window_pl3(benchmark, pl3_window):
+    """The write engine's three stages over one PL-3 window -- 2,048
+    chunks of 1 KiB at 10% misleading bytes, raid5@4 over six in-memory
+    providers -- as an upload runs them: plan (draw, encode, placement,
+    ids, keys), transfer (one hash and one put a shard) and commit (the
+    window's columns tabled).  Each round starts from an empty fleet."""
+    from repro.core.distributor import CloudDataDistributor
+    from repro.core.privacy import CostLevel, PrivacyLevel
+    from repro.obs.metrics import MetricsRegistry
+    from repro.providers.memory import InMemoryProvider
+    from repro.providers.registry import ProviderRegistry
+
+    registry = ProviderRegistry()
+    for i in range(6):
+        registry.register(InMemoryProvider(f"P{i}"), PrivacyLevel.PRIVATE, CostLevel.CHEAP)
+    d = CloudDataDistributor(registry, codec="raid5@4", seed=1, metrics=MetricsRegistry())
+    _, payloads, _, _ = pl3_window
+    codec = d._resolve_codec(PrivacyLevel.PRIVATE, None)
+    tabled: list[range] = []
+
+    def erase():
+        if tabled:
+            with d.op_lock:
+                d._delete_chunks(tabled.pop())
+
+    def write():
+        with d.op_lock:
+            window = d._plan_window(
+                payloads, "f", PrivacyLevel.PRIVATE, range(len(payloads)), codec,
+                0.1, d.provider_loads(),
+            )
+        assert not d._transfer_window(window)
+        with d.op_lock:
+            tabled.append(d._commit_window(window))
+
+    benchmark.pedantic(write, setup=erase, rounds=10, iterations=1)
+    assert len(tabled[-1]) == len(d.chunk_table) == len(payloads)
+    assert sum(d.provider_loads().values()) == 4 * len(payloads)
+
+
 def test_bench_frame_segments_zero_copy(benchmark):
     # The send path's framing: scatter-gather segments instead of
     # header + payload joined into a fresh bytes per frame.

@@ -74,6 +74,17 @@ def equal_length_runs(
         start = stop
 
 
+def cut(data: bytes, chunk_size: int) -> list[bytes]:
+    """*data* cut into its chunks' payloads, in serial order: what
+    :func:`split` numbers, without an object per chunk (the write engine's
+    input).  An empty file is one empty payload."""
+    if chunk_size <= 0:
+        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if not data:
+        return [b""]
+    return [data[off : off + chunk_size] for off in range(0, len(data), chunk_size)]
+
+
 def split(
     data: bytes,
     level: PrivacyLevel | int,
@@ -85,18 +96,14 @@ def split(
     The chunk size comes from *chunk_size* if given, otherwise from
     *policy* (defaulting to the paper's PL-based schedule).  An empty file
     yields a single empty chunk so that every stored file has at least one
-    retrievable unit.
+    retrievable unit.  The payloads are :func:`cut`'s.
     """
     pl = PrivacyLevel.coerce(level)
     if chunk_size is None:
         chunk_size = (policy or ChunkSizePolicy()).chunk_size(pl)
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if not data:
-        return [Chunk(serial=0, level=pl, payload=b"")]
     return [
-        Chunk(serial=i, level=pl, payload=data[off : off + chunk_size])
-        for i, off in enumerate(range(0, len(data), chunk_size))
+        Chunk(serial=i, level=pl, payload=payload)
+        for i, payload in enumerate(cut(data, chunk_size))
     ]
 
 

@@ -42,7 +42,6 @@ from repro.core.errors import (
 )
 from repro.health.monitor import HealthMonitor
 from repro.core.misleading import (  # noqa: F401
-    NO_POSITIONS,
     InjectionRng,
     check_fraction,
     inject_runs,
@@ -66,7 +65,10 @@ from repro.core.tables import (
     CloudProviderTable,
     FileChunkRef,
 )
-from repro.core.virtual_id import VirtualIdAllocator, shard_key, shard_keys, snapshot_key
+from repro.core.virtual_id import (
+    VirtualIdAllocator, shard_key, snapshot_key, stripe_keys,
+)
+from repro.core.write_window import FailedChunk, WriteWindow
 from repro.providers.base import blob_checksum, check_answers
 from repro.providers.registry import ProviderRegistry
 from repro.raid.codecs import (
@@ -149,49 +151,6 @@ class RepairReport:
     # (virtual_id, shard_index, old_provider, new_provider)
 
 
-@dataclass(slots=True)
-class _ChunkPlan:
-    """One chunk's placement decision, staged before any bytes move.
-
-    The upload engine makes every placement decision (and rng draw) of a
-    window inside the critical section, in serial order, then transfers
-    the window's plans lock-free.  ``keys`` are the shards' provider keys,
-    formatted once for the journal, the transfer and the commit.
-    ``state`` is what commit tables; its ``shard_checksums`` are filled by
-    the transfer, one digest per shard, and are the value every later
-    stage uses -- the provider records it, the wire compares its echo
-    with it -- so a shard is hashed once per process on its way in.
-    ``failed`` becomes the list of shard indices whose put did not land
-    anywhere (an empty tuple while none failed); ``assigned`` is updated
-    in place by write-path failover; commit drops ``shards`` so a
-    committed window's bytes do not outlive their window.  An update's
-    ``snapshot`` (provider, pre-state) is one more object of the write set:
-    shard index ``len(assigned)`` in ``failed``.
-    """
-
-    serial: int
-    level: PrivacyLevel
-    vid: int
-    state: ChunkState
-    shards: list[bytes]
-    assigned: list[str]
-    keys: list[str]
-    positions: np.ndarray
-    failed: "list[int] | tuple[()]" = ()
-    first_error: ProviderError | None = None
-    # The (provider, key) pairs already in the journal for this plan;
-    # failover relocations are logged as the difference.
-    logged: "list[tuple[str, str]] | tuple[()]" = ()
-    snapshot: "tuple[str, bytes] | None" = None
-
-    def writes(self) -> list[tuple[str, str]]:
-        """Every ``(provider, key)`` the plan stores: shards, then snapshot."""
-        pairs = list(zip(self.assigned, self.keys))
-        if self.snapshot is not None:
-            pairs.append((self.snapshot[0], snapshot_key(self.vid)))
-        return pairs
-
-
 class _WindowTransfer(threading.Thread):
     """One upload window's transfer phase, running beside the next plan.
 
@@ -202,17 +161,17 @@ class _WindowTransfer(threading.Thread):
     """
 
     def __init__(
-        self, transfer: "Callable[[list[_ChunkPlan]], None]", plans: "list[_ChunkPlan]"
+        self, transfer: "Callable[[WriteWindow], None]", window: WriteWindow
     ) -> None:
         super().__init__(name="upload-window-transfer", daemon=True)
         self._transfer = transfer
-        self.plans = plans
+        self.window = window
         self._error: BaseException | None = None
         self.start()
 
     def run(self) -> None:
         try:
-            self._transfer(self.plans)
+            self._transfer(self.window)
         except BaseException as exc:  # noqa: BLE001 - re-raised by settle()
             self._error = exc
 
@@ -688,92 +647,80 @@ class CloudDataDistributor:
         misleading_fraction: float,
         load: dict[str, int],
         snapshots: "list[bytes] | None" = None,
-    ) -> list[_ChunkPlan]:
+    ) -> WriteWindow:
         """Encode and place one window's chunks without moving any bytes.
 
         Must run inside the critical section: it consumes rng draws
         (misleading injection, placement) and allocates virtual ids, and
         the order of those draws across a file's chunks is what the pinned
         placement digests in tier-1 hold constant.  Each step is one pass
-        over the window: the misleading draw (its arrays of stored chunks
-        go to the encoder as they are), the placement of every chunk, by
-        *filename* and serial, against one registry snapshot, a home outside
-        its stripe group for each of an update's *snapshots* (pre-states),
+        over the window, building its columns: the misleading draw (a run
+        of stored chunks goes to the encoder as one array), the encode, the
+        placement of every chunk, by *filename* and serial, against one
+        registry snapshot, a home for each of an update's *snapshots*
+        (pre-states) from the same snapshot (:meth:`SnapshotManager.homes`),
         one draw of virtual ids (last, so a placement refusal leaves none to
         give back), the shard keys; a chunk's shards rotate by its serial.
         *load* is the caller's working copy of the per-provider shard
         counts; each planned shard or snapshot advances it, so later chunks
         of the same write see the loads the earlier ones will have produced
-        once they commit.  The plans never alias *payloads*.
+        once they commit.  The window never aliases *payloads*.
         """
         runs = (
             inject_runs(payloads, misleading_fraction, rng=self._misleading_rng)
             if misleading_fraction > 0
-            else [(payloads, [NO_POSITIONS] * len(payloads))]
+            else [(payloads, np.empty((len(payloads), 0), np.uint32))]
         )
-        stripes: list = []
+        stripes: list[StripeMeta] = []
+        shards: list[bytes] = []
         positions: list[np.ndarray] = []
         for stored, rows in runs:
-            stripes += codec.encode_many(stored)
-            positions += rows
-        width = codec.n
+            metas, encoded = codec.encode_window(stored)
+            stripes += metas
+            shards += encoded
+            positions.append(rows)
+        count, width = len(stripes), codec.n
+        placed = self.placement.snapshot(self.registry, level, self.health)
         groups = self.placement.stripe_groups(
-            self.placement.snapshot(self.registry, level, self.health),
-            width, len(stripes), load, filename=filename, serials=serials,
+            placed, width, count, load, filename=filename, serials=serials,
         )
-        kept: list = [None] * len(stripes)
-        for at, pre_state in enumerate(snapshots or ()):
-            home = self.snapshots.choose_provider(level, exclude=set(groups[at]), load=load)
-            load[home] = load.get(home, 0) + 1
-            kept[at] = (home, pre_state)
-        vids = self.ids.allocate_many(len(stripes))
-        keys = [shard_key(vid, index) for vid in vids for index in range(width)]
-        plans: list[_ChunkPlan] = []
-        for at, (vid, (meta, shards), group, where) in enumerate(
-            zip(vids, stripes, groups, positions)
-        ):
-            # Rotate the shard->provider assignment by serial so parity
-            # cycles around the group, RAID-5 style.
-            serial = serials[at]
-            turn = serial % width
-            plans.append(_ChunkPlan(
-                serial=serial, level=level, vid=vid, state=ChunkState(meta, turn),
-                shards=shards, assigned=group[turn:] + group[:turn],
-                keys=keys[at * width : (at + 1) * width], positions=where,
-                snapshot=kept[at],
-            ))
-        return plans
+        kept = None
+        if snapshots is not None:
+            kept = list(zip(self.snapshots.homes(placed, groups, load), snapshots))
+        vids = self.ids.allocate_many(count)
+        # Rotate the shard->provider assignment by serial so parity
+        # cycles around the group, RAID-5 style.
+        rotations = [serial % width for serial in serials]
+        names: list[str] = []
+        for group, turn in zip(groups, rotations):
+            names += group[turn:]
+            names += group[:turn]
+        return WriteWindow(
+            level, list(serials), vids, [width] * count, stripes, rotations,
+            positions, shards, names, stripe_keys(vids, width), kept,
+        )
 
-    def _transfer_plans(self, plans: list[_ChunkPlan]) -> list[_ChunkPlan]:
+    def _transfer_window(self, window: WriteWindow) -> "list[FailedChunk]":
         """Upload one window's shards, one batched request per provider;
-        returns the plans with shards that did not land, to recover.
+        returns its rows with shards that did not land, to recover.
 
-        The window is flattened once -- every shard, then every snapshot of
-        an update, hashed and laid out with its key and digest -- and each
-        slot sorted to its provider; each provider's slots are one call, the
-        calls side by side on the transport executor, with no per-chunk
-        barrier.  The framing follows the batch's mean shard size: at or
-        above ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame
-        per shard, no aggregate payload), below it one MULTI_PUT frame
+        Every shard is hashed once (the window's ``digests``), an update's
+        snapshots after them, and each slot sorted to its provider; each
+        provider's slots are one call, the calls side by side on the
+        transport executor, with no per-chunk barrier.  The framing follows
+        the batch's mean shard size: at or above
+        ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame per
+        shard, no aggregate payload), below it one MULTI_PUT frame
         (per-segment stream acks would dominate shard bytes this small).
         """
-        shards: list[bytes] = []
-        keys: list[str] = []
-        digests: list[str] = []
-        names: list[str] = []
-        for plan in plans:
-            plan.state.shard_checksums = hashed = tuple(map(blob_checksum, plan.shards))
-            shards += plan.shards
-            keys += plan.keys
-            digests += hashed
-            names += plan.assigned
-        kept = [plan for plan in plans if plan.snapshot is not None]
-        for plan in kept:
-            name, pre_state = plan.snapshot
-            shards.append(pre_state)
-            keys.append(snapshot_key(plan.vid))
-            digests.append(blob_checksum(pre_state))
-            names.append(name)
+        window.digests = digests = list(map(blob_checksum, window.shards))
+        shards, keys, names = window.shards, window.keys, window.names
+        if window.snapshots is not None:
+            kept = [pre_state for _, pre_state in window.snapshots]
+            shards = shards + kept
+            keys = keys + [snapshot_key(vid) for vid in window.vids]
+            digests = digests + list(map(blob_checksum, kept))
+            names = names + [home for home, _ in window.snapshots]
         slots: defaultdict[str, list[int]] = defaultdict(list)
         for slot, name in enumerate(names):
             slots[name].append(slot)
@@ -788,30 +735,20 @@ class CloudDataDistributor:
                 list(map(digests.__getitem__, picked)),
             )
 
-        failed: list[_ChunkPlan] = []
-        owners: list[tuple[_ChunkPlan, int]] = []  # slot -> (plan, shard)
+        refused: dict[int, ProviderError] = {}
         order = list(slots)
         for name, (per_item, exc) in zip(
             order, self._transport_map(put_batch, order, order)
         ):
             if exc is None and not any(per_item):
                 continue
-            owners = owners or [
-                (plan, index) for plan in plans for index in range(len(plan.shards))
-            ] + [(plan, len(plan.shards)) for plan in kept]
             for slot, item_exc in zip(slots[name], per_item or [exc] * len(slots[name])):
                 if item_exc is not None:
-                    plan, index = owners[slot]
-                    if not plan.failed:
-                        plan.failed, plan.first_error = [], item_exc
-                        failed.append(plan)
-                    plan.failed.append(index)
-        for plan in failed:
-            plan.failed.sort()
-        return failed
+                    refused[slot] = item_exc
+        return window.failures(refused) if refused else []
 
-    def _recover_plan(self, plan: _ChunkPlan) -> bool:
-        """Failover a plan's failed shards; returns True if the chunk is lost.
+    def _recover_plan(self, chunk: FailedChunk) -> bool:
+        """Failover a chunk's failed shards; returns True if it is lost.
 
         Write-path failover re-places only the failed shards instead of
         aborting the whole chunk.  What finds no taker stays failed:
@@ -820,42 +757,38 @@ class CloudDataDistributor:
         write back.  An update's snapshot that did not land loses its
         chunk too: a new version is not kept without its pre-state.
         """
-        if plan.failed[-1] == len(plan.assigned):
+        if chunk.failed[-1] == len(chunk.assigned):
             return True
-        moves, _ = self._replace_shards(plan, plan.failed)
+        moves, _ = self._replace_shards(chunk, chunk.failed)
         placed = {shard_index for _, shard_index, _, _ in moves}
-        plan.failed = [i for i in plan.failed if i not in placed]
-        return bool(plan.failed) and (
-            len(plan.assigned) - len(plan.failed) < plan.state.stripe.k
+        chunk.failed = [i for i in chunk.failed if i not in placed]
+        return bool(chunk.failed) and (
+            len(chunk.assigned) - len(chunk.failed) < chunk.state.stripe.k
         )
 
-    def _commit_plans(self, plans: list[_ChunkPlan]) -> range:
-        """Table a window of transferred plans; returns their chunk indices.
+    def _commit_window(self, window: WriteWindow) -> range:
+        """Table a transferred window; returns its chunk indices.
 
         Must run inside the critical section.  One audit note and one
-        Provider Table lookup per distinct provider, the rows appended
-        (and counted) to the Chunk Table's columns in one pass.
+        Provider Table lookup per distinct provider, the window's columns
+        appended (and counted) to the Chunk Table's in one pass.
         Failed-but-accepted shards are recorded too: the table is the
         scrubber's work list, and the next scrub cycle rebuilds them from
         the >= k members that did land.  The checksums on record are the
-        ones the transfer computed; the plans' shard bytes are released
+        ones the transfer computed; the window's shard bytes are released
         here.
         """
         index_of = self.provider_table.index_of
-        names = {name for plan in plans for name in plan.assigned}
-        homes = {name: index_of(name) for name in names}
+        homes = {name: index_of(name) for name in set(window.names)}
         added = self.chunk_table.add_window(
-            [plan.vid for plan in plans],
-            [plan.level for plan in plans],
-            [len(plan.assigned) for plan in plans],
-            [homes[name] for plan in plans for name in plan.assigned],
-            [plan.snapshot and index_of(plan.snapshot[0]) for plan in plans],
-            [plan.positions for plan in plans],
-            [plan.state for plan in plans],
+            window.vids, int(window.level), window.widths,
+            list(map(homes.__getitem__, window.names)),
+            None if window.snapshots is None
+            else [index_of(home) for home, _ in window.snapshots],
+            window.positions, window.stripes, window.rotations, window.digests,
         )
-        for plan in plans:
-            plan.shards = []
-        self._note_audit(vids=[plan.vid for plan in plans], providers=homes)
+        window.shards = []
+        self._note_audit(vids=window.vids, providers=homes)
         return added
 
     def _chunk_spec(self, client: str, ref: FileChunkRef) -> dict:
@@ -921,7 +854,7 @@ class CloudDataDistributor:
 
     def _replace_shards(
         self,
-        chunk: "ChunkEntry | _ChunkPlan",
+        chunk: "ChunkEntry | FailedChunk",
         displaced: list[int],
         good: dict[int, bytes] | None = None,
         targets: list[str] | None = None,
@@ -1106,11 +1039,10 @@ class CloudDataDistributor:
         """
         pl = PrivacyLevel.coerce(level)
         self._authorize_upload(client, password, filename, pl)
-        chunks = chunking.split(data, pl, policy=self.chunk_policy)
+        payloads = chunking.cut(data, self.chunk_policy.chunk_size(pl))
         with self.tracer.span("distributor.upload", client=client):
             return self._upload_windows(
-                client, pl, filename,
-                [([chunk.payload for chunk in chunks], True)],
+                client, pl, filename, [(payloads, True)],
                 codec=codec, misleading_fraction=misleading_fraction,
             )
 
@@ -1143,9 +1075,9 @@ class CloudDataDistributor:
             self._inflight_uploads.setdefault(client, set()).add(filename)
         serial = total_bytes = 0
 
-        def plan(payloads: list, load: dict[str, int]) -> list[_ChunkPlan]:
+        def plan(payloads: list, load: dict[str, int]) -> WriteWindow:
             nonlocal serial, total_bytes
-            plans = self._plan_window(
+            window = self._plan_window(
                 payloads
                 if cipher is None
                 else [
@@ -1155,9 +1087,9 @@ class CloudDataDistributor:
                 filename, pl, range(serial, serial + len(payloads)), codec_obj,
                 misleading_fraction, load,
             )
-            serial += len(plans)
+            serial += len(window.vids)
             total_bytes += sum(map(len, payloads))
-            return plans
+            return window
 
         try:
             self._write_windows(client, filename, windows, plan)
@@ -1187,7 +1119,7 @@ class CloudDataDistributor:
         client: str,
         filename: str,
         windows: "Iterable[tuple[list[bytes | memoryview], bool]]",
-        plan: "Callable[[list, dict[str, int]], list[_ChunkPlan]]",
+        plan: "Callable[[list, dict[str, int]], WriteWindow]",
         retiring: "list[FileChunkRef] | None" = None,
     ) -> None:
         """The write engine: plan -> transfer -> commit, window by window.
@@ -1195,9 +1127,11 @@ class CloudDataDistributor:
         *windows* yields ``(payloads, last)``: a window's chunk payloads in
         serial order, and whether nothing follows.  Per window, *plan* runs
         under the op lock (draws, placement against loads carried across
-        windows, ids), the keys about to exist are journaled, the shards
-        move lock-free (one batch per provider, write failover), and the
-        rows are tabled: each stage one pass over the window.  A window
+        windows, ids) and returns the window as columns (:class:`WriteWindow`);
+        the keys about to exist are journaled, the shards move lock-free
+        (one batch per provider; write failover, with a per-chunk view only
+        for a chunk whose put failed), and the columns are tabled: each
+        stage one pass over the window, with no object per chunk.  A window
         transfers on its own thread while the next is read and planned,
         except a last one, which transfers inline (a whole-file upload or an
         update never leaves the caller's thread).  Planning copies what it
@@ -1215,40 +1149,34 @@ class CloudDataDistributor:
         # Committed windows, not yet visible: serials and chunk indices.
         serials: list[int] = []
         indices: list[int] = []
-        pending: list[_ChunkPlan] = []  # planned, not yet committed
+        pending: list[WriteWindow] = []  # planned, not yet committed
         flight: _WindowTransfer | None = None  # the window on the wire
         load: dict[str, int] | None = None
 
-        def transfer(plans: list[_ChunkPlan]) -> None:
+        def transfer(window: WriteWindow) -> None:
             with self._phase(op, "transfer"):
-                failed = self._transfer_plans(plans)
-                lost = [plan for plan in failed if self._recover_plan(plan)]
+                failed = self._transfer_window(window)
+                lost = [chunk for chunk in failed if self._recover_plan(chunk)]
+                window.rehome(failed)
             if lost:
                 # Atomicity: one unrecoverable chunk aborts the whole write.
                 raise lost[0].first_error
 
-        def commit(plans: list[_ChunkPlan], last: bool) -> None:
-            if txn is not None:
-                # Failover may have relocated shards; log the new homes.
-                moved = [
-                    pair
-                    for plan in plans
-                    for pair in zip(plan.assigned, plan.keys)
-                    if pair not in plan.logged
-                ]
-                if moved:
-                    self.journal.extend(txn, moved)
+        def commit(window: WriteWindow, last: bool) -> None:
+            if txn is not None and window.moved:
+                # Failover relocated shards; log the new homes.
+                self.journal.extend(txn, window.moved)
             crashpoint("upload.transferred" if retiring is None else "update.staged")
             with self.op_lock, self._phase(op, "commit"):
-                indices.extend(self._commit_plans(plans))
-                serials.extend([plan.serial for plan in plans])
-                del pending[: len(plans)]
+                indices.extend(self._commit_window(window))
+                serials.extend(window.serials)
+                del pending[0]
                 if not last:
                     return
                 # Publish, in the same critical section as the last
                 # window's rows.  The journal commit goes first: should it
                 # fail, the abort below still finds the write invisible.
-                level = plans[0].level
+                level = window.level
                 refs = [
                     FileChunkRef(filename, serial, level, index)
                     for serial, index in zip(serials, indices)
@@ -1273,13 +1201,11 @@ class CloudDataDistributor:
                 with self.op_lock, self._phase(op, "plan"):
                     if load is None:
                         load = self.provider_loads()
-                    plans = plan(payloads, load)
-                pending.extend(plans)
+                    window = plan(payloads, load)
+                pending.append(window)
                 # -- intent (durable): every key this window creates -------
                 if self.journal is not None:
-                    for planned in plans:
-                        planned.logged = planned.writes()
-                    keys = [pair for planned in plans for pair in planned.logged]
+                    keys = window.writes()
                     if txn is None:
                         # The first window rides the begin record, so a
                         # one-window write costs begin + commit.
@@ -1294,17 +1220,17 @@ class CloudDataDistributor:
                 # commits in serial order).
                 if flight is not None:
                     flight.settle()
-                    commit(flight.plans, last=False)
+                    commit(flight.window, last=False)
                     flight = None
                 if last:
-                    transfer(plans)
-                    commit(plans, last=True)
+                    transfer(window)
+                    commit(window, last=True)
                 else:
-                    flight = _WindowTransfer(transfer, plans)
+                    flight = _WindowTransfer(transfer, window)
             if flight is not None:
                 # The source ended on a window it could not call last.
                 flight.settle()
-                commit(flight.plans, last=True)
+                commit(flight.window, last=True)
                 flight = None
             crashpoint(f"{op}.committed")
         except BaseException as exc:
@@ -1574,11 +1500,11 @@ class CloudDataDistributor:
 
     def _delete_chunks(self, chunks: "Sequence[int]", rolled_back=()) -> None:
         """Erase, lock held, the tabled chunks at Chunk Table indices
-        *chunks* and whatever the *rolled_back* plans (transferred, never
+        *chunks* and whatever the *rolled_back* windows (transferred, never
         tabled) left: the rows untabled in one pass over the columns, then
         every shard and snapshot they placed in one :meth:`_delete_objects`
         batch, then the ids."""
-        doomed = [pair for plan in rolled_back for pair in plan.writes()]
+        doomed = [pair for window in rolled_back for pair in window.writes()]
         vids: list[int] = []
         if len(chunks):
             vids, providers, keys = self.chunk_table.remove_many(chunks)
@@ -1586,10 +1512,10 @@ class CloudDataDistributor:
             self._note_audit(vids=vids, providers=names)
             doomed += zip(names, keys)
         self._delete_objects(doomed)
-        for plan in rolled_back:
+        for vid in (vid for window in rolled_back for vid in window.vids):
             self.metrics.counter("distributor_rollbacks_total").inc()
-            self.events.emit("upload_rollback", level="warning", vid=plan.vid)
-            self.ids.release(plan.vid)
+            self.events.emit("upload_rollback", level="warning", vid=vid)
+            self.ids.release(vid)
         for vid in vids:
             if self.cache is not None:
                 self.cache.invalidate(vid)
@@ -1704,18 +1630,22 @@ class CloudDataDistributor:
                     for stripe, fraction in rows.budgets()
                 ]
 
-                def plan(payloads: list, load: dict[str, int]) -> list[_ChunkPlan]:
-                    plans: list[_ChunkPlan] = []
+                def plan(payloads: list, load: dict[str, int]) -> WriteWindow:
+                    window = None
                     for (codec, fraction), run in itertools.groupby(
                         range(len(chunks)), recipes.__getitem__
                     ):
                         run = list(run)
-                        plans += self._plan_window(
+                        planned = self._plan_window(
                             [payloads[i] for i in run], filename, refs[0].privacy_level,
                             [serials[i] for i in run], codec, fraction, load,
                             snapshots=[pre_states[i] for i in run],
                         )
-                    return plans
+                        if window is None:
+                            window = planned
+                        else:
+                            window.extend(planned)
+                    return window
 
                 self._write_windows(
                     client, filename, [([updates[s] for s in serials], True)],

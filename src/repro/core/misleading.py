@@ -190,7 +190,7 @@ def inject_window(
     alias *payloads*.
     """
     return [
-        InjectionResult(bytes(chunk), row)
+        InjectionResult(bytes(chunk), position_row(row))
         for stored, rows in inject_runs(payloads, fraction, rng, mimic)
         for chunk, row in zip(stored, rows)
     ]
@@ -201,16 +201,18 @@ def inject_runs(
     fraction: float,
     rng: "SeedLike | InjectionRng" = None,
     mimic: bool = True,
-) -> "list[tuple[np.ndarray | Sequence[bytes | memoryview], list[np.ndarray]]]":
+) -> "list[tuple[np.ndarray | Sequence[bytes | memoryview], np.ndarray]]":
     """A window's misleading bytes, injected one run of equal-length
     payloads at a time: ``(stored, rows)`` per run, in window order.
 
     *stored* holds the run's stored chunks as the rows of one ``uint8``
     array -- or, for a run whose length rounds to no misleading byte, is
-    the run's payloads themselves -- and *rows* holds each chunk's ``M``
-    row (:func:`position_row`'s layout, one ``bytes`` a row).  This is the
-    form :meth:`~repro.raid.codecs.ErasureCodec.encode_many` takes, so the
-    upload engine stripes the array without a copy per chunk.  A run is
+    the run's payloads themselves -- and *rows* is the run's ``M`` column:
+    a ``uint32`` array with one row of sorted positions a chunk (no column
+    at all for a run without misleading bytes).  These are the forms
+    :meth:`~repro.raid.codecs.ErasureCodec.encode_window` and
+    :meth:`~repro.core.tables.ChunkTable.add_window` take, so the write
+    engine stripes and tables a run with no array per chunk.  A run is
     drawn in slabs of bounded size; the draw does not depend on where
     slabs, runs or windows are cut.  A *fraction* :func:`check_fraction`
     refuses raises ``ValueError`` before anything is drawn.
@@ -226,17 +228,16 @@ def inject_runs(
     ):
         n_fake = int(round(length * fraction))
         if not n_fake:
-            runs.append((payloads[start:stop], [NO_POSITIONS] * (stop - start)))
+            runs.append((payloads[start:stop], np.empty((stop - start, 0), _UINT32)))
             continue
         total = length + n_fake
         stored = np.empty((stop - start, total), dtype=np.uint8)
-        rows: list[np.ndarray] = []
+        rows = np.empty((stop - start, n_fake), dtype=_UINT32)
         step = max(1, SLAB_KEYS // total)
-        for at in range(start, stop, step):
-            slab = payloads[at : min(at + step, stop)]
-            rows += _inject_slab(
-                slab, n_fake, rng, mimic,
-                stored[at - start : at - start + len(slab)],
+        for at in range(0, stop - start, step):
+            _inject_slab(
+                payloads[start + at : min(start + at + step, stop)], rng, mimic,
+                stored[at : at + step], rows[at : at + step],
             )
         runs.append((stored, rows))
         injected += n_fake * (stop - start)
@@ -251,15 +252,17 @@ def inject_runs(
 
 def _inject_slab(
     payloads: "Sequence[bytes | memoryview]",
-    n_fake: int,
     rng: InjectionRng,
     mimic: bool,
     out: np.ndarray,
-) -> list[np.ndarray]:
-    """Inject *n_fake* bytes into each of a slab of equal-length payloads,
-    the stored chunks written to the rows of *out*; returns their ``M``
-    rows."""
+    rows_out: np.ndarray,
+) -> None:
+    """Inject misleading bytes into each of a slab of equal-length
+    payloads: the stored chunks written to the rows of *out*, their sorted
+    positions to the rows of *rows_out* (as many a chunk as it has
+    columns)."""
     rows, total = out.shape
+    n_fake = rows_out.shape[1]
     length = total - n_fake
     source = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(
         rows, length
@@ -283,14 +286,7 @@ def _inject_slab(
     genuine[flat] = False
     stored[flat] = fake.ravel()
     stored[genuine] = source.ravel()
-    # One bytes object a row: a view into the slab's would keep all its
-    # rows alive for as long as any one of their chunks stays tabled.
-    packed = positions.astype(np.uint32).tobytes()
-    width = 4 * n_fake
-    return [
-        np.frombuffer(packed[row * width : (row + 1) * width], _UINT32)
-        for row in range(rows)
-    ]
+    rows_out[:] = positions
 
 
 def remove(

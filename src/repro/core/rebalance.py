@@ -110,6 +110,7 @@ def decommission_provider(
                     entry.privacy_level,
                     exclude={name, *distributor._members(entry)},
                     load=distributor.provider_loads(),
+                    health=distributor.health,
                 )
                 key = distributor.snapshots.write(target, entry.virtual_id, pre_state)
                 distributor.chunk_table.set_snapshot(

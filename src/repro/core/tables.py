@@ -646,7 +646,7 @@ class ChunkTable:
                     f"digest a member"
                 )
             shapes += self._intern(
-                [_shape_key(record.stripe, record.rotation, digested)], [record]
+                [_shape_key(record.stripe, record.rotation, digested)], [record.stripe]
             )
             digests.append(
                 bytes.fromhex("".join(checksums))
@@ -656,42 +656,59 @@ class ChunkTable:
         vids, levels, members, snapshots, positions, _ = zip(*rows) if rows else ((),) * 6
         return (
             list(vids), list(map(int, levels)), list(map(len, members)),
-            list(itertools.chain.from_iterable(members)), list(snapshots),
-            list(positions), shapes, b"".join(digests), verbatim,
+            list(itertools.chain.from_iterable(members)),
+            [NO_SNAPSHOT if snapshot is None else snapshot for snapshot in snapshots],
+            list(map(len, positions)), np.concatenate(positions) if rows else NO_POSITIONS,
+            shapes, b"".join(digests), verbatim,
         )
 
     def add_window(
         self,
         vids: list[int],
-        levels: list[int],
+        level: int,
         widths: list[int],
         members: list[int],
-        snapshots: "list[int | None]",
+        snapshots: "list[int] | None",
         positions: list[np.ndarray],
-        states: list[ChunkState],
+        stripes: list[StripeMeta],
+        rotations: list[int],
+        digests: list[str],
     ) -> range:
-        """Table a window of fresh rows in one pass -- the upload engine's
-        commit -- at consecutive indices; returns them.  *members* is every
-        row's provider indices end to end, *widths* how many are each
-        row's; each state carries one hex digest a member, converted to
-        raw bytes for the window at once.  The virtual ids are the
-        allocator's, fresh by construction: not checked again here."""
-        keys = [
-            (m.codec, m.width, m.k, m.m, m.shard_size, m.orig_len, state.rotation, True)
-            for state in states for m in (state.stripe,)
-        ]
-        shapes = list(map(self._shape_ids.get, keys))
-        if None in shapes:
-            shapes = self._intern(keys, states)
-        digests = bytes.fromhex(
-            "".join([digest for state in states for digest in state.shard_checksums])
-        )
+        """Table a window of fresh rows of one privacy *level* in one pass
+        -- the write engine's commit -- at consecutive indices; returns
+        them.  The window comes as columns: row by row the ``vids``, the
+        ``widths`` (how many of *members* are each row's), the
+        ``snapshots`` holders (``None``: no row has one), the ``stripes``
+        and ``rotations``; shard slot by shard slot, row after row, the
+        provider ``members`` and the hex ``digests``; and the ``M`` column
+        as runs of rows, one 2-D ``uint32`` array a run (one row of
+        positions a chunk).  Rows sharing a stripe object and a rotation
+        share a shape found once, the digests become raw bytes in one
+        call, and the positions reach the heap a run at a time.  The
+        virtual ids are the allocator's, fresh by construction: not
+        checked again here."""
+        count = len(vids)
+        pairs = list(zip(map(id, stripes), rotations))
+        distinct = list(dict.fromkeys(pairs))
+        of = dict(zip(map(id, stripes), stripes))
+        shape_of = dict(zip(distinct, self._intern(
+            [_shape_key(of[ident], rotation, True) for ident, rotation in distinct],
+            [of[ident] for ident, _ in distinct],
+        )))
+        counts: list[int] = []
+        for run in positions:
+            counts += [run.shape[1]] * len(run)
         return self._append(
-            vids, levels, widths, members, snapshots, positions, shapes, digests,
+            vids, [level] * count, widths, members,
+            [NO_SNAPSHOT] * count if snapshots is None else snapshots, counts,
+            positions[0].reshape(-1) if len(positions) == 1
+            else np.concatenate([run.reshape(-1) for run in positions]),
+            list(map(shape_of.__getitem__, pairs)), bytes.fromhex("".join(digests)),
         )
 
-    def _intern(self, keys: list[tuple], states: list[ChunkState]) -> list[int]:
-        """The shape id of each of *keys*, a new shape for a new one."""
+    def _intern(self, keys: list[tuple], stripes: list[StripeMeta]) -> list[int]:
+        """The shape id of each of *keys* (each of *stripes*' geometry, a
+        rotation and whether digests are kept), a new shape for a new one."""
         ids = list(map(self._shape_ids.get, keys))
         if None in ids:
             for at, (key, found) in enumerate(zip(keys, ids)):
@@ -699,14 +716,17 @@ class ChunkTable:
                     found = self._shape_ids.get(key)
                     if found is None:
                         found = self._shape_ids[key] = len(self._shapes)
-                        self._shapes.append((states[at].stripe, key[6], key[7]))
+                        self._shapes.append((stripes[at], key[6], key[7]))
                     ids[at] = found
         return ids
 
     def _append(
-        self, vids, levels, widths, members, snapshots, positions, shapes,
+        self, vids, levels, widths, members, snapshots, counts, heap, shapes,
         digests: bytes, verbatim: "dict[int, tuple] | None" = None,
     ) -> range:
+        """Append rows at the next indices, as columns: *counts* is how many
+        of the positions in *heap* are each row's, and a row without a
+        snapshot holder has ``NO_SNAPSHOT``."""
         count = len(vids)
         start, used = self._next_index, self._used
         if not count:
@@ -714,7 +734,7 @@ class ChunkTable:
         end = used + count
         s0, m0 = self._v.sptr[used], self._v.mptr[used]
         slot_ends = list(itertools.accumulate(widths, initial=s0))
-        position_ends = list(itertools.accumulate(map(len, positions), initial=m0))
+        position_ends = list(itertools.accumulate(counts, initial=m0))
         s1, m1 = slot_ends[-1], position_ends[-1]
         if max(s1, m1) >= 1 << 32:
             raise OverflowError("the chunk table's heaps hold at most 2**32 entries")
@@ -729,7 +749,6 @@ class ChunkTable:
             ):
                 setattr(self, name, _fit(getattr(self, name), size))
             self._v = _Views(self)
-        snapshots = [NO_SNAPSHOT if snapshot is None else snapshot for snapshot in snapshots]
         if count <= _FEW:  # (a few rows: scalar stores)
             views = self._v
             for at, slot in enumerate(range(used, end)):
@@ -737,6 +756,7 @@ class ChunkTable:
                 views.snap[slot], views.shape[slot] = snapshots[at], shapes[at]
                 views.sptr[slot + 1], views.mptr[slot + 1] = slot_ends[at + 1], position_ends[at + 1]
         else:
+            members = np.array(members, np.uint16)  # (once, for the heap and the loads)
             self._index[used:end] = np.arange(start, start + count)
             self._vid[used:end] = vids
             self._level[used:end] = levels
@@ -747,9 +767,7 @@ class ChunkTable:
         self._members[s0:s1] = members
         self._v.digests[32 * s0 : 32 * s1] = digests
         if m1 > m0:
-            self._positions[m0:m1] = (
-                np.concatenate(positions) if count > 1 else positions[0]
-            )
+            self._positions[m0:m1] = heap
         if verbatim:
             self._verbatim.update(
                 {start + at: record for at, record in verbatim.items()}
@@ -1092,12 +1110,13 @@ class ChunkTable:
 
 def _run_of(columns: tuple, start: int, stop: int) -> tuple:
     """:meth:`ChunkTable._columns` output cut to rows *start*..*stop*."""
-    vids, levels, widths, members, snapshots, positions, shapes, digests, verbatim = columns
+    vids, levels, widths, members, snapshots, counts, heap, shapes, digests, verbatim = columns
     first, last = sum(widths[:start]), sum(widths[:stop])
+    low, high = sum(counts[:start]), sum(counts[:stop])
     return (
         vids[start:stop], levels[start:stop], widths[start:stop],
-        members[first:last], snapshots[start:stop], positions[start:stop],
-        shapes[start:stop], digests[32 * first : 32 * last],
+        members[first:last], snapshots[start:stop], counts[start:stop],
+        heap[low:high], shapes[start:stop], digests[32 * first : 32 * last],
         {at - start: record for at, record in verbatim.items() if start <= at < stop},
     )
 

@@ -129,6 +129,14 @@ def shard_keys(virtual_ids: Iterable[int], shard_indices: Iterable[int]) -> list
     return list(map(_SHARD_KEY, virtual_ids, shard_indices))
 
 
+def stripe_keys(virtual_ids: Iterable[int], width: int) -> list[str]:
+    """The keys of whole stripes: :func:`shard_key` of shards ``0..width-1``
+    of each virtual id in turn (the write engine's keys, a window at a
+    time: each id formatted once, each key one concatenation)."""
+    suffixes = [f".{index}" for index in range(width)]
+    return [prefix + suffix for prefix in map(str, virtual_ids) for suffix in suffixes]
+
+
 def snapshot_key(virtual_id: int) -> str:
     """The provider-side object key for a chunk's snapshot (pre-state).
 

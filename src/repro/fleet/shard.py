@@ -216,9 +216,9 @@ class FleetShard:
         tenant, _ = split_fleet_key(key)
         d = self.distributor
         pl = PrivacyLevel.coerce(level)
-        chunks = chunking.split(data, pl, policy=d.chunk_policy)
+        payloads = chunking.cut(data, d.chunk_policy.chunk_size(pl))
         d._upload_windows(
-            tenant, pl, key, [([chunk.payload for chunk in chunks], True)],
+            tenant, pl, key, [(payloads, True)],
             codec=codec or None, misleading_fraction=misleading_fraction,
         )
 

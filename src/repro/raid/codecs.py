@@ -237,28 +237,45 @@ class ErasureCodec:
     def encode_many(
         self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
     ) -> list[tuple[StripeMeta, list[bytes]]]:
-        """:meth:`encode` for every payload of a window, in order.
+        """:meth:`encode` for every payload of a window, in order: the
+        per-payload view of :meth:`encode_window`."""
+        metas, shards = self.encode_window(payloads)
+        n = self.n
+        return [(meta, shards[at : at + n]) for meta, at in zip(metas, range(0, len(shards), n))]
+
+    def encode_window(
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
+    ) -> tuple[list[StripeMeta], list[bytes]]:
+        """Encode a window as two columns: each payload's stripe, and every
+        shard, stripe after stripe (n a stripe, member order).
 
         *payloads* may also be a 2-D ``uint8`` array, one payload a row
-        (a run of :func:`repro.core.misleading.inject_runs`).
+        (a run of :func:`repro.core.misleading.inject_runs`).  Payloads of
+        one length may share one :class:`StripeMeta` object.
         ``raid_encode_seconds`` observes once per call; the byte counter
         advances by every payload's length.
         """
         t0 = time.perf_counter()
-        stripes = self._encode_many(payloads)
+        metas, shards = self._encode_window(payloads)
         metrics = get_metrics()
         metrics.histogram("raid_encode_seconds", codec=self.label).observe(
             time.perf_counter() - t0
         )
         metrics.counter("raid_encode_bytes_total", codec=self.label).inc(
-            sum([meta.orig_len for meta, _ in stripes])
+            payloads.size if isinstance(payloads, np.ndarray) else sum(map(len, payloads))
         )
-        return stripes
+        return metas, shards
 
-    def _encode_many(
-        self, payloads: "Sequence[bytes | memoryview]"
-    ) -> list[tuple[StripeMeta, list[bytes]]]:
-        return [self._encode(payload) for payload in payloads]
+    def _encode_window(
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
+    ) -> tuple[list[StripeMeta], list[bytes]]:
+        metas: list[StripeMeta] = []
+        shards: list[bytes] = []
+        for payload in payloads:
+            meta, encoded = self._encode(payload)
+            metas.append(meta)
+            shards += encoded
+        return metas, shards
 
     def _encode(
         self, payload: "bytes | memoryview"
@@ -408,30 +425,33 @@ class RaidCodec(ErasureCodec):
             orig_len=orig_len,
         )
 
-    def _encode_many(
+    def _encode_window(
         self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
-    ) -> list[tuple[StripeMeta, list[bytes]]]:
+    ) -> tuple[list[StripeMeta], list[bytes]]:
         if self.level not in (RaidLevel.RAID0, RaidLevel.RAID5):
-            return super()._encode_many(payloads)
+            return super()._encode_window(payloads)
         # The XOR family encodes each run of equal-length payloads as one
         # array operation, a bounded slab at a time.
-        stripes: list[tuple[StripeMeta, list[bytes]]] = []
+        metas: list[StripeMeta] = []
+        shards: list[bytes] = []
         for start, stop, length in equal_length_runs(
             payloads,
             lambda length: min(XOR_SLAB_ROWS, XOR_SLAB_BYTES // max(1, length)),
         ):
-            stripes.extend(self._encode_xor_slab(payloads[start:stop], length))
-        return stripes
+            meta = self._meta(-(-length // self.k), length)
+            metas += [meta] * (stop - start)
+            shards += self._encode_xor_slab(payloads[start:stop], meta)
+        return metas, shards
 
     def _encode_xor_slab(
-        self, payloads: "Sequence[bytes | memoryview] | np.ndarray", length: int
-    ) -> list[tuple[StripeMeta, list[bytes]]]:
-        """Stripe (and for RAID-5, XOR) a slab of *length*-byte payloads."""
+        self, payloads: "Sequence[bytes | memoryview] | np.ndarray", meta: StripeMeta
+    ) -> list[bytes]:
+        """The shards of a slab of payloads of *meta*'s length, striped
+        (and for RAID-5, XORed), stripe after stripe."""
         rows, k, n = len(payloads), self.k, self.n
-        shard_size = -(-length // k)
-        meta = self._meta(shard_size, length)
+        length, shard_size = meta.orig_len, meta.shard_size
         if not length:
-            return [(meta, [b""] * n) for _ in range(rows)]
+            return [b""] * (rows * n)
         # One (rows, n, shard_size) buffer: each payload lands in its row
         # once (zero padding after it; an array of rows in one assignment),
         # and RAID-5 parity fills the last plane.
@@ -447,11 +467,10 @@ class RaidCodec(ErasureCodec):
             np.bitwise_xor.reduce(planes[:, :k], axis=1, out=planes[:, k])
         # Every shard is one copy out of the buffer.
         view = memoryview(stripe.reshape(-1))
-        shards = [
+        return [
             bytes(view[offset : offset + shard_size])
             for offset in range(0, rows * n * shard_size, shard_size)
         ]
-        return [(meta, shards[row : row + n]) for row in range(0, rows * n, n)]
 
     def _encode(
         self, payload: "bytes | memoryview"

@@ -32,14 +32,26 @@ from repro.providers.memory import InMemoryProvider
 from repro.providers.registry import ProviderRegistry, ProviderSpec, build_simulated_fleet
 
 from tests.core.test_read_path_cost import python_calls
+from tests.core.test_request_fixed_cost import calls_of_any_kind
 
 WIDTH = 4  # raid5@4
 #: Python calls per chunk an upload makes below ``upload_file``, beyond
-#: its fixed cost: 18.17 as landed (four each of ``blob_checksum``,
-#: ``shard_key`` and the in-memory ``put``; the chunk's split and plan);
-#: 21.06 while a commit built a row object and a quadruple object a chunk,
-#: 59.06 while placement, id allocation and commit went chunk by chunk.
-PER_CHUNK = 18.25
+#: its fixed cost: 9.08 as landed (four each of ``blob_checksum`` and the
+#: in-memory ``put``; the window's columns cost no call per chunk); 17.08
+#: while the engine split a file into ``Chunk`` objects and planned a
+#: ``_ChunkPlan`` and a ``ChunkState`` per chunk, 21.06 while a commit
+#: built a row object and a quadruple object a chunk, 59.06 while
+#: placement, id allocation and commit went chunk by chunk.
+PER_CHUNK = 9.25
+#: Calls of any kind per chunk of an upload -- C functions and methods
+#: too, so a list built or a tuple unpacked per chunk counts -- beyond its
+#: fixed cost: 36.43 as landed, 48.45 with a plan object per chunk.
+ANY_PER_CHUNK = 36.5
+#: Python calls of a warmed one-chunk ``update_chunk`` of a PL-3 file with
+#: misleading bytes: 529 before the engine planned a window as columns
+#: (502 as landed).  A one-chunk window rides the same engine, and must
+#: not cost more than it did.
+UPDATE_ONE_CHUNK = 529
 #: Python calls per chunk of a many-chunk ``update_chunks``, beyond its
 #: fixed cost: 76.27 as landed -- the read of the current version (three
 #: shards fetched and checked twice), the new stripe and its snapshot
@@ -100,12 +112,36 @@ def test_an_upload_hashes_every_stored_shard_once(monkeypatch):
     assert d.get_file("C", "pw", "f") == data
 
 
+def produced(monkeypatch, module, name: str) -> list:
+    """Every result of ``module.name``, in any repro module that imported
+    it by name."""
+    results: list = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("repro") and (
+            getattr(mod, name, None) is original
+        ):
+            monkeypatch.setattr(mod, name, recording)
+    return results
+
+
 def test_an_upload_formats_each_shard_key_once(monkeypatch):
-    formatted = counted(monkeypatch, virtual_id, "shard_key")
+    # A window's keys are formatted by one stripe_keys call; shard_key
+    # formats a key alone.  Together: every stored key, each once.
+    alone = produced(monkeypatch, virtual_id, "shard_key")
+    windows = produced(monkeypatch, virtual_id, "stripe_keys")
     d = distributor()
     upload(d, 64)
-    assert len(formatted) <= 64 * WIDTH
-    assert len(set(formatted)) == 64  # one vid a chunk
+    formatted = alone + [key for keys in windows for key in keys]
+    stored = [key for entry in d.registry.all() for key in entry.provider.keys()]
+    assert len(formatted) == len(set(formatted)) == 64 * WIDTH
+    assert set(formatted) == set(stored)
+    assert len({key.split(".")[0] for key in formatted}) == 64  # one vid a chunk
 
 
 def test_an_upload_costs_a_fixed_number_of_python_calls_per_chunk():
@@ -121,6 +157,30 @@ def test_an_upload_costs_a_fixed_number_of_python_calls_per_chunk():
     # The rest is a fixed cost: no more per chunk at 512 chunks than at 64.
     assert large / 512 <= small / 64
     assert large / 512 <= PER_CHUNK + 1.25, large / 512
+
+
+def test_an_upload_builds_nothing_per_chunk_it_does_not_need():
+    # Counting C calls as well: the window is planned, moved and tabled
+    # as columns, so no list, tuple or array is made per chunk.
+    def cost(chunks: int) -> int:
+        d = distributor()
+        calls = calls_of_any_kind(lambda: upload(d, chunks))
+        d.close()
+        return calls
+
+    small, large = cost(64), cost(512)
+    marginal = (large - small) / (512 - 64)
+    assert marginal <= ANY_PER_CHUNK, marginal
+
+
+def test_a_one_chunk_update_costs_no_more_than_it_did():
+    d = distributor()
+    upload(d, 64)
+    for warm in range(3):
+        d.update_chunk("C", "pw", "f", 3, bytes([warm]) * 1024)
+    calls = python_calls(lambda: d.update_chunk("C", "pw", "f", 3, b"\x09" * 1024))
+    d.close()
+    assert calls <= UPDATE_ONE_CHUNK, calls
 
 
 def test_an_update_costs_a_fixed_number_of_python_calls_per_chunk():
