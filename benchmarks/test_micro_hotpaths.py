@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import join, split
-from repro.core.misleading import inject, inject_runs, remove, remove_window
+from repro.core.misleading import inject, inject_runs, remove, remove_window, strip
 from repro.mining.hierarchical import linkage
 from repro.raid.parity import xor_parity
 from repro.raid.reed_solomon import RSCode
@@ -67,8 +67,8 @@ def test_bench_misleading_roundtrip(benchmark):
 
 
 def test_bench_misleading_remove_fast_path(benchmark):
-    # The read-path strip: a single fancy-index delete over trusted
-    # Chunk Table positions (the validating path re-checks them per call).
+    # One chunk stripped alone: the window strip's one-row case, one mask
+    # and one compress, its positions range- and duplicate-checked.
     data = PAYLOAD[: 256 * 1024]
     injected = inject(data, 0.2, rng=1)
 
@@ -98,6 +98,30 @@ def test_bench_misleading_inject_runs_pl3(benchmark, pl3_window):
 def test_bench_misleading_remove_window_pl3(benchmark, pl3_window):
     data, _, stored, rows = pl3_window
     assert b"".join(benchmark(remove_window, stored, rows)) == data
+
+
+def test_bench_read_window_pl3(benchmark, pl3_window):
+    """The read engine below the fetch over one PL-3 window -- 2,048
+    chunks of 1 KiB at 10% misleading bytes under raid5@4 -- from the
+    data shards a round hands back to the file's bytes: decoded a slab at
+    a time, each slab stripped by one mask and one compress a part of
+    about ``SLAB_KEYS`` stored bytes, the pieces joined once."""
+    from repro.raid.codecs import CodecSpec
+
+    data, _, stored, rows = pl3_window
+    codec = CodecSpec.parse("raid5@4").instantiate()
+    metas, shards = codec.encode_window(stored)
+    k, n = codec.k, codec.n
+    data_shards = [shard for at in range(0, len(shards), n) for shard in shards[at : at + k]]
+    members = tuple(range(k)) * len(metas)
+    runs = [(len(metas), k * metas[0].shard_size, metas[0].orig_len, len(rows[0]))]
+    heap = np.concatenate(rows)
+
+    def read():
+        slabs = codec.decode_data(metas, data_shards, members)
+        return b"".join(piece for _, piece in strip(slabs, runs, heap))
+
+    assert benchmark(read) == data
 
 
 def test_bench_write_window_pl3(benchmark, pl3_window):

@@ -45,11 +45,10 @@ from repro.core.misleading import (  # noqa: F401
     InjectionRng,
     check_fraction,
     inject_runs,
-    # Unused here since the read strips per window.  Goes with ROADMAP
-    # item 1(a), the PR that may edit benchmarks/e2e: test_harness.py
-    # checks its alias rebinding on this name until then.
+    # Unused here: benchmarks/e2e/test_harness.py pins the alias (ROADMAP item 1).
     remove as remove_misleading,
-    remove_window,
+    row_payloads,
+    strip,
 )
 from repro.obs.events import EventLog, get_events
 from repro.obs.metrics import MetricsRegistry, get_metrics
@@ -77,7 +76,7 @@ from repro.raid.codecs import (
     ErasureCodec,
     codec_for_meta,
 )
-from repro.raid.reconstruct import read_stripes, rebuild_shard
+from repro.raid.reconstruct import read_slabs, rebuild_shard
 from repro.raid.striping import RaidLevel, StripeMeta
 from repro.net.resilience import current_retry_budget, retry_budget_scope
 from repro.util.crash import crashpoint
@@ -1319,18 +1318,18 @@ class CloudDataDistributor:
         *,
         cipher: "StreamCipher | None" = None,
         op: "tuple[str, str, str, int | None] | None" = None,
-    ) -> Iterator[bytes]:
-        """The read engine: yield each chunk's plaintext, window by window.
+    ) -> "Iterator[tuple[int, bytes | bytearray | memoryview]]":
+        """The read engine: yield the plaintext, window by window, in
+        :func:`strip`'s pieces of whole chunks, ``(chunks, bytes)``.
 
         Per window of *window_chunks* chunks, lock-free but for the copy
         of its Chunk Table rows: the shards fetched in rounds, one batched
-        call per provider per round, then one decode and one
-        misleading-byte strip for the window (:meth:`_read_window`), then
-        the cache fill.  A window's shard bytes are released before its
-        payloads are yielded (the generator may be held open for a long
-        time), so memory is O(window).  With *cipher* each payload is
-        decrypted with ``nonce=serial`` as it is yielded (the cache keeps
-        what is stored).
+        call per provider per round, then decoded and stripped a slab at a
+        time (:meth:`_read_window`), then the cache fill.  A window's shard
+        bytes are released before its pieces are yielded (the generator
+        may be held open for a long time), so memory is O(window).  With
+        *cipher* each chunk is decrypted with ``nonce=serial`` and yielded
+        alone (the cache keeps what is stored).
 
         On the way out -- exhausted, failed, or closed early by the
         consumer -- the audit record has the chunks actually fetched
@@ -1347,13 +1346,12 @@ class CloudDataDistributor:
                 batch = chunks[start : start + window_chunks]
                 fetched = start + len(batch)
                 with self._phase("get_file", "fetch"):
-                    payloads, _ = self._read_window(batch, reads.filename)
-                serials = reads.serials[start:fetched]
-                for i, serial in enumerate(serials):
-                    payload, payloads[i] = payloads[i], None
-                    if cipher is not None:
-                        payload = cipher.decrypt(payload, nonce=serial)
-                    yield payload
+                    pieces = self._read_window(batch, reads.filename)[0]
+                if cipher is not None:
+                    pieces = [(1, cipher.decrypt(payload, nonce=serial)) for payload, serial
+                              in zip(row_payloads(pieces), reads.serials[start:fetched])]
+                yield from pieces
+                del pieces  # (before the next window is fetched)
             ok = True
         except GeneratorExit:
             detail = f"abandoned within {fetched} of {len(chunks)} chunks"
@@ -1367,14 +1365,15 @@ class CloudDataDistributor:
 
     def _read_window(
         self, chunks: list[int], filename: str
-    ) -> tuple[list[bytes], ChunkWindow]:
+    ) -> "tuple[list[tuple[int, bytes | bytearray | memoryview]], ChunkWindow]":
         """Fetch, decode and strip the chunks at table indices *chunks*;
-        returns their payloads and the copy of their rows it read.
+        returns their plaintext (:meth:`_read_rows`' pieces) and the copy
+        of their rows it read.
 
         Under the op lock, their rows are copied out of the Chunk Table's
         columns (:meth:`ChunkTable.window`) and noted for the audit record,
         and the cache is asked for each; the rest runs without it.
-        :func:`read_stripes` asks in rounds -- every stripe's data members
+        :func:`read_slabs` asks in rounds -- every stripe's data members
         first, then only as much parity as a stripe is short of -- and
         :meth:`ChunkWindow.plan` groups each round by provider from the
         window's columns, each provider's slice one batched call, the
@@ -1383,7 +1382,8 @@ class CloudDataDistributor:
         or above ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload,
         which parses faster for shards that small.  Each provider's answers
         are checked as one batch (:meth:`_check_batch`); a mismatch is a
-        failed member.  Cache misses are filled after the strip.
+        failed member.  Each slab is stripped as it is decoded; with a
+        cache, pieces are one chunk each, misses filled after the strip.
         """
         table = self.chunk_table
         cached: "list[bytes | None] | None" = None
@@ -1427,18 +1427,18 @@ class CloudDataDistributor:
                 answers[a:b] = checked if exc is None else [exc] * (b - a)
             return list(map(answers.__getitem__, back))
 
-        stripes = read_stripes(window.stripes, fetch_round)
-        stripped = remove_window(
-            [stored for stored, _failed in stripes], window.positions
+        pieces = strip(
+            read_slabs(window.stripes, fetch_round), window.runs, window.positions
         )
         if cached is None:
-            return stripped, rows
-        if stripped:
+            return pieces, rows
+        fresh = row_payloads(pieces)
+        if fresh:
             with self.op_lock, self._phase("get_file", "cache_fill"):
-                for vid, payload in zip(window.vids, stripped):
+                for vid, payload in zip(window.vids, fresh):
                     self.cache.put(vid, payload)
-        fresh = iter(stripped)
-        return [next(fresh) if payload is None else payload for payload in cached], rows
+        stripped = iter(fresh)
+        return [(1, next(stripped) if payload is None else payload) for payload in cached], rows
 
     def get_chunk(
         self, client: str, password: str, filename: str, serial: int
@@ -1450,9 +1450,7 @@ class CloudDataDistributor:
         """
         op = ("get_chunk", client, filename, serial)
         with self.tracer.span("distributor.get_chunk", client=client):
-            (payload,) = self._read_rows(
-                self._resolve_read(op, password), 1, op=op
-            )
+            (payload,) = row_payloads(self._read_rows(self._resolve_read(op, password), 1, op=op))
         return payload
 
     def get_file(self, client: str, password: str, filename: str) -> bytes:
@@ -1461,12 +1459,12 @@ class CloudDataDistributor:
         Every chunk's metadata is resolved under the op lock; the data
         shards of *all* chunks are then fetched as one window of the read
         engine (:meth:`_read_rows`) -- batched per provider, providers in
-        flight concurrently -- and joined in serial order.
+        flight concurrently -- and its pieces joined once.
         """
         op = ("get_file", client, filename, None)
         with self.tracer.span("distributor.get_file", client=client):
             reads = self._resolve_read(op, password)
-            return b"".join(self._read_rows(reads, len(reads.chunks), op=op))
+            return b"".join([part for _, part in self._read_rows(reads, len(reads.chunks), op=op)])
 
     def get_stream(
         self, client: str, password: str, filename: str, **options
@@ -1621,7 +1619,8 @@ class CloudDataDistributor:
                 refs = [client_entry.ref_for_chunk(filename, s) for s in serials]
                 self._require_level(client, granted, refs[0].privacy_level)
                 chunks = [ref.chunk_index for ref in refs]
-                pre_states, rows = self._read_window(chunks, filename)
+                pieces, rows = self._read_window(chunks, filename)
+                pre_states = row_payloads(pieces)
                 # The codec comes back from the stripe metadata (so across
                 # codec generations), the misleading bytes at the budget
                 # the chunk had; chunks alike are planned together.

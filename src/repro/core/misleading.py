@@ -18,7 +18,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from repro.util.rng import SeedLike, derive_rng, spawn_seeds
 #: and 1 << 18 draw as fast as this; 1 << 16 cuts twice the slabs, and its
 #: extra Python calls per chunk break tests/core/test_write_path_cost.py's
 #: pin (docs/performance.md, "The misleading kernels in cache").  The strip
-#: holds a byte or two per stored byte.
+#: holds a mask byte and, inside ``compress``, an 8-byte index per stored
+#: byte.
 SLAB_KEYS = 1 << 17
 
 _UINT32 = np.dtype(np.uint32)  # (a dtype object: the fastest frombuffer)
@@ -290,112 +291,183 @@ def _inject_slab(
 
 
 def remove(
-    stored: bytes,
+    stored: "bytes | bytearray | memoryview | np.ndarray",
     positions: "np.ndarray | Sequence[int]",
-    validate: bool = False,
+    rows: int = 1,
+    width: "int | None" = None,
+    length: "int | None" = None,
 ) -> bytes:
-    """Strip the misleading bytes at *positions* from *stored*.
+    """Strip the misleading bytes at *positions* from *stored*: the
+    inverse of :func:`inject`, and the one kernel every strip runs.
 
-    Inverse of :func:`inject`; the paper's read path applies this before
-    handing a chunk back to the client.
-
-    Positions come from the distributor's own Chunk Table, where
-    :func:`inject` wrote them sorted, distinct and in range -- so the
-    read path strips them with a single fancy-index delete and no
-    per-call validation.  ``validate=True`` enables the checks for
-    callers handling untrusted position lists (tests, imported
-    metadata): out-of-range or duplicate positions raise ``ValueError``.
+    By default *stored* is one stored chunk (without *positions* it comes
+    back as it is).  :func:`strip` hands it a part of a slab instead:
+    *rows* stored chunks of *length* bytes lying *width* bytes apart (the
+    last may end with its chunk), *positions* each row's, row after row,
+    equally many a row.  One mask keeps each row's first
+    *length* bytes but its positions, one compress takes them.  A position
+    outside its own row, or one listed twice, would take a byte from (or
+    leave one to) the neighbouring row and shift every row after it; both
+    raise ``ValueError`` instead, whatever the number of rows.  The
+    metrics are :func:`strip`'s, once a strip.
     """
     if not len(positions):
         return stored
-    t0 = time.perf_counter()
-    pos = np.asarray(positions, dtype=np.int64)
-    if validate:
-        if pos.min() < 0 or pos.max() >= len(stored):
-            raise ValueError(
-                f"misleading positions out of range for buffer of "
-                f"{len(stored)} bytes"
-            )
-        if len(np.unique(pos)) != len(pos):
-            raise ValueError("misleading positions contain duplicates")
-    out = np.delete(np.frombuffer(stored, dtype=np.uint8), pos).tobytes()
-    metrics = get_metrics()
-    metrics.histogram("misleading_transform_seconds", op="remove").observe(
-        time.perf_counter() - t0
-    )
-    metrics.counter("misleading_bytes_total", op="remove").inc(len(pos))
-    return out
+    blob = np.frombuffer(stored, np.uint8)
+    width = len(blob) if width is None else width
+    length = width if length is None else length
+    # Table rows are uint32 and go as they are; a caller's tuples and lists
+    # come out as int64, so a negative member shows.
+    where = np.asarray(positions)
+    count, kind = len(where) // rows, where.dtype.kind
+    if kind not in "iu" or (kind == "i" and where.min() < 0) or (
+        rows > 1 and where.max() >= length
+    ):
+        raise ValueError(_OUT_OF_RANGE.format(length))
+    if rows == 1:  # (its padding, if any, cut off first)
+        blob, keep = blob[:length], np.ones(length, dtype=bool)
+        try:
+            keep[where] = False
+        except IndexError:  # (the one row's range check)
+            raise ValueError(_OUT_OF_RANGE.format(length)) from None
+    else:
+        keep = np.zeros(rows * width, dtype=bool)
+        keep.reshape(rows, width)[:, :length] = True
+        starts = np.arange(0, rows * width, width)[:, None]
+        keep[(where.reshape(rows, count) + starts).ravel()] = False
+    kept = blob.compress(keep)  # faster than blob[keep]
+    if len(kept) != rows * (length - count):
+        raise ValueError("misleading positions contain duplicates")
+    return kept.tobytes()
+
+
+_OUT_OF_RANGE = "misleading positions out of range for chunks of {} bytes"
 
 
 def remove_window(
     stored: "Sequence[bytes]",
     positions: "Sequence[np.ndarray | Sequence[int]]",
 ) -> list[bytes]:
-    """:func:`remove` for every chunk of a window, stripped in bulk.
+    """:func:`remove` for every chunk of a window: :func:`strip` over the
+    chunks, joined into slabs.
 
-    *positions* holds one row per chunk: the Chunk Table's packed rows on
-    the read path, a tuple or a list of ints from any other caller.
-    Consecutive chunks of one stored length and one position count are
-    stripped together, one mask and one fancy-index per slab.  A run of
-    one row is :func:`remove`'s; a chunk with no positions passes through.
-    ``misleading_transform_seconds{op="remove"}`` observes once per call
-    for the slabs (a run of one observes as :func:`remove` does), the byte
-    counter advances by every byte removed.
+    *positions* holds one row per chunk: ``M`` rows, a tuple or a list of
+    ints.  Consecutive chunks of one stored length and one position count
+    are joined into slabs of at most ``SLAB_KEYS`` stored bytes (a longer
+    chunk alone), as :func:`inject_runs` draws them; a chunk with no
+    positions passes through.
     """
-    out: list[bytes] = []
-    removed = 0
-    busy = 0.0
-    for start, stop, length in equal_length_runs(
-        stored,
-        lambda length: SLAB_KEYS // max(1, length),
-        beside=positions,
-    ):
-        count = len(positions[start])
-        if not count:
-            out.extend(stored[start:stop])
-        elif stop - start == 1:
-            out.append(remove(stored[start], positions[start]))
-        else:
-            t0 = time.perf_counter()
-            out.extend(
-                _remove_slab(stored[start:stop], positions[start:stop], length)
-            )
-            busy += time.perf_counter() - t0
-            removed += count * (stop - start)
-    if removed:
-        metrics = get_metrics()
-        metrics.histogram("misleading_transform_seconds", op="remove").observe(
-            busy
-        )
-        metrics.counter("misleading_bytes_total", op="remove").inc(removed)
-    return out
+    cuts = list(equal_length_runs(
+        stored, lambda length: SLAB_KEYS // max(1, length), beside=positions
+    ))
+    runs = [[stop - start, length, length, len(positions[start])] for start, stop, length in cuts]
+    # Joined as the strip asks: a slab stripped is a slab freed.
+    slabs = ((stop - start, b"".join(stored[start:stop])) for start, stop, _ in cuts)
+    rows = [row for row in positions if len(row)]  # (an empty tuple is float64)
+    heap = np.concatenate(rows) if rows else NO_POSITIONS
+    return row_payloads(strip(slabs, runs, heap))
 
 
-def _remove_slab(
-    stored: "Sequence[bytes]",
-    positions: "Sequence[np.ndarray | Sequence[int]]",
-    length: int,
-) -> list[bytes]:
-    """Strip equally many positions from each of a slab of *length*-byte
-    chunks.
+def strip(
+    slabs: "Iterable[tuple[int, bytes | bytearray]]",
+    runs: "Iterable[Sequence[int]]",
+    positions: np.ndarray,
+) -> "list[tuple[int, bytes | bytearray | memoryview]]":
+    """A window's payloads from its decoded stripes: the read engine's
+    strip, in pieces of whole rows.
 
-    A position outside its own row, or one listed twice, would take a byte
-    from (or leave one to) the neighbouring row and shift every row after
-    it; both raise ``ValueError`` instead.
+    *slabs* yields the rows as ``(rows, buffer)``, each row k shard sizes
+    long (a slab of one row may end where its stored chunk does); *runs*
+    describes them, run after run of rows alike, as ``(rows, width,
+    length, count)``: rows *width* bytes apart whose stored chunk is their
+    first *length* bytes, *count* of them misleading; *positions* is the
+    window's ``M`` heap, row after row.  Each piece is ``(rows, bytes)``
+    for rows of one run, every row's payload ``length - count`` bytes of
+    it: the slab itself or a view of it where nothing is cut, one strided
+    copy where only the shard padding is, else one :func:`remove` call for
+    each part of about ``SLAB_KEYS`` stored bytes: a large slab is cut
+    into equal parts, and a run's rows that come a few at a time (a stripe
+    a decode rebuilt is a slab of its own, and so are the stripes between
+    such; a window's lone chunks) are joined into parts.
+    ``misleading_transform_seconds{op="remove"}`` observes once a strip
+    that removes anything, the byte counter advances by every byte
+    removed.
     """
-    rows = len(stored)
-    # Table rows are uint32 arrays and stack without a parse; a caller's
-    # tuples and lists come out as int64, so a negative member shows.
-    where = np.concatenate(positions).reshape(rows, -1)
-    if where.dtype.kind not in "iu" or where.min() < 0 or where.max() >= length:
-        raise ValueError(
-            f"misleading positions out of range for chunks of {length} bytes"
-        )
-    kept = length - where.shape[1]
-    genuine = np.ones(rows * length, dtype=bool)
-    genuine[(where + np.arange(rows)[:, None] * length).ravel()] = False
-    blob = np.frombuffer(b"".join(stored), dtype=np.uint8)
-    blob = blob.compress(genuine).tobytes()  # faster than blob[genuine]
-    if len(blob) != rows * kept:
-        raise ValueError("misleading positions contain duplicates")
-    return [blob[row * kept : (row + 1) * kept] for row in range(rows)]
+    pieces: list = []
+    runs = iter(runs)
+    left = mark = 0
+    gathered: list = []  # views of the run's rows that came a few at a time
+    pending = 0  # how many rows they hold
+
+    def flush(stop: int) -> None:  # (their positions end at stop)
+        nonlocal pending
+        blob = b"".join(gathered) if len(gathered) > 1 else gathered[0]
+        where = positions[stop - pending * count : stop]
+        pieces.append((pending, remove(blob, where, pending, length, length)))
+        gathered.clear()
+        pending = 0
+
+    busy = 0.0  # (the slabs decode as they are asked for: not timed here)
+    for rows, slab in slabs:
+        t0 = time.perf_counter()
+        view, at = memoryview(slab), 0
+        while rows:
+            if not left:
+                left, width, length, count = next(runs)
+            take = min(rows, left)
+            if not count:
+                if take == 1 or width == length:  # nothing to cut from between rows
+                    piece = slab if take * length == len(view) else view[at : at + take * length]
+                else:  # the shard padding alone
+                    blob = np.frombuffer(view[at : at + take * width], np.uint8)
+                    piece = blob.reshape(take, width)[:, :length].tobytes()
+                pieces.append((take, piece))
+            elif take * width < SLAB_KEYS:  # gathered into parts of at most SLAB_KEYS
+                if pending and (pending + take) * length > SLAB_KEYS:
+                    flush(mark)
+                if take == 1 or width == length:
+                    gathered.append(view[at : at + take * length])
+                else:
+                    starts = range(at, at + take * width, width)
+                    gathered += [view[row : row + length] for row in starts]
+                pending += take
+                if left == take:  # (the run's last rows)
+                    flush(mark + take * count)
+            else:  # in equal parts of about SLAB_KEYS stored bytes
+                if pending:
+                    flush(mark)
+                part = -(-take // -(-take * width // SLAB_KEYS))
+                for first in range(0, take, part):
+                    n = min(part, take - first)
+                    blob = view[at + first * width : at + (first + n) * width]
+                    where = positions[mark + first * count : mark + (first + n) * count]
+                    pieces.append((n, remove(blob, where, n, width, length)))
+            mark += take * count
+            at += take * width
+            rows -= take
+            left -= take
+        busy += time.perf_counter() - t0
+    if mark:
+        _observe(busy, mark)
+    return pieces
+
+
+def row_payloads(pieces: "Iterable[tuple[int, bytes | bytearray | memoryview]]") -> list[bytes]:
+    """Each row's payload, as ``bytes``, from :func:`strip`'s pieces: a
+    piece of one row that is ``bytes`` already as it is, any other cut."""
+    payloads: list[bytes] = []
+    for rows, piece in pieces:
+        if rows == 1 and type(piece) is bytes:
+            payloads.append(piece)
+            continue
+        view = piece if type(piece) is bytes else memoryview(piece)
+        size = len(view) // rows
+        cut = [view[at * size : (at + 1) * size] for at in range(rows)]
+        payloads += cut if view is piece else map(bytes, cut)
+    return payloads
+
+
+def _observe(seconds: float, removed: int) -> None:
+    metrics = get_metrics()
+    metrics.histogram("misleading_transform_seconds", op="remove").observe(seconds)
+    metrics.counter("misleading_bytes_total", op="remove").inc(removed)

@@ -25,9 +25,11 @@ path stays O(window).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+import contextlib
+from typing import TYPE_CHECKING, Generator, Iterator
 
 from repro.core import chunking
+from repro.core.misleading import row_payloads
 from repro.core.privacy import PrivacyLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -129,7 +131,15 @@ def get_stream(
     if window_chunks < 1:
         raise ValueError(f"window_chunks must be >= 1, got {window_chunks}")
     op = ("get_file", client, filename, None)
-    return dist._read_rows(
+    return _chunks(dist._read_rows(
         dist._resolve_read(op, password, eager=True), window_chunks,
         cipher=cipher, op=op,
-    )
+    ))
+
+
+def _chunks(pieces: "Generator[tuple[int, bytes], None, None]") -> Iterator[bytes]:
+    """The read engine's pieces cut into their chunks; closing this closes
+    the engine (which audits the read as abandoned)."""
+    with contextlib.closing(pieces):
+        for piece in pieces:
+            yield from row_payloads((piece,))

@@ -39,7 +39,7 @@ from repro.core.errors import (
 )
 from repro.core.misleading import NO_POSITIONS, position_row
 from repro.core.privacy import CostLevel, PrivacyLevel
-from repro.core.virtual_id import shard_keys, snapshot_key
+from repro.core.virtual_id import member_keys, snapshot_key, stripe_keys
 from repro.raid.codecs import ChunkState, PackedChunk
 from repro.raid.striping import StripeMeta
 
@@ -527,6 +527,9 @@ class ChunkTable:
         self._positions = np.empty(0, np.uint32)
         self._shapes: list[tuple[StripeMeta, int, bool]] = []
         self._shape_ids: dict[tuple, int] = {}
+        # One StripeMeta a geometry, whatever the rotation: a read's runs of
+        # rows alike (ChunkWindow.runs) go by the stripe's identity.
+        self._geometries: dict[tuple, StripeMeta] = {}
         self._verbatim: dict[int, tuple] = {}  # a quarantined row's packed fields
         self._loads: defaultdict[int, int] = defaultdict(int)
         self._v = _Views(self)
@@ -716,7 +719,8 @@ class ChunkTable:
                     found = self._shape_ids.get(key)
                     if found is None:
                         found = self._shape_ids[key] = len(self._shapes)
-                        self._shapes.append((stripes[at], key[6], key[7]))
+                        stripe = self._geometries.setdefault(key[:6], stripes[at])
+                        self._shapes.append((stripe, key[6], key[7]))
                     ids[at] = found
         return ids
 
@@ -825,8 +829,8 @@ class ChunkTable:
         (a few rows: read one by one, into plain lists); raises what
         :meth:`check` raises."""
         if len(indices) <= _FEW:
-            vids, stripes, first, members, digests, positions = [], [], [], [], [], []
-            views = self._v
+            vids, stripes, first, members, digests, marks = [], [], [], [], [], [0]
+            views, heap, runs, last = self._v, [], [], None
             for index in (indices.tolist() if isinstance(indices, np.ndarray) else indices):
                 slot = self._slot(index)
                 shape = views.shape[slot]
@@ -844,24 +848,44 @@ class ChunkTable:
                     [text[at : at + 64] for at in range(0, len(text), 64)]
                     if digested else [None] * (b - a)
                 )
-                positions.append(self._positions[c:e].copy() if e > c else NO_POSITIONS)
-            return ChunkWindow(vids, stripes, first, members, digests, positions)
+                if e > c:
+                    heap.append(self._positions[c:e])
+                marks.append(marks[-1] + e - c)
+                if stripe is last and e - c == runs[-1][3]:
+                    runs[-1][0] += 1
+                else:
+                    runs.append([1, stripe.k * stripe.shard_size, stripe.orig_len, e - c])
+                    last = stripe
+            if len(heap) == 1:  # (one copy: cheaper than concatenating one)
+                positions = heap[0].copy()
+            else:
+                positions = np.concatenate(heap) if heap else NO_POSITIONS
+            return ChunkWindow(vids, stripes, first, members, digests, positions, marks, runs)
         slots = self._slots(indices)
         if self._verbatim:
             self.check(indices, filename)
         shapes = [self._shapes[shape] for shape in self._shape[slots].tolist()]
+        stripes = [shape[0] for shape in shapes]
         digested = [shape[2] for shape in shapes]
         shards, widths = _segments(self._sptr, slots)
         marks, counts = _segments(self._mptr, slots)
         raw = self._digests[shards].copy()
         if not all(digested):
             raw = (raw, np.array(digested).repeat(widths))
-        heap, ends = self._positions[marks].copy(), list(itertools.accumulate(counts, initial=0))
+        # Runs of rows alike: one (interned) stripe and one M count.
+        alike = np.fromiter(map(id, stripes), np.int64, len(stripes))
+        held = np.asarray(counts)
+        cuts = ((alike[1:] != alike[:-1]) | (held[1:] != held[:-1])).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), len(slots)]
         return ChunkWindow(
-            self._vid[slots].tolist(), [shape[0] for shape in shapes],
+            self._vid[slots].tolist(), stripes,
             np.array(list(itertools.accumulate(widths, initial=0))[:-1], np.int64),
             self._members[shards].copy(), raw,
-            [heap[a:b] for a, b in zip(ends, ends[1:])],
+            self._positions[marks].copy(), list(itertools.accumulate(counts, initial=0)),
+            [
+                [b - a, stripes[a].k * stripes[a].shard_size, stripes[a].orig_len, counts[a]]
+                for a, b in zip(bounds, bounds[1:])
+            ],
         )
 
     def _objects(self, slots: "np.ndarray | list[int]") -> tuple[list[int], list[int], list[str]]:
@@ -876,13 +900,13 @@ class ChunkTable:
             for vid, slot in zip(vids, slots):
                 a, b = views.sptr[slot], views.sptr[slot + 1]
                 providers += views.members[a:b].tolist()
-                keys += shard_keys(itertools.repeat(vid, b - a), range(b - a))
+                keys += stripe_keys((vid,), b - a)
         else:
             vids, snapshots = self._vid[slots].tolist(), self._snap[slots].tolist()
             shards, widths = _segments(self._sptr, slots)
             providers = self._members[shards].tolist()
             owner, within = _within(widths)
-            keys = shard_keys(map(vids.__getitem__, owner), within)
+            keys = member_keys(list(map(str, vids)), owner, within)
         for vid, snapshot in zip(vids, snapshots):
             if snapshot != NO_SNAPSHOT:
                 providers.append(snapshot)
@@ -1133,13 +1157,18 @@ def _shape_key(stripe: StripeMeta, rotation: int, digested: bool) -> tuple:
 @dataclass(slots=True)
 class ChunkWindow:
     """The read path's copy of a window of Chunk Table rows, gathered under
-    the op lock and read without it: row by row the ``vids``, ``stripes``,
-    the ``first`` of each row's shard slots and its ``M`` ``positions``;
-    shard slot by shard slot, row after row, the provider ``members`` and
-    the recorded ``digests``.  A window of a few rows holds plain lists,
-    its digests as hex (``None`` for a row without checksums); a larger one
-    arrays, its digests raw (32 bytes a slot, with a mask of the slots that
-    have them when some do not), turned to hex a round at a time.
+    the op lock and read without it: row by row the ``vids``, ``stripes``
+    and the ``first`` of each row's shard slots; shard slot by shard slot,
+    row after row, the provider ``members`` and the recorded ``digests``;
+    the rows' ``M`` as one heap of ``positions``, row *r*'s
+    ``positions[marks[r]:marks[r + 1]]``; and the ``runs`` of rows alike
+    once decoded, ``[rows, width, length, count]`` -- rows of one interned
+    stripe (k shard sizes, the first *length* bytes the stored chunk) and
+    one ``M`` count -- as :func:`repro.core.misleading.strip` reads them.
+    A window of a few rows holds plain lists, its digests as hex (``None``
+    for a row without checksums); a larger one arrays, its digests raw (32
+    bytes a slot, with a mask of the slots that have them when some do
+    not), turned to hex a round at a time.
     """
 
     vids: list[int]
@@ -1147,7 +1176,11 @@ class ChunkWindow:
     first: "list[int] | np.ndarray"
     members: "list[int] | np.ndarray"
     digests: "list[str | None] | np.ndarray | tuple[np.ndarray, np.ndarray]"
-    positions: list[np.ndarray]
+    positions: np.ndarray
+    marks: list[int]
+    runs: list[list[int]]
+    #: Each row's virtual id as a string, formatted by the first round.
+    prefixes: "list[str] | None" = None
 
     def providers(self) -> list[int]:
         """The provider index of every member, each once."""
@@ -1164,39 +1197,40 @@ class ChunkWindow:
         start, stop)`` in the order the round first names the providers,
         and where each request landed (``back``).  A few rows plan in
         Python; more plan in one sort, one key list and one hex conversion
-        of the round's digests."""
+        of the round's digests.  A key is its row's virtual id, formatted
+        once a window, and the member's suffix (:func:`member_keys`)."""
+        if self.prefixes is None:
+            self.prefixes = list(map(str, self.vids))
         if isinstance(self.members, list):
             stripes, wanted = numbers.tolist(), indices.tolist()
-            first, members, vids, digests = self.first, self.members, self.vids, self.digests
+            first, members, digests = self.first, self.members, self.digests
             # One pass: each provider's requests in the order asked, the
             # providers in the order the round first names them.
-            columns: dict[int, tuple[list, list, list, list]] = {}
+            columns: dict[int, tuple[list, list, list]] = {}
             for at, number, index in zip(range(len(stripes)), stripes, wanted):
                 slot = first[number] + index
                 column = columns.get(members[slot])
                 if column is None:
-                    column = columns[members[slot]] = ([], [], [], [])
+                    column = columns[members[slot]] = ([], [], [])
                 column[0].append(at)
-                column[1].append(vids[number])
-                column[2].append(index)
-                column[3].append(slot)
+                column[1].append(index)
+                column[2].append(slot)
             order: list[int] = []
             picked: list[int] = []
-            keyed_vids: list[int] = []
             keyed: list[int] = []
             runs = []
-            for home, (asked, of, at_index, at_slot) in columns.items():
+            for home, (asked, at_index, at_slot) in columns.items():
                 runs.append((home, len(order), len(order) + len(asked)))
                 order += asked
-                keyed_vids += of
                 keyed += at_index
                 picked += at_slot
             back = [0] * len(order)
             for landed, at in enumerate(order):
                 back[at] = landed
+            rows = [stripes[at] for at in order]
             return (
-                shard_keys(keyed_vids, keyed), [digests[slot] for slot in picked],
-                [stripes[at] for at in order], runs, back,
+                member_keys(self.prefixes, rows, keyed),
+                [digests[slot] for slot in picked], rows, runs, back,
             )
         slots = self.first[numbers] + indices
         homes = self.members[slots]
@@ -1208,7 +1242,7 @@ class ChunkWindow:
             [*starts[1:], len(ordered)],
         ))]
         rows = numbers[ordered].tolist()
-        keys = shard_keys(map(self.vids.__getitem__, rows), indices[ordered].tolist())
+        keys = member_keys(self.prefixes, rows, indices[ordered].tolist())
         picked = slots[ordered]
         if isinstance(self.digests, tuple):
             raw, bare = self.digests
@@ -1224,9 +1258,10 @@ class ChunkWindow:
     def budgets(self) -> list[tuple[StripeMeta, float]]:
         """Each row's stripe and misleading bytes per genuine byte, as
         stored: what an update or a migration keeps of a chunk."""
+        counts = map(operator.sub, self.marks[1:], self.marks)
         return [
-            (stripe, len(row) / max(1, stripe.orig_len - len(row)))
-            for stripe, row in zip(self.stripes, self.positions)
+            (stripe, count / max(1, stripe.orig_len - count))
+            for stripe, count in zip(self.stripes, counts)
         ]
 
 

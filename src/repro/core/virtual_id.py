@@ -13,7 +13,9 @@ with :func:`snapshot_key`.
 
 from __future__ import annotations
 
-from typing import Iterable
+import operator
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from repro.core.errors import MetadataCorruptedError
 from repro.util.rng import SeedLike, derive_rng
@@ -119,22 +121,32 @@ def shard_key(virtual_id: int, shard_index: int) -> str:
     return f"{virtual_id}.{shard_index}"
 
 
-#: :func:`shard_key`'s format, applied a window at a time by :func:`shard_keys`.
-_SHARD_KEY = "{}.{}".format
-
-
-def shard_keys(virtual_ids: Iterable[int], shard_indices: Iterable[int]) -> list[str]:
-    """:func:`shard_key` of each ``(virtual id, shard index)`` pair, in one
-    call for a window's shards (the read path's keys, Table I's id lists)."""
-    return list(map(_SHARD_KEY, virtual_ids, shard_indices))
+@lru_cache(maxsize=64)
+def _suffixes(width: int) -> tuple[str, ...]:
+    """The part of :func:`shard_key` after the id, for shards ``0..width-1``."""
+    return tuple(f".{index}" for index in range(width))
 
 
 def stripe_keys(virtual_ids: Iterable[int], width: int) -> list[str]:
     """The keys of whole stripes: :func:`shard_key` of shards ``0..width-1``
     of each virtual id in turn (the write engine's keys, a window at a
     time: each id formatted once, each key one concatenation)."""
-    suffixes = [f".{index}" for index in range(width)]
+    suffixes = _suffixes(width)
     return [prefix + suffix for prefix in map(str, virtual_ids) for suffix in suffixes]
+
+
+def member_keys(
+    prefixes: Sequence[str], rows: Iterable[int], indices: Sequence[int]
+) -> list[str]:
+    """:func:`shard_key` of shard ``indices[i]`` of row ``rows[i]``, where
+    ``prefixes[row]`` is that row's virtual id as a string: the keys of any
+    set of members of a window's stripes (a read's round, the shards a
+    removal retires), each id formatted once a window by the caller and
+    each key one concatenation."""
+    suffixes = _suffixes(max(indices, default=-1) + 1)
+    return list(map(
+        operator.add, map(prefixes.__getitem__, rows), map(suffixes.__getitem__, indices)
+    ))
 
 
 def snapshot_key(virtual_id: int) -> str:

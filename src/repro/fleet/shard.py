@@ -196,9 +196,9 @@ class FleetShard:
         d = self.distributor
         with d.op_lock:
             reads, level = d._reads_of(tenant, key)
-            payloads, rows = d._read_window(reads.chunks, key)
+            pieces, rows = d._read_window(reads.chunks, key)
             budgets = rows.budgets()
-            data = b"".join(payloads)
+            data = b"".join(piece for _, piece in pieces)
             return (
                 data, level, max(fraction for _, fraction in budgets),
                 budgets[0][0].codec,

@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -301,53 +301,64 @@ class ErasureCodec:
         metas: "Sequence[StripeMeta]",
         shards: "Sequence[bytes]",
         members: "Sequence[int]",
-    ) -> list[bytes]:
+    ) -> "Iterator[tuple[int, bytes | bytearray]]":
         """:meth:`decode` for a window of stripes, each from k members,
-        data or parity: *shards* holds them, stripe after stripe, and
-        *members* each one's member index.  A stripe's shard i is its data
-        member i if it has that member, else another member (parity)
-        standing in for it.
+        data or parity, as slabs: *shards* holds the members, stripe after
+        stripe, and *members* each one's member index.  A stripe's shard i
+        is its data member i if it has that member, else another member
+        (parity) standing in for it.
 
-        The window goes a slab of about ``XOR_SLAB_BYTES`` at a time.  A
-        slab of a systematic codec whose members are all data members is
-        joined once and each payload cut out of it (a stripe that fills a
-        slab alone is joined with its tail trimmed first: one copy); any
-        other slab goes to :meth:`_decode_slab`.
+        The window goes a slab of about ``XOR_SLAB_BYTES`` at a time, each
+        decoded as the caller asks for it (so the read engine strips a slab
+        before the next is decoded), and yielded as ``(stripes, buffer)``:
+        row after row, each stripe's k shard sizes, its payload the row's
+        first ``orig_len`` bytes (what :func:`repro.core.misleading.strip`
+        reads).  A slab of a systematic codec whose members are all data
+        members is the members joined (a stripe that fills a slab alone is
+        joined with its tail trimmed first: one copy, just its payload);
+        any other slab is :meth:`_decode_slab`'s, which may cut it further.
+        ``raid_decode_seconds`` observes the decoding alone, once a call.
         """
-        k, payloads = self.k, []
+        k, busy = self.k, 0.0
         step = max(1, XOR_SLAB_BYTES // max(1, k * metas[0].shard_size)) if metas else 1
         for start in range(0, len(metas), step):
+            t0 = time.perf_counter()
             slab = metas[start : start + step]
             got = shards[start * k : (start + len(slab)) * k]
             held = members[start * k : (start + len(slab)) * k]
-            if not self.systematic or max(held) >= k:
-                payloads += self._decode_slab(slab, got, held)
-            elif len(slab) == 1:
-                payloads.append(self._join(got, slab[0].orig_len))
+            if self.systematic and max(held) < k:
+                buffer = self._join(got, slab[0].orig_len) if len(slab) == 1 else b"".join(got)
+                parts = [(len(slab), buffer)]
             else:
-                blob, at = b"".join(got), 0
-                for meta in slab:
-                    payloads.append(blob[at : at + meta.orig_len])
-                    at += k * meta.shard_size
-        return payloads
+                parts = self._decode_slab(slab, got, held)
+            busy += time.perf_counter() - t0
+            yield from parts
+        get_metrics().histogram("raid_decode_seconds", codec=self.label).observe(busy)
 
     def _decode_slab(
         self,
         metas: "Sequence[StripeMeta]",
         shards: "Sequence[bytes]",
         members: "Sequence[int]",
-    ) -> list[bytes]:
-        """:meth:`decode_data` of a slab with a parity member or of a codec
-        that is not systematic: stripe by stripe, one that holds its data
-        members (of a systematic codec) joined, any other through
-        :meth:`decode`."""
-        k = self.k
-        return [
-            b"".join(shards[at : at + k])[: meta.orig_len]
-            if self.systematic and max(members[at : at + k]) < k
-            else self.decode(meta, dict(zip(members[at : at + k], shards[at : at + k])))
-            for at, meta in zip(range(0, k * len(metas), k), metas)
-        ]
+    ) -> "list[tuple[int, bytes | bytearray]]":
+        """:meth:`decode_data`'s slabs for stripes some of which hold a
+        parity member (or any, for a codec that is not systematic): each
+        stripe :meth:`decode` rebuilds a slab of its own, its payload alone
+        (no copy past the decode's), and each run of stripes between them
+        that hold their data members one join."""
+        k, slabs, whole = self.k, [], 0  # stripes[whole:number] hold their data
+        for number, meta in enumerate(metas):
+            held = members[number * k : (number + 1) * k]
+            if self.systematic and max(held) < k:
+                continue
+            if number > whole:
+                slabs.append((number - whole, b"".join(shards[whole * k : number * k])))
+            got = shards[number * k : (number + 1) * k]
+            slabs.append((1, self.decode(meta, dict(zip(held, got)))))
+            whole = number + 1
+        if whole < len(metas):
+            slabs.append((len(metas) - whole, b"".join(shards[whole * k :])))
+        return slabs
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         """Regenerate the single shard *index* byte-exactly from survivors."""
@@ -514,56 +525,27 @@ class RaidCodec(ErasureCodec):
         metas: "Sequence[StripeMeta]",
         shards: "Sequence[bytes]",
         members: "Sequence[int]",
-    ) -> list[bytes]:
+    ) -> "list[tuple[int, bytes | bytearray]]":
         if self.level is not RaidLevel.RAID5:
             return super()._decode_slab(metas, shards, members)
-        # RAID-5: one XOR for each run of one shard size.
-        k, payloads, at = self.k, [], 0
-        for size, run in itertools.groupby(metas, key=attrgetter("shard_size")):
-            run = list(run)
-            stop = at + len(run)
-            payloads += self._xor_decode(
-                run, shards[at * k : stop * k], members[at * k : stop * k], size
-            )
-            at = stop
-        return payloads
-
-    def _xor_decode(
-        self,
-        metas: "Sequence[StripeMeta]",
-        shards: "Sequence[bytes]",
-        members: "Sequence[int]",
-        size: int,
-    ) -> list[bytes]:
-        """RAID-5 stripes of one shard *size*: a degraded one holds its
-        parity in the slot of the data member it lacks, and that member is
-        the XOR of the k it holds -- one operation for all of them."""
-        k, width = self.k, self.k * size
-        if not size:  # empty payloads
-            return [b""] * len(metas)
-        blob = b"".join(shards)
+        # RAID-5: a degraded stripe holds its parity in the slot of the data
+        # member it lacks, and that member is the XOR of the k it holds --
+        # one XOR for each run of one shard size, written into those slots.
+        slab = bytearray().join(shards)
+        k, grid, at, first = self.k, np.frombuffer(slab, np.uint8), 0, 0
         parity = list(itertools.compress(itertools.count(), map(k.__le__, members)))
-        if not parity:
-            starts = range(0, len(blob), width)
-            return [blob[at : at + meta.orig_len] for at, meta in zip(starts, metas)]
-        # One XOR for the run: row r is the member stripe r lacks, if it
-        # lacks one (else its parity, unused).
-        stripes = np.frombuffer(blob, np.uint8).reshape(len(metas), k, size)
-        rebuilt = memoryview(np.bitwise_xor.reduce(stripes, axis=1).tobytes())
-        view, lacking = memoryview(blob), {at // k: at for at in parity}  # stripe -> parity slot
-        payloads = []
-        for number, (start, meta) in enumerate(zip(range(0, len(blob), width), metas)):
-            end, at = start + meta.orig_len, lacking.get(number)
-            if at is None:
-                payloads.append(blob[start:end])
-                continue
-            cut = at * size  # where the lost member goes
-            payloads.append(b"".join((
-                view[start : min(cut, end)],
-                rebuilt[number * size : number * size + max(0, min(size, end - cut))],
-                view[cut + size : end],
-            )))
-        return payloads
+        for size, run in itertools.groupby(metas, key=attrgetter("shard_size")):
+            end = first + k * len(list(run))  # the run's slots
+            slots = [slot - first for slot in parity if first <= slot < end]
+            if size and slots:
+                planes = grid[at : at + (end - first) * size].reshape(-1, k, size)
+                lacking = [slot // k for slot in slots]
+                planes[lacking, [slot % k for slot in slots]] = np.bitwise_xor.reduce(
+                    planes[lacking], axis=1
+                )
+            at += (end - first) * size
+            first = end
+        return [(len(metas), slab)]
 
     def rebuild(self, meta: StripeMeta, index: int, shards: dict[int, bytes]) -> bytes:
         if meta.orig_len == 0:
@@ -676,6 +658,22 @@ class AontRSCodec(RSStripeCodec):
         # so unlike the other codecs there is no orig_len == 0 shortcut:
         # rebuild real shard bytes even for empty payloads.
         return self._code().reconstruct_shard(index, shards)
+
+
+def slab_payloads(
+    metas: "Sequence[StripeMeta]", slabs: "Iterable[tuple[int, bytes | bytearray]]"
+) -> list[bytes]:
+    """Each stripe's payload, as ``bytes``, cut out of the slabs
+    :meth:`ErasureCodec.decode_data` hands back for *metas*."""
+    payloads: list[bytes] = []
+    number = 0
+    for rows, slab in slabs:
+        at = 0
+        for meta in metas[number : number + rows]:
+            payloads.append(bytes(slab[at : at + meta.orig_len]))
+            at += meta.k * meta.shard_size
+        number += rows
+    return payloads
 
 
 def codec_for_meta(meta: StripeMeta) -> ErasureCodec:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-import time
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +42,36 @@ def read_stripes(
     prefer_data: bool = True,
 ) -> list[tuple[bytes, list[int]]]:
     """Fetch and decode a window of stripes, in rounds; returns one
-    ``(payload, failed idxs)`` per stripe.
+    ``(payload, failed idxs)`` per stripe: the per-stripe view of
+    :func:`read_slabs`.
+    """
+    from repro.raid.codecs import slab_payloads
+
+    slabs, lost = _read(metas, fetch_many, prefer_data)
+    return list(zip(slab_payloads(metas, slabs), lost))
+
+
+def read_slabs(
+    metas: Sequence[StripeMeta],
+    fetch_many: Callable[
+        [np.ndarray, np.ndarray], "Sequence[bytes | ProviderError]"
+    ],
+) -> "Iterator[tuple[int, bytes | bytearray]]":
+    """Fetch and decode a window of stripes, in rounds, into slabs of whole
+    stripes as the decode leaves them (:meth:`ErasureCodec.decode_data`),
+    each decoded as the caller asks for it: the read engine's form, each
+    slab stripped before the next is decoded."""
+    return _read(metas, fetch_many, True)[0]
+
+
+def _read(
+    metas: Sequence[StripeMeta],
+    fetch_many: Callable[
+        [np.ndarray, np.ndarray], "Sequence[bytes | ProviderError]"
+    ],
+    prefer_data: bool,
+) -> "tuple[Iterator[tuple[int, bytes | bytearray]], list[list[int]]]":
+    """The window's slabs, and each stripe's failed members.
 
     *fetch_many* takes a round's requests as two integer arrays, the
     stripe number and the shard index of each, and answers each, in
@@ -71,7 +99,7 @@ def read_stripes(
     """
     count = len(metas)
     if not count:
-        return []
+        return iter(()), []
     want = [meta.k if prefer_data else meta.k + meta.m for meta in metas]
     if min(want) == max(want):  # one geometry: a grid
         numbers, indices, members = _grid(count, want[0])
@@ -82,7 +110,7 @@ def read_stripes(
     if prefer_data and _BYTES.issuperset(map(type, outcomes)):
         # Every stripe's data members, in order, and all arrived.
         nothing: list[int] = []  # (shared: nothing failed anywhere)
-        return [(payload, nothing) for payload in _decode_window(metas, outcomes, members)]
+        return _decode_window(metas, outcomes, members), [nothing] * count
 
     slots, extra = list(outcomes), None
     if not prefer_data:  # the data members' answers are the slots
@@ -141,7 +169,7 @@ def read_stripes(
     lost = [none] * count
     for number, members_lost in failed.items():
         lost[number] = members_lost
-    return list(zip(_decode_window(metas, slots, members), lost))
+    return _decode_window(metas, slots, members), lost
 
 
 def _ask(fetch_many, numbers: np.ndarray, indices: np.ndarray) -> list:
@@ -182,27 +210,23 @@ def _account(
 
 def _decode_window(
     metas: Sequence[StripeMeta], shards: Sequence[bytes], members: Sequence[int]
-) -> list[bytes]:
-    """Each stripe's payload, a run of one codec at a time, from k members
-    a stripe: *shards*, stripe after stripe, and *members* their member
-    indices (:meth:`ErasureCodec.decode_data`)."""
+) -> "Iterator[tuple[int, bytes | bytearray]]":
+    """The window's slabs, a run of one codec at a time, from k members a
+    stripe: *shards*, stripe after stripe, and *members* their member
+    indices (:meth:`ErasureCodec.decode_data`), each decoded when the
+    caller asks for it."""
     from repro.raid.codecs import codec_for_meta
 
-    metrics = get_metrics()
-    payloads: list[bytes] = []
-    labels = [(meta.codec, meta.width) for meta in metas]
     at = 0
-    for (label, _width), run in itertools.groupby(range(len(metas)), labels.__getitem__):
+    for _, run in itertools.groupby(metas, _CODEC):
         run = list(run)
-        codec, run_metas = codec_for_meta(metas[run[0]]), metas[run[0] : run[-1] + 1]
-        t0 = time.perf_counter()
+        codec = codec_for_meta(run[0])
         end = at + codec.k * len(run)
-        payloads += codec.decode_data(run_metas, shards[at:end], members[at:end])
+        yield from codec.decode_data(run, shards[at:end], members[at:end])
         at = end
-        metrics.histogram("raid_decode_seconds", codec=label).observe(
-            time.perf_counter() - t0
-        )
-    return payloads
+
+
+_CODEC = operator.attrgetter("codec", "width")
 
 
 @lru_cache(maxsize=64)

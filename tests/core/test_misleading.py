@@ -16,6 +16,8 @@ from repro.core.misleading import (
     position_row,
     remove,
     remove_window,
+    row_payloads,
+    strip,
 )
 
 
@@ -50,21 +52,23 @@ def test_remove_no_positions_is_identity():
 
 
 def test_remove_validates_positions():
-    # Validation is opt-in: the read path trusts Chunk Table positions
-    # (inject wrote them sorted/distinct/in-range) and skips the checks.
+    # Every strip checks its positions: one pass over them, so the read
+    # path pays it too.
     with pytest.raises(ValueError):
-        remove(b"abc", (5,), validate=True)
+        remove(b"abc", (5,))
     with pytest.raises(ValueError):
-        remove(b"abc", (1, 1), validate=True)
+        remove(b"abc", (1, 1))
     with pytest.raises(ValueError):
-        remove(b"abc", (-1,), validate=True)
+        remove(b"abc", (-1,))
 
 
 def test_remove_fast_path_matches_validated_path():
+    # The mask and compress against a byte-by-byte reference.
     payload = bytes(range(256)) * 8
     result = inject(payload, 0.25, rng=9)
     fast = remove(result.stored, result.positions)
-    slow = remove(result.stored, result.positions, validate=True)
+    dropped = set(result.positions.tolist())
+    slow = bytes(byte for at, byte in enumerate(result.stored) if at not in dropped)
     assert fast == slow == payload
 
 
@@ -151,7 +155,7 @@ def test_window_roundtrip_over_lengths_and_fractions(fraction):
         assert len(result.stored) == len(payload) + n_fake
         assert list(result.positions) == sorted(set(result.positions))
         assert all(0 <= p < len(result.stored) for p in result.positions)
-        assert remove(result.stored, result.positions, validate=True) == payload
+        assert remove(result.stored, result.positions) == payload
 
 
 def test_window_results_do_not_alias_the_window_buffer():
@@ -386,19 +390,72 @@ def test_property_any_partition_into_windows_strips_the_same(lengths, fraction, 
     assert pieces == remove_window(stored, positions) == payloads
 
 
-def test_remove_window_hands_a_run_of_one_to_remove(monkeypatch):
-    # The e2e harness counts misleading.bytes at `remove`, by its module
-    # name; get_chunk and the update pre-read are windows of one.
+def test_a_run_of_one_row_takes_the_window_strip(monkeypatch):
+    # remove is the one kernel: remove_window joins a run's chunks into a
+    # slab for strip, one remove call a slab, a run of one row like any
+    # other, and a lone chunk is remove with its defaults.
     calls = []
+    kernel = misleading.remove
     monkeypatch.setattr(
         misleading, "remove",
-        lambda stored, positions: calls.append(len(positions)) or remove(stored, positions),
+        lambda blob, where, rows=1, *args: calls.append(rows) or kernel(blob, where, rows, *args),
     )
-    _, stored, positions = _injected_window([100, 100, 100, 50], 0.1)
-    remove_window(stored[:1], positions[:1])
-    assert calls == [10]
-    remove_window(stored, positions)  # a slab of three, then the odd one
-    assert calls == [10, 5]
+    payloads, stored, positions = _injected_window([100, 100, 100, 50], 0.1)
+    assert remove_window(stored[:1], positions[:1]) == payloads[:1]
+    assert calls == [1]
+    assert remove_window(stored, positions) == payloads  # three rows joined, then the odd one
+    assert calls == [1, 3, 1]
+    assert misleading.remove(stored[3], positions[3]) == payloads[3]
+    assert calls == [1, 3, 1, 1]
+
+
+def test_rows_that_come_a_few_at_a_time_are_stripped_in_parts_of_a_slab(monkeypatch):
+    # 300 chunks of 1,126 stored bytes handed to the strip one row a slab,
+    # as a codec that is not systematic decodes them, then in slabs of
+    # three with the shard padding: joined into parts of at most SLAB_KEYS
+    # stored bytes, one remove call a part, never one a chunk.
+    calls = []
+    kernel = misleading.remove
+    monkeypatch.setattr(
+        misleading, "remove",
+        lambda blob, where, rows=1, *args: calls.append(rows) or kernel(blob, where, rows, *args),
+    )
+    payloads, stored, positions = _injected_window([1024] * 300, 0.1)
+    heap = np.concatenate(positions)
+    pieces = strip([(1, blob) for blob in stored], [(300, 1126, 1126, 102)], heap)
+    assert row_payloads(pieces) == payloads
+    per_part = misleading.SLAB_KEYS // 1126
+    assert calls == [per_part, per_part, 300 - 2 * per_part]
+    padded = [b"".join(blob + bytes(2) for blob in stored[at : at + 3]) for at in range(0, 300, 3)]
+    calls.clear()
+    pieces = strip([(3, slab) for slab in padded], [(300, 1128, 1126, 102)], heap)
+    assert row_payloads(pieces) == payloads
+    assert calls == [per_part - per_part % 3, per_part - per_part % 3, 300 - 2 * (per_part - per_part % 3)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((3, 3), "duplicates"),
+        ((25,), "out of range"),
+        ((20,), "out of range"),
+        ((-1,), "out of range"),
+    ],
+)
+def test_a_bad_row_is_refused_the_same_way_at_any_run_length(rows, bad, message):
+    # Defence in depth: the loaders refuse such M rows before they reach the
+    # table, so only a caller outside it can hand one in.  A run of one row
+    # once went to np.delete, which gave a 20-byte row with M = [3, 3] back
+    # 19 bytes long and answered a position of 25 with a bare IndexError,
+    # while the same rows in a run of two raised ValueError.
+    stored = [bytes(range(20))] * rows
+    positions = [bad] * rows
+    with pytest.raises(ValueError, match=message):
+        remove_window(stored, positions)
+    if rows == 1:
+        with pytest.raises(ValueError, match=message):
+            remove(stored[0], bad)
 
 
 def test_remove_window_metrics_observe_once_and_count_every_byte():
@@ -492,7 +549,7 @@ def test_property_every_row_is_one_packed_array_however_the_window_is_cut(
     assert remove_window(stored, [row.tolist() for row in rows]) == payloads
     for blob, row, payload in zip(stored, rows, payloads):
         for form in (row, tuple(row.tolist()), row.tolist()):
-            assert remove(blob, form, validate=True) == payload
+            assert remove(blob, form) == payload
 
 
 def test_a_kept_row_does_not_keep_the_slab_it_was_drawn_in():

@@ -21,6 +21,7 @@ from repro.raid.codecs import (
     RaidCodec,
     RSStripeCodec,
     codec_for_meta,
+    slab_payloads,
     stripe_meta_from_fields,
 )
 from repro.raid.striping import RaidLevel, StripeMeta
@@ -385,9 +386,27 @@ def test_decode_data_equals_decode_many_of_the_data_members(make):
     encoded = codec.encode_many(payloads)
     flat = [shard for _, shards in encoded for shard in shards[: codec.k]]
     members = list(range(codec.k)) * len(encoded)
-    assert codec.decode_data([meta for meta, _ in encoded], flat, members) == payloads
-    assert codec.decode_data([], [], members[:0]) == []
+    metas = [meta for meta, _ in encoded]
+    assert slab_payloads(metas, codec.decode_data(metas, flat, members)) == payloads
+    assert list(codec.decode_data([], [], members[:0])) == []
     assert codec.systematic == (codec.label.split("(")[0] != "aont-rs")
+
+
+def test_a_degraded_raid5_slab_is_its_stripes_data_members_each_rebuilt_in_its_slot():
+    # The decode hands back one buffer a slab, row after row each stripe's
+    # k data members: a stripe short of one has the parity standing in
+    # for it replaced, in that slot, by the member it rebuilt -- the last
+    # member's zero padding too.
+    codec = CodecSpec.parse("raid5@4").instantiate()
+    rng = np.random.default_rng(5)
+    encoded = codec.encode_many([rng.bytes(1024) for _ in range(6)] + [rng.bytes(333)])
+    metas, shards, members, want = _received(codec, encoded, [(), (1,), (2,), (0,)])
+    slabs = list(codec.decode_data(metas, shards, members))
+    assert sum(rows for rows, _ in slabs) == len(metas)
+    assert all(type(slab) is bytearray for _, slab in slabs)
+    rows = b"".join(bytes(slab) for _, slab in slabs)
+    assert rows == b"".join(shard for _, stripe in encoded for shard in stripe[: codec.k])
+    assert slab_payloads(metas, slabs) == want
 
 
 def _received(codec, encoded, patterns):
@@ -424,8 +443,8 @@ def test_decode_data_equals_decode_per_stripe_under_every_erasure(make):
         for gone in patterns:  # every stripe of the window loses the same
             metas, shards, members, want = _received(codec, encoded, [gone])
             assert want == payloads
-            assert codec.decode_data(metas, shards, members) == want
+            assert slab_payloads(metas, codec.decode_data(metas, shards, members)) == want
         # Each stripe its own pattern: whole stripes between degraded ones.
         metas, shards, members, want = _received(codec, encoded, patterns)
         assert want == payloads
-        assert codec.decode_data(metas, shards, members) == want
+        assert slab_payloads(metas, codec.decode_data(metas, shards, members)) == want
