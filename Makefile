@@ -50,9 +50,10 @@ DISTRIBUTOR_MAX_LINES = 1767
 DHT_DISTRIBUTOR_MAX_LINES = 177
 # The wire client speaks the one protocol its servers speak: no cached
 # per-server verdict (no downgrade handshake), and one frame encoder, which
-# nests an envelope as segments instead of joining the inner frame.
+# nests an envelope as segments instead of joining the inner frame.  A
+# MULTI_PUT payload is one buffer (encode_multi_put), not a part an item.
 REMOTE_MAX_LINES = 868
-PROTOCOL_MAX_LINES = 682
+PROTOCOL_MAX_LINES = 666
 # A chunk's stripe record lives on its Chunk Table row and nowhere else: the
 # per-chunk stores the distributor once kept beside the table stay gone.  (The
 # \b keeps the distributor_codec_quarantined_total metric out of the net.)
@@ -106,6 +107,7 @@ loc-check:
 	@! grep -nE '\brecover_with_parity\b|\bdecode_many\(' src/repro/raid/reconstruct.py
 	@! grep -rnE '_server_(traced|deadline|stream)\b|\b_bounced\b|\bframe_segments_multi\b|\b_join_payload\b|\b_wrap_deadline\b' src/repro/net/
 	@! grep -rnE '\b_ChunkPlan\b' src/
+	@! grep -rnE '\bencode_multi_put_parts\b' src/
 	@! grep -nE 'chunking\.split\(' src/repro/core/distributor.py src/repro/fleet/shard.py
 	@! grep -rnE 'np\.delete\(' src/repro/core/
 	@! grep -nE '\bshard_keys\(' src/repro/core/tables.py

@@ -198,6 +198,20 @@ def test_frame_segments_copy_drop():
     assert sum(len(s) for s in segments) == len(joined)
 
 
+def test_bench_multi_put_encode_decode_342(benchmark):
+    # One provider's MULTI_PUT of a 2 MiB RAID-5 upload at PL-2: 342
+    # shards of 2 KiB, encoded into one buffer by the client and decoded
+    # by the server; the per-item Python both ends pay per frame.
+    from repro.net.protocol import decode_multi_put, encode_multi_put
+
+    items = [(f"{i}.{i % 4}", PAYLOAD[i * 2048 : (i + 1) * 2048]) for i in range(342)]
+
+    def roundtrip():
+        return decode_multi_put(encode_multi_put(items))
+
+    assert benchmark(roundtrip) == items
+
+
 def test_bench_stream_keystream(benchmark):
     from repro.crypto.stream import StreamCipher
 

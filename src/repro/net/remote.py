@@ -44,7 +44,7 @@ from repro.net.protocol import (
     decode_traced_response,
     deadline_prefix,
     encode_keys,
-    encode_multi_put_parts,
+    encode_multi_put,
     error_for_status,
     frame_segments,
     read_frame,
@@ -195,8 +195,8 @@ class RemoteProvider(CloudProvider):
         wrapping TRACED (trace context) wrapping the operation.  An
         envelope is one more frame over its prefix and the inner frame's
         segments, so the whole window goes out as one scatter-gather list
-        of small headers and views of the callers' buffers, never a joined
-        aggregate.  A server that does not know an envelope answers
+        of small headers and views of the callers' payloads, never joined
+        again here.  A server that does not know an envelope answers
         BAD_REQUEST, which comes back like any other error status.
         """
         deadline = self._check_deadline(f"net.{requests[0][0].name}")
@@ -495,28 +495,12 @@ class RemoteProvider(CloudProvider):
 
     def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
         (frame,) = self._request([(OpCode.PUT, key, bytes(data))])
-        error = self._echo_mismatch(key, data, checksum, frame.payload)
+        (error,) = self._put_outcomes(
+            [(key, data)], None if checksum is None else [checksum],
+            [(frame.code, frame.payload)],
+        )
         if error is not None:
             raise error
-
-    def _echo_mismatch(
-        self, key: str, data: bytes, checksum: str | None, echoed: bytes
-    ) -> BlobCorruptedError | None:
-        """The error for a put whose echo -- the digest the server's
-        backend recorded -- is not *data*'s (*checksum* when the caller
-        already holds it), or ``None``.
-
-        A mismatch means the transport CRC passed but the server stored
-        something else: end-to-end write verification failed.
-        """
-        if checksum is None:
-            checksum = blob_checksum(data)
-        if echoed.decode("utf-8", "replace") == checksum:
-            return None
-        return BlobCorruptedError(
-            f"checksum echo mismatch from provider {self.name!r} "
-            f"for key {key!r}"
-        )
 
     def get(self, key: str) -> bytes:
         return self._request([(OpCode.GET, key, b"")])[0].payload
@@ -531,16 +515,13 @@ class RemoteProvider(CloudProvider):
         Transport failure raises (the whole window is in doubt); per-item
         backend failures come back as exceptions in the result list, so a
         partially failed batch still tells the caller exactly which shards
-        need failover.
+        need failover.  A batch frame's payload leaves as one buffer.
         """
         if not items:
             return []
         batches = self._split_batches(items, lambda item: len(item[1]))
         results = self._request(
-            [
-                (OpCode.MULTI_PUT, "", *encode_multi_put_parts(batch))
-                for batch in batches
-            ],
+            [(OpCode.MULTI_PUT, "", encode_multi_put(batch)) for batch in batches],
             lambda frames: self._batch_results(batches, frames),
         )
         return self._put_outcomes(items, checksums, results)
@@ -551,16 +532,35 @@ class RemoteProvider(CloudProvider):
         checksums: list[str] | None,
         results: list[tuple[int, bytes]],
     ) -> list[ProviderError | None]:
-        """Per-item outcomes of a batched put from its ``(status, body)``
-        answers: the server's error, an echo mismatch, or ``None``."""
+        """Per-item outcomes of a put from its ``(status, echo)`` answers:
+        the server's error, ``None``, or a :class:`BlobCorruptedError` for
+        an echo -- the digest the server's backend recorded -- that is not
+        the item's digest (*checksums*, when the caller holds them).
+
+        A mismatch means the transport CRC passed but the server stored
+        something else: end-to-end write verification failed.  A batch
+        that all answered OK is checked whole first, its echoes joined
+        against its digests joined, item lengths alike.
+        """
         if checksums is None:
-            checksums = [None] * len(items)
+            checksums = [blob_checksum(data) for _, data in items]
+        statuses, echoes = zip(*results)
+        if not any(statuses) and (  # Status.OK is 0
+            list(map(len, echoes)) == list(map(len, checksums))
+            and b"".join(echoes) == "".join(checksums).encode()
+        ):
+            return [None] * len(items)
         return [
-            error_for_status(status, body.decode("utf-8", "replace"))
+            error_for_status(status, echo.decode("utf-8", "replace"))
             if status != Status.OK
-            else self._echo_mismatch(key, data, checksum, body)
-            for (key, data), checksum, (status, body) in zip(
-                items, checksums, results, strict=True
+            else None
+            if echo.decode("utf-8", "replace") == checksum
+            else BlobCorruptedError(
+                f"checksum echo mismatch from provider {self.name!r} "
+                f"for key {key!r}"
+            )
+            for (key, _), checksum, status, echo in zip(
+                items, checksums, statuses, echoes, strict=True
             )
         ]
 

@@ -59,6 +59,13 @@ from repro.util.rng import SeedLike, derive_rng
 
 log = logging.getLogger(__name__)
 
+_OK = int(Status.OK)
+
+
+def _item_error(exc: Exception) -> tuple[int, bytes]:
+    """A batch item's ``(status, message)`` answer for its error."""
+    return int(status_for_error(exc)), str(exc).encode("utf-8")
+
 
 @dataclass
 class WireFaults:
@@ -485,23 +492,23 @@ class ChunkServer(AdmissionServer):
                 # stored stay stored -- same ambiguity as a dropped reply).
                 check_deadline("MULTI_PUT item")
                 try:
-                    results.append((int(Status.OK), self._put(key, data)))
+                    results.append((_OK, self._put(key, data)))
                 except Exception as exc:  # noqa: BLE001 - per-item verdicts
-                    results.append(
-                        (int(status_for_error(exc)), str(exc).encode("utf-8"))
-                    )
+                    results.append(_item_error(exc))
             return Status.OK, "", encode_batch_results(results)
         if op == OpCode.MULTI_GET:
-            results = []
-            for key in decode_keys(frame.payload):
-                check_deadline("MULTI_GET item")
-                try:
-                    results.append((int(Status.OK), self.backend.get(key)))
-                except Exception as exc:  # noqa: BLE001 - per-item verdicts
-                    results.append(
-                        (int(status_for_error(exc)), str(exc).encode("utf-8"))
-                    )
-            return Status.OK, "", encode_batch_results(results)
+            # One backend call for the batch; each slot's error is its
+            # status.  A backend that raises instead fails every slot.
+            keys = decode_keys(frame.payload)
+            try:
+                outcomes = self.backend.get_many(keys)
+            except Exception as exc:  # noqa: BLE001 - per-item verdicts
+                outcomes = [exc] * len(keys)
+            return Status.OK, "", encode_batch_results([
+                _item_error(outcome) if isinstance(outcome, Exception)
+                else (_OK, outcome)
+                for outcome in outcomes
+            ])
         raise ProtocolError(f"unknown op code {op:#x}")
 
     def _shed_reply(self) -> bytes:

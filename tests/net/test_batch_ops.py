@@ -7,29 +7,40 @@ failure reporting, retry behaviour under wire faults, and the health
 verdicts batch failures must feed.
 """
 
+import socket
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import (
+    BlobCorruptedError,
     BlobNotFoundError,
     ProviderError,
     ProviderUnavailableError,
 )
 from repro.core.privacy import CostLevel, PrivacyLevel
 from repro.net.protocol import (
+    OpCode,
     ProtocolError,
     Status,
     decode_batch_results,
     decode_multi_put,
     encode_batch_results,
+    encode_deadline_request,
+    encode_frame,
+    encode_keys,
     encode_multi_put,
+    recv_frame,
 )
 from repro.net.remote import RemoteProvider, RetryPolicy
 from repro.net.server import ChunkServer, WireFaults
 from repro.providers.chaos import ChaosProvider, FaultPlan
+from repro.providers.base import blob_checksum
 from repro.providers.memory import InMemoryProvider
 from repro.providers.registry import ProviderRegistry
+from tests.net.conftest import RequestLog
 
 
 def make_client(server, **kwargs):
@@ -162,6 +173,170 @@ def test_remote_multi_get_partial_failure_statuses():
     assert outcomes[0] == b"aa"
     assert isinstance(outcomes[1], BlobNotFoundError)
     assert outcomes[2] == b"cc"
+
+
+class _Watched(InMemoryProvider):
+    """Records every backend item call: ``("put", key)`` a stored object,
+    ``("get_many", n)`` a read of *n* keys (``get`` is a one-key
+    ``get_many``)."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.calls = []
+
+    def put(self, key, data, checksum=None):
+        self.calls.append(("put", key))
+        super().put(key, data, checksum=checksum)
+
+    def get_many(self, keys):
+        self.calls.append(("get_many", len(keys)))
+        return super().get_many(keys)
+
+
+def test_remote_multi_get_answers_every_slot_from_one_backend_call():
+    inner = _Watched("B")
+    inner.put("good", b"gg")
+    inner.put("flipped", b"ff")
+    inner.corrupt_blob("flipped")
+    del inner.calls[:]
+    with ChunkServer(inner) as server:
+        client = make_client(server)
+        try:
+            outcomes = client.get_many(["good", "missing", "flipped"])
+        finally:
+            client.close()
+    assert outcomes[0] == b"gg"
+    assert isinstance(outcomes[1], BlobNotFoundError)
+    assert isinstance(outcomes[2], BlobCorruptedError)
+    assert inner.calls == [("get_many", 3)]
+
+
+class _Logged(RequestLog, ChunkServer):
+    pass
+
+
+class _DarkReads(InMemoryProvider):
+    """Raises *error* from every batched read instead of answering slots."""
+
+    error: Exception = ProviderUnavailableError("reads are dark")
+
+    def get_many(self, keys):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, expected, text",
+    [
+        (ProviderUnavailableError("reads are dark"), ProviderUnavailableError,
+         "reads are dark"),
+        (BlobCorruptedError("disk rot"), BlobCorruptedError, "disk rot"),
+        (RuntimeError("backend bug"), ProviderError, "INTERNAL: backend bug"),
+    ],
+)
+def test_a_backend_whose_get_many_raises_fails_every_slot(error, expected, text):
+    inner = _DarkReads("B")
+    inner.error = error
+    with _Logged(inner) as server:
+        client = make_client(server)
+        try:
+            outcomes = client.get_many(["a", "b", "c"])
+            # The worker keeps serving, on the same pooled connection.
+            client.put("k", b"v")
+            assert client.ping() >= 0
+        finally:
+            client.close()
+    assert [type(outcome) for outcome in outcomes] == [expected] * 3
+    assert all(str(outcome) == text for outcome in outcomes)
+    assert inner.contains("k")
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize("op", [OpCode.MULTI_PUT, OpCode.MULTI_GET])
+def test_a_batch_whose_budget_is_spent_touches_no_backend_item(op):
+    inner = _Watched("B")
+    payload = (
+        encode_multi_put([("a", b"x"), ("b", b"y")])
+        if op == OpCode.MULTI_PUT
+        else encode_keys(["a", "b"])
+    )
+
+    def enveloped(budget_ms):
+        return encode_frame(
+            OpCode.DEADLINE,
+            payload=encode_deadline_request(
+                budget_ms, encode_frame(op, payload=payload)
+            ),
+        )
+
+    with ChunkServer(inner) as server:
+        with socket.create_connection((server.host, server.port), 5) as sock:
+            # Spent before it was sent: a zero budget.
+            sock.sendall(enveloped(0))
+            assert recv_frame(sock).code == Status.DEADLINE_EXCEEDED
+            # Spent while it waited for the backend.
+            with server._backend_lock:
+                sock.sendall(enveloped(1))
+                time.sleep(0.2)
+            assert recv_frame(sock).code == Status.DEADLINE_EXCEEDED
+            assert inner.calls == []
+            # The same batch with time to spare is served, on this socket.
+            sock.sendall(enveloped(5000))
+            answer = recv_frame(sock)
+    assert answer.code == Status.OK
+    assert len(decode_batch_results(answer.payload)) == 2
+    assert inner.calls == (
+        [("put", "a"), ("put", "b")]
+        if op == OpCode.MULTI_PUT
+        else [("get_many", 2)]
+    )
+
+
+class _EchoGarbler(ChunkServer):
+    """Vouches for the right bytes with a wrong echo for ``k5``: its last
+    character flipped (``flip``), or moved onto the front of ``k6``'s
+    echo (``shift``: both echoes wrong, their join right)."""
+
+    mode = "flip"
+
+    def _put(self, key, data):
+        echo = super()._put(key, data)
+        if key == "k5":
+            self.carry = echo[-1:]
+            if self.mode == "flip":
+                return echo[:-1] + (b"1" if self.carry == b"0" else b"0")
+            return echo[:-1]
+        if key == "k6" and self.mode == "shift":
+            return self.carry + echo
+        return echo
+
+
+@pytest.mark.parametrize("method", ["put_many", "put_stream"])
+@pytest.mark.parametrize("with_checksums", [True, False])
+@pytest.mark.parametrize("mode, failed", [("flip", [5]), ("shift", [5, 6])])
+def test_a_garbled_echo_mid_batch_fails_exactly_its_items(
+    method, with_checksums, mode, failed
+):
+    items = [(f"k{i}", bytes([i]) * 64) for i in range(12)]
+    checksums = [blob_checksum(data) for _, data in items]
+    server = _EchoGarbler(InMemoryProvider("B"))
+    server.mode = mode
+    with server:
+        client = make_client(server)
+        try:
+            outcomes = getattr(client, method)(
+                items, checksums=checksums if with_checksums else None
+            )
+            again = getattr(client, method)(items[:5] + items[7:])
+        finally:
+            client.close()
+    assert [
+        i for i, outcome in enumerate(outcomes) if outcome is not None
+    ] == failed
+    for i in failed:
+        assert isinstance(outcomes[i], BlobCorruptedError)
+        assert "echo mismatch" in str(outcomes[i])
+    # A batch without the garbled items passes whole.
+    assert again == [None] * 10
 
 
 def test_remote_multi_put_partial_failure_statuses():
