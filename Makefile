@@ -104,7 +104,8 @@ loc-check:
 	@! grep -nE 'def drop\b' src/repro/core/snapshots.py
 	@! grep -rnE '\b_FetchJob\b' src/
 	@! grep -rnE --include='*.py' '\bChunkEntry\(' src/ | grep -v '^src/repro/core/tables.py:'
-	@! grep -nE '\brecover_with_parity\b|\bdecode_many\(' src/repro/raid/reconstruct.py
+	@! grep -nE '\brecover_with_parity\b' src/repro/raid/reconstruct.py
+	@! grep -rnE '\b(inject_window|remove_window|encode_many|decode_many|encode_stripe|read_stripes?|slab_payloads|prefer_data|rotate_assignment)\b|def _decode\b' src/
 	@! grep -rnE '_server_(traced|deadline|stream)\b|\b_bounced\b|\bframe_segments_multi\b|\b_join_payload\b|\b_wrap_deadline\b' src/repro/net/
 	@! grep -rnE '\b_ChunkPlan\b' src/
 	@! grep -rnE '\bencode_multi_put_parts\b' src/

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunking import join, split
-from repro.core.misleading import inject, inject_runs, remove, remove_window, strip
+from repro.core.misleading import inject, inject_runs, remove, strip
 from repro.mining.hierarchical import linkage
 from repro.raid.parity import xor_parity
 from repro.raid.reed_solomon import RSCode
@@ -96,8 +96,13 @@ def test_bench_misleading_inject_runs_pl3(benchmark, pl3_window):
 
 
 def test_bench_misleading_remove_window_pl3(benchmark, pl3_window):
+    # The window's stored chunks as one slab, one run: strip cuts it into
+    # parts of about SLAB_KEYS stored bytes, one remove call a part.
     data, _, stored, rows = pl3_window
-    assert b"".join(benchmark(remove_window, stored, rows)) == data
+    slabs = [(len(stored), b"".join(stored))]
+    runs = [(len(stored), len(stored[0]), len(stored[0]), len(rows[0]))]
+    pieces = benchmark(strip, slabs, runs, np.concatenate(rows))
+    assert b"".join(piece for _, piece in pieces) == data
 
 
 def test_bench_read_window_pl3(benchmark, pl3_window):

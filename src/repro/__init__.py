@@ -70,7 +70,7 @@ from repro.providers import (
     default_fleet_specs,
     regional_fleet_specs,
 )
-from repro.raid import RaidLevel, RSCode, encode_stripe, read_stripe
+from repro.raid import RaidLevel, RSCode
 
 # Imported after repro.core so the core->raid import chain is fully
 # initialized before analysis pulls repro.raid in again.
@@ -135,7 +135,5 @@ __all__ = [
     "regional_fleet_specs",
     "RaidLevel",
     "RSCode",
-    "encode_stripe",
-    "read_stripe",
     "__version__",
 ]

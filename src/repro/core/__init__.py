@@ -42,7 +42,6 @@ from repro.core.misleading import (
     InjectionResult,
     InjectionRng,
     inject,
-    inject_window,
 )
 from repro.core.misleading import remove as remove_misleading
 from repro.core.multi_distributor import DistributorGroup
@@ -123,7 +122,6 @@ __all__ = [
     "InjectionResult",
     "InjectionRng",
     "inject",
-    "inject_window",
     "remove_misleading",
     "DistributorGroup",
     "PlacementPolicy",

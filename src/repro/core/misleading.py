@@ -152,9 +152,10 @@ def inject(
 
     Positions are indices into the returned ``stored`` buffer, sorted
     ascending, and removal with :func:`remove` restores *payload* exactly.
-    This is :func:`inject_window` over a window of one.
+    ``stored`` never aliases *payload*.
     """
-    return inject_window([payload], fraction, rng, mimic)[0]
+    ((stored, rows),) = inject_runs([payload], fraction, rng, mimic)
+    return InjectionResult(bytes(stored[0]), position_row(rows[0]))
 
 
 def check_fraction(fraction: object) -> float:
@@ -175,26 +176,6 @@ def check_fraction(fraction: object) -> float:
             f"got {fraction!r}"
         )
     return value
-
-
-def inject_window(
-    payloads: "Sequence[bytes | memoryview]",
-    fraction: float,
-    rng: "SeedLike | InjectionRng" = None,
-    mimic: bool = True,
-) -> list[InjectionResult]:
-    """:func:`inject` for every chunk of a window, drawn in bulk: the
-    per-payload view of :func:`inject_runs`.
-
-    Any cut of the same payload sequence into windows gives the same
-    results when the calls share one :class:`InjectionRng`.  Results never
-    alias *payloads*.
-    """
-    return [
-        InjectionResult(bytes(chunk), position_row(row))
-        for stored, rows in inject_runs(payloads, fraction, rng, mimic)
-        for chunk, row in zip(stored, rows)
-    ]
 
 
 def inject_runs(
@@ -342,30 +323,6 @@ def remove(
 
 
 _OUT_OF_RANGE = "misleading positions out of range for chunks of {} bytes"
-
-
-def remove_window(
-    stored: "Sequence[bytes]",
-    positions: "Sequence[np.ndarray | Sequence[int]]",
-) -> list[bytes]:
-    """:func:`remove` for every chunk of a window: :func:`strip` over the
-    chunks, joined into slabs.
-
-    *positions* holds one row per chunk: ``M`` rows, a tuple or a list of
-    ints.  Consecutive chunks of one stored length and one position count
-    are joined into slabs of at most ``SLAB_KEYS`` stored bytes (a longer
-    chunk alone), as :func:`inject_runs` draws them; a chunk with no
-    positions passes through.
-    """
-    cuts = list(equal_length_runs(
-        stored, lambda length: SLAB_KEYS // max(1, length), beside=positions
-    ))
-    runs = [[stop - start, length, length, len(positions[start])] for start, stop, length in cuts]
-    # Joined as the strip asks: a slab stripped is a slab freed.
-    slabs = ((stop - start, b"".join(stored[start:stop])) for start, stop, _ in cuts)
-    rows = [row for row in positions if len(row)]  # (an empty tuple is float64)
-    heap = np.concatenate(rows) if rows else NO_POSITIONS
-    return row_payloads(strip(slabs, runs, heap))
 
 
 def strip(

@@ -253,10 +253,10 @@ def read_frame(stream) -> Frame | None:
         raise ProtocolError(f"unsupported protocol version {version}")
     if payload_len > MAX_PAYLOAD:
         raise ProtocolError(f"payload length {payload_len} exceeds cap")
-    body = stream.read(key_len + payload_len)
-    if len(body) < key_len + payload_len:
+    key_bytes = stream.read(key_len) if key_len else b""
+    payload = stream.read(payload_len)  # its own read: no copy cut from a joined body
+    if len(key_bytes) < key_len or len(payload) < payload_len:
         raise ProtocolError("connection closed mid-frame (body)")
-    key_bytes, payload = body[:key_len], body[key_len:]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise ProtocolError(f"payload CRC mismatch for key {key_bytes!r}")
     return Frame(code=code, key=_utf8(key_bytes, "frame key"), payload=payload)

@@ -385,30 +385,32 @@ class ChunkServer(AdmissionServer):
     ) -> list[tuple[Status, str, bytes]]:
         """Answer STREAM_GET: a count header frame, then one frame per key.
 
-        Objects are fetched one at a time and never joined into an
-        aggregate payload, so the response list holds exactly the window
-        the client asked for and nothing bigger.
+        The objects come from one ``backend.get_many`` call, as for
+        MULTI_GET: each slot's error is its own frame's status, and a
+        backend that raises instead fails every slot.  They are never
+        joined into an aggregate payload, so the response list holds
+        exactly the window the client asked for and nothing bigger.
         """
         t0 = time.perf_counter()
         try:
             keys = decode_keys(frame.payload)
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             return [(status_for_error(exc), frame.key, str(exc).encode("utf-8"))]
+        with self.tracer.span("server.backend", op="STREAM_GET"):
+            with self._backend_lock:
+                try:
+                    outcomes = self.backend.get_many(keys)
+                except Exception as exc:  # noqa: BLE001 - per-item verdicts
+                    outcomes = [exc] * len(keys)
         responses: list[tuple[Status, str, bytes]] = [
             (Status.OK, "", encode_stream_count(len(keys)))
         ]
-        with self.tracer.span("server.backend", op="STREAM_GET"):
-            with self._backend_lock:
-                for key in keys:
-                    try:
-                        check_deadline("STREAM_GET item")
-                        responses.append(
-                            (Status.OK, key, self.backend.get(key))
-                        )
-                    except Exception as exc:  # noqa: BLE001 - per-item verdicts
-                        responses.append(
-                            (status_for_error(exc), key, str(exc).encode("utf-8"))
-                        )
+        responses += [
+            (status_for_error(outcome), key, str(outcome).encode("utf-8"))
+            if isinstance(outcome, Exception)
+            else (Status.OK, key, outcome)
+            for key, outcome in zip(keys, outcomes)
+        ]
         self.metrics.counter(
             "net_server_requests_total", op="STREAM_GET", status="OK"
         ).inc()

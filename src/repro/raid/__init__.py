@@ -3,7 +3,7 @@
 GF(256) arithmetic, XOR parity (RAID-5), systematic Reed-Solomon coding
 (Cauchy generator for the general codecs, legacy Vandermonde for RAID-6),
 AONT keyless fragmentation, pluggable codec specs (``raid5@4``,
-``rs(6,3)``, ``aont-rs(4,2)``), stripe layout with rotating parity, and
+``rs(6,3)``, ``aont-rs(4,2)``), stripe layout, and
 degraded-read/rebuild machinery.
 """
 
@@ -27,19 +27,14 @@ from repro.raid.gf256 import (
     vandermonde,
 )
 from repro.raid.parity import recover_with_parity, verify_parity, xor_parity
-from repro.raid.reconstruct import read_stripe, rebuild_shard
+from repro.raid.reconstruct import rebuild_shard
 from repro.raid.reed_solomon import (
     RSCode,
     cauchy_generator_matrix,
     generator_matrix,
     vandermonde_generator_matrix,
 )
-from repro.raid.striping import (
-    RaidLevel,
-    StripeMeta,
-    encode_stripe,
-    rotate_assignment,
-)
+from repro.raid.striping import RaidLevel, StripeMeta
 
 __all__ = [
     "AONT_OVERHEAD",
@@ -62,7 +57,6 @@ __all__ = [
     "recover_with_parity",
     "verify_parity",
     "xor_parity",
-    "read_stripe",
     "rebuild_shard",
     "RSCode",
     "cauchy_generator_matrix",
@@ -70,6 +64,4 @@ __all__ = [
     "vandermonde_generator_matrix",
     "RaidLevel",
     "StripeMeta",
-    "encode_stripe",
-    "rotate_assignment",
 ]

@@ -228,20 +228,9 @@ class ErasureCodec:
     def encode(
         self, payload: "bytes | memoryview"
     ) -> tuple[StripeMeta, list[bytes]]:
-        """Encode *payload* into (meta, shards); shards are independent bytes.
-
-        :meth:`encode_many` over a window of one.
-        """
-        return self.encode_many([payload])[0]
-
-    def encode_many(
-        self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
-    ) -> list[tuple[StripeMeta, list[bytes]]]:
-        """:meth:`encode` for every payload of a window, in order: the
-        per-payload view of :meth:`encode_window`."""
-        metas, shards = self.encode_window(payloads)
-        n = self.n
-        return [(meta, shards[at : at + n]) for meta, at in zip(metas, range(0, len(shards), n))]
+        """Encode *payload* into (meta, shards); shards are independent bytes."""
+        (meta,), shards = self.encode_window([payload])
+        return meta, shards
 
     def encode_window(
         self, payloads: "Sequence[bytes | memoryview] | np.ndarray"
@@ -285,12 +274,6 @@ class ErasureCodec:
     def decode(self, meta: StripeMeta, shards: dict[int, bytes]) -> bytes:
         """Reassemble the payload from >= k stripe members."""
         raise NotImplementedError
-
-    def decode_many(
-        self, stripes: "Sequence[tuple[StripeMeta, dict[int, bytes]]]"
-    ) -> list[bytes]:
-        """:meth:`decode` for every ``(meta, shards)`` of a window, in order."""
-        return [self.decode(meta, shards) for meta, shards in stripes]
 
     #: Is a stripe's payload its k data members joined (zero padding
     #: aside)?  Then a stripe read whole from them needs no decode.
@@ -658,22 +641,6 @@ class AontRSCodec(RSStripeCodec):
         # so unlike the other codecs there is no orig_len == 0 shortcut:
         # rebuild real shard bytes even for empty payloads.
         return self._code().reconstruct_shard(index, shards)
-
-
-def slab_payloads(
-    metas: "Sequence[StripeMeta]", slabs: "Iterable[tuple[int, bytes | bytearray]]"
-) -> list[bytes]:
-    """Each stripe's payload, as ``bytes``, cut out of the slabs
-    :meth:`ErasureCodec.decode_data` hands back for *metas*."""
-    payloads: list[bytes] = []
-    number = 0
-    for rows, slab in slabs:
-        at = 0
-        for meta in metas[number : number + rows]:
-            payloads.append(bytes(slab[at : at + meta.orig_len]))
-            at += meta.k * meta.shard_size
-        number += rows
-    return payloads
 
 
 def codec_for_meta(meta: StripeMeta) -> ErasureCodec:

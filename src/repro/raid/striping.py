@@ -97,35 +97,3 @@ class StripeMeta:
 @lru_cache(maxsize=64)
 def _rs_code(k: int, m: int, generator: str, label: str) -> RSCode:
     return RSCode(k=k, m=m, generator=generator, label=label)
-
-
-def encode_stripe(
-    payload: "bytes | memoryview", level: RaidLevel, width: int
-) -> tuple[StripeMeta, list[bytes]]:
-    """Encode *payload* into a stripe of ``width`` shards.
-
-    Returns (metadata, shards) where shards[0..k-1] are the (zero-padded)
-    data shards and shards[k..n-1] the parity shards.  *payload* may be a
-    memoryview (the streaming path passes slices of a reused window
-    buffer); each byte is copied exactly once, into its shard -- the
-    shards are always independent ``bytes``, never views, so the caller
-    may overwrite the window immediately.
-
-    Compatibility wrapper over :class:`repro.raid.codecs.RaidCodec`; new
-    code should instantiate a codec via :class:`repro.raid.codecs.CodecSpec`.
-    """
-    from repro.raid.codecs import RaidCodec
-
-    return RaidCodec(level, width).encode(payload)
-
-
-def rotate_assignment(n: int, rotation: int) -> list[int]:
-    """Shard->slot mapping that rotates parity placement stripe by stripe.
-
-    Classic RAID-5 rotates which disk holds parity; we rotate the whole
-    shard order by *rotation* so shard ``i`` goes to slot
-    ``(i + rotation) % n``.  Returns ``slot_of_shard`` as a list.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [(i + rotation) % n for i in range(n)]

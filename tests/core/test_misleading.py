@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,10 +13,8 @@ from repro.core.misleading import (
     InjectionRng,
     inject,
     inject_runs,
-    inject_window,
     position_row,
     remove,
-    remove_window,
     row_payloads,
     strip,
 )
@@ -81,7 +80,7 @@ def test_negative_fraction_rejected():
     "fraction", [-0.1, math.nan, math.inf, -math.inf, True, False, "0.1", None, 10**400],
     ids=lambda value: repr(value)[:12],
 )
-@pytest.mark.parametrize("kernel", [inject, inject_window, inject_runs])
+@pytest.mark.parametrize("kernel", [inject, inject_runs])
 def test_every_kernel_refuses_what_is_not_a_fraction(kernel, fraction):
     # True once drew 100% misleading bytes, inf escaped as OverflowError,
     # NaN raised only by accident and a string as TypeError.  The rng is
@@ -137,25 +136,65 @@ def window_payloads(seed=5):
     return [gen.bytes(n) for n in LENGTHS]
 
 
+def chunks_of(runs):
+    """:func:`inject_runs`'s runs a chunk at a time: each chunk's stored
+    bytes, and its ``M`` row as the run's column holds it."""
+    stored, rows = [], []
+    for run, run_rows in runs:
+        stored += map(bytes, run)
+        rows += list(run_rows)
+    return stored, rows
+
+
+def drawn_chunks(payloads, fraction, rng):
+    """Each chunk's stored bytes and positions, as plain values to compare."""
+    stored, rows = chunks_of(inject_runs(payloads, fraction, rng=rng))
+    return list(zip(stored, (row.tolist() for row in rows)))
+
+
+def byte_loop(stored, row):
+    """The strip one byte at a time: every byte of *stored* at no position
+    of *row*."""
+    dropped = {int(at) for at in row}
+    return bytes(byte for at, byte in enumerate(stored) if at not in dropped)
+
+
+def strip_window(stored, rows):
+    """Each chunk's payload as :func:`strip` gives it back from a window of
+    stored chunks: consecutive chunks of one stored length and one
+    position count a run, each run one slab, every row's positions one
+    heap."""
+    runs, slabs = [], []
+    chunks = zip(stored, rows)
+    for (length, count), run in itertools.groupby(chunks, lambda c: (len(c[0]), len(c[1]))):
+        run = [chunk for chunk, _ in run]
+        runs.append((len(run), length, length, count))
+        slabs.append((len(run), b"".join(run)))
+    held = [np.asarray(row) for row in rows if len(row)]
+    heap = np.concatenate(held) if held else NO_POSITIONS
+    return row_payloads(strip(slabs, runs, heap))
+
+
 def test_inject_is_a_window_of_one():
     payload = bytes(range(256)) * 4
     single = inject(payload, 0.1, rng=InjectionRng.spawn(21))
-    (windowed,) = inject_window([payload], 0.1, rng=InjectionRng.spawn(21))
-    assert single == windowed
+    ((stored, rows),) = inject_runs([payload], 0.1, rng=InjectionRng.spawn(21))
+    assert single.stored == bytes(stored[0])
+    assert single.positions.tolist() == rows[0].tolist()
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.1, 1.0])
 def test_window_roundtrip_over_lengths_and_fractions(fraction):
     payloads = window_payloads()
-    results = inject_window(payloads, fraction, rng=3)
-    assert len(results) == len(payloads)
-    for payload, result in zip(payloads, results):
+    stored, rows = chunks_of(inject_runs(payloads, fraction, rng=3))
+    assert len(stored) == len(rows) == len(payloads)
+    for payload, blob, row in zip(payloads, stored, rows):
         n_fake = int(round(len(payload) * fraction))
-        assert len(result.positions) == n_fake
-        assert len(result.stored) == len(payload) + n_fake
-        assert list(result.positions) == sorted(set(result.positions))
-        assert all(0 <= p < len(result.stored) for p in result.positions)
-        assert remove(result.stored, result.positions) == payload
+        assert len(row) == n_fake
+        assert len(blob) == len(payload) + n_fake
+        assert list(row) == sorted(set(row))
+        assert all(0 <= p < len(blob) for p in row)
+        assert remove(blob, row) == byte_loop(blob, row) == payload
 
 
 def test_window_results_do_not_alias_the_window_buffer():
@@ -163,7 +202,8 @@ def test_window_results_do_not_alias_the_window_buffer():
     buf = bytearray(b"\x07" * 64)
     views = [memoryview(buf)[:32], memoryview(buf)[32:]]
     for fraction in (0.0, 0.25):
-        results = inject_window(views, fraction, rng=1)
+        rng = InjectionRng.spawn(1)
+        results = [inject(view, fraction, rng=rng) for view in views]
         before = [r.stored for r in results]
         buf[:] = b"\xff" * len(buf)
         assert [r.stored for r in results] == before
@@ -184,22 +224,22 @@ def test_property_any_partition_into_windows_draws_the_same(lengths, fraction, d
         data.draw(st.sets(st.integers(1, len(payloads)), max_size=len(payloads)))
         | {len(payloads)}
     )
-    whole = inject_window(payloads, fraction, rng=InjectionRng.spawn(99))
+    whole = drawn_chunks(payloads, fraction, InjectionRng.spawn(99))
     rng = InjectionRng.spawn(99)
     pieces, start = [], 0
     for stop in cuts:
-        pieces.extend(inject_window(payloads[start:stop], fraction, rng=rng))
+        pieces.extend(drawn_chunks(payloads[start:stop], fraction, rng))
         start = stop
     assert pieces == whole
 
 
 def test_slabs_do_not_change_the_draw(monkeypatch):
     payloads = [bytes([i]) * 100 for i in range(40)]
-    whole = inject_window(payloads, 0.1, rng=8)
+    whole = drawn_chunks(payloads, 0.1, 8)
     monkeypatch.setattr(misleading, "SLAB_KEYS", 7 * 110)  # 7 rows a slab
-    assert inject_window(payloads, 0.1, rng=8) == whole
+    assert drawn_chunks(payloads, 0.1, 8) == whole
     monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
-    assert inject_window(payloads, 0.1, rng=8) == whole
+    assert drawn_chunks(payloads, 0.1, 8) == whole
 
 
 # -- the draw itself, pinned --------------------------------------------------
@@ -254,7 +294,7 @@ def test_the_draw_is_pinned_at_every_slab_budget(monkeypatch, shape, budget):
     monkeypatch.setattr(misleading, "SLAB_KEYS", budget)
     payloads, stored, rows, digest = drawn(DRAW_SHAPES[shape])
     assert digest == DRAW_DIGESTS[shape]
-    assert remove_window(stored, rows) == payloads
+    assert strip_window(stored, rows) == payloads
 
 
 class KeyShapes:
@@ -300,10 +340,10 @@ def test_positions_are_uniform_over_the_stored_buffer():
     # equally likely to hold a fake byte.  Chi-square against the uniform
     # expectation; 109 degrees of freedom put the 99.9th percentile at
     # ~161, and the seed is fixed, so this cannot flake.
-    results = inject_window([bytes(100)] * 4000, 0.1, rng=12)
+    _, rows = chunks_of(inject_runs([bytes(100)] * 4000, 0.1, rng=12))
     hits = np.zeros(110)
-    for result in results:
-        hits[list(result.positions)] += 1
+    for row in rows:
+        hits[list(row)] += 1
     expected = hits.sum() / len(hits)
     chi2 = float(((hits - expected) ** 2 / expected).sum())
     assert chi2 < 161, chi2
@@ -316,7 +356,7 @@ def test_window_metrics_observe_once_and_count_every_byte():
     seconds = metrics.histogram("misleading_transform_seconds", op="inject")
     total = metrics.counter("misleading_bytes_total", op="inject")
     calls, fakes = seconds.count, total.value
-    inject_window([bytes(100)] * 30 + [bytes(50)], 0.1, rng=1)
+    inject_runs([bytes(100)] * 30 + [bytes(50)], 0.1, rng=1)
     assert seconds.count == calls + 1
     assert total.value == fakes + 30 * 10 + 5
 
@@ -327,12 +367,7 @@ def test_window_metrics_observe_once_and_count_every_byte():
 def _injected_window(lengths, fraction, seed=17):
     gen = np.random.default_rng(seed)
     payloads = [gen.bytes(n) for n in lengths]
-    results = inject_window(payloads, fraction, rng=seed)
-    return (
-        payloads,
-        [result.stored for result in results],
-        [result.positions for result in results],
-    )
+    return (payloads, *chunks_of(inject_runs(payloads, fraction, rng=seed)))
 
 
 @pytest.mark.parametrize("fraction", [0.0, 0.01, 0.1, 1.0])
@@ -341,10 +376,11 @@ def test_remove_window_equals_remove_per_chunk(fraction):
     # has a slab to itself, empty and one-byte chunks.
     lengths = [1024, 1024, 1024, 0, 1, 333, 1024, 1 << 20, 1024, 1024, 333, 333]
     payloads, stored, positions = _injected_window(lengths, fraction)
-    stripped = remove_window(stored, positions)
+    stripped = strip_window(stored, positions)
+    assert stripped == [byte_loop(s, p) for s, p in zip(stored, positions)]
     assert stripped == [remove(s, p) for s, p in zip(stored, positions)]
     assert stripped == payloads
-    assert remove_window([], []) == []
+    assert strip([], [], NO_POSITIONS) == []
 
 
 def test_remove_window_with_empty_position_lists_inside_a_run():
@@ -357,18 +393,19 @@ def test_remove_window_with_empty_position_lists_inside_a_run():
     positions[2:2] = [(), ()]
     stored.append(plain[2])
     positions.append(())
-    stripped = remove_window(stored, positions)
+    stripped = strip_window(stored, positions)
+    assert stripped == [byte_loop(s, p) for s, p in zip(stored, positions)]
     assert stripped == [remove(s, p) for s, p in zip(stored, positions)]
     assert stripped[2:4] == plain[:2] and stripped[-1] == plain[2]
 
 
 def test_slab_bounds_do_not_change_the_strip(monkeypatch):
     payloads, stored, positions = _injected_window([100] * 40 + [64] * 3, 0.1)
-    assert remove_window(stored, positions) == payloads
-    monkeypatch.setattr(misleading, "SLAB_KEYS", 7 * 110)  # 7 rows a slab
-    assert remove_window(stored, positions) == payloads
-    monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row per slab
-    assert remove_window(stored, positions) == payloads
+    assert strip_window(stored, positions) == payloads
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 7 * 110)  # 7 rows a part
+    assert strip_window(stored, positions) == payloads
+    monkeypatch.setattr(misleading, "SLAB_KEYS", 1)  # one row a part
+    assert strip_window(stored, positions) == payloads
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,15 +422,15 @@ def test_property_any_partition_into_windows_strips_the_same(lengths, fraction, 
     )
     pieces, start = [], 0
     for stop in cuts:
-        pieces.extend(remove_window(stored[start:stop], positions[start:stop]))
+        pieces.extend(strip_window(stored[start:stop], positions[start:stop]))
         start = stop
-    assert pieces == remove_window(stored, positions) == payloads
+    assert pieces == strip_window(stored, positions) == payloads
 
 
 def test_a_run_of_one_row_takes_the_window_strip(monkeypatch):
-    # remove is the one kernel: remove_window joins a run's chunks into a
-    # slab for strip, one remove call a slab, a run of one row like any
-    # other, and a lone chunk is remove with its defaults.
+    # remove is the one kernel: strip takes a run's chunks joined into a
+    # slab with one remove call, a run of one row like any other, and a
+    # lone chunk is remove with its defaults.
     calls = []
     kernel = misleading.remove
     monkeypatch.setattr(
@@ -401,9 +438,9 @@ def test_a_run_of_one_row_takes_the_window_strip(monkeypatch):
         lambda blob, where, rows=1, *args: calls.append(rows) or kernel(blob, where, rows, *args),
     )
     payloads, stored, positions = _injected_window([100, 100, 100, 50], 0.1)
-    assert remove_window(stored[:1], positions[:1]) == payloads[:1]
+    assert strip_window(stored[:1], positions[:1]) == payloads[:1]
     assert calls == [1]
-    assert remove_window(stored, positions) == payloads  # three rows joined, then the odd one
+    assert strip_window(stored, positions) == payloads  # three rows joined, then the odd one
     assert calls == [1, 3, 1]
     assert misleading.remove(stored[3], positions[3]) == payloads[3]
     assert calls == [1, 3, 1, 1]
@@ -452,7 +489,7 @@ def test_a_bad_row_is_refused_the_same_way_at_any_run_length(rows, bad, message)
     stored = [bytes(range(20))] * rows
     positions = [bad] * rows
     with pytest.raises(ValueError, match=message):
-        remove_window(stored, positions)
+        strip_window(stored, positions)
     if rows == 1:
         with pytest.raises(ValueError, match=message):
             remove(stored[0], bad)
@@ -466,13 +503,13 @@ def test_remove_window_metrics_observe_once_and_count_every_byte():
     total = metrics.counter("misleading_bytes_total", op="remove")
     _, stored, positions = _injected_window([100] * 30 + [80] * 5 + [50], 0.1)
     calls, removed = seconds.count, total.value
-    remove_window(stored[:35], positions[:35])  # two slabs, one observation
+    strip_window(stored[:35], positions[:35])  # two slabs, one observation
     assert seconds.count == calls + 1
     assert total.value == removed + 30 * 10 + 5 * 8
-    remove_window(stored[35:], positions[35:])  # a run of one is remove's
+    strip_window(stored[35:], positions[35:])  # a run of one is remove's
     assert seconds.count == calls + 2
     assert total.value == removed + 30 * 10 + 5 * 8 + 5
-    remove_window([b"abc"] * 4, [()] * 4)  # nothing to strip, nothing timed
+    strip_window([b"abc"] * 4, [()] * 4)  # nothing to strip, nothing timed
     assert seconds.count == calls + 2
 
 
@@ -489,10 +526,10 @@ def test_one_bad_row_raises_instead_of_shifting_its_neighbours(bad, message):
     # behind and a position past the row's end takes a byte from the next
     # row -- every later chunk of the slab would come back misaligned.
     payloads, stored, positions = _injected_window([100] * 8, 0.1)
-    assert remove_window(stored, positions) == payloads
+    assert strip_window(stored, positions) == payloads
     positions[2] = bad + tuple(positions[2][2:])
     with pytest.raises(ValueError, match=message):
-        remove_window(stored, positions)
+        strip_window(stored, positions)
 
 
 # -- the M row ----------------------------------------------------------------
@@ -526,13 +563,14 @@ def test_property_every_row_is_one_packed_array_however_the_window_is_cut(
         data.draw(st.sets(st.integers(1, len(payloads)), max_size=len(payloads)))
         | {len(payloads)}
     )
+    # A row as the Chunk Table holds it: packed from the run's column.
     rng = InjectionRng.spawn(5)
-    results, start = [], 0
+    stored, rows, start = [], [], 0
     for stop in cuts:
-        results.extend(inject_window(payloads[start:stop], fraction, rng=rng))
+        blobs, run_rows = chunks_of(inject_runs(payloads[start:stop], fraction, rng=rng))
+        stored += blobs
+        rows += map(position_row, run_rows)
         start = stop
-    stored = [result.stored for result in results]
-    rows = [result.positions for result in results]
     for row, blob in zip(rows, stored):
         assert is_row(row)
         assert (row[:-1] < row[1:]).all()  # sorted and distinct
@@ -543,10 +581,10 @@ def test_property_every_row_is_one_packed_array_however_the_window_is_cut(
             row.setflags(write=True)  # not even on request
         if not len(row):
             assert row is NO_POSITIONS
-    assert remove_window(stored, rows) == payloads
+    assert strip_window(stored, rows) == payloads
     # A row read back from a tuple or a JSON list strips the same.
-    assert remove_window(stored, [tuple(row.tolist()) for row in rows]) == payloads
-    assert remove_window(stored, [row.tolist() for row in rows]) == payloads
+    assert strip_window(stored, [tuple(row.tolist()) for row in rows]) == payloads
+    assert strip_window(stored, [row.tolist() for row in rows]) == payloads
     for blob, row, payload in zip(stored, rows, payloads):
         for form in (row, tuple(row.tolist()), row.tolist()):
             assert remove(blob, form) == payload
@@ -561,10 +599,10 @@ def test_a_kept_row_does_not_keep_the_slab_it_was_drawn_in():
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
-        results = inject_window(payloads, 0.1, rng=1)
-        kept = results[0].positions
-        slab = sum(result.positions.nbytes for result in results)
-        del results
+        runs = inject_runs(payloads, 0.1, rng=1)
+        kept = position_row(runs[0][1][0])  # as the Chunk Table packs it
+        slab = sum(run_rows.nbytes for _, run_rows in runs)
+        del runs
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -5,19 +5,23 @@ and asks for them back as one ``MULTI_GET``, so whatever either end runs
 per item is paid hundreds of times a frame: 342 shards of a 2 MiB RAID-5
 upload go to each of six servers.  What these tests pin: a ``MULTI_PUT``
 frame reaches ``sendmsg`` as the same few buffers whatever its item
-count, a ``MULTI_GET`` frame is one backend call on the server, and what
-an upload holds at its peak is a small multiple of the file.
+count, a ``MULTI_GET`` or ``STREAM_GET`` frame is one backend call on
+the server, reading a frame holds its payload once, and what an upload
+holds at its peak is a small multiple of the file.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import tracemalloc
 
 from repro.core.distributor import CloudDataDistributor
+from repro.core.errors import BlobNotFoundError
 from repro.core.privacy import ChunkSizePolicy, PrivacyLevel
 from repro.net import remote
 from repro.net.cluster import LocalCluster
+from repro.net.protocol import OpCode, encode_frame, read_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.providers.memory import InMemoryProvider
 
@@ -76,6 +80,39 @@ def test_a_multi_get_frame_is_one_backend_call():
         assert provider.get_many(keys) == [data for _, data in stored]
     # One call for the frame's 342 keys, where the server made 342 ``get``s.
     assert backend.reads == [len(keys)]
+
+
+def test_a_stream_get_frame_is_one_backend_call():
+    backend = Counted("node0")
+    stored = items(64)
+    keys = [key for key, _ in stored]
+    keys.insert(5, "7.missing")
+    with LocalCluster(backends=[backend]) as cluster:
+        (provider,) = cluster.providers
+        assert provider.put_many(stored) == [None] * len(stored)
+        got = provider.get_stream(keys)
+    # One call for the frame's 65 keys, where the server made 65 ``get``s.
+    assert backend.reads == [len(keys)]
+    # The missing key still answers its own frame, in its place.
+    assert isinstance(got.pop(5), BlobNotFoundError)
+    assert got == [data for _, data in stored]
+
+
+def test_reading_a_keyed_frame_holds_its_payload_once():
+    # The key and the payload are two reads: a payload cut out of one
+    # body read held it twice, 2.0 MiB at the peak for a 1 MiB frame with
+    # a key against 1.0 MiB without one.
+    payload = os.urandom(1 << 20)
+    for key in ("", "k", "7.42"):
+        stream = io.BytesIO(encode_frame(OpCode.PUT, key, payload))
+        tracemalloc.start()
+        try:
+            frame = read_frame(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (frame.key, frame.payload) == (key, payload)
+        assert peak <= 1.1 * len(payload), (key, peak / len(payload))
 
 
 def test_an_upload_holds_a_small_multiple_of_the_file_at_its_peak():

@@ -21,7 +21,6 @@ from repro.raid.codecs import (
     RaidCodec,
     RSStripeCodec,
     codec_for_meta,
-    slab_payloads,
     stripe_meta_from_fields,
 )
 from repro.raid.striping import RaidLevel, StripeMeta
@@ -254,26 +253,41 @@ def _window(seed=7):
     return [rng.bytes(size) for size in WINDOW_SIZES]
 
 
+def by_stripe(shards, n):
+    """:meth:`encode_window`'s shard column cut into stripes of *n*."""
+    return [shards[at : at + n] for at in range(0, len(shards), n)]
+
+
+def stripes_of(codec, payloads):
+    """``(meta, shards)`` a stripe of *payloads*, encoded as one window."""
+    metas, shards = codec.encode_window(payloads)
+    return list(zip(metas, by_stripe(shards, codec.n)))
+
+
 @pytest.mark.parametrize("make", CODECS)
 def test_encode_many_equals_encode_per_payload(make):
     codec = make()
     payloads = _window()
-    many = codec.encode_many(payloads)
-    assert len(many) == len(payloads)
+    metas, shards = codec.encode_window(payloads)
+    assert len(metas) == len(payloads)
+    assert len(shards) == codec.n * len(payloads)
     if isinstance(codec, AontRSCodec):
         # A fresh key per chunk: compare what decodes, not the bytes.
-        for payload, (meta, shards) in zip(payloads, many):
-            assert meta == codec.encode(payload)[0]
-            assert codec.decode(meta, dict(enumerate(shards))) == payload
+        for payload, meta, stripe in zip(payloads, metas, by_stripe(shards, codec.n)):
+            assert meta == codec._encode(payload)[0] == codec.encode(payload)[0]
+            assert codec.decode(meta, dict(enumerate(stripe))) == payload
         return
-    assert many == [codec.encode(payload) for payload in payloads]
+    want = [codec._encode(payload) for payload in payloads]
+    assert metas == [meta for meta, _ in want]
+    assert shards == [shard for _, stripe in want for shard in stripe]
+    assert [codec.encode(payload) for payload in payloads] == want
     # Views into a buffer the caller refills encode to the same bytes,
     # and the shards are copies.
     buffers = [bytearray(payload) for payload in payloads]
-    viewed = codec.encode_many([memoryview(buf) for buf in buffers])
+    viewed = codec.encode_window([memoryview(buf) for buf in buffers])
     for buf in buffers:
         buf[:] = bytes(len(buf))
-    assert viewed == many
+    assert viewed == (metas, shards)
 
 
 def _reference_xor_stripe(payload: bytes, k: int, parity: bool) -> list[bytes]:
@@ -301,15 +315,16 @@ def test_xor_window_encode_matches_the_byte_loop(level, width, monkeypatch):
         _reference_xor_stripe(payload, codec.k, parity=codec.m == 1)
         for payload in payloads
     ]
-    assert [shards for _, shards in codec.encode_many(payloads)] == want
-    for meta, shards in codec.encode_many(payloads):
+    metas, shards = codec.encode_window(payloads)
+    assert by_stripe(shards, codec.n) == want
+    for meta, stripe in zip(metas, by_stripe(shards, codec.n)):
         assert (meta.k, meta.m, meta.width) == (codec.k, codec.m, width)
-        assert all(len(shard) == meta.shard_size for shard in shards)
+        assert all(len(shard) == meta.shard_size for shard in stripe)
     # Slab bounds cut runs differently; the bytes do not change.
     monkeypatch.setattr(codecs, "XOR_SLAB_ROWS", 2)
-    assert [shards for _, shards in codec.encode_many(payloads)] == want
+    assert by_stripe(codec.encode_window(payloads)[1], codec.n) == want
     monkeypatch.setattr(codecs, "XOR_SLAB_BYTES", 1)
-    assert [shards for _, shards in codec.encode_many(payloads)] == want
+    assert by_stripe(codec.encode_window(payloads)[1], codec.n) == want
 
 
 @pytest.mark.parametrize("make", CODECS)
@@ -321,7 +336,7 @@ def test_encode_many_metrics_observe_once_and_count_every_byte(make):
     seconds = metrics.histogram("raid_encode_seconds", codec=codec.label)
     total = metrics.counter("raid_encode_bytes_total", codec=codec.label)
     calls, nbytes = seconds.count, total.value
-    codec.encode_many(_window())
+    codec.encode_window(_window())
     assert seconds.count == calls + 1
     assert total.value == nbytes + sum(WINDOW_SIZES)
 
@@ -348,46 +363,51 @@ def _erasure_patterns(n, m):
         yield from combinations(range(n), lost)
 
 
+def payloads_of(metas, slabs):
+    """Each stripe's payload cut out of :meth:`ErasureCodec.decode_data`'s
+    slabs for *metas*, checking their shape as it goes: every stripe in
+    exactly one row, rows k shard sizes apart, a slab's last row holding
+    at least its payload and at most its shards."""
+    payloads, number = [], 0
+    for rows, slab in slabs:
+        assert rows >= 1
+        at = 0
+        for meta in metas[number : number + rows]:
+            payloads.append(bytes(slab[at : at + meta.orig_len]))
+            at += meta.k * meta.shard_size
+        assert at - meta.k * meta.shard_size + meta.orig_len <= len(slab) <= at
+        number += rows
+    assert number == len(metas)
+    return payloads
+
+
 @pytest.mark.parametrize("make", CODECS)
 def test_decode_many_equals_decode_per_stripe_under_every_erasure(make):
     codec = make()
     payloads = _window()
-    encoded = codec.encode_many(payloads)
-    # One window per erasure pattern, and one window that mixes them all
-    # (healthy stripes between degraded ones, as a real window has).
-    mixed = []
+    stripes = stripes_of(codec, payloads)
+    # Every stripe under every erasure pattern, its members handed over
+    # in index order and in reverse.
     for gone in _erasure_patterns(codec.n, codec.m):
-        stripes = [
-            (meta, {i: s for i, s in enumerate(shards) if i not in gone})
-            for meta, shards in encoded
-        ]
-        want = [codec.decode(meta, have) for meta, have in stripes]
-        assert want == payloads
-        assert codec.decode_many(stripes) == want
-        mixed.append(stripes[len(mixed) % len(stripes)])
-    assert codec.decode_many(mixed) == [
-        codec.decode(meta, have) for meta, have in mixed
-    ]
-    # The same members handed over in reverse index order.
-    backwards = [(meta, dict(reversed(have.items()))) for meta, have in mixed]
-    assert codec.decode_many(backwards) == [
-        codec.decode(meta, have) for meta, have in backwards
-    ]
-    assert codec.decode_many([]) == []
-
+        for payload, (meta, stripe) in zip(payloads, stripes):
+            have = {i: s for i, s in enumerate(stripe) if i not in gone}
+            assert codec.decode(meta, have) == payload
+            assert codec.decode(meta, dict(reversed(have.items()))) == payload
 
 
 @pytest.mark.parametrize("make", CODECS)
 def test_decode_data_equals_decode_many_of_the_data_members(make):
     # A window read whole from its data members: a systematic codec cuts
-    # the payloads out of one join, the others decode as decode_many does.
+    # the payloads out of one join, the others decode stripe by stripe.
     codec = make()
     payloads = _window()
-    encoded = codec.encode_many(payloads)
-    flat = [shard for _, shards in encoded for shard in shards[: codec.k]]
-    members = list(range(codec.k)) * len(encoded)
-    metas = [meta for meta, _ in encoded]
-    assert slab_payloads(metas, codec.decode_data(metas, flat, members)) == payloads
+    metas, shards = codec.encode_window(payloads)
+    flat = [shard for stripe in by_stripe(shards, codec.n) for shard in stripe[: codec.k]]
+    members = list(range(codec.k)) * len(metas)
+    want = [codec.decode(meta, dict(enumerate(stripe)))
+            for meta, stripe in zip(metas, by_stripe(flat, codec.k))]
+    assert want == payloads
+    assert payloads_of(metas, codec.decode_data(metas, flat, members)) == want
     assert list(codec.decode_data([], [], members[:0])) == []
     assert codec.systematic == (codec.label.split("(")[0] != "aont-rs")
 
@@ -399,14 +419,14 @@ def test_a_degraded_raid5_slab_is_its_stripes_data_members_each_rebuilt_in_its_s
     # member's zero padding too.
     codec = CodecSpec.parse("raid5@4").instantiate()
     rng = np.random.default_rng(5)
-    encoded = codec.encode_many([rng.bytes(1024) for _ in range(6)] + [rng.bytes(333)])
+    encoded = stripes_of(codec, [rng.bytes(1024) for _ in range(6)] + [rng.bytes(333)])
     metas, shards, members, want = _received(codec, encoded, [(), (1,), (2,), (0,)])
     slabs = list(codec.decode_data(metas, shards, members))
     assert sum(rows for rows, _ in slabs) == len(metas)
     assert all(type(slab) is bytearray for _, slab in slabs)
     rows = b"".join(bytes(slab) for _, slab in slabs)
     assert rows == b"".join(shard for _, stripe in encoded for shard in stripe[: codec.k])
-    assert slab_payloads(metas, slabs) == want
+    assert payloads_of(metas, slabs) == want
 
 
 def _received(codec, encoded, patterns):
@@ -439,12 +459,12 @@ def test_decode_data_equals_decode_per_stripe_under_every_erasure(make):
     ]
     patterns = list(_erasure_patterns(codec.n, codec.m))
     for payloads in windows:
-        encoded = codec.encode_many(payloads)
+        encoded = stripes_of(codec, payloads)
         for gone in patterns:  # every stripe of the window loses the same
             metas, shards, members, want = _received(codec, encoded, [gone])
             assert want == payloads
-            assert slab_payloads(metas, codec.decode_data(metas, shards, members)) == want
+            assert payloads_of(metas, codec.decode_data(metas, shards, members)) == want
         # Each stripe its own pattern: whole stripes between degraded ones.
         metas, shards, members, want = _received(codec, encoded, patterns)
         assert want == payloads
-        assert slab_payloads(metas, codec.decode_data(metas, shards, members)) == want
+        assert payloads_of(metas, codec.decode_data(metas, shards, members)) == want

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.raid.parity import xor_parity
-from repro.raid.reconstruct import _decode, rebuild_shard
+from repro.raid.codecs import RaidCodec, codec_for_meta
+from repro.raid.reconstruct import rebuild_shard
 from repro.raid.reed_solomon import RSCode
-from repro.raid.striping import RaidLevel, encode_stripe
+from repro.raid.striping import RaidLevel
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,10 +47,10 @@ def test_rs_m1_decode_agrees_with_xor(k, size, seed):
     st.integers(min_value=0, max_value=2**31),
 )
 def test_raid6_stripe_agrees_with_raw_rs(payload, width, seed):
-    """encode_stripe(RAID6) must be exactly the systematic RS encoding of
+    """A RAID-6 stripe must be exactly the systematic RS encoding of
     the padded data shards -- with the legacy Vandermonde-derived
     generator the raid6 family pins for on-disk byte compatibility."""
-    meta, shards = encode_stripe(payload, RaidLevel.RAID6, width)
+    meta, shards = RaidCodec(RaidLevel.RAID6, width).encode(payload)
     code = RSCode(k=meta.k, m=2, generator="vandermonde")
     assert shards[meta.k :] == code.encode(shards[: meta.k])
 
@@ -61,7 +62,7 @@ def test_rebuilt_shard_bitwise_identical(payload, data):
     is indistinguishable from the original."""
     level = data.draw(st.sampled_from([RaidLevel.RAID1, RaidLevel.RAID5, RaidLevel.RAID6]))
     width = data.draw(st.integers(min_value=level.min_width, max_value=6))
-    meta, shards = encode_stripe(payload, level, width)
+    meta, shards = RaidCodec(level, width).encode(payload)
     index = data.draw(st.integers(min_value=0, max_value=meta.n - 1))
     survivors = {i: s for i, s in enumerate(shards) if i != index}
     rebuilt = rebuild_shard(meta, index, survivors)
@@ -71,11 +72,11 @@ def test_rebuilt_shard_bitwise_identical(payload, data):
     assert rebuilt == shards[index]
     # And a decode with the rebuilt shard substituted is still exact.
     survivors[index] = rebuilt
-    assert _decode(meta, survivors) == payload
+    assert codec_for_meta(meta).decode(meta, survivors) == payload
 
 
 @pytest.mark.parametrize("width", [3, 4, 5, 6])
 def test_raid5_parity_is_true_xor(width):
     payload = bytes(range(256)) * 2
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, width)
+    meta, shards = RaidCodec(RaidLevel.RAID5, width).encode(payload)
     assert shards[-1] == xor_parity(shards[: meta.k])

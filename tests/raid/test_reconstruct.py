@@ -10,117 +10,95 @@ from repro.core.errors import (
     ReconstructionError,
 )
 from repro.obs.metrics import get_metrics
-from repro.raid.codecs import CodecSpec
-from repro.raid.reconstruct import read_stripe, read_stripes
-from repro.raid.striping import RaidLevel, encode_stripe
+from repro.raid.codecs import CodecSpec, codec_for_meta
+from repro.raid.reconstruct import read_slabs
+from tests.raid.test_codecs import payloads_of, stripes_of
 
 
-def _make_fetch(shards, failing=()):
-    calls = []
+def _encoded(spec, payloads):
+    """``(meta, shards)`` a stripe of *payloads* under *spec*."""
+    return stripes_of(CodecSpec.parse(spec).instantiate(), payloads)
 
-    def fetch(index):
-        calls.append(index)
-        if index in failing:
-            raise ProviderUnavailableError(f"shard {index} down")
-        return shards[index]
 
-    return fetch, calls
+def _scripted_fetch_many(encoded, failing):
+    """A ``fetch_many`` over *encoded* that fails each ``(stripe, member)``
+    in *failing* (a set, or a mapping to the error class to raise), and
+    the requests it was asked, a list a round."""
+    rounds = []
+    errors = failing if isinstance(failing, dict) else dict.fromkeys(
+        failing, ProviderUnavailableError
+    )
+
+    def fetch_many(numbers, indices):
+        requests = list(zip(numbers.tolist(), indices.tolist()))
+        rounds.append(requests)
+        return [
+            errors[request](f"{request[0]}:{request[1]} down")
+            if request in errors
+            else encoded[request[0]][1][request[1]]
+            for request in requests
+        ]
+
+    return fetch_many, rounds
+
+
+def _read(encoded, failing=()):
+    """The window's payloads as :func:`read_slabs` decodes them, and the
+    requests each round asked."""
+    fetch_many, rounds = _scripted_fetch_many(encoded, failing)
+    metas = [meta for meta, _ in encoded]
+    return payloads_of(metas, read_slabs(metas, fetch_many)), rounds
 
 
 def test_read_stripe_happy_path_skips_parity():
     payload = bytes(range(120))
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, 4)
-    fetch, calls = _make_fetch(shards)
-    out, failed = read_stripe(meta, fetch)
-    assert out == payload
-    assert failed == []
+    encoded = _encoded("raid5@4", [payload])
+    got, rounds = _read(encoded)
+    assert got == [payload]
     # Parity shard (index 3) never fetched when data shards are healthy.
-    assert 3 not in calls
+    assert rounds == [[(0, 0), (0, 1), (0, 2)]]
 
 
 def test_read_stripe_degraded_uses_parity():
     payload = bytes(range(120))
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, 4)
-    fetch, calls = _make_fetch(shards, failing={1})
-    out, failed = read_stripe(meta, fetch)
-    assert out == payload
-    assert failed == [1]
-    assert 3 in calls
+    encoded = _encoded("raid5@4", [payload])
+    got, rounds = _read(encoded, {(0, 1)})
+    assert got == [payload]
+    assert rounds == [[(0, 0), (0, 1), (0, 2)], [(0, 3)]]
 
 
 def test_read_stripe_mixed_error_types():
     payload = b"q" * 64
-    meta, shards = encode_stripe(payload, RaidLevel.RAID6, 5)
-
-    def fetch(index):
-        if index == 0:
-            raise ProviderUnavailableError("down")
-        if index == 1:
-            raise BlobNotFoundError("lost")
-        return shards[index]
-
-    out, failed = read_stripe(meta, fetch)
-    assert out == payload
-    assert failed == [0, 1]
+    encoded = _encoded("raid6@5", [payload])
+    failing = {(0, 0): ProviderUnavailableError, (0, 1): BlobNotFoundError}
+    got, rounds = _read(encoded, failing)
+    assert got == [payload]
+    assert rounds == [[(0, 0), (0, 1), (0, 2)], [(0, 3), (0, 4)]]
 
 
 def test_read_stripe_unrecoverable():
-    payload = b"q" * 64
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, 4)
-    fetch, _ = _make_fetch(shards, failing={0, 1})
-    with pytest.raises(ReconstructionError):
-        read_stripe(meta, fetch)
+    encoded = _encoded("raid5@4", [b"q" * 64])
+    with pytest.raises(ReconstructionError, match=r"2 shard\(s\) failed \(\[0, 1\]\)"):
+        _read(encoded, {(0, 0), (0, 1)})
 
 
 def test_read_stripe_empty_payload():
-    meta, shards = encode_stripe(b"", RaidLevel.RAID5, 3)
-    fetch, _ = _make_fetch(shards)
-    out, failed = read_stripe(meta, fetch)
-    assert out == b""
+    assert _read(_encoded("raid5@3", [b""]))[0] == [b""]
 
 
 def test_read_stripe_raid1_any_single_copy():
     payload = b"replica"
-    meta, shards = encode_stripe(payload, RaidLevel.RAID1, 3)
-    fetch, _ = _make_fetch(shards, failing={0, 1})
-    out, failed = read_stripe(meta, fetch)
-    assert out == payload
-    assert failed == [0, 1]
+    got, rounds = _read(_encoded("raid1@3", [payload]), {(0, 0), (0, 1)})
+    assert got == [payload]
+    assert rounds == [[(0, 0)], [(0, 1)], [(0, 2)]]
 
 
 def test_read_stripe_prefer_data_stops_at_k():
     payload = bytes(range(200))
-    meta, shards = encode_stripe(payload, RaidLevel.RAID6, 5)
-    fetch, calls = _make_fetch(shards)
-    out, failed = read_stripe(meta, fetch, prefer_data=True)
-    assert out == payload
-    assert failed == []
-    assert calls == list(range(meta.k))  # stopped once k shards in hand
-
-
-def test_read_stripe_eager_mode_fetches_all_members():
-    # Regression: prefer_data=False used to behave identically to
-    # prefer_data=True (the flag was a no-op), so verify-style callers
-    # never exercised parity members.  Eager mode must touch all n
-    # shards and surface every failure.
-    payload = bytes(range(200))
-    meta, shards = encode_stripe(payload, RaidLevel.RAID6, 5)
-    fetch, calls = _make_fetch(shards)
-    out, failed = read_stripe(meta, fetch, prefer_data=False)
-    assert out == payload
-    assert failed == []
-    assert calls == list(range(meta.n))  # every member, parity included
-
-    # A parity-only failure is invisible to the lazy path but must be
-    # surfaced by the eager one.
-    fetch, calls = _make_fetch(shards, failing={meta.n - 1})
-    _, failed_lazy = read_stripe(meta, fetch, prefer_data=True)
-    assert failed_lazy == []
-    fetch, calls = _make_fetch(shards, failing={meta.n - 1})
-    out, failed_eager = read_stripe(meta, fetch, prefer_data=False)
-    assert out == payload
-    assert failed_eager == [meta.n - 1]
-    assert calls == list(range(meta.n))
+    encoded = _encoded("raid6@5", [payload])
+    got, rounds = _read(encoded)
+    assert got == [payload]
+    assert rounds == [[(0, index) for index in range(encoded[0][0].k)]]
 
 
 # -- the window read ----------------------------------------------------------
@@ -130,9 +108,8 @@ WINDOW_SIZES = [0, 1, 700, 700, 333, 700]
 
 
 def _encoded_window(spec):
-    codec = CodecSpec.parse(spec).instantiate()
     payloads = [bytes([i + 1]) * size for i, size in enumerate(WINDOW_SIZES)]
-    return payloads, codec.encode_many(payloads)
+    return payloads, _encoded(spec, payloads)
 
 
 def _read_counters(label):
@@ -143,35 +120,33 @@ def _read_counters(label):
     )
 
 
-def _loop_of_read_stripe(encoded, failing):
-    """The chunk-serial read: what the window read must be equal to."""
-    asked, results = set(), []
-    for number, (meta, shards) in enumerate(encoded):
-
-        def fetch(index, number=number, shards=shards):
+def _one_stripe_at_a_time(encoded, failing):
+    """The read a stripe at a time, written out: each stripe's members
+    asked in index order until k have arrived, its payload decoded from
+    them by the stripe's own codec, and the first stripe that runs out of
+    members ending the read.  Returns the payloads, every ``(stripe,
+    member)`` asked, the error text (or ``None``) and the counter deltas
+    (degraded stripes, unrecoverable ones)."""
+    payloads, asked, degraded = [], set(), 0
+    for number, (meta, stripe) in enumerate(encoded):
+        have, lost = {}, []
+        for index in range(meta.n):
+            if len(have) == meta.k:
+                break
             asked.add((number, index))
             if (number, index) in failing:
-                raise ProviderUnavailableError(f"{number}:{index} down")
-            return shards[index]
-
-        results.append(read_stripe(meta, fetch))
-    return results, asked
-
-
-def _scripted_fetch_many(encoded, failing):
-    rounds = []
-
-    def fetch_many(numbers, indices):
-        requests = list(zip(numbers.tolist(), indices.tolist()))
-        rounds.append(requests)
-        return [
-            ProviderUnavailableError(f"{number}:{index} down")
-            if (number, index) in failing
-            else encoded[number][1][index]
-            for number, index in requests
-        ]
-
-    return fetch_many, rounds
+                lost.append(index)
+            else:
+                have[index] = stripe[index]
+        degraded += bool(lost)
+        if len(have) < meta.k:
+            error = (
+                f"{meta.codec} stripe unrecoverable: {len(lost)} shard(s) "
+                f"failed ({lost}), only {len(have)}/{meta.k} required shards readable"
+            )
+            return payloads, asked, error, (degraded, 1)
+        payloads.append(codec_for_meta(meta).decode(meta, have))
+    return payloads, asked, None, (degraded, 0)
 
 
 @pytest.mark.parametrize("spec", WINDOW_CODECS)
@@ -189,31 +164,25 @@ def test_read_stripes_equals_a_loop_of_read_stripe(spec, data):
         )
     )
     label = meta.codec
-    before = _read_counters(label)
-    try:
-        want, want_asked = _loop_of_read_stripe(encoded, failing)
-        want_error = None
-    except ReconstructionError as exc:
-        want, want_error = None, str(exc)
-    loop_counts = tuple(b - a for a, b in zip(before, _read_counters(label)))
+    want, want_asked, want_error, want_counts = _one_stripe_at_a_time(encoded, failing)
 
     fetch_many, rounds = _scripted_fetch_many(encoded, failing)
+    metas = [m for m, _ in encoded]
     before = _read_counters(label)
     if want_error is not None:
         with pytest.raises(ReconstructionError) as caught:
-            read_stripes([m for m, _ in encoded], fetch_many)
-        # The first unrecoverable stripe, in the loop's own words.
+            read_slabs(metas, fetch_many)
+        # The first unrecoverable stripe, in the same words.
         assert str(caught.value) == want_error
     else:
-        got = read_stripes([m for m, _ in encoded], fetch_many)
-        assert got == want
-        assert [payload for payload, _ in got] == payloads
+        got = payloads_of(metas, read_slabs(metas, fetch_many))
+        assert got == want == payloads
         asked = [request for requests in rounds for request in requests]
         assert len(asked) == len(set(asked))  # nothing asked twice
         assert set(asked) == want_asked
     assert (
         tuple(b - a for a, b in zip(before, _read_counters(label)))
-        == loop_counts
+        == want_counts
     )
 
     # Round 0 is the data members; a later round asks a stripe for no more
@@ -237,25 +206,17 @@ def test_read_stripes_equals_a_loop_of_read_stripe(spec, data):
             have[request[0]] += request not in failing
 
 
-def test_read_stripes_eager_mode_asks_for_every_member_in_one_round():
-    _, encoded = _encoded_window("raid6@5")
-    fetch_many, rounds = _scripted_fetch_many(encoded, {(1, 4), (2, 0)})
-    got = read_stripes([m for m, _ in encoded], fetch_many, prefer_data=False)
-    assert len(rounds) == 1 and len(rounds[0]) == 5 * len(encoded)
-    assert [failed for _, failed in got] == [[], [4], [0], [], [], []]
-
-
 def test_read_stripes_of_nothing_fetches_nothing():
     def fetch_many(numbers, indices):
         raise AssertionError("an empty window has nothing to ask for")
 
-    assert read_stripes([], fetch_many) == []
+    assert list(read_slabs([], fetch_many)) == []
 
 
 def test_read_stripes_refuses_an_answer_of_the_wrong_length():
     _, encoded = _encoded_window("raid5@4")
     with pytest.raises(ValueError):
-        read_stripes([m for m, _ in encoded], lambda numbers, indices: [])
+        read_slabs([m for m, _ in encoded], lambda numbers, indices: [])
 
 
 def test_decode_histogram_observes_decode_not_fetch():
@@ -272,6 +233,6 @@ def test_decode_histogram_observes_decode_not_fetch():
             for number, index in zip(numbers.tolist(), indices.tolist())
         ]
 
-    read_stripes([m for m, _ in encoded], slow_fetch_many)
-    assert seconds.count == count + 1  # once per decode_many call
+    list(read_slabs([m for m, _ in encoded], slow_fetch_many))
+    assert seconds.count == count + 1  # once per decode_data call
     assert seconds.sum - total < 0.04

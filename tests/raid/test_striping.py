@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ReconstructionError
-from repro.raid.reconstruct import _decode, rebuild_shard
-from repro.raid.striping import RaidLevel, encode_stripe, rotate_assignment
+from repro.raid.codecs import RaidCodec, codec_for_meta
+from repro.raid.reconstruct import rebuild_shard
+from repro.raid.striping import RaidLevel
 
 
 @pytest.mark.parametrize(
@@ -42,7 +43,7 @@ def test_storage_overhead():
 
 def test_encode_shapes():
     payload = bytes(range(100))
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, 4)
+    meta, shards = RaidCodec(RaidLevel.RAID5, 4).encode(payload)
     assert len(shards) == 4
     assert meta.k == 3 and meta.m == 1
     assert meta.orig_len == 100
@@ -51,14 +52,14 @@ def test_encode_shapes():
 
 
 def test_encode_empty_payload():
-    meta, shards = encode_stripe(b"", RaidLevel.RAID6, 4)
+    meta, shards = RaidCodec(RaidLevel.RAID6, 4).encode(b"")
     assert meta.orig_len == 0
-    assert _decode(meta, dict(enumerate(shards))) == b""
+    assert codec_for_meta(meta).decode(meta, dict(enumerate(shards))) == b""
 
 
 def test_raid1_shards_are_copies():
     payload = b"mirror me"
-    _, shards = encode_stripe(payload, RaidLevel.RAID1, 3)
+    _, shards = RaidCodec(RaidLevel.RAID1, 3).encode(payload)
     assert all(s == payload for s in shards)
 
 
@@ -71,67 +72,60 @@ payload_st = st.binary(min_size=0, max_size=300)
 def test_roundtrip_all_shards(payload, level, width):
     if width < level.min_width:
         width = level.min_width
-    meta, shards = encode_stripe(payload, level, width)
-    assert _decode(meta, dict(enumerate(shards))) == payload
+    meta, shards = RaidCodec(level, width).encode(payload)
+    assert codec_for_meta(meta).decode(meta, dict(enumerate(shards))) == payload
 
 
 @settings(max_examples=60, deadline=None)
 @given(payload_st, st.integers(min_value=3, max_value=6), st.data())
 def test_raid5_survives_any_single_loss(payload, width, data):
-    meta, shards = encode_stripe(payload, RaidLevel.RAID5, width)
+    meta, shards = RaidCodec(RaidLevel.RAID5, width).encode(payload)
     missing = data.draw(st.integers(min_value=0, max_value=width - 1))
     available = {i: s for i, s in enumerate(shards) if i != missing}
-    assert _decode(meta, available) == payload
+    assert codec_for_meta(meta).decode(meta, available) == payload
 
 
 @settings(max_examples=60, deadline=None)
 @given(payload_st, st.integers(min_value=4, max_value=7), st.data())
 def test_raid6_survives_any_double_loss(payload, width, data):
-    meta, shards = encode_stripe(payload, RaidLevel.RAID6, width)
+    meta, shards = RaidCodec(RaidLevel.RAID6, width).encode(payload)
     m1 = data.draw(st.integers(min_value=0, max_value=width - 1))
     m2 = data.draw(st.integers(min_value=0, max_value=width - 1))
     available = {i: s for i, s in enumerate(shards) if i not in (m1, m2)}
-    assert _decode(meta, available) == payload
+    assert codec_for_meta(meta).decode(meta, available) == payload
 
 
 def test_raid0_cannot_lose_anything():
-    meta, shards = encode_stripe(b"x" * 50, RaidLevel.RAID0, 4)
+    meta, shards = RaidCodec(RaidLevel.RAID0, 4).encode(b"x" * 50)
     with pytest.raises(ReconstructionError):
-        _decode(meta, {i: s for i, s in enumerate(shards) if i != 0})
+        codec_for_meta(meta).decode(meta, {i: s for i, s in enumerate(shards) if i != 0})
 
 
 def test_raid5_cannot_lose_two():
-    meta, shards = encode_stripe(b"x" * 50, RaidLevel.RAID5, 4)
+    meta, shards = RaidCodec(RaidLevel.RAID5, 4).encode(b"x" * 50)
     available = {i: s for i, s in enumerate(shards) if i not in (0, 1)}
     with pytest.raises(ReconstructionError):
-        _decode(meta, available)
+        codec_for_meta(meta).decode(meta, available)
 
 
 @pytest.mark.parametrize("level", [RaidLevel.RAID1, RaidLevel.RAID5, RaidLevel.RAID6])
 def test_rebuild_every_shard(level):
     width = max(4, level.min_width)
     payload = bytes(range(200))
-    meta, shards = encode_stripe(payload, level, width)
+    meta, shards = RaidCodec(level, width).encode(payload)
     for index in range(meta.n):
         survivors = {i: s for i, s in enumerate(shards) if i != index}
         assert rebuild_shard(meta, index, survivors) == shards[index]
 
 
 def test_rebuild_raid0_raises():
-    meta, shards = encode_stripe(b"data", RaidLevel.RAID0, 2)
+    meta, shards = RaidCodec(RaidLevel.RAID0, 2).encode(b"data")
     with pytest.raises(ReconstructionError):
         rebuild_shard(meta, 0, {1: shards[1]})
 
 
 def test_rebuild_bad_index():
-    meta, shards = encode_stripe(b"data", RaidLevel.RAID5, 3)
+    meta, shards = RaidCodec(RaidLevel.RAID5, 3).encode(b"data")
     with pytest.raises(ValueError):
         rebuild_shard(meta, 9, dict(enumerate(shards)))
 
-
-def test_rotate_assignment():
-    assert rotate_assignment(4, 0) == [0, 1, 2, 3]
-    assert rotate_assignment(4, 1) == [1, 2, 3, 0]
-    assert rotate_assignment(4, 5) == [1, 2, 3, 0]
-    with pytest.raises(ValueError):
-        rotate_assignment(0, 1)
