@@ -16,6 +16,7 @@ the three metadata tables.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import threading
 import time
@@ -70,12 +71,7 @@ from repro.core.virtual_id import (
 from repro.core.write_window import FailedChunk, WriteWindow
 from repro.providers.base import blob_checksum, check_answers
 from repro.providers.registry import ProviderRegistry
-from repro.raid.codecs import (
-    ChunkState,
-    CodecSpec,
-    ErasureCodec,
-    codec_for_meta,
-)
+from repro.raid.codecs import CodecSpec, ErasureCodec, codec_for_meta
 from repro.raid.reconstruct import read_slabs, rebuild_shard
 from repro.raid.striping import RaidLevel, StripeMeta
 from repro.net.resilience import current_retry_budget, retry_budget_scope
@@ -331,42 +327,16 @@ class CloudDataDistributor:
         load = self.chunk_table.load
         return {entry.name: load(index) for index, entry in self.provider_table}
 
-    # -- health accounting -------------------------------------------------
-
-    def _record_health(self, name: str, ok: bool, exc: Exception | None = None) -> None:
-        """Feed one live-traffic outcome into the fleet health monitor
-        (a failure's kind by :func:`_failure_kind`)."""
-        if name not in self.registry:
-            return
-        if ok:
-            self.health.record_success(name)
-        else:
-            self.health.record_failure(name, transport=bool(_failure_kind(type(exc))))
-
-    def _provider_call(self, method: str, name: str, key: str, *args, **kwargs):
-        """One ``put``, ``get`` or ``head`` of *key* at provider *name*,
-        its outcome fed to the health monitor."""
-        # Deadline check sits *outside* the try: an expired caller budget
-        # is the caller's verdict, not provider evidence, so it must not
-        # feed the health monitor a false transport failure.
-        check_deadline(f"{method} {key} @ {name}")
-        call = getattr(self.registry.get(name).provider, method)
-        try:
-            result = call(key, *args, **kwargs)
-        except ProviderError as exc:
-            self._record_health(name, ok=False, exc=exc)
-            raise
-        self._record_health(name, ok=True)
-        return result
-
     def _provider_batch(
         self,
         method: str,
         name: str,
         items: list,
         checksums: list[str] | None = None,
+        feed: bool = True,
     ) -> list:
-        """One batched provider call with per-item health accounting.
+        """One batched provider call, its outcomes fed to the health
+        monitor (:meth:`_hear`) unless *feed* is false.
 
         *method* is ``put_many``/``put_stream`` (items are ``(key, data)``
         pairs, *checksums* their digests when the caller holds them, an
@@ -380,11 +350,6 @@ class CloudDataDistributor:
         with more or fewer outcomes than items: which item an outcome
         belongs to is no longer known, and an unanswered item must not
         pass for stored.
-
-        The monitor hears the outcomes in order; each run of consecutive
-        successes is one ``record_success(name, count)``, and each run of
-        failures of one kind (transport or data) one ``record_failure(name,
-        transport=..., count=...)``, so a batch with no failure is one call.
         """
         check_deadline(f"{method} ({len(items)} items) @ {name}")
         call = getattr(self.registry.get(name).provider, method)
@@ -403,12 +368,23 @@ class CloudDataDistributor:
                     f"to a {method} of {len(items)} items"
                 )
             ] * len(items)
+        if feed:
+            self._hear(name, outcomes)
+        return outcomes
+
+    def _hear(self, name: str, outcomes: list) -> None:
+        """Feed provider *name*'s request *outcomes* to the health monitor,
+        in order: each run of consecutive successes is one
+        ``record_success(name, count)``, and each run of failures of one
+        kind (transport or data, :func:`_failure_kind`) one
+        ``record_failure(name, transport=..., count=...)``, so a batch
+        with no failure is one call."""
         if name not in self.registry or not outcomes:
-            return outcomes
+            return
         kinds = set(map(type, outcomes))
         if not any(issubclass(kind, ProviderError) for kind in kinds):
             self.health.record_success(name, len(outcomes))
-            return outcomes
+            return
         kind_of = {kind: _failure_kind(kind) for kind in kinds}
         for transport, run in itertools.groupby(map(kind_of.__getitem__, map(type, outcomes))):
             count = len(list(run))
@@ -416,7 +392,6 @@ class CloudDataDistributor:
                 self.health.record_success(name, count)
             else:
                 self.health.record_failure(name, transport=transport, count=count)
-        return outcomes
 
     def _provider_usable(self, name: str) -> bool:
         """Is *name* currently a sane target for new shard bytes?
@@ -535,9 +510,11 @@ class CloudDataDistributor:
     ) -> list[tuple[_R | None, ProviderError | None]]:
         """Run one provider request per item; returns (result, error) pairs.
 
-        *names* holds the provider each item's request goes to.  Every
-        item is attempted (write failover, scrub audits and repair reads
-        need the full damage at once).  A request whose provider can wait
+        *names* holds the provider each item's request goes to; an item is
+        one provider's batch of a round -- a window's puts, a round of
+        gets (:meth:`_fetch`), a delete batch.  Every item is attempted (a
+        read, a repair or a failover needs the full damage at once).  A
+        request whose provider can wait
         (:attr:`CloudProvider.waits`: a socket, a disk, a sleep) is handed
         to a transport thread; the others -- dict lookups, simulated time
         -- run in order on the calling thread while those are in flight,
@@ -819,37 +796,67 @@ class CloudDataDistributor:
         """The provider holding each shard of *entry*, by shard index."""
         return self.provider_table.names(entry.provider_indices)
 
-    def _read_members(
+    def _fetch(
         self,
-        state: "ChunkState | None",
-        vid: int,
-        names: list[str],
-        indices: list[int],
-    ) -> dict[int, bytes]:
-        """The shards of one stripe, out of *indices*, that read back and
-        pass :meth:`_check_batch`: side by side on real transports, every
-        outcome fed to the health monitor.  (*state* is ``None`` for a
-        chunk quarantined under an unknown codec: read, not judged.)"""
-        digests = (state and state.shard_checksums) or (None,) * len(names)
+        keys: list[str],
+        expected: list,
+        runs: list[tuple[str, int, int]],
+        sizes: "list[int] | None" = None,
+        feed: bool = True,
+    ) -> list["bytes | ProviderError"]:
+        """One round of shard reads, the one way a shard is read: each run
+        ``(provider, start, stop)`` of *keys* one batched get, the runs
+        side by side on the transport executor, each answer checked against
+        its *expected* digest (:func:`check_answers`; ``None`` is not
+        judged).  The monitor hears each batch and each mismatch (a rotten
+        shard, a data failure), unless *feed* is false, for a caller that
+        feeds the outcomes itself.  The framing follows the batch's mean
+        shard size (per key, *sizes*; ``None`` when none is large), as on
+        upload: STREAM_GET (one frame per shard) at or above
+        ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload.  Returns
+        each key's bytes or its :class:`ProviderError` (a failed member,
+        for the caller to rebuild from parity), in key order."""
 
-        def read(shard_index: int) -> bytes:
-            name, key = names[shard_index], shard_key(vid, shard_index)
-            data = self._provider_call("get", name, key)
-            (data,) = self._check_batch(
-                name, [key], [digests[shard_index]], [data]
+        def fetch(run: tuple[str, int, int]) -> list["bytes | ProviderError"]:
+            name, a, b = run
+            streamed = sizes is not None and (
+                sum(sizes[a:b]) >= STREAM_SEGMENT_THRESHOLD * (b - a)
             )
-            if isinstance(data, ProviderError):
-                raise data
-            return data
+            outcomes = self._provider_batch(
+                "get_stream" if streamed else "get_many", name, keys[a:b], feed=feed
+            )
+            checked = check_answers(name, keys[a:b], expected[a:b], outcomes)
+            if feed and checked is not outcomes:
+                self._hear(name, [
+                    after for before, after in zip(outcomes, checked) if after is not before
+                ])
+            return checked
 
-        outcomes = self._transport_map(
-            read, indices, [names[i] for i in indices]
+        answers: list = [None] * len(keys)
+        for (_, a, b), (checked, exc) in zip(
+            runs, self._transport_map(fetch, runs, [run[0] for run in runs])
+        ):
+            answers[a:b] = checked if exc is None else [exc] * (b - a)
+        return answers
+
+    def _fetch_round(
+        self, window: ChunkWindow, numbers: np.ndarray, indices: np.ndarray,
+        feed: bool = True,
+    ) -> list["bytes | ProviderError"]:
+        """:meth:`_fetch` of members *indices* of the *window*'s rows
+        *numbers*, each provider's requests one batch
+        (:meth:`ChunkWindow.plan`); outcomes in request order."""
+        keys, expected, rows, runs, back = window.plan(numbers, indices)
+        names = self.provider_table.names([provider for provider, _, _ in runs])
+        sizes = [stripe.shard_size for stripe in window.stripes]
+        answers = self._fetch(
+            keys, expected,
+            [(name, a, b) for name, (_, a, b) in zip(names, runs)],
+            [sizes[row] for row in rows]
+            if max(sizes, default=0) >= STREAM_SEGMENT_THRESHOLD else None,
+            feed,
         )
-        return {
-            shard_index: data
-            for shard_index, (data, exc) in zip(indices, outcomes)
-            if exc is None
-        }
+        return list(map(answers.__getitem__, back))
 
     def _replace_shards(
         self,
@@ -865,11 +872,12 @@ class CloudDataDistributor:
 
         *good* is the row's members in hand and verified (what a repair
         read).  Without it -- a move of shards that may be healthy -- the
-        displaced members are read, and the rest of the stripe only if one
-        of them fails.  A displaced shard not in *good* is rebuilt from
-        >= k of them; with fewer, or under an unknown codec, nothing can
-        move: ``None``.  Each shard is offered under its *recorded*
-        checksum to *targets* in turn, by default
+        displaced members are read (:meth:`_fetch`), and the rest of the
+        stripe only if one of them fails.  A displaced shard not in *good*
+        is rebuilt from >= k of them; with fewer, or under an unknown
+        codec, nothing can move: ``None``.  Each shard is offered, a
+        one-item ``put_many`` under its *recorded* checksum, to *targets*
+        in turn, by default
         :meth:`_replacement_candidates` outside the stripe and the home of
         the chunk's snapshot (Table III: no provider holds both states) or,
         with none,
@@ -894,10 +902,21 @@ class CloudDataDistributor:
             names, good = chunk.assigned, dict(enumerate(chunk.shards))
             kept = {chunk.snapshot[0]} if chunk.snapshot is not None else set()
         if good is None:
-            good = self._read_members(state, vid, names, displaced)
-            if len(good) < len(displaced):
-                rest = [i for i in range(len(names)) if i not in displaced]
-                good.update(self._read_members(state, vid, names, rest))
+            # A stripe's members sit at distinct providers: a run a member
+            # is one batch a provider.
+            digests = (state and state.shard_checksums) or (None,) * len(names)
+            good = {}
+            for wanted in (displaced, [i for i in range(len(names)) if i not in displaced]):
+                answers = self._fetch(
+                    [shard_key(vid, i) for i in wanted], [digests[i] for i in wanted],
+                    [(names[i], at, at + 1) for at, i in enumerate(wanted)],
+                )
+                good.update(
+                    (i, data) for i, data in zip(wanted, answers)
+                    if not isinstance(data, ProviderError)
+                )
+                if len(good) == len(displaced):
+                    break
         if any(i not in good for i in displaced) and (
             state is None or len(good) < state.stripe.k
         ):
@@ -921,15 +940,14 @@ class CloudDataDistributor:
                 if not offers and fresh and self._provider_usable(old):
                     offers = [old]
             for new in offers:
-                try:
-                    self._provider_call(
-                        "put", new, key, good[shard_index],
-                        checksum=checksums[shard_index] if checksums else None,
-                    )
+                (refused,) = self._provider_batch(
+                    "put_many", new, [(key, good[shard_index])],
+                    [checksums[shard_index]] if checksums else None,
+                )
+                if refused is None:
                     break
-                except ProviderError:
-                    # The refusal may be a torn write (stored, ack lost).
-                    self._delete_objects([(new, key)])
+                # The refusal may be a torn write (stored, ack lost).
+                self._delete_objects([(new, key)])
             else:
                 self.metrics.counter("distributor_failover_failed_total").inc()
                 self.events.emit(
@@ -979,20 +997,6 @@ class CloudDataDistributor:
             )
         )
         return [c.name for c in candidates]
-
-    def _check_batch(
-        self, name: str, keys: list[str], digests: list, outcomes: list
-    ) -> list:
-        """:func:`check_answers` over one provider's batch, each failed
-        member it makes fed to the health monitor (a rotten shard as a
-        data failure), so a degraded read or repair rebuilds it from
-        parity instead of returning corrupt plaintext."""
-        checked = check_answers(name, keys, digests, outcomes)
-        if checked is not outcomes:
-            for before, after in zip(outcomes, checked):
-                if after is not before:
-                    self._record_health(name, ok=False, exc=after)
-        return checked
 
     # ------------------------------------------------------------------
     # upload path: split() + distribute()          (Section VI)
@@ -1374,16 +1378,11 @@ class CloudDataDistributor:
         columns (:meth:`ChunkTable.window`) and noted for the audit record,
         and the cache is asked for each; the rest runs without it.
         :func:`read_slabs` asks in rounds -- every stripe's data members
-        first, then only as much parity as a stripe is short of -- and
-        :meth:`ChunkWindow.plan` groups each round by provider from the
-        window's columns, each provider's slice one batched call, the
-        providers in flight concurrently.  The framing follows the batch's
-        mean shard size, as on upload: STREAM_GET (one frame per shard) at
-        or above ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload,
-        which parses faster for shards that small.  Each provider's answers
-        are checked as one batch (:meth:`_check_batch`); a mismatch is a
-        failed member.  Each slab is stripped as it is decoded; with a
-        cache, pieces are one chunk each, misses filled after the strip.
+        first, then only as much parity as a stripe is short of -- each
+        round one :meth:`_fetch_round`: a batched, checked call a provider,
+        the providers in flight concurrently; a mismatch is a failed
+        member.  Each slab is stripped as it is decoded; with a cache,
+        pieces are one chunk each, misses filled after the strip.
         """
         table = self.chunk_table
         cached: "list[bytes | None] | None" = None
@@ -1399,36 +1398,9 @@ class CloudDataDistributor:
                     window = table.window(
                         [chunk for chunk, payload in zip(chunks, cached) if payload is None]
                     )
-        sizes = [stripe.shard_size for stripe in window.stripes]
-        large = max(sizes, default=0) >= STREAM_SEGMENT_THRESHOLD
-
-        def fetch_round(
-            numbers: np.ndarray, indices: np.ndarray
-        ) -> list["bytes | ProviderError"]:
-            keys, expected, rows, runs, back = window.plan(numbers, indices)
-            names = self.provider_table.names([provider for provider, _, _ in runs])
-            jobs = {name: run[1:] for name, run in zip(names, runs)}
-
-            def fetch(name: str) -> list["bytes | ProviderError"]:
-                a, b = jobs[name]
-                streamed = large and (
-                    sum(map(sizes.__getitem__, rows[a:b]))
-                    >= STREAM_SEGMENT_THRESHOLD * (b - a)
-                )
-                outcomes = self._provider_batch(
-                    "get_stream" if streamed else "get_many", name, keys[a:b]
-                )
-                return self._check_batch(name, keys[a:b], expected[a:b], outcomes)
-
-            answers: list = [None] * len(back)  # in provider order
-            for (a, b), (checked, exc) in zip(
-                jobs.values(), self._transport_map(fetch, names, names)
-            ):
-                answers[a:b] = checked if exc is None else [exc] * (b - a)
-            return list(map(answers.__getitem__, back))
-
         pieces = strip(
-            read_slabs(window.stripes, fetch_round), window.runs, window.positions
+            read_slabs(window.stripes, functools.partial(self._fetch_round, window)),
+            window.runs, window.positions,
         )
         if cached is None:
             return pieces, rows
@@ -1678,9 +1650,10 @@ class CloudDataDistributor:
     def repair_file(self, client: str, password: str, filename: str) -> RepairReport:
         """Scrub every chunk of *filename*, rebuilding lost/corrupt shards.
 
-        Shards on unavailable or damaged providers are regenerated from the
-        surviving stripe members and relocated to a healthy eligible
-        provider outside the current group.
+        The file's chunks are one :meth:`_repair_window`, under the op
+        lock: shards on unavailable or damaged providers are regenerated
+        from the surviving stripe members and relocated to a healthy
+        eligible provider outside the current group.
         """
 
         def work() -> RepairReport:
@@ -1688,15 +1661,9 @@ class CloudDataDistributor:
             with self.op_lock:
                 refs = self.client_table.get(client).refs_for_file(filename)
                 self._require_level(client, granted, refs[0].privacy_level)
-                missing = rebuilt = unrecoverable = 0
-                relocations: list[tuple[int, int, str, str]] = []
-                for ref in refs:
-                    entry = self.chunk_table.get(ref.chunk_index)
-                    m, r, u, moved = self._repair_chunk(entry)
-                    missing += m
-                    rebuilt += r
-                    unrecoverable += u
-                    relocations.extend(moved)
+                _, missing, rebuilt, unrecoverable, relocations = self._repair_window(
+                    [ref.chunk_index for ref in refs], filename
+                )
             return RepairReport(
                 filename=filename,
                 chunks_checked=len(refs),
@@ -1708,31 +1675,63 @@ class CloudDataDistributor:
 
         return self._audited("repair_file", client, filename, None, work)
 
-    def _repair_chunk(
-        self, entry: ChunkEntry, suspect: list[int] | tuple[int, ...] = ()
-    ) -> tuple[int, int, int, list[tuple[int, int, str, str]]]:
-        """Audit and heal one chunk's stripe.
+    def _repair_window(
+        self, chunks: list[int], filename: str | None = None
+    ) -> tuple[int, int, int, int, list[tuple[int, int, str, str]]]:
+        """Audit and heal the stripes of the rows at table indices
+        *chunks* (op lock held).
 
-        Reads every shard not already condemned by *suspect* (indices the
-        caller's ``head`` audit flagged), verifying each against its
+        Every member of every row is read in one round, one batched get a
+        provider (:meth:`_fetch_round`), each shard checked against its
         recorded checksum; what is lost or rotten is rebuilt from >= k
-        survivors and re-placed by :meth:`_replace_shards`.  Returns
-        ``(missing, rebuilt, unrecoverable, relocations)``.
+        survivors and re-placed by :meth:`_replace_shards`.  The monitor
+        hears the reads row by row, each damaged row's before its shards
+        are re-placed, so a target is chosen on the evidence a repair a
+        row at a time would have had, whatever the window.  Returns
+        ``(shards checked, missing, rebuilt, unrecoverable, relocations)``.
         """
-        vid = entry.virtual_id
-        state = entry.state()
-        names = self._members(entry)
-        good = self._read_members(
-            state, vid, names,
-            [i for i in range(len(names)) if i not in suspect],
+        window = self.chunk_table.window(chunks, filename)
+        first = np.asarray(window.first, np.int64)
+        widths = np.diff(first, append=len(window.members))
+        outcomes = self._fetch_round(
+            window,
+            np.repeat(np.arange(len(first)), widths),
+            np.arange(len(window.members)) - np.repeat(first, widths),
+            feed=False,
         )
-        bad = [i for i in range(len(names)) if i not in good]
-        if not bad:
-            return 0, 0, 0, []
-        if len(good) < state.stripe.k:
-            return len(bad), 0, 1, []
-        moves, rebuilt = self._replace_shards(entry, bad, good)
-        return len(bad), rebuilt, 0, moves
+        names = self.provider_table.names(window.members)
+        heard = 0  # outcomes the monitor has heard
+
+        def hear(stop: int) -> None:
+            runs: defaultdict[str, list] = defaultdict(list)
+            for name, outcome in zip(names[heard:stop], outcomes[heard:stop]):
+                runs[name].append(outcome)
+            for name, run in runs.items():
+                self._hear(name, run)
+
+        missing = rebuilt = unrecoverable = 0
+        relocations: list[tuple[int, int, str, str]] = []
+        for chunk, stripe, at, width in zip(
+            chunks, window.stripes, first.tolist(), widths.tolist()
+        ):
+            good = {
+                i: data for i, data in enumerate(outcomes[at : at + width])
+                if not isinstance(data, ProviderError)
+            }
+            if len(good) == width:
+                continue
+            hear(at + width)
+            heard = at + width
+            missing += width - len(good)
+            if len(good) < stripe.k:
+                unrecoverable += 1
+                continue
+            bad = [i for i in range(width) if i not in good]
+            moves, fresh = self._replace_shards(self.chunk_table.get(chunk), bad, good)
+            rebuilt += fresh
+            relocations += moves
+        hear(len(outcomes))
+        return len(outcomes), missing, rebuilt, unrecoverable, relocations
 
     # ------------------------------------------------------------------
     # metadata replication (Fig. 2 secondaries) and persistence

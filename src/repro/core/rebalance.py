@@ -77,7 +77,7 @@ def decommission_provider(
     :class:`PlacementError` if nothing eligible can host the displaced
     shards.  The provider stays registered (empty) so stale readers fail
     cleanly; remove it from the registry afterwards if desired.  The op
-    lock is taken per chunk, as ``Scrubber.run_once`` takes it.
+    lock is taken per chunk, so client ops and scrubs take turns with it.
     """
     victim_index = distributor.provider_table.index_of(name)
     report = MigrationReport()

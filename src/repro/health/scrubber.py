@@ -4,12 +4,15 @@
 cloud provider being blocked by any unlikely event or going out of
 business" (Section III-B) -- but only while enough stripe members survive.
 The scrubber turns the seed's manual, per-file ``repair_file`` pass into a
-continuous background process: on every cycle it walks the distributor's
-chunk table, fans out cheap ``head`` checks across the provider fleet via
-the transport executor, compares the returned checksums against the
-recorded shard checksums (catching silent at-rest corruption without
-transferring payloads), and rebuilds anything missing or rotten onto
-healthy providers.
+continuous background process: on every cycle it probes the fleet, then
+walks the distributor's chunk table a window of rows at a time and repairs
+each window as ``repair_file`` repairs a file
+(``CloudDataDistributor._repair_window``): every stored shard is read once,
+one batched get per provider per window, and checked against the checksum
+recorded at write time -- so rot the provider itself reports and rot only
+the recorded checksums catch are both found -- and anything missing or
+rotten is rebuilt onto healthy providers.  A cycle transfers every shard
+it checks: that is the price of seeing the rot.
 
 Each cycle appends a :class:`ScrubReport` to :attr:`Scrubber.reports`; the
 CLI's ``repair --auto`` runs a single cycle and renders the report.
@@ -20,17 +23,24 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.errors import BlobCorruptedError
-from repro.core.virtual_id import shard_key
+from repro.core.errors import UnknownChunkError
 from repro.obs.metrics import MetricsRegistry, get_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.distributor import CloudDataDistributor
 
 log = logging.getLogger(__name__)
+
+
+def _repairable(table, index: int) -> bool:
+    """Is there still a row at *index*, under a codec this build knows?"""
+    try:
+        return not table.get(index).quarantined
+    except UnknownChunkError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,15 @@ class Scrubber:
     # -- one cycle ---------------------------------------------------------
 
     def run_once(self) -> ScrubReport:
-        """Audit every chunk once, repairing damage; returns the report."""
+        """Audit every chunk once, repairing damage; returns the report.
+
+        The rows go :data:`REMOVE_WINDOW_CHUNKS` at a time, the op lock
+        taken per window; a row removed since the cycle began, or
+        quarantined under an unknown codec, is skipped.
+        """
+        # (Here, not at the top: the distributor imports repro.health.)
+        from repro.core.distributor import REMOVE_WINDOW_CHUNKS
+
         d = self.distributor
         started = time.perf_counter()
         if self.probe_fleet:
@@ -100,27 +118,22 @@ class Scrubber:
         shards_missing = shards_rebuilt = chunks_unrecoverable = 0
         relocations: list[tuple[int, int, str, str]] = []
         with d.op_lock:
-            chunk_indices = [index for index, _ in d.chunk_table]
-        for index in chunk_indices:
+            indices = [index for index, _ in d.chunk_table]
+        for start in range(0, len(indices), REMOVE_WINDOW_CHUNKS):
             with d.op_lock:
-                try:
-                    entry = d.chunk_table.get(index)
-                except Exception:
-                    continue  # removed since the snapshot of indices
-                if entry.quarantined:
+                window = [
+                    index for index in indices[start : start + REMOVE_WINDOW_CHUNKS]
+                    if _repairable(d.chunk_table, index)
+                ]
+                if not window:
                     continue
-                checked, bad = self._audit_chunk(entry)
-                chunks_checked += 1
-                shards_checked += checked
-                if not bad:
-                    continue
-                missing, rebuilt, unrecoverable, moved = d._repair_chunk(
-                    entry, suspect=bad
-                )
-                shards_missing += missing
-                shards_rebuilt += rebuilt
-                chunks_unrecoverable += unrecoverable
-                relocations.extend(moved)
+                checked, missing, rebuilt, unrecoverable, moved = d._repair_window(window)
+            chunks_checked += len(window)
+            shards_checked += checked
+            shards_missing += missing
+            shards_rebuilt += rebuilt
+            chunks_unrecoverable += unrecoverable
+            relocations += moved
         self._cycle += 1
         duration = time.perf_counter() - started
         report = ScrubReport(
@@ -146,33 +159,6 @@ class Scrubber:
         )
         self.metrics.histogram("scrub_cycle_seconds").observe(duration)
         return report
-
-    def _audit_chunk(self, entry) -> tuple[int, list[int]]:
-        """Head-check one chunk's shards; returns (checked, bad indices).
-
-        A shard is bad when its provider cannot answer the ``head``, the
-        object is gone, or the stored checksum no longer matches the one
-        recorded at write time (silent at-rest corruption).
-        """
-        d = self.distributor
-        names = d._members(entry)
-        expected = entry.record.shard_checksums
-
-        def check(shard_index: int):
-            name = names[shard_index]
-            key = shard_key(entry.virtual_id, shard_index)
-            stat = d._provider_call("head", name, key)
-            if expected is not None and stat.checksum != expected[shard_index]:
-                raise BlobCorruptedError(
-                    f"shard {key!r} at provider {name!r} drifted from its "
-                    f"recorded checksum"
-                )
-            return stat
-
-        indices = list(range(len(names)))
-        outcomes = d._transport_map(check, indices, names)
-        bad = [i for i, (_, exc) in zip(indices, outcomes) if exc is not None]
-        return len(indices), bad
 
     # -- background thread -------------------------------------------------
 

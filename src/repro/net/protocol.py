@@ -268,15 +268,15 @@ class _SocketReader:
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
 
-    def read(self, n: int) -> bytes:
-        chunks: list[bytes] = []
-        while n > 0:
-            chunk = self._sock.recv(min(n, 1 << 20))
-            if not chunk:
-                break
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
+    def read(self, n: int) -> bytearray:
+        """The *n* bytes received into one buffer (fewer at EOF): a frame's
+        payload is held once, never as chunks and their join."""
+        buffer, got = bytearray(n), 0
+        with memoryview(buffer) as view:
+            while got < n and (count := self._sock.recv_into(view[got:])):
+                got += count
+        del buffer[got:]
+        return buffer
 
 
 def recv_frame(sock: socket.socket) -> Frame | None:

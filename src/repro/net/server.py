@@ -341,7 +341,6 @@ class ChunkServer(AdmissionServer):
         op_label = OpCode(frame.code).name
         try:
             with self._backend_lock:
-                check_deadline(f"server {op_label}")
                 result = self._handle_stream(frame, session)
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             result = status_for_error(exc), frame.key, str(exc).encode("utf-8")

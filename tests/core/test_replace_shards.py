@@ -2,9 +2,10 @@
 
 Write failover, ``repair_file``, the scrubber, ``decommission_provider``
 and ``rebalance`` each give a shard a new home through
-``CloudDataDistributor._replace_shards`` and nothing else: every single
-``provider.put`` (uploads go by ``put_many``) happens inside a call of that
-one function, counted here and never timed.
+``CloudDataDistributor._replace_shards`` and nothing else: besides the
+write engine's window transfers (an upload's ``put_many`` a provider),
+every store is a one-shard ``put_many`` made inside a call of that one
+function -- each booked here by where it was made, never timed.
 """
 
 import os
@@ -24,8 +25,10 @@ DATA = os.urandom(8 * 512)
 
 
 class World:
-    """Six in-memory providers under one distributor, with every single
-    ``put`` booked as inside or outside ``_replace_shards``."""
+    """Six in-memory providers under one distributor, with every store
+    booked as ``(where, method, shards)``: *where* is ``"move"`` inside
+    ``_replace_shards``, ``"window"`` inside ``_transfer_window`` and
+    ``"stray"`` anywhere else."""
 
     def __init__(self, monkeypatch) -> None:
         self.providers = [InMemoryProvider(f"N{i}") for i in range(6)]
@@ -39,37 +42,46 @@ class World:
         self.d.register_client("C")
         self.d.add_password("C", "pw", PrivacyLevel.PRIVATE)
         self.calls = 0  # of _replace_shards
-        self.depth = 0
-        self.puts: list[bool] = []  # one per single put: was it inside?
-        replace = CloudDataDistributor._replace_shards
-
-        def counted(d, *args, **kwargs):
-            self.calls += 1
-            self.depth += 1
-            try:
-                return replace(d, *args, **kwargs)
-            finally:
-                self.depth -= 1
-
-        monkeypatch.setattr(CloudDataDistributor, "_replace_shards", counted)
+        self.depth = {"move": 0, "window": 0}
+        self.stores: list[tuple[str, str, int]] = []
+        for where, routine in (("move", "_replace_shards"), ("window", "_transfer_window")):
+            self.count(monkeypatch, where, routine)
         for provider in self.providers:
             self.watch(provider)
 
-    def watch(self, provider) -> None:
-        # The base ``put_many`` loops over ``put``: go around the watch.
-        put = provider.put
-        provider.put_many = lambda items, checksums=None: [
-            put(key, data, checksum=checksum)
-            for (key, data), checksum in zip(
-                items, checksums or [None] * len(items)
-            )
-        ]
+    def count(self, monkeypatch, where: str, routine: str) -> None:
+        original = getattr(CloudDataDistributor, routine)
 
-        def watched(key, data, checksum=None):
-            self.puts.append(self.depth > 0)
+        def counted(d, *args, **kwargs):
+            self.calls += where == "move"
+            self.depth[where] += 1
+            try:
+                return original(d, *args, **kwargs)
+            finally:
+                self.depth[where] -= 1
+
+        monkeypatch.setattr(CloudDataDistributor, routine, counted)
+
+    def where(self) -> str:
+        return next((where for where, depth in self.depth.items() if depth), "stray")
+
+    def watch(self, provider) -> None:
+        # The base ``put_many`` loops over ``put``: go around the watch, so
+        # a batch is booked once.
+        put = provider.put
+
+        def batch(items, checksums=None):
+            self.stores.append((self.where(), "put_many", len(items)))
+            return [
+                put(key, data, checksum=checksum)
+                for (key, data), checksum in zip(items, checksums or [None] * len(items))
+            ]
+
+        def single(key, data, checksum=None):
+            self.stores.append((self.where(), "put", 1))
             return put(key, data, checksum=checksum)
 
-        provider.put = watched
+        provider.put_many, provider.put = batch, single
 
     def upload(self, name="f") -> None:
         self.d.upload_file("C", "pw", name, DATA, PrivacyLevel.PRIVATE)
@@ -79,10 +91,12 @@ class World:
         holder.drop_blob(holder.keys()[0])
 
     def moved_through_the_routine(self) -> bool:
-        """At least one shard moved, every one of them inside the routine."""
-        moved, self.puts = self.puts, []
+        """At least one shard moved, and every store but the window
+        transfers' was one shard stored inside the routine."""
+        stores, self.stores = self.stores, []
         calls, self.calls = self.calls, 0
-        return bool(moved) and all(moved) and calls > 0
+        moved = [store for store in stores if store[0] != "window"]
+        return bool(moved) and set(moved) == {("move", "put_many", 1)} and calls > 0
 
 
 @pytest.fixture
@@ -92,7 +106,7 @@ def world(monkeypatch):
 
 def test_an_upload_moves_nothing(world):
     world.upload()
-    assert world.calls == 0 and world.puts == []
+    assert world.calls == 0 and {where for where, _, _ in world.stores} == {"window"}
     assert world.d.get_file("C", "pw", "f") == DATA
 
 

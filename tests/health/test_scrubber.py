@@ -82,6 +82,26 @@ def test_scrubber_detects_silent_corruption_via_checksums():
     assert d.get_file("C", "pw", "f") == data
 
 
+def test_scrubber_rebuilds_a_shard_its_provider_reports_rotten():
+    # corrupt_blob flips a byte and leaves the provider's checksum as it
+    # was: every get of the shard raises BlobCorruptedError, while a head
+    # still answers the checksum recorded at write time -- an audit by
+    # head scrubbed it as clean, cycle after cycle.
+    _, providers, _, d = make_world()
+    data = os.urandom(2000)
+    d.upload_file("C", "pw", "f", data, PrivacyLevel.PRIVATE)
+    victim = next(p for p in providers if p.backend.object_count > 0)
+    victim.backend.corrupt_blob(victim.backend.keys()[0])
+
+    scrubber = Scrubber(d)
+    report = scrubber.run_once()
+    assert (report.shards_missing, report.shards_rebuilt) == (1, 1)
+    assert report.chunks_unrecoverable == 0
+    assert "1 bad" in report.summary()
+    assert scrubber.run_once().shards_missing == 0
+    assert d.get_file("C", "pw", "f") == data
+
+
 def test_scrubber_relocates_off_dead_provider():
     _, providers, injector, d = make_world()
     data = os.urandom(2500)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import io
 import os
+import socket
+import threading
 import tracemalloc
 
 from repro.core.distributor import CloudDataDistributor
@@ -21,7 +23,7 @@ from repro.core.errors import BlobNotFoundError
 from repro.core.privacy import ChunkSizePolicy, PrivacyLevel
 from repro.net import remote
 from repro.net.cluster import LocalCluster
-from repro.net.protocol import OpCode, encode_frame, read_frame
+from repro.net.protocol import OpCode, encode_frame, read_frame, recv_frame
 from repro.obs.metrics import MetricsRegistry
 from repro.providers.memory import InMemoryProvider
 
@@ -113,6 +115,26 @@ def test_reading_a_keyed_frame_holds_its_payload_once():
             tracemalloc.stop()
         assert (frame.key, frame.payload) == (key, payload)
         assert peak <= 1.1 * len(payload), (key, peak / len(payload))
+
+
+def test_receiving_a_frame_off_a_socket_holds_its_payload_once():
+    # recv_frame reads the payload into one buffer: recv() chunks joined
+    # once they had all arrived held a 4 MiB frame twice at the peak.
+    payload = os.urandom(4 << 20)
+    frame = encode_frame(OpCode.PUT, "k", payload)
+    a, b = socket.socketpair()
+    with a, b:
+        sender = threading.Thread(target=a.sendall, args=(frame,))
+        tracemalloc.start()
+        try:
+            sender.start()
+            got = recv_frame(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sender.join()
+    assert (got.key, got.payload) == ("k", payload)
+    assert peak <= 1.1 * len(payload), peak / len(payload)
 
 
 def test_an_upload_holds_a_small_multiple_of_the_file_at_its_peak():
