@@ -15,16 +15,15 @@ the three metadata tables.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import threading
 import time
 from collections import defaultdict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar,
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
 )
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.core.errors import (
     AuthorizationError,
     BlobCorruptedError,
     BlobNotFoundError,
+    DeadlineExceeded,
     ProviderError,
     ReproError,
     UnknownChunkError,
@@ -194,10 +194,6 @@ class _Phase:
         self._span.__exit__(*exc)
 
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
 class CloudDataDistributor:
     """The agent of clients toward the provider fleet."""
 
@@ -260,14 +256,15 @@ class CloudDataDistributor:
             )
         self.max_transport_workers = max_transport_workers
         self._transport_pool: ThreadPoolExecutor | None = None
-        self._legs_on_caller, self._legs_on_pool = (
+        self._legs_on_caller, self._legs_on_pool, self._legs_on_wire = (
             self.metrics.counter(
                 "distributor_transport_legs_total",
                 "Provider requests of the data path by where they ran: on "
-                "the calling thread, or handed to a transport pool thread.",
+                "the calling thread, handed to a transport pool thread, or "
+                "sent and read back by the calling thread on its socket.",
                 where=where,
             )
-            for where in ("caller", "pool")
+            for where in ("caller", "pool", "wire")
         )
         # Filenames with an upload in flight per client: the duplicate-name
         # check must hold across the lock-free transfer phases.
@@ -335,13 +332,14 @@ class CloudDataDistributor:
         checksums: list[str] | None = None,
         feed: bool = True,
     ) -> list:
-        """One batched provider call, its outcomes fed to the health
-        monitor (:meth:`_hear`) unless *feed* is false.
+        """One batched provider call (a round of one leg), its outcomes fed
+        to the health monitor (:meth:`_hear`) unless *feed* is false.
 
         *method* is ``put_many``/``put_stream`` (items are ``(key, data)``
         pairs, *checksums* their digests when the caller holds them, an
-        outcome is ``None`` when stored) or ``get_many``/
-        ``get_stream`` (items are keys, an outcome is the bytes); a failed
+        outcome is ``None`` when stored), ``get_many``/``get_stream``
+        (items are keys, an outcome is the bytes) or ``delete_many``
+        (items are keys, an outcome is ``None`` when gone); a failed
         item's outcome is its :class:`ProviderError` either way.  A
         transport-level batch failure (the provider raised instead of
         answering per item) condemns every item -- each failed shard is a
@@ -351,26 +349,7 @@ class CloudDataDistributor:
         belongs to is no longer known, and an unanswered item must not
         pass for stored.
         """
-        check_deadline(f"{method} ({len(items)} items) @ {name}")
-        call = getattr(self.registry.get(name).provider, method)
-        try:
-            outcomes = (
-                call(items)
-                if checksums is None
-                else call(items, checksums=checksums)
-            )
-        except ProviderError as exc:
-            outcomes = [exc] * len(items)
-        if len(outcomes) != len(items):
-            outcomes = [
-                ProviderError(
-                    f"provider {name!r} answered {len(outcomes)} outcomes "
-                    f"to a {method} of {len(items)} items"
-                )
-            ] * len(items)
-        if feed:
-            self._hear(name, outcomes)
-        return outcomes
+        return self._transport_map([(method, name, items, checksums, feed, None)])[0]
 
     def _hear(self, name: str, outcomes: list) -> None:
         """Feed provider *name*'s request *outcomes* to the health monitor,
@@ -469,24 +448,25 @@ class CloudDataDistributor:
         return result
 
     # ------------------------------------------------------------------
-    # transport executor (concurrent fan-out across providers)
+    # transport rounds (one thread for sockets, a pool for the rest)
     # ------------------------------------------------------------------
 
     def _transport_workers(self) -> int:
-        """How many provider requests of one stripe may be in flight.
+        """How many provider requests of one round may be in flight.
 
-        One worker per provider by default, capped at 8;
-        ``max_transport_workers=1`` runs every request in order on the
-        calling thread.
+        One per provider by default, capped at 8 (the transport pool's
+        threads); ``max_transport_workers=1`` runs every request in order
+        on the calling thread.
         """
         if self.max_transport_workers is not None:
             return self.max_transport_workers
         return min(8, max(1, len(self.registry)))
 
-    def _executor(self, workers: int) -> ThreadPoolExecutor:
+    def _executor(self) -> ThreadPoolExecutor:
         if self._transport_pool is None:
             self._transport_pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-transport"
+                max_workers=self._transport_workers(),
+                thread_name_prefix="repro-transport",
             )
         return self._transport_pool
 
@@ -502,96 +482,130 @@ class CloudDataDistributor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _transport_map(
-        self,
-        fn: Callable[[_T], _R],
-        items: list[_T],
-        names: list[str],
-    ) -> list[tuple[_R | None, ProviderError | None]]:
-        """Run one provider request per item; returns (result, error) pairs.
+    def _transport_map(self, legs: list[tuple]) -> list[list]:
+        """Make one round of provider calls; returns each leg's outcomes.
 
-        *names* holds the provider each item's request goes to; an item is
-        one provider's batch of a round -- a window's puts, a round of
-        gets (:meth:`_fetch`), a delete batch.  Every item is attempted (a
-        read, a repair or a failover needs the full damage at once).  A
-        request whose provider can wait
-        (:attr:`CloudProvider.waits`: a socket, a disk, a sleep) is handed
-        to a transport thread; the others -- dict lookups, simulated time
-        -- run in order on the calling thread while those are in flight,
-        since a pool hand-off buys a request that only computes nothing.
-        A lone request, or ``max_transport_workers=1``, stays on the
-        caller whatever its provider.
+        A leg is one provider's batch of the round -- a window's puts, a
+        round of gets (:meth:`_fetch`), a delete batch -- given as
+        :meth:`_provider_batch`'s arguments and the digests its answers
+        must match, ``(method, name, items, checksums, feed, expected)``,
+        and its outcomes follow that method's contract.  Every leg is
+        attempted (a read, a repair or a failover needs the full damage at
+        once).  The round is two passes over its legs, both in leg order
+        on the calling thread: the first starts every leg, the second
+        finishes every leg (:meth:`_start`, :meth:`_finish`).  A call the
+        provider can split
+        (:attr:`CloudProvider.splits`: a socket's request windows) starts
+        by sending its frames and finishes by reading the answers, so a
+        round to n chunk servers costs one thread and about one round
+        trip; a call that cannot be split but can wait
+        (:attr:`CloudProvider.waits`: a stream session, a disk, a sleep)
+        starts on a transport thread and finishes when that returns; the
+        others -- dict lookups, simulated time -- run when finished, since
+        a hand-off buys a request that only computes nothing.  A lone
+        leg, or ``max_transport_workers=1``, is never handed off, and
+        with one worker each leg finishes before the next starts.
         """
-        pooled: list[int] = []
-        if len(items) > 1 and (workers := self._transport_workers()) > 1:
-            pooled = [
-                i
-                for i, name in enumerate(names)
-                if self.registry.get(name).provider.waits
-            ]
-        futures: dict[int, Future] = {}
-        if pooled:
+        try:
+            check_deadline(f"a round of {len(legs)} provider call(s)")
+        except DeadlineExceeded as exc:  # asks nobody, so nobody is heard
+            return [[exc] * len(leg[2]) for leg in legs]
+        together = len(legs) > 1 and self._transport_workers() > 1
+        started = [self._start(leg, True) for leg in legs] if together else []
+        outcomes = []
+        for i, leg in enumerate(legs):
+            if not together:  # one leg at a time
+                started.append(self._start(leg, False))
+            outcomes.append(self._finish(leg, started[i][1]))
+        # Counted once a round: a counter takes a lock an increment.
+        wheres = [where for where, _ in started]
+        for where in set(wheres):
+            where.inc(wheres.count(where))
+        return outcomes
+
+    def _start(self, leg: tuple, hand_off: bool) -> tuple:
+        """Start one leg of a round: ``(where, answer)``, *where* the leg
+        counter it ran under and *answer* the call that returns its
+        outcomes (or the outcomes, when starting failed)."""
+        method, name, items, checksums, _, _ = leg
+        provider = self.registry.get(name).provider
+        split = method in provider.splits
+        call = getattr(provider, "start_" + method if split else method)
+        call = functools.partial(call, items)
+        if checksums is not None:
+            call = functools.partial(call, checksums=checksums)
+        if split:
+            try:
+                return self._legs_on_wire, call()  # sent; it returns the reader
+            except ProviderError as exc:
+                return self._legs_on_wire, [exc] * len(items)
+        if hand_off and provider.waits:
             # Pool workers have no active span; hand them the dispatching
             # thread's context so their net spans (and TRACED wire
             # contexts) stay inside this request's trace.  The ambient
             # deadline and retry budget are thread-local for the same
-            # reason -- capture them here so every parallel leg races the
-            # *same* clock and spends from the *same* budget as the
-            # dispatching thread would.
-            captured = self.tracer.capture()
-            deadline = current_deadline()
-            budget = current_retry_budget()
+            # reason: every leg races the *same* clock and spends from the
+            # *same* budget as the dispatching thread would.
+            context = (self.tracer.capture(), current_deadline(), current_retry_budget())
+            return self._legs_on_pool, self._executor().submit(
+                self._adopted, context, call
+            ).result
+        # Runs when finished, so its answers are checked while still warm.
+        return self._legs_on_caller, call
 
-            def run(item: _T) -> _R:
-                with self.tracer.adopt(captured):
-                    with deadline_scope(deadline), retry_budget_scope(budget):
-                        return fn(item)
+    def _adopted(self, context: tuple, call: Callable):
+        """*call* on a transport thread, under the dispatching thread's
+        trace, deadline and retry budget (*context*)."""
+        captured, deadline, budget = context
+        with self.tracer.adopt(captured), deadline_scope(deadline):
+            with retry_budget_scope(budget):
+                return call()
 
-            executor = self._executor(workers)
-            futures = {i: executor.submit(run, items[i]) for i in pooled}
-            self._legs_on_pool.inc(len(pooled))
-        self._legs_on_caller.inc(len(items) - len(pooled))
-        outcomes: list = [None] * len(items)
-        for i, item in enumerate(items):
-            if i not in futures:
-                try:
-                    outcomes[i] = (fn(item), None)
-                except ProviderError as exc:
-                    outcomes[i] = (None, exc)
-        for i, future in futures.items():
+    def _finish(self, leg: tuple, outcomes) -> list:
+        """Finish one started leg: its outcomes, one an item, heard by the
+        monitor if the leg feeds it, and each arrival checked against its
+        expected digest when the leg has them (:func:`check_answers`; the
+        monitor hears each mismatch too)."""
+        method, name, items, _, feed, expected = leg
+        if callable(outcomes):
             try:
-                outcomes[i] = (future.result(), None)
+                outcomes = outcomes()
             except ProviderError as exc:
-                outcomes[i] = (None, exc)
-        return outcomes
+                outcomes = [exc] * len(items)
+        if len(outcomes) != len(items):
+            outcomes = [
+                ProviderError(
+                    f"provider {name!r} answered {len(outcomes)} outcomes "
+                    f"to a {method} of {len(items)} items"
+                )
+            ] * len(items)
+        if feed:
+            self._hear(name, outcomes)
+        if expected is None:
+            return outcomes
+        checked = check_answers(name, items, expected, outcomes)
+        if feed and checked is not outcomes:
+            self._hear(name, [
+                after for before, after in zip(outcomes, checked) if after is not before
+            ])
+        return checked
 
     def _delete_objects(self, pairs: Iterable[tuple[str, str]]) -> int:
         """Best-effort removal of ``(provider, key)`` objects; returns how
-        many went.  One ``delete_many`` per provider, side by side on the
-        transport executor; where no provider is asked for two keys (an
-        update's retire), a ``delete`` each in turn on this thread, cheaper
-        than a pool hand-off apiece.  A :class:`ProviderError`, of a key or
-        a provider, is swallowed (the orphan is ``fsck``'s to collect);
-        deletes do not feed the health monitor."""
+        many went.  One ``delete_many`` per provider, the providers one
+        round (:meth:`_transport_map`).  A :class:`ProviderError`, of a
+        key or a provider, is swallowed (the orphan is ``fsck``'s to
+        collect); deletes do not feed the health monitor."""
         by_provider: dict[str, list[str]] = {}
         for name, key in pairs:
             by_provider.setdefault(name, []).append(key)
-        if all(len(keys) == 1 for keys in by_provider.values()):
-            gone = 0
-            for name, (key,) in by_provider.items():
-                with contextlib.suppress(ProviderError):
-                    self.registry.get(name).provider.delete(key)
-                    gone += 1
-            return gone
-
-        def batch(name: str) -> list[ProviderError | None]:
-            return self.registry.get(name).provider.delete_many(by_provider[name])
-
-        names = list(by_provider)
         return sum(
             outcome is None
-            for outcomes, _ in self._transport_map(batch, names, names)
-            for outcome in outcomes or ()
+            for outcomes in self._transport_map([
+                ("delete_many", name, keys, None, False, None)
+                for name, keys in by_provider.items()
+            ])
+            for outcome in outcomes
         )
 
     def _resolve_codec(
@@ -682,9 +696,9 @@ class CloudDataDistributor:
 
         Every shard is hashed once (the window's ``digests``), an update's
         snapshots after them, and each slot sorted to its provider; each
-        provider's slots are one call, the calls side by side on the
-        transport executor, with no per-chunk barrier.  The framing follows
-        the batch's mean shard size: at or above
+        provider's slots are one call, the calls one round
+        (:meth:`_transport_map`), with no per-chunk barrier.  The framing
+        follows the batch's mean shard size: at or above
         ``STREAM_SEGMENT_THRESHOLD`` a STREAM_PUT session (one frame per
         shard, no aggregate payload), below it one MULTI_PUT frame
         (per-segment stream acks would dominate shard bytes this small).
@@ -700,27 +714,21 @@ class CloudDataDistributor:
         slots: defaultdict[str, list[int]] = defaultdict(list)
         for slot, name in enumerate(names):
             slots[name].append(slot)
-
-        def put_batch(name: str) -> list[ProviderError | None]:
-            picked = slots[name]
+        legs = []
+        for name, picked in slots.items():
             datas = list(map(shards.__getitem__, picked))
             streamed = sum(map(len, datas)) >= STREAM_SEGMENT_THRESHOLD * len(datas)
-            return self._provider_batch(
+            legs.append((
                 "put_stream" if streamed else "put_many", name,
                 list(zip(map(keys.__getitem__, picked), datas)),
-                list(map(digests.__getitem__, picked)),
-            )
-
+                list(map(digests.__getitem__, picked)), True, None,
+            ))
         refused: dict[int, ProviderError] = {}
-        order = list(slots)
-        for name, (per_item, exc) in zip(
-            order, self._transport_map(put_batch, order, order)
-        ):
-            if exc is None and not any(per_item):
-                continue
-            for slot, item_exc in zip(slots[name], per_item or [exc] * len(slots[name])):
-                if item_exc is not None:
-                    refused[slot] = item_exc
+        for picked, outcomes in zip(slots.values(), self._transport_map(legs)):
+            if any(outcomes):
+                refused.update(
+                    (slot, exc) for slot, exc in zip(picked, outcomes) if exc is not None
+                )
         return window.failures(refused) if refused else []
 
     def _recover_plan(self, chunk: FailedChunk) -> bool:
@@ -805,38 +813,30 @@ class CloudDataDistributor:
         feed: bool = True,
     ) -> list["bytes | ProviderError"]:
         """One round of shard reads, the one way a shard is read: each run
-        ``(provider, start, stop)`` of *keys* one batched get, the runs
-        side by side on the transport executor, each answer checked against
-        its *expected* digest (:func:`check_answers`; ``None`` is not
-        judged).  The monitor hears each batch and each mismatch (a rotten
-        shard, a data failure), unless *feed* is false, for a caller that
-        feeds the outcomes itself.  The framing follows the batch's mean
-        shard size (per key, *sizes*; ``None`` when none is large), as on
-        upload: STREAM_GET (one frame per shard) at or above
+        ``(provider, start, stop)`` of *keys* one batched get, the runs one
+        round (:meth:`_transport_map`), each answer checked against its
+        *expected* digest (:func:`check_answers`; ``None`` is not judged).
+        The monitor hears each batch and each mismatch (a rotten shard, a
+        data failure), unless *feed* is false, for a caller that feeds the
+        outcomes itself.  The framing follows the batch's mean shard size
+        (per key, *sizes*; ``None`` when none is large), as on upload:
+        STREAM_GET (one frame per shard) at or above
         ``STREAM_SEGMENT_THRESHOLD``, else one MULTI_GET payload.  Returns
         each key's bytes or its :class:`ProviderError` (a failed member,
         for the caller to rebuild from parity), in key order."""
-
-        def fetch(run: tuple[str, int, int]) -> list["bytes | ProviderError"]:
-            name, a, b = run
-            streamed = sizes is not None and (
-                sum(sizes[a:b]) >= STREAM_SEGMENT_THRESHOLD * (b - a)
+        legs = [
+            (
+                "get_stream"
+                if sizes is not None
+                and sum(sizes[a:b]) >= STREAM_SEGMENT_THRESHOLD * (b - a)
+                else "get_many",
+                name, keys[a:b], None, feed, expected[a:b],
             )
-            outcomes = self._provider_batch(
-                "get_stream" if streamed else "get_many", name, keys[a:b], feed=feed
-            )
-            checked = check_answers(name, keys[a:b], expected[a:b], outcomes)
-            if feed and checked is not outcomes:
-                self._hear(name, [
-                    after for before, after in zip(outcomes, checked) if after is not before
-                ])
-            return checked
-
+            for name, a, b in runs
+        ]
         answers: list = [None] * len(keys)
-        for (_, a, b), (checked, exc) in zip(
-            runs, self._transport_map(fetch, runs, [run[0] for run in runs])
-        ):
-            answers[a:b] = checked if exc is None else [exc] * (b - a)
+        for (_, a, b), checked in zip(runs, self._transport_map(legs)):
+            answers[a:b] = checked
         return answers
 
     def _fetch_round(
@@ -862,7 +862,7 @@ class CloudDataDistributor:
         self,
         chunk: "ChunkEntry | FailedChunk",
         displaced: list[int],
-        good: dict[int, bytes] | None = None,
+        answers: "dict[int, bytes | ProviderError] | None" = None,
         targets: list[str] | None = None,
     ) -> "tuple[list[tuple[int, int, str, str]], int] | None":
         """Give each *displaced* shard of *chunk* a new home: the one way
@@ -870,12 +870,13 @@ class CloudDataDistributor:
         shards in hand), repair (so the scrubber), ``decommission_provider``
         and ``rebalance`` (a tabled row, its caller holding the op lock).
 
-        *good* is the row's members in hand and verified (what a repair
-        read).  Without it -- a move of shards that may be healthy -- the
+        *answers* is what a read of the row's members answered, each
+        verified bytes or the member's :class:`ProviderError` (a repair's
+        round).  Without it -- a move of shards that may be healthy -- the
         displaced members are read (:meth:`_fetch`), and the rest of the
-        stripe only if one of them fails.  A displaced shard not in *good*
-        is rebuilt from >= k of them; with fewer, or under an unknown
-        codec, nothing can move: ``None``.  Each shard is offered, a
+        stripe only if one of them fails.  A displaced shard without bytes
+        is rebuilt from >= k members that have them; with fewer, or under
+        an unknown codec, nothing can move: ``None``.  Each shard is offered, a
         one-item ``put_many`` under its *recorded* checksum, to *targets*
         in turn, by default
         :meth:`_replacement_candidates` outside the stripe and the home of
@@ -883,7 +884,8 @@ class CloudDataDistributor:
         with none,
         its own provider if the shard was rebuilt (the old copy is lost
         anyway) and the provider is usable again.  Where it lands the old
-        twin is deleted, one event and counter tell, and the plan's
+        twin is deleted -- unless its read answered that it is not there
+        (:class:`BlobNotFoundError`) -- one event and counter tell, and the plan's
         assignment, or the row and both provider counts, are swapped; a
         shard nobody takes stays where it was.  Returns the ``(vid, shard,
         old, new)`` of each shard that changed provider and how many
@@ -899,24 +901,23 @@ class CloudDataDistributor:
                 kept.add(self.provider_table.get(entry.snapshot_index).name)
         else:
             vid, level, state = chunk.vid, chunk.level, chunk.state
-            names, good = chunk.assigned, dict(enumerate(chunk.shards))
+            names, answers = chunk.assigned, dict(enumerate(chunk.shards))
             kept = {chunk.snapshot[0]} if chunk.snapshot is not None else set()
-        if good is None:
+        if answers is None:
             # A stripe's members sit at distinct providers: a run a member
             # is one batch a provider.
             digests = (state and state.shard_checksums) or (None,) * len(names)
-            good = {}
+            answers = {}
             for wanted in (displaced, [i for i in range(len(names)) if i not in displaced]):
-                answers = self._fetch(
+                answers.update(zip(wanted, self._fetch(
                     [shard_key(vid, i) for i in wanted], [digests[i] for i in wanted],
                     [(names[i], at, at + 1) for at, i in enumerate(wanted)],
-                )
-                good.update(
-                    (i, data) for i, data in zip(wanted, answers)
-                    if not isinstance(data, ProviderError)
-                )
-                if len(good) == len(displaced):
+                )))
+                if not any(isinstance(answers[i], ProviderError) for i in displaced):
                     break
+        good = {
+            i: data for i, data in answers.items() if not isinstance(data, ProviderError)
+        }
         if any(i not in good for i in displaced) and (
             state is None or len(good) < state.stripe.k
         ):
@@ -956,7 +957,8 @@ class CloudDataDistributor:
                 )
                 continue
             if new != old:
-                self._delete_objects([(old, key)])
+                if not isinstance(answers.get(shard_index), BlobNotFoundError):
+                    self._delete_objects([(old, key)])
                 self.metrics.counter(counter).inc()
                 self.events.emit(
                     event, vid=vid, shard=shard_index, src=old, dst=new
@@ -1714,20 +1716,17 @@ class CloudDataDistributor:
         for chunk, stripe, at, width in zip(
             chunks, window.stripes, first.tolist(), widths.tolist()
         ):
-            good = {
-                i: data for i, data in enumerate(outcomes[at : at + width])
-                if not isinstance(data, ProviderError)
-            }
-            if len(good) == width:
+            answers = dict(enumerate(outcomes[at : at + width]))
+            bad = [i for i, data in answers.items() if isinstance(data, ProviderError)]
+            if not bad:
                 continue
             hear(at + width)
             heard = at + width
-            missing += width - len(good)
-            if len(good) < stripe.k:
+            missing += len(bad)
+            if width - len(bad) < stripe.k:
                 unrecoverable += 1
                 continue
-            bad = [i for i in range(width) if i not in good]
-            moves, fresh = self._replace_shards(self.chunk_table.get(chunk), bad, good)
+            moves, fresh = self._replace_shards(self.chunk_table.get(chunk), bad, answers)
             rebuilt += fresh
             relocations += moves
         hear(len(outcomes))

@@ -28,6 +28,9 @@ class NamespacedProvider(CloudProvider):
         self.inner = inner
         self.namespace = namespace
         self._prefix = f"fleet/{namespace}/"
+        # What the inner provider splits, its ``start_*`` forms forwarded
+        # below (read a leg of every round: a plain attribute).
+        self.splits = inner.splits
 
     # -- key mapping -------------------------------------------------------
 
@@ -76,6 +79,21 @@ class NamespacedProvider(CloudProvider):
 
     def delete_many(self, keys: list[str]) -> list:
         return self.inner.delete_many([self._outer(k) for k in keys])
+
+    def start_put_many(
+        self,
+        items: list[tuple[str, bytes]],
+        checksums: list[str] | None = None,
+    ):
+        return self.inner.start_put_many(
+            [(self._outer(k), v) for k, v in items], checksums
+        )
+
+    def start_get_many(self, keys: list[str]):
+        return self.inner.start_get_many([self._outer(k) for k in keys])
+
+    def start_delete_many(self, keys: list[str]):
+        return self.inner.start_delete_many([self._outer(k) for k in keys])
 
     def contains(self, key: str) -> bool:
         return self.inner.contains(self._outer(key))

@@ -69,10 +69,10 @@ class Lease:
 class ConnectionPool:
     """Stack of reusable sockets to ``(host, port)``.
 
-    ``lease()`` yields a connected socket; on clean exit the socket is
-    returned for reuse (up to *size* idle sockets are retained), on error
-    it is closed -- a connection that failed mid-request is never reused,
-    because the stream position can no longer be trusted.
+    ``checkout()`` hands out a connected socket and ``checkin()`` takes
+    it back, for reuse (up to *size* idle sockets are retained) or, after
+    an error, to close it; ``lease()`` is the pair around a ``with``
+    block.
 
     Checkout waits (idle pop or fresh dial) feed the
     ``net_pool_checkout_wait_seconds`` histogram; a wait above
@@ -103,6 +103,7 @@ class ConnectionPool:
         self.saturation_threshold = saturation_threshold
         self.label = f"{host}:{port}"
         self._idle: list[socket.socket] = []
+        self._wait_seconds = None  # the checkout-wait histogram, once resolved
         self._lock = threading.Lock()
         self._closed = False
 
@@ -113,9 +114,9 @@ class ConnectionPool:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    @contextmanager
-    def lease(self, op: str = "") -> Iterator[Lease]:
-        """Borrow a socket for one request/response exchange.
+    def checkout(self, op: str = "") -> Lease:
+        """Take a socket for one request/response exchange; hand it back
+        with :meth:`checkin`.
 
         *op* names the wire operation waiting on the checkout, purely for
         telemetry -- it labels the saturation event when the wait crosses
@@ -133,9 +134,11 @@ class ConnectionPool:
         if sock is None:
             sock = self._connect()
         wait = time.perf_counter() - t0
-        self.metrics.histogram(
-            "net_pool_checkout_wait_seconds", pool=self.label
-        ).observe(wait)
+        if self._wait_seconds is None:
+            self._wait_seconds = self.metrics.histogram(
+                "net_pool_checkout_wait_seconds", pool=self.label
+            )
+        self._wait_seconds.observe(wait)
         if wait > self.saturation_threshold:
             self.events.emit(
                 "pool_saturation",
@@ -144,16 +147,31 @@ class ConnectionPool:
                 op=op,
                 wait_s=round(wait, 6),
             )
+        return Lease(sock=sock, fresh=fresh)
+
+    def checkin(self, lease: Lease, reuse: bool = True) -> None:
+        """Return a checked-out socket: parked for reuse (up to *size*
+        idle sockets), or closed when *reuse* is false -- a connection
+        that failed mid-request is never reused, because the stream
+        position can no longer be trusted."""
+        if reuse:
+            with self._lock:
+                if not self._closed and len(self._idle) < self.size:
+                    self._idle.append(lease.sock)
+                    return
+        lease.sock.close()
+
+    @contextmanager
+    def lease(self, op: str = "") -> Iterator[Lease]:
+        """:meth:`checkout` for the span of a ``with`` block: the socket
+        goes back on clean exit and is closed on error."""
+        leased = self.checkout(op)
         try:
-            yield Lease(sock=sock, fresh=fresh)
+            yield leased
         except BaseException:
-            sock.close()
+            self.checkin(leased, reuse=False)
             raise
-        with self._lock:
-            if not self._closed and len(self._idle) < self.size:
-                self._idle.append(sock)
-                return
-        sock.close()
+        self.checkin(leased)
 
     def discard_idle(self) -> None:
         """Drop every idle socket (e.g. after the server restarted)."""

@@ -18,9 +18,11 @@ Failure handling mirrors a production object-store client:
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.errors import (
     BlobCorruptedError,
@@ -72,7 +74,7 @@ BATCH_ITEMS = 1024
 #: Max DELETE frames pipelined in one window of ``delete_many``.  A
 #: window's requests are all written before any answer is read, and here
 #: both directions are many small frames, so "never both large" (see
-#: ``_exchange``) is restated as a number: 64 frames of header + shard key
+#: ``_send``) is restated as a number: 64 frames of header + shard key
 #: are about 2 KiB bare and under 6 KiB inside both envelopes (DEADLINE
 #: wrapping TRACED with its context), below the 16 KiB a send buffer
 #: starts at, so the client always finishes writing and turns to reading
@@ -93,6 +95,19 @@ STREAM_ACK_WINDOW = 64
 #: window.  Must not exceed STREAM_ACK_WINDOW or the ack drain between
 #: batches could not keep the in-flight count bounded.
 STREAM_SEND_BATCH = STREAM_ACK_WINDOW
+
+
+def _raise(exc: Exception):
+    """The reader of a window whose send half failed."""
+    raise exc
+
+
+def _next_frame(rfile) -> Frame:
+    """The next frame of a stream session; the server must not hang up."""
+    frame = read_frame(rfile)
+    if frame is None:
+        raise ProtocolError("server closed connection mid-stream")
+    return frame
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,8 @@ class RetryPolicy:
 
 class RemoteProvider(CloudProvider):
     """Socket-backed provider client with pooling, timeouts and retries."""
+
+    splits = frozenset({"get_many", "put_many", "delete_many"})
 
     def __init__(
         self,
@@ -152,6 +169,7 @@ class RemoteProvider(CloudProvider):
         self.tracer = tracer if tracer is not None else get_tracer()
         self.events = events if events is not None else get_events()
         self._down_until = 0.0
+        self._op_metrics: dict[OpCode, tuple] = {}  # _account's handles
         self.pool = ConnectionPool(
             host, port, size=pool_size, connect_timeout=connect_timeout,
             metrics=self.metrics, events=self.events,
@@ -163,11 +181,13 @@ class RemoteProvider(CloudProvider):
         """Ambient deadline, checked (and counted) before starting I/O."""
         deadline = current_deadline()
         if deadline is not None and deadline.expired:
-            self.metrics.counter(
-                "net_client_deadline_exceeded_total", provider=self.name
-            ).inc()
+            self._tally("net_client_deadline_exceeded_total")
             deadline.check(what)  # raises DeadlineExceeded
         return deadline
+
+    def _tally(self, name: str) -> None:
+        """One more event on this provider's counter *name*."""
+        self.metrics.counter(name, provider=self.name).inc()
 
     def _op_timeout(self, deadline: Deadline | None) -> float:
         """Socket timeout for one exchange: op_timeout capped by the budget."""
@@ -175,56 +195,64 @@ class RemoteProvider(CloudProvider):
             return self.op_timeout
         return deadline.timeout(cap=self.op_timeout)
 
-    def _exchange(self, requests: list[tuple]) -> list[Frame]:
-        """Pipeline a window of frames on one pooled connection.
+    def _send(self, requests: list[tuple]) -> Callable[[], list[Frame]]:
+        """Write a window of frames on one pooled connection; returns its
+        reader, which reads the answers and hands the socket back.
 
-        Every request is written before any response is read, so N frames
-        cost one round-trip of latency instead of N (a single-frame op is
-        the window of one).  Safe for the batch ops because their
-        requests and responses are never both large (MULTI_PUT answers
-        small status lists, MULTI_GET asks with small key lists), so the
-        two directions cannot deadlock on full socket buffers; a window of
-        DELETE frames is small both ways because :data:`DELETE_WINDOW`
-        caps its frame count.  The answers of a window of several frames
-        are read through one buffered reader, not two ``recv()`` calls
-        per frame.
+        Every request is written before any answer is read, so N frames
+        cost one round trip (a one-frame op is the window of one), and a
+        caller that sends to several servers before it reads from any pays
+        about one for them all.  No batch op makes both directions large
+        (MULTI_PUT answers small status lists, MULTI_GET asks with small key
+        lists, :data:`DELETE_WINDOW` caps a window of DELETE frames), so
+        full socket buffers cannot deadlock it.  The answers of several
+        frames are read through one buffered reader.
 
         A request is ``(op, key, *payload_parts)``, the arguments of
-        :func:`~repro.net.protocol.frame_segments`.  Each may ride inside
-        up to two envelopes, outermost first: DEADLINE (remaining budget)
-        wrapping TRACED (trace context) wrapping the operation.  An
-        envelope is one more frame over its prefix and the inner frame's
-        segments, so the whole window goes out as one scatter-gather list
-        of small headers and views of the callers' payloads, never joined
-        again here.  A server that does not know an envelope answers
-        BAD_REQUEST, which comes back like any other error status.
+        :func:`~repro.net.protocol.frame_segments`, inside up to two
+        envelopes, outermost first: DEADLINE (remaining budget) wrapping
+        TRACED (trace context).  An envelope is one more frame over its
+        prefix and the inner frame's segments, so the window leaves as one
+        scatter-gather list of small headers and views of the callers'
+        payloads.  A server that does not know an envelope answers
+        BAD_REQUEST, like any other error status.
+
+        A failure of either half -- a spent deadline, a refused dial, a
+        broken send or read -- is raised by the reader, one on a reused
+        socket as :class:`StaleConnectionError` (:func:`classify_stale`).
         """
-        deadline = self._check_deadline(f"net.{requests[0][0].name}")
+        op = requests[0][0]
+        try:
+            deadline = self._check_deadline(f"net.{op.name}")
+            leased = self.pool.checkout(op=op.name)
+        except (OSError, DeadlineExceeded) as exc:
+            return functools.partial(_raise, exc)
         context = self.tracer.wire_context()
-        with self.pool.lease(op=requests[0][0].name) as leased:
-            sock = leased.sock
-            rfile = None
-            try:
-                sock.settimeout(self._op_timeout(deadline))
+        sock = leased.sock
+        try:
+            sock.settimeout(self._op_timeout(deadline))
+            if deadline is not None:
+                budget = deadline_prefix(max(1, min(
+                    MAX_BUDGET_MS, int(deadline.remaining() * 1000)
+                )))
+            segments: list[bytes | memoryview] = []
+            for request in requests:
+                frame = frame_segments(*request)
+                if context is not None:
+                    frame = frame_segments(
+                        OpCode.TRACED, "", traced_prefix(context), *frame
+                    )
                 if deadline is not None:
-                    budget = deadline_prefix(max(1, min(
-                        MAX_BUDGET_MS, int(deadline.remaining() * 1000)
-                    )))
-                segments: list[bytes | memoryview] = []
-                for request in requests:
-                    frame = frame_segments(*request)
-                    if context is not None:
-                        frame = frame_segments(
-                            OpCode.TRACED, "", traced_prefix(context), *frame
-                        )
-                    if deadline is not None:
-                        frame = frame_segments(
-                            OpCode.DEADLINE, "", budget, *frame
-                        )
-                    segments.extend(frame)
-                sendmsg_all(sock, segments)
-                if len(requests) > 1:
-                    rfile = sock.makefile("rb")
+                    frame = frame_segments(OpCode.DEADLINE, "", budget, *frame)
+                segments.extend(frame)
+            sendmsg_all(sock, segments)
+        except (OSError, ProtocolError) as exc:
+            self.pool.checkin(leased, reuse=False)
+            return functools.partial(_raise, classify_stale(exc, leased.fresh))
+
+        def receive() -> list[Frame]:
+            rfile = sock.makefile("rb") if len(requests) > 1 else None
+            try:
                 frames: list[Frame] = []
                 for _ in requests:
                     frame = recv_frame(sock) if rfile is None else read_frame(rfile)
@@ -239,44 +267,49 @@ class RemoteProvider(CloudProvider):
                         if records:
                             self.tracer.attach_remote(records)
                     frames.append(frame)
-                return frames
             except (OSError, ProtocolError) as exc:
+                self.pool.checkin(leased, reuse=False)
                 raise classify_stale(exc, leased.fresh) from exc
             finally:
                 if rfile is not None:
                     rfile.close()
+            self.pool.checkin(leased)
+            return frames
 
-    def _with_retries(self, exchange):
+        return receive
+
+    def _circuit_open(self) -> bool:
+        return self.failfast_window > 0 and time.monotonic() < self._down_until
+
+    def _with_retries(self, exchange, first=None):
         """Run *exchange* under the retry budget and circuit breaker.
 
-        Application-level error statuses (NOT_FOUND, CORRUPTED, ...) are
-        definitive answers from a live server and are never retried; only
-        connection failures, timeouts and malformed frames are.
+        *first*, when given, is the first attempt, already under way (a
+        window's reader, :meth:`_send`); the circuit was checked before it
+        was sent.  Error statuses (NOT_FOUND, CORRUPTED, ...) are answers
+        from a live server and are never retried; connection failures,
+        timeouts and malformed frames are.
 
         A :class:`StaleConnectionError` -- a *reused* pooled socket died
-        while parked, typically because the server restarted -- is not a
-        failure verdict at all: the remaining idle sockets are discarded
-        and the exchange redials immediately, without consuming a retry
-        attempt, sleeping, or (when the free redials are themselves
-        exhausted, which needs a genuinely flapping server) opening the
-        circuit any earlier than a plain transport failure would.
+        while parked, typically because the server restarted -- is no
+        verdict: the idle sockets are discarded and the exchange redials at
+        once, without consuming an attempt, sleeping, or (once the free
+        redials run out, which takes a flapping server) opening the circuit
+        any earlier than a plain transport failure would.  With
+        ``failfast_window > 0`` the client is a circuit breaker: once the
+        attempts are spent, operations fail at once for that many seconds
+        instead of re-dialing a server known to be down, so a degraded read
+        over hundreds of chunks pays the retries once.
 
-        With ``failfast_window > 0`` the client acts as a circuit breaker:
-        after the retry budget is exhausted, further operations fail
-        immediately for that many seconds instead of re-dialing a server
-        known to be down -- a RAID degraded read over hundreds of chunks
-        then pays the retry cost once, not once per chunk.
-
-        Two cross-cutting limits bound the loop further when ambient scopes
-        are active: an ambient :class:`~repro.net.resilience.RetryBudget`
-        (shared by every hop of one logical request -- once it is spent,
-        *no* hop retries any more, stopping retry storms at the source),
-        and the ambient deadline (no sleep ever extends past it).  A
+        Two ambient scopes bound the loop further: a shared
+        :class:`~repro.net.resilience.RetryBudget` (once one hop of a
+        logical request spends it, no hop retries, stopping retry storms at
+        the source) and the deadline (no sleep extends past it).  A
         ``RESOURCE_EXHAUSTED`` answer -- the server shed us at admission --
-        is retried like a transport failure but honours the server's
-        retry-after hint with jitter instead of our own backoff curve.
+        is retried like a transport failure, after the server's retry-after
+        hint with jitter instead of our own backoff.
         """
-        if self.failfast_window > 0 and time.monotonic() < self._down_until:
+        if first is None and self._circuit_open():
             raise ProviderUnavailableError(
                 f"provider {self.name!r} at {self.host}:{self.port} "
                 f"failing fast (circuit open)"
@@ -291,13 +324,12 @@ class RemoteProvider(CloudProvider):
         retry_after: float | None = None
         while True:
             retry_after = None
+            attempt_now, first = first or exchange, None
             try:
-                result = exchange()
+                result = attempt_now()
             except StaleConnectionError as exc:
                 self.pool.discard_idle()
-                self.metrics.counter(
-                    "net_client_stale_connections_total", provider=self.name
-                ).inc()
+                self._tally("net_client_stale_connections_total")
                 if stale_budget > 0:
                     stale_budget -= 1
                     continue  # immediate redial; no budget consumed
@@ -315,9 +347,7 @@ class RemoteProvider(CloudProvider):
                 # drop parked siblings (they are dead too) and back off for
                 # roughly the hinted interval before trying again.
                 self.pool.discard_idle()
-                self.metrics.counter(
-                    "net_client_shed_total", provider=self.name
-                ).inc()
+                self._tally("net_client_shed_total")
                 last_exc = shed
                 retry_after = shed.retry_after
                 attempt += 1
@@ -325,14 +355,9 @@ class RemoteProvider(CloudProvider):
                 break
             budget = current_retry_budget()
             if budget is not None and not budget.try_spend():
-                self.metrics.counter(
-                    "net_client_retry_budget_exhausted_total",
-                    provider=self.name,
-                ).inc()
+                self._tally("net_client_retry_budget_exhausted_total")
                 break
-            self.metrics.counter(
-                "net_client_retries_total", provider=self.name
-            ).inc()
+            self._tally("net_client_retries_total")
             if retry_after is not None:
                 # Jitter the hint upward so a crowd of shed clients does
                 # not return in one synchronized thundering herd.
@@ -341,9 +366,7 @@ class RemoteProvider(CloudProvider):
                 delay = self.retry.delay(attempt - 1)
             deadline = current_deadline()
             if deadline is not None and deadline.remaining() <= delay:
-                self.metrics.counter(
-                    "net_client_deadline_exceeded_total", provider=self.name
-                ).inc()
+                self._tally("net_client_deadline_exceeded_total")
                 raise DeadlineExceeded(
                     f"deadline expires before the next retry of provider "
                     f"{self.name!r} (backoff {delay:.3f}s)"
@@ -354,9 +377,7 @@ class RemoteProvider(CloudProvider):
             self.pool.discard_idle()
         if self.failfast_window > 0:
             self._down_until = time.monotonic() + self.failfast_window
-            self.metrics.counter(
-                "net_client_circuit_open_total", provider=self.name
-            ).inc()
+            self._tally("net_client_circuit_open_total")
             self.events.emit(
                 "circuit_open",
                 level="warning",
@@ -374,90 +395,94 @@ class RemoteProvider(CloudProvider):
     @staticmethod
     def _frame_error(frame: Frame) -> ProviderError:
         """The exception an error-status response frame stands for."""
-        return error_for_status(
-            frame.code, frame.payload.decode("utf-8", "replace")
-        )
+        return error_for_status(frame.code, frame.payload.decode("utf-8", "replace"))
 
     @staticmethod
     def _find_shed(result) -> ResourceExhaustedError | None:
-        """The shed verdict, if any frame of *result* was RESOURCE_EXHAUSTED.
-
-        Stream exchanges return per-item tuples on success, so anything
-        without a status code is simply not a shed verdict.
-        """
-        frames = result if isinstance(result, list) else [result]
-        for frame in frames:
+        """The shed verdict, if a frame of *result* was RESOURCE_EXHAUSTED
+        (a stream session that went through returns item tuples: none)."""
+        for frame in result if isinstance(result, list) else [result]:
             if getattr(frame, "code", None) == Status.RESOURCE_EXHAUSTED:
-                error = RemoteProvider._frame_error(frame)
-                assert isinstance(error, ResourceExhaustedError)
-                return error
+                return RemoteProvider._frame_error(frame)
         return None
 
     def _account(
         self, op: OpCode, frames: int, sent: int, received: int, t0: float
     ) -> None:
-        """One window of *frames* *op* frames exchanged: the request count
-        moves by *frames*, the wire bytes by the window's totals, each
-        counter once, and the window is one latency sample.
+        """A window of *frames* *op* frames exchanged: the request count
+        moves by *frames*, the wire bytes by its totals, and it is one
+        latency sample (its frames share a round trip).  Handles held by op."""
+        held = self._op_metrics.get(op)
+        if held is None:
+            held = self._op_metrics[op] = (
+                self.metrics.counter(
+                    "net_client_requests_total", op=op.name, provider=self.name
+                ),
+                self.metrics.counter("net_client_wire_bytes_total", direction="out"),
+                self.metrics.counter("net_client_wire_bytes_total", direction="in"),
+                self.metrics.histogram("net_client_request_seconds", op=op.name),
+            )
+        for counter, value in zip(held, (frames, sent, received)):
+            counter.inc(value)
+        held[3].observe(time.perf_counter() - t0)
 
-        One sample, not one per frame: pipelined frames share a
-        round-trip, and N identical samples would skew the histogram.
-        """
-        self.metrics.counter(
-            "net_client_requests_total", op=op.name, provider=self.name
-        ).inc(frames)
-        self.metrics.counter(
-            "net_client_wire_bytes_total", direction="out"
-        ).inc(sent)
-        self.metrics.counter(
-            "net_client_wire_bytes_total", direction="in"
-        ).inc(received)
-        self.metrics.histogram(
-            "net_client_request_seconds", op=op.name
-        ).observe(time.perf_counter() - t0)
+    def _start(self, requests: list[tuple]) -> Callable[[], list[Frame]]:
+        """Send a window of frames of one op now; returns its finish, which
+        reads the response frames, whatever their statuses, traced and
+        accounted.
 
-    def _roundtrip(self, requests: list[tuple]) -> list[Frame]:
-        """Exchange a window of frames of one op with transport retries,
-        traced and accounted; returns the response frames, whatever their
-        statuses.
-
-        Retrying replays the whole window -- idempotent at this layer
-        because PUT overwrites whole objects, GET reads, and a DELETE
-        replayed after it took effect answers NOT_FOUND for an object
-        that is gone either way.
+        A transport failure of either half replays the whole window
+        through :meth:`_with_retries`, whose first attempt the sent window
+        is -- idempotent at this layer because PUT overwrites whole
+        objects, GET reads, and a DELETE replayed after it took effect
+        answers NOT_FOUND for an object that is gone either way.  With the
+        circuit open nothing is sent, and the finish raises.
         """
         t0 = time.perf_counter()
         op = requests[0][0]
-        # The span is active while _exchange reads wire_context(), so
+        # The span is active while _send reads wire_context(), so
         # server-side spans shipped back parent under this net span.
-        with self.tracer.span(
+        span = self.tracer.span(
             f"net.{op.name}", provider=self.name, frames=len(requests)
-        ):
-            frames = self._with_retries(lambda: self._exchange(requests))
-        sent = received = 0
-        expired = False
-        for (_, key, *parts), frame in zip(requests, frames):
-            sent += HEADER.size + len(key.encode()) + sum(map(len, parts))
-            received += HEADER.size + len(frame.key.encode()) + len(frame.payload)
-            expired = expired or frame.code == Status.DEADLINE_EXCEEDED
-        self._account(op, len(requests), sent, received, t0)
-        if expired:
-            self.metrics.counter(
-                "net_client_deadline_exceeded_total", provider=self.name
-            ).inc()
-        return frames
+        )
+        with span:
+            context = self.tracer.capture()
+            first = None if self._circuit_open() else self._send(requests)
+
+        def finish() -> list[Frame]:
+            try:
+                with self.tracer.adopt(context):
+                    frames = self._with_retries(lambda: self._send(requests)(), first)
+            except Exception as exc:
+                if span.span is not None:
+                    span.span.status = type(exc).__name__
+                raise
+            finally:
+                if span.span is not None:  # the span spans both halves
+                    span.span.duration = time.perf_counter() - t0
+            sent = received = 0
+            expired = False
+            for (_, key, *parts), frame in zip(requests, frames):
+                sent += HEADER.size + len(key.encode()) + sum(map(len, parts))
+                received += HEADER.size + len(frame.key.encode()) + len(frame.payload)
+                expired = expired or frame.code == Status.DEADLINE_EXCEEDED
+            self._account(op, len(requests), sent, received, t0)
+            if expired:
+                self._tally("net_client_deadline_exceeded_total")
+            return frames
+
+        return finish
 
     def _request(self, requests: list[tuple], decode=None):
-        """:meth:`_roundtrip` that raises on an error status.
+        """:meth:`_start` a window and finish it, checked (:meth:`_checked`)."""
+        return self._checked(self._start(requests), requests[0][0], decode)
 
-        Returns the response frames, or ``decode(frames)`` when given: a
-        :class:`ProtocolError` from it -- a CRC-correct answer whose
-        payload is junk -- is raised as a :class:`ProviderError`, so a
-        degraded read goes around this provider as around any other
-        failure.
-        """
-        first_op = requests[0][0]
-        frames = self._roundtrip(requests)
+    def _checked(self, finish, op: OpCode, decode=None):
+        """Finish a started window: its frames once each answered OK (else
+        the first error status raised), or ``decode(frames)``, whose
+        :class:`ProtocolError` -- a CRC-correct answer of junk -- is raised
+        as a :class:`ProviderError` a degraded read goes around."""
+        frames = finish()
         for frame in frames:
             if frame.code != Status.OK:
                 raise self._frame_error(frame)
@@ -468,7 +493,7 @@ class RemoteProvider(CloudProvider):
         except ProtocolError as exc:
             raise ProviderError(
                 f"provider {self.name!r} answered a malformed "
-                f"{first_op.name} payload: {exc}"
+                f"{op.name} payload: {exc}"
             ) from exc
 
     def ping(self) -> float:
@@ -517,14 +542,61 @@ class RemoteProvider(CloudProvider):
         partially failed batch still tells the caller exactly which shards
         need failover.  A batch frame's payload leaves as one buffer.
         """
-        if not items:
-            return []
-        batches = self._split_batches(items, lambda item: len(item[1]))
-        results = self._request(
-            [(OpCode.MULTI_PUT, "", encode_multi_put(batch)) for batch in batches],
-            lambda frames: self._batch_results(batches, frames),
+        return self.start_put_many(items, checksums)()
+
+    def start_put_many(self, items: list[tuple[str, bytes]], checksums=None):
+        """:meth:`put_many` in two halves (:meth:`_start_batches`)."""
+        return self._start_batches(
+            OpCode.MULTI_PUT, items, lambda item: len(item[1]), encode_multi_put,
+            lambda results: self._put_outcomes(items, checksums, results),
         )
-        return self._put_outcomes(items, checksums, results)
+
+    def get_many(self, keys: list[str]) -> list["bytes | ProviderError"]:
+        """Fetch many objects in one MULTI_GET round-trip per batch frame."""
+        return self.start_get_many(keys)()
+
+    def start_get_many(self, keys: list[str]):
+        """:meth:`get_many` in two halves (:meth:`_start_batches`)."""
+        return self._start_batches(
+            OpCode.MULTI_GET, keys, len, encode_keys, self._get_outcomes
+        )
+
+    def _start_batches(self, op: OpCode, items: list, weigh, encode, outcomes):
+        """Send *items* now as *op* batch frames (:meth:`_split_batches`);
+        returns the finish, which reads the answers -- one ``(status,
+        body)`` an item asked, or the call fails -- for *outcomes*."""
+        if not items:
+            return lambda: []
+        batches = self._split_batches(items, weigh)
+        finish = self._start([(op, "", encode(batch)) for batch in batches])
+
+        def answers(frames: list[Frame]) -> list[tuple[int, bytes]]:
+            results: list[tuple[int, bytes]] = []
+            for batch, frame in zip(batches, frames):
+                answered = decode_batch_results(frame.payload)
+                if len(answered) != len(batch):
+                    raise ProtocolError(
+                        f"batch frame answered {len(answered)} results for "
+                        f"{len(batch)} items"
+                    )
+                results += answered
+            return results
+
+        return lambda: outcomes(self._checked(finish, op, answers))
+
+    @staticmethod
+    def _split_batches(items: list, weigh) -> list[list]:
+        """Split *items* into frame-sized batches (bytes and count caps)."""
+        batches: list[list] = []
+        weight = 0
+        for item in items:
+            size = weigh(item)
+            if not batches or weight + size > BATCH_BYTES or len(batches[-1]) >= BATCH_ITEMS:
+                batches.append([])
+                weight = 0
+            batches[-1].append(item)
+            weight += size
+        return batches
 
     def _put_outcomes(
         self,
@@ -535,13 +607,10 @@ class RemoteProvider(CloudProvider):
         """Per-item outcomes of a put from its ``(status, echo)`` answers:
         the server's error, ``None``, or a :class:`BlobCorruptedError` for
         an echo -- the digest the server's backend recorded -- that is not
-        the item's digest (*checksums*, when the caller holds them).
-
-        A mismatch means the transport CRC passed but the server stored
-        something else: end-to-end write verification failed.  A batch
-        that all answered OK is checked whole first, its echoes joined
-        against its digests joined, item lengths alike.
-        """
+        the item's digest (*checksums*, when the caller holds them): the
+        transport CRC passed but the server stored something else.  A
+        batch that all answered OK is checked whole first, its echoes
+        joined against its digests joined, item lengths alike."""
         if checksums is None:
             checksums = [blob_checksum(data) for _, data in items]
         statuses, echoes = zip(*results)
@@ -564,17 +633,6 @@ class RemoteProvider(CloudProvider):
             )
         ]
 
-    def get_many(self, keys: list[str]) -> list["bytes | ProviderError"]:
-        """Fetch many objects in one MULTI_GET round-trip per batch frame."""
-        if not keys:
-            return []
-        batches = self._split_batches(keys, len)
-        results = self._request(
-            [(OpCode.MULTI_GET, "", encode_keys(batch)) for batch in batches],
-            lambda frames: self._batch_results(batches, frames),
-        )
-        return self._get_outcomes(results)
-
     @staticmethod
     def _get_outcomes(
         results: list[tuple[int, bytes]]
@@ -588,25 +646,30 @@ class RemoteProvider(CloudProvider):
             for status, body in results
         ]
 
-    @staticmethod
-    def _batch_results(
-        batches: list[list], frames: list[Frame]
-    ) -> list[tuple[int, bytes]]:
-        """Per-item ``(status, body)`` answers of a window of batch frames,
-        one answer per item asked or :class:`ProtocolError`."""
-        results: list[tuple[int, bytes]] = []
-        for batch, frame in zip(batches, frames):
-            answered = decode_batch_results(frame.payload)
-            if len(answered) != len(batch):
-                raise ProtocolError(
-                    f"batch frame answered {len(answered)} results for "
-                    f"{len(batch)} items"
-                )
-            results.extend(answered)
-        return results
+    def _session(self, op: OpCode, count: int, converse):
+        """One stream session of *op* on a leased socket, traced and retried:
+        ``converse(sock, rfile)`` returns its answers, or a refused
+        session's error frame, which is raised.  Sessions are never split."""
 
-    def _exchange_stream_put(self, items: list[tuple[str, bytes]]):
-        """One stream-upload session (open, segments, commit) on a lease.
+        def exchange():
+            deadline = self._check_deadline(f"net.{op.name}")
+            with self.pool.lease(op=op.name) as leased:
+                try:
+                    leased.sock.settimeout(self._op_timeout(deadline))
+                    with leased.sock.makefile("rb") as rfile:
+                        return converse(leased.sock, rfile)
+                except (OSError, ProtocolError) as exc:
+                    raise classify_stale(exc, leased.fresh) from exc
+
+        with self.tracer.span(f"net.{op.name}", provider=self.name, frames=count):
+            result = self._with_retries(exchange)
+        if isinstance(result, Frame):
+            raise self._frame_error(result)
+        return result
+
+    @staticmethod
+    def _converse_put(items: list[tuple[str, bytes]], sock, rfile):
+        """A stream-upload session's conversation (open, segments, commit).
 
         Segments are pipelined behind the open frame with a sliding window
         of at most :data:`STREAM_ACK_WINDOW` unacknowledged frames, so a
@@ -619,84 +682,66 @@ class RemoteProvider(CloudProvider):
         echo the key of the segment at its position, or the session is a
         :class:`ProtocolError`.
         """
-        deadline = self._check_deadline("net.STREAM_PUT")
-        with self.pool.lease(op="STREAM_PUT") as leased:
-            sock = leased.sock
-            try:
-                sock.settimeout(self._op_timeout(deadline))
-                rfile = sock.makefile("rb")
-                try:
-                    sent = 0
-                    acked = 0
-                    refused: Frame | None = None
-                    results: list[tuple[int, bytes]] = []
+        acked = 0
+        refused: Frame | None = None
+        results: list[tuple[int, bytes]] = []
 
-                    def read_ack() -> None:
-                        nonlocal acked, refused
-                        frame = read_frame(rfile)
-                        if frame is None:
-                            raise ProtocolError(
-                                "server closed connection mid-stream"
-                            )
-                        index = acked  # 0 = open ack, 1..N = segments, N+1 = end
-                        acked += 1
-                        if frame.code == Status.RESOURCE_EXHAUSTED:
-                            refused = frame
-                        elif 1 <= index <= len(items):
-                            asked = items[index - 1][0]
-                            if frame.key != asked:
-                                raise ProtocolError(
-                                    f"STREAM_SEG ack {index} is for key "
-                                    f"{frame.key!r}, not {asked!r}"
-                                )
-                            results.append((int(frame.code), frame.payload))
-                        elif frame.code != Status.OK and refused is None:
-                            refused = frame
+        def read_ack() -> None:
+            nonlocal acked, refused
+            frame = _next_frame(rfile)
+            index = acked  # 0 = open ack, 1..N = segments, N+1 = end
+            acked += 1
+            if frame.code == Status.RESOURCE_EXHAUSTED:
+                refused = frame
+            elif 1 <= index <= len(items):
+                asked = items[index - 1][0]
+                if frame.key != asked:
+                    raise ProtocolError(
+                        f"STREAM_SEG ack {index} is for key {frame.key!r}, "
+                        f"not {asked!r}"
+                    )
+                results.append((int(frame.code), frame.payload))
+            elif frame.code != Status.OK and refused is None:
+                refused = frame
 
-                    sendmsg_all(sock, frame_segments(OpCode.STREAM_PUT))
-                    sent += 1
-                    batch: list[bytes | memoryview] = []
-                    batched = 0
-                    for key, data in items:
-                        if refused is not None:
-                            break
-                        batch.extend(
-                            frame_segments(OpCode.STREAM_SEG, key, data)
-                        )
-                        batched += 1
-                        if batched >= STREAM_SEND_BATCH:
-                            sendmsg_all(sock, batch)
-                            sent += batched
-                            batch.clear()
-                            batched = 0
-                            while sent - acked > STREAM_ACK_WINDOW:
-                                read_ack()
-                    if refused is None:
-                        batch.extend(frame_segments(OpCode.STREAM_END))
-                        sendmsg_all(sock, batch)
-                        sent += batched + 1
-                    # Drain every outstanding ack so the connection is back
-                    # in sync (a shed server closed it already; stop there).
-                    while acked < sent and (
-                        refused is None
-                        or refused.code != Status.RESOURCE_EXHAUSTED
-                    ):
-                        read_ack()
-                    if refused is not None:
-                        return refused
-                    if len(results) != len(items):
-                        raise ProtocolError(
-                            f"stream session answered {len(results)} segment "
-                            f"acks for {len(items)} segments"
-                        )
-                    return results
-                finally:
-                    rfile.close()
-            except (OSError, ProtocolError) as exc:
-                raise classify_stale(exc, leased.fresh) from exc
+        sendmsg_all(sock, frame_segments(OpCode.STREAM_PUT))
+        sent = 1
+        batch: list[bytes | memoryview] = []
+        batched = 0
+        for key, data in items:
+            if refused is not None:
+                break
+            batch.extend(frame_segments(OpCode.STREAM_SEG, key, data))
+            batched += 1
+            if batched >= STREAM_SEND_BATCH:
+                sendmsg_all(sock, batch)
+                sent += batched
+                batch.clear()
+                batched = 0
+                while sent - acked > STREAM_ACK_WINDOW:
+                    read_ack()
+        if refused is None:
+            batch.extend(frame_segments(OpCode.STREAM_END))
+            sendmsg_all(sock, batch)
+            sent += batched + 1
+        # Drain every outstanding ack so the connection is back in sync (a
+        # shed server closed it already; stop there).
+        while acked < sent and (
+            refused is None or refused.code != Status.RESOURCE_EXHAUSTED
+        ):
+            read_ack()
+        if refused is not None:
+            return refused
+        if len(results) != len(items):
+            raise ProtocolError(
+                f"stream session answered {len(results)} segment acks for "
+                f"{len(items)} segments"
+            )
+        return results
 
-    def _exchange_stream_get(self, keys: list[str]):
-        """One STREAM_GET exchange: count header, then one frame per key.
+    @staticmethod
+    def _converse_get(keys: list[str], sock, rfile):
+        """A STREAM_GET conversation: count header, then one frame per key.
 
         Returns the per-key frames, or the header frame when it is not OK
         (the shed frame on admission refusal, or the server's error).
@@ -704,48 +749,22 @@ class RemoteProvider(CloudProvider):
         exchange is a :class:`ProtocolError`: a server answering out of
         order would otherwise hand one key's bytes back as another's.
         """
-        deadline = self._check_deadline("net.STREAM_GET")
-        with self.pool.lease(op="STREAM_GET") as leased:
-            sock = leased.sock
-            try:
-                sock.settimeout(self._op_timeout(deadline))
-                sendmsg_all(
-                    sock,
-                    frame_segments(OpCode.STREAM_GET, "", encode_keys(keys)),
+        sendmsg_all(sock, frame_segments(OpCode.STREAM_GET, "", encode_keys(keys)))
+        header = _next_frame(rfile)
+        if header.code != Status.OK:
+            return header
+        count = decode_stream_count(header.payload)
+        if count != len(keys):
+            raise ProtocolError(
+                f"STREAM_GET answered {count} frames for {len(keys)} keys"
+            )
+        frames = [_next_frame(rfile) for _ in keys]
+        for key, frame in zip(keys, frames):
+            if frame.key != key:
+                raise ProtocolError(
+                    f"STREAM_GET answered key {frame.key!r} where {key!r} was asked"
                 )
-                rfile = sock.makefile("rb")
-                try:
-                    header = read_frame(rfile)
-                    if header is None:
-                        raise ProtocolError(
-                            "server closed connection before responding"
-                        )
-                    if header.code != Status.OK:
-                        return header
-                    count = decode_stream_count(header.payload)
-                    if count != len(keys):
-                        raise ProtocolError(
-                            f"STREAM_GET answered {count} frames for "
-                            f"{len(keys)} keys"
-                        )
-                    frames: list[Frame] = []
-                    for key in keys:
-                        frame = read_frame(rfile)
-                        if frame is None:
-                            raise ProtocolError(
-                                "server closed connection mid-stream"
-                            )
-                        if frame.key != key:
-                            raise ProtocolError(
-                                f"STREAM_GET answered key {frame.key!r} "
-                                f"where {key!r} was asked"
-                            )
-                        frames.append(frame)
-                    return frames
-                finally:
-                    rfile.close()
-            except (OSError, ProtocolError) as exc:
-                raise classify_stale(exc, leased.fresh) from exc
+        return frames
 
     def put_stream(
         self,
@@ -761,23 +780,18 @@ class RemoteProvider(CloudProvider):
         if not items:
             return []
         t0 = time.perf_counter()
-        with self.tracer.span(
-            "net.STREAM_PUT", provider=self.name, frames=len(items)
-        ):
-            result = self._with_retries(
-                lambda: self._exchange_stream_put(items)
-            )
-        if isinstance(result, Frame):
-            raise self._frame_error(result)
+        results = self._session(
+            OpCode.STREAM_PUT, len(items), functools.partial(self._converse_put, items)
+        )
         sent = 2 * HEADER.size + sum(
             HEADER.size + len(key.encode()) + len(data) for key, data in items
         )
         received = 2 * HEADER.size + sum(
             HEADER.size + len(key.encode()) + len(body)
-            for (key, _), (_, body) in zip(items, result)
+            for (key, _), (_, body) in zip(items, results)
         )
         self._account(OpCode.STREAM_PUT, 1, sent, received, t0)
-        return self._put_outcomes(items, checksums, result)
+        return self._put_outcomes(items, checksums, results)
 
     def get_stream(self, keys: list[str]) -> list["bytes | ProviderError"]:
         """Fetch many objects as one frame per key (no aggregate payload).
@@ -787,47 +801,21 @@ class RemoteProvider(CloudProvider):
         if not keys:
             return []
         t0 = time.perf_counter()
-        with self.tracer.span(
-            "net.STREAM_GET", provider=self.name, frames=len(keys)
-        ):
-            frames = self._with_retries(
-                lambda: self._exchange_stream_get(keys)
-            )
-        if isinstance(frames, Frame):
-            raise self._frame_error(frames)
+        frames = self._session(
+            OpCode.STREAM_GET, len(keys), functools.partial(self._converse_get, keys)
+        )
         sent = HEADER.size + 4 + sum(len(key.encode()) + 2 for key in keys)
         received = HEADER.size + 4 + sum(
             HEADER.size + len(frame.key.encode()) + len(frame.payload)
             for frame in frames
         )
         self._account(OpCode.STREAM_GET, 1, sent, received, t0)
-        return self._get_outcomes(
-            [(frame.code, frame.payload) for frame in frames]
-        )
-
-    @staticmethod
-    def _split_batches(items: list, weigh) -> list[list]:
-        """Split *items* into frame-sized batches (bytes and count caps)."""
-        batches: list[list] = []
-        current: list = []
-        current_bytes = 0
-        for item in items:
-            weight = weigh(item)
-            if current and (
-                current_bytes + weight > BATCH_BYTES
-                or len(current) >= BATCH_ITEMS
-            ):
-                batches.append(current)
-                current = []
-                current_bytes = 0
-            current.append(item)
-            current_bytes += weight
-        if current:
-            batches.append(current)
-        return batches
+        return self._get_outcomes([(frame.code, frame.payload) for frame in frames])
 
     def delete(self, key: str) -> None:
-        self._request([(OpCode.DELETE, key, b"")])
+        (error,) = self.delete_many([key])
+        if error is not None:
+            raise error
 
     def delete_many(self, keys: list[str]) -> list[ProviderError | None]:
         """Remove many objects: plain DELETE frames, pipelined
@@ -839,21 +827,32 @@ class RemoteProvider(CloudProvider):
         provider is down, and asking again per window would only pay the
         retries again.
         """
-        outcomes: list[ProviderError | None] = []
-        for start in range(0, len(keys), DELETE_WINDOW):
-            window = keys[start : start + DELETE_WINDOW]
-            try:
-                frames = self._roundtrip(
-                    [(OpCode.DELETE, key, b"") for key in window]
-                )
-            except ProviderError as exc:
-                outcomes.extend([exc] * (len(keys) - start))
-                break
-            outcomes.extend(
-                None if frame.code == Status.OK else self._frame_error(frame)
-                for frame in frames
-            )
-        return outcomes
+        return self.start_delete_many(keys)()
+
+    def start_delete_many(self, keys: list[str]):
+        """:meth:`delete_many` in two halves: the first window is sent now,
+        and the finish reads its answers, then sends and reads each window
+        behind it."""
+        windows = [
+            [(OpCode.DELETE, key, b"") for key in keys[at : at + DELETE_WINDOW]]
+            for at in range(0, len(keys), DELETE_WINDOW)
+        ]
+        first = self._start(windows[0]) if windows else None
+
+        def finish() -> list[ProviderError | None]:
+            outcomes: list[ProviderError | None] = []
+            for at, window in enumerate(windows):
+                try:
+                    frames = (self._start(window) if at else first)()
+                except ProviderError as exc:
+                    return outcomes + [exc] * (len(keys) - len(outcomes))
+                outcomes += [
+                    None if frame.code == Status.OK else self._frame_error(frame)
+                    for frame in frames
+                ]
+            return outcomes
+
+        return finish
 
     def keys(self) -> list[str]:
         return self._request(

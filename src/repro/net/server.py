@@ -193,6 +193,9 @@ class ChunkServer(AdmissionServer):
         self._stream_owners: dict[str, int] = {}
         self._session_ids = itertools.count(1)
         self.requests_served = 0
+        # Per-frame metric handles and op labels, resolved once then held.
+        self._held: dict = {}
+        self._labels: dict[int, str] = {}
 
     @staticmethod
     def _fault_key(frame: Frame) -> str:
@@ -246,11 +249,7 @@ class ChunkServer(AdmissionServer):
                 "a TRACED/DEADLINE envelope"
             )
             return Status.BAD_REQUEST, frame.key, message.encode("utf-8")
-        op_label = (
-            OpCode(frame.code).name
-            if frame.code in OpCode._value2member_map_
-            else f"{frame.code:#x}"
-        )
+        op_label = self._label(frame.code)
         t0 = time.perf_counter()
         try:
             # The span is a shared no-op unless this request arrived inside
@@ -267,15 +266,38 @@ class ChunkServer(AdmissionServer):
             self.metrics.counter(
                 "net_server_deadline_exceeded_total", op=op_label
             ).inc()
-        self.metrics.counter(
-            "net_server_requests_total",
-            op=op_label,
-            status=Status(result[0]).name,
-        ).inc()
-        self.metrics.histogram(
-            "net_server_request_seconds", op=op_label
-        ).observe(time.perf_counter() - t0)
+        self._served(frame.code, result[0], t0)
         return result
+
+    def _label(self, code: int) -> str:
+        """Op *code*'s metric label, looked up once a code."""
+        label = self._labels.get(code)
+        if label is None:
+            label = self._labels[code] = (
+                OpCode(code).name
+                if code in OpCode._value2member_map_
+                else f"{code:#x}"
+            )
+        return label
+
+    def _served(self, code: int, status: int, t0: float | None = None) -> None:
+        """Count one request frame of op *code* answered *status*, and time
+        it from *t0* when given: each handle is resolved once, then held."""
+        counter = self._held.get((code, status))
+        if counter is None:
+            counter = self._held[code, status] = self.metrics.counter(
+                "net_server_requests_total",
+                op=self._label(code),
+                status=Status(status).name,
+            )
+        counter.inc()
+        if t0 is not None:
+            seconds = self._held.get(code)
+            if seconds is None:
+                seconds = self._held[code] = self.metrics.histogram(
+                    "net_server_request_seconds", op=self._label(code)
+                )
+            seconds.observe(time.perf_counter() - t0)
 
     def _dispatch_deadline(self, frame: Frame) -> tuple[Status, str, bytes]:
         """Unwrap a DEADLINE envelope and serve the inner request under it.
@@ -313,13 +335,8 @@ class ChunkServer(AdmissionServer):
             context, inner = decode_traced_request(frame.payload)
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             return status_for_error(exc), frame.key, str(exc).encode("utf-8")
-        op_label = (
-            OpCode(inner.code).name
-            if inner.code in OpCode._value2member_map_
-            else f"{inner.code:#x}"
-        )
         with self.tracer.serve_remote(
-            context, f"server.{op_label}", backend=self.backend.name
+            context, f"server.{self._label(inner.code)}", backend=self.backend.name
         ):
             status, key, payload = self._dispatch(inner)
         records = self.tracer.drain_remote(context.partition(":")[0])
@@ -338,17 +355,12 @@ class ChunkServer(AdmissionServer):
         histograms would dominate the served work.  Segments get a
         request counter; the open/commit frames bound the session anyway.
         """
-        op_label = OpCode(frame.code).name
         try:
             with self._backend_lock:
                 result = self._handle_stream(frame, session)
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             result = status_for_error(exc), frame.key, str(exc).encode("utf-8")
-        self.metrics.counter(
-            "net_server_requests_total",
-            op=op_label,
-            status=Status(result[0]).name,
-        ).inc()
+        self._served(frame.code, result[0])
         return result
 
     def _handle_stream(
@@ -410,12 +422,7 @@ class ChunkServer(AdmissionServer):
             else (Status.OK, key, outcome)
             for key, outcome in zip(keys, outcomes)
         ]
-        self.metrics.counter(
-            "net_server_requests_total", op="STREAM_GET", status="OK"
-        ).inc()
-        self.metrics.histogram(
-            "net_server_request_seconds", op="STREAM_GET"
-        ).observe(time.perf_counter() - t0)
+        self._served(OpCode.STREAM_GET, Status.OK, t0)
         return responses
 
     def _rollback_stream(self, session: StreamSession) -> None:

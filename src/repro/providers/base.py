@@ -89,6 +89,13 @@ class CloudProvider(ABC):
     #: could make progress meanwhile.  True unless a backend knows better.
     waits: bool = True
 
+    #: The batched calls a backend can make in two halves: ``start_<call>``
+    #: sends the request and returns the call that reads its answers, so
+    #: one thread keeps several providers' requests in flight.  A socket
+    #: client can (:class:`~repro.net.remote.RemoteProvider`); a call that
+    #: must be made whole is named here by no backend.
+    splits: frozenset[str] = frozenset()
+
     def __init__(self, name: str) -> None:
         if not name:
             raise ValueError("provider name must be non-empty")

@@ -123,3 +123,30 @@ def test_a_scrub_cycle_reads_every_shard_once_and_heads_none(world):
     # One batched get a provider a window of rows.
     windows = -(-CHUNKS // REMOVE_WINDOW_CHUNKS)
     assert [p.calls for p in providers] == [Counter(get_many=windows)] * len(providers)
+
+
+def test_a_repair_deletes_no_twin_its_read_found_missing(world, monkeypatch):
+    """A rebuilt shard that moves leaves its old twin to be deleted --
+    unless the read that condemned it answered not-found: there is no twin.
+    A provider whose blobs were dropped is sent no delete (1,365 before,
+    one a rebuilt shard); a corrupt twin exists and is still deleted."""
+    d, providers, data = world
+    lost, rotten = providers[2], providers[4]
+    dropped = lost.keys()
+    for key in dropped:
+        lost.drop_blob(key)
+    rotten.corrupt_blob(rotten.keys()[0])
+    deleted: Counter[str] = Counter()
+    for provider in (lost, rotten):
+        delete = provider.delete
+
+        def counted(key, _name=provider.name, _delete=delete):
+            deleted[_name] += 1
+            return _delete(key)
+
+        monkeypatch.setattr(provider, "delete", counted)
+    report = d.repair_file("C", "pw", "f")
+    assert report.shards_missing == report.shards_rebuilt == len(dropped) + 1
+    assert deleted == {rotten.name: 1}
+    assert not set(lost.keys()) & set(dropped)
+    assert d.get_file("C", "pw", "f") == data

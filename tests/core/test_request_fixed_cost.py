@@ -4,8 +4,9 @@ Three costs used to sit under every request however small: a PBKDF2 scan
 per password check, a pool hand-off per provider leg even when the
 provider is a dict, and a walk of every quadruple the client holds.  These
 tests pin where each went: a warmed request hashes no password, hands a
-leg to a transport thread only if the provider can wait, and costs the
-same number of Python calls whatever else the client stores.
+leg to a transport thread only if the provider can wait and its call
+cannot be split (a socket's is sent and read back on the caller), and
+costs the same number of Python calls whatever else the client stores.
 """
 
 from __future__ import annotations
@@ -95,7 +96,14 @@ def test_warmed_small_request_in_memory_submits_and_hashes_nothing(
     d.close()
 
 
-def test_sockets_still_get_one_pool_leg_per_provider_asked(submits, hashes):
+def wire_legs(d: CloudDataDistributor) -> int:
+    """Legs sent and read back on the caller's socket so far."""
+    return int(d.metrics.value("distributor_transport_legs_total", where="wire"))
+
+
+def test_sockets_get_one_wire_leg_per_provider_asked_and_no_hand_off(
+    submits, hashes
+):
     with LocalCluster(6) as cluster:
         d = CloudDataDistributor(
             cluster.build_registry(), seed=3, metrics=MetricsRegistry()
@@ -113,22 +121,22 @@ def test_sockets_still_get_one_pool_leg_per_provider_asked(submits, hashes):
             )
         assert len(asked) > 1
         del submits[:], hashes[:]
-        before = legs(d)
+        before, sent = legs(d), wire_legs(d)
         assert d.get_file("C", "pw", "f") == SMALL
-        assert len(submits) == len(asked)  # a healthy read: one round
-        assert hashes == []
-        assert legs(d) == (before[0], before[1] + len(asked))
+        assert wire_legs(d) == sent + len(asked)  # a healthy read: one round
+        assert (submits, hashes) == ([], [])
+        assert legs(d) == before
+        assert d._transport_pool is None  # never even built
         d.close()
 
 
-def test_a_retire_of_one_key_a_provider_is_no_pool_leg_and_a_batch_is_one(
+def test_an_update_and_a_remove_over_sockets_hand_no_leg_to_the_pool(
     submits,
 ):
-    """Deletes over sockets: the four shards an update retires sit on four
-    providers, one round-trip each, and run in turn on the caller (the
-    update's eight legs are its read and its write, the snapshot one batch
-    of the write beside the stripe's four); a remove asks each provider for
-    a batch and hands each batch to the pool."""
+    """The four shards an update retires sit on four providers, one leg
+    each, in one round like its read and its write (the update's twelve
+    legs: k shards read, n written and the snapshot beside them, n
+    retired); a remove asks each provider for a batch, one leg each."""
     with LocalCluster(6) as cluster:
         d = CloudDataDistributor(
             cluster.build_registry(), seed=3, metrics=MetricsRegistry()
@@ -136,16 +144,16 @@ def test_a_retire_of_one_key_a_provider_is_no_pool_leg_and_a_batch_is_one(
         d.register_client("C")
         d.add_password("C", "pw", PrivacyLevel.PRIVATE)
         d.upload_file("C", "pw", "f", SMALL * 4, PrivacyLevel.MODERATE)
-        del submits[:]
+        sent = wire_legs(d)
         d.update_chunk("C", "pw", "f", 1, b"patched")
-        # k shards read, n written and the snapshot beside them, 0 retired
-        assert len(submits) == 3 + 4 + 1
+        assert wire_legs(d) == sent + 3 + 4 + 1 + 4
         holders = {name for name, load in d.provider_loads().items() if load}
         assert len(holders) == 6
-        del submits[:]
+        sent = wire_legs(d)
         d.remove_file("C", "pw", "f")
-        assert len(submits) == len(holders)
+        assert wire_legs(d) == sent + len(holders)
         assert [backend.keys() for backend in cluster.backends] == [[]] * 6
+        assert submits == []
         d.close()
 
 
