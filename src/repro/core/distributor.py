@@ -329,7 +329,7 @@ class CloudDataDistributor:
         method: str,
         name: str,
         items: list,
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
         feed: bool = True,
     ) -> list:
         """One batched provider call (a round of one leg), its outcomes fed

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
@@ -185,18 +184,10 @@ def _braced(items, preview: int) -> str:
 _GONE = -1
 _QUARANTINED = -2
 
-#: A SHA-256 hex digest as :func:`~repro.providers.base.blob_checksum` writes
-#: it: the only form a shard checksum is tabled in (as its 32 raw bytes).
-_HEX_DIGEST = re.compile(r"(?:[0-9a-f]{64})*")
-
-
-def _hex_digests(raw: np.ndarray) -> list[str]:
-    """Rows of 32 raw digest bytes as :func:`blob_checksum`'s hex strings,
-    converted in one pass for the lot."""
-    text = raw.tobytes().hex()
-    if len(raw) <= _FEW_SLOTS:
-        return [text[at : at + 64] for at in range(0, len(text), 64)]
-    return np.array(text).reshape(1).view("<U64").tolist()
+def _raw(digests: np.ndarray) -> list[bytes]:
+    """Rows of 32 digest bytes as :func:`~repro.providers.base.blob_checksum`
+    returns them, one ``bytes`` a row, in one pass for the lot."""
+    return digests.view("V32").reshape(-1).tolist()
 
 
 def _fit(column: np.ndarray, size: int) -> np.ndarray:
@@ -444,7 +435,9 @@ class ChunkEntry:
         one out of range, a short checksum tuple or a provider index the
         provider table lacks would be a bare ``IndexError`` or ``KeyError``
         mid-read; a shard beyond the recorded members is never audited; a
-        checksum that is no SHA-256 hex digest could never match a shard.
+        checksum that is no SHA-256 hex digest could never match a shard
+        (:meth:`PackedChunk.unpack` refuses it, as it turns the row's hex
+        checksums into the raw digests the table keeps).
         """
         try:
             vid = int(vid)
@@ -483,11 +476,6 @@ class ChunkEntry:
             )
         elif checksums is not None and len(checksums) != n:
             problem = f"{len(checksums)} shard checksums for a stripe of {n}"
-        elif checksums is not None and not (
-            all(type(c) is str and len(c) == 64 for c in checksums)
-            and _HEX_DIGEST.fullmatch("".join(checksums))
-        ):
-            problem = "its shard checksums are not SHA-256 hex digests"
         elif len(members) != n:
             problem = f"{len(members)} providers for a stripe of {n}"
         if problem is not None:
@@ -583,8 +571,7 @@ class ChunkTable:
         stripe, rotation, digested = self._shapes[shape]
         checksums = None
         if digested:
-            digests = self._digests[self._sptr[slot] : self._sptr[slot + 1]]
-            checksums = tuple(_hex_digests(digests))
+            checksums = tuple(_raw(self._digests[self._sptr[slot] : self._sptr[slot + 1]]))
         return ChunkState(stripe, rotation, checksums)
 
     def _fields(self, slot: int) -> tuple:
@@ -641,21 +628,15 @@ class ChunkTable:
             digested = checksums is not None
             if digested and not (
                 len(checksums) == len(members)
-                and all(type(c) is str and len(c) == 64 for c in checksums)
-                and _HEX_DIGEST.fullmatch("".join(checksums))
+                and all(type(c) is bytes and len(c) == 32 for c in checksums)
             ):
                 raise ValueError(
-                    f"chunk {vid}: shard checksums are not one SHA-256 hex "
-                    f"digest a member"
+                    f"chunk {vid}: shard checksums are not one SHA-256 digest a member"
                 )
             shapes += self._intern(
                 [_shape_key(record.stripe, record.rotation, digested)], [record.stripe]
             )
-            digests.append(
-                bytes.fromhex("".join(checksums))
-                if digested
-                else bytes(32 * len(members))
-            )
+            digests.append(b"".join(checksums) if digested else bytes(32 * len(members)))
         vids, levels, members, snapshots, positions, _ = zip(*rows) if rows else ((),) * 6
         return (
             list(vids), list(map(int, levels)), list(map(len, members)),
@@ -675,7 +656,7 @@ class ChunkTable:
         positions: list[np.ndarray],
         stripes: list[StripeMeta],
         rotations: list[int],
-        digests: list[str],
+        digests: list[bytes],
     ) -> range:
         """Table a window of fresh rows of one privacy *level* in one pass
         -- the write engine's commit -- at consecutive indices; returns
@@ -683,11 +664,12 @@ class ChunkTable:
         ``widths`` (how many of *members* are each row's), the
         ``snapshots`` holders (``None``: no row has one), the ``stripes``
         and ``rotations``; shard slot by shard slot, row after row, the
-        provider ``members`` and the hex ``digests``; and the ``M`` column
-        as runs of rows, one 2-D ``uint32`` array a run (one row of
-        positions a chunk).  Rows sharing a stripe object and a rotation
-        share a shape found once, the digests become raw bytes in one
-        call, and the positions reach the heap a run at a time.  The
+        provider ``members`` and the ``digests`` (32 raw bytes each, as
+        :func:`~repro.providers.base.blob_checksum` returns them); and the
+        ``M`` column as runs of rows, one 2-D ``uint32`` array a run (one
+        row of positions a chunk).  Rows sharing a stripe object and a
+        rotation share a shape found once, the digests reach their column
+        as one join, and the positions reach the heap a run at a time.  The
         virtual ids are the allocator's, fresh by construction: not
         checked again here."""
         count = len(vids)
@@ -706,7 +688,7 @@ class ChunkTable:
             [NO_SNAPSHOT] * count if snapshots is None else snapshots, counts,
             positions[0].reshape(-1) if len(positions) == 1
             else np.concatenate([run.reshape(-1) for run in positions]),
-            list(map(shape_of.__getitem__, pairs)), bytes.fromhex("".join(digests)),
+            list(map(shape_of.__getitem__, pairs)), b"".join(digests),
         )
 
     def _intern(self, keys: list[tuple], stripes: list[StripeMeta]) -> list[int]:
@@ -843,11 +825,11 @@ class ChunkTable:
                 stripes.append(stripe)
                 first.append(len(members))
                 members += views.members[a:b].tolist()
-                text = views.digests[32 * a : 32 * b].hex()
-                digests += (
-                    [text[at : at + 64] for at in range(0, len(text), 64)]
-                    if digested else [None] * (b - a)
-                )
+                if digested:
+                    raw = views.digests[32 * a : 32 * b].tobytes()
+                    digests += [raw[at : at + 32] for at in range(0, len(raw), 32)]
+                else:
+                    digests += [None] * (b - a)
                 if e > c:
                     heap.append(self._positions[c:e])
                 marks.append(marks[-1] + e - c)
@@ -1053,16 +1035,18 @@ class ChunkTable:
 
     def export_records(self) -> dict:
         """``metadata.json``'s ``chunk_state``: virtual id -> packed stripe
-        record, a quarantined one with its fields as loaded."""
+        record (:class:`PackedChunk`'s fields, the digests spelled in hex:
+        this and :meth:`ChunkEntry.load` are the format's edge), a
+        quarantined one with its fields as loaded."""
         live = self._live()
-        hexes = iter(_hex_digests(self._digests[_segments(self._sptr, live)[0]]))
+        shards, widths = _segments(self._sptr, live)
+        digests = iter(_raw(self._digests[shards]))
         out = {}
-        for slot, index, vid, shape in zip(
-            live.tolist(), self._index[live].tolist(), self._vid[live].tolist(),
-            self._shape[live].tolist(),
+        for index, vid, shape, width in zip(
+            self._index[live].tolist(), self._vid[live].tolist(),
+            self._shape[live].tolist(), widths,
         ):
-            width = int(self._sptr[slot + 1]) - int(self._sptr[slot])
-            digests = list(itertools.islice(hexes, width))
+            checksums = list(map(bytes.hex, itertools.islice(digests, width)))
             if shape == _QUARANTINED:
                 out[vid] = tuple(self._verbatim[index])
                 continue
@@ -1070,7 +1054,7 @@ class ChunkTable:
             out[vid] = (
                 stripe.codec, stripe.width, stripe.k, stripe.m,
                 stripe.shard_size, stripe.orig_len, rotation,
-                digests if digested else None,
+                checksums if digested else None,
             )
         return out
 
@@ -1165,17 +1149,18 @@ class ChunkWindow:
     once decoded, ``[rows, width, length, count]`` -- rows of one interned
     stripe (k shard sizes, the first *length* bytes the stored chunk) and
     one ``M`` count -- as :func:`repro.core.misleading.strip` reads them.
-    A window of a few rows holds plain lists, its digests as hex (``None``
-    for a row without checksums); a larger one arrays, its digests raw (32
-    bytes a slot, with a mask of the slots that have them when some do
-    not), turned to hex a round at a time.
+    A digest is its 32 raw bytes, as the table keeps it.  A window of a
+    few rows holds plain lists, its digests one ``bytes`` a slot (``None``
+    for a row without checksums); a larger one arrays, its digests one
+    ``(slots, 32)`` array (with a mask of the slots that have them when
+    some do not), cut into ``bytes`` a round at a time.
     """
 
     vids: list[int]
     stripes: list[StripeMeta]
     first: "list[int] | np.ndarray"
     members: "list[int] | np.ndarray"
-    digests: "list[str | None] | np.ndarray | tuple[np.ndarray, np.ndarray]"
+    digests: "list[bytes | None] | np.ndarray | tuple[np.ndarray, np.ndarray]"
     positions: np.ndarray
     marks: list[int]
     runs: list[list[int]]
@@ -1196,9 +1181,10 @@ class ChunkWindow:
         stripe numbers)`` in that order, each provider's run ``(provider,
         start, stop)`` in the order the round first names the providers,
         and where each request landed (``back``).  A few rows plan in
-        Python; more plan in one sort, one key list and one hex conversion
-        of the round's digests.  A key is its row's virtual id, formatted
-        once a window, and the member's suffix (:func:`member_keys`)."""
+        Python; more plan in one sort, one key list and one cut of the
+        round's digests into ``bytes``.  A key is its row's virtual id,
+        formatted once a window, and the member's suffix
+        (:func:`member_keys`)."""
         if self.prefixes is None:
             self.prefixes = list(map(str, self.vids))
         if isinstance(self.members, list):
@@ -1246,11 +1232,11 @@ class ChunkWindow:
         picked = slots[ordered]
         if isinstance(self.digests, tuple):
             raw, bare = self.digests
-            expected = _hex_digests(raw[picked])
+            expected = _raw(raw[picked])
             for at in (~bare[picked]).nonzero()[0].tolist():
                 expected[at] = None
         else:
-            expected = _hex_digests(self.digests[picked])
+            expected = _raw(self.digests[picked])
         back = np.empty(len(ordered), np.int64)
         back[ordered] = np.arange(len(ordered))
         return keys, expected, rows, runs, back.tolist()

@@ -59,7 +59,7 @@ class WriteWindow:
     names: list[str]
     keys: list[str]
     snapshots: "list[tuple[str, bytes]] | None" = None
-    digests: list[str] = field(default_factory=list)
+    digests: list[bytes] = field(default_factory=list)
     moved: list[tuple[str, str]] = field(default_factory=list)
 
     def writes(self) -> list[tuple[str, str]]:

@@ -45,7 +45,7 @@ class NamespacedProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         self.inner.put(self._outer(key), data, checksum=checksum)
 
     def get(self, key: str) -> bytes:
@@ -68,7 +68,7 @@ class NamespacedProvider(CloudProvider):
     def put_many(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ) -> list:
         return self.inner.put_many(
             [(self._outer(k), v) for k, v in items], checksums=checksums
@@ -83,7 +83,7 @@ class NamespacedProvider(CloudProvider):
     def start_put_many(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ):
         return self.inner.start_put_many(
             [(self._outer(k), v) for k, v in items], checksums

@@ -17,9 +17,9 @@ carries one request or one response::
 Both sides verify the CRC-32 before trusting a payload, so a truncated or
 bit-flipped transfer surfaces as :class:`ProtocolError` at the transport
 layer instead of silently corrupting an object.  On top of that, a PUT
-response echoes the server-side SHA-256 of the stored bytes ("checksum
-echo"), giving the client end-to-end write verification independent of the
-transport CRC.
+response echoes the server-side SHA-256 of the stored bytes, in hex
+("checksum echo", :func:`encode_digest`), giving the client end-to-end
+write verification independent of the transport CRC.
 
 The full specification (including error-code semantics) lives in
 ``docs/net_protocol.md``; keep the two in sync.
@@ -27,8 +27,10 @@ The full specification (including error-code semantics) lives in
 
 from __future__ import annotations
 
+import binascii
 import io
 import json
+import re
 import socket
 import struct
 import zlib
@@ -243,9 +245,7 @@ def read_frame(stream) -> Frame | None:
     if not raw:
         return None
     if len(raw) < HEADER.size:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(raw)}/{HEADER.size} bytes)"
-        )
+        raise ProtocolError(f"connection closed mid-frame ({len(raw)}/{HEADER.size} bytes)")
     magic, version, code, key_len, payload_len, crc = HEADER.unpack(raw)
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
@@ -294,9 +294,7 @@ def decode_frame(data: bytes) -> Frame:
     stream = io.BytesIO(data)
     frame = read_frame(stream)
     if frame is None or stream.tell() != len(data):
-        raise ProtocolError(
-            f"frame buffer is {len(data)} bytes, not exactly one frame"
-        )
+        raise ProtocolError(f"frame buffer is {len(data)} bytes, not exactly one frame")
     return frame
 
 
@@ -329,15 +327,19 @@ def encode_traced_request(context: str, inner: bytes) -> bytes:
     return traced_prefix(context) + inner
 
 
+def _length_prefixed(payload: bytes, prefix: struct.Struct, what: str) -> tuple[bytes, bytes]:
+    """(the field a *prefix* length heads, the rest of *payload*)."""
+    if len(payload) < prefix.size:
+        raise ProtocolError(f"{what} payload truncated")
+    end = prefix.size + prefix.unpack_from(payload)[0]
+    if end > len(payload):
+        raise ProtocolError(f"{what} payload truncated")
+    return payload[prefix.size : end], payload[end:]
+
+
 def decode_traced_request(payload: bytes) -> tuple[str, Frame]:
-    if len(payload) < _CTX_LEN.size:
-        raise ProtocolError("TRACED request payload truncated")
-    (ctx_len,) = _CTX_LEN.unpack_from(payload, 0)
-    offset = _CTX_LEN.size
-    if offset + ctx_len > len(payload):
-        raise ProtocolError("TRACED request payload truncated")
-    context = _utf8(payload[offset : offset + ctx_len], "trace context")
-    return context, decode_frame(payload[offset + ctx_len :])
+    context, inner = _length_prefixed(payload, _CTX_LEN, "TRACED request")
+    return _utf8(context, "trace context"), decode_frame(inner)
 
 
 def encode_traced_response(spans_json: bytes, inner: bytes) -> bytes:
@@ -345,19 +347,14 @@ def encode_traced_response(spans_json: bytes, inner: bytes) -> bytes:
 
 
 def decode_traced_response(payload: bytes) -> tuple[list[dict], Frame]:
-    if len(payload) < _SPANS_LEN.size:
-        raise ProtocolError("TRACED response payload truncated")
-    (spans_len,) = _SPANS_LEN.unpack_from(payload, 0)
-    offset = _SPANS_LEN.size
-    if offset + spans_len > len(payload):
-        raise ProtocolError("TRACED response payload truncated")
+    spans, inner = _length_prefixed(payload, _SPANS_LEN, "TRACED response")
     try:
-        records = json.loads(payload[offset : offset + spans_len] or b"[]")
+        records = json.loads(spans or b"[]")
     except ValueError as exc:
         raise ProtocolError(f"TRACED span records not valid JSON: {exc}")
     if not isinstance(records, list):
         raise ProtocolError("TRACED span records must be a JSON list")
-    return records, decode_frame(payload[offset + spans_len :])
+    return records, decode_frame(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +423,25 @@ def decode_retry_hint(message: str) -> tuple[float | None, str]:
 
 _STAT_HEADER = struct.Struct("!Q")
 
+#: The wire spells a digest (a checksum echo, a HEAD stat) as 64 lowercase
+#: hex characters; in the process it is the 32 raw bytes of the SHA-256.
+encode_digest = binascii.hexlify
+_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}")
+
 
 def encode_stat(stat: BlobStat) -> bytes:
-    """HEAD response payload: size (u64) + checksum text."""
-    return _STAT_HEADER.pack(stat.size) + stat.checksum.encode("utf-8")
+    """HEAD response payload: size (u64) + the checksum in hex."""
+    return _STAT_HEADER.pack(stat.size) + encode_digest(stat.checksum)
 
 
 def decode_stat(key: str, payload: bytes) -> BlobStat:
     if len(payload) < _STAT_HEADER.size:
         raise ProtocolError("HEAD payload truncated")
     (size,) = _STAT_HEADER.unpack(payload[: _STAT_HEADER.size])
-    checksum = _utf8(payload[_STAT_HEADER.size :], "HEAD checksum")
-    return BlobStat(key=key, size=size, checksum=checksum)
+    checksum = payload[_STAT_HEADER.size :]
+    if _HEX_DIGEST.fullmatch(checksum) is None:
+        raise ProtocolError("HEAD checksum is not 64 lowercase hex characters")
+    return BlobStat(key=key, size=size, checksum=binascii.unhexlify(checksum))
 
 
 def encode_keys(keys: list[str]) -> bytes:
@@ -636,6 +640,7 @@ _STATUS_FOR_ERROR: list[tuple[type[Exception], Status]] = [
     (BlobCorruptedError, Status.CORRUPTED),
     (ProviderUnavailableError, Status.UNAVAILABLE),
 ]
+_ERROR_FOR_STATUS = {status: error for error, status in _STATUS_FOR_ERROR}
 
 
 def status_for_error(exc: Exception) -> Status:
@@ -650,17 +655,11 @@ def status_for_error(exc: Exception) -> Status:
 
 def error_for_status(status: int, message: str) -> ProviderError:
     """Client-side exception reconstructed from an error response."""
-    if status == Status.NOT_FOUND:
-        return BlobNotFoundError(message)
-    if status == Status.CORRUPTED:
-        return BlobCorruptedError(message)
-    if status == Status.UNAVAILABLE:
-        return ProviderUnavailableError(message)
     if status == Status.RESOURCE_EXHAUSTED:
         retry_after, text = decode_retry_hint(message)
         return ResourceExhaustedError(text or message, retry_after=retry_after)
-    if status == Status.DEADLINE_EXCEEDED:
-        return DeadlineExceeded(message)
+    if status in _ERROR_FOR_STATUS:
+        return _ERROR_FOR_STATUS[status](message)
     if status in Status._value2member_map_:  # BAD_REQUEST, INTERNAL, ...
         return ProviderError(f"{Status(status).name}: {message}")
     return ProviderError(f"status {status}: {message}")

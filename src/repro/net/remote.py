@@ -45,6 +45,7 @@ from repro.net.protocol import (
     decode_stream_count,
     decode_traced_response,
     deadline_prefix,
+    encode_digest,
     encode_keys,
     encode_multi_put,
     error_for_status,
@@ -95,6 +96,9 @@ STREAM_ACK_WINDOW = 64
 #: window.  Must not exceed STREAM_ACK_WINDOW or the ack drain between
 #: batches could not keep the in-flight count bounded.
 STREAM_SEND_BATCH = STREAM_ACK_WINDOW
+
+#: Each op's pool label and span name, formatted once, not a window.
+_LABELS = {op: (op.name, f"net.{op.name}") for op in OpCode}
 
 
 def _raise(exc: Exception):
@@ -189,11 +193,12 @@ class RemoteProvider(CloudProvider):
         """One more event on this provider's counter *name*."""
         self.metrics.counter(name, provider=self.name).inc()
 
-    def _op_timeout(self, deadline: Deadline | None) -> float:
-        """Socket timeout for one exchange: op_timeout capped by the budget."""
-        if deadline is None:
-            return self.op_timeout
-        return deadline.timeout(cap=self.op_timeout)
+    def _time(self, sock, deadline: Deadline | None) -> None:
+        """Give *sock* one exchange's timeout, op_timeout capped by the budget,
+        by a call only when it changes (no deadline: once a dialed socket)."""
+        timeout = self.op_timeout if deadline is None else deadline.timeout(cap=self.op_timeout)
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
 
     def _send(self, requests: list[tuple]) -> Callable[[], list[Frame]]:
         """Write a window of frames on one pooled connection; returns its
@@ -221,27 +226,24 @@ class RemoteProvider(CloudProvider):
         broken send or read -- is raised by the reader, one on a reused
         socket as :class:`StaleConnectionError` (:func:`classify_stale`).
         """
-        op = requests[0][0]
+        name, label = _LABELS[requests[0][0]]
         try:
-            deadline = self._check_deadline(f"net.{op.name}")
-            leased = self.pool.checkout(op=op.name)
+            deadline = self._check_deadline(label)
+            leased = self.pool.checkout(op=name)
         except (OSError, DeadlineExceeded) as exc:
             return functools.partial(_raise, exc)
         context = self.tracer.wire_context()
         sock = leased.sock
         try:
-            sock.settimeout(self._op_timeout(deadline))
+            self._time(sock, deadline)
             if deadline is not None:
-                budget = deadline_prefix(max(1, min(
-                    MAX_BUDGET_MS, int(deadline.remaining() * 1000)
-                )))
+                budget_ms = int(deadline.remaining() * 1000)
+                budget = deadline_prefix(max(1, min(MAX_BUDGET_MS, budget_ms)))
             segments: list[bytes | memoryview] = []
             for request in requests:
                 frame = frame_segments(*request)
                 if context is not None:
-                    frame = frame_segments(
-                        OpCode.TRACED, "", traced_prefix(context), *frame
-                    )
+                    frame = frame_segments(OpCode.TRACED, "", traced_prefix(context), *frame)
                 if deadline is not None:
                     frame = frame_segments(OpCode.DEADLINE, "", budget, *frame)
                 segments.extend(frame)
@@ -257,9 +259,7 @@ class RemoteProvider(CloudProvider):
                 for _ in requests:
                     frame = recv_frame(sock) if rfile is None else read_frame(rfile)
                     if frame is None:
-                        raise ProtocolError(
-                            "server closed connection before responding"
-                        )
+                        raise ProtocolError("server closed connection before responding")
                     if context is not None and frame.code == Status.OK:
                         # The envelope decoded; the inner frame carries the
                         # operation's status, the records the server's spans.
@@ -415,9 +415,7 @@ class RemoteProvider(CloudProvider):
         held = self._op_metrics.get(op)
         if held is None:
             held = self._op_metrics[op] = (
-                self.metrics.counter(
-                    "net_client_requests_total", op=op.name, provider=self.name
-                ),
+                self.metrics.counter("net_client_requests_total", op=op.name, provider=self.name),
                 self.metrics.counter("net_client_wire_bytes_total", direction="out"),
                 self.metrics.counter("net_client_wire_bytes_total", direction="in"),
                 self.metrics.histogram("net_client_request_seconds", op=op.name),
@@ -442,9 +440,7 @@ class RemoteProvider(CloudProvider):
         op = requests[0][0]
         # The span is active while _send reads wire_context(), so
         # server-side spans shipped back parent under this net span.
-        span = self.tracer.span(
-            f"net.{op.name}", provider=self.name, frames=len(requests)
-        )
+        span = self.tracer.span(_LABELS[op][1], provider=self.name, frames=len(requests))
         with span:
             context = self.tracer.capture()
             first = None if self._circuit_open() else self._send(requests)
@@ -518,11 +514,10 @@ class RemoteProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         (frame,) = self._request([(OpCode.PUT, key, bytes(data))])
         (error,) = self._put_outcomes(
-            [(key, data)], None if checksum is None else [checksum],
-            [(frame.code, frame.payload)],
+            [(key, data)], None if checksum is None else [checksum], [(frame.code, frame.payload)]
         )
         if error is not None:
             raise error
@@ -533,7 +528,7 @@ class RemoteProvider(CloudProvider):
     def put_many(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ) -> list[ProviderError | None]:
         """Store many objects in one MULTI_PUT round-trip per batch frame.
 
@@ -601,29 +596,32 @@ class RemoteProvider(CloudProvider):
     def _put_outcomes(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None,
+        checksums: list[bytes] | None,
         results: list[tuple[int, bytes]],
     ) -> list[ProviderError | None]:
         """Per-item outcomes of a put from its ``(status, echo)`` answers:
         the server's error, ``None``, or a :class:`BlobCorruptedError` for
-        an echo -- the digest the server's backend recorded -- that is not
-        the item's digest (*checksums*, when the caller holds them): the
-        transport CRC passed but the server stored something else.  A
+        an echo -- the digest the server's backend recorded, in hex -- that
+        is not the item's digest (*checksums*, when the caller holds them):
+        the transport CRC passed but the server stored something else.  A
         batch that all answered OK is checked whole first, its echoes
-        joined against its digests joined, item lengths alike."""
+        joined against its digests joined.  An echo is never parsed: each
+        is compared with its digest spelled as the wire spells it
+        (:func:`encode_digest`), so one that is no hex digest at all fails
+        its item like any other wrong echo."""
         if checksums is None:
             checksums = [blob_checksum(data) for _, data in items]
         statuses, echoes = zip(*results)
         if not any(statuses) and (  # Status.OK is 0
-            list(map(len, echoes)) == list(map(len, checksums))
-            and b"".join(echoes) == "".join(checksums).encode()
+            list(map(len, echoes)) == [64] * len(echoes)
+            and b"".join(echoes) == encode_digest(b"".join(checksums))
         ):
             return [None] * len(items)
         return [
             error_for_status(status, echo.decode("utf-8", "replace"))
             if status != Status.OK
             else None
-            if echo.decode("utf-8", "replace") == checksum
+            if echo == encode_digest(checksum)
             else BlobCorruptedError(
                 f"checksum echo mismatch from provider {self.name!r} "
                 f"for key {key!r}"
@@ -651,17 +649,19 @@ class RemoteProvider(CloudProvider):
         ``converse(sock, rfile)`` returns its answers, or a refused
         session's error frame, which is raised.  Sessions are never split."""
 
+        name, label = _LABELS[op]
+
         def exchange():
-            deadline = self._check_deadline(f"net.{op.name}")
-            with self.pool.lease(op=op.name) as leased:
+            deadline = self._check_deadline(label)
+            with self.pool.lease(op=name) as leased:
                 try:
-                    leased.sock.settimeout(self._op_timeout(deadline))
+                    self._time(leased.sock, deadline)
                     with leased.sock.makefile("rb") as rfile:
                         return converse(leased.sock, rfile)
                 except (OSError, ProtocolError) as exc:
                     raise classify_stale(exc, leased.fresh) from exc
 
-        with self.tracer.span(f"net.{op.name}", provider=self.name, frames=count):
+        with self.tracer.span(label, provider=self.name, frames=count):
             result = self._with_retries(exchange)
         if isinstance(result, Frame):
             raise self._frame_error(result)
@@ -769,7 +769,7 @@ class RemoteProvider(CloudProvider):
     def put_stream(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ) -> list[ProviderError | None]:
         """Store many objects over one stream session (frame per shard).
 

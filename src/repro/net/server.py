@@ -38,6 +38,7 @@ from repro.net.protocol import (
     decode_multi_put,
     decode_traced_request,
     encode_batch_results,
+    encode_digest,
     encode_frame,
     encode_keys,
     encode_retry_hint,
@@ -263,9 +264,7 @@ class ChunkServer(AdmissionServer):
         except Exception as exc:  # noqa: BLE001 - must answer, not crash
             result = status_for_error(exc), frame.key, str(exc).encode("utf-8")
         if result[0] == Status.DEADLINE_EXCEEDED:
-            self.metrics.counter(
-                "net_server_deadline_exceeded_total", op=op_label
-            ).inc()
+            self.metrics.counter("net_server_deadline_exceeded_total", op=op_label).inc()
         self._served(frame.code, result[0], t0)
         return result
 
@@ -459,8 +458,7 @@ class ChunkServer(AdmissionServer):
             self.metrics.counter("net_server_stream_rollbacks_total").inc()
             log.warning(
                 "chunk server %r rolled back %d uncommitted stream segment(s)",
-                self.backend.name,
-                len(keys),
+                self.backend.name, len(keys),
             )
 
     def _put(self, key: str, data: bytes) -> bytes:
@@ -468,11 +466,12 @@ class ChunkServer(AdmissionServer):
 
         The payload is hashed once, as received: the backend records that
         digest and the client compares it with the digest of what it sent,
-        so the echo vouches for the bytes the backend was handed.
+        so the echo vouches for the bytes the backend was handed.  The
+        echo is the digest in hex, converted here, at the wire's edge.
         """
         checksum = blob_checksum(data)
         self.backend.put(key, data, checksum=checksum)
-        return checksum.encode()
+        return encode_digest(checksum)
 
     def _handle(self, frame: Frame) -> tuple[Status, str, bytes]:
         op = frame.code

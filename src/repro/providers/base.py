@@ -30,16 +30,19 @@ _BYTES_LIKE = (bytes, bytearray, memoryview)
 _BYTES = frozenset(_BYTES_LIKE)
 
 
-def blob_checksum(data: bytes) -> str:
-    """Content checksum used for at-rest integrity verification."""
-    return hashlib.sha256(data).hexdigest()
+def blob_checksum(data: bytes) -> bytes:
+    """Content checksum used for at-rest integrity verification: the 32
+    raw bytes of the SHA-256, the one form a digest takes in the process
+    (a format that stores or sends one writes it as hex at its edge)."""
+    return hashlib.sha256(data).digest()
 
 
 def check_answers(
     name: str, keys: list[str], digests: list, outcomes: list
 ) -> list:
     """Provider *name*'s *outcomes* for *keys*, each arrival checked
-    against its write-time digest in *digests* (``None``: not judged).
+    against its write-time digest in *digests* (32 raw bytes, as
+    :func:`blob_checksum` returns it; ``None``: not judged).
 
     An arrival whose :func:`blob_checksum` differs becomes a
     :class:`BlobCorruptedError`, and an answer that is neither bytes nor a
@@ -73,11 +76,12 @@ def check_answers(
 
 @dataclass(frozen=True)
 class BlobStat:
-    """Metadata returned by ``head``: size and integrity checksum."""
+    """Metadata returned by ``head``: size and integrity checksum (the
+    digest the backend recorded, as :func:`blob_checksum` returns it)."""
 
     key: str
     size: int
-    checksum: str
+    checksum: bytes
 
 
 class CloudProvider(ABC):
@@ -104,13 +108,13 @@ class CloudProvider(ABC):
     # -- core S3-style interface ------------------------------------------
 
     @abstractmethod
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         """Store *data* under *key*, overwriting any previous object.
 
-        *checksum*, when given, is ``blob_checksum(data)`` as the caller
-        already computed it: the backend records it instead of hashing the
-        same bytes again.  A wrong one cannot pass bad bytes for good --
-        it only makes every later ``get`` of the object raise
+        *checksum*, when given, is ``blob_checksum(data)`` (32 raw bytes)
+        as the caller already computed it: the backend records it instead
+        of hashing the same bytes again.  A wrong one cannot pass bad bytes
+        for good -- it only makes every later ``get`` of the object raise
         :class:`BlobCorruptedError`.
         """
 
@@ -148,7 +152,7 @@ class CloudProvider(ABC):
     def put_many(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ) -> list[ProviderError | None]:
         """Store many objects; one outcome (``None`` = stored) per item.
 
@@ -201,7 +205,7 @@ class CloudProvider(ABC):
     def put_stream(
         self,
         items: list[tuple[str, bytes]],
-        checksums: list[str] | None = None,
+        checksums: list[bytes] | None = None,
     ) -> list[ProviderError | None]:
         """Store one streaming window of objects; outcome per item."""
         return self.put_many(items, checksums=checksums)

@@ -197,7 +197,7 @@ class ChaosProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         fault, delay = self._draw("put", key, write=True)
         self._apply(fault, delay, "put", key)
         self.inner.put(key, data, checksum=checksum)

@@ -14,6 +14,11 @@ the torn window the old sidecar layout had (new blob renamed in, stale
 versions (raw payload + ``.sha256`` sidecar) are still readable; the first
 overwrite migrates them to the record format and removes the sidecar.
 
+The header spells the digest in lowercase hex; in the process it is the 32
+raw bytes :func:`~repro.providers.base.blob_checksum` returns, converted
+here on the way in and out.  A header (or legacy sidecar) that does not
+spell one is :class:`BlobCorruptedError`, on ``get`` and on ``head``.
+
 An operating-system failure is answered in the provider's own terms, never
 as a bare ``OSError``: on ``get``/``head`` a blob that cannot be read (EIO,
 EACCES, a directory where the file should be) is a
@@ -44,7 +49,7 @@ _SAFE = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ012345678
 #: Record layout: magic + newline, 64 hex checksum chars, newline, payload.
 _MAGIC = b"RB1\n"
 _HEADER_LEN = len(_MAGIC) + 64 + 1
-_CHECKSUM_RE = re.compile(r"[0-9a-f]{64}")
+_CHECKSUM_RE = re.compile(rb"[0-9a-f]{64}")
 
 
 def _encode_key(key: str) -> str:
@@ -58,28 +63,26 @@ def _encode_key(key: str) -> str:
     )
 
 
-def _pack_record(data: bytes, checksum: str | None = None) -> bytes:
+def _pack_record(data: bytes, checksum: bytes | None = None) -> bytes:
     if checksum is None:
         checksum = blob_checksum(data)
-    elif not _CHECKSUM_RE.fullmatch(checksum):
+    elif not (type(checksum) is bytes and len(checksum) == 32):
         # The header is fixed-width: anything else would shift the payload.
         raise ValueError(
-            f"checksum must be 64 lowercase hex characters, got {checksum!r}"
+            f"checksum must be a 32-byte SHA-256 digest, which the header "
+            f"holds as 64 lowercase hex characters; got {checksum!r}"
         )
-    return _MAGIC + checksum.encode("ascii") + b"\n" + data
+    return _MAGIC + checksum.hex().encode("ascii") + b"\n" + data
 
 
-def _unpack_record(raw: bytes) -> tuple[str, bytes] | None:
-    """(checksum, payload) if *raw* is a record file, else ``None`` (legacy)."""
+def _unpack_record(raw: bytes) -> tuple[bytes, bytes] | None:
+    """(checksum as the header spells it, payload) if *raw* is a record
+    file, else ``None`` (legacy)."""
     if not raw.startswith(_MAGIC) or len(raw) < _HEADER_LEN:
         return None
     if raw[_HEADER_LEN - 1 : _HEADER_LEN] != b"\n":
         return None
-    checksum = raw[len(_MAGIC) : _HEADER_LEN - 1]
-    try:
-        return checksum.decode("ascii"), raw[_HEADER_LEN:]
-    except UnicodeDecodeError:
-        return None
+    return raw[len(_MAGIC) : _HEADER_LEN - 1], raw[_HEADER_LEN:]
 
 
 class DiskProvider(CloudProvider):
@@ -114,17 +117,27 @@ class DiskProvider(CloudProvider):
         # written, since the record format embeds the checksum.
         return self.root / (_encode_key(key) + ".sha256")
 
-    def _sidecar(self, key: str) -> str:
+    def _sidecar(self, key: str) -> bytes:
         """The legacy sidecar checksum of *key* (inside :meth:`_os_errors`)."""
         try:
-            return self._sum_path(key).read_text()
+            return self._digest(key, self._sum_path(key).read_bytes())
         except FileNotFoundError:
             raise BlobCorruptedError(
                 f"object {key!r} at provider {self.name!r} has neither an "
                 f"embedded checksum nor a sidecar"
             ) from None
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def _digest(self, key: str, spelled: bytes) -> bytes:
+        """The raw digest *key*'s header or sidecar spells in hex; anything
+        but 64 lowercase hex characters is :class:`BlobCorruptedError`."""
+        if _CHECKSUM_RE.fullmatch(spelled) is None:
+            raise BlobCorruptedError(
+                f"object {key!r} at provider {self.name!r} has a checksum "
+                f"that is not 64 lowercase hex characters"
+            )
+        return bytes.fromhex(spelled.decode("ascii"))
+
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         crashpoint("disk.put.start")
         record = _pack_record(data, checksum)
         with self._os_errors("put", key, ProviderUnavailableError):
@@ -136,13 +149,13 @@ class DiskProvider(CloudProvider):
             # ignored garbage.
             self._sum_path(key).unlink(missing_ok=True)
 
-    def _read_record(self, key: str) -> tuple[str, bytes]:
+    def _read_record(self, key: str) -> tuple[bytes, bytes]:
         """(expected checksum, payload) for *key* in either format."""
         with self._os_errors("get", key, BlobCorruptedError):
             raw = self._blob_path(key).read_bytes()
             unpacked = _unpack_record(raw)
             if unpacked is not None:
-                return unpacked
+                return self._digest(key, unpacked[0]), unpacked[1]
             # Legacy layout: raw payload with a sidecar checksum.
             return self._sidecar(key), raw
 
@@ -184,6 +197,7 @@ class DiskProvider(CloudProvider):
             unpacked = _unpack_record(header)
             if unpacked is not None:
                 return BlobStat(
-                    key=key, size=size - _HEADER_LEN, checksum=unpacked[0]
+                    key=key, size=size - _HEADER_LEN,
+                    checksum=self._digest(key, unpacked[0]),
                 )
             return BlobStat(key=key, size=size, checksum=self._sidecar(key))

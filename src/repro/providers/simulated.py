@@ -156,7 +156,7 @@ class SimulatedProvider(CloudProvider):
 
     # -- CloudProvider interface -------------------------------------------
 
-    def put(self, key: str, data: bytes, checksum: str | None = None) -> None:
+    def put(self, key: str, data: bytes, checksum: bytes | None = None) -> None:
         self._charge("put", key, len(data), upload=True)
         old = self.backend.head(key).size if self.backend.contains(key) else 0
         self.backend.put(key, data, checksum=checksum)

@@ -706,12 +706,18 @@ class ChunkState:
     assignment, and each shard's end-to-end checksum at write time, so
     reads and the scrubber can detect silent corruption a provider never
     reports (``None`` for chunks imported from metadata snapshots that
-    predate checksum tracking).
+    predate checksum tracking).  A checksum is the 32 raw bytes
+    :func:`~repro.providers.base.blob_checksum` returns; the packed row
+    (:class:`PackedChunk`) spells it in hex.
     """
 
     stripe: StripeMeta
     rotation: int
-    shard_checksums: tuple[str, ...] | None = None
+    shard_checksums: tuple[bytes, ...] | None = None
+
+
+#: A packed row's checksums, joined: SHA-256 digests in lowercase hex.
+_HEX_DIGESTS = re.compile(r"(?:[0-9a-f]{64})*")
 
 
 class PackedChunk(NamedTuple):
@@ -723,7 +729,10 @@ class PackedChunk(NamedTuple):
     ``checksums`` ``None`` -- so a row whose codec this build cannot parse
     (kept verbatim in the distributor's quarantine) still answers for its
     label, shard size and length; :meth:`unpack` is the parse that can
-    refuse.  Nothing outside this class indexes a row.
+    refuse.  Nothing outside this class indexes a row.  The row is the
+    stored form: its ``checksums`` are hex, and :meth:`pack` and
+    :meth:`unpack` convert them from and to :class:`ChunkState`'s raw
+    digests.
     """
 
     codec: object
@@ -741,22 +750,28 @@ class PackedChunk(NamedTuple):
         return cls(
             stripe.codec, stripe.width, stripe.k, stripe.m,
             stripe.shard_size, stripe.orig_len, state.rotation,
-            list(checksums) if checksums is not None else None,
+            list(map(bytes.hex, checksums)) if checksums is not None else None,
         )
 
     def unpack(
         self, *, filename: str | None = None, virtual_id: int | None = None
     ) -> ChunkState:
         """Raises :class:`UnknownCodecError` (carrying *filename* and
-        *virtual_id*) for a codec this build cannot parse."""
+        *virtual_id*) for a codec this build cannot parse, and
+        ``ValueError`` for checksums that are not SHA-256 hex digests
+        (a row's stripe is parsed first, so an unknown codec's row is
+        refused as that, its checksums unjudged)."""
+        stripe = stripe_meta_from_fields(self[:6], filename=filename, virtual_id=virtual_id)
+        rotation = int(self.rotation)  # type: ignore[call-overload]
         checksums = self.checksums
-        return ChunkState(
-            stripe=stripe_meta_from_fields(
-                self[:6], filename=filename, virtual_id=virtual_id
-            ),
-            rotation=int(self.rotation),  # type: ignore[call-overload]
-            shard_checksums=tuple(checksums) if checksums is not None else None,
-        )
+        if checksums is not None:
+            if not (
+                all(type(c) is str and len(c) == 64 for c in checksums)
+                and _HEX_DIGESTS.fullmatch("".join(checksums))
+            ):
+                raise ValueError("its shard checksums are not SHA-256 hex digests")
+            checksums = tuple(map(bytes.fromhex, checksums))
+        return ChunkState(stripe, rotation, checksums)
 
     def journal_fields(self) -> dict:
         """The row as the three keys a journal chunk spec spreads it over."""

@@ -526,3 +526,27 @@ def test_metadata_corrupted_error_is_one_type_in_the_library_hierarchy():
     assert MetadataCorruptedError is errors.MetadataCorruptedError
     assert issubclass(MetadataCorruptedError, errors.ReproError)
     assert issubclass(MetadataCorruptedError, RuntimeError)  # as before
+
+
+def test_digests_are_raw_in_the_process_and_hex_in_the_file(stored, registry):
+    # A shard's checksum is its 32 raw bytes in the Chunk Table, before the
+    # save and after the load; metadata.json spells each as 64 lowercase
+    # hex characters, as it always did.
+    distributor, path, _ = stored
+    before = {
+        entry.virtual_id: entry.record.shard_checksums for _, entry in distributor.chunk_table
+    }
+    fresh = CloudDataDistributor(registry, seed=1002)
+    load_metadata(fresh, path)
+    after = {entry.virtual_id: entry.record.shard_checksums for _, entry in fresh.chunk_table}
+    assert after == before
+    assert all(
+        type(digest) is bytes and len(digest) == 32
+        for digests in after.values() for digest in digests
+    )
+    written = json.loads(path.read_text())["metadata"]["chunk_state"]
+    assert {int(vid): tuple(bytes.fromhex(h) for h in row[7]) for vid, row in written.items()} == after
+    assert all(
+        type(h) is str and len(h) == 64 and h == h.lower()
+        for row in written.values() for h in row[7]
+    )

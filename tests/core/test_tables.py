@@ -360,7 +360,10 @@ def _family_table(rotations):
         cps = [(i + j) % 4 for j in range(width)]
         checksums = tuple(f"{i}{j}" * 32 for j in range(width))
         for j, record in enumerate([
-            ChunkState(StripeMeta(codec, width, k, m, 128, 500), rotation, checksums),
+            ChunkState(
+                StripeMeta(codec, width, k, m, 128, 500), rotation,
+                tuple(map(bytes.fromhex, checksums)),
+            ),
             ChunkState(StripeMeta(codec, width, k, m, 128, 500), rotation, None),
             (f"zfec-{codec}", width, k, m, 128, 500, rotation, list(checksums)),
             (f"zfec-{codec}", width, k, m, 128, 500, rotation),

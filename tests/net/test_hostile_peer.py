@@ -21,7 +21,7 @@ import zlib
 import pytest
 
 from repro.core.distributor import CloudDataDistributor
-from repro.core.errors import ProviderError
+from repro.core.errors import BlobCorruptedError, ProviderError
 from repro.net.cluster import LocalCluster
 from repro.net.protocol import (
     HEADER,
@@ -29,6 +29,7 @@ from repro.net.protocol import (
     VERSION,
     OpCode,
     Status,
+    encode_batch_results,
     encode_deadline_request,
     encode_frame,
     encode_stream_count,
@@ -82,10 +83,13 @@ class _CannedServer:
 
 
 # A KEYS listing of one key that is not UTF-8; a batch answer that
-# promises three results and carries none; a HEAD stat cut short.
+# promises three results and carries none; a HEAD stat cut short, and one
+# whose checksum is not the 64 lowercase hex characters the wire spells a
+# digest in.
 BAD_KEYS = struct.pack("!IH", 1, len(NOT_UTF8)) + NOT_UTF8
 BAD_BATCH = struct.pack("!I", 3) + b"\x00"
 BAD_STAT = b"\x00\x01"
+NON_HEX_STAT = struct.pack("!Q", 7) + b"z" * 64
 # A STREAM_GET for ["a", "b"] answered in the other order.  (The
 # stream-seg-ack-key case acks a put_stream of key "a" with a correct
 # echo of its bytes, but for key "b".)
@@ -107,11 +111,13 @@ SWAPPED_STREAM_GET = (
          lambda p: p.put_many([("a", b"1"), ("b", b"2"), ("c", b"3")])),
         (encode_frame(Status.OK, key="k", payload=BAD_STAT),
          lambda p: p.head("k")),
+        (encode_frame(Status.OK, key="k", payload=NON_HEX_STAT),
+         lambda p: p.head("k")),
         (SWAPPED_STREAM_GET, lambda p: p.get_stream(["a", "b"])),
-        (encode_frame(Status.OK, key="b", payload=blob_checksum(b"1").encode()),
+        (encode_frame(Status.OK, key="b", payload=blob_checksum(b"1").hex().encode()),
          lambda p: p.put_stream([("a", b"1")])),
     ],
-    ids=["frame-key", "keys", "multi-get", "multi-put", "head",
+    ids=["frame-key", "keys", "multi-get", "multi-put", "head", "head-not-hex",
          "stream-get-swapped", "stream-seg-ack-key"],
 )
 def test_junk_from_a_live_server_is_a_provider_error(answer, call):
@@ -126,6 +132,39 @@ def test_junk_from_a_live_server_is_a_provider_error(answer, call):
     finally:
         provider.close()
         server.close()
+
+
+@pytest.mark.parametrize(
+    "echo",
+    [b"z" * 64, blob_checksum(b"1").hex().upper().encode(), blob_checksum(b"1")],
+    ids=["non-hex", "capitals", "raw-bytes"],
+)
+def test_an_echo_that_spells_no_digest_fails_its_item(echo):
+    # A put's echo is never parsed: it must be the item's digest spelled
+    # in lowercase hex, and anything else -- junk, capitals, a digest the
+    # server forgot to spell -- is that item's BlobCorruptedError.
+    batch = _CannedServer(
+        encode_frame(Status.OK, payload=encode_batch_results([(Status.OK, echo)]))
+    )
+    single = _CannedServer(encode_frame(Status.OK, key="a", payload=echo))
+    providers = [
+        RemoteProvider(
+            "evil", "127.0.0.1", server.port, retry=FAST_RETRY,
+            metrics=MetricsRegistry(),
+        )
+        for server in (batch, single)
+    ]
+    try:
+        (outcome,) = providers[0].put_many([("a", b"1")])
+        assert isinstance(outcome, BlobCorruptedError)
+        assert "echo mismatch" in str(outcome)
+        with pytest.raises(BlobCorruptedError, match="echo mismatch"):
+            providers[1].put("a", b"1")
+    finally:
+        for provider in providers:
+            provider.close()
+        batch.close()
+        single.close()
 
 
 def test_non_utf8_request_key_gets_bad_request_and_a_quiet_log(caplog):

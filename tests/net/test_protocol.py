@@ -137,7 +137,7 @@ def test_header_layout_is_pinned():
 
 
 def test_stat_payload_roundtrip():
-    stat = BlobStat(key="k", size=12345, checksum="ab" * 32)
+    stat = BlobStat(key="k", size=12345, checksum=bytes.fromhex("ab" * 32))
     assert decode_stat("k", encode_stat(stat)) == stat
 
 

@@ -5,12 +5,14 @@ pre-state, store the new stripe and its snapshot, retire the old shards.
 Each round is one batched request a provider, sent by the calling thread
 to every provider before it reads any answer: no leg is handed to a
 transport thread, each provider lends one pooled socket a round, and a
-warmed round resolves no metric handle on either end of a frame.  A reply
-lost between the two halves is replayed as a whole call's would be.
+warmed round resolves no metric handle on either end of a frame, sets no
+socket timeout and formats no op label.  A reply lost between the two
+halves is replayed as a whole call's would be.
 """
 
 from __future__ import annotations
 
+import socket
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -114,6 +116,44 @@ def net_handle_lookups(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def timeouts(monkeypatch):
+    """``settimeout`` calls made from ``repro.net.remote``, and the sockets
+    the pools dialed (each dial sets its connect timeout itself)."""
+    counts = Counter()
+    settimeout, connect = socket.socket.settimeout, ConnectionPool._connect
+
+    def watched(sock, value):
+        if sys._getframe(1).f_globals.get("__name__") == "repro.net.remote":
+            counts["settimeout"] += 1
+        return settimeout(sock, value)
+
+    def dialed(pool):
+        counts["dialed"] += 1
+        return connect(pool)
+
+    monkeypatch.setattr(socket.socket, "settimeout", watched)
+    monkeypatch.setattr(ConnectionPool, "_connect", dialed)
+    return counts
+
+
+@pytest.fixture
+def op_name_reads():
+    """Each ``OpCode.name`` read made from ``repro.net.remote``."""
+    reads: list[str] = []
+
+    def name(op):
+        if sys._getframe(1).f_globals.get("__name__") == "repro.net.remote":
+            reads.append(op._name_)
+        return op._name_
+
+    OpCode.name = property(name)  # shadows the enum's own, until deleted
+    try:
+        yield reads
+    finally:
+        del OpCode.name
+
+
 def served_ops(cluster: LocalCluster) -> Counter:
     return Counter(
         OpCode(op).name for server in cluster.servers for op in server.ops
@@ -164,3 +204,15 @@ def test_a_reply_lost_between_the_halves_is_replayed(fleet, socket):
     retries = d.metrics.value("net_client_retries_total", provider=name)
     assert (stale, retries) == ((1, 0) if socket == "reused" else (0, 1))
     assert d.health.healthy(name)
+
+
+def test_warmed_updates_set_no_timeout_and_read_no_op_name(fleet, timeouts, op_name_reads):
+    # Without a deadline a leased socket's timeout is always op_timeout: it
+    # is set once a dialed socket, not once a window, and each op's labels
+    # are formatted once, not read off the enum a window.
+    d, _ = fleet
+    for i in range(20):
+        d.update_chunk("C", "pw", "f", i % 2, bytes([i]) * 100)
+    assert d.get_chunk("C", "pw", "f", 1) == bytes([19]) * 100
+    assert timeouts["settimeout"] <= timeouts["dialed"]
+    assert op_name_reads == []

@@ -82,7 +82,7 @@ def test_legacy_sidecar_files_still_readable(provider):
 
     # A blob written by the old layout: raw payload + checksum sidecar.
     provider._blob_path("old").write_bytes(b"legacy payload")
-    provider._sum_path("old").write_text(blob_checksum(b"legacy payload"))
+    provider._sum_path("old").write_text(blob_checksum(b"legacy payload").hex())
     assert provider.get("old") == b"legacy payload"
     stat = provider.head("old")
     assert stat.size == len(b"legacy payload")
@@ -121,7 +121,7 @@ def test_legacy_migration_crash_leaves_readable_state(provider):
     from repro.util.crash import CrashPoint, crashing_at
 
     provider._blob_path("m").write_bytes(b"legacy")
-    provider._sum_path("m").write_text(blob_checksum(b"legacy"))
+    provider._sum_path("m").write_text(blob_checksum(b"legacy").hex())
     with crashing_at("disk.put.committed"):
         with pytest.raises(CrashPoint):
             provider.put("m", b"migrated")
@@ -207,3 +207,31 @@ def test_a_full_disk_fails_its_shards_over_instead_of_the_upload(
         assert providers[0].keys() == []
         assert d.provider_loads()[providers[0].name] == 0
         assert d.get_file("C", "pw", "f") == data
+
+
+# -- a header or sidecar that spells no digest ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "header", [b"z" * 64, b"A" * 64, "é".encode() * 32], ids=["non-hex", "capitals", "non-ascii"]
+)
+def test_a_record_header_that_spells_no_digest_is_corrupt(provider, header):
+    # The header holds the digest as 64 lowercase hex characters; anything
+    # else is a damaged record, on a read and on a head alike.
+    provider.put("k", b"payload")
+    path = provider._blob_path("k")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + header + raw[68:])
+    with pytest.raises(BlobCorruptedError, match="64 lowercase hex"):
+        provider.get("k")
+    with pytest.raises(BlobCorruptedError, match="64 lowercase hex"):
+        provider.head("k")
+
+
+def test_a_legacy_sidecar_that_spells_no_digest_is_corrupt(provider):
+    provider._blob_path("old").write_bytes(b"legacy payload")
+    provider._sum_path("old").write_text("z" * 64)
+    with pytest.raises(BlobCorruptedError, match="64 lowercase hex"):
+        provider.get("old")
+    with pytest.raises(BlobCorruptedError, match="64 lowercase hex"):
+        provider.head("old")

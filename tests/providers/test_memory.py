@@ -92,3 +92,48 @@ def test_property_store_matches_dict(contents):
     assert sorted(provider.keys()) == sorted(contents)
     for key, value in contents.items():
         assert provider.get(key) == value
+
+
+# -- a batched read answers as its keys one by one -----------------------------
+
+
+@given(st.lists(st.sampled_from(["good", "missing", "corrupt"]), max_size=40))
+def test_a_batch_answers_as_its_keys_one_by_one(kinds):
+    # A clean batch of more than _FEW_KEYS keys is one lookup pass, one
+    # hashing pass and one compare; any other is judged key by key.  Either
+    # way every slot is what a one-key read of it answers -- the same
+    # bytes, or an error of the same type and message -- and each stored
+    # object is hashed once.
+    from repro.providers import memory
+
+    provider = InMemoryProvider("diff")
+    keys = []
+    for i, kind in enumerate(kinds):
+        keys.append(f"{kind}{i}")
+        if kind != "missing":
+            provider.put(keys[-1], bytes([i]) * (i + 1))
+        if kind == "corrupt":
+            provider.corrupt_blob(keys[-1], flip_index=i)
+    one_by_one = [provider.get_many([key])[0] for key in keys]
+    hashed = []
+    original = memory.blob_checksum
+    memory.blob_checksum = lambda data: hashed.append(data) or original(data)
+    try:
+        batched = provider.get_many(keys)
+    finally:
+        memory.blob_checksum = original
+    assert list(map(type, batched)) == list(map(type, one_by_one))
+    assert [o if isinstance(o, bytes) else str(o) for o in batched] == [
+        o if isinstance(o, bytes) else str(o) for o in one_by_one
+    ]
+    assert len(hashed) == len(kinds) - kinds.count("missing")
+
+
+@pytest.mark.parametrize("size", [4, 40])
+def test_a_clean_batch_is_the_stored_objects_themselves(provider, size):
+    for i in range(size):
+        provider.put(f"k{i}", bytes([i]) * 10)
+    keys = [f"k{i}" for i in reversed(range(size))] + ["k0"]
+    got = provider.get_many(keys)
+    assert got == [bytes([int(key[1:])]) * 10 for key in keys]
+    assert all(data is provider._blobs[key] for data, key in zip(got, keys))
