@@ -228,11 +228,7 @@ class CloudDataDistributor:
         self.events = events if events is not None else get_events()
         # Every distributor tracks fleet health from its own traffic; pass
         # a shared monitor to pool evidence across distributors.
-        self.health = (
-            health
-            if health is not None
-            else HealthMonitor(registry, metrics=self.metrics)
-        )
+        self.health = health or HealthMonitor(registry, metrics=self.metrics)
         # Serializes table mutation between client ops and the background
         # scrubber; provider I/O inside an op may still fan out.
         self.op_lock = threading.RLock()
@@ -1380,13 +1376,14 @@ class CloudDataDistributor:
         columns (:meth:`ChunkTable.window`) and noted for the audit record,
         and the cache is asked for each; the rest runs without it.
         :func:`read_slabs` asks in rounds -- every stripe's data members
-        first, then only as much parity as a stripe is short of -- each
-        round one :meth:`_fetch_round`: a batched, checked call a provider,
-        the providers in flight concurrently; a mismatch is a failed
-        member.  Each slab is stripped as it is decoded; with a cache,
-        pieces are one chunk each, misses filled after the strip.
+        first, parity for those on a provider the monitor distrusts, then
+        only as much parity as a stripe is short of -- each round one
+        :meth:`_fetch_round`: a batched, checked call a provider, the
+        providers in flight concurrently; a mismatch is a failed member.
+        Each slab is stripped as it is decoded; with a cache, pieces are
+        one chunk each, misses filled after the strip.
         """
-        table = self.chunk_table
+        table, distrusted = self.chunk_table, self.health.distrusted
         cached: "list[bytes | None] | None" = None
         with self.op_lock:
             window = rows = table.window(chunks, filename)
@@ -1400,10 +1397,13 @@ class CloudDataDistributor:
                     window = table.window(
                         [chunk for chunk, payload in zip(chunks, cached) if payload is None]
                     )
-        pieces = strip(
-            read_slabs(window.stripes, functools.partial(self._fetch_round, window)),
-            window.runs, window.positions,
-        )
+        if distrusted:  # by provider table index
+            distrusted = {at: distrusted[entry.name]
+                          for at, entry in self.provider_table if entry.name in distrusted}
+        pieces = strip(read_slabs(
+            window.stripes, functools.partial(self._fetch_round, window),
+            (window.first, window.members, distrusted) if distrusted else None,
+        ), window.runs, window.positions)
         if cached is None:
             return pieces, rows
         fresh = row_payloads(pieces)

@@ -19,7 +19,9 @@ failed probe, ``SUSPECT`` while its error EWMA is elevated, and ``HEALTHY``
 otherwise.  Placement and repair consult these states instead of
 ``getattr(provider, "available", True)``; a ``DOWN`` verdict is re-checked
 by probing (rate-limited by ``probe_min_interval``) so recovered providers
-rejoin the fleet without a human marking them up.
+rejoin the fleet without a human marking them up.  Reads consult
+:attr:`HealthMonitor.distrusted`, the providers not HEALTHY, kept current
+as each verdict changes: a read asks parity before a member it holds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.core.errors import ProviderError, ProviderUnavailableError, ReproError
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import Counter, MetricsRegistry, get_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.providers.base import CloudProvider
@@ -117,6 +119,9 @@ class ProviderHealth:
         # keep this record's view scoped to traffic it witnessed itself.
         self._success_base = self._success.value
         self._failure_base = self._failure.value
+        #: Members a read asked parity for instead, while this provider was
+        #: distrusted (held here: a read resolves no label).
+        self.rerouted = metrics.counter("read_members_rerouted_total", provider=self.name)
 
     @property
     def successes(self) -> int:
@@ -142,6 +147,11 @@ class HealthMonitor:
     not merely a missing blob) turn it DOWN.  DOWN providers are re-probed
     on demand, at most once per ``probe_min_interval`` wall-clock seconds,
     so a recovered provider is readmitted automatically.
+
+    :attr:`distrusted` maps each provider whose verdict is not HEALTHY to
+    its held ``read_members_rerouted_total`` counter.  It is replaced, not
+    mutated, under the lock wherever a verdict can change, so a read tests
+    it without the lock: on a healthy fleet, one empty-dict test.
     """
 
     def __init__(
@@ -176,6 +186,7 @@ class HealthMonitor:
         self.metrics = metrics if metrics is not None else get_metrics()
         self._lock = threading.RLock()
         self._records: dict[str, ProviderHealth] = {}
+        self.distrusted: dict[str, Counter] = {}
 
     def _record(self, name: str) -> ProviderHealth:
         record = self._records.get(name)
@@ -197,6 +208,8 @@ class HealthMonitor:
             record.consecutive_failures = 0
             record.marked_down = False
             record.error_ewma *= (1.0 - self.ewma_alpha) ** count
+            if name in self.distrusted:  # (success never distrusts)
+                self._judge(record)
 
     def record_failure(
         self, name: str, transport: bool = True, count: int = 1
@@ -223,6 +236,7 @@ class HealthMonitor:
                 record.consecutive_failures += count
                 if record.consecutive_failures >= self.down_after:
                     record.marked_down = True
+            self._judge(record)
 
     # -- active probes -----------------------------------------------------
 
@@ -239,6 +253,7 @@ class HealthMonitor:
                 record.marked_down = False
             else:
                 record.marked_down = True
+            self._judge(record)
         return ok
 
     def probe_all(self) -> dict[str, bool]:
@@ -246,6 +261,18 @@ class HealthMonitor:
         return {name: self.probe(name) for name in self.registry.names()}
 
     # -- verdicts ----------------------------------------------------------
+
+    def _judge(self, record: ProviderHealth) -> None:
+        """Bring :attr:`distrusted` in line with *record*'s verdict (lock
+        held): a new dict when the verdict crossed HEALTHY's edge."""
+        distrusted = record.marked_down or record.error_ewma >= self.suspect_threshold
+        if distrusted is not (record.name in self.distrusted):
+            changed = dict(self.distrusted)
+            if distrusted:
+                changed[record.name] = record.rerouted
+            else:
+                del changed[record.name]
+            self.distrusted = changed
 
     def state(self, name: str) -> HealthState:
         """Current verdict from the recorded evidence (no probing)."""

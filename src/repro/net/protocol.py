@@ -412,7 +412,7 @@ def decode_retry_hint(message: str) -> tuple[float | None, str]:
         retry_after = float(head.strip())
     except ValueError:
         return None, message
-    if retry_after < 0:
+    if not 0 <= retry_after < float("inf"):  # negative, nan or inf: no hint
         return None, message
     return retry_after, rest.strip() if sep else ""
 

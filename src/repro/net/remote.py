@@ -359,9 +359,9 @@ class RemoteProvider(CloudProvider):
                 break
             self._tally("net_client_retries_total")
             if retry_after is not None:
-                # Jitter the hint upward so a crowd of shed clients does
-                # not return in one synchronized thundering herd.
-                delay = retry_after * random.uniform(1.0, 1.5)
+                # Cap the hint at our own longest backoff, then jitter it upward
+                # so a crowd of shed clients does not return in one herd.
+                delay = min(retry_after, self.retry.max_delay) * random.uniform(1.0, 1.5)
             else:
                 delay = self.retry.delay(attempt - 1)
             deadline = current_deadline()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import BlobNotFoundError
+from repro.core.errors import BlobNotFoundError, ProviderUnavailableError
 from repro.health.monitor import (
     PROBE_KEY,
     HealthMonitor,
@@ -176,9 +176,17 @@ OUTCOMES = st.lists(
 )
 
 
+def _assert_distrust_agrees(monitor, names=("P0", "P1", "P2")):
+    """``distrusted`` names exactly the providers not rated HEALTHY."""
+    for name in names:
+        assert (name in monitor.distrusted) is (monitor.state(name) is not HealthState.HEALTHY)
+
+
 def _assert_same_evidence(folded, itemised, name="P0"):
     a, b = folded._record(name), itemised._record(name)
     assert folded.state(name) is itemised.state(name)
+    _assert_distrust_agrees(folded)
+    _assert_distrust_agrees(itemised)
     assert a.consecutive_failures == b.consecutive_failures
     assert a.marked_down == b.marked_down
     assert (a.successes, a.failures) == (b.successes, b.failures)
@@ -245,9 +253,95 @@ def test_property_run_length_failures_equal_one_by_one(outcomes, alpha, down_aft
         assert a.marked_down == b.marked_down
         assert (a.successes, a.failures) == (b.successes, b.failures)
         assert folded.state("P0") is itemised.state("P0")
+        _assert_distrust_agrees(folded)
 
 
 def test_record_failure_rejects_an_empty_run():
     monitor, _, _ = make_monitor()
     with pytest.raises(ValueError):
         monitor.record_failure("P0", count=0)
+
+
+# -- the distrusted set a read consults ----------------------------------------
+
+
+def test_distrusted_follows_every_verdict_change():
+    # Each way a verdict moves -- failures, successes, a probe, and the
+    # probe is_usable runs for a DOWN provider -- leaves ``distrusted``
+    # naming exactly the providers that are not HEALTHY, each with its
+    # held reroute counter.
+    metrics = MetricsRegistry()
+    monitor, _, clock = make_monitor(down_after=2, probe_min_interval=0.0, metrics=metrics)
+    assert monitor.distrusted == {}
+    monitor.record_failure("P0", transport=False, count=3)  # SUSPECT
+    monitor.record_failure("P1", count=2)  # DOWN
+    assert set(monitor.distrusted) == {"P0", "P1"}
+    assert monitor.distrusted["P0"] is metrics.counter("read_members_rerouted_total", provider="P0")
+    _assert_distrust_agrees(monitor)
+    before = monitor.distrusted
+    monitor.record_success("P2")  # a healthy provider's success: the same dict
+    assert monitor.distrusted is before
+    monitor.record_success("P0", 5)
+    assert set(monitor.distrusted) == {"P1"}
+    assert set(before) == {"P0", "P1"}  # replaced, never changed in place
+    assert monitor.is_usable("P1")  # its probe answers: no longer DOWN...
+    _assert_distrust_agrees(monitor)  # ...though its error rate may stay high
+    monitor.record_success("P1", 10)
+    assert monitor.distrusted == {}
+    def unreachable(key):
+        raise ProviderUnavailableError("P2 is gone")
+
+    monitor.registry.get("P2").provider.head = unreachable
+    assert not monitor.probe("P2")
+    assert set(monitor.distrusted) == {"P2"}
+    _assert_distrust_agrees(monitor)
+
+
+def test_distrusted_stays_consistent_under_concurrent_verdicts():
+    # More threads than cores flip verdicts while a reader walks the set
+    # without the lock: a copy-on-write dict never changes under it, and
+    # once the writers stop it agrees with every verdict.
+    import random
+    import sys
+    import threading
+
+    monitor, _, _ = make_monitor(n=3, down_after=2, metrics=MetricsRegistry())
+    stop = threading.Event()
+    errors: list[BaseException] = []
+
+    def flip(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            while not stop.is_set():
+                name = f"P{rng.randrange(3)}"
+                if rng.random() < 0.5:
+                    monitor.record_failure(name, transport=rng.random() < 0.5)
+                else:
+                    monitor.record_success(name, rng.randrange(1, 4))
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    def walk() -> None:
+        try:
+            while not stop.is_set():
+                for name, counter in monitor.distrusted.items():
+                    assert name in ("P0", "P1", "P2") and counter is not None
+        except BaseException as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=flip, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=walk))
+        for thread in threads:
+            thread.start()
+        stop.wait(0.5)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    _assert_distrust_agrees(monitor)

@@ -167,6 +167,29 @@ def test_an_echo_that_spells_no_digest_fails_its_item(echo):
         single.close()
 
 
+@pytest.mark.parametrize("hint", ["nan", "inf", "1e9"])
+def test_a_shed_answer_with_a_wild_retry_hint_is_a_provider_error_soon(hint):
+    # A hint that is not finite is no hint (the client's own backoff
+    # applies), and a finite one sleeps no longer than RetryPolicy's
+    # max_delay: either way, with no deadline set, the call ends in the
+    # typed shed verdict, never a bare ValueError or OverflowError from
+    # time.sleep, nor a sleep of 1e9 seconds.
+    message = f"retry-after={hint}; busy".encode()
+    server = _CannedServer(encode_frame(Status.RESOURCE_EXHAUSTED, payload=message))
+    provider = RemoteProvider(
+        "busy", "127.0.0.1", server.port, retry=FAST_RETRY, metrics=MetricsRegistry(),
+    )
+    try:
+        start = time.monotonic()
+        with pytest.raises(ProviderError) as caught:
+            provider.get("k")
+        assert time.monotonic() - start < 2.0
+        assert caught.value.retry_after == (1e9 if hint == "1e9" else None)
+    finally:
+        provider.close()
+        server.close()
+
+
 def test_non_utf8_request_key_gets_bad_request_and_a_quiet_log(caplog):
     with ChunkServer(InMemoryProvider("srv"), max_workers=1) as server:
         with caplog.at_level(logging.WARNING, logger="repro"):

@@ -9,7 +9,7 @@ from repro.core.errors import (
     ProviderUnavailableError,
     ReconstructionError,
 )
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import Counter, get_metrics
 from repro.raid.codecs import CodecSpec, codec_for_meta
 from repro.raid.reconstruct import read_slabs
 from tests.raid.test_codecs import payloads_of, stripes_of
@@ -120,17 +120,25 @@ def _read_counters(label):
     )
 
 
-def _one_stripe_at_a_time(encoded, failing):
+def _order(number, meta, distrusted=()):
+    """Stripe *number*'s members in the order a read asks them: those not
+    in *distrusted*, then those that are, each lowest index first."""
+    return sorted(range(meta.n), key=lambda index: ((number, index) in distrusted, index))
+
+
+def _one_stripe_at_a_time(encoded, failing, distrusted=()):
     """The read a stripe at a time, written out: each stripe's members
-    asked in index order until k have arrived, its payload decoded from
-    them by the stripe's own codec, and the first stripe that runs out of
-    members ending the read.  Returns the payloads, every ``(stripe,
-    member)`` asked, the error text (or ``None``) and the counter deltas
-    (degraded stripes, unrecoverable ones)."""
+    asked in its order (:func:`_order`: index order when nothing is
+    *distrusted*) until k have arrived, its payload decoded from them by
+    the stripe's own codec, and the first stripe that runs out of members
+    ending the read.  Returns the payloads, every ``(stripe, member)``
+    asked, the error text (or ``None``) and the counter deltas (degraded
+    stripes -- a member failed, or parity stood in -- and unrecoverable
+    ones)."""
     payloads, asked, degraded = [], set(), 0
     for number, (meta, stripe) in enumerate(encoded):
         have, lost = {}, []
-        for index in range(meta.n):
+        for index in _order(number, meta, distrusted):
             if len(have) == meta.k:
                 break
             asked.add((number, index))
@@ -138,11 +146,11 @@ def _one_stripe_at_a_time(encoded, failing):
                 lost.append(index)
             else:
                 have[index] = stripe[index]
-        degraded += bool(lost)
+        degraded += bool(lost) or max(have, default=0) >= meta.k
         if len(have) < meta.k:
             error = (
                 f"{meta.codec} stripe unrecoverable: {len(lost)} shard(s) "
-                f"failed ({lost}), only {len(have)}/{meta.k} required shards readable"
+                f"failed ({sorted(lost)}), only {len(have)}/{meta.k} required shards readable"
             )
             return payloads, asked, error, (degraded, 1)
         payloads.append(codec_for_meta(meta).decode(meta, have))
@@ -204,6 +212,69 @@ def test_read_stripes_equals_a_loop_of_read_stripe(spec, data):
             )
         for request in requests:
             have[request[0]] += request not in failing
+
+
+def _encoded_any(spec):
+    """:func:`_encoded_window`, or with ``"mixed"`` one window of three
+    geometries, as a file re-encoded in part holds."""
+    if spec != "mixed":
+        return _encoded_window(spec)
+    payloads, encoded = [], []
+    for part in ("raid5@4", "rs(6,3)", "raid6@5"):
+        more, stripes = _encoded_window(part)
+        payloads += more
+        encoded += stripes
+    return payloads, encoded
+
+
+@pytest.mark.parametrize("spec", [*WINDOW_CODECS, "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_read_around_distrusted_members_equals_the_loop_in_their_order(spec, data):
+    # Each member on a provider of its own, some of them distrusted: the
+    # read asks each stripe's members in its order -- trusted ones first,
+    # lowest index first -- round 0 its first k, seated as decode_data
+    # reads them, and each distrusted provider's counter counts the data
+    # members round 0 left to parity.
+    payloads, encoded = _encoded_any(spec)
+    metas = [meta for meta, _ in encoded]
+    slots = [(number, index) for number, meta in enumerate(metas) for index in range(meta.n)]
+    distrusted = data.draw(st.sets(st.sampled_from(slots), max_size=len(slots)))
+    failing = data.draw(st.sets(st.sampled_from(slots), max_size=2 * metas[0].n))
+    want, want_asked, want_error, want_counts = _one_stripe_at_a_time(
+        encoded, failing, distrusted
+    )
+    counters = {slots.index(slot): Counter() for slot in distrusted}
+    first = [sum(meta.n for meta in metas[:number]) for number in range(len(metas))]
+    layout = (first, list(range(len(slots))), counters)  # a provider a member
+    fetch_many, rounds = _scripted_fetch_many(encoded, failing)
+    labels = sorted({meta.codec for meta in metas})
+    before = [_read_counters(label) for label in labels]
+    if want_error is not None:
+        with pytest.raises(ReconstructionError) as caught:
+            read_slabs(metas, fetch_many, layout)
+        assert str(caught.value) == want_error
+    else:
+        assert payloads_of(metas, read_slabs(metas, fetch_many, layout)) == want == payloads
+        asked = [request for requests in rounds for request in requests]
+        assert len(asked) == len(set(asked))  # nothing asked twice
+        assert set(asked) == want_asked
+    deltas = [
+        tuple(b - a for a, b in zip(was, _read_counters(label)))
+        for was, label in zip(before, labels)
+    ]
+    assert tuple(map(sum, zip(*deltas))) == want_counts
+    first_k = {
+        (number, index)
+        for number, meta in enumerate(metas)
+        for index in _order(number, meta, distrusted)[: meta.k]
+    }
+    assert set(rounds[0]) == first_k
+    assert {slots[at] for at, counter in counters.items() if counter.value} == {
+        (number, index) for number, index in distrusted
+        if index < metas[number].k and (number, index) not in first_k
+    }
+    assert all(counter.value <= 1 for counter in counters.values())
 
 
 def test_read_stripes_of_nothing_fetches_nothing():
