@@ -524,197 +524,6 @@ def _serve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# open-loop load harness (repro.loadgen)
-# ---------------------------------------------------------------------------
-
-
-def _parse_mix(text: str):
-    """``get=0.7,put=0.15,update=0.1,delete=0.05`` -> OpMix."""
-    from repro.loadgen.workload import OpMix
-
-    weights = {}
-    for pair in text.split(","):
-        key, sep, value = pair.partition("=")
-        key = key.strip()
-        if not sep or key not in ("get", "put", "update", "delete"):
-            raise SystemExit(
-                f"error: bad --mix entry {pair!r} "
-                "(expected get=W,put=W,update=W,delete=W)"
-            )
-        try:
-            weights[key] = float(value)
-        except ValueError:
-            raise SystemExit(f"error: bad --mix weight {value!r}")
-    return OpMix(**weights)
-
-
-def _loadtest_stack(args, stack):
-    """Build the system under test; returns (target, metrics, events).
-
-    Three stacks, all self-contained (no ``--state`` deployment):
-
-    * ``inproc``  -- distributor over in-memory providers (measures the
-      data path itself: chunking, crypto, RAID, placement, tables);
-    * ``cluster`` -- distributor over a ``LocalCluster`` of socket chunk
-      servers (adds the real wire, pools, batching);
-    * ``gateway`` -- a sharded ``FleetGateway`` over a ``LocalCluster``,
-      driven through the JSON-lines gateway wire with one connection per
-      driver worker (the full multi-tenant front door).
-    """
-    from repro.loadgen.driver import (
-        DistributorTarget,
-        GatewayClientTarget,
-        ThrottledTarget,
-    )
-    from repro.obs.trace import Tracer
-
-    metrics = MetricsRegistry()
-    events = EventLog(emit_logging=False)
-    previous = (set_metrics(metrics), set_tracer(Tracer()), set_events(events))
-    stack.callback(
-        lambda: (set_metrics(previous[0]), set_tracer(previous[1]),
-                 set_events(previous[2]))
-    )
-
-    def make_cluster():
-        from repro.net.cluster import LocalCluster
-        from repro.net.remote import RetryPolicy
-
-        cluster = stack.enter_context(
-            LocalCluster(
-                args.nodes,
-                retry=RetryPolicy(attempts=2, base_delay=0.01),
-                pool_size=args.pool_size,
-            )
-        )
-        if args.saturation_threshold is not None:
-            for provider in cluster.providers:
-                provider.pool.saturation_threshold = args.saturation_threshold
-        return cluster
-
-    if args.target == "inproc":
-        from repro.providers.memory import InMemoryProvider
-
-        registry = ProviderRegistry()
-        for i in range(args.nodes):
-            registry.register(
-                InMemoryProvider(f"P{i}"), PrivacyLevel.PRIVATE,
-                CostLevel.coerce(i % 4),
-            )
-        distributor = CloudDataDistributor(
-            registry, seed=args.seed, cache=ChunkCache(CACHE_BYTES)
-        )
-        stack.callback(distributor.close)
-        target = DistributorTarget(distributor)
-    elif args.target == "cluster":
-        cluster = make_cluster()
-        distributor = CloudDataDistributor(
-            cluster.build_registry(), seed=args.seed,
-            cache=ChunkCache(CACHE_BYTES),
-        )
-        stack.callback(distributor.close)
-        target = DistributorTarget(distributor)
-    elif args.target == "gateway":
-        from repro.fleet import FleetGateway
-        from repro.net.gateway import GatewayServer
-
-        cluster = make_cluster()
-        gateway = FleetGateway(
-            cluster.build_registry(), None, seed=args.seed
-        )
-        stack.callback(gateway.close)
-        for i in range(args.shards):
-            gateway.add_shard(f"s{i}")
-        server = GatewayServer(
-            gateway, host="127.0.0.1", port=0,
-            max_workers=max(args.workers, 4),
-        )
-        server.start()
-        stack.callback(server.stop)
-        target = GatewayClientTarget(server.host, server.port, gateway=gateway)
-        stack.callback(target.close)
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit(f"error: unknown target {args.target!r}")
-
-    if args.service_floor > 0:
-        target = ThrottledTarget(target, args.service_floor)
-    return target, metrics, events
-
-
-def _loadtest(args) -> int:
-    """Open-loop load run (optionally a stepped saturation search)."""
-    from repro.loadgen.driver import DriverConfig, run_load, run_setup
-    from repro.loadgen.report import (
-        build_report,
-        render_report,
-        saturation_search,
-    )
-    from repro.loadgen.slo import SLO
-    from repro.loadgen.workload import WorkloadSpec, synthesize
-
-    slo = SLO.parse(args.slo) if args.slo else None
-    spec = WorkloadSpec(
-        tenants=args.tenants,
-        files_per_tenant=args.files_per_tenant,
-        mean_file_size=args.file_size,
-        zipf_alpha=args.zipf_alpha,
-        tenant_alpha=args.tenant_alpha,
-        mix=_parse_mix(args.mix),
-        privacy_level=args.level,
-    )
-    # Enough trace for the measured run plus the widest ramp step.
-    peak_rate = args.rate
-    if args.ramp:
-        peak_rate = max(
-            peak_rate, args.rate * args.ramp_growth ** (args.ramp_steps - 1)
-        )
-    n_ops = int(peak_rate * max(args.duration, args.ramp_duration)) + 1
-    workload = synthesize(spec, n_ops, seed=args.seed)
-
-    # One fresh stack per run: the trace replays the same puts/deletes,
-    # so sharing state across ramp steps would turn trace collisions
-    # into phantom errors charged to the system under test.
-    def run_at(rate: float, duration: float):
-        with contextlib.ExitStack() as stack:
-            target, metrics, events = _loadtest_stack(args, stack)
-            run_setup(target, workload)
-            return run_load(
-                target, workload,
-                DriverConfig(
-                    rate=rate, duration=duration, workers=args.workers,
-                    seed=args.seed, arrival=args.arrival,
-                ),
-                events=events, metrics=metrics,
-            )
-
-    saturation = None
-    if args.ramp:
-        saturation = saturation_search(
-            lambda rate: run_at(rate, args.ramp_duration),
-            start_rate=args.rate,
-            growth=args.ramp_growth,
-            max_steps=args.ramp_steps,
-            slo=slo,
-        )
-    result = run_at(args.rate, args.duration)
-
-    slo_outcome = slo.evaluate(result) if slo is not None else None
-    report = build_report(
-        result, workload,
-        target=args.target, workers=args.workers, arrival=args.arrival,
-        slo_outcome=slo_outcome, saturation=saturation,
-    )
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-    print(render_report(report))
-    if slo_outcome is not None and not slo_outcome.ok:
-        return 2
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # sharded fleet commands (repro.fleet)
 # ---------------------------------------------------------------------------
 
@@ -1116,81 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retry-after hint (seconds) sent with "
                         "RESOURCE_EXHAUSTED sheds (default: 0.1)")
     p.set_defaults(func=_serve)
-
-    p = sub.add_parser(
-        "loadtest",
-        help="open-loop load run against a self-contained stack",
-        description=(
-            "Synthesize a seeded multi-tenant workload and drive it at a "
-            "fixed offered rate against an in-process distributor, a local "
-            "socket cluster, or a sharded gateway over the wire.  Latency "
-            "is measured from each operation's *intended* send time, so "
-            "queueing delay under overload is charged to the run instead "
-            "of being silently omitted."
-        ),
-    )
-    p.add_argument("--rate", type=float, default=50.0,
-                   help="offered arrival rate, ops/s (default: 50)")
-    p.add_argument("--duration", type=float, default=5.0,
-                   help="run length in seconds (default: 5)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="workload + schedule seed (default: 0)")
-    p.add_argument("--workers", type=int, default=8,
-                   help="driver worker threads (default: 8)")
-    p.add_argument("--target", choices=["inproc", "cluster", "gateway"],
-                   default="inproc",
-                   help="system under test (default: inproc)")
-    p.add_argument("--nodes", type=int, default=4,
-                   help="providers / chunk servers to stand up (default: 4)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="metadata shards for --target gateway (default: 2)")
-    p.add_argument("--pool-size", type=int, default=4,
-                   help="connection-pool size per remote provider "
-                        "(default: 4)")
-    p.add_argument("--tenants", type=int, default=4,
-                   help="synthetic tenants (default: 4)")
-    p.add_argument("--files-per-tenant", type=int, default=12,
-                   help="initial live files per tenant (default: 12)")
-    p.add_argument("--file-size", type=int, default=8192,
-                   help="mean payload bytes for put/update (default: 8192)")
-    p.add_argument("--zipf-alpha", type=float, default=1.2,
-                   help="file-popularity skew, > 1 (default: 1.2)")
-    p.add_argument("--tenant-alpha", type=float, default=1.1,
-                   help="tenant request-share skew, > 1 (default: 1.1)")
-    p.add_argument("--mix", default="get=0.7,put=0.15,update=0.1,delete=0.05",
-                   help="op mix weights (default: "
-                        "get=0.7,put=0.15,update=0.1,delete=0.05)")
-    p.add_argument("--level", type=int, default=2,
-                   help="privacy level for stored files (default: 2)")
-    p.add_argument("--arrival", choices=["uniform", "poisson"],
-                   default="uniform",
-                   help="arrival schedule; uniform spaces ops exactly 1/rate "
-                        "apart, poisson draws seeded exponential gaps "
-                        "(default: uniform)")
-    p.add_argument("--slo", metavar="EXPR",
-                   help="latency objective, e.g. p99<250ms, get:p95<40ms, "
-                        "p99<250ms@200; exit status 2 when violated")
-    p.add_argument("--ramp", action="store_true",
-                   help="saturation search: step the rate up geometrically "
-                        "from --rate before the measured run")
-    p.add_argument("--ramp-growth", type=float, default=1.6,
-                   help="rate multiplier between ramp steps (default: 1.6)")
-    p.add_argument("--ramp-steps", type=int, default=6,
-                   help="maximum ramp steps (default: 6)")
-    p.add_argument("--ramp-duration", type=float, default=2.0,
-                   help="seconds per ramp step (default: 2)")
-    p.add_argument("--service-floor", type=float, default=0.0,
-                   help="add a fixed per-op service delay in seconds, giving "
-                        "the stack a known capacity of workers/delay ops/s "
-                        "(default: 0, disabled)")
-    p.add_argument("--saturation-threshold", type=float, default=None,
-                   help="override the connection pools' checkout-wait "
-                        "threshold (seconds) above which pool_saturation "
-                        "events fire; tighten it to observe saturation "
-                        "reporting on fast local sockets")
-    p.add_argument("--json", metavar="PATH",
-                   help="also write the full BENCH_load-schema report here")
-    p.set_defaults(func=_loadtest)
 
     # -- sharded fleet -----------------------------------------------------
 

@@ -1,41 +1,12 @@
-"""Open-loop load harness: trace-driven workloads with latency SLOs.
+"""Seeded multi-tenant traces and the adapter that applies them to a fleet.
 
-The ROADMAP's "millions of users" claim is only as good as its
-measurement.  This package makes it measurable:
-
-* :mod:`repro.loadgen.workload` -- a seeded, deterministic synthesizer
-  producing a multi-tenant operation trace (zipfian file popularity,
-  configurable put/get/update/delete mix);
-* :mod:`repro.loadgen.driver` -- an open-loop driver that schedules the
-  trace at a target arrival rate and records every operation's latency
-  from its *intended* send time, so coordinated omission cannot hide
-  stalls behind a blocked client;
-* :mod:`repro.loadgen.slo` -- declarative latency SLOs
-  (``p99<250ms@200``) evaluated against a run;
-* :mod:`repro.loadgen.report` -- stepwise saturation search and the
-  ``BENCH_load.json`` artifact the perf regression gate reads.
-
-See ``docs/load_testing.md`` for the workload model and semantics.
+:mod:`repro.loadgen.workload` synthesizes a deterministic trace (zipfian
+file popularity, a put/get/update/delete mix); :mod:`repro.loadgen.target`
+applies its operations to a ``FleetGateway``.  The open-loop driver that
+replays a trace at a fixed rate is ``benchmarks/e2e/openloop.py``.
 """
 
-from repro.loadgen.driver import (
-    DistributorTarget,
-    DriverConfig,
-    GatewayClientTarget,
-    GatewayTarget,
-    LoadResult,
-    LoadTarget,
-    ThrottledTarget,
-    run_load,
-    run_setup,
-)
-from repro.loadgen.report import (
-    build_report,
-    render_report,
-    saturation_search,
-    validate_report,
-)
-from repro.loadgen.slo import SLO, SLOOutcome
+from repro.loadgen.target import GatewayTarget, run_setup
 from repro.loadgen.workload import (
     Operation,
     OpMix,
@@ -45,24 +16,11 @@ from repro.loadgen.workload import (
 )
 
 __all__ = [
-    "SLO",
-    "SLOOutcome",
-    "DistributorTarget",
-    "DriverConfig",
-    "GatewayClientTarget",
     "GatewayTarget",
-    "LoadResult",
-    "LoadTarget",
     "Operation",
     "OpMix",
-    "ThrottledTarget",
     "Workload",
     "WorkloadSpec",
-    "build_report",
-    "render_report",
-    "run_load",
     "run_setup",
-    "saturation_search",
     "synthesize",
-    "validate_report",
 ]

@@ -41,31 +41,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-
-def geometric_buckets(
-    lo: float = 1e-4, hi: float = 60.0, ratio: float = 1.05
-) -> tuple[float, ...]:
-    """Geometric bucket bounds from *lo* to at least *hi*.
-
-    Consecutive bounds grow by *ratio*, so any value inside the covered
-    range sits in a bucket whose width is at most ``(ratio - 1)`` of its
-    lower bound -- which caps the relative error of in-bucket quantile
-    interpolation at ``ratio - 1`` (5% for the default).
-    """
-    if lo <= 0 or hi <= lo:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    if ratio <= 1.0:
-        raise ValueError(f"ratio must be > 1, got {ratio}")
-    bounds = [lo]
-    while bounds[-1] < hi:
-        bounds.append(bounds[-1] * ratio)
-    return tuple(bounds)
-
-
-#: Quantile-accurate latency bounds: ~280 geometric buckets spanning
-#: 100 us to 60 s at <= 5% relative error per bucket.
-LATENCY_BUCKETS: tuple[float, ...] = geometric_buckets()
-
 _LabelKey = tuple[tuple[str, str], ...]
 
 
@@ -204,20 +179,6 @@ class Histogram:
                 return lo + (hi - lo) * ((target - below) / count)
         return self.buckets[-1]
 
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold *other*'s samples into this histogram.
-
-        Both histograms must share the same bucket bounds -- this is the
-        aggregation step for per-worker histograms kept lock-private
-        during a run and combined at the end.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                "cannot merge histograms with different buckets "
-                f"({len(other.buckets)} vs {len(self.buckets)} bounds)"
-            )
-        self._merge(*other._state())
-
     def _state(self) -> tuple[list[int], float, int]:
         with self._lock:
             return list(self._counts), self._sum, self._count
@@ -229,34 +190,6 @@ class Histogram:
                     self._counts[i] += c
             self._sum += total
             self._count += n
-
-
-class LatencyHistogram(Histogram):
-    """Log-bucketed latency distribution with accurate tail quantiles.
-
-    The fixed :data:`DEFAULT_BUCKETS` are fine for dashboards but too
-    coarse to *gate* on: a p99 interpolated between 0.25 s and 0.5 s can
-    be off by almost 2x.  This variant uses :data:`LATENCY_BUCKETS` --
-    geometric bounds growing 5% per bucket from 100 us to 60 s -- so
-    :meth:`percentile` is within ~5% relative error anywhere in that
-    range.  Same observe cost (one bisect over a tuple, two adds under a
-    lock), same ``_merge`` machinery, and it round-trips through
-    :meth:`MetricsRegistry.export_state` like any other histogram.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, buckets: tuple[float, ...] = LATENCY_BUCKETS) -> None:
-        super().__init__(buckets)
-
-    def p50(self) -> float:
-        return self.percentile(50.0)
-
-    def p95(self) -> float:
-        return self.percentile(95.0)
-
-    def p99(self) -> float:
-        return self.percentile(99.0)
 
 
 class _Null:

@@ -7,6 +7,8 @@ points (``tests/core/test_crash_injection.py`` deliberately excludes them
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.errors import FleetError
@@ -68,9 +70,14 @@ def test_exporting_a_file_reads_it_as_one_window(gateway, monkeypatch):
     (shard,) = [s for s in gateway.shards.values() if s.has_file(key)]
     batches: list[str] = []
     get_many = InMemoryProvider.get_many
+    # The patch is class-wide: count only this thread's reads of the
+    # exporting shard's backends, not a scrubber's or prober's elsewhere.
+    backends = {id(entry.provider.inner) for entry in shard.registry.all()}
+    caller = threading.get_ident()
 
     def counted(self, keys):
-        batches.append(self.name)
+        if id(self) in backends and threading.get_ident() == caller:
+            batches.append(self.name)
         return get_many(self, keys)
 
     monkeypatch.setattr(InMemoryProvider, "get_many", counted)
